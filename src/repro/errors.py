@@ -46,6 +46,10 @@ class InvalidInstruction(MachineError):
     """The CPU decoded an opcode it does not implement."""
 
 
+class ArityError(MachineError):
+    """A function was entered with the wrong number of arguments."""
+
+
 class CpuLimitExceeded(MachineError):
     """Execution exceeded the configured instruction budget."""
 

@@ -19,19 +19,44 @@ four hook points the write-monitor strategies need:
 A :attr:`Cpu.tracer` hook observes function entry/exit and every completed
 write, which is how phase 1 of the experiment generates its event trace.
 
-The dispatch loop is a single ``while`` with an ``if/elif`` chain ordered
-by dynamic frequency; this is the hottest code in the repository.  For
-that reason observation (:mod:`repro.observe`) records only at segment
+Two execution tiers run a segment (one :meth:`Cpu.run` or
+:meth:`Cpu.resume`):
+
+* **the reference loop** (:meth:`Cpu._loop`) — a single ``while`` with
+  an ``if/elif`` chain ordered by dynamic frequency, which implements
+  every hook above.  It is the specification of the machine;
+* **the block-compiled fast path** (:meth:`Cpu._fast_loop`) — the
+  image's basic blocks compiled once into straight-line Python functions
+  (:mod:`repro.machine.blocks`) and a small driver for ``CALL``,
+  ``RET`` and ``CALLB``.  It keeps only the tracer hook, and counts
+  instructions, cycles and stores once per block.
+
+The tier is chosen per segment from state the CPU already holds: the
+fast path runs when there are no enter/exit hooks, no ``check_hook``, no
+write-protected pages, no enabled monitor registers, no ``CHK``/``TRAP``
+in the image, and the ``--profile`` opcode sampler is off.  Otherwise the
+reference loop runs.  The fast path gives the rest of a segment to the
+reference loop, at an instruction boundary and with exact counters,
+whenever the reference loop would do something special: an alignment or
+range fault, a float zero divisor, an instruction budget that runs out
+inside a block, an instruction the compiler does not take, or a builtin
+that leaves hooks, protection or monitor registers active.  Both tiers
+leave the same trace, registry, memory, counters and :class:`CpuState`,
+and raise the same errors with the same counters.
+
+The dispatch loops are the hottest code in the repository.  For that
+reason observation (:mod:`repro.observe`) records only at segment
 completion: when :meth:`Cpu.run` or :meth:`Cpu.resume` runs to normal
 completion, the instructions retired, cycles, stores, and per-kind trap
-counts of that segment are reported as deltas (``cpu.*`` counters), and
-the loop itself carries no instrumentation at all.
+counts of that segment are reported as deltas (``cpu.*`` counters), on
+either tier, and the loops themselves carry no instrumentation at all.
 
 The sampling profiler (:mod:`repro.observe.profile`) rides the same
 rule: its 1-in-N opcode sampling reuses the instruction-budget
-comparison the loop already performs, so with profiling disabled the
-loop is unchanged and with it enabled the only extra work is one dict
-update per N instructions.
+comparison the reference loop already performs, so with profiling
+disabled the loop is unchanged and with it enabled the only extra work
+is one dict update per N instructions.  Profiled segments always run on
+the reference loop.
 """
 
 from __future__ import annotations
@@ -44,6 +69,7 @@ from repro.observe import profile as observe_profile
 
 from repro.errors import (
     AlignmentFault,
+    ArityError,
     CpuLimitExceeded,
     InvalidInstruction,
     MemoryFault,
@@ -51,12 +77,16 @@ from repro.errors import (
     StackOverflow,
     UnhandledFault,
 )
-from repro.machine import isa
+from repro.machine import blocks, isa
 from repro.machine.layout import MemoryLayout
 from repro.machine.memory import Memory
 from repro.machine.monitor_registers import MonitorRegisterFile
 from repro.machine.paging import PageTable
 from repro.machine.traps import TrapFrame, TrapKind
+
+#: The fast path lets the tracer expand its log every this many
+#: instructions, which bounds the log of a call-free loop.
+_DRAIN_STRIDE = 1 << 14
 
 #: Dense opcode -> cycle cost table (list for O(1) indexed lookup).
 _COST: List[int] = [0] * (max(isa.CYCLE_COST) + 1)
@@ -124,7 +154,13 @@ class Cpu:
         self.trap_sink: Optional[Callable[[TrapFrame, "Cpu"], None]] = None
         #: Code-patch check subroutine: ``check(address, pc, cpu)``.
         self.check_hook: Optional[Callable[[int, int, "Cpu"], None]] = None
-        #: Phase-1 tracer (``on_enter``/``on_exit``/``on_write`` methods).
+        #: Phase-1 tracer: ``on_enter(func, frame_base)``,
+        #: ``on_exit(func, frame_base)`` and ``on_write(address)`` for the
+        #: word ``[address, address + 4)``.  A tracer may also expose
+        #: ``log`` (an array whose ``append`` records a store address the
+        #: way ``on_write`` does) and ``drain()``; the fast path then
+        #: appends store addresses to ``log`` directly and calls
+        #: ``drain()`` every ``_DRAIN_STRIDE`` instructions.
         self.tracer = None
         #: Builtin functions: index -> ``fn(cpu, args) -> value``.
         self.builtins: List[Callable] = []
@@ -173,7 +209,7 @@ class Cpu:
         if mrf.any_enabled and mrf.hit(address, address + 4) is not None:
             self._raise_trap(TrapFrame(TrapKind.MONITOR_FAULT, self._trap_pc, address, value))
         if self.tracer is not None:
-            self.tracer.on_write(address, address + 4)
+            self.tracer.on_write(address)
 
     def _raise_trap(self, frame: TrapFrame) -> None:
         self.trap_counts[frame.kind] = self.trap_counts.get(frame.kind, 0) + 1
@@ -209,16 +245,22 @@ class Cpu:
             raise InvalidInstruction("nothing to resume: no live frames")
         if self._resume_pc < 0:
             raise InvalidInstruction("nothing to resume: no recorded resume point")
-        return self._loop(self._resume_pc, max_instructions)
+        return self._execute(self._resume_pc, max_instructions)
 
     def _run_from(self, func_index: int, args, max_instructions: int) -> CpuState:
-        loaded = self._loaded
-        functions = loaded.functions
-        stack_limit = self.layout.stack_limit
+        return self._execute(self._push_entry(func_index, args), max_instructions)
 
-        func = functions[func_index]
+    def _push_entry(self, func_index: int, args) -> int:
+        """Install the entry frame of ``func_index`` with ``args``; return
+        the pc a loop starts from."""
+        func = self._loaded.functions[func_index]
+        if len(args) != len(func.params):
+            raise ArityError(
+                f"{func.name} takes {len(func.params)} argument(s), "
+                f"got {len(args)}"
+            )
         self.sp -= func.frame_size
-        if self.sp < stack_limit:
+        if self.sp < self.layout.stack_limit:
             raise StackOverflow(func.name)
         self.fp = self.sp
         regs: List = [0] * func.n_regs
@@ -232,7 +274,24 @@ class Cpu:
             self._resume_pc = func.entry_pc
             for hook in hooks:
                 hook(func, self.fp)
-        return self._loop(func.entry_pc, max_instructions)
+        return func.entry_pc
+
+    def _execute(self, start_pc: int, max_instructions: int) -> CpuState:
+        """Run one segment on the tier the CPU's state allows."""
+        if self._hooks_clear() and not observe_profile.cpu_sample_stride() \
+                and not blocks.has_patches(self._loaded):
+            return self._fast_loop(start_pc, max_instructions)
+        return self._loop(start_pc, max_instructions)
+
+    def _hooks_clear(self) -> bool:
+        """No hook, protected page or monitor register needs the reference loop."""
+        return (
+            self.check_hook is None
+            and not self.page_table.write_protected
+            and not self.monitor_registers.any_enabled
+            and not any(self.enter_hooks.values())
+            and not any(self.exit_hooks.values())
+        )
 
     def _loop(self, start_pc: int, max_instructions: int) -> CpuState:
         loaded = self._loaded
@@ -339,7 +398,7 @@ class Cpu:
                         self._raise_trap(TrapFrame(TrapKind.MONITOR_FAULT, pc, addr, value))
                         cycles = self.cycles
                     if tracer is not None:
-                        tracer.on_write(addr, addr + 4)
+                        tracer.on_write(addr)
                 pc += 1
             elif op == LDI:
                 regs[instr[1]] = instr[2]
@@ -547,6 +606,153 @@ class Cpu:
             halted=True,
             trap_counts=dict(self.trap_counts),
         )
+
+    def _fast_loop(self, start_pc: int, max_instructions: int) -> CpuState:
+        """The block-compiled tier (see the module docstring).
+
+        Call only when :meth:`_execute` would choose it; anything the
+        blocks cannot run exactly is handed to :meth:`_loop`.
+        """
+        loaded = self._loaded
+        layout = self.layout
+        frames = self.frames
+        frame = frames[-1]
+        fp = self.fp
+        func = frame.func
+        if fp & 3 or fp < layout.stack_limit or fp + func.frame_size > layout.stack_top \
+                or not func.entry_pc <= start_pc < func.end_pc:
+            return self._loop(start_pc, max_instructions)
+        compiled = blocks.compiled_image(loaded, layout)
+        tracer = self.tracer
+        store_hook = drain = None
+        if tracer is not None:
+            log = getattr(tracer, "log", None)
+            if log is None:
+                store_hook = tracer.on_write
+            else:
+                store_hook, drain = log.append, tracer.drain
+        table = compiled.table(self.memory.words, store_hook, _c_div, _c_mod)
+        if table[start_pc] is None:
+            return self._loop(start_pc, max_instructions)
+
+        stack_limit = layout.stack_limit
+        regs = frame.regs
+        fw = fp >> 2
+        max_depth = len(frames)
+        pc = start_pc
+        cycles = self.cycles
+        n_instr = self.instructions
+        n_stores = self.stores
+        exit_value = None
+        observing = observe.is_enabled()
+        entry_cycles, entry_instr, entry_stores = cycles, n_instr, n_stores
+        # One comparison per block guards both the instruction budget and
+        # the tracer's drain points.
+        checkpoint = max_instructions
+        if drain is not None:
+            checkpoint = min(max_instructions, n_instr + _DRAIN_STRIDE)
+        Handover = blocks.Handover
+        CALL, CALLB, RET, HALT = blocks.CALL, blocks.CALLB, blocks.RET, blocks.HALT
+        handover_pc: Optional[int] = None
+
+        while True:
+            block, n, cyc, nst, term = table[pc]
+            if n_instr + n > checkpoint:
+                if n_instr + n > max_instructions:
+                    handover_pc = pc
+                    break
+                drain()
+                checkpoint = min(max_instructions, n_instr + _DRAIN_STRIDE)
+            try:
+                result = block(regs, fp, fw)
+            except Handover as stop:
+                k = stop.args[0]
+                prefix_cycles, prefix_stores = compiled.prefix(pc, k)
+                n_instr += k
+                cycles += prefix_cycles
+                n_stores += prefix_stores
+                handover_pc = pc + k
+                break
+            n_instr += n
+            cycles += cyc
+            n_stores += nst
+            if term is None:
+                pc = result
+                continue
+            kind = term[0]
+            if kind == CALL:
+                _, callee, dest_reg, ret_pc = term
+                self.sp -= callee.frame_size
+                if self.sp < stack_limit:
+                    self._sync(cycles, n_instr, n_stores)
+                    raise StackOverflow(callee.name)
+                frames.append(_Frame(callee, result, ret_pc, fp, dest_reg))
+                if len(frames) > max_depth:
+                    max_depth = len(frames)
+                fp = self.sp
+                self.fp = fp
+                fw = fp >> 2
+                regs = result
+                if tracer is not None:
+                    tracer.on_enter(callee, fp)
+                pc = callee.entry_pc
+            elif kind == RET:
+                done_frame = frames.pop()
+                if tracer is not None:
+                    tracer.on_exit(done_frame.func, fp)
+                self.sp += done_frame.func.frame_size
+                if not frames:
+                    exit_value = result
+                    break
+                fp = done_frame.saved_fp
+                self.fp = fp
+                fw = fp >> 2
+                regs = frames[-1].regs
+                if done_frame.dest_reg is not None:
+                    regs[done_frame.dest_reg] = result
+                pc = done_frame.ret_pc
+                if pc < 0 or table[pc] is None:
+                    handover_pc = pc
+                    break
+            elif kind == CALLB:
+                _, builtin, dest_reg, pc = term
+                self._sync(cycles, n_instr, n_stores)
+                value = self.builtins[builtin](self, result)
+                cycles, n_stores = self.cycles, self.stores
+                if dest_reg is not None:
+                    regs[dest_reg] = value
+                if not self._hooks_clear():
+                    handover_pc = pc
+                    break
+            elif kind == HALT:
+                break
+            else:
+                handover_pc = term[1]
+                break
+
+        self._sync(cycles, n_instr, n_stores)
+        if handover_pc is None:
+            state = CpuState(
+                exit_value=exit_value,
+                instructions=n_instr,
+                cycles=cycles,
+                stores=n_stores,
+                max_call_depth=max_depth,
+                halted=True,
+                trap_counts=dict(self.trap_counts),
+            )
+        else:
+            # The reference loop reports its own part of the segment
+            # (and cpu.runs) when it completes; this loop adds the rest.
+            state = self._loop(handover_pc, max_instructions)
+            state.max_call_depth = max(state.max_call_depth, max_depth)
+        if observing:
+            if handover_pc is None:
+                observe.inc("cpu.runs")
+            observe.inc("cpu.instructions", n_instr - entry_instr)
+            observe.inc("cpu.cycles", cycles - entry_cycles)
+            observe.inc("cpu.stores", n_stores - entry_stores)
+        return state
 
     # The trap pc of the instruction currently faulting (for emulate_store).
     _trap_pc: int = -1

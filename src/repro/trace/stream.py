@@ -25,11 +25,11 @@ streamed and whole-trace paths bit-identical by construction (enforced
 by ``tests/simulate/test_vector_equivalence.py`` and the CI
 ``stream-equivalence`` job).
 
-Producers flush on the first event hook *at or past* ``chunk_events``
-buffered events, so chunks are approximately ``chunk_events`` long but
-not exactly (a function entry appends its whole frame plan before the
-flush check runs).  Consumers must use the per-chunk event count and
-never assume uniform chunk sizes.
+Producers end a chunk after the first event hook that leaves it *at or
+past* ``chunk_events`` buffered events, so chunks are approximately
+``chunk_events`` long but not exactly (a function entry appends its
+whole frame plan before the check).  Consumers must use the per-chunk
+event count and never assume uniform chunk sizes.
 
 When observation is on (:mod:`repro.observe`) the channel accounts
 ``stream.chunks`` / ``stream.events`` counters and maintains the
@@ -393,12 +393,15 @@ class ChunkingTracer(Tracer):
     """A tracer that emits :class:`TraceChunk` batches as the program runs.
 
     ``emit`` is called with each finished chunk (typically
-    :meth:`ChunkChannel.put`); at most one chunk of events is buffered
-    at any time, so phase 1's trace memory is bounded by ``chunk_events``
-    regardless of trace length.  :meth:`finish` flushes the final
-    partial chunk and returns an *empty* :class:`EventTrace` whose
-    ``meta`` carries the run totals — the authoritative event counts a
-    consumer checks the stream against.
+    :meth:`ChunkChannel.put`).  Hooks append to the tracer's log like
+    any :class:`~repro.trace.tracer.Tracer`; each drain expands the log
+    and cuts chunks where a per-hook check would have.  At most one
+    chunk of events plus one log slice is buffered at any time, so
+    phase 1's trace memory is bounded by ``chunk_events`` and
+    :data:`~repro.trace.tracer.LOG_SLICE` regardless of trace length.
+    :meth:`finish` flushes the final partial chunk and returns an
+    *empty* :class:`EventTrace` whose ``meta`` carries the run totals —
+    the authoritative event counts a consumer checks the stream against.
     """
 
     def __init__(
@@ -441,43 +444,24 @@ class ChunkingTracer(Tracer):
         self._emitted_events += n
         self._emit(chunk)
 
-    def _maybe_flush(self) -> None:
-        if len(self.trace.kinds) >= self._chunk_events:
+    def _absorb(self, kinds, a, b, c, ends, eligible) -> None:
+        """Append expanded events, ending a chunk after the first hook at
+        or past ``chunk_events`` buffered events, as a per-hook check
+        would.  Only hook-ending records are eligible, so a frame plan's
+        events always land in one chunk together."""
+        hook_ends = ends[eligible]
+        done = 0  # events of this slice already appended
+        next_hook = 0  # first eligible record not yet a cut candidate
+        while True:
+            need = self._chunk_events - len(self.trace.kinds)
+            cut = max(next_hook, int(np.searchsorted(hook_ends, done + need)))
+            if cut >= len(hook_ends):
+                break
+            stop = int(hook_ends[cut])
+            self._append(kinds, a, b, c, done, stop)
             self._flush()
-
-    # Every event hook defers to the base tracer, then flushes when the
-    # buffered chunk is full.  The check runs per *hook*, not per event,
-    # so a frame plan's events always land in one chunk together.
-
-    def begin(self) -> None:
-        super().begin()
-        self._maybe_flush()
-
-    def on_enter(self, func, frame_base: int) -> None:
-        super().on_enter(func, frame_base)
-        self._maybe_flush()
-
-    def on_exit(self, func, frame_base: int) -> None:
-        super().on_exit(func, frame_base)
-        self._maybe_flush()
-
-    def on_write(self, begin: int, end: int) -> None:
-        super().on_write(begin, end)
-        self._maybe_flush()
-
-    def on_alloc(self, address: int, size_bytes: int) -> None:
-        super().on_alloc(address, size_bytes)
-        self._maybe_flush()
-
-    def on_free(self, address: int, size_bytes: int) -> None:
-        super().on_free(address, size_bytes)
-        self._maybe_flush()
-
-    def on_realloc(
-        self, old_address: int, old_size: int, new_address: int, new_size: int
-    ) -> None:
-        super().on_realloc(old_address, old_size, new_address, new_size)
-        self._maybe_flush()
+            done, next_hook = stop, cut + 1
+        self._append(kinds, a, b, c, done, len(kinds))
 
     def finish(self, state=None) -> EventTrace:
         """Close open windows, flush the tail chunk, return the (empty)

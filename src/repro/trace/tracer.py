@@ -19,7 +19,10 @@ run, never per event, so the per-store hooks stay uninstrumented.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro import observe
 
@@ -29,23 +32,56 @@ from repro.machine.loader import LoadedProgram, load_program
 from repro.machine.memory import Memory
 from repro.minic.compiler import CompiledProgram
 from repro.minic.runtime import Runtime
-from repro.trace.events import EventTrace
+from repro.trace.events import EventKind, EventTrace
 from repro.trace.objects import ObjectRegistry
 
 
+#: Log records a hook lets accumulate before the log is expanded.  The
+#: bound keeps the log and one slice's expansion small next to the trace.
+LOG_SLICE = 1 << 14
+
+# Tags in the low two bits of a negative (``~word``) log record.
+_ENTER, _EXIT, _SIDE = 0, 1, 2
+
+
 class Tracer:
-    """Observes one run and builds the event trace."""
+    """Observes one run and builds the event trace.
+
+    Every hook appends one int64 record to :attr:`log`:
+
+    * a store appends its address (always ``>= 0``: stores are range
+      checked before the hook runs);
+    * a function entry or exit appends ``~(((frame_base << F) | index)
+      << 2 | tag)``, ``F`` bits being enough for any function index;
+    * a heap or static event appends ``~(side << 2 | 2)``, ``side``
+      indexing an explicit ``(kind, a, b, c, ends_hook)`` side record.
+
+    :meth:`drain` expands the records, at most :data:`LOG_SLICE` at a
+    time, into the four :class:`EventTrace` columns with NumPy: a store
+    becomes one WRITE, a frame record one INSTALL or REMOVE per variable
+    of the function's frame plan, a side record its one event.  A hook
+    drains when the log reaches :data:`LOG_SLICE`; the CPU's fast path
+    appends store addresses straight to :attr:`log` and drains at its
+    own checkpoints.
+    """
 
     def __init__(self, cpu: Cpu, image: LoadedProgram, program_name: str = "") -> None:
         self.cpu = cpu
         self.image = image
         self.trace = EventTrace(program_name or image.name)
         self.registry = ObjectRegistry()
-        #: function index -> [(frame offset, size, object id), ...]
-        self._frame_plans: Dict[int, List[Tuple[int, int, int]]] = {}
+        #: One int64 record per hook (see the class docstring).
+        self.log = array("q")
+        #: Heap and static events of the records still in the log.
+        self._side: List[Tuple[int, int, int, int, bool]] = []
+        self._func_bits = max(1, len(image.functions).bit_length())
+        #: Every function's frame plan, flattened: per function index the
+        #: start and length of its run in the offset/size/object arrays.
+        self._plan_start = self._plan_len = None
+        self._plan_obj = self._plan_off = self._plan_size = None
         #: live heap blocks: address -> (object id, size)
         self._live_heap: Dict[int, Tuple[int, int]] = {}
-        #: (address, size) ranges of globals/statics installed at start.
+        #: (object id, address, size) of globals/statics installed at start.
         self._static_ranges: List[Tuple[int, int, int]] = []
 
     # ------------------------------------------------------------------
@@ -54,19 +90,31 @@ class Tracer:
 
     def begin(self) -> None:
         """Install global and static objects; hook the CPU and allocator."""
+        statics = []
         for var in self.image.global_vars:
             if var.owner_function is None:
                 obj = self.registry.global_(var.name, var.size_bytes)
             else:
                 obj = self.registry.static(var.owner_function, var.name, var.size_bytes)
-            self.trace.append_install(obj.id, var.address, var.address + var.size_bytes)
-            self._static_ranges.append((obj.id, var.address, var.size_bytes))
+            statics.append((obj.id, var.address, var.size_bytes))
+        flat: List[Tuple[int, int, int]] = []
+        starts, lengths = [], []
         for func in self.image.functions:
-            plan: List[Tuple[int, int, int]] = []
+            starts.append(len(flat))
             for var in func.frame_vars():
                 obj = self.registry.local(func.name, var.name, var.size_bytes, var.is_param)
-                plan.append((var.offset, var.size_bytes, obj.id))
-            self._frame_plans[func.index] = plan
+                flat.append((var.offset, var.size_bytes, obj.id))
+            lengths.append(len(flat) - starts[-1])
+        self._plan_start = np.array(starts, dtype=np.int64)
+        self._plan_len = np.array(lengths, dtype=np.int64)
+        columns = np.array(flat, dtype=np.int64).reshape(-1, 3).T.copy()
+        self._plan_off, self._plan_size, self._plan_obj = columns
+        for i, (object_id, address, size) in enumerate(statics):
+            # Installing the statics is one hook: a chunk may end only
+            # after the last of them.
+            self._side_event(EventKind.INSTALL, object_id, address,
+                             address + size, i == len(statics) - 1)
+        self._static_ranges = statics
         self.cpu.tracer = self
 
     def finish(self, state: Optional[CpuState] = None) -> EventTrace:
@@ -78,13 +126,15 @@ class Tracer:
         return self.trace
 
     def _close_windows(self) -> None:
-        """Emit the closing removes for everything still live, unhook."""
+        """Emit the closing removes for everything still live, unhook,
+        and expand the whole log."""
         for address, (object_id, size) in list(self._live_heap.items()):
-            self.trace.append_remove(object_id, address, address + size)
+            self._side_event(EventKind.REMOVE, object_id, address, address + size, False)
         self._live_heap.clear()
         for object_id, address, size in self._static_ranges:
-            self.trace.append_remove(object_id, address, address + size)
+            self._side_event(EventKind.REMOVE, object_id, address, address + size, False)
         self.cpu.tracer = None
+        self.drain()
 
     def _finalize_meta(self) -> None:
         self.trace.meta.cycles = self.cpu.cycles
@@ -101,23 +151,121 @@ class Tracer:
             observe.inc("trace.objects_registered", len(self.registry))
 
     # ------------------------------------------------------------------
+    # The log
+    # ------------------------------------------------------------------
+
+    def _side_event(self, kind: int, a: int, b: int, c: int, ends_hook: bool = True) -> None:
+        side = self._side
+        side.append((kind, a, b, c, ends_hook))
+        log = self.log
+        log.append(~((len(side) - 1) << 2 | _SIDE))
+        if len(log) >= LOG_SLICE:
+            self.drain()
+
+    def drain(self) -> None:
+        """Expand every record in the log into trace events."""
+        log = self.log
+        n = len(log)
+        if not n:
+            return
+        side = np.array([event[:4] for event in self._side],
+                        dtype=np.int64).reshape(-1, 4)
+        side_ends = np.array([event[4] for event in self._side], dtype=bool)
+        meta = self.trace.meta
+        for start in range(0, n, LOG_SLICE):
+            count = min(LOG_SLICE, n - start)
+            records = np.frombuffer(log, dtype=np.int64, count=count,
+                                    offset=start * 8).copy()
+            kinds, a, b, c, ends, eligible = self._expand(records, side, side_ends)
+            per_kind = np.bincount(kinds, minlength=4)
+            meta.n_installs += int(per_kind[EventKind.INSTALL])
+            meta.n_removes += int(per_kind[EventKind.REMOVE])
+            meta.n_writes += int(per_kind[EventKind.WRITE])
+            self._absorb(kinds, a, b, c, ends, eligible)
+        del log[:]
+        self._side.clear()
+
+    def _expand(self, records, side, side_ends):
+        """Columns of the events of ``records``, plus, per record, the
+        event count up to its end and whether a chunk may end there."""
+        n = len(records)
+        neg = records < 0
+        word = ~records
+        tag = np.where(neg, word & 3, 3)  # 3: a store
+        payload = word >> 2
+        func = np.where(tag < _SIDE, payload & ((1 << self._func_bits) - 1), 0)
+        counts = np.where(tag < _SIDE, self._plan_len[func], 1)
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if n else 0
+        rec = np.repeat(np.arange(n), counts)
+        event_tag = tag[rec]
+        kinds = np.empty(total, dtype=np.int8)
+        a = np.empty(total, dtype=np.int64)
+        b = np.empty(total, dtype=np.int64)
+        c = np.empty(total, dtype=np.int64)
+
+        store = event_tag == 3
+        address = records[rec[store]]
+        kinds[store] = EventKind.WRITE
+        a[store] = address
+        b[store] = address + 4
+        c[store] = 0
+
+        frame = event_tag < _SIDE
+        frame_rec = rec[frame]
+        nth = np.arange(total)[frame] - (ends - counts)[frame_rec]
+        flat = self._plan_start[func[frame_rec]] + nth
+        begin = (payload[frame_rec] >> self._func_bits) + self._plan_off[flat]
+        kinds[frame] = event_tag[frame] + 1  # INSTALL on entry, REMOVE on exit
+        a[frame] = self._plan_obj[flat]
+        b[frame] = begin
+        c[frame] = begin + self._plan_size[flat]
+
+        is_side = event_tag == _SIDE
+        events = side[payload[rec[is_side]]]
+        kinds[is_side] = events[:, 0]
+        a[is_side] = events[:, 1]
+        b[is_side] = events[:, 2]
+        c[is_side] = events[:, 3]
+
+        eligible = np.ones(n, dtype=bool)
+        side_records = tag == _SIDE
+        eligible[side_records] = side_ends[payload[side_records]]
+        return kinds, a, b, c, ends, eligible
+
+    def _absorb(self, kinds, a, b, c, ends, eligible) -> None:
+        """Append expanded events to the trace."""
+        self._append(kinds, a, b, c, 0, len(kinds))
+
+    def _append(self, kinds, a, b, c, lo: int, hi: int) -> None:
+        trace = self.trace
+        trace.kinds.frombytes(kinds[lo:hi].tobytes())
+        trace.col_a.frombytes(a[lo:hi].tobytes())
+        trace.col_b.frombytes(b[lo:hi].tobytes())
+        trace.col_c.frombytes(c[lo:hi].tobytes())
+
+    # ------------------------------------------------------------------
     # CPU tracer protocol
     # ------------------------------------------------------------------
 
     def on_enter(self, func, frame_base: int) -> None:
-        trace = self.trace
-        for offset, size, object_id in self._frame_plans[func.index]:
-            begin = frame_base + offset
-            trace.append_install(object_id, begin, begin + size)
+        log = self.log
+        log.append(~(((frame_base << self._func_bits | func.index) << 2) | _ENTER))
+        if len(log) >= LOG_SLICE:
+            self.drain()
 
     def on_exit(self, func, frame_base: int) -> None:
-        trace = self.trace
-        for offset, size, object_id in self._frame_plans[func.index]:
-            begin = frame_base + offset
-            trace.append_remove(object_id, begin, begin + size)
+        log = self.log
+        log.append(~(((frame_base << self._func_bits | func.index) << 2) | _EXIT))
+        if len(log) >= LOG_SLICE:
+            self.drain()
 
-    def on_write(self, begin: int, end: int) -> None:
-        self.trace.append_write(begin, end)
+    def on_write(self, address: int) -> None:
+        """A word store to ``[address, address + 4)``."""
+        log = self.log
+        log.append(address)
+        if len(log) >= LOG_SLICE:
+            self.drain()
 
     # ------------------------------------------------------------------
     # Heap listener protocol
@@ -129,14 +277,14 @@ class Tracer:
         context = tuple(frame.func.name for frame in frames)
         obj = self.registry.heap(function, context, size_bytes)
         self._live_heap[address] = (obj.id, size_bytes)
-        self.trace.append_install(obj.id, address, address + size_bytes)
+        self._side_event(EventKind.INSTALL, obj.id, address, address + size_bytes)
 
     def on_free(self, address: int, size_bytes: int) -> None:
         entry = self._live_heap.pop(address, None)
         if entry is None:
             return  # not a traced block (e.g. allocated before begin())
         object_id, size = entry
-        self.trace.append_remove(object_id, address, address + size)
+        self._side_event(EventKind.REMOVE, object_id, address, address + size)
 
     def on_realloc(
         self, old_address: int, old_size: int, new_address: int, new_size: int
@@ -146,8 +294,9 @@ class Tracer:
         if entry is None:
             return
         object_id, _size = entry
-        self.trace.append_remove(object_id, old_address, old_address + old_size)
-        self.trace.append_install(object_id, new_address, new_address + new_size)
+        self._side_event(EventKind.REMOVE, object_id, old_address,
+                         old_address + old_size, False)
+        self._side_event(EventKind.INSTALL, object_id, new_address, new_address + new_size)
         self._live_heap[new_address] = (object_id, new_size)
 
 

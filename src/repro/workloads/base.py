@@ -120,6 +120,13 @@ def run_workload(
         state = cpu.run("main", (), max_instructions)
         trace = tracer.finish(state)
     workload.check(state, runtime, scale)
+    # Phase 1 is done with the machine.  Its runtime and CPU reference each
+    # other (the CPU holds the runtime's builtins, which are bound
+    # methods), so whatever they reach lives until the next full garbage
+    # collection, next to the following program's machine.  Unhook the
+    # tracer, whose trace the caller may drop early, and drop the words.
+    runtime.heap.listeners.remove(tracer)
+    memory.words = []
     return WorkloadRun(
         workload=workload,
         scale=scale,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CpuLimitExceeded, MiniCRuntimeError, StackOverflow
+from repro.errors import ArityError, CpuLimitExceeded, MiniCRuntimeError, StackOverflow
 from repro.machine.cpu import _c_div, _c_mod
 
 from tests.conftest import run_minic
@@ -195,6 +195,14 @@ class TestFunctionsAndStack:
         int main() { return probe(5); }
         """
         assert run_minic(source) == 5
+
+    def test_entry_arity_is_checked(self):
+        with pytest.raises(ArityError):
+            run_minic("int main() { return 7; }", args=(1, 2, 3, 4, 5))
+        two = "int f(int a, int b) { return a * 10 + b; } int main() { return 0; }"
+        with pytest.raises(ArityError):
+            run_minic(two, entry="f", args=(5,))
+        assert run_minic(two, entry="f", args=(5, 3)) == 53
 
     def test_stack_overflow_detected(self):
         source = """

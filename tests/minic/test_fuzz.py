@@ -12,6 +12,10 @@ Two oracles over randomly generated programs:
    identical store counts (the rewrites may never change observable
    behaviour).
 
+3. **Fast path equivalence** — the same program traced on the CPU's
+   reference loop and on its block-compiled fast path must leave the
+   same :class:`CpuState`, trace columns, object registry and memory.
+
 The generator covers assignments, compound assignment, ++/--, ternaries,
 nested ifs, and bounded for-loops, over int variables and an int array.
 """
@@ -26,6 +30,7 @@ from repro.minic.compiler import compile_source
 from repro.minic.instrument import apply_code_patch, apply_trap_patch
 from repro.minic.runtime import Runtime
 from repro.sim_os import Signal, SimOs
+from repro.trace.tracer import Tracer
 
 VARS = ("a", "b", "c", "d")
 ARRAY = "arr"
@@ -212,3 +217,29 @@ def test_instrumentation_preserves_behaviour(data):
     assert code_result == plain_result
     assert trap_stores == plain_stores
     assert code_stores == plain_stores
+
+
+def _run_traced(program, loop: str) -> tuple:
+    """Trace ``program`` calling the CPU loop method ``loop`` directly."""
+    image = load_program(program)
+    cpu = Cpu(Memory())
+    runtime = Runtime(cpu)
+    runtime.install()
+    cpu.attach(image)
+    tracer = Tracer(cpu, image, "fuzz")
+    tracer.begin()
+    pc = cpu._push_entry(image.function_index("main"), [])
+    state = getattr(cpu, loop)(pc, 2_000_000)
+    columns = [column.tobytes() for column in tracer.finish(state).as_arrays()]
+    registry = [vars(obj) for obj in tracer.registry.objects]
+    return state, columns, registry, cpu.memory.words
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fast_path_matches_reference_loop(data):
+    c_source, _py_source = _generate(data.draw)
+    program = compile_source(c_source, "fuzz")
+    reference = _run_traced(program, "_loop")
+    fast = _run_traced(program, "_fast_loop")
+    assert reference == fast, f"\n--- C ---\n{c_source}"

@@ -36,9 +36,11 @@ from repro.trace.events import EventKind, EventTrace
 from repro.trace.objects import ObjectRegistry
 
 
-#: Log records a hook lets accumulate before the log is expanded.  The
-#: bound keeps the log and one slice's expansion small next to the trace.
+#: Log records a hook lets accumulate before the log is expanded.
 LOG_SLICE = 1 << 14
+#: Events one expansion step produces at most (unless a single record,
+#: a frame with more variables, needs more), which bounds its temporaries.
+EXPAND_EVENTS = 1 << 16
 
 # Tags in the low two bits of a negative (``~word``) log record.
 _ENTER, _EXIT, _SIDE = 0, 1, 2
@@ -56,13 +58,13 @@ class Tracer:
     * a heap or static event appends ``~(side << 2 | 2)``, ``side``
       indexing an explicit ``(kind, a, b, c, ends_hook)`` side record.
 
-    :meth:`drain` expands the records, at most :data:`LOG_SLICE` at a
-    time, into the four :class:`EventTrace` columns with NumPy: a store
-    becomes one WRITE, a frame record one INSTALL or REMOVE per variable
-    of the function's frame plan, a side record its one event.  A hook
-    drains when the log reaches :data:`LOG_SLICE`; the CPU's fast path
-    appends store addresses straight to :attr:`log` and drains at its
-    own checkpoints.
+    :meth:`drain` expands the records, at most :data:`EXPAND_EVENTS`
+    events at a time, into the four :class:`EventTrace` columns with
+    NumPy: a store becomes one WRITE, a frame record one INSTALL or
+    REMOVE per variable of the function's frame plan, a side record its
+    one event.  A hook drains when the log reaches :data:`LOG_SLICE`;
+    the CPU's fast path appends store addresses straight to :attr:`log`
+    and drains at its own checkpoints.
     """
 
     def __init__(self, cpu: Cpu, image: LoadedProgram, program_name: str = "") -> None:
@@ -163,41 +165,51 @@ class Tracer:
             self.drain()
 
     def drain(self) -> None:
-        """Expand every record in the log into trace events."""
+        """Expand every record in the log into trace events, at most
+        :data:`EXPAND_EVENTS` events (or one record) at a time."""
         log = self.log
-        n = len(log)
-        if not n:
+        if not log:
             return
+        records = np.frombuffer(log, dtype=np.int64).copy()
+        del log[:]
         side = np.array([event[:4] for event in self._side],
                         dtype=np.int64).reshape(-1, 4)
         side_ends = np.array([event[4] for event in self._side], dtype=bool)
-        meta = self.trace.meta
-        for start in range(0, n, LOG_SLICE):
-            count = min(LOG_SLICE, n - start)
-            records = np.frombuffer(log, dtype=np.int64, count=count,
-                                    offset=start * 8).copy()
-            kinds, a, b, c, ends, eligible = self._expand(records, side, side_ends)
-            per_kind = np.bincount(kinds, minlength=4)
-            meta.n_installs += int(per_kind[EventKind.INSTALL])
-            meta.n_removes += int(per_kind[EventKind.REMOVE])
-            meta.n_writes += int(per_kind[EventKind.WRITE])
-            self._absorb(kinds, a, b, c, ends, eligible)
-        del log[:]
         self._side.clear()
 
-    def _expand(self, records, side, side_ends):
-        """Columns of the events of ``records``, plus, per record, the
-        event count up to its end and whether a chunk may end there."""
-        n = len(records)
-        neg = records < 0
+        # Decode every record: its tag (3 for a store), payload, function
+        # index (frame records) and event count.
         word = ~records
-        tag = np.where(neg, word & 3, 3)  # 3: a store
+        tag = np.where(records < 0, word & 3, 3)
         payload = word >> 2
         func = np.where(tag < _SIDE, payload & ((1 << self._func_bits) - 1), 0)
         counts = np.where(tag < _SIDE, self._plan_len[func], 1)
         ends = np.cumsum(counts)
-        total = int(ends[-1]) if n else 0
-        rec = np.repeat(np.arange(n), counts)
+        # A chunk may end after any record that ends a hook.
+        side_records = tag == _SIDE
+        eligible = ~side_records
+        eligible[side_records] = side_ends[payload[side_records]]
+
+        meta = self.trace.meta
+        start = 0
+        while start < len(records):
+            done = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, done + EXPAND_EVENTS, "right")))
+            part = slice(start, stop)
+            kinds, a, b, c = self._expand(records[part], tag[part], payload[part],
+                                          func[part], counts[part], side)
+            per_kind = np.bincount(kinds, minlength=4)
+            meta.n_installs += int(per_kind[EventKind.INSTALL])
+            meta.n_removes += int(per_kind[EventKind.REMOVE])
+            meta.n_writes += int(per_kind[EventKind.WRITE])
+            self._absorb(kinds, a, b, c, ends[part] - done, eligible[part])
+            start = stop
+
+    def _expand(self, records, tag, payload, func, counts, side):
+        """The four event columns of decoded ``records``."""
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        rec = np.repeat(np.arange(len(records)), counts)
         event_tag = tag[rec]
         kinds = np.empty(total, dtype=np.int8)
         a = np.empty(total, dtype=np.int64)
@@ -227,11 +239,7 @@ class Tracer:
         a[is_side] = events[:, 1]
         b[is_side] = events[:, 2]
         c[is_side] = events[:, 3]
-
-        eligible = np.ones(n, dtype=bool)
-        side_records = tag == _SIDE
-        eligible[side_records] = side_ends[payload[side_records]]
-        return kinds, a, b, c, ends, eligible
+        return kinds, a, b, c
 
     def _absorb(self, kinds, a, b, c, ends, eligible) -> None:
         """Append expanded events to the trace."""

@@ -35,6 +35,7 @@ from repro.minic.instrument import apply_code_patch
 from repro.minic.runtime import Runtime
 from repro.observe import profile as observe_profile
 from repro.trace.stream import ChunkingTracer
+from repro.trace import tracer as tracer_module
 from repro.trace.tracer import Tracer
 
 LOOPS = ("_loop", "_fast_loop")
@@ -116,9 +117,11 @@ def test_workloads_identical_at_smoke_scale(name):
     assert tool.mismatches(reference, fast) == []
 
 
-def test_chunk_boundaries_and_contents_match_per_hook_rule():
+@pytest.mark.parametrize("small_slices", [False, True])
+def test_chunk_boundaries_and_contents_match_per_hook_rule(monkeypatch, small_slices):
     """ChunkingTracer cuts after the first hook at or past chunk_events
-    buffered events: model that rule hook by hook and compare."""
+    buffered events: model that rule hook by hook and compare.  With
+    small slices, drains split hooks and expansions split the log."""
     source = """
     int g[6];
     int leaf(int a) { int t; t = a * 2; g[a % 6] = t; return t; }
@@ -134,6 +137,9 @@ def test_chunk_boundaries_and_contents_match_per_hook_rule():
     image = _minic(source)
     whole = _run(image, "_loop", tracer_cls=Tracer)
     expected = whole.tracer.finish(whole.state).as_arrays()
+    if small_slices:
+        monkeypatch.setattr(tracer_module, "LOG_SLICE", 5)
+        monkeypatch.setattr(tracer_module, "EXPAND_EVENTS", 3)
 
     sizes = None
     for loop in LOOPS:

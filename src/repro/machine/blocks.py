@@ -8,8 +8,8 @@ block becomes one straight-line Python function ``block(R, fp, fw)``:
 * ``R`` is the frame's register list, ``fp`` its frame pointer and
   ``fw`` the frame pointer in words (``fp >> 2``);
 * registers written inside the block live in Python locals and go back
-  to ``R`` at the block's end only when a later block may read them
-  (per-function liveness), or just before a hand-over;
+  to ``R`` at the block's end and just before a hand-over, so ``R``
+  matches the reference loop's register list at every block boundary;
 * ``LDI``/``LEAF`` results are tracked as constants, so a load or store
   through them addresses ``w[const]`` or ``w[fw + const]`` with no
   run-time check when the address is provably aligned and in range;
@@ -23,9 +23,11 @@ block becomes one straight-line Python function ``block(R, fp, fw)``:
   index in the block, so the driver can give the rest of the segment to
   the reference loop at that instruction's boundary, with exact
   counters.  Errors the reference loop raises without writing its
-  counters back (an integer zero divisor, Python's own errors such as a
-  negative shift count or ``int(nan)``) propagate from the block
-  unchanged, leaving the counters of the last write-back, as there;
+  counters back propagate from the block unchanged, leaving the
+  counters of the last write-back, as there.  Before an integer zero
+  divisor the block also writes its registers back, so ``R`` is left as
+  the reference loop leaves it; Python's own errors (a negative shift
+  count, ``int(nan)``) leave the block's register writes in locals;
 * instructions the compiler does not take (``CHK``, ``TRAP``, unknown
   opcodes, any operand that is not a plain ``int`` in range, a branch
   out of the function, falling off a function's end) become hand-over
@@ -133,33 +135,10 @@ def _supported(code: Sequence, pc: int, func, functions) -> bool:
     return False
 
 
-def _uses_defs(instr) -> Tuple[Sequence[int], Sequence[int]]:
-    """Registers an instruction reads and writes (supported forms only)."""
-    op = instr[0]
-    if op in (isa.LDI, isa.LEAF):
-        return (), (instr[1],)
-    if op == isa.MOV or op in _UNARY:
-        return (instr[2],), (instr[1],)
-    if op == isa.LD:
-        return (instr[2],), (instr[1],)
-    if op == isa.ST:
-        return (instr[1], instr[3]), ()
-    if op in (isa.BF, isa.BT):
-        return (instr[1],), ()
-    if op in (CALL, CALLB):
-        return tuple(instr[3]), (() if instr[2] is None else (instr[2],))
-    if op == RET:
-        return (() if instr[1] is None else (instr[1],)), ()
-    if op in (isa.NOP, isa.JMP, HALT):
-        return (), ()
-    return (instr[2], instr[3]), (instr[1],)
-
-
 class _Block:
     """One basic block before code generation."""
 
-    __slots__ = ("start", "func", "body", "term_pc", "next_pc", "handover",
-                 "gen", "kill", "succ", "live_in", "live_out")
+    __slots__ = ("start", "func", "body", "term_pc", "next_pc", "handover")
 
     def __init__(self, start, func):
         self.start = start
@@ -172,8 +151,6 @@ class _Block:
         self.next_pc: Optional[int] = None
         #: Hand over to the reference loop at this pc after the body.
         self.handover: Optional[int] = None
-        self.gen = self.kill = self.live_in = self.live_out = 0
-        self.succ: List[int] = []
 
 
 class _Writer:
@@ -203,16 +180,15 @@ class _Writer:
         self.cache[r] = entry
         self.dirty[r] = None
 
-    def writeback(self, regs: Optional[int] = None) -> List[str]:
-        """Store dirty registers (those in bitmask ``regs``, or all) to R."""
-        return [f"R[{r}] = {self.read(r)}" for r in sorted(self.dirty)
-                if regs is None or regs >> r & 1]
+    def writeback(self) -> List[str]:
+        """Store the dirty registers to R."""
+        return [f"R[{r}] = {self.read(r)}" for r in sorted(self.dirty)]
 
     def guard(self, condition: str, k: int) -> None:
+        """Hand over at instruction ``k`` when ``condition`` holds."""
         self.emit(f"if {condition}:")
-        for line in self.writeback():
+        for line in self.writeback() + [f"raise H({k})"]:
             self.emit(f"    {line}")
-        self.emit(f"    raise H({k})")
 
     def assign(self, r: int, expr: str) -> None:
         self.emit(f"r{r} = {expr}")
@@ -268,10 +244,14 @@ class _Writer:
         elif op in _COMPARE:
             x, y = read(instr[2]), read(instr[3])
             self.assign(instr[1], f"1 if {x} {_COMPARE[op]} {y} else 0")
-        elif op == isa.DIV:
-            self.assign(instr[1], f"cdiv({read(instr[2])}, {read(instr[3])})")
-        elif op == isa.MOD:
-            self.assign(instr[1], f"cmod({read(instr[2])}, {read(instr[3])})")
+        elif op in (isa.DIV, isa.MOD):
+            x, y = read(instr[2]), read(instr[3])
+            sync = self.writeback()
+            if sync:  # cdiv/cmod raise just below; leave R as _loop does
+                self.emit(f"if {y} == 0:")
+                for line in sync:
+                    self.emit(f"    {line}")
+            self.assign(instr[1], f"{'cdiv' if op == isa.DIV else 'cmod'}({x}, {y})")
         elif op == isa.FDIV:
             x, y = read(instr[2]), read(instr[3])
             self.guard(f"{y} == 0", k)
@@ -287,25 +267,23 @@ class _Writer:
             self.emit("return None")
             return
         if block.term_pc is None:
-            self.lines += self.writeback(block.live_out)
+            self.lines += self.writeback()
             self.emit(f"return {block.next_pc}")
             return
         instr = self.c.code[block.term_pc]
         op = instr[0]
         if op == isa.JMP:
-            self.lines += self.writeback(block.live_out)
+            self.lines += self.writeback()
             self.emit(f"return {instr[1]}")
         elif op in (isa.BF, isa.BT):
             cond = self.read(instr[1])
-            self.lines += self.writeback(block.live_out)
+            self.lines += self.writeback()
             taken, fall = instr[2], block.term_pc + 1
             negate = "not " if op == isa.BF else ""
             self.emit(f"return {taken} if {negate}{cond} else {fall}")
         elif op in (CALL, CALLB):
-            dest = instr[2]
-            keep = block.live_out & ~(0 if dest is None else 1 << dest)
             values = [self.read(r) for r in instr[3]]
-            self.lines += self.writeback(keep)
+            self.lines += self.writeback()
             if op == CALL:
                 pad = self.c.functions[instr[1]].n_regs - len(values)
                 values += ["0"] * pad
@@ -326,7 +304,7 @@ class _Writer:
 
 
 class _Compiler:
-    """Splits an image into blocks, runs liveness, emits the factory."""
+    """Splits an image into blocks and emits the factory."""
 
     def __init__(self, image, layout: MemoryLayout) -> None:
         self.code = image.code
@@ -345,7 +323,6 @@ class _Compiler:
         self.constants: List[object] = []
         self.blocks: Dict[int, _Block] = {}
         self._split()
-        self._liveness()
 
     def frame_ok(self, func, byte: int) -> bool:
         """Is ``fp + byte`` always aligned and inside ``func``'s frame?"""
@@ -395,49 +372,6 @@ class _Compiler:
                     if pc in leaders:
                         block.next_pc = pc
                         break
-
-    def _liveness(self) -> None:
-        code = self.code
-        for block in self.blocks.values():
-            all_regs = (1 << block.func.n_regs) - 1
-            if block.handover is not None:
-                block.live_out = all_regs
-            pcs = block.body + ([block.term_pc] if block.term_pc is not None else [])
-            gen = kill = 0
-            for pc in pcs:
-                uses, defs = _uses_defs(code[pc])
-                for r in uses:
-                    if not kill >> r & 1:
-                        gen |= 1 << r
-                for r in defs:
-                    kill |= 1 << r
-            block.gen, block.kill = gen, kill
-            if block.next_pc is not None:
-                block.succ = [block.next_pc]
-            elif block.term_pc is not None:
-                instr = code[block.term_pc]
-                op = instr[0]
-                if op == isa.JMP:
-                    block.succ = [instr[1]]
-                elif op in (isa.BF, isa.BT):
-                    block.succ = [instr[2], block.term_pc + 1]
-                elif op in (CALL, CALLB):
-                    block.succ = [block.term_pc + 1]
-            block.live_in = gen | (block.live_out & ~kill)
-        ordered = sorted(self.blocks.values(), key=lambda b: -b.start)
-        changed = True
-        while changed:
-            changed = False
-            for block in ordered:
-                if block.handover is not None:
-                    continue
-                out = 0
-                for s in block.succ:
-                    out |= self.blocks[s].live_in
-                live_in = block.gen | (out & ~block.kill)
-                if out != block.live_out or live_in != block.live_in:
-                    block.live_out, block.live_in = out, live_in
-                    changed = True
 
     # -- output ----------------------------------------------------------
 

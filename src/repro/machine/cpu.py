@@ -156,11 +156,11 @@ class Cpu:
         self.check_hook: Optional[Callable[[int, int, "Cpu"], None]] = None
         #: Phase-1 tracer: ``on_enter(func, frame_base)``,
         #: ``on_exit(func, frame_base)`` and ``on_write(address)`` for the
-        #: word ``[address, address + 4)``.  A tracer may also expose
-        #: ``log`` (an array whose ``append`` records a store address the
-        #: way ``on_write`` does) and ``drain()``; the fast path then
-        #: appends store addresses to ``log`` directly and calls
-        #: ``drain()`` every ``_DRAIN_STRIDE`` instructions.
+        #: word ``[address, address + 4)``, plus ``log`` (an array whose
+        #: ``append`` records a store address the way ``on_write`` does)
+        #: and ``drain()``: the fast path appends store addresses to
+        #: ``log`` directly and calls ``drain()`` every ``_DRAIN_STRIDE``
+        #: instructions.
         self.tracer = None
         #: Builtin functions: index -> ``fn(cpu, args) -> value``.
         self.builtins: List[Callable] = []
@@ -626,11 +626,7 @@ class Cpu:
         tracer = self.tracer
         store_hook = drain = None
         if tracer is not None:
-            log = getattr(tracer, "log", None)
-            if log is None:
-                store_hook = tracer.on_write
-            else:
-                store_hook, drain = log.append, tracer.drain
+            store_hook, drain = tracer.log.append, tracer.drain
         table = compiled.table(self.memory.words, store_hook, _c_div, _c_mod)
         if table[start_pc] is None:
             return self._loop(start_pc, max_instructions)

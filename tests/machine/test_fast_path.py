@@ -2,9 +2,11 @@
 
 Every test runs the same program twice, calling ``Cpu._loop`` and
 ``Cpu._fast_loop`` directly on fresh machines, and demands the same
-outcome: exit value, :class:`CpuState`, counters, memory, trace and, for
-faults, the same exception type and message with the same
-``instructions``/``cycles``/``stores``.
+outcome: exit value, :class:`CpuState`, counters, memory, the frames'
+register lists, trace and, for faults, the same exception type and
+message with the same ``instructions``/``cycles``/``stores``.  (Python's
+own errors, such as a negative shift count, may leave the faulting
+block's register writes out of the register list.)
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.errors import (
     CpuLimitExceeded,
     MemoryFault,
     MiniCRuntimeError,
+    ReproError,
     StackOverflow,
 )
 from repro.machine import Cpu, Memory, isa, load_program
@@ -98,7 +101,13 @@ def _both(image, **kwargs):
     assert ref.state == fast.state
     assert ref.cpu.memory.words == fast.cpu.memory.words
     assert ref.runtime.output == fast.runtime.output
+    if ref.error is None or isinstance(ref.error, ReproError):
+        assert _registers(ref.cpu) == _registers(fast.cpu)
     return ref, fast
+
+
+def _registers(cpu):
+    return [(frame.func.name, list(frame.regs)) for frame in cpu.frames]
 
 
 def _minic(source):

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Fast path vs reference loop: byte-identity check over the workloads.
 
-Runs phase 1 of each workload twice under a
-:class:`~repro.trace.tracer.Tracer`, calling the CPU's two loop methods
-directly: once on the reference loop (``Cpu._loop``) and once on the
-block-compiled fast path (``Cpu._fast_loop``).  The runs must agree
-byte for byte on the trace columns, and exactly on the trace meta, the
-:class:`~repro.trace.objects.ObjectRegistry` objects, the
+Runs phase 1 of each workload (``run_workload``) twice, with
+``Cpu._execute`` replaced so that every segment calls one of the CPU's
+two loop methods directly: once the reference loop (``Cpu._loop``) and
+once the block-compiled fast path (``Cpu._fast_loop``).  The runs must
+agree byte for byte on the trace columns, and exactly on the trace
+meta, the :class:`~repro.trace.objects.ObjectRegistry` objects, the
 :class:`~repro.machine.cpu.CpuState` (cycles included) and the program
 output.
 
@@ -31,45 +31,42 @@ PROGRAMS = ("bps", "ctex", "gcc", "qcd", "spice")
 LOOPS = ("_loop", "_fast_loop")
 
 
-def traced_run(name: str, scale: str, loop: str,
-               max_instructions: int = 500_000_000) -> dict:
-    """Phase 1 of workload ``name`` at ``scale`` ("smoke" or "full") on
-    the CPU loop method ``loop``; the comparable parts of the result."""
+def traced_run(name: str, scale: str, loop: str) -> dict:
+    """Phase 1 of workload ``name`` at ``scale`` ("smoke" or "full"),
+    through :func:`~repro.workloads.base.run_workload` with every CPU
+    segment on the loop method ``loop``; the comparable parts of the
+    result."""
     from repro.machine.cpu import Cpu
-    from repro.machine.loader import load_program
-    from repro.machine.memory import Memory
-    from repro.minic.runtime import Runtime
-    from repro.trace.tracer import Tracer
     from repro.workloads import get_workload
+    from repro.workloads.base import run_workload
 
     workload = get_workload(name)
     size = workload.smoke_scale if scale == "smoke" else workload.default_scale
-    program = workload.compile(size)
-    layout = program.layout
-    image = load_program(program, layout)
-    memory = Memory(layout)
-    cpu = Cpu(memory, layout=layout)
-    runtime = Runtime(cpu, layout)
-    runtime.install()
-    cpu.attach(image)
-    workload.setup(memory, image, size)
-    tracer = Tracer(cpu, image, name)
-    tracer.begin()
-    runtime.heap.listeners.append(tracer)
-    pc = cpu._push_entry(image.function_index("main"), [])
-    started = time.perf_counter()
-    state = getattr(cpu, loop)(pc, max_instructions)
-    seconds = time.perf_counter() - started
-    trace = tracer.finish(state)
+    seconds = 0.0
+
+    def execute(cpu, start_pc, max_instructions):
+        nonlocal seconds
+        started = time.perf_counter()
+        try:
+            return getattr(cpu, loop)(start_pc, max_instructions)
+        finally:
+            seconds += time.perf_counter() - started
+
+    chosen = Cpu._execute
+    Cpu._execute = execute
+    try:
+        run = run_workload(workload, size)
+    finally:
+        Cpu._execute = chosen
     digest = hashlib.sha256()
-    for column in trace.as_arrays():
+    for column in run.trace.as_arrays():
         digest.update(column.tobytes())
     return {
         "columns": digest.hexdigest(),
-        "meta": vars(trace.meta),
-        "registry": [vars(obj) for obj in tracer.registry.objects],
-        "state": vars(state),
-        "output": list(runtime.output),
+        "meta": vars(run.trace.meta),
+        "registry": [vars(obj) for obj in run.registry.objects],
+        "state": vars(run.state),
+        "output": run.output,
         "seconds": seconds,
     }
 

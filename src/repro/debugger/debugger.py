@@ -178,8 +178,9 @@ class Debugger:
         self.events: List[BreakpointEvent] = []
         self._heap_breakpoints: List[DataBreakpoint] = []
         self._heap_watcher: Optional[_HeapWatcher] = None
-        #: breakpoint id -> stack of live monitors (local watches).
-        self._local_monitors: Dict[int, List[Monitor]] = {}
+        #: breakpoint id -> one entry per live instantiation: its monitor,
+        #: or None when it was entered disabled (local watches).
+        self._local_monitors: Dict[int, List[Optional[Monitor]]] = {}
         self._next_id = 1
         self._started = False
 
@@ -245,16 +246,18 @@ class Debugger:
         func_index = self.image.function_index(func_name)
 
         def on_enter(func, frame_base, _bp=bp, _var=var):
-            if not _bp.enabled:
-                return
-            begin = _var.address_in_frame(frame_base)
-            monitor = self.wms.install_monitor(begin, begin + _var.size_bytes, tag=_bp)
+            monitor = None
+            if _bp.enabled:
+                begin = _var.address_in_frame(frame_base)
+                monitor = self.wms.install_monitor(begin, begin + _var.size_bytes, tag=_bp)
             self._local_monitors[_bp.id].append(monitor)
 
         def on_exit(func, frame_base, _bp=bp):
             stack = self._local_monitors[_bp.id]
             if stack:
-                self.wms.remove_monitor(stack.pop())
+                monitor = stack.pop()
+                if monitor is not None:
+                    self.wms.remove_monitor(monitor)
 
         self.cpu.enter_hooks.setdefault(func_index, []).append(on_enter)
         self.cpu.exit_hooks.setdefault(func_index, []).append(on_exit)

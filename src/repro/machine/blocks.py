@@ -1,9 +1,10 @@
 """Block compiler for the CPU's fast tier.
 
-:meth:`repro.machine.cpu.Cpu._fast_loop` runs hook-free segments on the
-functions built here.  Once per loaded image (at its first fast run,
-never at import) every function is split into basic blocks and each
-block becomes one straight-line Python function ``block(R, fp, fw)``:
+:meth:`repro.machine.cpu.Cpu._fast_loop` runs every segment that is not
+profiled on the functions built here.  Once per loaded image and
+variant (at its first fast run, never at import) every function is
+split into basic blocks and each block becomes one straight-line Python
+function ``block(R, fp, fw)``:
 
 * ``R`` is the frame's register list, ``fp`` its frame pointer and
   ``fw`` the frame pointer in words (``fp >> 2``);
@@ -16,7 +17,11 @@ block becomes one straight-line Python function ``block(R, fp, fw)``:
 * a plain block returns its successor's program counter.  A block that
   ends in ``CALL``, ``CALLB`` or ``RET`` returns the callee's register
   list, the builtin's argument list or the return value, and the
-  driver performs the transfer described by the block's terminator;
+  driver performs the transfer described by the block's terminator.
+  ``CHK`` and ``TRAP`` end their block too (a *step* terminator): the
+  block writes its registers back and the driver executes that one
+  instruction with the reference semantics, then continues at the next
+  block;
 * where the reference loop would do something special (an alignment or
   range fault, a float zero divisor), the block writes its dirty
   registers back and raises :class:`Handover` with the instruction's
@@ -28,37 +33,58 @@ block becomes one straight-line Python function ``block(R, fp, fw)``:
   divisor the block also writes its registers back, so ``R`` is left as
   the reference loop leaves it; Python's own errors (a negative shift
   count, ``int(nan)``) leave the block's register writes in locals;
-* instructions the compiler does not take (``CHK``, ``TRAP``, unknown
-  opcodes, any operand that is not a plain ``int`` in range, a branch
-  out of the function, falling off a function's end) become hand-over
-  points too, so the reference loop executes them.
+* instructions the compiler does not take (unknown opcodes, any operand
+  that is not a plain ``int`` in range, a branch out of the function,
+  falling off a function's end) become hand-over points too, so the
+  reference loop executes them.
+
+Each image has two variants of its block table:
+
+* the **unwatched** variant stores with no check beyond alignment and
+  range.  It runs when no hook, protected page or monitor register is
+  active, which is every phase-1 and bare run;
+* the **watched** variant guards every ``ST`` before the write with
+  ``a >> S in P or a >> 2 in MW``: ``P`` is the live
+  :attr:`PageTable.write_protected <repro.machine.paging.PageTable>`
+  set, ``S`` its page shift and ``MW`` the live
+  :attr:`MonitorRegisterFile.words
+  <repro.machine.monitor_registers.MonitorRegisterFile>` set.  A hit
+  raises :class:`Handover` at the store, which the driver turns into a
+  one-instruction step.  Every ``ST`` ends its block in this variant, so
+  the instruction after a step always starts a block.
 
 Immediates that are not plain ints (floats such as ``inf``, ``-0.0`` or
 ``nan``, and anything else) reach the generated code through a constants
 table, never through their ``repr``; every other operand is checked to
 be an ``int`` before it is written into source.
 
-The block table depends on the image, the layout and whether stores
-report to a tracer, and on nothing else; :func:`compiled_image` caches
-it per image.
+Each function compiles to its own factory, so compile memory stays that
+of the largest function.  Factories are memoized by their generated
+source: images loaded from the same program share one compile, and
+every entry still binds its own image's functions.  The block table
+depends on the image, the layout, the variant and whether stores report
+to a tracer, and on nothing else; :func:`compiled_image` caches it per
+image.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.machine import isa
 from repro.machine.layout import MemoryLayout
 
 
 class Handover(Exception):
-    """A compiled block stopped before an instruction the reference loop
-    must execute; ``args[0]`` is that instruction's index in the block."""
+    """A compiled block stopped before an instruction the driver must
+    execute itself; ``args[0]`` is that instruction's index in the
+    block."""
 
 
 #: Terminator kinds (first item of a table entry's terminator tuple).
-CALL, CALLB, RET, HALT, HANDOVER = isa.CALL, isa.CALLB, isa.RET, isa.HALT, -1
+CALL, CALLB, RET, HALT, HANDOVER, STEP = isa.CALL, isa.CALLB, isa.RET, isa.HALT, -1, -2
 
 _BINARY = {
     isa.ADD: "+", isa.SUB: "-", isa.MUL: "*",
@@ -74,8 +100,10 @@ _UNARY = {
     isa.NEG: "-{}", isa.FNEG: "-{}", isa.NOT: "0 if {} else 1",
     isa.BNOT: "~{}", isa.I2F: "float({})", isa.F2I: "int({})",
 }
+#: Instructions the driver executes one at a time (step terminators).
+_STEPS = frozenset({isa.CHK, isa.TRAP})
 #: Opcodes that end a block; the instruction after one starts a block.
-_TERMINATORS = frozenset({isa.JMP, isa.BF, isa.BT, CALL, CALLB, RET, HALT})
+_TERMINATORS = frozenset({isa.JMP, isa.BF, isa.BT, CALL, CALLB, RET, HALT}) | _STEPS
 
 
 def _is_int(value) -> bool:
@@ -108,8 +136,10 @@ def _supported(code: Sequence, pc: int, func, functions) -> bool:
         return len(args) == 3 and all(reg(r) for r in args)
     if op == isa.LD:
         return len(args) == 3 and reg(args[0]) and reg(args[1]) and _is_int(args[2])
-    if op == isa.ST:
+    if op in (isa.ST, isa.TRAP):
         return len(args) == 3 and reg(args[0]) and _is_int(args[1]) and reg(args[2])
+    if op == isa.CHK:
+        return len(args) == 2 and reg(args[0]) and _is_int(args[1])
     if op == isa.JMP:
         return len(args) == 1 and inside(args[0])
     if op in (isa.BF, isa.BT):
@@ -184,9 +214,11 @@ class _Writer:
         """Store the dirty registers to R."""
         return [f"R[{r}] = {self.read(r)}" for r in sorted(self.dirty)]
 
-    def guard(self, condition: str, k: int) -> None:
-        """Hand over at instruction ``k`` when ``condition`` holds."""
-        self.emit(f"if {condition}:")
+    def guard(self, conditions: List[str], k: int) -> None:
+        """Hand over at instruction ``k`` when any of ``conditions`` holds."""
+        if not conditions:
+            return
+        self.emit(f"if {' or '.join(conditions)}:")
         for line in self.writeback() + [f"raise H({k})"]:
             self.emit(f"    {line}")
 
@@ -194,25 +226,25 @@ class _Writer:
         self.emit(f"r{r} = {expr}")
         self._set(r, ("l", f"r{r}"))
 
-    def address(self, base: int, offset: int, k: int) -> Tuple[str, str]:
-        """``(word index expr, byte address expr)`` of ``[base + offset]``,
-        emitting the alignment/range guard when it is not provable."""
+    def address(self, base: int, offset: int) -> Tuple[str, str, List[str]]:
+        """``(word index expr, byte address expr, guard)`` of
+        ``[base + offset]``; the guard is the alignment/range condition
+        when it is not provable, else empty."""
         entry = self.cache.get(base)
         c = self.c
         if entry is not None and entry[0] == "f" and c.frame_ok(self.block.func, entry[1] + offset):
             byte = entry[1] + offset
             word = byte >> 2
-            return (f"fw + {word}" if word else "fw"), (f"fp + {byte}" if byte else "fp")
+            return (f"fw + {word}" if word else "fw"), (f"fp + {byte}" if byte else "fp"), []
         if entry is not None and entry[0] == "c" and entry[2] is not None:
             byte = entry[2] + offset
             if not byte & 3 and 0 <= byte < c.memory_size:
-                return str(byte >> 2), str(byte)
+                return str(byte >> 2), str(byte), []
         address = self.read(base)
         if offset or entry is None or entry[0] != "l":
             self.emit(f"a = {address} + {_lit(offset)}" if offset else f"a = {address}")
             address = "a"
-        self.guard(f"{address} & {_lit(c.bad_address_mask)}", k)
-        return f"{address} >> 2", address
+        return f"{address} >> 2", address, [f"{address} & {_lit(c.bad_address_mask)}"]
 
     def instruction(self, instr, k: int) -> None:
         op = instr[0]
@@ -232,10 +264,14 @@ class _Writer:
             elif instr[1] != instr[2]:
                 self.assign(instr[1], read(instr[2]))
         elif op == isa.LD:
-            word, _ = self.address(instr[2], instr[3], k)
+            word, _, check = self.address(instr[2], instr[3])
+            self.guard(check, k)
             self.assign(instr[1], f"w[{word}]")
         elif op == isa.ST:
-            word, byte = self.address(instr[1], instr[2], k)
+            word, byte, check = self.address(instr[1], instr[2])
+            if self.c.watched:
+                check += [f"{byte} >> S in P", f"{word} in MW"]
+            self.guard(check, k)
             self.emit(f"w[{word}] = {read(instr[3])}")
             if self.traced:
                 self.emit(f"wr({byte})")
@@ -254,7 +290,7 @@ class _Writer:
             self.assign(instr[1], f"{'cdiv' if op == isa.DIV else 'cmod'}({x}, {y})")
         elif op == isa.FDIV:
             x, y = read(instr[2]), read(instr[3])
-            self.guard(f"{y} == 0", k)
+            self.guard([f"{y} == 0"], k)
             self.assign(instr[1], f"{x} / {y}")
         elif op in _UNARY:
             self.assign(instr[1], _UNARY[op].format(read(instr[2])))
@@ -290,7 +326,8 @@ class _Writer:
             self.emit(f"return [{', '.join(values)}]")
         elif op == RET:
             self.emit(f"return {self.read(instr[1]) if instr[1] is not None else 'None'}")
-        else:  # HALT
+        else:  # HALT, or a step, whose instruction the driver runs on R
+            self.lines += self.writeback()
             self.emit("return None")
 
     def source(self) -> List[str]:
@@ -304,11 +341,12 @@ class _Writer:
 
 
 class _Compiler:
-    """Splits an image into blocks and emits the factory."""
+    """Splits an image into blocks and emits one factory per function."""
 
-    def __init__(self, image, layout: MemoryLayout) -> None:
+    def __init__(self, image, layout: MemoryLayout, watched: bool) -> None:
         self.code = image.code
         self.functions = image.functions
+        self.watched = watched
         self.memory_size = layout.memory_size
         #: Nonzero for any address that is misaligned or outside memory
         #: (``memory_size`` is a power of two; see MemoryLayout).
@@ -321,7 +359,8 @@ class _Compiler:
             for f in self.functions
         ) and not layout.stack_top & 3 and layout.stack_limit >= 0
         self.constants: List[object] = []
-        self.blocks: Dict[int, _Block] = {}
+        #: function index -> its blocks, by start pc
+        self.blocks: Dict[int, Dict[int, _Block]] = {}
         self._split()
 
     def frame_ok(self, func, byte: int) -> bool:
@@ -336,6 +375,7 @@ class _Compiler:
 
     def _split(self) -> None:
         code, functions = self.code, self.functions
+        ends_block = _TERMINATORS | {isa.ST} if self.watched else _TERMINATORS
         for func in functions:
             span = range(func.entry_pc, func.end_pc)
             ok = {pc: _supported(code, pc, func, functions) for pc in span}
@@ -349,13 +389,13 @@ class _Compiler:
                     leaders.add(code[pc][1])
                 elif op in (isa.BF, isa.BT):
                     leaders.add(code[pc][2])
-                if op in _TERMINATORS and pc + 1 < func.end_pc:
+                if op in ends_block and pc + 1 < func.end_pc:
                     leaders.add(pc + 1)
+            own = self.blocks[func.index] = {}
             for start in sorted(leaders):
                 if start >= func.end_pc:
                     continue
-                block = _Block(start, func)
-                self.blocks[start] = block
+                block = own[start] = _Block(start, func)
                 pc = start
                 while True:
                     if not ok[pc]:
@@ -375,85 +415,105 @@ class _Compiler:
 
     # -- output ----------------------------------------------------------
 
-    def factory_source(self, traced: bool) -> str:
-        self.constants = []
-        body: List[str] = []
-        for start in sorted(self.blocks):
-            body += _Writer(self, self.blocks[start], traced).source()
-        names = ", ".join(f"b{start}" for start in sorted(self.blocks))
-        unpack = [f"    K{i} = K[{i}]" for i in range(len(self.constants))]
-        return "\n".join(
-            ["def make(w, wr, H, cdiv, cmod, K):"] + unpack + body
-            + [f"    return ({names},)"]
-        ) + "\n"
+    def sources(self, traced: bool) -> Iterator[Tuple[str, tuple, List[int]]]:
+        """Per function with blocks: its factory's source, its constants
+        and its block starts, in the order the factory returns them."""
+        for own in self.blocks.values():
+            if not own:
+                continue
+            self.constants = []
+            starts = sorted(own)
+            body: List[str] = []
+            for start in starts:
+                body += _Writer(self, own[start], traced).source()
+            names = ", ".join(f"b{start}" for start in starts)
+            unpack = [f"    K{i} = K[{i}]" for i in range(len(self.constants))]
+            source = "\n".join(
+                ["def make(w, wr, H, cdiv, cmod, K, P, MW, S):"] + unpack + body
+                + [f"    return ({names},)"]
+            ) + "\n"
+            yield source, tuple(self.constants), starts
 
     def entries(self) -> Dict[int, tuple]:
         """pc -> (instructions, cycles, stores, terminator, cycle prefix,
         store prefix) for every block."""
         code, cost = self.code, isa.CYCLE_COST
         entries = {}
-        for start, block in self.blocks.items():
-            cycles = stores = 0
-            cycle_prefix, store_prefix = [], []
-            for pc in block.body:
-                cycle_prefix.append(cycles)
-                store_prefix.append(stores)
-                op = code[pc][0]
-                cycles += cost[op]
-                stores += op == isa.ST
-            n = len(block.body)
-            term: Optional[tuple] = None
-            if block.handover is not None:
-                term = (HANDOVER, block.handover)
-            elif block.term_pc is not None:
-                instr = code[block.term_pc]
-                op = instr[0]
-                n += 1
-                cycles += cost[op]
-                if op == CALL:
-                    term = (CALL, self.functions[instr[1]], instr[2], block.term_pc + 1)
-                elif op == CALLB:
-                    term = (CALLB, instr[1], instr[2], block.term_pc + 1)
-                elif op in (RET, HALT):
-                    term = (op,)
-            entries[start] = (n, cycles, stores, term,
-                              tuple(cycle_prefix), tuple(store_prefix))
+        for own in self.blocks.values():
+            for start, block in own.items():
+                cycles = stores = 0
+                cycle_prefix, store_prefix = [], []
+                for pc in block.body:
+                    cycle_prefix.append(cycles)
+                    store_prefix.append(stores)
+                    op = code[pc][0]
+                    cycles += cost[op]
+                    stores += op == isa.ST
+                n = len(block.body)
+                term: Optional[tuple] = None
+                if block.handover is not None:
+                    term = (HANDOVER, block.handover)
+                elif block.term_pc is not None:
+                    instr = code[block.term_pc]
+                    op = instr[0]
+                    n += 1
+                    cycles += cost[op]
+                    if op == CALL:
+                        term = (CALL, self.functions[instr[1]], instr[2], block.term_pc + 1)
+                    elif op == CALLB:
+                        term = (CALLB, instr[1], instr[2], block.term_pc + 1)
+                    elif op in (RET, HALT):
+                        term = (op,)
+                    elif op in _STEPS:
+                        term = (STEP, block.term_pc)
+                entries[start] = (n, cycles, stores, term,
+                                  tuple(cycle_prefix), tuple(store_prefix))
         return entries
 
 
-class CompiledImage:
-    """The block table of one image under one layout."""
+@functools.lru_cache(maxsize=4096)
+def _factory(source: str) -> Callable:
+    """The ``make`` function ``source`` defines (memoized by source)."""
+    namespace: Dict[str, object] = {}
+    exec(compile(source, "<compiled blocks>", "exec"), namespace)
+    return namespace["make"]
 
-    def __init__(self, image, layout: MemoryLayout) -> None:
-        compiler = _Compiler(image, layout)
+
+class CompiledImage:
+    """One variant of the block table of one image under one layout."""
+
+    def __init__(self, image, layout: MemoryLayout, watched: bool) -> None:
+        compiler = _Compiler(image, layout, watched)
         self.size = len(image.code)
         self.entries = compiler.entries()
         self._compiler: Optional[_Compiler] = compiler
-        self._factories: Dict[bool, Tuple[Callable, tuple]] = {}
+        self._factories: Dict[bool, List[Tuple[Callable, tuple, List[int]]]] = {}
 
-    def _factory(self, traced: bool) -> Tuple[Callable, tuple]:
-        factory = self._factories.get(traced)
-        if factory is None:
-            source = self._compiler.factory_source(traced)
-            namespace: Dict[str, object] = {}
-            exec(compile(source, "<compiled blocks>", "exec"), namespace)
-            factory = (namespace["make"], tuple(self._compiler.constants))
-            self._factories[traced] = factory
+    def _factories_of(self, traced: bool) -> List[Tuple[Callable, tuple, List[int]]]:
+        factories = self._factories.get(traced)
+        if factories is None:
+            factories = [(_factory(source), constants, starts)
+                         for source, constants, starts in self._compiler.sources(traced)]
+            self._factories[traced] = factories
             if len(self._factories) == 2:
                 self._compiler = None
-        return factory
+        return factories
 
     def table(self, words: list, store_hook: Optional[Callable],
-              cdiv: Callable, cmod: Callable) -> List[Optional[tuple]]:
+              cdiv: Callable, cmod: Callable, protected: set,
+              watched_words: set, page_shift: int) -> List[Optional[tuple]]:
         """pc -> ``(block, instructions, cycles, stores, terminator)``
-        for every block start (``None`` elsewhere), bound to ``words``
-        and, when not ``None``, the one-argument ``store_hook``."""
-        make, constants = self._factory(store_hook is not None)
-        functions = make(words, store_hook, Handover, cdiv, cmod, constants)
+        for every block start (``None`` elsewhere), bound to ``words``,
+        the one-argument ``store_hook`` when not ``None``, and (watched
+        variant) the live protected-page and watched-word sets."""
         # One slot past the code: a return address can be the end of it.
         table: List[Optional[tuple]] = [None] * (self.size + 1)
-        for fn, (start, entry) in zip(functions, sorted(self.entries.items())):
-            table[start] = (fn,) + entry[:4]
+        entries = self.entries
+        for make, constants, starts in self._factories_of(store_hook is not None):
+            blocks = make(words, store_hook, Handover, cdiv, cmod, constants,
+                          protected, watched_words, page_shift)
+            for fn, start in zip(blocks, starts):
+                table[start] = (fn,) + entries[start][:4]
         return table
 
     def prefix(self, start: int, k: int) -> Tuple[int, int]:
@@ -462,27 +522,15 @@ class CompiledImage:
         return entry[4][k], entry[5][k]
 
 
-#: image -> {layout: CompiledImage}
+#: image -> {(layout, watched): CompiledImage}
 _compiled: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-#: image -> whether it holds CHK or TRAP instructions
-_patched: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def compiled_image(image, layout: MemoryLayout) -> CompiledImage:
-    """The (cached) :class:`CompiledImage` of ``image`` under ``layout``."""
-    per_layout = _compiled.setdefault(image, {})
-    compiled = per_layout.get(layout)
+def compiled_image(image, layout: MemoryLayout, watched: bool) -> CompiledImage:
+    """The (cached) :class:`CompiledImage` of ``image`` under ``layout``,
+    watched or unwatched variant."""
+    per_image = _compiled.setdefault(image, {})
+    compiled = per_image.get((layout, watched))
     if compiled is None:
-        compiled = per_layout[layout] = CompiledImage(image, layout)
+        compiled = per_image[(layout, watched)] = CompiledImage(image, layout, watched)
     return compiled
-
-
-def has_patches(image) -> bool:
-    """True if ``image`` contains ``CHK`` or ``TRAP`` instructions (cached)."""
-    flag = _patched.get(image)
-    if flag is None:
-        flag = _patched[image] = any(
-            type(instr) is tuple and instr and instr[0] in (isa.CHK, isa.TRAP)
-            for instr in image.code
-        )
-    return flag

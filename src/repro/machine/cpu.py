@@ -28,28 +28,42 @@ Two execution tiers run a segment (one :meth:`Cpu.run` or
 * **the block-compiled fast path** (:meth:`Cpu._fast_loop`) — the
   image's basic blocks compiled once into straight-line Python functions
   (:mod:`repro.machine.blocks`) and a small driver for ``CALL``,
-  ``RET`` and ``CALLB``.  It keeps only the tracer hook, and counts
+  ``RET``, ``CALLB`` and one-instruction steps.  It counts
   instructions, cycles and stores once per block.
 
-The tier is chosen per segment from state the CPU already holds: the
-fast path runs when there are no enter/exit hooks, no ``check_hook``, no
-write-protected pages, no enabled monitor registers, no ``CHK``/``TRAP``
-in the image, and the ``--profile`` opcode sampler is off.  Otherwise the
-reference loop runs.  The fast path gives the rest of a segment to the
-reference loop, at an instruction boundary and with exact counters,
-whenever the reference loop would do something special: an alignment or
-range fault, a float zero divisor, an instruction budget that runs out
-inside a block, an instruction the compiler does not take, or a builtin
-that leaves hooks, protection or monitor registers active.  Both tiers
-leave the same trace, registry, memory, counters and :class:`CpuState`,
-and raise the same errors with the same counters.
+One rule picks the tier: a segment runs on the reference loop when the
+``--profile`` opcode sampler is on, and on the fast path otherwise.  The
+fast path runs the *unwatched* block table while no hook, protected page
+or monitor register is active (phase 1 and bare runs), and the *watched*
+one otherwise: every debugger session and live WMS.  It switches to the
+watched table when a builtin, hook or trap handler activates one
+mid-segment.  In the watched table every store checks its page against
+the protected set and its word against the monitor registers' word set
+before writing, and ends its block.
+
+The driver runs enter and exit hooks at ``CALL`` and ``RET`` in the
+reference loop's order.  A store the watched check stops, a ``CHK`` and
+a ``TRAP`` each become a **one-instruction step**: the driver adds the
+block's counters up to and including that instruction, executes it with
+the reference semantics (:meth:`Cpu._store`, :meth:`Cpu._check` and
+:meth:`Cpu._trap`, the methods the reference loop calls too) and goes on
+with the block at the next instruction.  The fast path gives the rest
+of a segment to the reference loop, at an instruction boundary and with
+exact counters, only where the reference loop raises or the block
+cannot run: an alignment or range fault, a float zero divisor, an
+instruction budget that runs out inside a block, or an instruction the
+compiler does not take.  Both tiers leave the same trace, registry,
+memory, counters, trap counts and :class:`CpuState`, make the same hook
+and trap calls in the same order, and raise the same errors with the
+same counters.
 
 The dispatch loops are the hottest code in the repository.  For that
 reason observation (:mod:`repro.observe`) records only at segment
 completion: when :meth:`Cpu.run` or :meth:`Cpu.resume` runs to normal
 completion, the instructions retired, cycles, stores, and per-kind trap
-counts of that segment are reported as deltas (``cpu.*`` counters), on
-either tier, and the loops themselves carry no instrumentation at all.
+counts of that segment are reported as deltas (``cpu.*`` counters,
+``cpu.traps.*`` included), on either tier, and the loops themselves
+carry no instrumentation at all.
 
 The sampling profiler (:mod:`repro.observe.profile`) rides the same
 rule: its 1-in-N opcode sampling reuses the instruction-budget
@@ -87,6 +101,11 @@ from repro.machine.traps import TrapFrame, TrapKind
 #: The fast path lets the tracer expand its log every this many
 #: instructions, which bounds the log of a call-free loop.
 _DRAIN_STRIDE = 1 << 14
+
+# Bound once: an Enum member lookup through its class runs Python code.
+_MONITOR_FAULT = TrapKind.MONITOR_FAULT
+_WRITE_FAULT = TrapKind.WRITE_FAULT
+_TRAP_INSTR = TrapKind.TRAP_INSTR
 
 #: Dense opcode -> cycle cost table (list for O(1) indexed lookup).
 _COST: List[int] = [0] * (max(isa.CYCLE_COST) + 1)
@@ -205,14 +224,14 @@ class Cpu:
             raise MemoryFault(address, "bad emulated store")
         self.memory.words[address >> 2] = value
         self.stores += 1
-        mrf = self.monitor_registers
-        if mrf.any_enabled and mrf.hit(address, address + 4) is not None:
-            self._raise_trap(TrapFrame(TrapKind.MONITOR_FAULT, self._trap_pc, address, value))
+        if address >> 2 in self.monitor_registers.words:
+            self._raise_trap(TrapFrame(_MONITOR_FAULT, self._trap_pc, address, value))
         if self.tracer is not None:
             self.tracer.on_write(address)
 
     def _raise_trap(self, frame: TrapFrame) -> None:
-        self.trap_counts[frame.kind] = self.trap_counts.get(frame.kind, 0) + 1
+        counts, kind = self.trap_counts, frame.kind
+        counts[kind] = counts.get(kind, 0) + 1
         if self.trap_sink is None:
             raise UnhandledFault(f"{frame.kind.value} at pc={frame.pc} with no trap sink")
         self.trap_sink(frame, self)
@@ -277,14 +296,13 @@ class Cpu:
         return func.entry_pc
 
     def _execute(self, start_pc: int, max_instructions: int) -> CpuState:
-        """Run one segment on the tier the CPU's state allows."""
-        if self._hooks_clear() and not observe_profile.cpu_sample_stride() \
-                and not blocks.has_patches(self._loaded):
-            return self._fast_loop(start_pc, max_instructions)
-        return self._loop(start_pc, max_instructions)
+        """Run one segment: on the reference loop when profiling, else fast."""
+        if observe_profile.cpu_sample_stride():
+            return self._loop(start_pc, max_instructions)
+        return self._fast_loop(start_pc, max_instructions)
 
     def _hooks_clear(self) -> bool:
-        """No hook, protected page or monitor register needs the reference loop."""
+        """No hook, protected page or monitor register needs the watched table."""
         return (
             self.check_hook is None
             and not self.page_table.write_protected
@@ -292,6 +310,68 @@ class Cpu:
             and not any(self.enter_hooks.values())
             and not any(self.exit_hooks.values())
         )
+
+    # -- instructions both tiers execute the same way ---------------------
+    # Each runs with the counters written back, this instruction's
+    # included, and leaves any change a handler made in them.
+
+    def _store(self, pc: int, address: int, value) -> None:
+        """``ST`` of ``value`` to the checked ``address`` when its page is
+        write-protected or its word is watched by a monitor register."""
+        if address >> self.page_table.page_shift in self.page_table.write_protected:
+            # Pre-write fault; the handler emulates (or the store is lost).
+            self._trap_pc = pc
+            self._resume_pc = pc + 1
+            self._raise_trap(TrapFrame(_WRITE_FAULT, pc, address, value, (address, value)))
+            return
+        self.memory.words[address >> 2] = value
+        self.stores += 1
+        if address >> 2 in self.monitor_registers.words:
+            self._trap_pc = pc
+            self._resume_pc = pc + 1
+            self._raise_trap(TrapFrame(_MONITOR_FAULT, pc, address, value))
+        if self.tracer is not None:
+            self.tracer.on_write(address)
+
+    def _check(self, pc: int, address: int) -> None:
+        """``CHK`` of ``address``: call the code-patch check subroutine."""
+        if self.check_hook is not None:
+            self._trap_pc = pc
+            self._resume_pc = pc + 1
+            self.check_hook(address, pc, self)
+
+    def _trap(self, pc: int, address: int, value) -> None:
+        """``TRAP``: a trap-patched store of ``value`` to ``address``."""
+        self._trap_pc = pc
+        self._resume_pc = pc + 1
+        self._raise_trap(TrapFrame(_TRAP_INSTR, pc, address, value, (address, value)))
+
+    def _step(self, pc: int, regs: list) -> None:
+        """The fast path's one-instruction step: the ``ST``, ``CHK`` or
+        ``TRAP`` at ``pc`` on the frame registers ``regs``."""
+        instr = self._loaded.code[pc]
+        op = instr[0]
+        address = regs[instr[1]] + instr[2]
+        if op == isa.CHK:
+            self._check(pc, address)
+        elif op == isa.TRAP:
+            self._trap(pc, address, regs[instr[3]])
+        elif address & 3 or not (0 <= address < self.layout.memory_size):
+            raise AlignmentFault(address) if address & 3 \
+                else MemoryFault(address, "store out of range")
+        else:
+            self._store(pc, address, regs[instr[3]])
+
+    def _report(self, instructions: int, cycles: int, stores: int,
+                traps_before: Dict[TrapKind, int], traps_after: Dict[TrapKind, int]) -> None:
+        """Report one tier's part of a segment as ``cpu.*`` deltas."""
+        observe.inc("cpu.instructions", instructions)
+        observe.inc("cpu.cycles", cycles)
+        observe.inc("cpu.stores", stores)
+        for kind, count in traps_after.items():
+            delta = count - traps_before.get(kind, 0)
+            if delta:
+                observe.inc(f"cpu.traps.{kind.value}", delta)
 
     def _loop(self, start_pc: int, max_instructions: int) -> CpuState:
         loaded = self._loaded
@@ -301,7 +381,7 @@ class Cpu:
         words = self.memory.words
         protected = self.page_table.write_protected
         page_shift = self.page_table.page_shift
-        mrf = self.monitor_registers
+        watched_words = self.monitor_registers.words
         cost = _COST
         stack_limit = self.layout.stack_limit
         enter_hooks = self.enter_hooks
@@ -378,25 +458,13 @@ class Cpu:
                 if addr & 3 or not (0 <= addr < mem_size):
                     self._sync(cycles, n_instr, n_stores)
                     raise AlignmentFault(addr) if addr & 3 else MemoryFault(addr, "store out of range")
-                value = regs[instr[3]]
-                if (addr >> page_shift) in protected:
-                    # Pre-write fault; handler emulates (or the store is lost).
+                if addr >> page_shift in protected or addr >> 2 in watched_words:
                     self._sync(cycles, n_instr, n_stores)
-                    self._trap_pc = pc
-                    self._resume_pc = pc + 1
-                    self._raise_trap(
-                        TrapFrame(TrapKind.WRITE_FAULT, pc, addr, value, (addr, value))
-                    )
+                    self._store(pc, addr, regs[instr[3]])
                     cycles, n_stores = self.cycles, self.stores
                 else:
-                    words[addr >> 2] = value
+                    words[addr >> 2] = regs[instr[3]]
                     n_stores += 1
-                    if mrf.any_enabled and mrf.hit(addr, addr + 4) is not None:
-                        self._sync(cycles, n_instr, n_stores)
-                        self._trap_pc = pc
-                        self._resume_pc = pc + 1
-                        self._raise_trap(TrapFrame(TrapKind.MONITOR_FAULT, pc, addr, value))
-                        cycles = self.cycles
                     if tracer is not None:
                         tracer.on_write(addr)
                 pc += 1
@@ -502,22 +570,14 @@ class Cpu:
                 pc += 1
             elif op == CHK:
                 addr = regs[instr[1]] + instr[2]
-                if self.check_hook is not None:
-                    self._sync(cycles, n_instr, n_stores)
-                    self._trap_pc = pc
-                    self._resume_pc = pc + 1
-                    self.check_hook(addr, pc, self)
-                    cycles = self.cycles
+                self._sync(cycles, n_instr, n_stores)
+                self._check(pc, addr)
+                cycles, n_stores = self.cycles, self.stores
                 pc += 1
             elif op == TRAP:
                 addr = regs[instr[1]] + instr[2]
-                value = regs[instr[3]]
                 self._sync(cycles, n_instr, n_stores)
-                self._trap_pc = pc
-                self._resume_pc = pc + 1
-                self._raise_trap(
-                    TrapFrame(TrapKind.TRAP_INSTR, pc, addr, value, (addr, value))
-                )
+                self._trap(pc, addr, regs[instr[3]])
                 cycles, n_stores = self.cycles, self.stores
                 pc += 1
             elif op == DIV:
@@ -590,13 +650,8 @@ class Cpu:
             observe_profile.get_profiler().record_cpu(opcode_samples)
         if observing:
             observe.inc("cpu.runs")
-            observe.inc("cpu.instructions", self.instructions - entry_instr)
-            observe.inc("cpu.cycles", self.cycles - entry_cycles)
-            observe.inc("cpu.stores", self.stores - entry_stores)
-            for kind, count in self.trap_counts.items():
-                delta = count - entry_traps.get(kind, 0)
-                if delta:
-                    observe.inc(f"cpu.traps.{kind.value}", delta)
+            self._report(self.instructions - entry_instr, self.cycles - entry_cycles,
+                         self.stores - entry_stores, entry_traps, self.trap_counts)
         return CpuState(
             exit_value=exit_value,
             instructions=self.instructions,
@@ -607,13 +662,23 @@ class Cpu:
             trap_counts=dict(self.trap_counts),
         )
 
+    def _block_table(self, watched: bool):
+        """The compiled image variant and its block table, bound to this
+        machine's memory, tracer log and watch sets."""
+        compiled = blocks.compiled_image(self._loaded, self.layout, watched)
+        tracer = self.tracer
+        table = compiled.table(
+            self.memory.words, tracer.log.append if tracer is not None else None,
+            _c_div, _c_mod, self.page_table.write_protected,
+            self.monitor_registers.words, self.page_table.page_shift,
+        )
+        return compiled, table
+
     def _fast_loop(self, start_pc: int, max_instructions: int) -> CpuState:
         """The block-compiled tier (see the module docstring).
 
-        Call only when :meth:`_execute` would choose it; anything the
-        blocks cannot run exactly is handed to :meth:`_loop`.
+        Anything the blocks cannot run exactly is handed to :meth:`_loop`.
         """
-        loaded = self._loaded
         layout = self.layout
         frames = self.frames
         frame = frames[-1]
@@ -622,15 +687,15 @@ class Cpu:
         if fp & 3 or fp < layout.stack_limit or fp + func.frame_size > layout.stack_top \
                 or not func.entry_pc <= start_pc < func.end_pc:
             return self._loop(start_pc, max_instructions)
-        compiled = blocks.compiled_image(loaded, layout)
-        tracer = self.tracer
-        store_hook = drain = None
-        if tracer is not None:
-            store_hook, drain = tracer.log.append, tracer.drain
-        table = compiled.table(self.memory.words, store_hook, _c_div, _c_mod)
+        watched = not self._hooks_clear()
+        compiled, table = self._block_table(watched)
         if table[start_pc] is None:
             return self._loop(start_pc, max_instructions)
 
+        code = self._loaded.code
+        tracer = self.tracer
+        drain = tracer.drain if tracer is not None else None
+        enter_hooks, exit_hooks = self.enter_hooks, self.exit_hooks
         stack_limit = layout.stack_limit
         regs = frame.regs
         fw = fp >> 2
@@ -642,13 +707,17 @@ class Cpu:
         exit_value = None
         observing = observe.is_enabled()
         entry_cycles, entry_instr, entry_stores = cycles, n_instr, n_stores
+        if observing:
+            entry_traps = dict(self.trap_counts)
         # One comparison per block guards both the instruction budget and
         # the tracer's drain points.
         checkpoint = max_instructions
         if drain is not None:
             checkpoint = min(max_instructions, n_instr + _DRAIN_STRIDE)
         Handover = blocks.Handover
-        CALL, CALLB, RET, HALT = blocks.CALL, blocks.CALLB, blocks.RET, blocks.HALT
+        CALL, CALLB, RET, HALT, STEP = (
+            blocks.CALL, blocks.CALLB, blocks.RET, blocks.HALT, blocks.STEP)
+        ST, st_cost = isa.ST, _COST[isa.ST]
         handover_pc: Optional[int] = None
 
         while True:
@@ -667,14 +736,22 @@ class Cpu:
                 n_instr += k
                 cycles += prefix_cycles
                 n_stores += prefix_stores
-                handover_pc = pc + k
-                break
-            n_instr += n
-            cycles += cyc
-            n_stores += nst
-            if term is None:
-                pc = result
-                continue
+                pc += k
+                if not watched or code[pc][0] != ST:
+                    handover_pc = pc
+                    break
+                # The watched check stopped this store, its block's last
+                # instruction: step it.
+                n_instr += 1
+                cycles += st_cost
+                term = (STEP, pc)
+            else:
+                n_instr += n
+                cycles += cyc
+                n_stores += nst
+                if term is None:
+                    pc = result
+                    continue
             kind = term[0]
             if kind == CALL:
                 _, callee, dest_reg, ret_pc = term
@@ -692,10 +769,23 @@ class Cpu:
                 if tracer is not None:
                     tracer.on_enter(callee, fp)
                 pc = callee.entry_pc
+                hooks = enter_hooks.get(callee.index)
+                if hooks:
+                    self._sync(cycles, n_instr, n_stores)
+                    self._resume_pc = pc
+                    for hook in hooks:
+                        hook(callee, fp)
+                    cycles = self.cycles
             elif kind == RET:
                 done_frame = frames.pop()
                 if tracer is not None:
                     tracer.on_exit(done_frame.func, fp)
+                hooks = exit_hooks.get(done_frame.func.index)
+                if hooks:
+                    self._sync(cycles, n_instr, n_stores)
+                    for hook in hooks:
+                        hook(done_frame.func, fp)
+                    cycles = self.cycles
                 self.sp += done_frame.func.frame_size
                 if not frames:
                     exit_value = result
@@ -710,6 +800,18 @@ class Cpu:
                 if pc < 0 or table[pc] is None:
                     handover_pc = pc
                     break
+            elif kind == STEP:
+                pc = term[1]
+                self._sync(cycles, n_instr, n_stores)
+                self._step(pc, regs)
+                cycles, n_stores = self.cycles, self.stores
+                pc += 1
+                if not watched and not self._hooks_clear():
+                    watched = True
+                    compiled, table = self._block_table(True)
+                if table[pc] is None:
+                    handover_pc = pc
+                    break
             elif kind == CALLB:
                 _, builtin, dest_reg, pc = term
                 self._sync(cycles, n_instr, n_stores)
@@ -717,9 +819,9 @@ class Cpu:
                 cycles, n_stores = self.cycles, self.stores
                 if dest_reg is not None:
                     regs[dest_reg] = value
-                if not self._hooks_clear():
-                    handover_pc = pc
-                    break
+                if not watched and not self._hooks_clear():
+                    watched = True
+                    compiled, table = self._block_table(True)
             elif kind == HALT:
                 break
             else:
@@ -737,17 +839,20 @@ class Cpu:
                 halted=True,
                 trap_counts=dict(self.trap_counts),
             )
-        else:
-            # The reference loop reports its own part of the segment
-            # (and cpu.runs) when it completes; this loop adds the rest.
-            state = self._loop(handover_pc, max_instructions)
-            state.max_call_depth = max(state.max_call_depth, max_depth)
-        if observing:
-            if handover_pc is None:
+            if observing:
                 observe.inc("cpu.runs")
-            observe.inc("cpu.instructions", n_instr - entry_instr)
-            observe.inc("cpu.cycles", cycles - entry_cycles)
-            observe.inc("cpu.stores", n_stores - entry_stores)
+                self._report(n_instr - entry_instr, cycles - entry_cycles,
+                             n_stores - entry_stores, entry_traps, self.trap_counts)
+            return state
+        # The reference loop reports its own part of the segment (and
+        # cpu.runs) when it completes; this loop adds the rest.
+        if observing:
+            handover_traps = dict(self.trap_counts)
+        state = self._loop(handover_pc, max_instructions)
+        state.max_call_depth = max(state.max_call_depth, max_depth)
+        if observing:
+            self._report(n_instr - entry_instr, cycles - entry_cycles,
+                         n_stores - entry_stores, entry_traps, handover_traps)
         return state
 
     # The trap pc of the instruction currently faulting (for emulate_store).

@@ -14,7 +14,7 @@ only monitor-hit traps carry a cost (charged by the simulated OS).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from repro.errors import MachineError, MonitorRegisterExhausted
 
@@ -28,11 +28,17 @@ class MonitorRegister:
     enabled: bool = False
 
 
+def _words_of(begin: int, end: int) -> range:
+    """Word indices of the words that intersect ``[begin, end)``."""
+    return range(begin >> 2, (end + 3) >> 2)
+
+
 class MonitorRegisterFile:
     """A fixed-size file of hardware monitor registers.
 
-    The CPU consults :meth:`hit` on every store when :attr:`any_enabled`
-    is set; the flag keeps unmonitored execution at full speed.
+    The CPU looks every store's word up in :attr:`words`, the set of
+    words the enabled registers cover; :attr:`any_enabled` says whether
+    any register is enabled at all.
     """
 
     def __init__(self, n_registers: int = 4) -> None:
@@ -42,11 +48,19 @@ class MonitorRegisterFile:
         self.registers: List[MonitorRegister] = [
             MonitorRegister(0, 0) for _ in range(n_registers)
         ]
-        #: Fast-path flag: True if at least one register is enabled.
+        #: True if at least one register is enabled.
         self.any_enabled: bool = False
+        #: Word indices (``address >> 2``) an enabled register covers.  A
+        #: word store hits a register exactly when its word is in here.
+        #: Updated in place: the CPU's compiled blocks hold this set.
+        self.words: Set[int] = set()
 
-    def _refresh_flag(self) -> None:
+    def _refresh(self) -> None:
         self.any_enabled = any(reg.enabled for reg in self.registers)
+        self.words.clear()
+        for reg in self.registers:
+            if reg.enabled:
+                self.words.update(_words_of(reg.begin, reg.end))
 
     def allocate(self, begin: int, end: int) -> int:
         """Program a free register to watch ``[begin, end)``.
@@ -64,6 +78,7 @@ class MonitorRegisterFile:
                 reg.end = end
                 reg.enabled = True
                 self.any_enabled = True
+                self.words.update(_words_of(begin, end))
                 return index
         raise MonitorRegisterExhausted(
             f"all {self.n_registers} hardware monitor registers in use"
@@ -72,7 +87,7 @@ class MonitorRegisterFile:
     def release(self, index: int) -> None:
         """Free register ``index``."""
         self.registers[index].enabled = False
-        self._refresh_flag()
+        self._refresh()
 
     def release_range(self, begin: int, end: int) -> bool:
         """Free the register watching exactly ``[begin, end)``.
@@ -82,7 +97,7 @@ class MonitorRegisterFile:
         for reg in self.registers:
             if reg.enabled and reg.begin == begin and reg.end == end:
                 reg.enabled = False
-                self._refresh_flag()
+                self._refresh()
                 return True
         return False
 
@@ -91,6 +106,7 @@ class MonitorRegisterFile:
         for reg in self.registers:
             reg.enabled = False
         self.any_enabled = False
+        self.words.clear()
 
     def n_free(self) -> int:
         """Number of registers currently free."""

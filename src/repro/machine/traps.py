@@ -24,7 +24,13 @@ from typing import Optional, Tuple
 
 
 class TrapKind(enum.Enum):
-    """The hardware event that caused a trap."""
+    """The hardware event that caused a trap.
+
+    Members hash by identity: every trap counts itself in a dict keyed
+    by its kind, and ``Enum``'s own hash runs Python code per lookup.
+    """
+
+    __hash__ = object.__hash__
 
     MONITOR_FAULT = "monitor_fault"
     WRITE_FAULT = "write_fault"

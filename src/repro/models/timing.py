@@ -10,6 +10,7 @@ machine and OS.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict
 
 from repro.units import us_to_cycles
@@ -66,12 +67,14 @@ class TimingVariables:
         )
 
     # -- cycle views (for the live WMS implementations) ---------------------
+    # Computed once per instance: every CP check and every VM or TP trap
+    # charges one of these.
 
-    @property
+    @cached_property
     def software_lookup_cycles(self) -> int:
         return us_to_cycles(self.software_lookup)
 
-    @property
+    @cached_property
     def software_update_cycles(self) -> int:
         return us_to_cycles(self.software_update)
 

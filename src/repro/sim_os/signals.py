@@ -14,7 +14,13 @@ from repro.machine.traps import TrapKind
 
 
 class Signal(enum.Enum):
-    """User-visible signals delivered by the simulated kernel."""
+    """User-visible signals delivered by the simulated kernel.
+
+    Members hash by identity, as :class:`TrapKind`'s do: every trap
+    looks its signal and its handler up by key.
+    """
+
+    __hash__ = object.__hash__
 
     SIGSEGV = "SIGSEGV"  # VM write-protection fault
     SIGTRAP = "SIGTRAP"  # trap instruction (and control breakpoints)

@@ -21,6 +21,9 @@ from repro.units import cycles_to_us
 
 Handler = Callable[[TrapFrame, Cpu], None]
 
+# Bound once: an Enum member lookup through its class runs Python code.
+_READ = Protection.READ
+
 
 class RusageTimer:
     """getrusage-style cumulative timer over simulated cycles.
@@ -83,6 +86,13 @@ class SimOs:
             "faults_delivered": 0,
             "stores_emulated": 0,
         }
+        #: Delivery cycles per trap kind.
+        self._delivery_cost: Dict[TrapKind, int] = {
+            TrapKind.MONITOR_FAULT: costs.monitor_fault_delivery,
+            TrapKind.WRITE_FAULT: costs.write_fault_delivery,
+            TrapKind.TRAP_INSTR: costs.trap_delivery,
+            TrapKind.BREAKPOINT: costs.trap_delivery,
+        }
         cpu.trap_sink = self.deliver
 
     # ------------------------------------------------------------------
@@ -110,12 +120,7 @@ class SimOs:
                 f"{signal.value} (from {frame.kind.value}) at pc={frame.pc}, "
                 f"address={frame.address!r}: no handler installed"
             )
-        if frame.kind is TrapKind.MONITOR_FAULT:
-            cpu.cycles += self.costs.monitor_fault_delivery
-        elif frame.kind is TrapKind.WRITE_FAULT:
-            cpu.cycles += self.costs.write_fault_delivery
-        else:
-            cpu.cycles += self.costs.trap_delivery
+        cpu.cycles += self._delivery_cost[frame.kind]
         self.counters["faults_delivered"] += 1
         handler(frame, cpu)
 
@@ -160,7 +165,7 @@ class SimOs:
         if not pages:
             return
         self.counters["mprotect_calls"] += 1
-        if prot is Protection.READ:
+        if prot is _READ:
             self.page_table.protect(pages)
             self.counters["pages_protected"] += len(pages)
             self.cpu.cycles += len(pages) * self.costs.protect_page

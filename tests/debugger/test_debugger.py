@@ -106,6 +106,34 @@ class TestLocalWatch:
         assert outcome.state.exit_value == 24
         assert sorted(e.value for e in bp.events) == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_watch_toggled_during_recursion_keeps_each_frames_monitor(self, strategy):
+        """An instantiation entered while the watch is disabled has no
+        monitor, and its exit must not remove an outer frame's."""
+        source = """
+        int f(int n) {
+          int x;
+          x = n;
+          if (n > 0) { f(n - 1); }
+          x = 100 + n;
+          return x;
+        }
+        int main() { return f(2); }
+        """
+        debugger = Debugger.from_source(source, strategy=strategy)
+        watch = debugger.watch_local("f", "x")
+        debugger.break_at("f")
+        outcome = debugger.run()  # stopped at f(2)
+        outcome = debugger.cont()  # stopped at f(1)
+        watch.enabled = False
+        outcome = debugger.cont()  # stopped at f(0)
+        watch.enabled = True
+        outcome = debugger.cont()
+        assert outcome.finished
+        logged = [(e.value, e.call_stack.count("f")) for e in watch.events]
+        assert logged == [(2, 1), (101, 2), (102, 1)]
+        assert debugger.wms.active == []
+
     def test_unknown_local_raises(self):
         debugger = Debugger.from_source(SOURCE, strategy="code")
         with pytest.raises(SymbolNotFound):

@@ -114,6 +114,12 @@ def _minic(source):
     return load_program(compile_source(source, "t"))
 
 
+def _source(image, traced, watched):
+    """The generated source of every function factory of ``image``."""
+    compiler = blocks._Compiler(image, image.layout, watched)
+    return "\n".join(source for source, _, _ in compiler.sources(traced))
+
+
 # ---------------------------------------------------------------------------
 # Whole programs
 # ---------------------------------------------------------------------------
@@ -329,8 +335,8 @@ def test_float_immediates_pass_through_the_constants_table():
         assert math.copysign(1.0, words[1]) == -1.0
         assert math.isnan(words[2])
         assert math.copysign(1.0, run.state.exit_value) == -1.0
-    for traced in (False, True):
-        source = blocks._Compiler(image, image.layout).factory_source(traced)
+    for traced, watched in [(False, False), (True, False), (False, True)]:
+        source = _source(image, traced, watched)
         assert "inf" not in source and "nan" not in source and "-0.0" not in source
         assert "K0" in source
 
@@ -345,7 +351,7 @@ def test_float_immediates_pass_through_the_constants_table():
 ])
 def test_non_int_or_out_of_range_operands_are_not_compiled(bad):
     image = _hand_image(("main", 4, 8, [(isa.LDI, 0, GLOBAL), bad, (isa.RET, 0)]))
-    source = blocks._Compiler(image, image.layout).factory_source(True)
+    source = _source(image, traced=True, watched=True)
     assert "__import__" not in source and "2.5" not in source
     ref, fast = (_run(image, loop) for loop in LOOPS)
     assert type(ref.error) is type(fast.error)
@@ -392,6 +398,8 @@ def test_cpu_counters_reported_once_per_segment(image):
 
 @pytest.fixture
 def tiers(monkeypatch):
+    """Records each loop a run enters and each block table variant the
+    fast path builds ("unwatched" or "watched")."""
     calls = []
     for name, label in (("_loop", "reference"), ("_fast_loop", "fast")):
         original = getattr(Cpu, name)
@@ -401,8 +409,14 @@ def tiers(monkeypatch):
             return _original(self, pc, budget)
 
         monkeypatch.setattr(Cpu, name, spy)
-    return calls
+    block_table = Cpu._block_table
 
+    def table_spy(self, watched):
+        calls.append("watched" if watched else "unwatched")
+        return block_table(self, watched)
+
+    monkeypatch.setattr(Cpu, "_block_table", table_spy)
+    return calls
 
 
 def _configured_run(configure, source=_PLAIN, patch=None):
@@ -413,24 +427,37 @@ def _configured_run(configure, source=_PLAIN, patch=None):
     return cpu.run("main")
 
 
-@pytest.mark.parametrize("configure,tier", [
-    (lambda cpu, image: None, "fast"),
-    (lambda cpu, image: cpu.enter_hooks.setdefault(1, [lambda f, fp: None]), "reference"),
-    (lambda cpu, image: cpu.exit_hooks.setdefault(0, [lambda f, fp: None]), "reference"),
-    (lambda cpu, image: cpu.enter_hooks.setdefault(0, []), "fast"),
-    (lambda cpu, image: setattr(cpu, "check_hook", lambda a, pc, c: None), "reference"),
-    (lambda cpu, image: cpu.page_table.protect([1]), "reference"),
-    (lambda cpu, image: cpu.monitor_registers.allocate(8, 12), "reference"),
+@pytest.mark.parametrize("configure,table", [
+    (lambda cpu, image: None, "unwatched"),
+    (lambda cpu, image: cpu.enter_hooks.setdefault(1, [lambda f, fp: None]), "watched"),
+    (lambda cpu, image: cpu.exit_hooks.setdefault(0, [lambda f, fp: None]), "watched"),
+    (lambda cpu, image: cpu.enter_hooks.setdefault(0, []), "unwatched"),
+    (lambda cpu, image: setattr(cpu, "check_hook", lambda a, pc, c: None), "watched"),
+    (lambda cpu, image: cpu.page_table.protect([1]), "watched"),
+    (lambda cpu, image: cpu.monitor_registers.allocate(8, 12), "watched"),
 ])
-def test_tier_selection(tiers, configure, tier):
+def test_tier_selection(tiers, configure, table):
+    """Only the profiler picks the reference loop; hooks, protected pages
+    and monitor registers pick the watched block table."""
     assert _configured_run(configure).exit_value == 3
-    assert tiers[0] == tier
+    assert tiers == ["fast", table]
 
 
-def test_patched_image_runs_on_reference_loop(tiers):
-    _configured_run(lambda cpu, image: setattr(cpu, "check_hook", None),
-                    patch=apply_code_patch)
-    assert tiers == ["reference"]
+@pytest.mark.parametrize("hooked", [False, True])
+def test_patched_image_runs_on_fast_tier(tiers, hooked):
+    """A code-patched image runs on the fast path: its CHKs are steps,
+    on the unwatched table without a check hook."""
+    checks = []
+
+    def configure(cpu, image):
+        if hooked:
+            cpu.check_hook = lambda address, pc, cpu_: checks.append((address, pc))
+
+    state = _configured_run(configure, patch=apply_code_patch)
+    assert state.exit_value == 3
+    assert tiers == ["fast", "watched" if hooked else "unwatched"]
+    assert state.stores > 0
+    assert len(checks) == (state.stores if hooked else 0)
 
 
 def test_profiled_run_uses_reference_loop(tiers):

@@ -87,3 +87,31 @@ class TestHitDetection:
         mrf.allocate(0x100, 0x104)
         second = mrf.allocate(0x200, 0x204)
         assert mrf.hit(0x200, 0x204) == second
+
+
+class TestWatchedWords:
+    """``words`` holds exactly the words whose store :meth:`hit` reports."""
+
+    @staticmethod
+    def _expected(mrf):
+        return {address >> 2 for address in range(0, 0x200, 4)
+                if mrf.hit(address, address + 4) is not None}
+
+    def test_words_follow_allocate_and_release(self):
+        mrf = MonitorRegisterFile()
+        live = mrf.words
+        first = mrf.allocate(0x101, 0x10A)  # partial words at both ends
+        assert mrf.words == {0x40, 0x41, 0x42} == self._expected(mrf)
+        second = mrf.allocate(0x104, 0x110)  # overlaps the first
+        assert mrf.words == self._expected(mrf)
+        mrf.release(first)
+        assert mrf.words == {0x41, 0x42, 0x43} == self._expected(mrf)
+        mrf.allocate(0x180, 0x184)
+        assert mrf.release_range(0x180, 0x184)
+        assert mrf.words == self._expected(mrf)
+        mrf.release(second)
+        assert mrf.words == set()
+        mrf.allocate(0, 8)
+        mrf.release_all()
+        assert mrf.words == set()
+        assert mrf.words is live  # updated in place

@@ -14,7 +14,10 @@ Two oracles over randomly generated programs:
 
 3. **Fast path equivalence** — the same program traced on the CPU's
    reference loop and on its block-compiled fast path must leave the
-   same :class:`CpuState`, trace columns, object registry and memory.
+   same :class:`CpuState`, trace columns, object registry and memory;
+   and the same program debugged with a random watch under a random
+   strategy must give the same stops, events, statistics and memory on
+   both loops.
 
 The generator covers assignments, compound assignment, ++/--, ternaries,
 nested ifs, and bounded for-loops, over int variables and an int array.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.debugger import Debugger
 from repro.machine import Cpu, Memory, load_program
 from repro.machine.cpu import _c_div, _c_mod
 from repro.minic.compiler import compile_source
@@ -242,4 +246,52 @@ def test_fast_path_matches_reference_loop(data):
     program = compile_source(c_source, "fuzz")
     reference = _run_traced(program, "_loop")
     fast = _run_traced(program, "_fast_loop")
+    assert reference == fast, f"\n--- C ---\n{c_source}"
+
+
+def _run_watched(program, loop: str, strategy: str, page_size: int, watch: str,
+                 action: str) -> dict:
+    """Debug ``program`` with one data breakpoint, every segment on the
+    CPU loop method ``loop``, continuing through every stop."""
+    debugger = Debugger(program, strategy=strategy, page_size=page_size)
+    cpu = debugger.cpu
+    cpu._execute = getattr(cpu, loop)
+    if watch in VARS:
+        bp = debugger.watch_local("main", watch, action=action)
+    elif watch == ARRAY:
+        bp = debugger.watch_global(ARRAY, action=action)
+    else:  # one element of the array, by address
+        begin = debugger.symbols.global_range(ARRAY)[0] + 4 * int(watch[len(ARRAY):])
+        bp = debugger.watch_address(begin, begin + 4, action=action)
+    stops = []
+    outcome = debugger.run(max_instructions=2_000_000)
+    while outcome.stopped and len(stops) < 30:
+        stops.append((outcome.stop.pc, outcome.stop.event.value,
+                      cpu.instructions, cpu.cycles, cpu.stores))
+        outcome = debugger.cont(max_instructions=2_000_000)
+    return {
+        "stops": stops,
+        "state": outcome.state,
+        "events": [(e.pc, e.address, e.value) for e in bp.events],
+        "stats": vars(debugger.wms.stats),
+        "counters": (cpu.instructions, cpu.cycles, cpu.stores, dict(cpu.trap_counts)),
+        "os": dict(debugger.os.counters),
+        "memory": cpu.memory.words,
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_watched_fast_path_matches_reference_loop(data):
+    c_source, _py_source = _generate(data.draw)
+    program = compile_source(c_source, "fuzz")
+    strategy = data.draw(st.sampled_from(["native", "vm", "trap", "code"]))
+    page_size = data.draw(st.sampled_from([4096, 8192]))
+    watch = data.draw(st.sampled_from(
+        VARS + (ARRAY,) + tuple(f"{ARRAY}{i}" for i in range(ARRAY_LEN))))
+    action = data.draw(st.sampled_from(["log", "stop"]))
+    reference, fast = (
+        _run_watched(program, loop, strategy, page_size, watch, action)
+        for loop in ("_loop", "_fast_loop")
+    )
     assert reference == fast, f"\n--- C ---\n{c_source}"

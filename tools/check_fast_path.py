@@ -1,25 +1,39 @@
 #!/usr/bin/env python
-"""Fast path vs reference loop: byte-identity check over the workloads.
+"""Fast path vs reference loop: identity check over the workloads.
 
-Runs phase 1 of each workload (``run_workload``) twice, with
-``Cpu._execute`` replaced so that every segment calls one of the CPU's
-two loop methods directly: once the reference loop (``Cpu._loop``) and
-once the block-compiled fast path (``Cpu._fast_loop``).  The runs must
-agree byte for byte on the trace columns, and exactly on the trace
-meta, the :class:`~repro.trace.objects.ObjectRegistry` objects, the
-:class:`~repro.machine.cpu.CpuState` (cycles included) and the program
-output.
+Every run replaces ``Cpu._execute`` so that each CPU segment calls one
+of the CPU's two loop methods directly: once the reference loop
+(``Cpu._loop``) and once the block-compiled fast path
+(``Cpu._fast_loop``).  Two kinds of run are compared:
+
+* **phase 1** of each workload (``run_workload``, unwatched blocks):
+  the runs must agree byte for byte on the trace columns, and exactly
+  on the trace meta, the :class:`~repro.trace.objects.ObjectRegistry`
+  objects, the :class:`~repro.machine.cpu.CpuState` (cycles included)
+  and the program output;
+* **debugger sessions** on gcc (watched blocks), one per approach of
+  the ``live`` benchmark workload (NH, VM-4K, VM-8K, TP and CP), each
+  watching the same global, local and heap object: the runs must agree
+  on the hits, ``WmsStats``, notifications, breakpoint events, CPU
+  counters and trap counts, ``SimOs`` counters, protected pages, memory
+  and output.
 
     PYTHONPATH=src python tools/check_fast_path.py --scale full
 
-prints one line per program and exits non-zero on the first mismatch.
-``tests/machine/test_fast_path.py`` runs the same check at smoke scale.
+prints one line per run pair and exits non-zero on the first mismatch.
+``tests/machine/test_fast_path.py`` and
+``tests/debugger/test_fast_tier_sessions.py`` run the same checks at
+smoke scale.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
+import pickle
+import random
 import sys
 import time
 from pathlib import Path
@@ -29,6 +43,43 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 PROGRAMS = ("bps", "ctex", "gcc", "qcd", "spice")
 LOOPS = ("_loop", "_fast_loop")
+#: The live workload's approaches: label, strategy, page size.
+APPROACHES = (
+    ("NH", "native", 4096),
+    ("VM-4K", "vm", 4096),
+    ("VM-8K", "vm", 8192),
+    ("TP", "trap", 4096),
+    ("CP", "code", 4096),
+)
+#: gcc's session watches: a global, a local ("function.variable") and
+#: the object a function's allocation of that ordinal returns.
+GCC_WATCHES = {"global": "n_folds", "local": "mix.h", "heap": ("ob_alloc", 0)}
+#: A stopping session turns its breakpoints to logging after this many
+#: stops, so every session finishes.
+MAX_STOPS = 40
+
+
+@contextlib.contextmanager
+def on_loop(loop: str):
+    """Run every CPU segment inside the block on the loop method
+    ``loop``; yields a one-item list that accumulates their seconds."""
+    from repro.machine.cpu import Cpu
+
+    seconds = [0.0]
+
+    def execute(cpu, start_pc, max_instructions):
+        started = time.perf_counter()
+        try:
+            return getattr(cpu, loop)(start_pc, max_instructions)
+        finally:
+            seconds[0] += time.perf_counter() - started
+
+    chosen = Cpu._execute
+    Cpu._execute = execute
+    try:
+        yield seconds
+    finally:
+        Cpu._execute = chosen
 
 
 def traced_run(name: str, scale: str, loop: str) -> dict:
@@ -36,28 +87,13 @@ def traced_run(name: str, scale: str, loop: str) -> dict:
     through :func:`~repro.workloads.base.run_workload` with every CPU
     segment on the loop method ``loop``; the comparable parts of the
     result."""
-    from repro.machine.cpu import Cpu
     from repro.workloads import get_workload
     from repro.workloads.base import run_workload
 
     workload = get_workload(name)
     size = workload.smoke_scale if scale == "smoke" else workload.default_scale
-    seconds = 0.0
-
-    def execute(cpu, start_pc, max_instructions):
-        nonlocal seconds
-        started = time.perf_counter()
-        try:
-            return getattr(cpu, loop)(start_pc, max_instructions)
-        finally:
-            seconds += time.perf_counter() - started
-
-    chosen = Cpu._execute
-    Cpu._execute = execute
-    try:
+    with on_loop(loop) as seconds:
         run = run_workload(workload, size)
-    finally:
-        Cpu._execute = chosen
     digest = hashlib.sha256()
     for column in run.trace.as_arrays():
         digest.update(column.tobytes())
@@ -67,13 +103,115 @@ def traced_run(name: str, scale: str, loop: str) -> dict:
         "registry": [vars(obj) for obj in run.registry.objects],
         "state": vars(run.state),
         "output": run.output,
-        "seconds": seconds,
+        "seconds": seconds[0],
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _program(name: str, scale: str):
+    """Workload ``name`` compiled at ``scale`` (sessions do not modify it)."""
+    from repro.workloads import get_workload
+
+    workload = get_workload(name)
+    return workload.compile(workload.smoke_scale if scale == "smoke" else workload.default_scale)
+
+
+def pick_watches(name: str, scale: str, seed: int) -> dict:
+    """A seeded global, local and heap watch for workload ``name`` (the
+    heap watch is the ``main``-context allocation of a small ordinal)."""
+    from repro.machine.loader import load_program
+
+    image = load_program(_program(name, scale))
+    rng = random.Random(seed)
+    globals_ = sorted(var.name for var in image.global_vars
+                      if getattr(var, "owner_function", None) is None)
+    locals_ = sorted(f"{func.name}.{var.name}" for func in image.functions
+                     for var in func.frame_vars())
+    return {"global": rng.choice(globals_), "local": rng.choice(locals_),
+            "heap": ("main", rng.randrange(4))}
+
+
+def live_run(name: str, scale: str, loop: str, strategy: str, page_size: int,
+             watches: dict, stop: bool = False) -> dict:
+    """One debugger session on workload ``name`` at ``scale`` under
+    ``strategy`` with the three ``watches``, every CPU segment on the
+    loop method ``loop``; the comparable parts of the session.
+
+    With ``stop`` the watches stop instead of logging, a control
+    breakpoint stops at the local watch's function, and the session is
+    continued until it finishes; each stop is recorded.
+    """
+    from repro.debugger import Debugger
+    from repro.debugger.breakpoints import BreakpointAction
+    from repro.workloads import get_workload
+
+    workload = get_workload(name)
+    size = workload.smoke_scale if scale == "smoke" else workload.default_scale
+    program = _program(name, scale)
+    action = "stop" if stop else "log"
+    func, var = watches["local"].split(".", 1)
+    context, ordinal = watches["heap"]
+    stops, error, state = [], None, None
+    with on_loop(loop) as seconds:
+        debugger = Debugger(program, strategy=strategy, page_size=page_size)
+        workload.setup(debugger.memory, debugger.image, size)
+        breakpoints = [
+            debugger.watch_global(watches["global"], action=action),
+            debugger.watch_local(func, var, action=action),
+            debugger.watch_heap(context, alloc_ordinal=ordinal, action=action),
+        ]
+        if stop:
+            breakpoints.append(debugger.break_at(func))
+        cpu = debugger.cpu
+        try:
+            outcome = debugger.run()
+            while outcome.stopped:
+                info = outcome.stop
+                stops.append((info.breakpoint.id, info.pc, info.location,
+                              tuple(info.call_stack), repr(info.event.value),
+                              cpu.instructions, cpu.cycles, cpu.stores))
+                if len(stops) == MAX_STOPS:
+                    for bp in breakpoints:
+                        bp.action = BreakpointAction.LOG
+                outcome = debugger.cont()
+            state = vars(outcome.state)
+        except Exception as exc:  # compared across loops
+            error = f"{type(exc).__name__}: {exc}"
+    wms = debugger.wms
+    return {
+        "error": error,
+        "state": state,
+        "stops": stops,
+        "counters": (cpu.instructions, cpu.cycles, cpu.stores, dict(cpu.trap_counts)),
+        "hits": [bp.hit_count for bp in breakpoints],
+        "stats": vars(wms.stats),
+        "notifications": [
+            (n.begin, n.end, n.pc, repr(n.value), [(m.begin, m.end) for m in n.monitors])
+            for n in wms.notifications
+        ],
+        "events": [
+            (e.breakpoint.id, e.pc, e.location, e.address, repr(e.value), e.call_stack)
+            for e in debugger.events
+        ],
+        "os": dict(debugger.os.counters),
+        "protected": sorted(cpu.page_table.write_protected),
+        "memory": hashlib.sha256(pickle.dumps(debugger.memory.words, 5)).hexdigest(),
+        "output": list(debugger.output),
+        "seconds": seconds[0],
     }
 
 
 def mismatches(reference: dict, fast: dict) -> list:
-    """Names of the parts on which two :func:`traced_run` results differ."""
+    """Names of the parts on which two run results differ."""
     return [key for key in reference if key != "seconds" and reference[key] != fast[key]]
+
+
+def _report(label: str, work: str, reference: dict, fast: dict) -> bool:
+    differ = mismatches(reference, fast)
+    print(f"{label:12s} {work:>24s}  reference {reference['seconds']:6.2f} s  "
+          f"fast {fast['seconds']:6.2f} s  "
+          f"{'MISMATCH: ' + ', '.join(differ) if differ else 'identical'}")
+    return not differ
 
 
 def main(argv=None) -> int:
@@ -83,12 +221,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for name in args.programs:
         reference, fast = (traced_run(name, args.scale, loop) for loop in LOOPS)
-        differ = mismatches(reference, fast)
-        print(f"{name:6s} {reference['state']['instructions']:>10d} instructions  "
-              f"reference {reference['seconds']:6.2f} s  fast {fast['seconds']:6.2f} s  "
-              f"{'MISMATCH: ' + ', '.join(differ) if differ else 'identical'}")
-        if differ:
+        work = f"{reference['state']['instructions']} instructions"
+        if not _report(name, work, reference, fast):
             return 1
+    if "gcc" in args.programs:
+        for label, strategy, page_size in APPROACHES:
+            reference, fast = (
+                live_run("gcc", args.scale, loop, strategy, page_size, GCC_WATCHES)
+                for loop in LOOPS
+            )
+            work = f"{sum(reference['hits'])} hits"
+            if not _report(f"gcc {label}", work, reference, fast):
+                return 1
     return 0
 
 

@@ -471,9 +471,14 @@ class _Compiler:
         return entries
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=64)
 def _factory(source: str) -> Callable:
-    """The ``make`` function ``source`` defines (memoized by source)."""
+    """The ``make`` function ``source`` defines (memoized by source).
+
+    The bound holds the factories of a few workloads' sessions (each
+    workload has at most 21 functions) and no more: cached code lives
+    for the whole process.
+    """
     namespace: Dict[str, object] = {}
     exec(compile(source, "<compiled blocks>", "exec"), namespace)
     return namespace["make"]

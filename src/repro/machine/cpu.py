@@ -98,8 +98,9 @@ from repro.machine.monitor_registers import MonitorRegisterFile
 from repro.machine.paging import PageTable
 from repro.machine.traps import TrapFrame, TrapKind
 
-#: The fast path lets the tracer expand its log every this many
-#: instructions, which bounds the log of a call-free loop.
+#: The fast path offers the tracer a drain every this many instructions.
+#: The tracer drains only a full log, so a drain sees at most
+#: ``LOG_SLICE + _DRAIN_STRIDE`` records.
 _DRAIN_STRIDE = 1 << 14
 
 # Bound once: an Enum member lookup through its class runs Python code.
@@ -175,11 +176,13 @@ class Cpu:
         self.check_hook: Optional[Callable[[int, int, "Cpu"], None]] = None
         #: Phase-1 tracer: ``on_enter(func, frame_base)``,
         #: ``on_exit(func, frame_base)`` and ``on_write(address)`` for the
-        #: word ``[address, address + 4)``, plus ``log`` (an array whose
-        #: ``append`` records a store address the way ``on_write`` does)
-        #: and ``drain()``: the fast path appends store addresses to
-        #: ``log`` directly and calls ``drain()`` every ``_DRAIN_STRIDE``
-        #: instructions.
+        #: word ``[address, address + 4)``, plus the fast path's protocol:
+        #: ``log``, an array whose ``append`` records a store address the
+        #: way ``on_write`` does, or a frame record
+        #: ``~(frame_base << frame_shift | key)`` the way ``on_enter`` and
+        #: ``on_exit`` do with ``key`` from ``enter_keys[func.index]`` or
+        #: ``exit_keys[func.index]``; and ``drain_if_full()``, which the
+        #: fast path calls every ``_DRAIN_STRIDE`` instructions.
         self.tracer = None
         #: Builtin functions: index -> ``fn(cpu, args) -> value``.
         self.builtins: List[Callable] = []
@@ -694,7 +697,6 @@ class Cpu:
 
         code = self._loaded.code
         tracer = self.tracer
-        drain = tracer.drain if tracer is not None else None
         enter_hooks, exit_hooks = self.enter_hooks, self.exit_hooks
         stack_limit = layout.stack_limit
         regs = frame.regs
@@ -712,8 +714,12 @@ class Cpu:
         # One comparison per block guards both the instruction budget and
         # the tracer's drain points.
         checkpoint = max_instructions
-        if drain is not None:
+        log_append = None
+        if tracer is not None:
             checkpoint = min(max_instructions, n_instr + _DRAIN_STRIDE)
+            log_append = tracer.log.append
+            frame_shift = tracer.frame_shift
+            enter_keys, exit_keys = tracer.enter_keys, tracer.exit_keys
         Handover = blocks.Handover
         CALL, CALLB, RET, HALT, STEP = (
             blocks.CALL, blocks.CALLB, blocks.RET, blocks.HALT, blocks.STEP)
@@ -726,7 +732,7 @@ class Cpu:
                 if n_instr + n > max_instructions:
                     handover_pc = pc
                     break
-                drain()
+                tracer.drain_if_full()
                 checkpoint = min(max_instructions, n_instr + _DRAIN_STRIDE)
             try:
                 result = block(regs, fp, fw)
@@ -766,8 +772,8 @@ class Cpu:
                 self.fp = fp
                 fw = fp >> 2
                 regs = result
-                if tracer is not None:
-                    tracer.on_enter(callee, fp)
+                if log_append is not None:
+                    log_append(~(fp << frame_shift | enter_keys[callee.index]))
                 pc = callee.entry_pc
                 hooks = enter_hooks.get(callee.index)
                 if hooks:
@@ -778,8 +784,8 @@ class Cpu:
                     cycles = self.cycles
             elif kind == RET:
                 done_frame = frames.pop()
-                if tracer is not None:
-                    tracer.on_exit(done_frame.func, fp)
+                if log_append is not None:
+                    log_append(~(fp << frame_shift | exit_keys[done_frame.func.index]))
                 hooks = exit_hooks.get(done_frame.func.index)
                 if hooks:
                     self._sync(cycles, n_instr, n_stores)

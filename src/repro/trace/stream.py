@@ -396,9 +396,14 @@ class ChunkingTracer(Tracer):
     :meth:`ChunkChannel.put`).  Hooks append to the tracer's log like
     any :class:`~repro.trace.tracer.Tracer`; each drain expands the log
     and cuts chunks where a per-hook check would have.  At most one
-    chunk of events plus one log slice is buffered at any time, so
-    phase 1's trace memory is bounded by ``chunk_events`` and
-    :data:`~repro.trace.tracer.LOG_SLICE` regardless of trace length.
+    chunk of events plus the log is buffered at any time.  The log
+    drains once it holds :data:`~repro.trace.tracer.LOG_SLICE` records:
+    a hook checks after appending, and the CPU's fast path, which
+    appends at most one record per instruction itself, checks every
+    ``_DRAIN_STRIDE`` instructions.  So the log never holds more than
+    ``LOG_SLICE + _DRAIN_STRIDE`` records (32,768), and phase 1's trace
+    memory is bounded by ``chunk_events`` and that bound regardless of
+    trace length.
     :meth:`finish` flushes the final partial chunk and returns an
     *empty* :class:`EventTrace` whose ``meta`` carries the run totals —
     the authoritative event counts a consumer checks the stream against.

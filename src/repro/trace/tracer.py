@@ -53,8 +53,10 @@ class Tracer:
 
     * a store appends its address (always ``>= 0``: stores are range
       checked before the hook runs);
-    * a function entry or exit appends ``~(((frame_base << F) | index)
-      << 2 | tag)``, ``F`` bits being enough for any function index;
+    * a function entry or exit appends the frame record
+      ``~(frame_base << frame_shift | key)``, ``key`` being
+      ``enter_keys[index]`` or ``exit_keys[index]`` for the function's
+      index (its low two bits are the tag, the rest the index);
     * a heap or static event appends ``~(side << 2 | 2)``, ``side``
       indexing an explicit ``(kind, a, b, c, ends_hook)`` side record.
 
@@ -62,9 +64,12 @@ class Tracer:
     events at a time, into the four :class:`EventTrace` columns with
     NumPy: a store becomes one WRITE, a frame record one INSTALL or
     REMOVE per variable of the function's frame plan, a side record its
-    one event.  A hook drains when the log reaches :data:`LOG_SLICE`;
-    the CPU's fast path appends store addresses straight to :attr:`log`
-    and drains at its own checkpoints.
+    one event.  A hook drains when the log reaches :data:`LOG_SLICE`.
+    The CPU's fast path appends store addresses and frame records
+    straight to :attr:`log` (from :attr:`frame_shift`,
+    :attr:`enter_keys` and :attr:`exit_keys`, so the encoding lives
+    here only) and calls :meth:`drain_if_full` at its checkpoints, which
+    drains only once the log has reached :data:`LOG_SLICE`.
     """
 
     def __init__(self, cpu: Cpu, image: LoadedProgram, program_name: str = "") -> None:
@@ -76,7 +81,13 @@ class Tracer:
         self.log = array("q")
         #: Heap and static events of the records still in the log.
         self._side: List[Tuple[int, int, int, int, bool]] = []
-        self._func_bits = max(1, len(image.functions).bit_length())
+        n_functions = len(image.functions)
+        self._func_bits = max(1, n_functions.bit_length())
+        #: A frame record is ``~(frame_base << frame_shift | key)``.
+        self.frame_shift = self._func_bits + 2
+        #: Per function index, the ``key`` of its entry and exit records.
+        self.enter_keys = [index << 2 | _ENTER for index in range(n_functions)]
+        self.exit_keys = [index << 2 | _EXIT for index in range(n_functions)]
         #: Every function's frame plan, flattened: per function index the
         #: start and length of its run in the offset/size/object arrays.
         self._plan_start = self._plan_len = None
@@ -164,6 +175,11 @@ class Tracer:
         if len(log) >= LOG_SLICE:
             self.drain()
 
+    def drain_if_full(self) -> None:
+        """Drain once the log holds :data:`LOG_SLICE` records."""
+        if len(self.log) >= LOG_SLICE:
+            self.drain()
+
     def drain(self) -> None:
         """Expand every record in the log into trace events, at most
         :data:`EXPAND_EVENTS` events (or one record) at a time."""
@@ -196,49 +212,55 @@ class Tracer:
             done = int(ends[start - 1]) if start else 0
             stop = max(start + 1, int(np.searchsorted(ends, done + EXPAND_EVENTS, "right")))
             part = slice(start, stop)
+            part_ends = ends[part] - done
             kinds, a, b, c = self._expand(records[part], tag[part], payload[part],
-                                          func[part], counts[part], side)
+                                          func[part], counts[part], part_ends, side)
             per_kind = np.bincount(kinds, minlength=4)
             meta.n_installs += int(per_kind[EventKind.INSTALL])
             meta.n_removes += int(per_kind[EventKind.REMOVE])
             meta.n_writes += int(per_kind[EventKind.WRITE])
-            self._absorb(kinds, a, b, c, ends[part] - done, eligible[part])
+            self._absorb(kinds, a, b, c, part_ends, eligible[part])
             start = stop
 
-    def _expand(self, records, tag, payload, func, counts, side):
-        """The four event columns of decoded ``records``."""
-        ends = np.cumsum(counts)
+    def _expand(self, records, tag, payload, func, counts, ends, side):
+        """The four event columns of decoded ``records``, whose events
+        end at ``ends``: each kind of record scatters its events to
+        their positions."""
+        first = ends - counts
         total = int(ends[-1])
-        rec = np.repeat(np.arange(len(records)), counts)
-        event_tag = tag[rec]
         kinds = np.empty(total, dtype=np.int8)
         a = np.empty(total, dtype=np.int64)
         b = np.empty(total, dtype=np.int64)
         c = np.empty(total, dtype=np.int64)
 
-        store = event_tag == 3
-        address = records[rec[store]]
-        kinds[store] = EventKind.WRITE
-        a[store] = address
-        b[store] = address + 4
-        c[store] = 0
+        store = np.flatnonzero(tag == 3)
+        at = first[store]
+        address = records[store]
+        kinds[at] = EventKind.WRITE
+        a[at] = address
+        b[at] = address + 4
+        c[at] = 0
 
-        frame = event_tag < _SIDE
-        frame_rec = rec[frame]
-        nth = np.arange(total)[frame] - (ends - counts)[frame_rec]
-        flat = self._plan_start[func[frame_rec]] + nth
-        begin = (payload[frame_rec] >> self._func_bits) + self._plan_off[flat]
-        kinds[frame] = event_tag[frame] + 1  # INSTALL on entry, REMOVE on exit
-        a[frame] = self._plan_obj[flat]
-        b[frame] = begin
-        c[frame] = begin + self._plan_size[flat]
+        # A frame record's events are its function's plan, in order.
+        frame = np.flatnonzero(tag < _SIDE)
+        n = counts[frame]
+        skip = np.cumsum(n) - n  # frame events before each frame record
+        nth = np.arange(int(n.sum()))
+        at = nth + np.repeat(first[frame] - skip, n)
+        flat = nth + np.repeat(self._plan_start[func[frame]] - skip, n)
+        begin = np.repeat(payload[frame] >> self._func_bits, n) + self._plan_off[flat]
+        kinds[at] = np.repeat(tag[frame] + 1, n)  # INSTALL on entry, REMOVE on exit
+        a[at] = self._plan_obj[flat]
+        b[at] = begin
+        c[at] = begin + self._plan_size[flat]
 
-        is_side = event_tag == _SIDE
-        events = side[payload[rec[is_side]]]
-        kinds[is_side] = events[:, 0]
-        a[is_side] = events[:, 1]
-        b[is_side] = events[:, 2]
-        c[is_side] = events[:, 3]
+        is_side = np.flatnonzero(tag == _SIDE)
+        at = first[is_side]
+        events = side[payload[is_side]]
+        kinds[at] = events[:, 0]
+        a[at] = events[:, 1]
+        b[at] = events[:, 2]
+        c[at] = events[:, 3]
         return kinds, a, b, c
 
     def _absorb(self, kinds, a, b, c, ends, eligible) -> None:
@@ -258,13 +280,13 @@ class Tracer:
 
     def on_enter(self, func, frame_base: int) -> None:
         log = self.log
-        log.append(~(((frame_base << self._func_bits | func.index) << 2) | _ENTER))
+        log.append(~(frame_base << self.frame_shift | self.enter_keys[func.index]))
         if len(log) >= LOG_SLICE:
             self.drain()
 
     def on_exit(self, func, frame_base: int) -> None:
         log = self.log
-        log.append(~(((frame_base << self._func_bits | func.index) << 2) | _EXIT))
+        log.append(~(frame_base << self.frame_shift | self.exit_keys[func.index]))
         if len(log) >= LOG_SLICE:
             self.drain()
 

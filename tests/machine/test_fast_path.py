@@ -30,6 +30,7 @@ from repro.errors import (
 )
 from repro.machine import Cpu, Memory, isa, load_program
 from repro.machine import blocks
+from repro.machine import cpu as cpu_module
 from repro.machine.cpu import _DRAIN_STRIDE
 from repro.machine.layout import DEFAULT_LAYOUT
 from repro.machine.traps import TrapKind
@@ -136,7 +137,9 @@ def test_workloads_identical_at_smoke_scale(name):
 def test_chunk_boundaries_and_contents_match_per_hook_rule(monkeypatch, small_slices):
     """ChunkingTracer cuts after the first hook at or past chunk_events
     buffered events: model that rule hook by hook and compare.  With
-    small slices, drains split hooks and expansions split the log."""
+    small slices, drains split hooks and expansions split the log, and
+    the fast path offers a drain every few instructions, so its inline
+    frame records cross drain boundaries too."""
     source = """
     int g[6];
     int leaf(int a) { int t; t = a * 2; g[a % 6] = t; return t; }
@@ -155,6 +158,7 @@ def test_chunk_boundaries_and_contents_match_per_hook_rule(monkeypatch, small_sl
     if small_slices:
         monkeypatch.setattr(tracer_module, "LOG_SLICE", 5)
         monkeypatch.setattr(tracer_module, "EXPAND_EVENTS", 3)
+        monkeypatch.setattr(cpu_module, "_DRAIN_STRIDE", 7)
 
     sizes = None
     for loop in LOOPS:
@@ -225,16 +229,45 @@ def _per_hook_chunk_sizes(hook_sizes, chunk_events, total):
     return sizes + ([tail] if tail else [])
 
 
-def test_fast_tracer_log_stays_bounded():
+class _DrainSizes(Tracer):
+    """A tracer that records how many log records each drain sees."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.drained = []
+
+    def drain(self):
+        self.drained.append(len(self.log))
+        super().drain()
+
+
+@pytest.mark.parametrize("body", [
+    # Call-free, about one store per twelve instructions.
+    "for (i = 0; i < 40000; i++) { s = s ^ i; if ((i & 7) == 0) { g[i & 3] = s; } }",
+    # A call and a return (inline frame records) every iteration.
+    "for (i = 0; i < 6000; i++) { s = s + f(i); }",
+], ids=["call-free", "calls"])
+def test_fast_tracer_log_stays_bounded(body):
+    """The fast path offers a drain every _DRAIN_STRIDE instructions; the
+    tracer drains only a full log, so a run drains at most once per
+    LOG_SLICE records (plus the final drain), and no drain sees more than
+    LOG_SLICE + _DRAIN_STRIDE records."""
     source = """
     int g[4];
-    int main() { int i; for (i = 0; i < 30000; i++) { g[i & 3] = i; } return 0; }
-    """
+    int f(int x) { return x + 1; }
+    int main() { int i; int s; s = 0; %s return s; }
+    """ % body
     run = _run(_minic(source), "_fast_loop", max_instructions=10_000_000,
-               tracer_cls=Tracer)
+               tracer_cls=_DrainSizes)
     assert run.error is None
-    assert 0 < len(run.tracer.log) <= _DRAIN_STRIDE
-    assert run.tracer.finish(run.state).meta.n_writes == run.state.stores
+    trace = run.tracer.finish(run.state)
+    drained = run.tracer.drained
+    records = sum(drained)
+    assert len(drained) <= -(-records // tracer_module.LOG_SLICE) + 1
+    # Draining at every checkpoint would exceed that.
+    assert run.state.instructions // _DRAIN_STRIDE > len(drained) + 1
+    assert max(drained) <= tracer_module.LOG_SLICE + _DRAIN_STRIDE
+    assert trace.meta.n_writes == run.state.stores
 
 
 # ---------------------------------------------------------------------------

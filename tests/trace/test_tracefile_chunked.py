@@ -10,7 +10,9 @@ cache entries interchangeable between ``--stream`` and batch runs.
 
 from __future__ import annotations
 
+import io
 import json
+import struct
 import zipfile
 
 import numpy as np
@@ -82,15 +84,23 @@ def _write_zip(path, arrays):
                 np.lib.format.write_array(member, array, allow_pickle=False)
 
 
-def _edit_footer(path, mutate):
-    """Parse the v2 footer JSON, apply ``mutate(doc)``, write it back."""
+def _rewrite_doc(path, member, edit):
+    """Replace the JSON member ``member`` by ``edit(its document)``."""
     arrays = _members(path)
-    doc = json.loads(bytes(arrays["stream"].tobytes()).decode("utf-8"))
-    mutate(doc)
-    arrays["stream"] = np.frombuffer(
-        json.dumps(doc).encode("utf-8"), dtype=np.uint8
+    doc = json.loads(bytes(arrays[member].tobytes()).decode("utf-8"))
+    arrays[member] = np.frombuffer(
+        json.dumps(edit(doc)).encode("utf-8"), dtype=np.uint8
     )
     _write_zip(path, arrays)
+
+
+def _edit_footer(path, mutate):
+    """Parse the v2 footer JSON, apply ``mutate(doc)``, write it back."""
+    def edit(doc):
+        mutate(doc)
+        return doc
+
+    _rewrite_doc(path, "stream", edit)
 
 
 class TestRoundTrip:
@@ -221,6 +231,164 @@ class TestCorruptionDetection:
         _write_zip(saved, arrays)
         with pytest.raises(TraceFormatError, match="corrupt trace metadata"):
             TraceStreamReader(saved)
+
+
+def _read_both_ways(path, chunk_events=7):
+    """The trace at ``path`` through :func:`load_trace` and through a
+    :class:`TraceStreamReader` (columns joined from its chunks)."""
+    loaded, registry = load_trace(path)
+    with TraceStreamReader(path, chunk_events=chunk_events) as reader:
+        chunks = list(reader)
+        streamed = EventTrace.from_arrays(
+            *(np.concatenate([getattr(chunk, field) for chunk in chunks])
+              for field in ("kinds", "col_a", "col_b", "col_c")),
+            reader.meta,
+        )
+        assert [vars(obj) for obj in reader.registry.objects] == \
+            [vars(obj) for obj in registry.objects]
+    return loaded, streamed, registry
+
+
+def assert_bit_identical(trace, original):
+    assert vars(trace.meta) == vars(original.meta)
+    for got, want in zip(trace.as_arrays(), original.as_arrays()):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def _local_extra_ids(path, info):
+    """Header ids of the extra fields in ``info``'s local file header."""
+    with open(path, "rb") as handle:
+        handle.seek(info.header_offset)
+        header = handle.read(30)
+        name_len, extra_len = struct.unpack("<HH", header[26:30])
+        handle.seek(name_len, io.SEEK_CUR)
+        extra = handle.read(extra_len)
+    ids = []
+    while extra:
+        header_id, size = struct.unpack("<HH", extra[:4])
+        ids.append(header_id)
+        extra = extra[4 + size:]
+    return ids
+
+
+class TestContainer:
+    """Both writers deflate through one zip helper; the members, their
+    ``.npy`` bytes and the readers do not depend on the deflate level."""
+
+    @pytest.mark.parametrize("writer", [save_trace, save_trace_chunked])
+    def test_both_readers_load_bit_identical(self, tmp_path, writer):
+        original = build_fixture()
+        path = tmp_path / "trace.npz"
+        writer(*original, path)
+        loaded, streamed, registry = _read_both_ways(path)
+        assert_bit_identical(loaded, original[0])
+        assert_bit_identical(streamed, original[0])
+        assert [vars(obj) for obj in registry.objects] == \
+            [vars(obj) for obj in original[1].objects]
+
+    def test_default_level_savez_archive_loads(self, tmp_path):
+        """Archives ``np.savez_compressed`` wrote at zlib's default level,
+        as the committed cache entries are, load through both readers."""
+        original = build_fixture()
+        save_trace(*original, tmp_path / "new.npz")
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, **_members(tmp_path / "new.npz"))
+        loaded, streamed, _ = _read_both_ways(old)
+        assert_bit_identical(loaded, original[0])
+        assert_bit_identical(streamed, original[0])
+
+    def test_members_and_npy_bytes_match_savez(self, tmp_path):
+        """``save_trace`` writes the members ``np.savez_compressed``
+        would, in the same order, with the same ``.npy`` bytes, deflated
+        and with a zip64 local header."""
+        original = build_fixture()
+        path = tmp_path / "new.npz"
+        save_trace(*original, path)
+        reference = tmp_path / "savez.npz"
+        np.savez_compressed(reference, **_members(path))
+        with zipfile.ZipFile(path) as ours, zipfile.ZipFile(reference) as theirs:
+            assert ours.namelist() == theirs.namelist() == [
+                "kinds.npy", "col_a.npy", "col_b.npy", "col_c.npy", "meta.npy"]
+            for info in ours.infolist():
+                assert info.compress_type == zipfile.ZIP_DEFLATED
+                assert _local_extra_ids(path, info) == [0x0001]
+                assert ours.read(info.filename) == theirs.read(info.filename)
+
+    def test_chunk_members_are_plain_npy(self, tmp_path):
+        original = build_fixture()
+        path = tmp_path / "v2.npz"
+        save_trace_chunked(*original, path, chunk_events=40)
+        arrays = _members(path)
+        with zipfile.ZipFile(path) as archive:
+            names = archive.namelist()
+            assert names[-1] == "stream.npy"
+            assert names[:4] == [f"chunk-00000000.{column}.npy" for column in
+                                 ("kinds", "col_a", "col_b", "col_c")]
+            for info in archive.infolist():
+                assert info.compress_type == zipfile.ZIP_DEFLATED
+                assert _local_extra_ids(path, info) == [0x0001]
+                npy = io.BytesIO()
+                np.lib.format.write_array(
+                    npy, arrays[info.filename[:-4]], allow_pickle=False)
+                assert archive.read(info.filename) == npy.getvalue()
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _with_meta(**fields):
+    return lambda doc: {**doc, "meta": {**doc["meta"], **fields}}
+
+
+#: Malformed metadata either document version may carry.
+_MALFORMED = {
+    "no-meta": _without("meta"),
+    "no-objects": _without("objects"),
+    "object-without-id": lambda doc: {**doc, "objects": [
+        {k: v for k, v in obj.items() if k != "id"} for obj in doc["objects"]]},
+    "object-not-a-dict": lambda doc: {**doc, "objects": [["local"]]},
+    "meta-not-a-dict": lambda doc: {**doc, "meta": [1, 2]},
+    "unknown-meta-field": _with_meta(bogus=1),
+    "non-integer-count": _with_meta(n_writes="many"),
+    "document-is-a-list": lambda doc: [doc],
+}
+#: Malformed chunk indexes of a v2 footer.
+_MALFORMED_INDEX = {
+    "entry-not-a-dict": lambda doc: {**doc, "chunks": [7, *doc["chunks"][1:]]},
+    "entry-without-crc32": lambda doc: {**doc, "chunks": [
+        _without("crc32")(doc["chunks"][0]), *doc["chunks"][1:]]},
+    "entry-with-three-crc32s": lambda doc: {**doc, "chunks": [
+        {**doc["chunks"][0], "crc32": doc["chunks"][0]["crc32"][:3]},
+        *doc["chunks"][1:]]},
+    "entry-without-n_events": lambda doc: {**doc, "chunks": [
+        _without("n_events")(doc["chunks"][0]), *doc["chunks"][1:]]},
+}
+
+
+@pytest.mark.parametrize("version,edit", [
+    *((1, name) for name in _MALFORMED),
+    *((2, name) for name in _MALFORMED),
+    *((2, name) for name in _MALFORMED_INDEX),
+])
+def test_malformed_metadata_is_a_trace_format_error(tmp_path, version, edit):
+    """Both loaders raise TraceFormatError, never KeyError, TypeError or
+    AttributeError, on any malformed metadata document."""
+    original = build_fixture()
+    path = tmp_path / "trace.npz"
+    if version == 1:
+        save_trace(*original, path)
+        _rewrite_doc(path, "meta", _MALFORMED[edit])
+    else:
+        save_trace_chunked(*original, path, chunk_events=30)
+        _rewrite_doc(path, "stream", {**_MALFORMED, **_MALFORMED_INDEX}[edit])
+    with pytest.raises(TraceFormatError):
+        load_trace(path)
+    with pytest.raises(TraceFormatError):
+        with TraceStreamReader(path) as reader:
+            reader.verify()
 
 
 class TestWriterProtocol:

@@ -10,7 +10,9 @@ of the CPU's two loop methods directly: once the reference loop
   the runs must agree byte for byte on the trace columns, and exactly
   on the trace meta, the :class:`~repro.trace.objects.ObjectRegistry`
   objects, the :class:`~repro.machine.cpu.CpuState` (cycles included)
-  and the program output;
+  and the program output.  Each run's trace is also saved with
+  ``save_trace`` and read back with ``load_trace``; the fast path's
+  round-tripped trace must equal the reference loop's in-memory one;
 * **debugger sessions** on gcc (watched blocks), one per approach of
   the ``live`` benchmark workload (NH, VM-4K, VM-8K, TP and CP), each
   watching the same global, local and heap object: the runs must agree
@@ -35,6 +37,7 @@ import hashlib
 import pickle
 import random
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -90,20 +93,34 @@ def traced_run(name: str, scale: str, loop: str) -> dict:
     from repro.workloads import get_workload
     from repro.workloads.base import run_workload
 
+    from repro.trace import load_trace, save_trace
+
     workload = get_workload(name)
     size = workload.smoke_scale if scale == "smoke" else workload.default_scale
     with on_loop(loop) as seconds:
         run = run_workload(workload, size)
-    digest = hashlib.sha256()
-    for column in run.trace.as_arrays():
-        digest.update(column.tobytes())
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / f"{name}.npz"
+        save_trace(run.trace, run.registry, path)
+        saved = _trace_parts(*load_trace(path))
     return {
-        "columns": digest.hexdigest(),
-        "meta": vars(run.trace.meta),
-        "registry": [vars(obj) for obj in run.registry.objects],
+        **_trace_parts(run.trace, run.registry),
+        "saved": saved,
         "state": vars(run.state),
         "output": run.output,
         "seconds": seconds[0],
+    }
+
+
+def _trace_parts(trace, registry) -> dict:
+    """The comparable parts of a trace and its object registry."""
+    digest = hashlib.sha256()
+    for column in trace.as_arrays():
+        digest.update(column.tobytes())
+    return {
+        "columns": digest.hexdigest(),
+        "meta": vars(trace.meta),
+        "registry": [vars(obj) for obj in registry.objects],
     }
 
 
@@ -202,8 +219,14 @@ def live_run(name: str, scale: str, loop: str, strategy: str, page_size: int,
 
 
 def mismatches(reference: dict, fast: dict) -> list:
-    """Names of the parts on which two run results differ."""
-    return [key for key in reference if key != "seconds" and reference[key] != fast[key]]
+    """Names of the parts on which two run results differ; a phase-1
+    run's ``saved`` (round-tripped) trace must equal the reference
+    loop's in-memory trace."""
+    differ = [key for key in reference
+              if key not in ("seconds", "saved") and reference[key] != fast[key]]
+    if "saved" in fast and fast["saved"] != {key: reference[key] for key in fast["saved"]}:
+        differ.append("saved")
+    return differ
 
 
 def _report(label: str, work: str, reference: dict, fast: dict) -> bool:

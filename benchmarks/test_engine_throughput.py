@@ -6,9 +6,9 @@ events-per-second on a synthetic trace with a realistic event mix
 (~75% writes, ~25% install/remove) and overlapping multi-member
 sessions.
 
-All backends run over the same trace, so the benchmark rows are the
-speedup measurement: ``numpy`` and the compiled ``native`` kernel vs
-the scalar ``python`` reference (which the differential suite keeps
+Both backends run over the same trace, so the benchmark rows are the
+speedup measurement: the compiled ``native`` kernel vs the scalar
+``python`` reference (which the differential suite keeps
 bit-identical).  The native row self-skips on boxes without a C
 toolchain.
 """
@@ -74,7 +74,6 @@ def _build_trace():
 
 @pytest.mark.parametrize("engine", [
     "python",
-    "numpy",
     pytest.param("native", marks=pytest.mark.skipif(
         not native_available(), reason="native kernel unavailable")),
 ])

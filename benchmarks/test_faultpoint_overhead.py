@@ -32,7 +32,6 @@ from repro.experiments.pipeline import ExperimentConfig, load_program_data
 from repro.faults import faultpoint
 from repro.simulate import engine as engine_module
 from repro.simulate import native_engine as native_engine_module
-from repro.simulate import vector_engine as vector_engine_module
 from repro.trace import shared as shared_module
 from repro.trace import tracefile as tracefile_module
 
@@ -56,7 +55,7 @@ def no_plan():
 
 
 @pytest.mark.parametrize("module", [
-    engine_module, vector_engine_module, native_engine_module, shared_module,
+    engine_module, native_engine_module, shared_module,
 ])
 def test_engines_carry_no_faultpoints(module):
     """Faultpoints belong on recovery boundaries (cache, I/O, workers),

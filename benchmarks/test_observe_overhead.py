@@ -28,7 +28,6 @@ from repro import observe
 from repro.observe import profile as observe_profile
 from repro.simulate import engine as engine_module
 from repro.simulate import native_engine as native_engine_module
-from repro.simulate import vector_engine as vector_engine_module
 from repro.simulate import simulate_sessions
 from repro.simulate._native import native_available
 
@@ -40,13 +39,11 @@ MAX_DISABLED_OVERHEAD = 1.03
 #: backend name -> the module whose ``observe`` binding the engine reads.
 _BACKEND_MODULES = {
     "python": engine_module,
-    "numpy": vector_engine_module,
     "native": native_engine_module,
 }
 
 ENGINES = [
     "python",
-    "numpy",
     pytest.param("native", marks=pytest.mark.skipif(
         not native_available(), reason="native kernel unavailable")),
 ]

@@ -6,7 +6,7 @@ trade on the same spilled v2 archive, for **both** simulation backends:
 
 * **events/sec** — chunk-at-a-time feeding through
   :class:`~repro.simulate.engine.SimulationStream` /
-  :class:`~repro.simulate.vector_engine.VectorSimulationStream` vs
+  :class:`~repro.simulate.native_engine.NativeSimulationStream` vs
   materializing the whole trace and simulating it in one call;
 * **peak memory** — ``tracemalloc`` peaks of both paths.  The streamed
   path must stay bounded by a handful of chunks while the whole-trace
@@ -15,15 +15,14 @@ trade on the same spilled v2 archive, for **both** simulation backends:
   bound (the claim ``docs/TRACE_FORMAT.md`` and the ``--stream`` flag
   rest on).
 
-Both backends are truly incremental: the scalar engine carries dicts
-bounded by the live working set, and the NumPy engine runs its
-packed-key kernels per chunk and merges partial reductions across
-boundaries (see the :mod:`repro.simulate.vector_engine` docstring).
-The memory tests below pin both halves of that claim — the streamed
-peak sits far below the whole-trace peak, and on the NumPy backend it
-scales with the chunk size, not the trace size — and the identity test
-re-chunks the same archive at randomized boundaries to check streamed
-results stay bit-identical to batch on both backends.
+Both backends are truly incremental: each carries state bounded by the
+live working set (owned words, touched pages, open windows) from one
+chunk to the next.  The memory tests below pin both halves of that
+claim — the streamed peak sits far below the whole-trace peak, and on
+the native backend it scales with the chunk size, not the trace size —
+and the identity test re-chunks the same archive at randomized
+boundaries to check streamed results stay bit-identical to batch on
+both backends.
 """
 
 from __future__ import annotations
@@ -49,12 +48,10 @@ STRIDE = 256
 CHUNK_EVENTS = 4_096
 CHANNEL_CAPACITY = 4
 PAGE_SIZES = (4096, 8192)
-ENGINES = (
-    "python",
-    "numpy",
-    pytest.param("native", marks=pytest.mark.skipif(
-        not native_available(), reason="native kernel unavailable")),
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="native kernel unavailable"
 )
+ENGINES = ("python", pytest.param("native", marks=needs_native))
 
 
 def _build_trace(n_events=N_EVENTS):
@@ -128,8 +125,7 @@ def _run_streamed(path, sessions, engine="python", chunk_events=CHUNK_EVENTS):
     """The pipeline wiring: reader thread -> bounded channel -> engine."""
     with TraceStreamReader(path, chunk_events=chunk_events) as reader:
         stream = open_simulation_stream(
-            reader.registry, sessions, PAGE_SIZES, engine=engine,
-            expected_events=reader.n_events,
+            reader.registry, sessions, PAGE_SIZES, engine=engine
         )
         channel = ChunkChannel(capacity=CHANNEL_CAPACITY)
 
@@ -196,9 +192,8 @@ def test_streamed_and_batch_results_identical(spilled, engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_streamed_peak_memory_is_bounded(spilled, engine):
     """The bounded-memory claim, per backend: streamed replay must peak
-    well below the whole-trace path, and the resident-chunk gauge —
-    queued chunks plus any consumer-retained batches — must respect the
-    channel bound."""
+    well below the whole-trace path, and the resident-chunk gauge must
+    respect the channel bound."""
     path, sessions = spilled
 
     tracemalloc.start()
@@ -233,28 +228,30 @@ def test_streamed_peak_memory_is_bounded(spilled, engine):
     )
 
 
-def test_streamed_numpy_peak_scales_with_chunk_not_trace(spilled, spilled_half):
-    """Doubling the trace must not move the streamed NumPy peak: memory
+@needs_native
+def test_streamed_native_peak_scales_with_chunk_not_trace(
+    spilled, spilled_half
+):
+    """Doubling the trace must not move the streamed native peak: memory
     follows the chunk size and the live working set, not trace length.
-    (The pre-incremental implementation concatenated all chunks at
-    ``finish()``, so the full-trace peak tracked the trace and this
-    assertion fails on it.)"""
+    ``tracemalloc`` sees the chunks in flight and the column
+    marshalling; the kernel's own C heap holds only the working set."""
     path_full, sessions = spilled
     path_half, sessions_half = spilled_half
 
     def measure(path, sessions):
         tracemalloc.start()
-        _run_streamed(path, sessions, "numpy")
+        _run_streamed(path, sessions, "native")
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return peak
 
-    # Warm-up measurement first: the first numpy kernel pass allocates
-    # import-time and cache state that would skew the comparison.
+    # Warm-up measurement first: the first run loads the kernel and
+    # allocates import-time state that would skew the comparison.
     measure(path_half, sessions_half)
     peak_half = measure(path_half, sessions_half)
     peak_full = measure(path_full, sessions)
     assert peak_full < 1.5 * peak_half, (
-        f"streamed numpy peak grew with trace size: "
+        f"streamed native peak grew with trace size: "
         f"{peak_half} (half) -> {peak_full} (full)"
     )

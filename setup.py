@@ -9,7 +9,7 @@ which compiles the phase-2 C kernel (``repro.simulate._native``) into
 the user cache eagerly, so the first ``--engine native`` (or ``auto``)
 run doesn't pay the compile.  The command is best-effort by design: a
 box without a C toolchain prints the reason and exits zero, because the
-kernel is an optional accelerator — ``auto`` falls back to numpy/python.
+kernel is an optional accelerator — ``auto`` falls back to python.
 """
 
 import sys
@@ -41,7 +41,7 @@ class BuildNative(Command):
             path = build_native_library()
         except Exception as exc:
             print(f"build_native: kernel not built ({exc}); "
-                  f"'auto' will use the numpy/python backends")
+                  f"'auto' will use the python backend")
             return
         if native_available(refresh=True):
             print(f"build_native: kernel ready at {path}")

@@ -171,8 +171,9 @@ def _parse_args(argv):
     parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto",
         help="phase-2 simulation backend: 'python' (scalar reference), "
-        "'numpy' (vectorized), or 'auto' (numpy on large traces when "
-        "available; the default).  Both produce bit-identical results",
+        "'native' (compiled C kernel), or 'auto' (native when the kernel "
+        "loads, else python; the default).  Both produce bit-identical "
+        "results",
     )
     parser.add_argument(
         "--stream", action="store_true",

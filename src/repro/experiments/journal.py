@@ -103,7 +103,7 @@ def task_digest(program: str, config: ExperimentConfig) -> str:
 
     Covers the generated workload source (via the cache key's embedded
     source hash), resolved scale, page sizes, engine, and chunking mode.
-    The engine *is* included even though all backends are bit-identical:
+    The engine *is* included even though both backends are bit-identical:
     a resumed run that switched engines must say so in its journal, and
     re-verification (not the digest) is what authorizes a skip.
     """

@@ -477,9 +477,7 @@ def _simulate_streamed(
     clear :class:`PipelineError` instead of undercounting.
     """
     stream = open_simulation_stream(
-        reader.registry, sessions, config.page_sizes,
-        engine=config.engine, expected_events=reader.n_events,
-        chunk_hint=config.chunk_events,
+        reader.registry, sessions, config.page_sizes, engine=config.engine
     )
     channel = ChunkChannel()
 

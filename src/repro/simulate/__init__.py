@@ -7,47 +7,32 @@ removes, and — per page size — page protect/unprotect transitions and
 active-page misses.
 
 The engine makes a **single pass** over the trace and computes exact
-counting variables for *every* session simultaneously.  Three backends
+counting variables for *every* session simultaneously.  Two backends
 implement the same pass and produce bit-identical results:
 
 * ``"python"`` — the scalar reference engine
   (:mod:`repro.simulate.engine`): a per-event loop with dict-based word
   ownership and lazy (page, session) bookkeeping;
-* ``"numpy"`` — the vectorized engine
-  (:mod:`repro.simulate.vector_engine`): the same counting as a fixed
-  number of array passes per chunk plus a cross-chunk merge, ~3-10x
-  faster on multi-million-event traces;
 * ``"native"`` — the compiled engine
   (:mod:`repro.simulate.native_engine`): the scalar loop ported to C
   (``simulate/_native/engine.c``), built on demand with the system C
-  compiler and driven through ctypes — another ~10x over NumPy.
+  compiler and driven through ctypes.
 
-All backends are incremental: each exposes a ``feed``/``finish``
+Both backends are incremental: each exposes a ``feed``/``finish``
 stream whose memory is bounded by the live working set, and the
 whole-trace entry point is that stream fed once.
 
 :func:`simulate_sessions` dispatches between them.  The default
-``engine="auto"`` keeps tiny traces on the scalar engine (below
-:data:`AUTO_NUMPY_MIN_EVENTS` the compiled backends' fixed setup
-dominates) and otherwise prefers native → numpy → python, skipping
-backends that are unavailable (no C compiler / ``REPRO_NATIVE_DISABLE``
-set / NumPy not importable).  Pass ``engine="python"``, ``"numpy"`` or
-``"native"`` to force a backend; an explicit demand for an unavailable
-backend raises :class:`~repro.errors.PipelineError` instead of
-degrading.  Equivalence is enforced by the differential suites in
-``tests/simulate/`` and the CI ``engine-equivalence`` /
-``native-equivalence`` jobs.
-
-For streams whose total event count is unknown up front,
-:func:`open_simulation_stream` accepts ``chunk_hint`` (the source's
-nominal chunk size): a hint at or above the threshold lets ``"auto"``
-commit to a compiled backend immediately, while without one the
-decision is deferred — feeds buffer until the stream proves large
-enough, so a tiny streamed trace still runs on the scalar engine
-instead of paying compiled-backend setup for a handful of events.
+``engine="auto"`` runs native when the kernel loads and ``python``
+otherwise (no C compiler, or ``REPRO_NATIVE_DISABLE`` set).  Pass
+``engine="python"`` or ``"native"`` to force a backend; an explicit
+demand for the native backend on a host without the kernel raises
+:class:`~repro.errors.PipelineError` instead of degrading.  Equivalence
+is enforced by the differential suites in ``tests/simulate/`` and the
+CI ``equivalence`` job.
 """
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import PipelineError
 from repro.sessions.types import SessionDef
@@ -62,20 +47,7 @@ from repro.trace.events import EventTrace, TraceMeta
 from repro.trace.objects import ObjectRegistry
 
 #: Recognized values for the ``engine`` argument / ``--engine`` flag.
-ENGINE_CHOICES = ("auto", "python", "numpy", "native")
-
-#: Below this many events ``engine="auto"`` stays scalar: the compiled
-#: backends' fixed setup (array views and sorts for NumPy; membership
-#: CSR marshalling and kernel load for native) dominates tiny traces.
-AUTO_NUMPY_MIN_EVENTS = 4096
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships with the repo
-        return False
-    return True
+ENGINE_CHOICES = ("auto", "python", "native")
 
 
 def _native_available() -> bool:
@@ -84,170 +56,30 @@ def _native_available() -> bool:
     return native_available()
 
 
-def resolve_engine(
-    engine: str = "auto",
-    n_events: Optional[int] = None,
-    chunk_hint: Optional[int] = None,
-) -> str:
+def resolve_engine(engine: str = "auto", n_events: Optional[int] = None) -> str:
     """Map an ``engine`` request to the backend that will run.
 
-    Returns ``"python"``, ``"numpy"`` or ``"native"``.  Explicit
-    requests for ``"numpy"``/``"native"`` are demands and raise
-    :class:`PipelineError` when the backend is unavailable; ``"auto"``
-    degrades silently through native → numpy → python.
-
-    For ``"auto"``, ``n_events`` is the trace size when known;
-    ``chunk_hint`` (a streaming source's nominal chunk size) stands in
-    when it is not — a first chunk at or above
-    :data:`AUTO_NUMPY_MIN_EVENTS` already proves the stream big enough
-    for a compiled backend.  Unknown size with no hint resolves as a
-    large trace (:func:`open_simulation_stream` defers instead; see its
-    docstring).
+    Returns ``"python"`` or ``"native"``.  ``"auto"`` is native when the
+    kernel loads, else ``"python"``; an explicit ``"native"`` request is
+    a demand and raises :class:`PipelineError` when the kernel is
+    unavailable.  ``n_events`` is accepted for compatibility and
+    ignored: trace size no longer affects the choice.
     """
     if engine not in ENGINE_CHOICES:
         raise PipelineError(
             f"unknown engine {engine!r}; choose from {ENGINE_CHOICES}"
         )
-    if engine == "python":
-        return "python"
-    if engine == "numpy":
-        if not _numpy_available():
-            raise PipelineError(
-                "engine='numpy' requested but NumPy is not importable"
-            )
-        return "numpy"
-    if engine == "native":
-        if not _native_available():
-            from repro.simulate._native import native_unavailable_reason
+    if engine == "native" and not _native_available():
+        from repro.simulate._native import native_unavailable_reason
 
-            reason = native_unavailable_reason()
-            raise PipelineError(
-                "engine='native' requested but the compiled kernel is "
-                f"unavailable: {reason or 'not loaded'}"
-            )
-        return "native"
-    size = n_events if n_events is not None else chunk_hint
-    if size is not None and size < AUTO_NUMPY_MIN_EVENTS:
-        if n_events is not None:
-            return "python"
-        # A small *chunk* hint proves nothing about the total; fall
-        # through and let the compiled preference order decide.
-    if _native_available():
-        return "native"
-    if _numpy_available():
-        return "numpy"
-    return "python"
-
-
-def _make_stream(
-    backend: str,
-    registry: ObjectRegistry,
-    sessions: Sequence[SessionDef],
-    page_sizes: Sequence[int],
-):
-    if backend == "native":
-        from repro.simulate.native_engine import NativeSimulationStream
-
-        return NativeSimulationStream(registry, sessions, page_sizes)
-    if backend == "numpy":
-        from repro.simulate.vector_engine import VectorSimulationStream
-
-        return VectorSimulationStream(registry, sessions, page_sizes)
-    return SimulationStream(registry, sessions, page_sizes)
-
-
-class _DeferredAutoStream:
-    """``engine="auto"`` over a stream of unknown total size.
-
-    Buffers feeds until the stream has proven itself large enough for a
-    compiled backend (>= :data:`AUTO_NUMPY_MIN_EVENTS` events), then
-    opens the preferred backend and replays the buffer; a stream that
-    finishes below the threshold replays into the scalar engine.  Either
-    way the chosen backend sees the exact same feed sequence, so results
-    stay bit-identical to an eagerly-opened stream — this proxy only
-    moves *when* the choice is made.  Peak buffering is one threshold's
-    worth of events, within the bounded-memory budget of stream mode.
-    """
-
-    def __init__(
-        self,
-        registry: ObjectRegistry,
-        sessions: Sequence[SessionDef],
-        page_sizes: Sequence[int],
-    ) -> None:
-        # Validate eagerly: bad arguments must fail at open time, not
-        # first feed, matching the real stream constructors.
-        if len(sessions) == 0:
-            raise PipelineError("no sessions to simulate")
-        validate_page_sizes(page_sizes)
-        self._registry = registry
-        self._sessions = sessions
-        self._page_sizes = page_sizes
-        self._buffer: List[tuple] = []
-        self._buffered_events = 0
-        self._inner = None
-        self._next_seq = 0
-        self._finished = False
-
-    def _open(self, total_known: Optional[int]) -> None:
-        backend = resolve_engine("auto", n_events=total_known)
-        inner = _make_stream(
-            backend, self._registry, self._sessions, self._page_sizes
+        reason = native_unavailable_reason()
+        raise PipelineError(
+            "engine='native' requested but the compiled kernel is "
+            f"unavailable: {reason or 'not loaded'}"
         )
-        buffered, self._buffer = self._buffer, []
-        for batch in buffered:
-            inner.feed(*batch)
-        self._inner = inner
-
-    def feed(self, kinds, col_a, col_b, col_c) -> None:
-        if self._finished:
-            raise PipelineError("feed() on a finished simulation stream")
-        if self._inner is not None:
-            self._inner.feed(kinds, col_a, col_b, col_c)
-            return
-        lengths = tuple(
-            len(column) for column in (kinds, col_a, col_b, col_c)
-        )
-        if len(set(lengths)) != 1:
-            raise PipelineError(
-                "ragged feed: column lengths (kinds, col_a, col_b, col_c) "
-                f"= {lengths} disagree"
-            )
-        self._buffer.append((kinds, col_a, col_b, col_c))
-        self._buffered_events += lengths[0]
-        if self._buffered_events >= AUTO_NUMPY_MIN_EVENTS:
-            # Proven large; the total is still unknown, so resolve as a
-            # large trace (compiled preference order).
-            self._open(None)
-
-    def feed_chunk(self, chunk, verify: bool = True) -> None:
-        if chunk.seq != self._next_seq:
-            raise PipelineError(
-                f"chunk {chunk.seq} fed out of order; expected "
-                f"{self._next_seq}"
-            )
-        self._next_seq += 1
-        if verify:
-            chunk.verify()
-        self.feed(chunk.kinds, chunk.col_a, chunk.col_b, chunk.col_c)
-
-    @property
-    def events_fed(self) -> int:
-        if self._inner is not None:
-            return self._inner.events_fed
-        return self._buffered_events
-
-    def finish(
-        self, meta: TraceMeta, expected_events: Optional[int] = None
-    ) -> SimulationResult:
-        if self._finished:
-            raise PipelineError("finish() on a finished simulation stream")
-        self._finished = True
-        if self._inner is None:
-            # The whole stream fit under the threshold: now the size IS
-            # known, and a tiny trace belongs on the scalar engine.
-            self._open(self._buffered_events)
-        return self._inner.finish(meta, expected_events=expected_events)
+    if engine == "auto":
+        return "native" if _native_available() else "python"
+    return engine
 
 
 def simulate_sessions(
@@ -257,21 +89,15 @@ def simulate_sessions(
     page_sizes: Sequence[int] = (4096, 8192),
     engine: str = "auto",
 ) -> SimulationResult:
-    """Run the one-pass simulation on the selected backend.
+    """Run the one-pass simulation on the selected backend: its stream
+    fed the whole trace once.
 
-    All backends return bit-identical results; see the module docstring
+    Both backends return bit-identical results; see the module docstring
     for how ``engine`` is resolved.
     """
-    backend = resolve_engine(engine, len(trace))
-    if backend == "native":
-        from repro.simulate.native_engine import simulate_sessions_native
-
-        return simulate_sessions_native(trace, registry, sessions, page_sizes)
-    if backend == "numpy":
-        from repro.simulate.vector_engine import simulate_sessions_numpy
-
-        return simulate_sessions_numpy(trace, registry, sessions, page_sizes)
-    return simulate_sessions_python(trace, registry, sessions, page_sizes)
+    stream = open_simulation_stream(registry, sessions, page_sizes, engine)
+    stream.feed(trace.kinds, trace.col_a, trace.col_b, trace.col_c)
+    return stream.finish(trace.meta)
 
 
 def open_simulation_stream(
@@ -279,32 +105,19 @@ def open_simulation_stream(
     sessions: Sequence[SessionDef],
     page_sizes: Sequence[int] = (4096, 8192),
     engine: str = "auto",
-    expected_events: Optional[int] = None,
-    chunk_hint: Optional[int] = None,
 ):
     """An incremental ``feed``/``feed_chunk``/``finish`` simulation.
 
-    Resolves ``engine`` like :func:`simulate_sessions` does, using
-    ``expected_events`` (the stream's total event count, when known —
-    e.g. a trace file's footer) as the size hint for ``"auto"`` and
-    ``chunk_hint`` (the source's nominal chunk size, e.g. a pipeline's
-    ``chunk_events``) as a fallback signal when the total is unknown.
-    When ``"auto"`` has neither — or only a sub-threshold hint — the
-    backend choice is deferred until the stream has either crossed
-    :data:`AUTO_NUMPY_MIN_EVENTS` (compiled backend) or finished small
-    (scalar engine), so tiny streamed traces are not pessimized.
-
-    Every returned stream is truly incremental — memory bounded by the
-    live working set plus at most one threshold's worth of deferred
-    buffering — and produces results bit-identical to the whole-trace
-    path (which is, on every backend, this stream fed once).
+    Resolves ``engine`` like :func:`simulate_sessions` does.  The stream
+    is truly incremental — memory bounded by the live working set — and
+    produces results bit-identical to the whole-trace path (which is, on
+    both backends, this stream fed once).
     """
-    if engine == "auto" and expected_events is None and (
-        chunk_hint is None or chunk_hint < AUTO_NUMPY_MIN_EVENTS
-    ):
-        return _DeferredAutoStream(registry, sessions, page_sizes)
-    backend = resolve_engine(engine, expected_events, chunk_hint)
-    return _make_stream(backend, registry, sessions, page_sizes)
+    if resolve_engine(engine) == "native":
+        from repro.simulate.native_engine import NativeSimulationStream
+
+        return NativeSimulationStream(registry, sessions, page_sizes)
+    return SimulationStream(registry, sessions, page_sizes)
 
 
 def simulate_chunks(
@@ -324,19 +137,14 @@ def simulate_chunks(
     :func:`~repro.trace.stream.iter_chunks` over an in-memory trace.
     ``meta``/``expected_events`` default to the source's ``meta`` /
     ``n_events`` attributes when it has them (readers do; a channel's
-    ``meta`` is set by its producer at close, i.e. after iteration), and
-    a source's ``chunk_events`` is forwarded as the dispatcher's chunk
-    hint.  When the expected total is known the stream is checked
-    against it, so a silently truncated stream fails loudly instead of
-    producing undercounted results.
+    ``meta`` is set by its producer at close, i.e. after iteration).
+    When the expected total is known the stream is checked against it,
+    so a silently truncated stream fails loudly instead of producing
+    undercounted results.
     """
     if expected_events is None:
         expected_events = getattr(chunks, "n_events", None)
-    stream = open_simulation_stream(
-        registry, sessions, page_sizes, engine=engine,
-        expected_events=expected_events,
-        chunk_hint=getattr(chunks, "chunk_events", None),
-    )
+    stream = open_simulation_stream(registry, sessions, page_sizes, engine)
     for chunk in chunks:
         stream.feed_chunk(chunk)
     if meta is None:
@@ -351,7 +159,6 @@ def simulate_chunks(
 
 
 __all__ = [
-    "AUTO_NUMPY_MIN_EVENTS",
     "ENGINE_CHOICES",
     "CountingVariables",
     "VmPageCounts",

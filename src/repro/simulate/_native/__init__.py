@@ -8,7 +8,8 @@ The kernel (``engine.c``) is plain C with no Python.h dependency, so the
 and the "bindings" are ctypes.  That keeps the native backend usable on
 any box with *a* C compiler — no Cython, no build-time Python headers —
 while still degrading gracefully (``native_available()`` is False, and
-``engine="auto"`` falls back to NumPy) when even that is missing.
+``engine="auto"`` falls back to the scalar engine) when even that is
+missing.
 
 Resolution order for the shared object:
 

@@ -8,17 +8,13 @@ Python half: membership CSR construction, the ``feed``/``feed_chunk``/
 contract — everything that is *not* per-event work.
 
 :class:`NativeSimulationStream` is a drop-in sibling of
-:class:`~repro.simulate.engine.SimulationStream` and
-:class:`~repro.simulate.vector_engine.VectorSimulationStream`: same
-constructor, same stream contract (any feed split point is legal,
-chunk sequence order enforced, truncation checked at ``finish``), and
-bit-identical results — the kernel replicates the scalar loop branch
-for branch, and the differential suites enforce it.
-
-Unlike the NumPy backend there is no minimum batch size: the C loop has
-no fixed array-pass setup to amortize, so chunks go straight to the
-kernel and carried state stays bounded by the live working set (owned
-words, touched pages, open pairs) exactly as in the scalar engine.
+:class:`~repro.simulate.engine.SimulationStream`: same constructor, same
+stream contract (any feed split point is legal, chunk sequence order
+enforced, truncation checked at ``finish``), and bit-identical results —
+the kernel replicates the scalar loop branch for branch, and the
+differential suites enforce it.  Chunks go straight to the kernel, and
+carried state stays bounded by the live working set (owned words,
+touched pages, open pairs) exactly as in the scalar engine.
 
 Construction raises :class:`~repro.errors.PipelineError` when the
 kernel is unavailable (no compiler, ``REPRO_NATIVE_DISABLE``); the

@@ -23,7 +23,7 @@ state, and concatenating the columns of chunks ``0..n`` in sequence
 order reconstructs the whole trace exactly.  That is what makes the
 streamed and whole-trace paths bit-identical by construction (enforced
 by ``tests/simulate/test_vector_equivalence.py`` and the CI
-``stream-equivalence`` job).
+``equivalence`` job).
 
 Producers end a chunk after the first event hook that leaves it *at or
 past* ``chunk_events`` buffered events, so chunks are approximately
@@ -34,12 +34,9 @@ event count and never assume uniform chunk sizes.
 When observation is on (:mod:`repro.observe`) the channel accounts
 ``stream.chunks`` / ``stream.events`` counters and maintains the
 ``stream.peak_resident_chunks`` gauge — the high-water mark of chunks
-alive anywhere in this process, whether queued in a channel or retained
-past delivery by a consumer (reported via :func:`note_retained_chunks`;
-the ``stream.retained_chunks`` gauge tracks the retained leg on its
-own).  This is the number the bounded-memory claim rests on, for both
-simulation backends (asserted by
-``benchmarks/test_stream_throughput.py``).
+queued in any channel in this process.  This is the number the
+bounded-memory claim rests on, for both simulation backends (asserted
+by ``benchmarks/test_stream_throughput.py``).
 """
 
 from __future__ import annotations
@@ -196,75 +193,35 @@ def iter_chunks(
 # Process-wide peak-resident accounting (the bounded-memory gauge)
 # ---------------------------------------------------------------------------
 #
-# Two process-wide counters feed the gauge: chunks *queued* in any
-# ChunkChannel, and chunks *retained* past delivery by a consumer (a
-# simulation stream coalescing sub-kernel-size batches reports them via
-# :func:`note_retained_chunks`).  ``stream.peak_resident_chunks`` is the
-# high-water mark of their sum, so state a consumer holds on to is just
-# as visible as state waiting in a queue — without the retained leg, a
-# consumer that buffered every chunk would read as "bounded" while
-# paying O(trace) memory.
+# One process-wide counter of chunks queued in any ChunkChannel feeds
+# the gauge; ``stream.peak_resident_chunks`` is its high-water mark.
 
 _peak_lock = threading.Lock()
 _resident_chunks = 0
-_retained_chunks = 0
 _peak_resident = 0
 
 
-def _note_combined_locked() -> None:
-    global _peak_resident
-    combined = _resident_chunks + _retained_chunks
-    if combined > _peak_resident:
-        _peak_resident = combined
-        observe.set_gauge("stream.peak_resident_chunks", combined)
-
-
 def _adjust_resident(delta: int) -> None:
-    global _resident_chunks
+    global _peak_resident, _resident_chunks
     with _peak_lock:
         _resident_chunks += delta
-        _note_combined_locked()
-
-
-def note_retained_chunks(delta: int) -> None:
-    """Report chunk state a consumer retains past delivery.
-
-    Consumers that hold chunks (or chunk-sized column buffers) beyond
-    the ``ChunkChannel`` hand-off — e.g.
-    :class:`~repro.simulate.vector_engine.VectorSimulationStream`
-    coalescing small batches before a kernel pass — call this with +1
-    per retained batch and the matching negative delta on release, so
-    the bounded-memory gauge covers *all* live chunk state, queued or
-    retained.
-    """
-    global _retained_chunks
-    with _peak_lock:
-        _retained_chunks += delta
-        if delta > 0:
-            observe.set_gauge("stream.retained_chunks", _retained_chunks)
-        _note_combined_locked()
+        if _resident_chunks > _peak_resident:
+            _peak_resident = _resident_chunks
+            observe.set_gauge("stream.peak_resident_chunks", _peak_resident)
 
 
 def peak_resident_chunks() -> int:
-    """High-water mark of chunks alive — queued in any channel plus
-    retained by any consumer — so far."""
+    """High-water mark of chunks queued in any channel so far."""
     return _peak_resident
 
 
-def retained_chunks() -> int:
-    """Chunks currently retained by consumers (see
-    :func:`note_retained_chunks`)."""
-    return _retained_chunks
-
-
 def _reset_peak() -> None:
-    global _peak_resident, _resident_chunks, _retained_chunks
+    global _peak_resident, _resident_chunks
     with _peak_lock:
         _peak_resident = 0
-        # Zero the live counts too: an abandoned (cancelled or leaked)
+        # Zero the live count too: an abandoned (cancelled or leaked)
         # stream must not skew the next run's peak.
         _resident_chunks = 0
-        _retained_chunks = 0
 
 
 observe.register_reset_hook(_reset_peak)

@@ -496,7 +496,7 @@ def _load_v1(archive) -> Tuple[EventTrace, ObjectRegistry]:
         )
     # Adopt the .npz columns directly (no array('q') round-trip): the
     # loaded trace is replay-only, which is all phase 2 ever does with it,
-    # and the vectorized engine consumes the ndarrays zero-copy.
+    # and the native engine consumes the ndarrays zero-copy.
     meta, registry = _meta_and_registry(meta_doc)
     trace = EventTrace.from_arrays(kinds, col_a, col_b, col_c, meta)
     return trace, registry

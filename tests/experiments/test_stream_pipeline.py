@@ -18,6 +18,7 @@ from repro import faults, observe
 from repro.experiments.cli import EXIT_PARTIAL, EXIT_USAGE, main as cli_main
 from repro.experiments.pipeline import ExperimentConfig, load_program_data
 from repro.errors import PipelineError
+from repro.simulate._native import native_available
 
 PROGRAM = "qcd"  # the cheapest workload at smoke scale
 
@@ -103,6 +104,8 @@ class TestStreamEqualsBatch:
         assert_same_data(batch, batch2)
         assert any("loading cached trace" in message for message in messages)
 
+    @pytest.mark.skipif(not native_available(),
+                        reason="native kernel unavailable")
     def test_engines_agree_in_stream_mode(self, tmp_path):
         py = load_program_data(
             PROGRAM,
@@ -111,12 +114,12 @@ class TestStreamEqualsBatch:
         )
         for sim in _sim_entries(tmp_path):
             sim.unlink()
-        np_ = load_program_data(
+        native = load_program_data(
             PROGRAM,
-            make_config(tmp_path, stream=True, engine="numpy",
+            make_config(tmp_path, stream=True, engine="native",
                         chunk_events=4096),
         )
-        assert_same_data(py, np_)
+        assert_same_data(py, native)
 
     def test_no_cache_spills_to_temp_and_cleans_up(self, tmp_path):
         batch = load_program_data(PROGRAM, make_config(tmp_path / "ref"))

@@ -1,207 +1,161 @@
-"""Dispatcher fallback matrix: every ``engine`` request × every backend
-availability combination.
+"""Dispatcher matrix: every ``engine`` request × kernel availability.
 
-``resolve_engine`` has three inputs — the request, what is importable /
-compiled on this box, and the size signal (``n_events`` or the streaming
-``chunk_hint``).  This suite pins the full matrix:
+``resolve_engine`` has two inputs: the request, and whether the native
+kernel loads on this host.  This suite pins the full matrix:
 
-* ``auto`` prefers native → numpy → python, degrading silently as
-  backends disappear;
-* explicit ``numpy``/``native`` requests are demands — an unavailable
-  backend raises :class:`PipelineError` rather than substituting;
-* small known traces stay scalar under ``auto`` regardless of what is
-  available, and the unknown-size streaming path (the deferred-auto
-  stream) makes the same choice once the size is known.
+* ``auto`` is native when the kernel loads and ``python`` otherwise,
+  whatever the trace size;
+* an explicit ``native`` request is a demand — an unavailable kernel
+  raises :class:`PipelineError` rather than substituting;
+* every request that resolves runs to results identical to the scalar
+  reference, batch and streamed, on 0-, 1- and 2**20-event traces.
 
-Availability is simulated by monkeypatching the probe functions (for
+Availability is simulated by monkeypatching the probe function (for
 resolution logic) and via ``REPRO_NATIVE_DISABLE`` (for the real
-loader's gate), so the matrix runs identically on boxes with and
-without a C toolchain.
+loader's gate), so the matrix runs identically on hosts with and
+without a C toolchain; rows that must really run the kernel skip
+without one.
 """
 
+import numpy as np
 import pytest
 
 import repro.simulate as sim
+from repro import observe
 from repro.errors import PipelineError
-from repro.simulate import (
-    AUTO_NUMPY_MIN_EVENTS,
-    open_simulation_stream,
-    resolve_engine,
-    simulate_chunks,
-    simulate_sessions,
-)
+from repro.sessions.types import SessionDef, ONE_HEAP
+from repro.simulate import resolve_engine, simulate_chunks, simulate_sessions
 from repro.simulate._native import native_available
-from repro.simulate.engine import SimulationStream
 from repro.simulate.engine import simulate_sessions as simulate_python
+from repro.trace import EventTrace, ObjectRegistry
+from repro.trace.events import EventKind, TraceMeta
 from repro.trace.stream import iter_chunks
 
 from test_vector_equivalence import assert_identical, build_random
 
-BIG = AUTO_NUMPY_MIN_EVENTS
-SMALL = AUTO_NUMPY_MIN_EVENTS - 1
+SIZES = (0, 1, 1 << 20)
+
+needs_kernel = pytest.mark.skipif(
+    not native_available(), reason="native kernel unavailable"
+)
 
 
 @pytest.fixture
 def availability(monkeypatch):
-    """Force the dispatcher's view of backend availability."""
+    """Force the dispatcher's view of kernel availability."""
 
-    def set_available(native=True, numpy=True):
+    def set_available(native):
         monkeypatch.setattr(sim, "_native_available", lambda: native)
-        monkeypatch.setattr(sim, "_numpy_available", lambda: numpy)
 
     return set_available
+
+
+def _writes_trace(n_events):
+    """An install followed by ``n_events - 1`` single-word writes that
+    cycle over 64 words, a quarter of them inside the watched object."""
+    registry = ObjectRegistry()
+    registry.heap("f", ("main", "f"), 64)
+    kinds = np.full(n_events, int(EventKind.WRITE), np.int8)
+    col_a = (np.arange(n_events, dtype=np.int64) % 64) * 4
+    col_b = col_a + 4
+    col_c = np.zeros(n_events, np.int64)
+    if n_events:
+        kinds[0] = int(EventKind.INSTALL)
+        col_a[0], col_b[0], col_c[0] = 0, 0, 64
+    trace = EventTrace.from_arrays(
+        kinds, col_a, col_b, col_c, TraceMeta(program=f"writes{n_events}")
+    )
+    return trace, registry, [SessionDef(0, ONE_HEAP, "s0", (0,))]
+
+
+@pytest.fixture(scope="module")
+def sized_cases():
+    """size -> (trace, registry, sessions, scalar reference result)."""
+    cases = {}
+    for n_events in SIZES:
+        trace, registry, sessions = _writes_trace(n_events)
+        reference = simulate_python(trace, registry, sessions, (4096, 8192))
+        cases[n_events] = (trace, registry, sessions, reference)
+    return cases
 
 
 class TestResolveMatrix:
     """resolve_engine over request × availability × size."""
 
-    @pytest.mark.parametrize("native,numpy,expected", [
-        (True, True, "native"),
-        (True, False, "native"),
-        (False, True, "numpy"),
-        (False, False, "python"),
-    ])
-    def test_auto_large_trace_prefers_native(
-        self, availability, native, numpy, expected
-    ):
-        availability(native=native, numpy=numpy)
-        assert resolve_engine("auto", BIG) == expected
-
-    @pytest.mark.parametrize("native,numpy", [
-        (True, True), (True, False), (False, True), (False, False),
-    ])
-    def test_auto_small_trace_stays_scalar(self, availability, native, numpy):
-        availability(native=native, numpy=numpy)
-        assert resolve_engine("auto", SMALL) == "python"
-
-    @pytest.mark.parametrize("native,numpy", [
-        (True, True), (True, False), (False, True), (False, False),
-    ])
-    def test_python_is_always_honored(self, availability, native, numpy):
-        availability(native=native, numpy=numpy)
-        assert resolve_engine("python", BIG) == "python"
-
-    def test_explicit_numpy_demand_raises_without_numpy(self, availability):
-        availability(native=True, numpy=False)
-        with pytest.raises(PipelineError, match="numpy.*not importable"):
-            resolve_engine("numpy", BIG)
-
-    def test_explicit_numpy_honored_even_with_native(self, availability):
-        availability(native=True, numpy=True)
-        assert resolve_engine("numpy", BIG) == "numpy"
-
-    def test_explicit_native_demand_raises_without_kernel(self, availability):
-        availability(native=False, numpy=True)
-        with pytest.raises(PipelineError, match="native.*unavailable"):
-            resolve_engine("native", BIG)
-
-    def test_explicit_native_honored(self, availability):
-        availability(native=True, numpy=True)
-        assert resolve_engine("native", SMALL) == "native"
+    @pytest.mark.parametrize("n_events", SIZES)
+    @pytest.mark.parametrize("native", [True, False])
+    @pytest.mark.parametrize("request_", ["auto", "python", "native"])
+    def test_matrix(self, availability, request_, native, n_events):
+        availability(native)
+        if request_ == "native" and not native:
+            with pytest.raises(PipelineError, match="native.*unavailable"):
+                resolve_engine(request_, n_events=n_events)
+            return
+        expected = {
+            "auto": "native" if native else "python",
+            "python": "python",
+            "native": "native",
+        }[request_]
+        assert resolve_engine(request_, n_events=n_events) == expected
+        assert resolve_engine(request_) == expected
 
     def test_unknown_engine_rejected(self, availability):
-        availability()
+        availability(True)
         with pytest.raises(PipelineError, match="unknown engine"):
             resolve_engine("cython")
 
-    def test_unknown_size_resolves_compiled(self, availability):
-        availability(native=True, numpy=True)
-        assert resolve_engine("auto", None) == "native"
-        availability(native=False, numpy=True)
-        assert resolve_engine("auto", None) == "numpy"
-        availability(native=False, numpy=False)
-        assert resolve_engine("auto", None) == "python"
+    def test_engine_choices(self, availability):
+        availability(True)
+        assert sim.ENGINE_CHOICES == ("auto", "python", "native")
+        with pytest.raises(PipelineError, match="unknown engine"):
+            resolve_engine("numpy")
 
 
-class TestChunkHint:
-    """The streaming size hint (satellite: ``--stream`` auto-dispatch)."""
+class TestRunMatrix:
+    """Each resolvable request runs on the backend it resolves to and
+    matches the scalar reference, batch and streamed."""
 
-    def test_large_chunk_hint_commits_to_compiled(self, availability):
-        availability(native=True, numpy=True)
-        assert resolve_engine("auto", None, chunk_hint=BIG) == "native"
-        availability(native=False, numpy=True)
-        assert resolve_engine("auto", None, chunk_hint=BIG) == "numpy"
+    @pytest.mark.parametrize("n_events", SIZES)
+    @pytest.mark.parametrize("mode", ["batch", "stream"])
+    @pytest.mark.parametrize("request_,native", [
+        pytest.param("auto", True, marks=needs_kernel),
+        ("auto", False),
+        pytest.param("native", True, marks=needs_kernel),
+    ], ids=["auto-kernel", "auto-no-kernel", "native-kernel"])
+    def test_matrix(self, availability, sized_cases, request_, native, mode,
+                    n_events):
+        availability(native)
+        trace, registry, sessions, reference = sized_cases[n_events]
+        was_enabled = observe.is_enabled()
+        observe.reset()
+        observe.enable()
+        try:
+            if mode == "batch":
+                result = simulate_sessions(trace, registry, sessions,
+                                           (4096, 8192), engine=request_)
+            else:
+                result = simulate_chunks(
+                    iter_chunks(trace, 65536), registry, sessions,
+                    (4096, 8192), engine=request_, meta=trace.meta,
+                    expected_events=len(trace),
+                )
+            backends = observe.get_registry().snapshot()["notes"][
+                "engine.backend"
+            ]
+        finally:
+            if not was_enabled:
+                observe.disable()
+            observe.reset()
+        assert backends == ["native" if native else "python"]
+        assert_identical(reference, result)
 
-    def test_small_chunk_hint_proves_nothing(self, availability):
-        # A small *chunk* does not mean a small *trace*: resolution
-        # falls through to the compiled preference (the deferred stream
-        # below is what protects genuinely tiny traces).
-        availability(native=True, numpy=True)
-        assert resolve_engine("auto", None, chunk_hint=SMALL) == "native"
-
-    def test_known_size_beats_chunk_hint(self, availability):
-        availability(native=True, numpy=True)
-        assert resolve_engine("auto", SMALL, chunk_hint=BIG) == "python"
-
-    def test_open_stream_defers_without_signal(self):
-        trace, registry, sessions = build_random(3)
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        assert isinstance(stream, sim._DeferredAutoStream)
-
-    def test_open_stream_commits_with_large_hint(self):
-        trace, registry, sessions = build_random(3)
-        stream = open_simulation_stream(
-            registry, sessions, (4096,), chunk_hint=BIG
-        )
-        assert not isinstance(stream, sim._DeferredAutoStream)
-
-    def test_deferred_tiny_stream_lands_on_scalar(self):
-        # The whole point of deferral: a tiny streamed trace must end up
-        # on the scalar engine, not pay compiled-backend setup.
-        trace, registry, sessions = build_random(3)
-        batch = simulate_python(trace, registry, sessions, (4096,))
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        for chunk in iter_chunks(trace, 25):
-            stream.feed_chunk(chunk)
-        assert stream._inner is None  # still buffering: under threshold
-        result = stream.finish(trace.meta, expected_events=len(trace))
-        assert isinstance(stream._inner, SimulationStream)
-        assert_identical(batch, result)
-
-    def test_deferred_large_stream_switches_to_compiled(self):
-        trace, registry, sessions = build_random(3)
-        batch = simulate_python(trace, registry, sessions, (4096,))
-        n = len(trace)
-        reps = AUTO_NUMPY_MIN_EVENTS // n + 1
-        cols = trace.as_arrays()
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        for _ in range(reps):
-            stream.feed(cols.kinds, cols.col_a, cols.col_b, cols.col_c)
-        assert stream._inner is not None
-        assert not isinstance(stream._inner, SimulationStream)
-        assert stream.events_fed == reps * n
-        result = stream.finish(trace.meta, expected_events=reps * n)
-        # Same trace repeated: per-session totals scale but stay exact —
-        # compare against the scalar stream fed identically.
-        ref = SimulationStream(registry, sessions, (4096,))
-        for _ in range(reps):
-            ref.feed(cols.kinds, cols.col_a, cols.col_b, cols.col_c)
-        assert_identical(ref.finish(trace.meta), result)
-
-    def test_deferred_stream_enforces_protocol(self):
-        trace, registry, sessions = build_random(3)
-        chunks = list(iter_chunks(trace, 25))
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        with pytest.raises(PipelineError, match="out of order"):
-            stream.feed_chunk(chunks[-1])
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        with pytest.raises(PipelineError, match="ragged feed"):
-            stream.feed([1, 1], [4, 8], [8, 12], [0])
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        stream.feed_chunk(chunks[0])
-        with pytest.raises(PipelineError, match="truncated chunk stream"):
-            stream.finish(trace.meta, expected_events=len(trace))
-        with pytest.raises(PipelineError, match="finished"):
-            stream.finish(trace.meta)
-
-    def test_simulate_chunks_forwards_reader_hint(self, tmp_path):
-        from repro.sessions.types import SessionDef, ONE_HEAP
-        from repro.trace import EventTrace, ObjectRegistry
+    def test_simulate_chunks_over_a_reader(self, tmp_path):
+        """A reader source supplies the stream's expected total itself."""
         from repro.trace.tracefile import TraceStreamReader, save_trace_chunked
 
         registry = ObjectRegistry()
         registry.heap("f", ("main", "f"), 16)
-        trace = EventTrace("hint")
+        trace = EventTrace("reader")
         trace.append_install(0, 0x1000, 0x1010)
         for i in range(300):
             trace.append_write(0x1000 + 4 * (i % 8), 0x1004 + 4 * (i % 8))
@@ -240,9 +194,7 @@ class TestRealLoaderGate:
         monkeypatch.delenv("REPRO_NATIVE_DISABLE")
         native_available(refresh=True)
 
-    @pytest.mark.skipif(
-        not native_available(), reason="native kernel unavailable"
-    )
+    @needs_kernel
     def test_native_stream_raises_when_disabled(self, monkeypatch):
         from repro.simulate.native_engine import NativeSimulationStream
 

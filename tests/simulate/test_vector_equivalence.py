@@ -1,10 +1,9 @@
-"""Differential gate: the NumPy engine must be bit-identical to the
+"""Differential gate: the native engine must be bit-identical to the
 scalar reference engine.
 
-The vectorized backend (:mod:`repro.simulate.vector_engine`) reformulates
-the scalar engine's per-event loop as packed-key sorts and grouped
-running sums; nothing in that reformulation is allowed to change a single
-counting variable.  This suite enforces that with
+The native backend (:mod:`repro.simulate.native_engine`) ports the
+scalar engine's per-event loop to C; nothing in that port is allowed to
+change a single counting variable.  This suite enforces that with
 
 * a randomized differential sweep — adversarial traces (overlapping
   installs, removes of non-live objects, open windows at EOF, unaligned
@@ -14,8 +13,9 @@ counting variable.  This suite enforces that with
 * dispatcher tests for :func:`repro.simulate.resolve_engine` and the
   ``engine=`` argument of :func:`repro.simulate.simulate_sessions`.
 
-The CI ``engine-equivalence`` job runs the same comparison at full
-pipeline scale on the five benchmark programs.
+Native rows skip on hosts without the kernel (no C compiler, or
+``REPRO_NATIVE_DISABLE`` set).  The CI ``equivalence`` job runs the
+same comparison at full pipeline scale on the five benchmark programs.
 """
 
 import random
@@ -26,7 +26,6 @@ import pytest
 from repro.errors import PipelineError, TraceFormatError
 from repro.sessions.types import SessionDef, ONE_HEAP, ALL_HEAP_IN_FUNC
 from repro.simulate import (
-    AUTO_NUMPY_MIN_EVENTS,
     open_simulation_stream,
     resolve_engine,
     simulate_chunks,
@@ -34,10 +33,6 @@ from repro.simulate import (
 )
 from repro.simulate.engine import SimulationStream
 from repro.simulate.engine import simulate_sessions as simulate_python
-from repro.simulate.vector_engine import (
-    VectorSimulationStream,
-    simulate_sessions_numpy,
-)
 from repro.simulate._native import native_available
 from repro.simulate.native_engine import (
     NativeSimulationStream,
@@ -104,27 +99,30 @@ def build_random(seed):
     return trace, registry, sessions
 
 
-def assert_identical(result_py, result_np):
+def assert_identical(expected, actual):
     """Field-by-field equality of two SimulationResults."""
-    assert result_py.total_writes == result_np.total_writes
-    assert result_py.overlap_anomalies == result_np.overlap_anomalies
-    assert result_py.n_discarded == result_np.n_discarded
-    assert [s.index for s in result_py.sessions] == \
-        [s.index for s in result_np.sessions]
-    assert result_py.page_sizes == result_np.page_sizes
-    for session, c_py, c_np in zip(
-        result_py.sessions, result_py.counts, result_np.counts
+    assert expected.total_writes == actual.total_writes
+    assert expected.overlap_anomalies == actual.overlap_anomalies
+    assert expected.n_discarded == actual.n_discarded
+    assert [s.index for s in expected.sessions] == \
+        [s.index for s in actual.sessions]
+    assert expected.page_sizes == actual.page_sizes
+    for session, c_exp, c_act in zip(
+        expected.sessions, expected.counts, actual.counts
     ):
-        base_py = (c_py.installs, c_py.removes, c_py.hits, c_py.misses,
-                   c_py.max_concurrent)
-        base_np = (c_np.installs, c_np.removes, c_np.hits, c_np.misses,
-                   c_np.max_concurrent)
-        assert base_py == base_np, f"session {session.index}: {base_py} != {base_np}"
-        assert set(c_py.vm) == set(c_np.vm)
-        for size in c_py.vm:
-            vm_py, vm_np = c_py.vm[size], c_np.vm[size]
-            assert (vm_py.protects, vm_py.unprotects, vm_py.active_page_misses) \
-                == (vm_np.protects, vm_np.unprotects, vm_np.active_page_misses), \
+        base_exp = (c_exp.installs, c_exp.removes, c_exp.hits, c_exp.misses,
+                    c_exp.max_concurrent)
+        base_act = (c_act.installs, c_act.removes, c_act.hits, c_act.misses,
+                    c_act.max_concurrent)
+        assert base_exp == base_act, \
+            f"session {session.index}: {base_exp} != {base_act}"
+        assert set(c_exp.vm) == set(c_act.vm)
+        for size in c_exp.vm:
+            vm_exp, vm_act = c_exp.vm[size], c_act.vm[size]
+            assert (vm_exp.protects, vm_exp.unprotects,
+                    vm_exp.active_page_misses) \
+                == (vm_act.protects, vm_act.unprotects,
+                    vm_act.active_page_misses), \
                 f"session {session.index} vm[{size}]"
 
 
@@ -144,19 +142,6 @@ def assert_invariants(result):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("page_sizes", PAGE_SIZE_CONFIGS,
-                             ids=lambda sizes: "x".join(map(str, sizes)))
-    def test_randomized_sweep(self, page_sizes):
-        for seed in range(60):
-            trace, registry, sessions = build_random(seed)
-            result_py = simulate_python(trace, registry, sessions, page_sizes)
-            result_np = simulate_sessions_numpy(
-                trace, registry, sessions, page_sizes
-            )
-            assert_identical(result_py, result_np)
-            assert_invariants(result_py)
-            assert_invariants(result_np)
-
     @needs_native
     @pytest.mark.parametrize("page_sizes", PAGE_SIZE_CONFIGS,
                              ids=lambda sizes: "x".join(map(str, sizes)))
@@ -170,17 +155,19 @@ class TestDifferential:
             assert_identical(result_py, result_nat)
             assert_invariants(result_nat)
 
+    @needs_native
     def test_empty_trace(self):
         registry = ObjectRegistry()
         registry.heap("f", ("main", "f"), 16)
         trace = EventTrace(TraceMeta(program="empty"))
         sessions = [SessionDef(0, ONE_HEAP, "s0", (0,))]
         result_py = simulate_python(trace, registry, sessions, (4096,))
-        result_np = simulate_sessions_numpy(trace, registry, sessions, (4096,))
-        assert_identical(result_py, result_np)
-        assert result_np.total_writes == 0
-        assert result_np.n_discarded == 1
+        result_nat = simulate_sessions_native(trace, registry, sessions, (4096,))
+        assert_identical(result_py, result_nat)
+        assert result_nat.total_writes == 0
+        assert result_nat.n_discarded == 1
 
+    @needs_native
     def test_writes_only_no_installs(self):
         """No endpoints at all: every write is a miss on both backends."""
         registry = ObjectRegistry()
@@ -190,10 +177,11 @@ class TestDifferential:
             trace.append_write(0x1000 + 4 * i, 0x1004 + 4 * i)
         sessions = [SessionDef(0, ONE_HEAP, "s0", (0,))]
         result_py = simulate_python(trace, registry, sessions, (4096,))
-        result_np = simulate_sessions_numpy(trace, registry, sessions, (4096,))
-        assert_identical(result_py, result_np)
-        assert result_np.total_writes == 10
+        result_nat = simulate_sessions_native(trace, registry, sessions, (4096,))
+        assert_identical(result_py, result_nat)
+        assert result_nat.total_writes == 10
 
+    @needs_native
     def test_open_window_at_eof_flush(self):
         """A window left open at EOF flushes identically on both backends."""
         registry = ObjectRegistry()
@@ -202,14 +190,12 @@ class TestDifferential:
         trace.append_install(0, 0x1000, 0x1008)
         trace.append_write(0x1000, 0x1004)   # hit
         trace.append_write(0x1200, 0x1204)   # miss, same page -> raw write
-        result_py = simulate_python(trace, registry,
-                                    [SessionDef(0, ONE_HEAP, "s0", (0,))],
-                                    (4096,))
-        result_np = simulate_sessions_numpy(trace, registry,
-                                            [SessionDef(0, ONE_HEAP, "s0", (0,))],
-                                            (4096,))
-        assert_identical(result_py, result_np)
-        vm = result_np.counts[0].vm[4096]
+        sessions = [SessionDef(0, ONE_HEAP, "s0", (0,))]
+        result_py = simulate_python(trace, registry, sessions, (4096,))
+        result_nat = simulate_sessions_native(trace, registry, sessions,
+                                              (4096,))
+        assert_identical(result_py, result_nat)
+        vm = result_nat.counts[0].vm[4096]
         assert vm.protects == 1
         assert vm.unprotects == 1  # defensive EOF flush closed it
         assert vm.active_page_misses == 1
@@ -225,8 +211,7 @@ class TestStreamingDifferential:
     """
 
     @pytest.mark.parametrize("engine", [
-        "python", "numpy",
-        pytest.param("native", marks=needs_native),
+        "python", pytest.param("native", marks=needs_native),
     ])
     def test_randomized_chunked_sweep(self, engine):
         for seed in range(30):
@@ -244,10 +229,9 @@ class TestStreamingDifferential:
 
     @pytest.mark.parametrize("stream_cls,batch_fn", [
         (SimulationStream, simulate_python),
-        (VectorSimulationStream, simulate_sessions_numpy),
         pytest.param(NativeSimulationStream, simulate_sessions_native,
                      marks=needs_native),
-    ], ids=["python", "numpy", "native"])
+    ], ids=["python", "native"])
     def test_feed_chunk_incremental(self, stream_cls, batch_fn):
         trace, registry, sessions = build_random(11)
         batch = batch_fn(trace, registry, sessions, (4096,))
@@ -257,13 +241,16 @@ class TestStreamingDifferential:
         streamed = stream.finish(trace.meta, expected_events=len(trace))
         assert_identical(batch, streamed)
 
-    def test_channel_threaded_replay(self):
+    @pytest.mark.parametrize("engine", [
+        "python", pytest.param("native", marks=needs_native),
+    ])
+    def test_channel_threaded_replay(self, engine):
         """Producer thread -> bounded channel -> engine, as the pipeline
-        wires it, still bit-identical."""
+        wires it, still bit-identical to the scalar batch run."""
         trace, registry, sessions = build_random(19)
         batch = simulate_python(trace, registry, sessions, (4096, 8192))
         stream = open_simulation_stream(registry, sessions, (4096, 8192),
-                                        engine="python")
+                                        engine=engine)
         channel = ChunkChannel(capacity=2)
 
         def produce():
@@ -284,9 +271,9 @@ class TestStreamingDifferential:
         assert_identical(batch, streamed)
 
     @pytest.mark.parametrize("stream_cls", [
-        SimulationStream, VectorSimulationStream,
+        SimulationStream,
         pytest.param(NativeSimulationStream, marks=needs_native),
-    ], ids=["python", "numpy", "native"])
+    ], ids=["python", "native"])
     def test_truncated_stream_fails_loudly(self, stream_cls):
         trace, registry, sessions = build_random(5)
         chunks = list(iter_chunks(trace, 25))
@@ -296,9 +283,9 @@ class TestStreamingDifferential:
             stream.finish(trace.meta, expected_events=len(trace))
 
     @pytest.mark.parametrize("stream_cls", [
-        SimulationStream, VectorSimulationStream,
+        SimulationStream,
         pytest.param(NativeSimulationStream, marks=needs_native),
-    ], ids=["python", "numpy", "native"])
+    ], ids=["python", "native"])
     def test_reordered_chunks_rejected(self, stream_cls):
         trace, registry, sessions = build_random(5)
         chunks = list(iter_chunks(trace, 25))
@@ -307,7 +294,11 @@ class TestStreamingDifferential:
         with pytest.raises(PipelineError, match="out of order"):
             stream.feed_chunk(chunks[1])
 
-    def test_corrupt_chunk_rejected_at_feed(self):
+    @pytest.mark.parametrize("stream_cls", [
+        SimulationStream,
+        pytest.param(NativeSimulationStream, marks=needs_native),
+    ], ids=["python", "native"])
+    def test_corrupt_chunk_rejected_at_feed(self, stream_cls):
         trace, registry, sessions = build_random(5)
         chunk = next(iter_chunks(trace, 25))
         tampered = TraceChunk(
@@ -315,7 +306,7 @@ class TestStreamingDifferential:
             chunk.col_c, checksums=chunk.checksums,
         )
         tampered.col_a[0] ^= 1
-        stream = SimulationStream(registry, sessions, (4096,))
+        stream = stream_cls(registry, sessions, (4096,))
         with pytest.raises(TraceFormatError, match="checksum"):
             stream.feed_chunk(tampered)
 
@@ -336,8 +327,8 @@ class TestStreamingDifferential:
 
     def test_randomized_split_points(self):
         """Arbitrary feed boundaries — empty batches, 1-event batches,
-        windows straddling splits — leave streamed-numpy == batch-numpy
-        == scalar, bit-identically."""
+        windows straddling splits — leave every streamed backend ==
+        batch-native == scalar, bit-identically."""
         for seed in range(25):
             trace, registry, sessions = build_random(seed)
             rng = random.Random(1000 + seed)
@@ -347,12 +338,11 @@ class TestStreamingDifferential:
                 for _ in range(rng.randint(0, 8))
             )
             scalar = simulate_python(trace, registry, sessions, (4096, 16))
-            batch_np = simulate_sessions_numpy(
-                trace, registry, sessions, (4096, 16)
-            )
-            assert_identical(scalar, batch_np)
-            stream_classes = [SimulationStream, VectorSimulationStream]
+            stream_classes = [SimulationStream]
             if native_available():
+                assert_identical(scalar, simulate_sessions_native(
+                    trace, registry, sessions, (4096, 16)
+                ))
                 stream_classes.append(NativeSimulationStream)
             for stream_cls in stream_classes:
                 streamed = self._stream_at_splits(
@@ -388,7 +378,7 @@ class TestStreamingDifferential:
         page_sizes = (4096, 16)
         scalar = simulate_python(trace, registry, sessions, page_sizes)
         assert scalar.overlap_anomalies > 0
-        stream_classes = [SimulationStream, VectorSimulationStream]
+        stream_classes = [SimulationStream]
         if native_available():
             stream_classes.append(NativeSimulationStream)
         for split in range(len(trace) + 1):
@@ -400,9 +390,9 @@ class TestStreamingDifferential:
                 assert_identical(scalar, streamed)
 
     @pytest.mark.parametrize("stream_cls", [
-        SimulationStream, VectorSimulationStream,
+        SimulationStream,
         pytest.param(NativeSimulationStream, marks=needs_native),
-    ], ids=["python", "numpy", "native"])
+    ], ids=["python", "native"])
     def test_empty_feeds_are_noops(self, stream_cls):
         trace, registry, sessions = build_random(7)
         batch = simulate_python(trace, registry, sessions, (4096,))
@@ -420,12 +410,12 @@ class TestStreamingDifferential:
         assert_identical(batch, streamed)
 
     @pytest.mark.parametrize("stream_cls", [
-        SimulationStream, VectorSimulationStream,
+        SimulationStream,
         pytest.param(NativeSimulationStream, marks=needs_native),
-    ], ids=["python", "numpy", "native"])
+    ], ids=["python", "native"])
     def test_mismatched_column_lengths_rejected(self, stream_cls):
         """Regression: ragged feeds used to be accepted silently (the
-        scalar zip truncated; the vector stream deferred the mismatch)."""
+        scalar zip truncated the longer columns)."""
         trace, registry, sessions = build_random(7)
         stream = stream_cls(registry, sessions, (4096,))
         with pytest.raises(PipelineError, match="ragged feed"):
@@ -435,8 +425,8 @@ class TestStreamingDifferential:
             stream.feed([1], [4, 8], [8], [0])
 
     def test_simulate_chunks_auto_engine_unknown_size(self):
-        # With no size hint the dispatcher must still pick a valid
-        # engine (numpy) and match the batch result.
+        # A bare chunk iterator (no total, no meta) on the default
+        # engine must still match the batch result.
         trace, registry, sessions = build_random(23)
         batch = simulate_sessions(trace, registry, sessions, (4096,))
         streamed = simulate_chunks(
@@ -454,29 +444,22 @@ class TestDispatcher:
     def test_resolve_python_is_explicit(self):
         assert resolve_engine("python", n_events=10**9) == "python"
 
-    def test_resolve_numpy_is_explicit(self):
-        # NumPy ships with the repo; an explicit request must honor it.
-        assert resolve_engine("numpy", n_events=1) == "numpy"
-
-    def test_auto_small_trace_stays_scalar(self):
-        assert resolve_engine("auto", AUTO_NUMPY_MIN_EVENTS - 1) == "python"
-
-    def test_auto_large_trace_goes_compiled(self):
-        # auto prefers native when the kernel loads, numpy otherwise
-        # (the full availability matrix lives in test_engine_dispatch.py).
-        expected = "native" if native_available() else "numpy"
-        assert resolve_engine("auto", AUTO_NUMPY_MIN_EVENTS) == expected
+    def test_auto_resolves_native_when_loaded(self):
+        # The full availability matrix lives in test_engine_dispatch.py.
+        expected = "native" if native_available() else "python"
+        assert resolve_engine("auto") == expected
 
     def test_simulate_sessions_engine_arg(self):
         trace, registry, sessions = build_random(7)
         result_py = simulate_sessions(trace, registry, sessions, (4096,),
                                       engine="python")
-        result_np = simulate_sessions(trace, registry, sessions, (4096,),
-                                      engine="numpy")
         result_auto = simulate_sessions(trace, registry, sessions, (4096,),
                                         engine="auto")
-        assert_identical(result_py, result_np)
         assert_identical(result_py, result_auto)
+        if native_available():
+            result_nat = simulate_sessions(trace, registry, sessions,
+                                           (4096,), engine="native")
+            assert_identical(result_py, result_nat)
 
     def test_simulate_sessions_rejects_unknown_engine(self):
         trace, registry, sessions = build_random(7)
@@ -484,12 +467,14 @@ class TestDispatcher:
             simulate_sessions(trace, registry, sessions, (4096,),
                               engine="fortran")
 
-    def test_numpy_engine_rejects_bad_page_sizes(self):
+    @needs_native
+    def test_native_engine_rejects_bad_page_sizes(self):
         trace, registry, sessions = build_random(7)
         with pytest.raises(PipelineError):
-            simulate_sessions_numpy(trace, registry, sessions, (3000,))
+            simulate_sessions_native(trace, registry, sessions, (3000,))
 
-    def test_numpy_engine_rejects_empty_sessions(self):
+    @needs_native
+    def test_native_engine_rejects_empty_sessions(self):
         trace, registry, sessions = build_random(7)
         with pytest.raises(PipelineError):
-            simulate_sessions_numpy(trace, registry, [], (4096,))
+            simulate_sessions_native(trace, registry, [], (4096,))

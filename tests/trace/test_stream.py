@@ -24,17 +24,16 @@ import pytest
 
 from repro import faults, observe
 from repro.errors import PipelineError, TraceFormatError
+from repro.simulate._native import native_available
 from repro.trace import EventTrace
-from repro.trace.events import EventKind, TraceMeta
+from repro.trace.events import TraceMeta
 from repro.trace.stream import (
     ChunkChannel,
     ChunkingTracer,
     TraceChunk,
     column_crc32,
     iter_chunks,
-    note_retained_chunks,
     peak_resident_chunks,
-    retained_chunks,
 )
 from repro.workloads import Workload, run_workload
 
@@ -261,37 +260,16 @@ class TestChunkChannel:
         observe.reset()
         assert peak_resident_chunks() == 0
 
-    def test_retained_chunks_fold_into_peak(self):
-        """Consumer-retained chunk state counts toward the bounded-memory
-        gauge: queued + retained is what the peak tracks."""
-        observe.enable()
-        observe.reset()
-        channel = ChunkChannel(capacity=8)
-        for seq in range(2):
-            channel.put(make_chunk(seq, n=5))
-        assert peak_resident_chunks() == 2
-        note_retained_chunks(1)
-        note_retained_chunks(1)
-        assert retained_chunks() == 2
-        assert peak_resident_chunks() == 4  # 2 queued + 2 retained
-        snapshot = observe.get_registry().snapshot()
-        assert snapshot["gauges"]["stream.retained_chunks"] == 2
-        assert snapshot["gauges"]["stream.peak_resident_chunks"] == 4
-        note_retained_chunks(-2)
-        assert retained_chunks() == 0
-        channel.close()
-        list(channel)
-        # Releases never lower the high-water mark...
-        assert peak_resident_chunks() == 4
-        # ...and reset clears both legs.
-        observe.reset()
-        assert peak_resident_chunks() == 0
-        assert retained_chunks() == 0
-
-    def test_vector_stream_reports_retained_feeds(self):
-        """Sub-kernel-size batches buffered by the NumPy simulation
-        stream are visible to the gauge while held."""
-        from repro.simulate.vector_engine import VectorSimulationStream
+    @pytest.mark.parametrize("engine", [
+        "python",
+        pytest.param("native", marks=pytest.mark.skipif(
+            not native_available(), reason="native kernel unavailable")),
+    ])
+    def test_simulation_streams_hold_no_chunks(self, engine):
+        """Both simulation streams consume each batch at feed: nothing
+        is held past delivery, so a feed never moves the peak gauge, and
+        the native result equals the scalar reference."""
+        from repro.simulate import open_simulation_stream
         from repro.trace.objects import ObjectRegistry
         from repro.sessions.types import SessionDef, ONE_HEAP
 
@@ -300,17 +278,24 @@ class TestChunkChannel:
         registry = ObjectRegistry()
         registry.heap("f", ("main", "f"), 16)
         sessions = [SessionDef(0, ONE_HEAP, "s0", (0,))]
-        stream = VectorSimulationStream(registry, sessions, (4096,))
-        kinds = np.full(8, int(EventKind.WRITE), np.int8)
-        addrs = np.arange(8, dtype=np.int64) * 4
-        stream.feed(kinds, addrs, addrs + 4, np.zeros(8, np.int64))
-        assert retained_chunks() == 1
-        stream.feed(kinds, addrs, addrs + 4, np.zeros(8, np.int64))
-        assert retained_chunks() == 2
-        assert peak_resident_chunks() == 2
-        stream.finish(TraceMeta(), expected_events=16)
-        # finish() flushes the coalescing buffer and releases the hold.
-        assert retained_chunks() == 0
+        trace = EventTrace(TraceMeta())
+        trace.append_install(0, 0, 16)
+        for i in range(16):
+            trace.append_write(4 * i, 4 * i + 4)
+        cols = trace.as_arrays()
+        results = []
+        for backend in ("python", engine):
+            stream = open_simulation_stream(registry, sessions, (4096,),
+                                            engine=backend)
+            for part in (slice(0, 9), slice(9, None)):
+                stream.feed(cols.kinds[part], cols.col_a[part],
+                            cols.col_b[part], cols.col_c[part])
+            assert peak_resident_chunks() == 0
+            results.append(stream.finish(trace.meta, expected_events=17))
+        reference, result = results
+        assert result.total_writes == reference.total_writes == 16
+        assert [c.hits for c in result.counts] == \
+            [c.hits for c in reference.counts] == [4]
         observe.reset()
 
 

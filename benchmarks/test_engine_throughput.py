@@ -26,7 +26,7 @@ BASE = 0x0020_0000
 STRIDE = 256
 
 
-def _build_trace():
+def _build_trace(n_events=N_EVENTS):
     registry = ObjectRegistry()
     for _ in range(N_OBJECTS):
         registry.heap("f", ("main", "f"), 32)
@@ -39,7 +39,7 @@ def _build_trace():
         state = (state * 1103515245 + 12345) & 0x7FFFFFFF
         return state % bound
 
-    for _ in range(N_EVENTS):
+    for _ in range(n_events):
         roll = rand(100)
         if roll < 75:
             word = rand(N_OBJECTS * STRIDE // 4)

@@ -5,11 +5,12 @@ Adds one repo-specific command::
 
     python setup.py build_native
 
-which compiles the phase-2 C kernel (``repro.simulate._native``) into
-the user cache eagerly, so the first ``--engine native`` (or ``auto``)
-run doesn't pay the compile.  The command is best-effort by design: a
-box without a C toolchain prints the reason and exits zero, because the
-kernel is an optional accelerator — ``auto`` falls back to python.
+which compiles the native library (``repro.simulate._native``: the
+phase-2 kernel and the phase-1 tracer-log expansion) into the user cache
+eagerly, so the first run that loads it doesn't pay the compile.  The
+command is best-effort by design: a box without a C toolchain prints
+the reason and exits zero, because the library is an optional
+accelerator — ``auto`` falls back to python and the tracer to NumPy.
 """
 
 import sys
@@ -18,9 +19,9 @@ from setuptools import Command, setup
 
 
 class BuildNative(Command):
-    """Compile the native simulation kernel into the build cache."""
+    """Compile the native library into the build cache."""
 
-    description = "compile the C phase-2 kernel (optional accelerator)"
+    description = "compile the C library (optional accelerator)"
     user_options = []
 
     def initialize_options(self):
@@ -40,11 +41,11 @@ class BuildNative(Command):
         try:
             path = build_native_library()
         except Exception as exc:
-            print(f"build_native: kernel not built ({exc}); "
+            print(f"build_native: library not built ({exc}); "
                   f"'auto' will use the python backend")
             return
         if native_available(refresh=True):
-            print(f"build_native: kernel ready at {path}")
+            print(f"build_native: library ready at {path}")
         else:
             print(f"build_native: built {path} but the loader rejects it: "
                   f"{native_unavailable_reason()}")

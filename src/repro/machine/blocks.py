@@ -1,44 +1,59 @@
-"""Block compiler for the CPU's fast tier.
+"""Function compiler for the CPU's fast tier.
 
 :meth:`repro.machine.cpu.Cpu._fast_loop` runs every segment that is not
 profiled on the functions built here.  Once per loaded image and
-variant (at its first fast run, never at import) every function is
-split into basic blocks and each block becomes one straight-line Python
-function ``block(R, fp, fw)``:
+variant (at its first fast run, never at import) every MiniC function
+is split into basic blocks and becomes one Python function
+``run(R, fp, fw, pc, left)``:
 
-* ``R`` is the frame's register list, ``fp`` its frame pointer and
-  ``fw`` the frame pointer in words (``fp >> 2``);
-* registers written inside the block live in Python locals and go back
-  to ``R`` at the block's end and just before a hand-over, so ``R``
-  matches the reference loop's register list at every block boundary;
-* ``LDI``/``LEAF`` results are tracked as constants, so a load or store
-  through them addresses ``w[const]`` or ``w[fw + const]`` with no
-  run-time check when the address is provably aligned and in range;
-* a plain block returns its successor's program counter.  A block that
-  ends in ``CALL``, ``CALLB`` or ``RET`` returns the callee's register
-  list, the builtin's argument list or the return value, and the
-  driver performs the transfer described by the block's terminator.
-  ``CHK`` and ``TRAP`` end their block too (a *step* terminator): the
-  block writes its registers back and the driver executes that one
-  instruction with the reference semantics, then continues at the next
-  block;
+* ``R`` is the frame's register list, ``fp`` its frame pointer, ``fw``
+  the frame pointer in words (``fp >> 2``), ``pc`` the block start to
+  enter at and ``left`` the instructions the driver allows before its
+  next checkpoint;
+* the registers are unpacked into Python locals on entry and stay there
+  across the function's own jumps; every exit to the driver but ``RET``
+  writes back to ``R`` each register a block that can reach the exit
+  assigns, so ``R`` matches the reference loop's register list whenever
+  the driver or a handler sees it.  Inside a block, ``LDI``/``LEAF`` results are tracked as
+  constants, so a load or store through them addresses ``w[const]`` or
+  ``w[fw + const]`` with no run-time check when the address is provably
+  aligned and in range;
+* control flow inside the function is a local ``pc`` dispatch: the
+  blocks are ``if pc == start:`` statements in program order inside a
+  ``while True`` loop, and each loop of the function (a range of blocks
+  a backward jump closes) is a nested ``while True`` of its own.  A jump
+  forward falls through to its target's test, a jump back to the head
+  of its loop is a ``continue`` and a jump out of a loop a ``break``;
+* instructions, cycles and stores are added up in locals, block by
+  block.  A forward path through the function runs at most the
+  function's *span* (its instruction count), so the function checks
+  ``left`` on entry and at every backward jump only, and leaves for a
+  **checkpoint** when the span might not fit;
+* the function returns ``(exit, instructions, cycles, stores, value)``
+  to the driver at ``CALL`` (value: the callee's register list),
+  ``CALLB`` (the argument list), ``RET`` (the return value), ``HALT``,
+  a checkpoint (the pc to resume at), a **step** and a **hand-over**.
+  ``exit`` is a descriptor tuple whose first item is the kind (see
+  :data:`CALL` and the names beside it); the counts are exact for the
+  exit's instruction boundary.  ``CHK`` and ``TRAP`` are steps: the
+  driver executes that one instruction with the reference semantics
+  and re-enters at the next one;
 * where the reference loop would do something special (an alignment or
-  range fault, a float zero divisor), the block writes its dirty
-  registers back and raises :class:`Handover` with the instruction's
-  index in the block, so the driver can give the rest of the segment to
-  the reference loop at that instruction's boundary, with exact
+  range fault, a float zero divisor), the function writes its registers
+  back and hands over at that instruction, so the driver can give the
+  rest of the segment to the reference loop at its boundary, with exact
   counters.  Errors the reference loop raises without writing its
-  counters back propagate from the block unchanged, leaving the
-  counters of the last write-back, as there.  Before an integer zero
-  divisor the block also writes its registers back, so ``R`` is left as
-  the reference loop leaves it; Python's own errors (a negative shift
-  count, ``int(nan)``) leave the block's register writes in locals;
+  counters back propagate unchanged, leaving the counters of the last
+  write-back, as there.  Before an integer zero divisor the function
+  also writes its registers back, so ``R`` is left as the reference
+  loop leaves it; Python's own errors (a negative shift count,
+  ``int(nan)``) leave register writes in locals;
 * instructions the compiler does not take (unknown opcodes, any operand
   that is not a plain ``int`` in range, a branch out of the function,
   falling off a function's end) become hand-over points too, so the
   reference loop executes them.
 
-Each image has two variants of its block table:
+Each image has two variants of its function table:
 
 * the **unwatched** variant stores with no check beyond alignment and
   range.  It runs when no hook, protected page or monitor register is
@@ -49,9 +64,9 @@ Each image has two variants of its block table:
   set, ``S`` its page shift and ``MW`` the live
   :attr:`MonitorRegisterFile.words
   <repro.machine.monitor_registers.MonitorRegisterFile>` set.  A hit
-  raises :class:`Handover` at the store, which the driver turns into a
-  one-instruction step.  Every ``ST`` ends its block in this variant, so
-  the instruction after a step always starts a block.
+  (or a bad address) leaves the function as a step of that store.
+  Every ``ST`` ends its block in this variant, so the instruction after
+  a step always starts a block.
 
 Immediates that are not plain ints (floats such as ``inf``, ``-0.0`` or
 ``nan``, and anything else) reach the generated code through a constants
@@ -61,10 +76,9 @@ be an ``int`` before it is written into source.
 Each function compiles to its own factory, so compile memory stays that
 of the largest function.  Factories are memoized by their generated
 source: images loaded from the same program share one compile, and
-every entry still binds its own image's functions.  The block table
-depends on the image, the layout, the variant and whether stores report
-to a tracer, and on nothing else; :func:`compiled_image` caches it per
-image.
+every image binds its own exit descriptors.  The function table depends
+on the image, the layout, the variant and whether stores report to a
+tracer, and on nothing else; :func:`compiled_image` caches it per image.
 """
 
 from __future__ import annotations
@@ -76,15 +90,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.machine import isa
 from repro.machine.layout import MemoryLayout
 
-
-class Handover(Exception):
-    """A compiled block stopped before an instruction the driver must
-    execute itself; ``args[0]`` is that instruction's index in the
-    block."""
-
-
-#: Terminator kinds (first item of a table entry's terminator tuple).
-CALL, CALLB, RET, HALT, HANDOVER, STEP = isa.CALL, isa.CALLB, isa.RET, isa.HALT, -1, -2
+#: Exit kinds (first item of an exit descriptor).  ``(CALL, callee,
+#: dest_reg, ret_pc, callee index, frame size, entry pc)``,
+#: ``(CALLB, builtin, dest_reg, ret_pc)``,
+#: ``(RET,)``, ``(HALT,)``, ``(HANDOVER, pc)``, ``(STEP, pc)`` and
+#: ``(CHECKPOINT, span)``.
+CALL, CALLB, RET, HALT = isa.CALL, isa.CALLB, isa.RET, isa.HALT
+HANDOVER, STEP, CHECKPOINT = -1, -2, -3
 
 _BINARY = {
     isa.ADD: "+", isa.SUB: "-", isa.MUL: "*",
@@ -104,6 +116,9 @@ _UNARY = {
 _STEPS = frozenset({isa.CHK, isa.TRAP})
 #: Opcodes that end a block; the instruction after one starts a block.
 _TERMINATORS = frozenset({isa.JMP, isa.BF, isa.BT, CALL, CALLB, RET, HALT}) | _STEPS
+#: Loops nested deeper than this share their enclosing loop's ``while``
+#: (Python allows 20 nested loop statements and 100 indentation levels).
+_MAX_LOOP_DEPTH = 8
 
 
 def _is_int(value) -> bool:
@@ -112,6 +127,10 @@ def _is_int(value) -> bool:
 
 def _lit(value: int) -> str:
     return f"({value})" if value < 0 else str(value)
+
+
+def _plus(name: str, value: int) -> str:
+    return f"{name} + {value}" if value else name
 
 
 def _is_reg(value, n_regs: int) -> bool:
@@ -168,11 +187,10 @@ def _supported(code: Sequence, pc: int, func, functions) -> bool:
 class _Block:
     """One basic block before code generation."""
 
-    __slots__ = ("start", "func", "body", "term_pc", "next_pc", "handover")
+    __slots__ = ("start", "body", "term_pc", "next_pc", "handover")
 
-    def __init__(self, start, func):
+    def __init__(self, start):
         self.start = start
-        self.func = func
         #: Program counters of the straight-line instructions.
         self.body: List[int] = []
         #: Program counter of the terminating instruction, if any.
@@ -182,49 +200,203 @@ class _Block:
         #: Hand over to the reference loop at this pc after the body.
         self.handover: Optional[int] = None
 
+    def successors(self, code) -> List[int]:
+        """The block starts control can reach from this block without
+        leaving the function."""
+        if self.next_pc is not None:
+            return [self.next_pc]
+        if self.term_pc is None:
+            return []
+        instr = code[self.term_pc]
+        if instr[0] == isa.JMP:
+            return [instr[1]]
+        if instr[0] in (isa.BF, isa.BT):
+            return [instr[2], self.term_pc + 1]
+        return []
 
-class _Writer:
-    """Generates the Python source of one block."""
 
-    def __init__(self, compiler: "_Compiler", block: _Block, traced: bool) -> None:
+class _Loop:
+    """A range of block starts ``[lo, hi]`` that becomes one ``while``."""
+
+    __slots__ = ("lo", "hi", "items")
+
+    def __init__(self, lo: int, hi: int) -> None:
+        self.lo, self.hi = lo, hi
+        #: Its blocks and inner loops, in program order.
+        self.items: List[object] = []
+
+
+def _loop_ranges(blocks: Dict[int, _Block], code) -> List[Tuple[int, int]]:
+    """Block-start ranges closed by backward jumps, merged until any two
+    are nested or disjoint."""
+    ranges = {(target, start)
+              for start, block in blocks.items()
+              for target in block.successors(code) if target <= start}
+    merged = True
+    while merged:
+        merged = False
+        for x in ranges:
+            for y in ranges:
+                if x[0] < y[0] <= x[1] < y[1]:
+                    ranges -= {x, y}
+                    ranges.add((x[0], y[1]))
+                    merged = True
+                    break
+            if merged:
+                break
+    return sorted(ranges, key=lambda r: (r[0], -r[1]))
+
+
+def _reaching(blocks: Dict[int, _Block], code,
+              assigned: Dict[int, set]) -> Dict[int, set]:
+    """Per block start, the union of ``assigned`` over the blocks with a
+    path to it (itself included when it is on a cycle).  Only jumps and
+    fall-throughs are paths: after a CALL, CALLB or step the driver
+    re-enters with the registers reloaded from ``R``."""
+    preds: Dict[int, List[int]] = {start: [] for start in blocks}
+    for start, block in blocks.items():
+        for target in block.successors(code):
+            preds[target].append(start)
+    reaching = {}
+    for start in blocks:
+        seen: set = set()
+        stack = list(preds[start])
+        while stack:
+            block = stack.pop()
+            if block not in seen:
+                seen.add(block)
+                stack.extend(preds[block])
+        reaching[start] = set().union(*(assigned[block] for block in seen))
+    return reaching
+
+
+def _nest(blocks: Dict[int, _Block], code) -> _Loop:
+    """The function's blocks as a tree of loops: the root spans them all,
+    and each loop holds its blocks and inner loops in program order."""
+    starts = sorted(blocks)
+    root = _Loop(starts[0], starts[-1])
+    heads: Dict[int, List[int]] = {}
+    for lo, hi in _loop_ranges(blocks, code):
+        heads.setdefault(lo, []).append(hi)
+    open_loops = [root]
+    for start in starts:
+        while start > open_loops[-1].hi:
+            open_loops.pop()
+        for hi in heads.get(start, ()):
+            if len(open_loops) <= _MAX_LOOP_DEPTH:
+                loop = _Loop(start, hi)
+                open_loops[-1].items.append(loop)
+                open_loops.append(loop)
+        open_loops[-1].items.append(blocks[start])
+    return root
+
+
+class _FunctionWriter:
+    """Generates the Python source of one function."""
+
+    def __init__(self, compiler: "_Compiler", func, blocks: Dict[int, _Block],
+                 traced: bool) -> None:
         self.c = compiler
-        self.block = block
+        self.func = func
+        self.blocks = blocks
         self.traced = traced
+        self.code = compiler.code
         self.lines: List[str] = []
-        #: reg -> ("l", local name) | ("c", literal, int value or None) | ("f", offset)
+        self.constants: List[object] = []
+        #: Exit descriptors, a CALL's callee as its function index.
+        self.exits: List[tuple] = []
+        self._exit_names: Dict[tuple, str] = {}
+        cost = isa.CYCLE_COST
+        self.sizes = {}
+        for start, block in blocks.items():
+            pcs = block.body + ([block.term_pc] if block.term_pc is not None else [])
+            self.sizes[start] = (len(pcs), sum(cost[self.code[pc][0]] for pc in pcs),
+                                 sum(self.code[pc][0] == isa.ST for pc in pcs))
+        #: The function's instruction count: no path without a backward
+        #: jump runs more.
+        self.span = max(1, sum(size[0] for size in self.sizes.values()))
+        assigned = {start: {self.code[pc][1] for pc in block.body
+                            if self.code[pc][0] not in (isa.ST, isa.NOP)}
+                    for start, block in blocks.items()}
+        #: Every register the function assigns.
+        self.assigned = set().union(*assigned.values())
+        #: Per block, the registers the blocks that can reach it within
+        #: one invocation assign: the ones whose local may differ from
+        #: ``R`` when control is at its start.
+        self.before = _reaching(blocks, self.code, assigned)
+        self.checkpoint = self.exit((CHECKPOINT, self.span))
+        #: Indentation of the next emitted line.
+        self.depth = 0
+        #: Per block: the registers it holds as constants, reg ->
+        #: ("c", literal, int value or None) | ("f", frame offset) ...
         self.cache: Dict[int, tuple] = {}
-        self.dirty: Dict[int, None] = {}
+        #: ... the instructions, cycles and stores it has run so far, and
+        #: the registers that may differ from ``R`` (every exit but RET
+        #: writes them back).
+        self.done = (0, 0, 0)
+        self.dirty: set = set()
+
+    # -- emission ----------------------------------------------------------
 
     def emit(self, line: str) -> None:
-        self.lines.append(line)
+        self.lines.append("    " * self.depth + line)
+
+    def exit(self, descriptor: tuple) -> str:
+        name = self._exit_names.get(descriptor)
+        if name is None:
+            name = self._exit_names[descriptor] = f"E{len(self.exits)}"
+            self.exits.append(descriptor)
+        return name
+
+    def constant(self, value) -> str:
+        self.constants.append(value)
+        return f"K{len(self.constants) - 1}"
+
+    # -- registers ---------------------------------------------------------
 
     def read(self, r: int) -> str:
         entry = self.cache.get(r)
         if entry is None:
-            return f"R[{r}]"
+            return f"r{r}"
         if entry[0] == "f":
             return f"(fp + {_lit(entry[1])})" if entry[1] else "fp"
         return entry[1]
 
-    def _set(self, r: int, entry: tuple) -> None:
-        self.cache[r] = entry
-        self.dirty[r] = None
+    def assign(self, r: int, expr: str) -> None:
+        self.emit(f"r{r} = {expr}")
+        self.cache.pop(r, None)
 
-    def writeback(self) -> List[str]:
-        """Store the dirty registers to R."""
-        return [f"R[{r}] = {self.read(r)}" for r in sorted(self.dirty)]
+    def materialize(self) -> None:
+        """Give every register the block tracks as a constant its local."""
+        for r in sorted(self.cache):
+            self.emit(f"r{r} = {self.read(r)}")
+        self.cache.clear()
 
-    def guard(self, conditions: List[str], k: int) -> None:
-        """Hand over at instruction ``k`` when any of ``conditions`` holds."""
+    def writeback(self) -> None:
+        for r in sorted(self.dirty):
+            self.emit(f"R[{r}] = {self.read(r)}")
+
+    def leave(self, descriptor: tuple, counts: Tuple[int, int, int], value: str = "None",
+              writeback: bool = True) -> None:
+        """Return to the driver through ``descriptor``, having run
+        ``counts`` more instructions, cycles and stores of this block."""
+        if writeback:
+            self.writeback()
+        n, c, s = counts
+        self.emit(f"return {self.exit(descriptor)}, {_plus('n', n)}, "
+                  f"{_plus('c', c)}, {_plus('s', s)}, {value}")
+
+    def guard(self, conditions: List[str], descriptor: tuple,
+              counts: Tuple[int, int, int]) -> None:
+        """Leave through ``descriptor`` when any of ``conditions`` holds."""
         if not conditions:
             return
         self.emit(f"if {' or '.join(conditions)}:")
-        for line in self.writeback() + [f"raise H({k})"]:
-            self.emit(f"    {line}")
+        self.depth += 1
+        self.leave(descriptor, counts)
+        self.depth -= 1
 
-    def assign(self, r: int, expr: str) -> None:
-        self.emit(f"r{r} = {expr}")
-        self._set(r, ("l", f"r{r}"))
+    # -- instructions --------------------------------------------------------
 
     def address(self, base: int, offset: int) -> Tuple[str, str, List[str]]:
         """``(word index expr, byte address expr, guard)`` of
@@ -232,46 +404,51 @@ class _Writer:
         when it is not provable, else empty."""
         entry = self.cache.get(base)
         c = self.c
-        if entry is not None and entry[0] == "f" and c.frame_ok(self.block.func, entry[1] + offset):
+        if entry is not None and entry[0] == "f" and c.frame_ok(self.func, entry[1] + offset):
             byte = entry[1] + offset
             word = byte >> 2
-            return (f"fw + {word}" if word else "fw"), (f"fp + {byte}" if byte else "fp"), []
+            return _plus("fw", word), _plus("fp", byte), []
         if entry is not None and entry[0] == "c" and entry[2] is not None:
             byte = entry[2] + offset
             if not byte & 3 and 0 <= byte < c.memory_size:
                 return str(byte >> 2), str(byte), []
         address = self.read(base)
-        if offset or entry is None or entry[0] != "l":
+        if offset or entry is not None:
             self.emit(f"a = {address} + {_lit(offset)}" if offset else f"a = {address}")
             address = "a"
         return f"{address} >> 2", address, [f"{address} & {_lit(c.bad_address_mask)}"]
 
-    def instruction(self, instr, k: int) -> None:
+    def instruction(self, pc: int) -> None:
+        instr = self.code[pc]
         op = instr[0]
         read = self.read
         if op == isa.LDI:
             value = instr[2]
             if _is_int(value):
-                self._set(instr[1], ("c", _lit(value), value))
+                self.cache[instr[1]] = ("c", _lit(value), value)
             else:
-                self._set(instr[1], ("c", self.c.constant(value), None))
+                self.cache[instr[1]] = ("c", self.constant(value), None)
         elif op == isa.LEAF:
-            self._set(instr[1], ("f", instr[2]))
+            self.cache[instr[1]] = ("f", instr[2])
         elif op == isa.MOV:
             src = self.cache.get(instr[2])
-            if src is not None and src[0] != "l":
-                self._set(instr[1], src)
+            if src is not None:
+                self.cache[instr[1]] = src
             elif instr[1] != instr[2]:
                 self.assign(instr[1], read(instr[2]))
         elif op == isa.LD:
             word, _, check = self.address(instr[2], instr[3])
-            self.guard(check, k)
+            self.guard(check, (HANDOVER, pc), self.done)
             self.assign(instr[1], f"w[{word}]")
         elif op == isa.ST:
             word, byte, check = self.address(instr[1], instr[2])
             if self.c.watched:
+                # A hit or a bad address: the driver steps this store.
+                n, c, s = self.done
                 check += [f"{byte} >> S in P", f"{word} in MW"]
-            self.guard(check, k)
+                self.guard(check, (STEP, pc), (n + 1, c + isa.CYCLE_COST[op], s))
+            else:
+                self.guard(check, (HANDOVER, pc), self.done)
             self.emit(f"w[{word}] = {read(instr[3])}")
             if self.traced:
                 self.emit(f"wr({byte})")
@@ -282,62 +459,159 @@ class _Writer:
             self.assign(instr[1], f"1 if {x} {_COMPARE[op]} {y} else 0")
         elif op in (isa.DIV, isa.MOD):
             x, y = read(instr[2]), read(instr[3])
-            sync = self.writeback()
-            if sync:  # cdiv/cmod raise just below; leave R as _loop does
+            divisor = self.cache.get(instr[3])
+            # A nonzero int constant divisor cannot raise.
+            if self.dirty and not (divisor and divisor[0] == "c" and divisor[2]):
+                # cdiv/cmod raise just below; leave R as _loop does
                 self.emit(f"if {y} == 0:")
-                for line in sync:
-                    self.emit(f"    {line}")
+                self.depth += 1
+                self.writeback()
+                self.depth -= 1
             self.assign(instr[1], f"{'cdiv' if op == isa.DIV else 'cmod'}({x}, {y})")
         elif op == isa.FDIV:
             x, y = read(instr[2]), read(instr[3])
-            self.guard([f"{y} == 0"], k)
+            self.guard([f"{y} == 0"], (HANDOVER, pc), self.done)
             self.assign(instr[1], f"{x} / {y}")
         elif op in _UNARY:
             self.assign(instr[1], _UNARY[op].format(read(instr[2])))
         # NOP: nothing to do.
+        if op not in (isa.ST, isa.NOP):
+            self.dirty.add(instr[1])
+        n, c, s = self.done
+        self.done = (n + 1, c + isa.CYCLE_COST[op], s + (op == isa.ST))
 
-    def terminator(self) -> None:
-        block = self.block
+    # -- control flow ----------------------------------------------------------
+
+    def goto(self, target: int, start: int, loop: _Loop) -> None:
+        """Continue at block ``target`` from the block at ``start``."""
+        if not loop.lo <= target <= loop.hi:
+            self.emit(f"pc = {target}")
+            self.emit("break")
+        elif target > start:
+            self.emit(f"pc = {target}")
+        else:
+            self.emit("if n > lim:")
+            self.depth += 1
+            self.leave_checkpoint(str(target))
+            self.depth -= 1
+            self.emit(f"pc = {target}")
+            self.emit("continue")
+
+    def leave_checkpoint(self, resume: str) -> None:
+        self.writeback()
+        self.emit(f"return {self.checkpoint}, n, c, s, {resume}")
+
+    def block(self, block: _Block, loop: _Loop) -> None:
+        code, start = self.code, block.start
+        self.emit(f"if pc == {start}:")
+        self.depth += 1
+        self.done = (0, 0, 0)
+        self.dirty = set(self.before[start])
+        for pc in block.body:
+            self.instruction(pc)
+        size = self.sizes[start]
         if block.handover is not None:
-            self.lines += self.writeback()
-            self.emit("return None")
-            return
-        if block.term_pc is None:
-            self.lines += self.writeback()
-            self.emit(f"return {block.next_pc}")
-            return
-        instr = self.c.code[block.term_pc]
-        op = instr[0]
-        if op == isa.JMP:
-            self.lines += self.writeback()
-            self.emit(f"return {instr[1]}")
-        elif op in (isa.BF, isa.BT):
-            cond = self.read(instr[1])
-            self.lines += self.writeback()
-            taken, fall = instr[2], block.term_pc + 1
-            negate = "not " if op == isa.BF else ""
-            self.emit(f"return {taken} if {negate}{cond} else {fall}")
-        elif op in (CALL, CALLB):
-            values = [self.read(r) for r in instr[3]]
-            self.lines += self.writeback()
-            if op == CALL:
-                pad = self.c.functions[instr[1]].n_regs - len(values)
-                values += ["0"] * pad
-            self.emit(f"return [{', '.join(values)}]")
-        elif op == RET:
-            self.emit(f"return {self.read(instr[1]) if instr[1] is not None else 'None'}")
-        else:  # HALT, or a step, whose instruction the driver runs on R
-            self.lines += self.writeback()
-            self.emit("return None")
+            self.leave((HANDOVER, block.handover), size)
+        elif block.term_pc is None:
+            self.count(size)
+            self.materialize()
+            self.goto(block.next_pc, start, loop)
+        else:
+            pc = block.term_pc
+            instr = code[pc]
+            op = instr[0]
+            if op == isa.JMP:
+                self.count(size)
+                self.materialize()
+                self.goto(instr[1], start, loop)
+            elif op in (isa.BF, isa.BT):
+                cond = self.read(instr[1])
+                self.count(size)
+                self.materialize()
+                self.emit(f"if {'not ' if op == isa.BF else ''}{cond}:")
+                self.depth += 1
+                self.goto(instr[2], start, loop)
+                self.depth -= 1
+                self.emit("else:")
+                self.depth += 1
+                self.goto(pc + 1, start, loop)
+                self.depth -= 1
+            elif op in (CALL, CALLB):
+                values = [self.read(r) for r in instr[3]]
+                if op == CALL:
+                    values += ["0"] * (self.c.functions[instr[1]].n_regs - len(values))
+                self.leave((op, instr[1], instr[2], pc + 1), size,
+                           f"[{', '.join(values)}]")
+            elif op == RET:
+                value = self.read(instr[1]) if instr[1] is not None else "None"
+                self.leave((RET,), size, value, writeback=False)
+            elif op == HALT:
+                self.leave((HALT,), size)
+            else:  # a step, whose instruction the driver runs on R
+                self.leave((STEP, pc), size)
+        self.cache = {}
+        self.depth -= 1
 
-    def source(self) -> List[str]:
-        code = self.c.code
-        for k, pc in enumerate(self.block.body):
-            self.instruction(code[pc], k)
-        self.terminator()
-        return [f"    def b{self.block.start}(R, fp, fw):"] + [
-            f"        {line}" for line in self.lines
-        ]
+    def count(self, size: Tuple[int, int, int]) -> None:
+        n, c, s = size
+        self.emit(f"n += {n}")
+        self.emit(f"c += {c}")
+        if s:
+            self.emit(f"s += {s}")
+
+    def items(self, loop: _Loop) -> None:
+        """Emit ``loop``'s items in program order: its head first, where
+        a ``continue`` lands."""
+        for item in loop.items:
+            self.item(item, loop)
+
+    def item(self, item, loop: _Loop) -> None:
+        if not isinstance(item, _Loop):
+            self.block(item, loop)
+            return
+        self.emit(f"if pc <= {item.hi}:")
+        self.depth += 1
+        self.emit("while True:")
+        self.depth += 1
+        self.items(item)
+        # Reached only with pc behind the loop's blocks or after it.
+        self.emit(f"if pc < {item.lo} or pc > {item.hi}:")
+        self.emit("    break")
+        self.emit("if n > lim:")
+        self.depth += 1
+        self.dirty = self.assigned
+        self.leave_checkpoint("pc")
+        self.depth -= 3
+
+    def source(self) -> str:
+        root = _nest(self.blocks, self.code)
+        self.depth = 2
+        self.emit(f"if left < {self.span}:")
+        self.emit(f"    return {self.checkpoint}, 0, 0, 0, pc")
+        self.emit(f"lim = left - {self.span}")
+        n_regs = self.func.n_regs
+        if n_regs:
+            self.emit(f"{', '.join(f'r{r}' for r in range(n_regs))}, = R")
+        self.emit("n = c = s = 0")
+        self.emit("while True:")
+        self.depth += 1
+        self.items(root)
+        self.emit("if n > lim:")
+        self.depth += 1
+        self.dirty = self.assigned
+        self.leave_checkpoint("pc")
+        body = self.lines
+        self.lines = []
+        self.depth = 1
+        for i in range(len(self.constants)):
+            self.emit(f"K{i} = K[{i}]")
+        for i in range(len(self.exits)):
+            self.emit(f"E{i} = E[{i}]")
+        self.emit("def run(R, fp, fw, pc, left):")
+        return "\n".join(
+            ["def make(w, wr, cdiv, cmod, K, E, P, MW, S):"] + self.lines + body
+            + ["    return run"]
+        ) + "\n"
 
 
 class _Compiler:
@@ -358,7 +632,6 @@ class _Compiler:
             _is_int(f.frame_size) and f.frame_size >= 0 and not f.frame_size & 3
             for f in self.functions
         ) and not layout.stack_top & 3 and layout.stack_limit >= 0
-        self.constants: List[object] = []
         #: function index -> its blocks, by start pc
         self.blocks: Dict[int, Dict[int, _Block]] = {}
         self._split()
@@ -366,12 +639,6 @@ class _Compiler:
     def frame_ok(self, func, byte: int) -> bool:
         """Is ``fp + byte`` always aligned and inside ``func``'s frame?"""
         return self._frames_aligned and not byte & 3 and 0 <= byte and byte + 4 <= func.frame_size
-
-    def constant(self, value) -> str:
-        self.constants.append(value)
-        return f"K{len(self.constants) - 1}"
-
-    # -- blocks ----------------------------------------------------------
 
     def _split(self) -> None:
         code, functions = self.code, self.functions
@@ -395,7 +662,7 @@ class _Compiler:
             for start in sorted(leaders):
                 if start >= func.end_pc:
                     continue
-                block = own[start] = _Block(start, func)
+                block = own[start] = _Block(start)
                 pc = start
                 while True:
                     if not ok[pc]:
@@ -413,62 +680,24 @@ class _Compiler:
                         block.next_pc = pc
                         break
 
-    # -- output ----------------------------------------------------------
+    def sources(self, traced: bool) -> Iterator[Tuple[int, str, tuple, List[tuple]]]:
+        """Per function with blocks: its index, its factory's source, its
+        constants and its exit descriptors (a CALL's callee as its index)."""
+        for index, own in self.blocks.items():
+            if own:
+                writer = _FunctionWriter(self, self.functions[index], own, traced)
+                source = writer.source()
+                yield index, source, tuple(writer.constants), writer.exits
 
-    def sources(self, traced: bool) -> Iterator[Tuple[str, tuple, List[int]]]:
-        """Per function with blocks: its factory's source, its constants
-        and its block starts, in the order the factory returns them."""
-        for own in self.blocks.values():
-            if not own:
-                continue
-            self.constants = []
-            starts = sorted(own)
-            body: List[str] = []
-            for start in starts:
-                body += _Writer(self, own[start], traced).source()
-            names = ", ".join(f"b{start}" for start in starts)
-            unpack = [f"    K{i} = K[{i}]" for i in range(len(self.constants))]
-            source = "\n".join(
-                ["def make(w, wr, H, cdiv, cmod, K, P, MW, S):"] + unpack + body
-                + [f"    return ({names},)"]
-            ) + "\n"
-            yield source, tuple(self.constants), starts
 
-    def entries(self) -> Dict[int, tuple]:
-        """pc -> (instructions, cycles, stores, terminator, cycle prefix,
-        store prefix) for every block."""
-        code, cost = self.code, isa.CYCLE_COST
-        entries = {}
-        for own in self.blocks.values():
-            for start, block in own.items():
-                cycles = stores = 0
-                cycle_prefix, store_prefix = [], []
-                for pc in block.body:
-                    cycle_prefix.append(cycles)
-                    store_prefix.append(stores)
-                    op = code[pc][0]
-                    cycles += cost[op]
-                    stores += op == isa.ST
-                n = len(block.body)
-                term: Optional[tuple] = None
-                if block.handover is not None:
-                    term = (HANDOVER, block.handover)
-                elif block.term_pc is not None:
-                    instr = code[block.term_pc]
-                    op = instr[0]
-                    n += 1
-                    cycles += cost[op]
-                    if op == CALL:
-                        term = (CALL, self.functions[instr[1]], instr[2], block.term_pc + 1)
-                    elif op == CALLB:
-                        term = (CALLB, instr[1], instr[2], block.term_pc + 1)
-                    elif op in (RET, HALT):
-                        term = (op,)
-                    elif op in _STEPS:
-                        term = (STEP, block.term_pc)
-                entries[start] = (n, cycles, stores, term,
-                                  tuple(cycle_prefix), tuple(store_prefix))
-        return entries
+def _bind(descriptor: tuple, functions) -> tuple:
+    """An exit descriptor as the driver reads it: a CALL's callee index
+    becomes ``callee, dest_reg, ret_pc, index, frame_size, entry_pc``."""
+    if descriptor[0] != CALL:
+        return descriptor
+    _, index, dest_reg, ret_pc = descriptor
+    callee = functions[index]
+    return (CALL, callee, dest_reg, ret_pc, index, callee.frame_size, callee.entry_pc)
 
 
 @functools.lru_cache(maxsize=64)
@@ -480,25 +709,36 @@ def _factory(source: str) -> Callable:
     for the whole process.
     """
     namespace: Dict[str, object] = {}
-    exec(compile(source, "<compiled blocks>", "exec"), namespace)
+    exec(compile(source, "<compiled function>", "exec"), namespace)
     return namespace["make"]
 
 
 class CompiledImage:
-    """One variant of the block table of one image under one layout."""
+    """One variant of the function table of one image under one layout."""
 
     def __init__(self, image, layout: MemoryLayout, watched: bool) -> None:
         compiler = _Compiler(image, layout, watched)
-        self.size = len(image.code)
-        self.entries = compiler.entries()
+        self.n_functions = len(image.functions)
+        #: pc -> the index of the function a block starting there belongs
+        #: to, ``None`` where no block starts (one slot past the code: a
+        #: return address can be the end of it).  A function of the table
+        #: can be entered exactly at its own block starts.
+        self.starts: List[Optional[int]] = [None] * (len(image.code) + 1)
+        for index, own in compiler.blocks.items():
+            for start in own:
+                self.starts[start] = index
         self._compiler: Optional[_Compiler] = compiler
-        self._factories: Dict[bool, List[Tuple[Callable, tuple, List[int]]]] = {}
+        self._factories: Dict[bool, List[Tuple[int, Callable, tuple, tuple]]] = {}
 
-    def _factories_of(self, traced: bool) -> List[Tuple[Callable, tuple, List[int]]]:
+    def _factories_of(self, traced: bool) -> List[Tuple[int, Callable, tuple, tuple]]:
         factories = self._factories.get(traced)
         if factories is None:
-            factories = [(_factory(source), constants, starts)
-                         for source, constants, starts in self._compiler.sources(traced)]
+            functions = self._compiler.functions
+            factories = [
+                (index, _factory(source), constants,
+                 tuple(_bind(e, functions) for e in exits))
+                for index, source, constants, exits in self._compiler.sources(traced)
+            ]
             self._factories[traced] = factories
             if len(self._factories) == 2:
                 self._compiler = None
@@ -506,25 +746,16 @@ class CompiledImage:
 
     def table(self, words: list, store_hook: Optional[Callable],
               cdiv: Callable, cmod: Callable, protected: set,
-              watched_words: set, page_shift: int) -> List[Optional[tuple]]:
-        """pc -> ``(block, instructions, cycles, stores, terminator)``
-        for every block start (``None`` elsewhere), bound to ``words``,
-        the one-argument ``store_hook`` when not ``None``, and (watched
-        variant) the live protected-page and watched-word sets."""
-        # One slot past the code: a return address can be the end of it.
-        table: List[Optional[tuple]] = [None] * (self.size + 1)
-        entries = self.entries
-        for make, constants, starts in self._factories_of(store_hook is not None):
-            blocks = make(words, store_hook, Handover, cdiv, cmod, constants,
-                          protected, watched_words, page_shift)
-            for fn, start in zip(blocks, starts):
-                table[start] = (fn,) + entries[start][:4]
+              watched_words: set, page_shift: int) -> List[Optional[Callable]]:
+        """Function index -> its compiled ``run`` (``None`` for a
+        function without code), bound to ``words``, the one-argument
+        ``store_hook`` when not ``None``, and (watched variant) the live
+        protected-page and watched-word sets."""
+        table: List[Optional[Callable]] = [None] * self.n_functions
+        for index, make, constants, exits in self._factories_of(store_hook is not None):
+            table[index] = make(words, store_hook, cdiv, cmod, constants, exits,
+                                protected, watched_words, page_shift)
         return table
-
-    def prefix(self, start: int, k: int) -> Tuple[int, int]:
-        """Cycles and stores of the first ``k`` instructions of a block."""
-        entry = self.entries[start]
-        return entry[4][k], entry[5][k]
 
 
 #: image -> {(layout, watched): CompiledImage}

@@ -25,34 +25,44 @@ Two execution tiers run a segment (one :meth:`Cpu.run` or
 * **the reference loop** (:meth:`Cpu._loop`) — a single ``while`` with
   an ``if/elif`` chain ordered by dynamic frequency, which implements
   every hook above.  It is the specification of the machine;
-* **the block-compiled fast path** (:meth:`Cpu._fast_loop`) — the
-  image's basic blocks compiled once into straight-line Python functions
-  (:mod:`repro.machine.blocks`) and a small driver for ``CALL``,
-  ``RET``, ``CALLB`` and one-instruction steps.  It counts
-  instructions, cycles and stores once per block.
+* **the function-compiled fast path** (:meth:`Cpu._fast_loop`) — each
+  MiniC function of the image compiled once into one Python function
+  (:mod:`repro.machine.blocks`) that runs the function's own jumps
+  itself, with its registers in locals, and a small driver for
+  ``CALL``, ``RET``, ``CALLB``, one-instruction steps and checkpoints.
+  The compiled function adds up instructions, cycles and stores block
+  by block and hands the driver the exact counts of the instruction
+  boundary it stops at.
 
 One rule picks the tier: a segment runs on the reference loop when the
 ``--profile`` opcode sampler is on, and on the fast path otherwise.  The
-fast path runs the *unwatched* block table while no hook, protected page
-or monitor register is active (phase 1 and bare runs), and the *watched*
-one otherwise: every debugger session and live WMS.  It switches to the
-watched table when a builtin, hook or trap handler activates one
-mid-segment.  In the watched table every store checks its page against
-the protected set and its word against the monitor registers' word set
-before writing, and ends its block.
+fast path runs the *unwatched* function table while no hook, protected
+page or monitor register is active (phase 1 and bare runs), and the
+*watched* one otherwise: every debugger session and live WMS.  It
+switches to the watched table when a builtin, hook or trap handler
+activates one mid-segment.  In the watched table every store checks its
+page against the protected set and its word against the monitor
+registers' word set before writing, and ends its block.
 
 The driver runs enter and exit hooks at ``CALL`` and ``RET`` in the
 reference loop's order.  A store the watched check stops, a ``CHK`` and
-a ``TRAP`` each become a **one-instruction step**: the driver adds the
-block's counters up to and including that instruction, executes it with
-the reference semantics (:meth:`Cpu._store`, :meth:`Cpu._check` and
-:meth:`Cpu._trap`, the methods the reference loop calls too) and goes on
-with the block at the next instruction.  The fast path gives the rest
-of a segment to the reference loop, at an instruction boundary and with
-exact counters, only where the reference loop raises or the block
-cannot run: an alignment or range fault, a float zero divisor, an
-instruction budget that runs out inside a block, or an instruction the
-compiler does not take.  Both tiers leave the same trace, registry,
+a ``TRAP`` each become a **one-instruction step**: the compiled function
+returns with the counters up to and including that instruction, the
+driver executes it with the reference semantics (:meth:`Cpu._store`,
+:meth:`Cpu._check` and :meth:`Cpu._trap`, the methods the reference loop
+calls too) and re-enters the function at the next instruction.  The
+instruction budget and the tracer's drain points are checked where a
+compiled function is entered and at its backward jumps: when the
+function's span (its instruction count, which bounds any path without a
+backward jump) might not fit, it returns at a **checkpoint**, where the
+driver offers the tracer a drain or, if the budget is what ran short,
+hands over.  The fast path gives the rest of a segment to the reference
+loop, at an instruction boundary and with exact counters, only where
+the reference loop raises or the compiled code cannot run: an alignment
+or range fault, a float zero divisor, an instruction budget that ends
+within a function's span, an instruction the compiler does not take,
+or a step or return that resumes where the current function has no
+block (past its end).  Both tiers leave the same trace, registry,
 memory, counters, trap counts and :class:`CpuState`, make the same hook
 and trap calls in the same order, and raise the same errors with the
 same counters.
@@ -98,9 +108,9 @@ from repro.machine.monitor_registers import MonitorRegisterFile
 from repro.machine.paging import PageTable
 from repro.machine.traps import TrapFrame, TrapKind
 
-#: The fast path offers the tracer a drain every this many instructions.
-#: The tracer drains only a full log, so a drain sees at most
-#: ``LOG_SLICE + _DRAIN_STRIDE`` records.
+#: The fast path offers the tracer a drain at least every this many
+#: instructions (at its checkpoints).  The tracer drains only a full
+#: log, so a drain sees at most ``LOG_SLICE + _DRAIN_STRIDE`` records.
 _DRAIN_STRIDE = 1 << 14
 
 # Bound once: an Enum member lookup through its class runs Python code.
@@ -182,7 +192,8 @@ class Cpu:
         #: ``~(frame_base << frame_shift | key)`` the way ``on_enter`` and
         #: ``on_exit`` do with ``key`` from ``enter_keys[func.index]`` or
         #: ``exit_keys[func.index]``; and ``drain_if_full()``, which the
-        #: fast path calls every ``_DRAIN_STRIDE`` instructions.
+        #: fast path calls at its checkpoints, at least every
+        #: ``_DRAIN_STRIDE`` instructions.
         self.tracer = None
         #: Builtin functions: index -> ``fn(cpu, args) -> value``.
         self.builtins: List[Callable] = []
@@ -665,9 +676,9 @@ class Cpu:
             trap_counts=dict(self.trap_counts),
         )
 
-    def _block_table(self, watched: bool):
-        """The compiled image variant and its block table, bound to this
-        machine's memory, tracer log and watch sets."""
+    def _function_table(self, watched: bool):
+        """The compiled image variant and its function table, bound to
+        this machine's memory, tracer log and watch sets."""
         compiled = blocks.compiled_image(self._loaded, self.layout, watched)
         tracer = self.tracer
         table = compiled.table(
@@ -675,12 +686,13 @@ class Cpu:
             _c_div, _c_mod, self.page_table.write_protected,
             self.monitor_registers.words, self.page_table.page_shift,
         )
-        return compiled, table
+        return compiled.starts, table
 
     def _fast_loop(self, start_pc: int, max_instructions: int) -> CpuState:
-        """The block-compiled tier (see the module docstring).
+        """The function-compiled tier (see the module docstring).
 
-        Anything the blocks cannot run exactly is handed to :meth:`_loop`.
+        Anything the compiled functions cannot run exactly is handed to
+        :meth:`_loop`.
         """
         layout = self.layout
         frames = self.frames
@@ -691,16 +703,16 @@ class Cpu:
                 or not func.entry_pc <= start_pc < func.end_pc:
             return self._loop(start_pc, max_instructions)
         watched = not self._hooks_clear()
-        compiled, table = self._block_table(watched)
-        if table[start_pc] is None:
+        starts, table = self._function_table(watched)
+        if starts[start_pc] != func.index:
             return self._loop(start_pc, max_instructions)
 
-        code = self._loaded.code
         tracer = self.tracer
         enter_hooks, exit_hooks = self.enter_hooks, self.exit_hooks
         stack_limit = layout.stack_limit
         regs = frame.regs
         fw = fp >> 2
+        run = table[func.index]
         max_depth = len(frames)
         pc = start_pc
         cycles = self.cycles
@@ -711,8 +723,9 @@ class Cpu:
         entry_cycles, entry_instr, entry_stores = cycles, n_instr, n_stores
         if observing:
             entry_traps = dict(self.trap_counts)
-        # One comparison per block guards both the instruction budget and
-        # the tracer's drain points.
+        # One bound guards both the instruction budget and the tracer's
+        # drain points: a compiled function leaves at a checkpoint before
+        # it could run past it.
         checkpoint = max_instructions
         log_append = None
         if tracer is not None:
@@ -720,52 +733,29 @@ class Cpu:
             log_append = tracer.log.append
             frame_shift = tracer.frame_shift
             enter_keys, exit_keys = tracer.enter_keys, tracer.exit_keys
-        Handover = blocks.Handover
-        CALL, CALLB, RET, HALT, STEP = (
-            blocks.CALL, blocks.CALLB, blocks.RET, blocks.HALT, blocks.STEP)
-        ST, st_cost = isa.ST, _COST[isa.ST]
+        CALL, CALLB, RET, STEP, CHECKPOINT, HALT = (
+            blocks.CALL, blocks.CALLB, blocks.RET, blocks.STEP, blocks.CHECKPOINT,
+            blocks.HALT)
+        new_frame = object.__new__
         handover_pc: Optional[int] = None
 
         while True:
-            block, n, cyc, nst, term = table[pc]
-            if n_instr + n > checkpoint:
-                if n_instr + n > max_instructions:
-                    handover_pc = pc
-                    break
-                tracer.drain_if_full()
-                checkpoint = min(max_instructions, n_instr + _DRAIN_STRIDE)
-            try:
-                result = block(regs, fp, fw)
-            except Handover as stop:
-                k = stop.args[0]
-                prefix_cycles, prefix_stores = compiled.prefix(pc, k)
-                n_instr += k
-                cycles += prefix_cycles
-                n_stores += prefix_stores
-                pc += k
-                if not watched or code[pc][0] != ST:
-                    handover_pc = pc
-                    break
-                # The watched check stopped this store, its block's last
-                # instruction: step it.
-                n_instr += 1
-                cycles += st_cost
-                term = (STEP, pc)
-            else:
-                n_instr += n
-                cycles += cyc
-                n_stores += nst
-                if term is None:
-                    pc = result
-                    continue
-            kind = term[0]
+            leave, n, cyc, nst, result = run(regs, fp, fw, pc, checkpoint - n_instr)
+            n_instr += n
+            cycles += cyc
+            n_stores += nst
+            kind = leave[0]
             if kind == CALL:
-                _, callee, dest_reg, ret_pc = term
-                self.sp -= callee.frame_size
+                _, callee, dest_reg, ret_pc, index, frame_size, pc = leave
+                self.sp -= frame_size
                 if self.sp < stack_limit:
                     self._sync(cycles, n_instr, n_stores)
                     raise StackOverflow(callee.name)
-                frames.append(_Frame(callee, result, ret_pc, fp, dest_reg))
+                # _Frame(...) without the cost of a Python __init__ call.
+                frame = new_frame(_Frame)
+                frame.func, frame.regs, frame.ret_pc, frame.saved_fp, frame.dest_reg = (
+                    callee, result, ret_pc, fp, dest_reg)
+                frames.append(frame)
                 if len(frames) > max_depth:
                     max_depth = len(frames)
                 fp = self.sp
@@ -773,53 +763,60 @@ class Cpu:
                 fw = fp >> 2
                 regs = result
                 if log_append is not None:
-                    log_append(~(fp << frame_shift | enter_keys[callee.index]))
-                pc = callee.entry_pc
-                hooks = enter_hooks.get(callee.index)
-                if hooks:
-                    self._sync(cycles, n_instr, n_stores)
-                    self._resume_pc = pc
-                    for hook in hooks:
-                        hook(callee, fp)
-                    cycles = self.cycles
+                    log_append(~(fp << frame_shift | enter_keys[index]))
+                run = table[index]
+                if enter_hooks:
+                    hooks = enter_hooks.get(index)
+                    if hooks:
+                        self._sync(cycles, n_instr, n_stores)
+                        self._resume_pc = pc
+                        for hook in hooks:
+                            hook(callee, fp)
+                        cycles = self.cycles
             elif kind == RET:
                 done_frame = frames.pop()
+                func = done_frame.func
                 if log_append is not None:
-                    log_append(~(fp << frame_shift | exit_keys[done_frame.func.index]))
-                hooks = exit_hooks.get(done_frame.func.index)
-                if hooks:
-                    self._sync(cycles, n_instr, n_stores)
-                    for hook in hooks:
-                        hook(done_frame.func, fp)
-                    cycles = self.cycles
-                self.sp += done_frame.func.frame_size
+                    log_append(~(fp << frame_shift | exit_keys[func.index]))
+                if exit_hooks:
+                    hooks = exit_hooks.get(func.index)
+                    if hooks:
+                        self._sync(cycles, n_instr, n_stores)
+                        for hook in hooks:
+                            hook(func, fp)
+                        cycles = self.cycles
+                self.sp += func.frame_size
                 if not frames:
                     exit_value = result
                     break
                 fp = done_frame.saved_fp
                 self.fp = fp
                 fw = fp >> 2
-                regs = frames[-1].regs
+                caller = frames[-1]
+                regs = caller.regs
                 if done_frame.dest_reg is not None:
                     regs[done_frame.dest_reg] = result
                 pc = done_frame.ret_pc
-                if pc < 0 or table[pc] is None:
+                index = caller.func.index
+                if pc < 0 or starts[pc] != index:
                     handover_pc = pc
                     break
+                run = table[index]
             elif kind == STEP:
-                pc = term[1]
+                pc = leave[1]
                 self._sync(cycles, n_instr, n_stores)
                 self._step(pc, regs)
                 cycles, n_stores = self.cycles, self.stores
                 pc += 1
                 if not watched and not self._hooks_clear():
                     watched = True
-                    compiled, table = self._block_table(True)
-                if table[pc] is None:
+                    starts, table = self._function_table(True)
+                    run = table[frames[-1].func.index]
+                if starts[pc] != frames[-1].func.index:
                     handover_pc = pc
                     break
             elif kind == CALLB:
-                _, builtin, dest_reg, pc = term
+                _, builtin, dest_reg, pc = leave
                 self._sync(cycles, n_instr, n_stores)
                 value = self.builtins[builtin](self, result)
                 cycles, n_stores = self.cycles, self.stores
@@ -827,11 +824,21 @@ class Cpu:
                     regs[dest_reg] = value
                 if not watched and not self._hooks_clear():
                     watched = True
-                    compiled, table = self._block_table(True)
+                    starts, table = self._function_table(True)
+                    run = table[frames[-1].func.index]
+            elif kind == CHECKPOINT:
+                pc = result
+                span = leave[1]
+                if n_instr + span > max_instructions:
+                    handover_pc = pc
+                    break
+                # Only a tracer puts the checkpoint before the budget.
+                tracer.drain_if_full()
+                checkpoint = min(max_instructions, n_instr + max(_DRAIN_STRIDE, span))
             elif kind == HALT:
                 break
             else:
-                handover_pc = term[1]
+                handover_pc = leave[1]
                 break
 
         self._sync(cycles, n_instr, n_stores)

@@ -52,7 +52,7 @@ class MonitorRegisterFile:
         self.any_enabled: bool = False
         #: Word indices (``address >> 2``) an enabled register covers.  A
         #: word store hits a register exactly when its word is in here.
-        #: Updated in place: the CPU's compiled blocks hold this set.
+        #: Updated in place: the CPU's compiled functions hold this set.
         self.words: Set[int] = set()
 
     def _refresh(self) -> None:

@@ -1,35 +1,41 @@
-"""Build and load the native phase-2 kernel.
+"""Build and load the native library.
 
-The kernel (``engine.c``) is plain C with no Python.h dependency, so the
-"build system" is one compiler invocation::
+The library holds two plain-C parts with no Python.h dependency:
 
-    cc -O3 -shared -fPIC engine.c -o <cache>/engine-<source sha256>.so
+* ``engine.c``, the phase-2 simulation kernel
+  (:mod:`repro.simulate.native_engine`);
+* ``tracelog.c``, the phase-1 tracer-log expansion
+  (:meth:`repro.trace.tracer.Tracer.drain`).
 
-and the "bindings" are ctypes.  That keeps the native backend usable on
+So the "build system" is one compiler invocation::
+
+    cc -O3 -shared -fPIC engine.c tracelog.c -o <cache>/engine-abi<N>-<sources sha256>.so
+
+and the "bindings" are ctypes.  That keeps the native paths usable on
 any box with *a* C compiler — no Cython, no build-time Python headers —
-while still degrading gracefully (``native_available()`` is False, and
-``engine="auto"`` falls back to the scalar engine) when even that is
-missing.
+while still degrading gracefully when even that is missing:
+``native_available()`` is False, ``engine="auto"`` falls back to the
+scalar engine and the tracer expands its log with NumPy.
 
 Resolution order for the shared object:
 
 1. ``REPRO_NATIVE_LIB`` — an explicit prebuilt library path (what the
    ``python setup.py build_native`` artifact or a CI cache provides).
-2. A cached build keyed by the source digest (``REPRO_NATIVE_CACHE`` or
-   ``~/.cache/repro-native``): recompiled only when ``engine.c``
-   changes, published atomically so concurrent workers never observe a
-   half-written library.
+2. A cached build keyed by the ABI version and the sources' digest
+   (``REPRO_NATIVE_CACHE`` or ``~/.cache/repro-native``): recompiled
+   only when a source changes, published atomically so concurrent
+   workers never observe a half-written library.
 3. An on-demand compile with ``$CC``/``cc``/``gcc``.
 
 ``REPRO_NATIVE_DISABLE=1`` forces unavailability — used by the CI
-no-toolchain job and the fallback-matrix tests to prove ``auto``
-degradation without uninstalling the compiler.
+no-toolchain job and the fallback-matrix tests to prove the fallbacks
+without uninstalling the compiler.
 
 Loaded libraries are checked twice before use: an ABI version handshake
-(so a stale cached build from an older source layout is rebuilt rather
-than trusted) and a signed-shift probe (the page math needs arithmetic
-``>>`` on int64, which C leaves implementation-defined but every
-mainstream compiler provides).
+(a stale prebuilt library from an older source layout is rebuilt from
+source rather than trusted) and a signed-shift probe (the page math
+needs arithmetic ``>>`` on int64, which C leaves implementation-defined
+but every mainstream compiler provides).
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ import tempfile
 import threading
 from typing import Optional
 
-_ABI_VERSION = 1
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "engine.c")
+_ABI_VERSION = 2
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_SOURCES = tuple(os.path.join(_HERE, name) for name in ("engine.c", "tracelog.c"))
 
 _lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
@@ -62,8 +69,11 @@ def _cache_dir() -> str:
 
 
 def _source_digest() -> str:
-    with open(_SOURCE, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()[:16]
+    digest = hashlib.sha256()
+    for path in _SOURCES:
+        with open(path, "rb") as handle:
+            digest.update(os.path.basename(path).encode() + b"\0" + handle.read())
+    return digest.hexdigest()[:16]
 
 
 def _find_compiler() -> Optional[str]:
@@ -74,11 +84,12 @@ def _find_compiler() -> Optional[str]:
 
 
 def build_native_library(out_path: Optional[str] = None) -> str:
-    """Compile ``engine.c`` into a shared object and return its path.
+    """Compile the library's sources into a shared object and return
+    its path.
 
     With ``out_path`` the library lands exactly there (the ``setup.py
     build_native`` entry point); otherwise it is published atomically
-    into the cache directory under a source-digest name, so repeat calls
+    into the cache directory under an ABI-and-source-digest name, so repeat calls
     are free and concurrent builders race benignly (last rename wins,
     both files are identical).
 
@@ -95,7 +106,7 @@ def build_native_library(out_path: Optional[str] = None) -> str:
     if out_path is None:
         cache = _cache_dir()
         os.makedirs(cache, exist_ok=True)
-        final = os.path.join(cache, f"engine-{_source_digest()}.so")
+        final = os.path.join(cache, f"engine-abi{_ABI_VERSION}-{_source_digest()}.so")
         if os.path.exists(final):
             return final
     else:
@@ -110,14 +121,14 @@ def build_native_library(out_path: Optional[str] = None) -> str:
     try:
         cmd = [
             compiler, "-O3", "-shared", "-fPIC",
-            "-fvisibility=hidden", _SOURCE, "-o", tmp,
+            "-fvisibility=hidden", *_SOURCES, "-o", tmp,
         ]
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=120
         )
         if proc.returncode != 0:
             raise RuntimeError(
-                f"native engine compile failed ({' '.join(cmd)}):\n"
+                f"native library compile failed ({' '.join(cmd)}):\n"
                 f"{proc.stderr.strip()}"
             )
         os.replace(tmp, final)
@@ -154,6 +165,34 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.engine_total_writes.argtypes = [ctypes.c_void_p]
     lib.engine_overlap_anomalies.restype = i64
     lib.engine_overlap_anomalies.argtypes = [ctypes.c_void_p]
+    ptr = ctypes.c_void_p
+    lib.tracelog_expand.restype = ctypes.c_int
+    lib.tracelog_expand.argtypes = [
+        ptr, i64, i64,            # records, n_records, func_bits
+        ptr, ptr, ptr, ptr, ptr,  # plan_start, plan_len, plan_off, plan_size, plan_obj
+        i64,                      # n_funcs
+        ptr, ptr, i64,            # side rows, side_ends, n_side
+        ptr, ptr, ptr, ptr, i64,  # kinds, col_a, col_b, col_c, capacity
+        ptr, ptr, ptr,            # ends, eligible, out
+    ]
+    return lib
+
+
+def _open(path: str) -> ctypes.CDLL:
+    """Load and check the library at ``path``; raise ``OSError`` with the
+    reason it cannot be used."""
+    lib = ctypes.CDLL(path)
+    version = lib.engine_abi_version
+    version.restype = ctypes.c_int64
+    version.argtypes = []
+    if version() != _ABI_VERSION:
+        raise OSError(f"{path} has ABI version {version()}, expected {_ABI_VERSION}")
+    lib = _declare(lib)
+    if not lib.engine_shift_probe():
+        raise OSError(
+            f"{path} was built by a compiler without arithmetic right "
+            "shift on signed int64; the page math would be wrong"
+        )
     return lib
 
 
@@ -162,36 +201,29 @@ def _try_load() -> Optional[ctypes.CDLL]:
     if os.environ.get("REPRO_NATIVE_DISABLE"):
         _load_error = "disabled via REPRO_NATIVE_DISABLE"
         return None
+    stale = ""
     path = os.environ.get("REPRO_NATIVE_LIB")
-    if not path:
+    if path:
         try:
-            path = build_native_library()
-        except (RuntimeError, OSError, subprocess.SubprocessError) as exc:
-            _load_error = str(exc)
-            return None
+            lib = _open(path)
+        except (OSError, AttributeError) as exc:
+            # A stale or broken prebuilt library: rebuild from source.
+            stale = f"could not use {path} ({exc}); "
+        else:
+            _load_error = None
+            return lib
     try:
-        lib = _declare(ctypes.CDLL(path))
-    except OSError as exc:
-        _load_error = f"could not load {path}: {exc}"
-        return None
-    if lib.engine_abi_version() != _ABI_VERSION:
-        _load_error = (
-            f"{path} has ABI version {lib.engine_abi_version()}, "
-            f"expected {_ABI_VERSION}; rebuild it"
-        )
-        return None
-    if not lib.engine_shift_probe():
-        _load_error = (
-            f"{path} was built by a compiler without arithmetic right "
-            "shift on signed int64; the page math would be wrong"
-        )
+        path = build_native_library()
+        lib = _open(path)
+    except (RuntimeError, OSError, AttributeError, subprocess.SubprocessError) as exc:
+        _load_error = f"{stale}{exc}"
         return None
     _load_error = None
     return lib
 
 
 def load_native_library(refresh: bool = False) -> Optional[ctypes.CDLL]:
-    """The loaded kernel, or ``None`` when unavailable (memoized).
+    """The loaded library, or ``None`` when unavailable (memoized).
 
     ``refresh=True`` re-runs the probe — tests use it after flipping
     ``REPRO_NATIVE_DISABLE`` / ``REPRO_NATIVE_LIB``.
@@ -208,7 +240,7 @@ def load_native_library(refresh: bool = False) -> Optional[ctypes.CDLL]:
 
 
 def native_available(refresh: bool = False) -> bool:
-    """True when the compiled kernel can be (or has been) loaded."""
+    """True when the native library can be (or has been) loaded."""
     return load_native_library(refresh=refresh) is not None
 
 

@@ -45,7 +45,9 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define ENGINE_ABI_VERSION 1
+/* Version of the library's whole ABI: this file's entry points and
+ * tracelog.c's. */
+#define ENGINE_ABI_VERSION 2
 
 #if defined(_WIN32)
 #define API __declspec(dllexport)

@@ -356,8 +356,10 @@ class ChunkingTracer(Tracer):
     chunk of events plus the log is buffered at any time.  The log
     drains once it holds :data:`~repro.trace.tracer.LOG_SLICE` records:
     a hook checks after appending, and the CPU's fast path, which
-    appends at most one record per instruction itself, checks every
-    ``_DRAIN_STRIDE`` instructions.  So the log never holds more than
+    appends at most one record per instruction itself, checks at its
+    checkpoints, at least every ``_DRAIN_STRIDE`` instructions.  A
+    drain's expanded events are buffered only until they are cut into
+    chunks, on either expansion path.  So the log never holds more than
     ``LOG_SLICE + _DRAIN_STRIDE`` records (32,768), and phase 1's trace
     memory is bounded by ``chunk_events`` and that bound regardless of
     trace length.
@@ -424,6 +426,13 @@ class ChunkingTracer(Tracer):
             self._flush()
             done, next_hook = stop, cut + 1
         self._append(kinds, a, b, c, done, len(kinds))
+
+    def _append(self, kinds, a, b, c, lo: int, hi: int) -> None:
+        trace = self.trace
+        trace.kinds.frombytes(kinds[lo:hi].view(np.uint8))
+        trace.col_a.frombytes(a[lo:hi].view(np.uint8))
+        trace.col_b.frombytes(b[lo:hi].view(np.uint8))
+        trace.col_c.frombytes(c[lo:hi].view(np.uint8))
 
     def finish(self, state=None) -> EventTrace:
         """Close open windows, flush the tail chunk, return the (empty)

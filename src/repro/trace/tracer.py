@@ -26,12 +26,14 @@ import numpy as np
 
 from repro import observe
 
+from repro.errors import TraceFormatError
 from repro.machine.cpu import Cpu, CpuState
 from repro.machine.layout import MemoryLayout
 from repro.machine.loader import LoadedProgram, load_program
 from repro.machine.memory import Memory
 from repro.minic.compiler import CompiledProgram
 from repro.minic.runtime import Runtime
+from repro.simulate import _native
 from repro.trace.events import EventKind, EventTrace
 from repro.trace.objects import ObjectRegistry
 
@@ -44,6 +46,17 @@ EXPAND_EVENTS = 1 << 16
 
 # Tags in the low two bits of a negative (``~word``) log record.
 _ENTER, _EXIT, _SIDE = 0, 1, 2
+#: ``tracelog_expand``'s status when its output buffers are too small.
+_SHORT = 1
+
+
+def _empty_columns(n_events: int) -> Tuple[np.ndarray, ...]:
+    """Uninitialised kinds, a, b and c columns for ``n_events`` events."""
+    return (np.empty(n_events, dtype=np.int8),) + tuple(
+        np.empty(n_events, dtype=np.int64) for _ in range(3))
+
+
+_NO_COLUMNS = _empty_columns(0)
 
 
 class Tracer:
@@ -60,16 +73,23 @@ class Tracer:
     * a heap or static event appends ``~(side << 2 | 2)``, ``side``
       indexing an explicit ``(kind, a, b, c, ends_hook)`` side record.
 
-    :meth:`drain` expands the records, at most :data:`EXPAND_EVENTS`
-    events at a time, into the four :class:`EventTrace` columns with
-    NumPy: a store becomes one WRITE, a frame record one INSTALL or
+    :meth:`drain` expands the records into the four :class:`EventTrace`
+    columns: a store becomes one WRITE, a frame record one INSTALL or
     REMOVE per variable of the function's frame plan, a side record its
-    one event.  A hook drains when the log reaches :data:`LOG_SLICE`.
-    The CPU's fast path appends store addresses and frame records
-    straight to :attr:`log` (from :attr:`frame_shift`,
-    :attr:`enter_keys` and :attr:`exit_keys`, so the encoding lives
-    here only) and calls :meth:`drain_if_full` at its checkpoints, which
-    drains only once the log has reached :data:`LOG_SLICE`.
+    one event.  With the native library loaded
+    (:mod:`repro.simulate._native`), ``tracelog_expand`` decodes and
+    expands the whole log in C: one call sizes the drain, a second
+    writes its events into columns of exactly that size.  Without it
+    NumPy does the same, at most :data:`EXPAND_EVENTS` events at a time
+    (:meth:`_expand`, also the native path's test oracle).
+    The events of each drain are kept, and :meth:`finish` builds each
+    trace column once, at its final size.  A hook drains when the log
+    reaches :data:`LOG_SLICE`.  The CPU's fast path appends store
+    addresses and frame records straight to :attr:`log` (from
+    :attr:`frame_shift`, :attr:`enter_keys` and :attr:`exit_keys`, so
+    the encoding lives here only) and calls :meth:`drain_if_full` at its
+    checkpoints, which drains only once the log has reached
+    :data:`LOG_SLICE`.
     """
 
     def __init__(self, cpu: Cpu, image: LoadedProgram, program_name: str = "") -> None:
@@ -92,6 +112,16 @@ class Tracer:
         #: start and length of its run in the offset/size/object arrays.
         self._plan_start = self._plan_len = None
         self._plan_obj = self._plan_off = self._plan_size = None
+        self._plan_pointers: Tuple[int, ...] = ()
+        #: The native expansion's per-record output, reused and sized to
+        #: the largest drain so far: each record's running event count
+        #: and whether a chunk may end after it; and the call's counts.
+        self._ends = np.empty(0, dtype=np.int64)
+        self._eligible = np.empty(0, dtype=np.int8)
+        self._out = np.zeros(4, dtype=np.int64)
+        #: Drained events per trace column, kept until :meth:`finish`
+        #: builds each column once, at its final size.
+        self._drained: Tuple[List[np.ndarray], ...] = ([], [], [], [])
         #: live heap blocks: address -> (object id, size)
         self._live_heap: Dict[int, Tuple[int, int]] = {}
         #: (object id, address, size) of globals/statics installed at start.
@@ -122,6 +152,9 @@ class Tracer:
         self._plan_len = np.array(lengths, dtype=np.int64)
         columns = np.array(flat, dtype=np.int64).reshape(-1, 3).T.copy()
         self._plan_off, self._plan_size, self._plan_obj = columns
+        self._plan_pointers = tuple(
+            plan.ctypes.data for plan in (self._plan_start, self._plan_len, self._plan_off,
+                                          self._plan_size, self._plan_obj))
         for i, (object_id, address, size) in enumerate(statics):
             # Installing the statics is one hook: a chunk may end only
             # after the last of them.
@@ -133,6 +166,7 @@ class Tracer:
     def finish(self, state: Optional[CpuState] = None) -> EventTrace:
         """Close all open monitor windows and finalize metadata."""
         self._close_windows()
+        self._fill_columns()
         self._finalize_meta()
         self.trace.validate()
         self._report_counters(len(self.trace))
@@ -181,17 +215,56 @@ class Tracer:
             self.drain()
 
     def drain(self) -> None:
-        """Expand every record in the log into trace events, at most
+        """Expand every record in the log into trace events: in one call
+        to the native library when it loads, else with NumPy, at most
         :data:`EXPAND_EVENTS` events (or one record) at a time."""
-        log = self.log
-        if not log:
+        if not self.log:
             return
-        records = np.frombuffer(log, dtype=np.int64).copy()
-        del log[:]
+        lib = _native.load_native_library()
+        if lib is None:
+            self._drain_numpy()
+        else:
+            self._drain_native(lib)
+        del self.log[:]
+        self._side.clear()
+
+    def _drain_native(self, lib) -> None:
+        log = self.log
+        n_records = len(log)
+        side = self._side
+        side_rows = array("q", [value for event in side for value in event[:4]])
+        side_ends = bytes(bool(event[4]) for event in side)
+        if len(self._ends) < n_records:
+            self._ends = np.empty(n_records, dtype=np.int64)
+            self._eligible = np.empty(n_records, dtype=np.int8)
+        out = self._out
+        columns = _NO_COLUMNS
+        for _ in range(2):
+            status = lib.tracelog_expand(
+                log.buffer_info()[0], n_records, self._func_bits,
+                *self._plan_pointers, len(self._plan_len),
+                side_rows.buffer_info()[0], side_ends, len(side),
+                *(column.ctypes.data for column in columns), len(columns[0]),
+                self._ends.ctypes.data, self._eligible.ctypes.data, out.ctypes.data)
+            if status != _SHORT:
+                break
+            # The first call only sized the drain: expand into columns of
+            # exactly that size, which the trace then keeps.
+            columns = _empty_columns(int(out[0]))
+        if status != 0:
+            raise TraceFormatError(f"malformed tracer log record {log[int(out[0])]}")
+        meta = self.trace.meta
+        meta.n_installs += int(out[1])
+        meta.n_removes += int(out[2])
+        meta.n_writes += int(out[3])
+        self._absorb(*columns, self._ends[:n_records],
+                     self._eligible[:n_records].view(np.bool_))
+
+    def _drain_numpy(self) -> None:
+        records = np.frombuffer(self.log, dtype=np.int64).copy()
         side = np.array([event[:4] for event in self._side],
                         dtype=np.int64).reshape(-1, 4)
         side_ends = np.array([event[4] for event in self._side], dtype=bool)
-        self._side.clear()
 
         # Decode every record: its tag (3 for a store), payload, function
         # index (frame records) and event count.
@@ -264,15 +337,27 @@ class Tracer:
         return kinds, a, b, c
 
     def _absorb(self, kinds, a, b, c, ends, eligible) -> None:
-        """Append expanded events to the trace."""
-        self._append(kinds, a, b, c, 0, len(kinds))
+        """Keep expanded events (fresh arrays on either path)."""
+        for drained, column in zip(self._drained, (kinds, a, b, c)):
+            drained.append(column)
 
-    def _append(self, kinds, a, b, c, lo: int, hi: int) -> None:
+    def _fill_columns(self) -> None:
+        """Move the drained events into the trace's columns, each built
+        once at its final size rather than grown drain by drain."""
         trace = self.trace
-        trace.kinds.frombytes(kinds[lo:hi].tobytes())
-        trace.col_a.frombytes(a[lo:hi].tobytes())
-        trace.col_b.frombytes(b[lo:hi].tobytes())
-        trace.col_c.frombytes(c[lo:hi].tobytes())
+        for name, drained in zip(("kinds", "col_a", "col_b", "col_c"), self._drained):
+            if not drained:
+                continue
+            column = array(getattr(trace, name).typecode, [0]) * sum(map(len, drained))
+            view = memoryview(column).cast("B")
+            at = 0
+            for block in drained:
+                data = block.view(np.uint8)
+                view[at:at + len(data)] = data
+                at += len(data)
+            view.release()
+            drained.clear()
+            setattr(trace, name, column)
 
     # ------------------------------------------------------------------
     # CPU tracer protocol

@@ -1,4 +1,4 @@
-"""Debugger sessions on the fast tier's watched blocks vs the reference loop.
+"""Debugger sessions on the fast tier's watched functions vs the reference loop.
 
 Every test runs the same session twice, with each CPU segment calling
 ``Cpu._loop`` or ``Cpu._fast_loop`` directly, and demands the same

@@ -1,4 +1,4 @@
-"""The block-compiled fast path against the reference loop.
+"""The function-compiled fast path against the reference loop.
 
 Every test runs the same program twice, calling ``Cpu._loop`` and
 ``Cpu._fast_loop`` directly on fresh machines, and demands the same
@@ -32,7 +32,7 @@ from repro.machine import Cpu, Memory, isa, load_program
 from repro.machine import blocks
 from repro.machine import cpu as cpu_module
 from repro.machine.cpu import _DRAIN_STRIDE
-from repro.machine.layout import DEFAULT_LAYOUT
+from repro.machine.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.machine.traps import TrapKind
 from repro.minic.compiler import compile_source
 from repro.minic.instrument import apply_code_patch
@@ -111,14 +111,14 @@ def _registers(cpu):
     return [(frame.func.name, list(frame.regs)) for frame in cpu.frames]
 
 
-def _minic(source):
-    return load_program(compile_source(source, "t"))
+def _minic(source, layout=DEFAULT_LAYOUT):
+    return load_program(compile_source(source, "t", layout), layout)
 
 
 def _source(image, traced, watched):
     """The generated source of every function factory of ``image``."""
     compiler = blocks._Compiler(image, image.layout, watched)
-    return "\n".join(source for source, _, _ in compiler.sources(traced))
+    return "\n".join(source for _, source, _, _ in compiler.sources(traced))
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +311,172 @@ def test_division_by_zero(source):
     assert type(ref.error) is MiniCRuntimeError
 
 
-def test_budget_ending_anywhere_in_a_block():
-    image = _minic("""
+_BUDGET_PROGRAMS = {
+    "one-block-loop": """
     int g;
     int main() { int i; for (i = 0; i < 50; i++) { g = g + i * 3; } return g; }
-    """)
-    for budget in range(1, 80):
+    """,
+    # Nested loops, an if/else and a short-circuit condition: many
+    # blocks, forward jumps and two back-edges.
+    "multi-block-loop": """
+    int g[4];
+    int main() { int i; int j; int s; s = 0;
+      for (i = 0; i < 6; i++) {
+        j = 0;
+        while (j < i) { if (j > 1 && i != 4) { s = s + j; } else { g[j & 3] = s; } j++; }
+        s = s ^ i;
+      }
+      return s; }
+    """,
+    "recursive": """
+    int depth;
+    int fib(int n) { int r; depth = depth + 1; if (n < 2) { r = n; } else { r = fib(n - 1) + fib(n - 2); } return r; }
+    int main() { return fib(6); }
+    """,
+}
+
+
+#: A 16 KiB machine: each of the many runs below compares all of memory.
+_SMALL_LAYOUT = MemoryLayout(global_base=0x1000, heap_base=0x2000, stack_limit=0x3000,
+                             stack_top=0x4000, memory_size=0x4000)
+
+
+@pytest.mark.parametrize("name", sorted(_BUDGET_PROGRAMS))
+def test_budget_ending_anywhere_in_a_block(name):
+    """Budgets that end at every instruction of the run: the compiled
+    function leaves at a checkpoint once its span might not fit, and the
+    reference loop stops at the exact instruction."""
+    image = _minic(_BUDGET_PROGRAMS[name], _SMALL_LAYOUT)
+    total = _run(image, "_loop").state.instructions
+    for budget in range(1, total + 2):
         ref, _fast = _both(image, max_instructions=budget)
-        assert type(ref.error) is CpuLimitExceeded
+        if budget < total:
+            assert type(ref.error) is CpuLimitExceeded
+        else:
+            assert ref.error is None
+
+
+def test_loops_nested_deeper_than_the_limit():
+    """Loops nested past ``_MAX_LOOP_DEPTH`` share their enclosing loop's
+    ``while``; the compiled function still runs them exactly."""
+    depth = blocks._MAX_LOOP_DEPTH + 3
+    names = [f"i{k}" for k in range(depth)]
+    body = "if ((s & 3) == 1) { s = s + 7; } else { g[s & 3] = s; s = s ^ 5; }"
+    for name in reversed(names):
+        body = f"for ({name} = 0; {name} < 2; {name}++) {{ {body} s = s + 1; }}"
+    image = _minic(f"""
+    int g[4];
+    int main() {{ {' '.join(f'int {name};' for name in names)} int s; s = 0; {body} return s; }}
+    """)
+    assert max(source.count("while True:") for source in
+               _source(image, traced=False, watched=False).split("def make")) \
+        == blocks._MAX_LOOP_DEPTH + 1
+    ref, _fast = _both(image, max_instructions=10_000_000)
+    assert ref.error is None and ref.state.instructions > 2 ** depth
+
+
+def _hooked_run(image, loop, configure):
+    """Run ``image`` on ``loop`` with ``configure(cpu, seen)`` installing
+    hooks that append what they see to ``seen``."""
+    cpu, _runtime = _machine(image)
+    seen = []
+    configure(cpu, seen)
+    pc = cpu._push_entry(image.function_index("main"), [])
+    state = getattr(cpu, loop)(pc, 1_000_000)
+    return state, seen
+
+
+def _counters(cpu):
+    return (cpu.instructions, cpu.cycles, cpu.stores, list(cpu.frames[-1].regs))
+
+
+def test_step_mid_function_resumes_with_exact_counters():
+    """Every CHK of a code-patched loop is a step out of the middle of a
+    compiled function: the check hook sees the same counters and
+    registers on both loops, and the function resumes after it."""
+    program = apply_code_patch(compile_source("""
+    int g[8];
+    int f(int n) { int i; int s; s = 0;
+      for (i = 0; i < n; i++) { g[i & 7] = s; s = s + i; } return s; }
+    int main() { int k; int t; t = 0; for (k = 0; k < 5; k++) { t = t + f(k + 3); } return t; }
+    """, "t"))
+    image = load_program(program)
+
+    def configure(cpu, seen):
+        cpu.check_hook = lambda address, pc, cpu_: seen.append((pc, address, _counters(cpu_)))
+
+    ref, fast = (_hooked_run(image, loop, configure) for loop in LOOPS)
+    assert ref == fast
+    assert len(ref[1]) == ref[0].stores > 20
+
+
+def test_hand_over_mid_function_resumes_with_exact_counters():
+    """A loop whose body holds a step and, on its last iteration, an
+    instruction the compiler does not take: the hand-over happens in the
+    middle of the function with exact counters, and the reference loop
+    runs the rest."""
+    image = _hand_image(("main", 6, 8, [
+        (isa.LDI, 0, GLOBAL), (isa.LDI, 1, 0), (isa.LDI, 2, 5), (isa.LDI, 3, 1),
+        # loop head (pc 4)
+        (isa.LT, 4, 1, 2), (isa.BF, 4, 13),
+        (isa.CHK, 0, 0), (isa.ST, 0, 0, 1),
+        (isa.ADD, 1, 1, 3),
+        (isa.EQ, 5, 1, 2), (isa.BF, 5, 4),
+        (isa.NOP, "odd"),
+        (isa.JMP, 4),
+        # exit (pc 13)
+        (isa.LD, 5, 0, 0), (isa.RET, 5),
+    ]))
+
+    def configure(cpu, seen):
+        cpu.check_hook = lambda address, pc, cpu_: seen.append((pc, _counters(cpu_)))
+
+    ref, fast = (_hooked_run(image, loop, configure) for loop in LOOPS)
+    assert ref == fast
+    assert [pc for pc, _ in ref[1]] == [6] * 5
+    assert ref[0].exit_value == 4
+
+
+@pytest.mark.parametrize("last,configure", [
+    ((isa.CHK, 0, 0), lambda cpu: None),
+    ((isa.CHK, 0, 0), lambda cpu: setattr(cpu, "check_hook", lambda a, pc, c: None)),
+    ((isa.ST, 0, 0, 1), lambda cpu: (cpu.monitor_registers.allocate(GLOBAL, GLOBAL + 4),
+                                     setattr(cpu, "trap_sink", lambda frame, c: None))),
+], ids=["chk", "chk-hooked", "watched-st"])
+def test_step_at_a_functions_last_instruction_hands_over(last, configure):
+    """A step at the last instruction of a function falls off its end into
+    the next function's code: the fast path hands that over to the
+    reference loop instead of entering its own function there."""
+    image = _hand_image(
+        ("main", 4, 8, [(isa.LDI, 0, GLOBAL), (isa.LDI, 1, 7), last]),
+        ("next", 4, 8, [(isa.LD, 2, 0, 0), (isa.ADD, 2, 2, 1), (isa.RET, 2)]),
+    )
+    outcomes = []
+    for loop in LOOPS:
+        cpu, _runtime = _machine(image)
+        configure(cpu)
+        pc = cpu._push_entry(image.function_index("main"), [])
+        state = getattr(cpu, loop)(pc, 1_000)
+        outcomes.append((state, cpu.instructions, cpu.cycles, cpu.stores,
+                         cpu.trap_counts, cpu.memory.words[GLOBAL >> 2]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0].exit_value == (14 if last[0] == isa.ST else 7)
+
+
+def test_factory_bound_holds_per_function_factories():
+    """One factory per MiniC function, memoized by source in a cache of
+    at most 64: a program with more functions than that still runs, and
+    the cache holds no more than 64."""
+    functions = "".join(f"int f{i}(int x) {{ return x + {i}; }}\n" for i in range(70))
+    calls = " + ".join(f"f{i}(1)" for i in range(70))
+    image = _minic(functions + f"int main() {{ return {calls}; }}")
+    blocks._factory.cache_clear()
+    ref, fast = _both(image)
+    assert fast.state.exit_value == sum(1 + i for i in range(70))
+    info = blocks._factory.cache_info()
+    assert info.maxsize == 64
+    assert info.currsize == 64
+    assert info.misses == len(image.functions)
 
 
 def test_stack_overflow():
@@ -431,7 +589,7 @@ def test_cpu_counters_reported_once_per_segment(image):
 
 @pytest.fixture
 def tiers(monkeypatch):
-    """Records each loop a run enters and each block table variant the
+    """Records each loop a run enters and each function table variant the
     fast path builds ("unwatched" or "watched")."""
     calls = []
     for name, label in (("_loop", "reference"), ("_fast_loop", "fast")):
@@ -442,13 +600,13 @@ def tiers(monkeypatch):
             return _original(self, pc, budget)
 
         monkeypatch.setattr(Cpu, name, spy)
-    block_table = Cpu._block_table
+    function_table = Cpu._function_table
 
     def table_spy(self, watched):
         calls.append("watched" if watched else "unwatched")
-        return block_table(self, watched)
+        return function_table(self, watched)
 
-    monkeypatch.setattr(Cpu, "_block_table", table_spy)
+    monkeypatch.setattr(Cpu, "_function_table", table_spy)
     return calls
 
 
@@ -471,7 +629,7 @@ def _configured_run(configure, source=_PLAIN, patch=None):
 ])
 def test_tier_selection(tiers, configure, table):
     """Only the profiler picks the reference loop; hooks, protected pages
-    and monitor registers pick the watched block table."""
+    and monitor registers pick the watched function table."""
     assert _configured_run(configure).exit_value == 3
     assert tiers == ["fast", table]
 

@@ -13,7 +13,7 @@ Two oracles over randomly generated programs:
    behaviour).
 
 3. **Fast path equivalence** — the same program traced on the CPU's
-   reference loop and on its block-compiled fast path must leave the
+   reference loop and on its function-compiled fast path must leave the
    same :class:`CpuState`, trace columns, object registry and memory;
    and the same program debugged with a random watch under a random
    strategy must give the same stops, events, statistics and memory on

@@ -3,17 +3,17 @@
 
 Every run replaces ``Cpu._execute`` so that each CPU segment calls one
 of the CPU's two loop methods directly: once the reference loop
-(``Cpu._loop``) and once the block-compiled fast path
+(``Cpu._loop``) and once the function-compiled fast path
 (``Cpu._fast_loop``).  Two kinds of run are compared:
 
-* **phase 1** of each workload (``run_workload``, unwatched blocks):
+* **phase 1** of each workload (``run_workload``, unwatched functions):
   the runs must agree byte for byte on the trace columns, and exactly
   on the trace meta, the :class:`~repro.trace.objects.ObjectRegistry`
   objects, the :class:`~repro.machine.cpu.CpuState` (cycles included)
   and the program output.  Each run's trace is also saved with
   ``save_trace`` and read back with ``load_trace``; the fast path's
   round-tripped trace must equal the reference loop's in-memory one;
-* **debugger sessions** on gcc (watched blocks), one per approach of
+* **debugger sessions** on gcc (watched functions), one per approach of
   the ``live`` benchmark workload (NH, VM-4K, VM-8K, TP and CP), each
   watching the same global, local and heap object: the runs must agree
   on the hits, ``WmsStats``, notifications, breakpoint events, CPU

@@ -3,7 +3,9 @@
 The pipeline (phase 1 trace generation, phase 2 simulation) runs once per
 program and is cached on disk; the per-table modules consume the cached
 :class:`~repro.experiments.pipeline.ProgramData` and produce both
-structured results and rendered text.
+structured results and rendered text.  :func:`load_experiment_data` is
+the one entry point to the pipeline for every ``jobs`` value; the
+scheduler behind it lives in :mod:`repro.experiments.parallel`.
 
 Command line: ``python -m repro.experiments all`` (or the
 ``repro-experiments`` console script).
@@ -14,7 +16,6 @@ from repro.experiments.pipeline import (
     ProgramData,
     load_experiment_data,
 )
-from repro.experiments.parallel import load_experiment_data_parallel
 from repro.experiments.table1 import compute_table1, render_table1_report
 from repro.experiments.table2 import compute_table2, render_table2_report
 from repro.experiments.table3 import compute_table3, render_table3_report
@@ -38,7 +39,6 @@ __all__ = [
     "ExperimentConfig",
     "ProgramData",
     "load_experiment_data",
-    "load_experiment_data_parallel",
     "compute_table1",
     "render_table1_report",
     "compute_table2",

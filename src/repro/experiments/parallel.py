@@ -1,22 +1,31 @@
-"""Fault-tolerant process-pool fan-out of the experiment pipeline.
+"""The experiment scheduler: one loop for every ``--jobs`` value.
 
 The two-phase experiment is embarrassingly parallel across programs:
 each program's trace generation and one-pass simulation depend only on
 that program's workload source, and the on-disk cache is safe for
 concurrent writers (atomic write-then-rename everywhere).  This module
-fans :func:`~repro.experiments.pipeline.load_program_data` out across a
-:class:`~concurrent.futures.ProcessPoolExecutor`, one task per program,
-and survives the failures a long batch run actually sees:
+schedules :func:`~repro.experiments.pipeline.load_program_data`, one
+task per program, on one of two executors:
 
-* a **crashed worker** (``BrokenProcessPool`` — the process died, was
-  OOM-killed, or hit an injected ``worker:crash``) is retried with
-  capped exponential backoff on a recreated pool; after repeated pool
-  breakage the remaining programs fall back to serial in-parent
-  execution;
-* a **hung worker** is bounded by the ``worker_timeout`` wall-clock
-  watchdog: the pool is killed, the overdue program is rescheduled
-  (counting an attempt), and in-flight victims are resubmitted without
-  penalty;
+* a :class:`~concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``;
+* :class:`_InProcessExecutor` for ``jobs == 1``, and for the programs
+  still left after the pool broke more than
+  :data:`MAX_POOL_RECREATIONS` times.  It runs each task synchronously
+  in the parent.
+
+The loop never has more than ``jobs`` tasks submitted (one on the
+in-process executor), so a task starts running when it is dispatched,
+and a fatal failure under ``--jobs 1`` aborts before the next program
+starts.  One policy covers both executors:
+
+* a **transient failure** (:func:`repro.faults.classify_failure`: a
+  crashed worker's ``BrokenProcessPool``, a watchdog timeout, an
+  ``OSError``, an injected fault) is retried with capped exponential
+  backoff.  A broken pool is recreated and its innocent in-flight
+  tasks are resubmitted without an attempt penalty;
+* a **hung worker** is bounded by the ``worker_timeout`` watchdog
+  (pool only).  The deadline starts at dispatch; on expiry the pool is
+  killed and the overdue program is retried;
 * a **fatal error** (:class:`~repro.errors.ReproError` — bad config,
   malformed session, injected ``worker:fatal``) is never retried: the
   run either aborts immediately — cancelling queued work and killing
@@ -24,25 +33,31 @@ and survives the failures a long batch run actually sees:
   ``keep_going``, records the program in its ``failures`` list and
   completes with the survivors.
 
+The run journal is written by the parent only: the write-ahead intent
+before dispatch, completion after the result is home, failure when
+retries are exhausted.  Intent and completion appends sit inside the
+per-attempt failure handling, so a failed append is retried like any
+other attempt failure.
+
 Every recovery action is visible through :mod:`repro.observe`:
 ``retry.attempts``/``retry.backoff_seconds``, ``fault.worker.hung``,
 ``fault.pool.{broken,recreated,serial_fallback}``,
-``fault.program.failed``, a ``worker_attempt:<name>`` error span per
-failed attempt, and a ``failures`` note list — the raw material of the
-manifest's ``failures`` section.  See ``docs/RESILIENCE.md``.
+``fault.program.failed``, and a ``failures`` note list — the raw
+material of the manifest's ``failures`` section.  See
+``docs/RESILIENCE.md``.
 
-Observability survives the fan-out exactly as before: each worker ships
-a :func:`repro.observe.dump_snapshot` payload back and the parent merges
+Observation survives the fan-out: each pool worker ships a
+:func:`repro.observe.dump_snapshot` payload back and the parent merges
 it under a clock-rebased ``worker:<name>`` span, so ``--manifest``/
-``--history``/``--profile``/``--trace-out`` keep working unchanged.
-With event recording on (``--events``) every transition above also
-emits a flight-recorder event — ``worker.dispatch``/``done``/``hung``,
-``pool.broken``/``recreated``/``serial_fallback``, ``program.retry``/
-``failed`` — and workers record under the parent's ``run_id`` so one id
-correlates the whole run (:mod:`repro.observe.events`).
+``--history``/``--profile``/``--trace-out`` work the same for every
+``--jobs`` value.  The pool alone adds ``worker:<name>`` and
+``worker_attempt:<name>`` spans, the ``pipeline.jobs`` gauge and the
+``worker.*``/``pool.*`` flight-recorder events; workers record under
+the parent's ``run_id`` so one id correlates the whole run
+(:mod:`repro.observe.events`).
 
-Results are deterministic: workers are pure functions of (program,
-config), so ``--jobs N`` produces bit-identical tables to a serial run
+Results are deterministic: tasks are pure functions of (program,
+config), so every ``--jobs`` value produces bit-identical tables
 regardless of completion order, retries, or recovered faults (the
 returned dict preserves the configured program order).
 """
@@ -65,22 +80,20 @@ from repro.experiments.pipeline import (
     FailureRecord,
     Progress,
     ProgramData,
-    RETRY_BASE_S,
     load_program_data,
-    load_programs_serial,
     retry_backoff_s,
     sim_cache_path,
     trace_cache_path,
 )
+from repro.observe.spans import SpanRecord
 from repro.trace import load_trace, publish_trace
 from repro.trace.shared import reap_stale_segments
 from repro.workloads import WORKLOADS
 
-__all__ = ["load_experiment_data_parallel"]
-from repro.observe.spans import SpanRecord
+__all__ = ["schedule_programs"]
 
-#: After this many pool recreations the pipeline stops trusting the pool
-#: and runs the remaining programs serially in the parent.
+#: After this many pool recreations the scheduler stops trusting the
+#: pool and runs the remaining programs on the in-process executor.
 MAX_POOL_RECREATIONS = 2
 
 #: How long a task waits (per scheduler pass) for its trace publication
@@ -310,10 +323,32 @@ class _Task:
     attempts: int = 0        #: attempts that have ended (in failure)
     not_before: float = 0.0  #: backoff gate on the parent's clock
     started: float = 0.0     #: first dispatch time (for elapsed accounting)
+    dispatched: float = 0.0  #: this attempt's dispatch time (watchdog start)
 
 
-def _kill_pool(pool: Optional[ProcessPoolExecutor]) -> None:
-    """Tear a pool down *now*: cancel queued work, kill live workers.
+class _InProcessExecutor:
+    """Executor that runs each submitted call synchronously in the parent.
+
+    ``submit`` returns an already finished future.  An ``Exception`` is
+    stored in it, as a pool worker's would be; a ``BaseException``
+    (``ShutdownRequested`` from SIGINT/SIGTERM, ``SystemExit``) is not
+    caught and unwinds straight through the scheduler.
+    """
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
+def _kill_pool(pool) -> None:
+    """Tear an executor down *now*: cancel queued work, kill live workers.
 
     Used on abort (so a failed run doesn't keep burning CPU on the other
     programs for minutes), on watchdog expiry (a hung worker never
@@ -340,44 +375,33 @@ def _kill_pool(pool: Optional[ProcessPoolExecutor]) -> None:
         pass
 
 
-def load_experiment_data_parallel(
+def schedule_programs(
     config: ExperimentConfig,
     progress: Progress = None,
-    jobs: Optional[int] = None,
     *,
     retries: int = DEFAULT_RETRIES,
     worker_timeout: Optional[float] = None,
     keep_going: bool = False,
     failures: Optional[List[FailureRecord]] = None,
-    retry_base_s: float = RETRY_BASE_S,
     journal=None,
 ) -> Dict[str, ProgramData]:
-    """Phase 1 + phase 2 for every configured program, fanned out.
+    """Phase 1 + phase 2 for every configured program.
 
-    ``jobs`` overrides ``config.jobs``; it is clamped to the number of
-    programs (extra workers would sit idle).  With one job or one
-    program this degrades to the (equally resilient) serial path.
-    See the module docstring for the retry/timeout/keep-going policy.
-
-    ``journal`` (a :class:`~repro.experiments.journal.RunJournal`) is
-    written parent-side only: intent at dispatch, completion after the
-    worker's results (already atomically published to the cache by the
-    worker) come home, failure when retries are exhausted.  Workers
-    never touch the journal — one writer, no interleaving.
+    ``config.jobs`` is clamped to the number of programs (extra workers
+    would sit idle); one job means the in-process executor.  See the
+    module docstring for the retry/timeout/keep-going policy, and
+    :func:`~repro.experiments.pipeline.load_experiment_data` (the entry
+    point) for the arguments.
     """
-    jobs = config.jobs if jobs is None else jobs
     names = list(config.programs)
-    jobs = max(1, min(jobs, len(names)))
-    if jobs == 1 or len(names) <= 1:
-        return load_programs_serial(
-            config, names, progress, retries=retries, keep_going=keep_going,
-            failures=failures, retry_base_s=retry_base_s, journal=journal,
-        )
-
-    # A previous run SIGKILLed before its `finally` unlink may have left
-    # orphaned /dev/shm segments behind; sweep them before publishing
-    # new ones.
-    reap_stale_segments()
+    jobs = max(1, min(config.jobs, len(names)))
+    pooled = jobs > 1
+    if pooled:
+        # A previous run SIGKILLed before its `finally` unlink may have
+        # left orphaned /dev/shm segments behind; sweep them before
+        # publishing new ones.
+        reap_stale_segments()
+        observe.set_gauge("pipeline.jobs", jobs)
 
     observing = observe.is_enabled()
     events_on = observe.events_enabled()
@@ -386,30 +410,27 @@ def load_experiment_data_parallel(
         observe.get_profiler().engine_stride if observe.is_profiling() else 0
     )
     parent_path = observe.current_span_path() if observing else None
-    observe.set_gauge("pipeline.jobs", jobs)
     plan = faults.active_plan()
     fault_spec = plan.spec if plan is not None else None
     fault_seed = plan.seed if plan is not None else 0
 
     max_attempts = max(1, retries + 1)
-    publisher = _TracePublisher(config, names)
-    tasks = [_Task(name) for name in names]
-    pending: List[_Task] = list(tasks)
+    publisher = _TracePublisher(config, names) if pooled else None
+    pending: List[_Task] = [_Task(name) for name in names]
     running: Dict[Future, _Task] = {}
-    submit_s: Dict[Future, float] = {}
     data: Dict[str, ProgramData] = {}
-    pool: Optional[ProcessPoolExecutor] = None
+    executor = None
     recreations = 0
-    serial_mode = False
 
-    def record_attempt_span(task: _Task, started: float, error: str) -> None:
-        if not observing:
+    def record_attempt_span(task: _Task, error: str) -> None:
+        if not (observing and pooled):
             return
         attempt_name = f"worker_attempt:{task.name}"
         path = f"{parent_path}/{attempt_name}" if parent_path else attempt_name
         observe.get_registry().add_span(SpanRecord(
             name=attempt_name, path=path, parent=parent_path or "",
-            start_s=started, duration_s=time.perf_counter() - started,
+            start_s=task.dispatched,
+            duration_s=time.perf_counter() - task.dispatched,
             error=True,
             attrs={"program": task.name, "attempt": str(task.attempts + 1),
                    "error": error},
@@ -419,7 +440,7 @@ def load_experiment_data_parallel(
         """Final failure for one program: record, and abort unless
         keeping going (the abort cancels queued work and kills live
         workers so it doesn't burn CPU on results nobody will see)."""
-        nonlocal pool
+        nonlocal executor
         elapsed = time.perf_counter() - task.started if task.started else 0.0
         record = FailureRecord(
             program=task.name, error=type(exc).__name__, message=str(exc),
@@ -438,7 +459,8 @@ def load_experiment_data_parallel(
         if journal is not None:
             journal.failed_for(task.name, config, record.error,
                                attempts=record.attempts)
-        publisher.release(task.name)
+        if publisher is not None:
+            publisher.release(task.name)
         if keep_going:
             if failures is not None:
                 failures.append(record)
@@ -454,21 +476,20 @@ def load_experiment_data_parallel(
                 f"[{task.name}] fatal {record.error}; aborting and "
                 f"cancelling the remaining programs"
             )
-        _kill_pool(pool)
-        pool = None
+        _kill_pool(executor)
+        executor = None
         running.clear()
-        submit_s.clear()
         raise exc
 
-    def handle_failure(task: _Task, exc: BaseException, started: float) -> None:
+    def handle_failure(task: _Task, exc: BaseException) -> None:
         """One attempt ended in ``exc``: retry with backoff or fail."""
-        record_attempt_span(task, started, type(exc).__name__)
+        record_attempt_span(task, type(exc).__name__)
         task.attempts += 1
         transient = faults.classify_failure(exc) == "transient"
         if not transient or task.attempts >= max_attempts:
             fail_task(task, exc)
             return
-        delay = retry_backoff_s(task.attempts, retry_base_s)
+        delay = retry_backoff_s(task.attempts)
         observe.inc("retry.attempts")
         observe.observe_value("retry.backoff_seconds", delay)
         observe.emit_event(
@@ -484,79 +505,114 @@ def load_experiment_data_parallel(
         task.not_before = time.perf_counter() + delay
         pending.append(task)
 
+    def dispatch(task: _Task, shared_handle) -> None:
+        """Start one attempt of ``task`` (on the in-process executor,
+        run it to completion)."""
+        nonlocal executor
+        attempt = task.attempts + 1
+        task.dispatched = time.perf_counter()
+        if not task.started:
+            task.started = task.dispatched
+        if journal is not None:
+            # Write-ahead: the intent is durable before the task runs.
+            try:
+                journal.intent_for(task.name, config, attempt=attempt)
+            except Exception as exc:
+                handle_failure(task, exc)
+                return
+        if executor is None:
+            executor = (ProcessPoolExecutor(max_workers=jobs) if pooled
+                        else _InProcessExecutor())
+        if not pooled:
+            running[executor.submit(
+                load_program_data, task.name, config, progress
+            )] = task
+            return
+        running[executor.submit(
+            _run_worker, task.name, config, observing, profile_stride,
+            fault_spec, fault_seed, attempt, events_on, run_id,
+            shared_handle,
+        )] = task
+        observe.emit_event("worker.dispatch", program=task.name,
+                           attempt=attempt, jobs=jobs)
+        if progress:
+            suffix = f", attempt {attempt}" if attempt > 1 else ""
+            progress(
+                f"[{task.name}] dispatched to worker pool "
+                f"(jobs={jobs}{suffix})"
+            )
+
+    def finish(task: _Task, outcome) -> None:
+        """Keep one successful attempt's result (and graft its worker)."""
+        if not pooled:
+            data[task.name] = outcome
+            return
+        program_data, origin_s, snapshot = outcome
+        done_s = time.perf_counter()
+        started = task.dispatched
+        data[task.name] = program_data
+        publisher.release(task.name)
+        if progress:
+            progress(
+                f"[{task.name}] worker finished in {done_s - started:.1f}s"
+            )
+        if snapshot is not None:
+            if observing:
+                _graft_worker(
+                    task.name, snapshot, origin_s, started, done_s,
+                    parent_path,
+                )
+            else:
+                # Events-only run: no spans/metrics to graft, but the
+                # worker's recorder entries still come home.
+                observe.merge_events_state(
+                    snapshot.get("events"),
+                    clock_offset=started - origin_s,
+                    worker=task.name,
+                )
+        observe.emit_event("worker.done", program=task.name,
+                           elapsed_s=round(done_s - started, 6))
+
     try:
         while pending or running:
-            if serial_mode:
-                remaining = [task.name for task in pending]
-                observe.emit_event(
-                    "pool.serial_fallback", "WARNING",
-                    recreations=recreations, remaining=",".join(remaining),
-                )
-                # The serial path loads from disk in-process; free the
-                # shared segments before doubling trace memory.
-                publisher.close()
-                pending.clear()
-                data.update(load_programs_serial(
-                    config, remaining, progress, retries=retries,
-                    keep_going=keep_going, failures=failures,
-                    retry_base_s=retry_base_s, journal=journal,
-                ))
-                break
-
+            # Dispatch in order into the free slots of the window: at
+            # most `jobs` tasks in flight, one on the in-process executor.
             now = time.perf_counter()
-            still_waiting: List[_Task] = []
-            for task in pending:
-                if task.not_before > now:
-                    still_waiting.append(task)
+            window = jobs if pooled else 1
+            queue, pending = pending, []
+            for task in queue:
+                if len(running) >= window or task.not_before > now:
+                    pending.append(task)
                     continue
-                publish_state, shared_handle = publisher.poll(task.name)
-                if publish_state == _TracePublisher.PENDING:
-                    # The parent is still loading this program's trace
-                    # into shared memory; hold the task briefly rather
-                    # than dispatch a worker that would re-read the disk.
-                    task.not_before = now + PUBLISH_POLL_S
-                    still_waiting.append(task)
-                    continue
-                if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=jobs)
-                if not task.started:
-                    task.started = now
-                attempt = task.attempts + 1
-                if journal is not None:
-                    # Write-ahead: the intent is durable before the
-                    # worker process ever sees the task.
-                    journal.intent_for(task.name, config, attempt=attempt)
-                future = pool.submit(
-                    _run_worker, task.name, config, observing, profile_stride,
-                    fault_spec, fault_seed, attempt, events_on, run_id,
-                    shared_handle,
-                )
-                running[future] = task
-                submit_s[future] = time.perf_counter()
-                observe.emit_event("worker.dispatch", program=task.name,
-                                   attempt=attempt, jobs=jobs)
-                if progress:
-                    suffix = f", attempt {attempt}" if attempt > 1 else ""
-                    progress(
-                        f"[{task.name}] dispatched to worker pool "
-                        f"(jobs={jobs}{suffix})"
-                    )
-            pending = still_waiting
+                shared_handle = None
+                if publisher is not None:
+                    state, shared_handle = publisher.poll(task.name)
+                    if state == _TracePublisher.PENDING:
+                        # The parent is still loading this program's
+                        # trace into shared memory; hold the task briefly
+                        # rather than dispatch a worker that would
+                        # re-read the disk.
+                        task.not_before = now + PUBLISH_POLL_S
+                        pending.append(task)
+                        continue
+                dispatch(task, shared_handle)
 
             if not running:
                 # Everything is backing off; sleep to the earliest gate.
-                delay = min(task.not_before for task in pending) \
-                    - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
+                if pending:
+                    delay = min(task.not_before for task in pending) \
+                        - time.perf_counter()
+                    if delay > 0:
+                        time.sleep(delay)
                 continue
 
             # Sleep until a worker finishes, the watchdog must fire, or a
             # backoff gate opens — whichever comes first.
+            watchdog = worker_timeout if pooled else None
             deadlines = [task.not_before for task in pending]
-            if worker_timeout:
+            if watchdog:
                 deadlines.extend(
-                    submitted + worker_timeout for submitted in submit_s.values()
+                    task.dispatched + watchdog for task in running.values()
                 )
             timeout = None
             if deadlines:
@@ -567,106 +623,89 @@ def load_experiment_data_parallel(
             broke = False
             for future in done:
                 task = running.pop(future)
-                started = submit_s.pop(future)
                 try:
-                    program_data, origin_s, snapshot = future.result()
+                    outcome = future.result()
+                    if journal is not None:
+                        journal.done_for(task.name, config)
                 except BrokenProcessPool as exc:
                     broke = True
                     observe.inc("fault.pool.broken")
                     observe.emit_event("pool.broken", "WARNING",
                                        program=task.name)
-                    handle_failure(task, exc, started)
+                    handle_failure(task, exc)
                     continue
                 except Exception as exc:
-                    handle_failure(task, exc, started)
+                    handle_failure(task, exc)
                     continue
-                done_s = time.perf_counter()
-                data[task.name] = program_data
-                if journal is not None:
-                    journal.done_for(task.name, config)
-                publisher.release(task.name)
-                if progress:
-                    progress(
-                        f"[{task.name}] worker finished in "
-                        f"{done_s - started:.1f}s"
-                    )
-                if snapshot is not None:
-                    if observing:
-                        _graft_worker(
-                            task.name, snapshot, origin_s, started, done_s,
-                            parent_path,
-                        )
-                    else:
-                        # Events-only run: no spans/metrics to graft, but
-                        # the worker's recorder entries still come home.
-                        observe.merge_events_state(
-                            snapshot.get("events"),
-                            clock_offset=started - origin_s,
-                            worker=task.name,
-                        )
-                observe.emit_event("worker.done", program=task.name,
-                                   elapsed_s=round(done_s - started, 6))
+                finish(task, outcome)
 
-            if worker_timeout:
+            if watchdog:
                 now = time.perf_counter()
                 overdue = [
-                    future for future, submitted in submit_s.items()
-                    if now - submitted > worker_timeout
+                    future for future, task in running.items()
+                    if now - task.dispatched > watchdog
                 ]
                 for future in overdue:
                     broke = True
                     task = running.pop(future)
-                    started = submit_s.pop(future)
                     observe.inc("fault.worker.hung")
                     observe.emit_event(
                         "worker.hung", "WARNING", program=task.name,
-                        timeout_s=worker_timeout,
+                        timeout_s=watchdog,
                     )
                     if progress:
                         progress(
                             f"[{task.name}] worker exceeded "
-                            f"--worker-timeout {worker_timeout:g}s; killing it"
+                            f"--worker-timeout {watchdog:g}s; killing it"
                         )
                     handle_failure(task, WorkerTimeoutError(
                         f"worker for {task.name!r} exceeded --worker-timeout "
-                        f"{worker_timeout:g}s"
-                    ), started)
+                        f"{watchdog:g}s"
+                    ))
 
             if broke:
                 # The pool is unusable (a worker died or was killed for
                 # hanging): resubmit the innocent in-flight tasks without
                 # an attempt penalty and recreate the pool — unless it
                 # keeps breaking, in which case stop trusting it.
-                for future in list(running):
-                    task = running.pop(future)
-                    submit_s.pop(future, None)
+                for task in running.values():
                     task.not_before = 0.0
                     pending.append(task)
-                _kill_pool(pool)
-                pool = None
+                running.clear()
+                _kill_pool(executor)
+                executor = None
                 recreations += 1
                 observe.inc("fault.pool.recreated")
                 observe.emit_event("pool.recreated", "WARNING",
                                    recreations=recreations)
                 if recreations > MAX_POOL_RECREATIONS:
-                    serial_mode = True
+                    pooled = False
                     observe.inc("fault.pool.serial_fallback")
+                    observe.emit_event(
+                        "pool.serial_fallback", "WARNING",
+                        recreations=recreations,
+                        remaining=",".join(task.name for task in pending),
+                    )
+                    # The in-process executor loads traces from disk;
+                    # free the shared segments before doubling memory.
+                    publisher.close()
                     if progress:
                         progress(
                             f"worker pool broke {recreations} times; falling "
-                            f"back to serial execution for the remaining "
-                            f"programs"
+                            f"back to in-process execution for the "
+                            f"remaining programs"
                         )
     finally:
         if running:
             # Abnormal exit with workers still live (an unexpected error
             # escaped the scheduler): don't leave orphans burning CPU.
-            _kill_pool(pool)
-        elif pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+            _kill_pool(executor)
+        elif executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
         # Segment cleanup must survive every exit path — abort, watchdog
         # kill, broken pool, chaos-injected crashes — or /dev/shm leaks.
-        publisher.close()
+        if publisher is not None:
+            publisher.close()
 
     # Completion order is nondeterministic; hand back configured order.
     return {name: data[name] for name in names if name in data}

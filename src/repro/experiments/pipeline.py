@@ -25,6 +25,11 @@ exports), and cache traffic is accounted under the ``cache.trace.*`` /
 ``.repro_cache/`` entries the run read and wrote — the raw material of
 the run manifest.
 
+This module provides the per-program task, :func:`load_program_data`.
+:func:`load_experiment_data` hands every run, whatever ``jobs``, to
+the one scheduler in :mod:`repro.experiments.parallel`, which owns the
+retry, watchdog and journal policy.
+
 When event recording is on (``--events``; :mod:`repro.observe.events`)
 the same sites also emit structured flight-recorder events —
 ``program.start``/``done``/``retry``/``failed``, ``cache.hit``/``miss``/
@@ -38,13 +43,12 @@ import hashlib
 import os
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro import faults, observe
-from repro.errors import PipelineError, ReproError
+from repro import observe
+from repro.errors import PipelineError
 from repro.experiments.store import ResultStore
 from repro.faults import faultpoint
 from repro.sessions import discover_sessions
@@ -70,7 +74,7 @@ _CACHE_VERSION = 4
 #: The keys a cached simulation payload must carry.
 _SIM_PAYLOAD_KEYS = frozenset(("meta", "registry", "result"))
 
-#: Retry policy defaults shared by the serial and parallel pipelines.
+#: Retry policy of the scheduler (:mod:`repro.experiments.parallel`).
 DEFAULT_RETRIES = 2
 RETRY_BASE_S = 0.1
 RETRY_CAP_S = 2.0
@@ -115,9 +119,9 @@ class ExperimentConfig:
     ``scale`` is ``"full"`` (the default-scale runs behind the tables),
     ``"smoke"`` (small runs for tests and examples), or an explicit int
     applied to every workload.  ``jobs`` is the number of worker
-    processes the pipeline may fan per-program work out to (1 = serial;
-    see :mod:`repro.experiments.parallel`).  ``engine`` selects the
-    phase-2 backend (:data:`repro.simulate.ENGINE_CHOICES`); both
+    processes the pipeline may fan per-program work out to (1 = run in
+    this process; see :mod:`repro.experiments.parallel`).  ``engine``
+    selects the phase-2 backend (:data:`repro.simulate.ENGINE_CHOICES`); both
     backends produce bit-identical results, so the simulation cache is
     deliberately keyed without it — a cache entry written by one backend
     is valid for the other.
@@ -586,10 +590,9 @@ def load_program_data(
     """Phase 1 + phase 2 for one program (cached).
 
     ``shared_trace`` (a :class:`~repro.trace.shared.SharedTraceHandle`
-    published by the parallel scheduler's parent process) short-circuits
-    the batch path's trace load: the worker attaches to the shared
-    segment instead of decompressing its own copy from the ``.npz``
-    cache.  It is advisory — ignored in stream mode and on sim-cache
+    the scheduler publishes for a pool worker) short-circuits the batch
+    path's trace load: the worker attaches to the shared segment
+    instead of decompressing its own copy from the ``.npz`` cache.  It is advisory — ignored in stream mode and on sim-cache
     hits, and any attach failure falls back to the disk cache.
     """
     workload = WORKLOADS.get(name)
@@ -676,112 +679,6 @@ def load_program_data(
     return ProgramData(name=name, scale=scale, **payload)
 
 
-def _record_failure(
-    name: str,
-    exc: BaseException,
-    attempts: int,
-    elapsed_s: float,
-    keep_going: bool,
-    failures: Optional[List[FailureRecord]],
-    progress: Progress,
-) -> None:
-    """Account one program's final failure; re-raise unless keeping going."""
-    record = FailureRecord(
-        program=name, error=type(exc).__name__, message=str(exc),
-        attempts=max(1, attempts), elapsed_s=elapsed_s,
-    )
-    observe.inc("fault.program.failed")
-    observe.note(
-        "failures",
-        f"{record.program}: {record.error} after {record.attempts} "
-        f"attempt(s): {record.message}",
-    )
-    observe.emit_event(
-        "program.failed", "ERROR", program=name, error=record.error,
-        attempts=record.attempts, kept_going=keep_going,
-    )
-    if not keep_going:
-        raise exc
-    if failures is not None:
-        failures.append(record)
-    if progress:
-        progress(
-            f"[{name}] FAILED ({record.error}) after {record.attempts} "
-            f"attempt(s); continuing without it (--keep-going)"
-        )
-
-
-def load_programs_serial(
-    config: ExperimentConfig,
-    names: List[str],
-    progress: Progress = None,
-    *,
-    retries: int = DEFAULT_RETRIES,
-    keep_going: bool = False,
-    failures: Optional[List[FailureRecord]] = None,
-    retry_base_s: float = RETRY_BASE_S,
-    journal=None,
-) -> Dict[str, ProgramData]:
-    """Run ``names`` in-process, with the shared retry/failure policy.
-
-    Transient failures (:func:`repro.faults.classify_failure`) are
-    retried up to ``retries`` times with capped exponential backoff;
-    fatal ones are not.  A program that still fails either aborts the
-    run (default) or, under ``keep_going``, is recorded in ``failures``
-    and skipped so the surviving programs still produce tables.
-
-    ``journal`` (a :class:`repro.experiments.journal.RunJournal`) makes
-    the loop write-ahead: every attempt records its intent before work
-    starts and its completion only after the results were published, so
-    a crash at any instant leaves a replayable record.  Journal appends
-    sit inside the per-attempt ``try`` — a transiently failing journal
-    write retries with the task.
-    """
-    max_attempts = max(1, retries + 1)
-    data: Dict[str, ProgramData] = {}
-    for name in names:
-        started = time.monotonic()
-        attempts = 0
-        while True:
-            try:
-                if journal is not None:
-                    journal.intent_for(name, config, attempt=attempts + 1)
-                data[name] = load_program_data(name, config, progress)
-                if journal is not None:
-                    journal.done_for(name, config)
-                break
-            except Exception as exc:
-                attempts += 1
-                transient = faults.classify_failure(exc) == "transient"
-                if not transient or attempts >= max_attempts:
-                    if journal is not None:
-                        journal.failed_for(
-                            name, config, type(exc).__name__,
-                            attempts=attempts,
-                        )
-                    _record_failure(
-                        name, exc, attempts, time.monotonic() - started,
-                        keep_going, failures, progress,
-                    )
-                    break
-                delay = retry_backoff_s(attempts, retry_base_s)
-                observe.inc("retry.attempts")
-                observe.observe_value("retry.backoff_seconds", delay)
-                observe.emit_event(
-                    "program.retry", "WARNING", program=name,
-                    attempt=attempts, max_attempts=max_attempts,
-                    backoff_s=delay, error=type(exc).__name__,
-                )
-                if progress:
-                    progress(
-                        f"[{name}] transient {type(exc).__name__}: {exc}; "
-                        f"retrying in {delay:.2f}s "
-                        f"(attempt {attempts + 1}/{max_attempts})"
-                    )
-                time.sleep(delay)
-    return data
-
-
 def load_experiment_data(
     config: ExperimentConfig = ExperimentConfig(),
     progress: Progress = None,
@@ -794,27 +691,24 @@ def load_experiment_data(
 ) -> Dict[str, ProgramData]:
     """Phase 1 + phase 2 for every configured program.
 
-    With ``config.jobs > 1`` the per-program work fans out across a
-    process pool (:mod:`repro.experiments.parallel`); results and, when
-    observation is on, each worker's metrics/spans are identical to a
-    serial run's, modulo the extra ``worker:<name>`` spans.
+    The one entry point, for every ``config.jobs``: the scheduler in
+    :mod:`repro.experiments.parallel` runs the programs on a process
+    pool when ``jobs > 1`` and in this process otherwise.  Results are
+    identical either way; when observation is on, a pooled run's
+    metrics and spans are a serial run's plus the ``worker:<name>``
+    spans.
 
-    Both paths share one failure policy: transient errors retry with
-    capped exponential backoff, fatal ones abort (or are recorded into
-    ``failures`` under ``keep_going``); ``worker_timeout`` additionally
-    bounds each parallel worker's wall clock.  ``journal`` threads a
-    write-ahead :class:`~repro.experiments.journal.RunJournal` through
-    whichever path runs (the parent journals for its workers).
+    Transient errors retry up to ``retries`` times with capped
+    exponential backoff; fatal ones abort, or under ``keep_going`` are
+    recorded into ``failures``.  ``worker_timeout`` bounds each pool
+    worker's wall clock from dispatch.  ``journal`` (a
+    :class:`~repro.experiments.journal.RunJournal`) makes the run
+    write-ahead: every attempt's intent is journaled before it starts
+    and its completion after its results were published.
     """
-    if config.jobs > 1 and len(config.programs) > 1:
-        from repro.experiments.parallel import load_experiment_data_parallel
+    from repro.experiments.parallel import schedule_programs
 
-        return load_experiment_data_parallel(
-            config, progress, retries=retries, worker_timeout=worker_timeout,
-            keep_going=keep_going, failures=failures, journal=journal,
-        )
-    return load_programs_serial(
-        config, list(config.programs), progress,
-        retries=retries, keep_going=keep_going, failures=failures,
-        journal=journal,
+    return schedule_programs(
+        config, progress, retries=retries, worker_timeout=worker_timeout,
+        keep_going=keep_going, failures=failures, journal=journal,
     )

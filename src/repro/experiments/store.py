@@ -11,9 +11,11 @@ This module generalizes the pipeline's ad-hoc cache files into a small
   every load; a mismatch raises :class:`StoreCorruptError` and the entry
   is treated exactly like a missing one (discarded, recomputed).  Trace
   ``.npz`` entries are already integrity-checked by their container
-  (zip CRCs in v1, per-chunk checksums in v2 — see
-  ``docs/TRACE_FORMAT.md``), so the store verifies them through those
-  mechanisms rather than double-wrapping.
+  (zip CRCs in v1, zip CRCs plus the footer's per-chunk column
+  checksums in v2 — see ``docs/TRACE_FORMAT.md``), so the store
+  verifies them by reading them through
+  :class:`~repro.trace.tracefile.TraceStreamReader` rather than
+  double-wrapping.
 * **Maintenance surface** — :meth:`ResultStore.verify` audits every
   entry and :meth:`ResultStore.gc` removes temp droppings and corrupt
   blobs, surfaced as the ``store verify`` / ``store gc`` CLI
@@ -39,7 +41,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -47,6 +48,7 @@ from typing import Dict, List, Optional
 from repro import observe
 from repro.errors import StoreCorruptError
 from repro.faults import faultpoint
+from repro.trace.tracefile import TraceStreamReader
 
 #: Envelope format marker; payloads wrapped before this existed are
 #: "legacy" and load through the shim below.
@@ -57,7 +59,7 @@ DIGEST_ALGO = "sha256"
 #: Entry statuses reported by :meth:`ResultStore.verify`.
 STATUS_V3 = "v3"            #: enveloped, digest verified
 STATUS_LEGACY = "legacy"    #: pre-envelope pickle, loadable
-STATUS_NPZ = "npz"          #: trace container, zip/chunk CRCs verified
+STATUS_NPZ = "npz"          #: trace container, read and checksums verified
 STATUS_CORRUPT = "corrupt"  #: failed its integrity check
 STATUS_TMP = "tmp"          #: orphaned temp file from a killed writer
 STATUS_OTHER = "other"      #: unrecognized file, left alone
@@ -281,11 +283,8 @@ class ResultStore:
                                f"unexpected pickle of {type(obj).__name__}")
         if name.endswith(".npz"):
             try:
-                with zipfile.ZipFile(path) as archive:
-                    bad = archive.testzip()
-                if bad is not None:
-                    return EntryReport(name, STATUS_CORRUPT, size,
-                                       f"zip CRC failure in {bad}")
+                with TraceStreamReader(path) as reader:
+                    reader.verify()
             except Exception as exc:
                 return EntryReport(name, STATUS_CORRUPT, size,
                                    f"{type(exc).__name__}: {exc}")

@@ -13,8 +13,8 @@ import pytest
 
 from repro import observe
 from repro.errors import PipelineError
+from repro.experiments import parallel
 from repro.experiments.cli import main as cli_main
-from repro.experiments.parallel import load_experiment_data_parallel
 from repro.experiments.pipeline import ExperimentConfig, load_experiment_data
 from repro.observe.manifest import RunManifest, load_manifest
 from repro.observe.traceview import spans_to_trace_events
@@ -57,8 +57,14 @@ class TestEquivalence:
             assert serial.result.total_writes == parallel.result.total_writes
             assert serial.result.n_discarded == parallel.result.n_discarded
 
-    def test_single_job_config_takes_serial_path(self, serial_data, tmp_path):
+    def test_single_job_config_takes_serial_path(
+        self, serial_data, monkeypatch, tmp_path
+    ):
         # jobs=1 must not spin up a pool; results still correct.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("jobs=1 started a process pool")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
         config = ExperimentConfig(
             programs=("qcd",), scale="smoke", cache_dir=tmp_path, jobs=1,
         )
@@ -68,10 +74,38 @@ class TestEquivalence:
     def test_jobs_clamped_to_program_count(self, serial_data, tmp_path):
         config = ExperimentConfig(
             programs=("qcd", "gcc"), scale="smoke", cache_dir=tmp_path,
+            jobs=64,
         )
-        data = load_experiment_data_parallel(config, jobs=64)
+        data = load_experiment_data(config)
         assert tuple(data) == ("qcd", "gcc")
         assert data["gcc"].result.counts == serial_data["gcc"].result.counts
+
+
+class TestDispatchWindow:
+    """The scheduler keeps at most ``jobs`` tasks submitted, so a task's
+    watchdog deadline starts when a worker picks it up."""
+
+    def test_never_more_than_jobs_tasks_submitted(
+        self, serial_data, monkeypatch, tmp_path
+    ):
+        futures, peaks = [], []
+
+        class SpyPool(parallel.ProcessPoolExecutor):
+            def submit(self, fn, *args):
+                peaks.append(1 + sum(not f.done() for f in futures))
+                futures.append(super().submit(fn, *args))
+                return futures[-1]
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", SpyPool)
+        programs = ("qcd", "gcc", "bps")
+        config = ExperimentConfig(
+            programs=programs, scale="smoke", cache_dir=tmp_path, jobs=2,
+        )
+        data = load_experiment_data(config)
+        assert len(futures) == len(programs)
+        assert max(peaks) == 2
+        for name in programs:
+            assert data[name].result.counts == serial_data[name].result.counts
 
 
 class TestMergedObservation:
@@ -213,7 +247,7 @@ class TestSharedTracePlane:
         config = ExperimentConfig(
             programs=("qcd",), scale="smoke", cache_dir=tmp_path, jobs=2,
         )
-        data = load_experiment_data_parallel(config, jobs=2)
+        data = load_experiment_data(config)
         counters = observing.snapshot()["counters"]
         assert counters.get("trace.shm.published", 0) == 0
         assert counters.get("trace.shm.attached", 0) == 0

@@ -9,6 +9,7 @@ pickle cache) and the maintenance surface behind ``store verify`` /
 
 from __future__ import annotations
 
+import json
 import pickle
 import zipfile
 
@@ -26,11 +27,26 @@ from repro.experiments.store import (
     ResultStore,
     payload_digest,
 )
+from repro.trace import EventTrace, ObjectRegistry, save_trace
+from repro.trace.tracefile import save_trace_chunked
 
 
 @pytest.fixture()
 def store(tmp_path):
     return ResultStore(tmp_path)
+
+
+def save_real_trace(path, chunked=False, n_events=512):
+    """A small real trace entry: v1 by default, v2 when ``chunked``."""
+    registry = ObjectRegistry()
+    registry.global_("g", 4)
+    trace = EventTrace("store-test")
+    for i in range(n_events):
+        trace.append_write(0x1000 + 8 * i, 0x1004 + 8 * i)
+    if chunked:
+        save_trace_chunked(trace, registry, path, chunk_events=64)
+    else:
+        save_trace(trace, registry, path)
 
 
 def publish(store, name="entry.pkl", payload=None):
@@ -92,7 +108,8 @@ class TestVerify:
         (tmp_path / "torn.pkl").write_bytes(b"\x80\x04 torn mid-write")
         (tmp_path / "drop.pkl.abc123.tmp").write_bytes(b"half")
         (tmp_path / "README").write_text("not a store entry")
-        np.savez(tmp_path / "trace.npz", col=np.arange(4))
+        save_real_trace(tmp_path / "trace.npz")
+        save_real_trace(tmp_path / "chunked.npz", chunked=True)
         report = store.verify()
         by_name = {entry.name: entry.status for entry in report.entries}
         assert by_name["good.pkl"] == STATUS_V3
@@ -101,18 +118,19 @@ class TestVerify:
         assert by_name["drop.pkl.abc123.tmp"] == STATUS_TMP
         assert by_name["README"] == STATUS_OTHER
         assert by_name["trace.npz"] == STATUS_NPZ
+        assert by_name["chunked.npz"] == STATUS_NPZ
         assert report.count(STATUS_CORRUPT) == 1
         assert [entry.name for entry in report.corrupt] == ["torn.pkl"]
 
     def test_truncated_npz_is_corrupt(self, store, tmp_path):
-        np.savez(tmp_path / "trace.npz", col=np.arange(1000))
+        save_real_trace(tmp_path / "trace.npz")
         blob = (tmp_path / "trace.npz").read_bytes()
         (tmp_path / "trace.npz").write_bytes(blob[: len(blob) // 2])
         (report_entry,) = store.verify().entries
         assert report_entry.status == STATUS_CORRUPT
 
     def test_flipped_bit_inside_npz_is_corrupt(self, store, tmp_path):
-        np.savez(tmp_path / "trace.npz", col=np.zeros(4096, dtype=np.int64))
+        save_real_trace(tmp_path / "trace.npz", n_events=4096)
         blob = bytearray((tmp_path / "trace.npz").read_bytes())
         blob[len(blob) // 2] ^= 0xFF  # flip inside the member data
         (tmp_path / "trace.npz").write_bytes(bytes(blob))
@@ -123,7 +141,28 @@ class TestVerify:
             with zipfile.ZipFile(tmp_path / "trace.npz") as archive:
                 if archive.testzip() is not None:
                     raise ValueError("CRC failure")
-                np.load(tmp_path / "trace.npz")["col"]
+                np.load(tmp_path / "trace.npz")["col_a"]
+
+    def test_bad_v2_footer_crc_is_corrupt(self, store, tmp_path):
+        # The zip CRCs stay valid (the archive is rebuilt), so only the
+        # footer's per-chunk column checksum can catch this.
+        path = tmp_path / "trace.npz"
+        save_real_trace(path, chunked=True)
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
+        doc = json.loads(members["stream"].tobytes().decode("utf-8"))
+        doc["chunks"][0]["crc32"][1] ^= 1  # column col_a of chunk 0
+        members["stream"] = np.frombuffer(
+            json.dumps(doc).encode("utf-8"), dtype=np.uint8
+        )
+        with zipfile.ZipFile(path, "w") as rebuilt:
+            for name, array in members.items():
+                with rebuilt.open(name + ".npy", "w") as member:
+                    np.lib.format.write_array(member, array)
+        (entry,) = store.verify().entries
+        assert entry.status == STATUS_CORRUPT
+        assert "col_a checksum mismatch" in entry.detail
+        assert not store.entry_ok("trace.npz")
 
     def test_runs_subdir_left_alone(self, store, tmp_path):
         runs = tmp_path / "runs"

@@ -11,13 +11,14 @@ is split into basic blocks and becomes one Python function
   enter at and ``left`` the instructions the driver allows before its
   next checkpoint;
 * the registers are unpacked into Python locals on entry and stay there
-  across the function's own jumps; every exit to the driver but ``RET``
-  writes back to ``R`` each register a block that can reach the exit
-  assigns, so ``R`` matches the reference loop's register list whenever
-  the driver or a handler sees it.  Inside a block, ``LDI``/``LEAF`` results are tracked as
-  constants, so a load or store through them addresses ``w[const]`` or
-  ``w[fw + const]`` with no run-time check when the address is provably
-  aligned and in range;
+  across the function's own jumps and direct calls; every exit to the
+  driver but ``RET`` writes back to ``R`` each register a block that can
+  reach the exit assigns, so ``R`` matches the reference loop's
+  register list whenever the driver or a handler sees it.  Inside a
+  block, ``LDI``/``LEAF`` results are tracked as constants, so a load
+  or store through them addresses ``w[const]`` or ``w[fw + const]``
+  with no run-time check when the address is provably aligned and in
+  range;
 * control flow inside the function is a local ``pc`` dispatch: the
   blocks are ``if pc == start:`` statements in program order inside a
   ``while True`` loop, and each loop of the function (a range of blocks
@@ -26,8 +27,9 @@ is split into basic blocks and becomes one Python function
   of its loop is a ``continue`` and a jump out of a loop a ``break``;
 * instructions, cycles and stores are added up in locals, block by
   block.  A forward path through the function runs at most the
-  function's *span* (its instruction count), so the function checks
-  ``left`` on entry and at every backward jump only, and leaves for a
+  function's *span* (its instruction count) plus what its direct
+  callees run, so the function checks ``left`` on entry, at every
+  backward jump and after every direct call only, and leaves for a
   **checkpoint** when the span might not fit;
 * the function returns ``(exit, instructions, cycles, stores, value)``
   to the driver at ``CALL`` (value: the callee's register list),
@@ -38,6 +40,17 @@ is split into basic blocks and becomes one Python function
   exit's instruction boundary.  ``CHK`` and ``TRAP`` are steps: the
   driver executes that one instruction with the reference semantics
   and re-enters at the next one;
+* in the unwatched variant a ``CALL`` is a **direct call** (see
+  :meth:`_FunctionWriter.direct_call`): the function pushes the
+  callee's frame and calls the callee's ``run`` with the budget it has
+  left.  At the callee's ``RET`` it pops the frame, assigns the result
+  and checks the budget as at a backward jump, so the call block
+  falls through to its return block like a forward jump.  A ``CALL``
+  leaves to the driver as above only when the frame would overflow the
+  stack or :data:`MAX_DIRECT_DEPTH` frames are on it.  Any other exit
+  of the callee is returned on to the driver, with this function's
+  counts added and its registers written back (also when the callee
+  raises); the callee's frame stays on the stack;
 * where the reference loop would do something special (an alignment or
   range fault, a float zero divisor), the function writes its registers
   back and hands over at that instruction, so the driver can give the
@@ -56,8 +69,8 @@ is split into basic blocks and becomes one Python function
 Each image has two variants of its function table:
 
 * the **unwatched** variant stores with no check beyond alignment and
-  range.  It runs when no hook, protected page or monitor register is
-  active, which is every phase-1 and bare run;
+  range, and calls directly.  It runs when no hook, protected page or
+  monitor register is active, which is every phase-1 and bare run;
 * the **watched** variant guards every ``ST`` before the write with
   ``a >> S in P or a >> 2 in MW``: ``P`` is the live
   :attr:`PageTable.write_protected <repro.machine.paging.PageTable>`
@@ -79,13 +92,14 @@ source: images loaded from the same program share one compile, and
 every image binds its own exit descriptors.  The function table depends
 on the image, the layout, the variant and whether stores report to a
 tracer, and on nothing else; :func:`compiled_image` caches it per image.
+:meth:`CompiledImage.table` binds it to one machine.
 """
 
 from __future__ import annotations
 
 import functools
 import weakref
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.machine import isa
 from repro.machine.layout import MemoryLayout
@@ -97,6 +111,9 @@ from repro.machine.layout import MemoryLayout
 #: ``(CHECKPOINT, span)``.
 CALL, CALLB, RET, HALT = isa.CALL, isa.CALLB, isa.RET, isa.HALT
 HANDOVER, STEP, CHECKPOINT = -1, -2, -3
+#: The one ``(RET,)`` descriptor: a direct call tests its callee's exit
+#: against it by identity.
+RET_EXIT = (RET,)
 
 _BINARY = {
     isa.ADD: "+", isa.SUB: "-", isa.MUL: "*",
@@ -119,6 +136,9 @@ _TERMINATORS = frozenset({isa.JMP, isa.BF, isa.BT, CALL, CALLB, RET, HALT}) | _S
 #: Loops nested deeper than this share their enclosing loop's ``while``
 #: (Python allows 20 nested loop statements and 100 indentation levels).
 _MAX_LOOP_DEPTH = 8
+#: A direct call made with this many frames on the stack leaves to the
+#: driver instead, which bounds the Python recursion of direct calls.
+MAX_DIRECT_DEPTH = 64
 
 
 def _is_int(value) -> bool:
@@ -187,7 +207,7 @@ def _supported(code: Sequence, pc: int, func, functions) -> bool:
 class _Block:
     """One basic block before code generation."""
 
-    __slots__ = ("start", "body", "term_pc", "next_pc", "handover")
+    __slots__ = ("start", "body", "term_pc", "next_pc", "handover", "direct")
 
     def __init__(self, start):
         self.start = start
@@ -199,6 +219,8 @@ class _Block:
         self.next_pc: Optional[int] = None
         #: Hand over to the reference loop at this pc after the body.
         self.handover: Optional[int] = None
+        #: The block ends in a direct call, which returns to ``term_pc + 1``.
+        self.direct = False
 
     def successors(self, code) -> List[int]:
         """The block starts control can reach from this block without
@@ -212,6 +234,8 @@ class _Block:
             return [instr[1]]
         if instr[0] in (isa.BF, isa.BT):
             return [instr[2], self.term_pc + 1]
+        if self.direct:
+            return [self.term_pc + 1]
         return []
 
 
@@ -250,9 +274,10 @@ def _loop_ranges(blocks: Dict[int, _Block], code) -> List[Tuple[int, int]]:
 def _reaching(blocks: Dict[int, _Block], code,
               assigned: Dict[int, set]) -> Dict[int, set]:
     """Per block start, the union of ``assigned`` over the blocks with a
-    path to it (itself included when it is on a cycle).  Only jumps and
-    fall-throughs are paths: after a CALL, CALLB or step the driver
-    re-enters with the registers reloaded from ``R``."""
+    path to it (itself included when it is on a cycle).  Only jumps,
+    fall-throughs and direct calls are paths: after a driver CALL, a
+    CALLB or a step the driver re-enters with the registers reloaded
+    from ``R``."""
     preds: Dict[int, List[int]] = {start: [] for start in blocks}
     for start, block in blocks.items():
         for target in block.successors(code):
@@ -318,6 +343,12 @@ class _FunctionWriter:
         assigned = {start: {self.code[pc][1] for pc in block.body
                             if self.code[pc][0] not in (isa.ST, isa.NOP)}
                     for start, block in blocks.items()}
+        for start, block in blocks.items():
+            if block.direct and self.code[block.term_pc][2] is not None:
+                assigned[start].add(self.code[block.term_pc][2])
+        #: Callee indexes of the direct calls.
+        self.callees = sorted({self.code[block.term_pc][1]
+                               for block in blocks.values() if block.direct})
         #: Every register the function assigns.
         self.assigned = set().union(*assigned.values())
         #: Per block, the registers the blocks that can reach it within
@@ -536,6 +567,8 @@ class _FunctionWriter:
                 self.depth += 1
                 self.goto(pc + 1, start, loop)
                 self.depth -= 1
+            elif block.direct:
+                self.direct_call(pc, size, start, loop)
             elif op in (CALL, CALLB):
                 values = [self.read(r) for r in instr[3]]
                 if op == CALL:
@@ -544,13 +577,75 @@ class _FunctionWriter:
                            f"[{', '.join(values)}]")
             elif op == RET:
                 value = self.read(instr[1]) if instr[1] is not None else "None"
-                self.leave((RET,), size, value, writeback=False)
+                self.leave(RET_EXIT, size, value, writeback=False)
             elif op == HALT:
                 self.leave((HALT,), size)
             else:  # a step, whose instruction the driver runs on R
                 self.leave((STEP, pc), size)
         self.cache = {}
         self.depth -= 1
+
+    def direct_call(self, pc: int, size: Tuple[int, int, int], start: int,
+                    loop: _Loop) -> None:
+        """The CALL at ``pc`` as a Python call of the callee's ``run``.
+        It leaves through the driver's CALL exit instead when the frame
+        would overflow the stack or :data:`MAX_DIRECT_DEPTH` frames are
+        on it; any exit of the callee but RET goes on to the driver."""
+        _, index, dest, arg_regs = self.code[pc]
+        callee = self.c.functions[index]
+        frame_size, ret = callee.frame_size, pc + 1
+        values = [self.read(r) for r in arg_regs]
+        values += ["0"] * (callee.n_regs - len(values))
+        self.count(size)
+        self.emit(f"A = [{', '.join(values)}]")
+        self.emit(f"sp = C.sp - {frame_size}")
+        self.emit("d = len(FR)")
+        self.emit(f"if sp < {_lit(self.c.stack_limit)} or d >= {MAX_DIRECT_DEPTH}:")
+        self.depth += 1
+        self.leave((CALL, index, dest, ret), (0, 0, 0), "A")
+        self.depth -= 1
+        self.emit("f = new(Frame)")
+        self.emit(f"f.func, f.regs, f.ret_pc, f.saved_fp, f.dest_reg = Fn{index}, A, {ret}, fp, {dest}")
+        self.emit("push(f)")
+        self.emit("if d >= M[0]:")
+        self.emit("    M[0] = d + 1")
+        self.emit("C.sp = C.fp = sp")
+        if self.traced:
+            self.emit(f"wr(~(sp << SH | EK{index}))")
+        call = f"x, n2, c2, s2, v = T[{index}](A, sp, sp >> 2, {callee.entry_pc}, left - n)"
+        if self.dirty:
+            # An error in the callee leaves R as the reference loop does.
+            self.emit("try:")
+            self.emit(f"    {call}")
+            self.emit("except BaseException:")
+            self.depth += 1
+            self.writeback()
+            self.emit("raise")
+            self.depth -= 1
+        else:
+            self.emit(call)
+        self.emit("n += n2")
+        self.emit("c += c2")
+        self.emit("s += s2")
+        self.emit(f"if x is not {self.exit(RET_EXIT)}:")
+        self.depth += 1
+        self.writeback()
+        self.emit("return x, n, c, s, v")
+        self.depth -= 1
+        self.emit("pop()")
+        if self.traced:
+            self.emit(f"wr(~(sp << SH | XK{index}))")
+        self.emit(f"C.sp = sp + {frame_size}")
+        self.emit("C.fp = fp")
+        if dest is not None:
+            self.assign(dest, "v")
+            self.dirty.add(dest)
+        self.emit("if n > lim:")
+        self.depth += 1
+        self.leave_checkpoint(str(ret))
+        self.depth -= 1
+        self.materialize()
+        self.goto(ret, start, loop)
 
     def count(self, size: Tuple[int, int, int]) -> None:
         n, c, s = size
@@ -607,9 +702,18 @@ class _FunctionWriter:
             self.emit(f"K{i} = K[{i}]")
         for i in range(len(self.exits)):
             self.emit(f"E{i} = E[{i}]")
+        if self.callees:
+            self.emit("C, FR, Frame, M, FN, TR = L")
+            self.emit("push, pop, new = FR.append, FR.pop, object.__new__")
+            if self.traced:
+                self.emit("SH = TR.frame_shift")
+            for index in self.callees:
+                self.emit(f"Fn{index} = FN[{index}]")
+                if self.traced:
+                    self.emit(f"EK{index}, XK{index} = TR.enter_keys[{index}], TR.exit_keys[{index}]")
         self.emit("def run(R, fp, fw, pc, left):")
         return "\n".join(
-            ["def make(w, wr, cdiv, cmod, K, E, P, MW, S):"] + self.lines + body
+            ["def make(w, wr, cdiv, cmod, K, E, P, MW, S, T, L):"] + self.lines + body
             + ["    return run"]
         ) + "\n"
 
@@ -622,6 +726,7 @@ class _Compiler:
         self.functions = image.functions
         self.watched = watched
         self.memory_size = layout.memory_size
+        self.stack_limit = layout.stack_limit
         #: Nonzero for any address that is misaligned or outside memory
         #: (``memory_size`` is a power of two; see MemoryLayout).
         self.bad_address_mask = -layout.memory_size | 3
@@ -639,6 +744,14 @@ class _Compiler:
     def frame_ok(self, func, byte: int) -> bool:
         """Is ``fp + byte`` always aligned and inside ``func``'s frame?"""
         return self._frames_aligned and not byte & 3 and 0 <= byte and byte + 4 <= func.frame_size
+
+    def _direct(self, index: int) -> bool:
+        """May a CALL of function ``index`` be a direct call?  Only in the
+        unwatched variant, where no CALL runs a hook, and only with a
+        plain int frame size and entry pc to write into source."""
+        callee = self.functions[index]
+        return (not self.watched and _is_int(callee.frame_size)
+                and callee.frame_size >= 0 and _is_int(callee.entry_pc))
 
     def _split(self) -> None:
         code, functions = self.code, self.functions
@@ -670,6 +783,7 @@ class _Compiler:
                         break
                     if code[pc][0] in _TERMINATORS:
                         block.term_pc = pc
+                        block.direct = code[pc][0] == CALL and self._direct(code[pc][1])
                         break
                     block.body.append(pc)
                     pc += 1
@@ -713,6 +827,25 @@ def _factory(source: str) -> Callable:
     return namespace["make"]
 
 
+class CallLink(NamedTuple):
+    """What the unwatched variant's direct calls change besides memory
+    and the store hook: they keep these as the driver's CALL and RET do."""
+
+    #: The CPU, whose ``sp`` and ``fp`` they set.
+    cpu: object
+    #: Its frame list, on which they push and pop frames.
+    frames: list
+    #: The frame class; a frame is made with ``object.__new__``.
+    frame_class: type
+    #: A one-item list, the largest ``len(frames)`` they reached.
+    depth_mark: list
+    #: The image's functions, each new frame's ``func``.
+    functions: Sequence
+    #: The tracer whose ``frame_shift``, ``enter_keys`` and ``exit_keys``
+    #: encode the frame records they append, or ``None``.
+    tracer: object
+
+
 class CompiledImage:
     """One variant of the function table of one image under one layout."""
 
@@ -746,15 +879,17 @@ class CompiledImage:
 
     def table(self, words: list, store_hook: Optional[Callable],
               cdiv: Callable, cmod: Callable, protected: set,
-              watched_words: set, page_shift: int) -> List[Optional[Callable]]:
+              watched_words: set, page_shift: int,
+              link: Optional[CallLink] = None) -> List[Optional[Callable]]:
         """Function index -> its compiled ``run`` (``None`` for a
         function without code), bound to ``words``, the one-argument
-        ``store_hook`` when not ``None``, and (watched variant) the live
-        protected-page and watched-word sets."""
+        ``store_hook`` when not ``None``, (watched variant) the live
+        protected-page and watched-word sets and (unwatched variant)
+        ``link``."""
         table: List[Optional[Callable]] = [None] * self.n_functions
         for index, make, constants, exits in self._factories_of(store_hook is not None):
             table[index] = make(words, store_hook, cdiv, cmod, constants, exits,
-                                protected, watched_words, page_shift)
+                                protected, watched_words, page_shift, table, link)
         return table
 
 

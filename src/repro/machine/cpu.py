@@ -44,7 +44,18 @@ activates one mid-segment.  In the watched table every store checks its
 page against the protected set and its word against the monitor
 registers' word set before writing, and ends its block.
 
-The driver runs enter and exit hooks at ``CALL`` and ``RET`` in the
+In the unwatched table a ``CALL`` is a **direct call**: the caller's
+compiled function pushes the frame, keeps ``sp``, ``fp``, the deepest
+stack and the tracer's frame records as the driver would, calls the
+callee's compiled function itself and, at its ``RET``, pops the frame
+and goes on at the return point.  A ``CALL`` whose frame would
+overflow the stack, or made with ``blocks.MAX_DIRECT_DEPTH`` frames on
+it, reaches the driver instead, and so does every other exit of the
+callee: each caller on the way adds its counts and writes back its
+registers, its frame stays on the stack, and the driver goes on with
+the innermost frame.  A later ``RET`` to one of those callers takes
+the driver's ``RET`` path.  In the watched table every ``CALL`` and
+``RET`` reaches the driver, which runs enter and exit hooks in the
 reference loop's order.  A store the watched check stops, a ``CHK`` and
 a ``TRAP`` each become a **one-instruction step**: the compiled function
 returns with the counters up to and including that instruction, the
@@ -676,15 +687,18 @@ class Cpu:
             trap_counts=dict(self.trap_counts),
         )
 
-    def _function_table(self, watched: bool):
+    def _function_table(self, watched: bool, depth_mark: Optional[list] = None):
         """The compiled image variant and its function table, bound to
-        this machine's memory, tracer log and watch sets."""
+        this machine's memory, tracer log and watch sets; the unwatched
+        table's direct calls record the deepest stack in ``depth_mark``."""
         compiled = blocks.compiled_image(self._loaded, self.layout, watched)
         tracer = self.tracer
+        link = None if watched else blocks.CallLink(
+            self, self.frames, _Frame, depth_mark, self._loaded.functions, tracer)
         table = compiled.table(
             self.memory.words, tracer.log.append if tracer is not None else None,
             _c_div, _c_mod, self.page_table.write_protected,
-            self.monitor_registers.words, self.page_table.page_shift,
+            self.monitor_registers.words, self.page_table.page_shift, link,
         )
         return compiled.starts, table
 
@@ -703,7 +717,9 @@ class Cpu:
                 or not func.entry_pc <= start_pc < func.end_pc:
             return self._loop(start_pc, max_instructions)
         watched = not self._hooks_clear()
-        starts, table = self._function_table(watched)
+        max_depth = len(frames)
+        depth_mark = [max_depth]
+        starts, table = self._function_table(watched, depth_mark)
         if starts[start_pc] != func.index:
             return self._loop(start_pc, max_instructions)
 
@@ -713,7 +729,6 @@ class Cpu:
         regs = frame.regs
         fw = fp >> 2
         run = table[func.index]
-        max_depth = len(frames)
         pc = start_pc
         cycles = self.cycles
         n_instr = self.instructions
@@ -745,6 +760,14 @@ class Cpu:
             cycles += cyc
             n_stores += nst
             kind = leave[0]
+            if not watched and kind != RET and frames[-1] is not frame:
+                # The function's direct calls left their callees on the
+                # stack: go on with the innermost one.
+                frame = frames[-1]
+                regs = frame.regs
+                fp = self.fp
+                fw = fp >> 2
+                run = table[frame.func.index]
             if kind == CALL:
                 _, callee, dest_reg, ret_pc, index, frame_size, pc = leave
                 self.sp -= frame_size
@@ -792,12 +815,12 @@ class Cpu:
                 fp = done_frame.saved_fp
                 self.fp = fp
                 fw = fp >> 2
-                caller = frames[-1]
-                regs = caller.regs
+                frame = frames[-1]
+                regs = frame.regs
                 if done_frame.dest_reg is not None:
                     regs[done_frame.dest_reg] = result
                 pc = done_frame.ret_pc
-                index = caller.func.index
+                index = frame.func.index
                 if pc < 0 or starts[pc] != index:
                     handover_pc = pc
                     break
@@ -842,6 +865,7 @@ class Cpu:
                 break
 
         self._sync(cycles, n_instr, n_stores)
+        max_depth = max(max_depth, depth_mark[0])
         if handover_pc is None:
             state = CpuState(
                 exit_value=exit_value,

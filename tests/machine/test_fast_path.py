@@ -2,17 +2,19 @@
 
 Every test runs the same program twice, calling ``Cpu._loop`` and
 ``Cpu._fast_loop`` directly on fresh machines, and demands the same
-outcome: exit value, :class:`CpuState`, counters, memory, the frames'
-register lists, trace and, for faults, the same exception type and
-message with the same ``instructions``/``cycles``/``stores``.  (Python's
-own errors, such as a negative shift count, may leave the faulting
-block's register writes out of the register list.)
+outcome: exit value, :class:`CpuState`, counters, memory, ``sp`` and
+``fp``, the frames' linkage and register lists, trace and, for faults,
+the same exception type and message with the same
+``instructions``/``cycles``/``stores``.  (Python's own errors, such as a
+negative shift count, may leave the faulting block's register writes
+out of its frame's register list; its callers' lists still match.)
 """
 
 from __future__ import annotations
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -102,13 +104,22 @@ def _both(image, **kwargs):
     assert ref.state == fast.state
     assert ref.cpu.memory.words == fast.cpu.memory.words
     assert ref.runtime.output == fast.runtime.output
-    if ref.error is None or isinstance(ref.error, ReproError):
-        assert _registers(ref.cpu) == _registers(fast.cpu)
+    assert (ref.cpu.sp, ref.cpu.fp) == (fast.cpu.sp, fast.cpu.fp)
+    assert _linkage(ref.cpu) == _linkage(fast.cpu)
+    registers = (_registers(ref.cpu), _registers(fast.cpu))
+    if ref.error is not None and not isinstance(ref.error, ReproError):
+        registers = tuple(frames[:-1] for frames in registers)
+    assert registers[0] == registers[1]
     return ref, fast
 
 
 def _registers(cpu):
     return [(frame.func.name, list(frame.regs)) for frame in cpu.frames]
+
+
+def _linkage(cpu):
+    return [(frame.func.name, frame.ret_pc, frame.saved_fp, frame.dest_reg)
+            for frame in cpu.frames]
 
 
 def _minic(source, layout=DEFAULT_LAYOUT):
@@ -129,8 +140,9 @@ def _source(image, traced, watched):
 @pytest.mark.parametrize("name", ["bps", "ctex", "gcc", "qcd", "spice"])
 def test_workloads_identical_at_smoke_scale(name):
     tool = _load_tool()
-    reference, fast = (tool.traced_run(name, "smoke", loop) for loop in LOOPS)
-    assert tool.mismatches(reference, fast) == []
+    for run in (tool.traced_run, tool.bare_run):
+        reference, fast = (run(name, "smoke", loop) for loop in LOOPS)
+        assert tool.mismatches(reference, fast) == []
 
 
 @pytest.mark.parametrize("small_slices", [False, True])
@@ -241,13 +253,23 @@ class _DrainSizes(Tracer):
         super().drain()
 
 
-@pytest.mark.parametrize("body", [
+#: ``t0``..``t14``: each of ``t1``..``t14`` stores and calls the one
+#: below it twice, with no backward jump anywhere (32,767 calls).
+_CALL_TREE = "int t0(int x) { g[x & 3] = x; return x + 1; }\n" + "".join(
+    f"int t{k}(int x) {{ g[x & 3] = x; return t{k - 1}(x) + t{k - 1}(x + 1); }}\n"
+    for k in range(1, 15))
+
+
+@pytest.mark.parametrize("functions,body", [
     # Call-free, about one store per twelve instructions.
-    "for (i = 0; i < 40000; i++) { s = s ^ i; if ((i & 7) == 0) { g[i & 3] = s; } }",
+    ("", "for (i = 0; i < 40000; i++) { s = s ^ i; if ((i & 7) == 0) { g[i & 3] = s; } }"),
     # A call and a return (inline frame records) every iteration.
-    "for (i = 0; i < 6000; i++) { s = s + f(i); }",
-], ids=["call-free", "calls"])
-def test_fast_tracer_log_stays_bounded(body):
+    ("", "for (i = 0; i < 6000; i++) { s = s + f(i); }"),
+    # Direct calls 15 deep: the callees' entries and the return points
+    # are the only places that check the budget.
+    (_CALL_TREE, "s = t14(1);"),
+], ids=["call-free", "calls", "call-tree"])
+def test_fast_tracer_log_stays_bounded(functions, body):
     """The fast path offers a drain every _DRAIN_STRIDE instructions; the
     tracer drains only a full log, so a run drains at most once per
     LOG_SLICE records (plus the final drain), and no drain sees more than
@@ -255,8 +277,9 @@ def test_fast_tracer_log_stays_bounded(body):
     source = """
     int g[4];
     int f(int x) { return x + 1; }
+    %s
     int main() { int i; int s; s = 0; %s return s; }
-    """ % body
+    """ % (functions, body)
     run = _run(_minic(source), "_fast_loop", max_instructions=10_000_000,
                tracer_cls=_DrainSizes)
     assert run.error is None
@@ -311,6 +334,18 @@ def test_division_by_zero(source):
     assert type(ref.error) is MiniCRuntimeError
 
 
+def _chain(locals_="", fault=""):
+    """main -> a1 -> b2 -> c3, each storing and keeping registers live
+    across its call; c3 declares ``locals_`` and runs ``fault``."""
+    return """
+    int g[8];
+    int c3(int x) { int z; int *p; %s g[3] = x; z = x - x; p = &g[0]; %s return x + 1; }
+    int b2(int x) { int t; t = x * 3; g[2] = t; return c3(t + 1) + t; }
+    int a1(int x) { int t; t = x + 5; g[1] = t; return b2(t) - 1; }
+    int main() { int k; k = 2; return a1(k) + k; }
+    """ % (locals_, fault)
+
+
 _BUDGET_PROGRAMS = {
     "one-block-loop": """
     int g;
@@ -333,6 +368,7 @@ _BUDGET_PROGRAMS = {
     int fib(int n) { int r; depth = depth + 1; if (n < 2) { r = n; } else { r = fib(n - 1) + fib(n - 2); } return r; }
     int main() { return fib(6); }
     """,
+    "call-chain": _chain(),
 }
 
 
@@ -479,6 +515,47 @@ def test_factory_bound_holds_per_function_factories():
     assert info.misses == len(image.functions)
 
 
+@pytest.mark.parametrize("fault,error", [
+    ("x = x / z;", MiniCRuntimeError),
+    ("p = p - 100000000; x = p[0];", MemoryFault),
+    ("p = malloc(100000000);", MiniCRuntimeError),
+    ("x = x << (z - 1);", ValueError),
+], ids=["zero-divisor", "memory-fault", "builtin", "python-error"])
+def test_errors_three_calls_deep(fault, error):
+    """An error in a function three direct calls deep leaves every
+    frame, ``sp``, ``fp``, the callers' registers and the counters as
+    the reference loop leaves them."""
+    ref, fast = _both(_minic(_chain(fault=fault)))
+    assert type(ref.error) is error
+    assert [frame.func.name for frame in fast.cpu.frames] == ["main", "a1", "b2", "c3"]
+
+
+def test_stack_overflow_three_calls_deep():
+    """A direct call whose frame does not fit leaves to the driver, which
+    raises StackOverflow as the reference loop does."""
+    ref, fast = _both(_minic(_chain(locals_="int pad[1200];"), _SMALL_LAYOUT))
+    assert type(ref.error) is StackOverflow
+    assert [frame.func.name for frame in fast.cpu.frames] == ["main", "a1", "b2"]
+
+
+def test_recursion_deeper_than_the_direct_call_cap():
+    """Past MAX_DIRECT_DEPTH frames a CALL goes through the driver: a
+    recursion more than three times that deep, and deeper than Python's
+    recursion limit, runs and traces exactly."""
+    depth = 3 * blocks.MAX_DIRECT_DEPTH + sys.getrecursionlimit()
+    image = _minic("""
+    int g[8];
+    int down(int n) { int t; if (n == 0) { return g[3]; } g[n & 7] = n; t = down(n - 1); return t + n; }
+    int main() { return down(%d); }
+    """ % depth)
+    ref, fast = _both(image, tracer_cls=Tracer)
+    assert ref.state.max_call_depth == depth + 2
+    assert ref.state.exit_value == 3 + depth * (depth + 1) // 2
+    traces = [run.tracer.finish(run.state).as_arrays() for run in (ref, fast)]
+    for want, got in zip(*traces):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_stack_overflow():
     ref, _fast = _both(_minic("""
     int forever(int n) { int pad[64]; pad[0] = n; return forever(n + 1); }
@@ -602,9 +679,9 @@ def tiers(monkeypatch):
         monkeypatch.setattr(Cpu, name, spy)
     function_table = Cpu._function_table
 
-    def table_spy(self, watched):
+    def table_spy(self, watched, *args):
         calls.append("watched" if watched else "unwatched")
-        return function_table(self, watched)
+        return function_table(self, watched, *args)
 
     monkeypatch.setattr(Cpu, "_function_table", table_spy)
     return calls

@@ -20,7 +20,11 @@ Two oracles over randomly generated programs:
    both loops.
 
 The generator covers assignments, compound assignment, ++/--, ternaries,
-nested ifs, and bounded for-loops, over int variables and an int array.
+nested ifs, and bounded for-loops, over int variables and an int array,
+and calls: one to three helper functions with zero to three int
+parameters, called in expressions, as statements and inside loops, and
+a bounded recursion.  The helpers write a global and return values
+masked to ten bits, so results stay small.
 """
 
 from __future__ import annotations
@@ -39,17 +43,34 @@ from repro.trace.tracer import Tracer
 VARS = ("a", "b", "c", "d")
 ARRAY = "arr"
 ARRAY_LEN = 5
+#: The global every helper adds to.
+TOTAL = "hg"
+PARAMS = ("p0", "p1", "p2")
 
 
 class _Gen:
-    """Builds a MiniC body and a semantically identical Python body."""
+    """Builds a MiniC body and a semantically identical Python body.
 
-    def __init__(self, draw) -> None:
+    ``scope`` names the int locals an expression may read and a statement
+    may assign, ``callees`` the ``(name, arity)`` of the functions it may
+    call.  A body makes at most ``call_sites`` calls in its text, inside
+    loops only with ``calls_in_loops``, and nests at most ``max_depth``
+    loops or ifs.
+    """
+
+    def __init__(self, draw, scope=VARS, callees=(), call_sites=0,
+                 calls_in_loops=True, max_depth=2) -> None:
         self.draw = draw
+        self.scope = scope
+        self.callees = callees
+        self.call_sites = call_sites
+        self.calls_in_loops = calls_in_loops
+        self.max_depth = max_depth
         self.c_lines = []
         self.py_lines = []
         self.depth = 0
         self.loop_id = 0
+        self.in_loop = 0
 
     # -- emission ----------------------------------------------------------
 
@@ -61,14 +82,31 @@ class _Gen:
 
     # -- expressions ----------------------------------------------------------
 
+    def can_call(self) -> bool:
+        return bool(self.callees) and self.call_sites > 0 and (
+            self.calls_in_loops or not self.in_loop)
+
+    def call(self, depth: int):
+        """A call of one of ``callees``: (c_text, py_text)."""
+        self.call_sites -= 1
+        name, arity = self.draw(st.sampled_from(self.callees))
+        args = [self.expr(depth + 1) for _ in range(arity)]
+        if name == "rec":  # bound the recursion depth
+            args[0] = tuple(f"({text}) & 7" for text in args[0])
+        return tuple(f"{name}({', '.join(arg[i] for arg in args)})" for i in (0, 1))
+
     def expr(self, depth: int = 0):
         """Returns (c_text, py_text); both evaluate to the same int."""
-        choice = self.draw(st.integers(0, 7 if depth < 2 else 2))
+        choice = self.draw(st.integers(0, 8 if depth < 2 else 2))
+        if choice == 8:
+            if self.can_call():
+                return self.call(depth)
+            choice = 1
         if choice == 0:
             value = self.draw(st.integers(-30, 30))
             return (str(value) if value >= 0 else f"({value})",) * 2
         if choice == 1:
-            name = self.draw(st.sampled_from(VARS))
+            name = self.draw(st.sampled_from(self.scope))
             return name, name
         if choice == 2:
             index = self.draw(st.integers(0, ARRAY_LEN - 1))
@@ -101,18 +139,24 @@ class _Gen:
     # -- statements ----------------------------------------------------------
 
     def statement(self) -> None:
-        choice = self.draw(st.integers(0, 6 if self.depth < 2 else 3))
+        choice = self.draw(st.integers(0, 7 if self.depth < self.max_depth else 3))
+        if choice == 7:
+            if self.can_call():
+                c_call, py_call = self.call(0)
+                self.emit(f"{c_call};", py_call)
+                return
+            choice = 0
         if choice in (0, 1):
-            target = self.draw(st.sampled_from(VARS))
+            target = self.draw(st.sampled_from(self.scope))
             c_expr, py_expr = self.expr()
             self.emit(f"{target} = {c_expr};", f"{target} = {py_expr}")
         elif choice == 2:
-            target = self.draw(st.sampled_from(VARS))
+            target = self.draw(st.sampled_from(self.scope))
             op = self.draw(st.sampled_from(["+", "-", "*"]))
             c_expr, py_expr = self.expr()
             self.emit(f"{target} {op}= {c_expr};", f"{target} = {target} {op} ({py_expr})")
         elif choice == 3:
-            target = self.draw(st.sampled_from(VARS))
+            target = self.draw(st.sampled_from(self.scope))
             op = self.draw(st.sampled_from(["++", "--"]))
             sign = "+" if op == "++" else "-"
             prefix = self.draw(st.booleans())
@@ -138,7 +182,9 @@ class _Gen:
                 f"for {loop_var} in range({count}):",
             )
             self.depth += 1
+            self.in_loop += 1
             self.block(max_statements=3)
+            self.in_loop -= 1
             self.depth -= 1
             self.emit("}", "pass")
 
@@ -147,8 +193,67 @@ class _Gen:
             self.statement()
 
 
+def _helper(draw, name: str, arity: int, callees) -> tuple:
+    """Helper ``name``: locals, a few statements (one loop level, no
+    call inside it, at most two calls), an addition to the global total
+    and a ten-bit result; (c_source, py_source)."""
+    params = PARAMS[:arity]
+    gen = _Gen(draw, scope=params + ("t",), callees=callees, call_sites=2,
+               calls_in_loops=False, max_depth=1)
+    start = draw(st.integers(-10, 10))
+    gen.block(max_statements=3)
+    ret_c, ret_py = gen.expr()
+    loop_decls = "".join(f"  int i{index};\n" for index in range(gen.loop_id))
+    body_c = "\n".join(gen.c_lines)
+    body_py = "\n".join("    " + line for line in gen.py_lines)
+    c_source = f"""
+int {name}({', '.join(f'int {p}' for p in params)}) {{
+  int t;
+{loop_decls}  t = {start};
+{body_c}
+  {TOTAL} = ({TOTAL} + t) & 65535;
+  return ({ret_c}) & 1023;
+}}
+"""
+    py_source = f"""
+    def {name}({', '.join(params)}):
+        nonlocal {TOTAL}
+        t = {start}
+{body_py}
+        {TOTAL} = ({TOTAL} + t) & 65535
+        return ({ret_py}) & 1023
+"""
+    return c_source, py_source
+
+
+def _recursion(draw) -> tuple:
+    """``rec(n, x)``: recurses ``n`` deep (callers pass ``n & 7``)."""
+    gen = _Gen(draw, scope=("n", "x"))
+    (step_c, step_py), (add_c, add_py) = gen.expr(), gen.expr()
+    c_source = f"""
+int rec(int n, int x) {{
+  if (n <= 0) {{ return x & 1023; }}
+  return (rec(n - 1, ({step_c}) & 1023) + {add_c}) & 1023;
+}}
+"""
+    py_source = f"""
+    def rec(n, x):
+        if n <= 0:
+            return x & 1023
+        return (rec(n - 1, ({step_py}) & 1023) + {add_py}) & 1023
+"""
+    return c_source, py_source
+
+
 def _generate(draw):
-    gen = _Gen(draw)
+    functions = [_recursion(draw)]
+    callees = [("rec", 2)]
+    for index in range(draw(st.integers(1, 3))):
+        name, arity = f"h{index}", draw(st.integers(0, 3))
+        functions.append(_helper(draw, name, arity, tuple(callees)))
+        callees.append((name, arity))
+
+    gen = _Gen(draw, callees=tuple(callees), call_sites=6)
     init = [draw(st.integers(-10, 10)) for _ in VARS]
     gen.block(max_statements=8)
     n_loops = gen.loop_id
@@ -161,12 +266,14 @@ def _generate(draw):
     array_sum = " + ".join(f"{ARRAY}[{i}] * {i + 3}" for i in range(ARRAY_LEN))
     c_source = f"""
 int {ARRAY}[{ARRAY_LEN}];
+int {TOTAL};
+{"".join(c for c, _ in functions)}
 int main() {{
 {decls}
 {loop_decls}
 {inits}
 {body}
-  return ({result} + {array_sum}) & 1048575;
+  return ({result} + {array_sum} + {TOTAL} * 3) & 1048575;
 }}
 """
     py_body = "\n".join(gen.py_lines) or "    pass"
@@ -176,9 +283,11 @@ int main() {{
     py_source = f"""
 def run(_c_div, _c_mod):
     {ARRAY} = [0] * {ARRAY_LEN}
+    {TOTAL} = 0
+{"".join(py for _, py in functions)}
 {py_inits}
 {py_body}
-    return ({result} + {array_sum}) & 1048575
+    return ({result} + {array_sum} + {TOTAL} * 3) & 1048575
 """
     return c_source, py_source
 

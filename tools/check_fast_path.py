@@ -4,7 +4,7 @@
 Every run replaces ``Cpu._execute`` so that each CPU segment calls one
 of the CPU's two loop methods directly: once the reference loop
 (``Cpu._loop``) and once the function-compiled fast path
-(``Cpu._fast_loop``).  Two kinds of run are compared:
+(``Cpu._fast_loop``).  Three kinds of run are compared:
 
 * **phase 1** of each workload (``run_workload``, unwatched functions):
   the runs must agree byte for byte on the trace columns, and exactly
@@ -13,6 +13,9 @@ of the CPU's two loop methods directly: once the reference loop
   and the program output.  Each run's trace is also saved with
   ``save_trace`` and read back with ``load_trace``; the fast path's
   round-tripped trace must equal the reference loop's in-memory one;
+* a **bare run** of each workload (``Cpu.run`` with no tracer, the
+  unwatched functions without frame or store records): the runs must
+  agree on the ``CpuState``, memory and output;
 * **debugger sessions** on gcc (watched functions), one per approach of
   the ``live`` benchmark workload (NH, VM-4K, VM-8K, TP and CP), each
   watching the same global, local and heap object: the runs must agree
@@ -108,6 +111,33 @@ def traced_run(name: str, scale: str, loop: str) -> dict:
         "saved": saved,
         "state": vars(run.state),
         "output": run.output,
+        "seconds": seconds[0],
+    }
+
+
+def bare_run(name: str, scale: str, loop: str) -> dict:
+    """Workload ``name`` at ``scale`` run with no tracer, every CPU
+    segment on the loop method ``loop``; the comparable parts."""
+    from repro.machine import Cpu, Memory, load_program
+    from repro.minic.runtime import Runtime
+    from repro.workloads import get_workload
+
+    workload = get_workload(name)
+    size = workload.smoke_scale if scale == "smoke" else workload.default_scale
+    program = _program(name, scale)
+    memory = Memory(program.layout)
+    cpu = Cpu(memory, layout=program.layout)
+    runtime = Runtime(cpu, program.layout)
+    runtime.install()
+    cpu.attach(load_program(program, program.layout))
+    workload.setup(memory, cpu.loaded_program, size)
+    with on_loop(loop) as seconds:
+        state = cpu.run("main", ())
+    workload.check(state, runtime, size)
+    return {
+        "state": vars(state),
+        "memory": hashlib.sha256(pickle.dumps(memory.words, 5)).hexdigest(),
+        "output": list(runtime.output),
         "seconds": seconds[0],
     }
 
@@ -243,10 +273,11 @@ def main(argv=None) -> int:
     parser.add_argument("--programs", nargs="+", choices=PROGRAMS, default=PROGRAMS)
     args = parser.parse_args(argv)
     for name in args.programs:
-        reference, fast = (traced_run(name, args.scale, loop) for loop in LOOPS)
-        work = f"{reference['state']['instructions']} instructions"
-        if not _report(name, work, reference, fast):
-            return 1
+        for label, run in ((name, traced_run), (f"{name} bare", bare_run)):
+            reference, fast = (run(name, args.scale, loop) for loop in LOOPS)
+            work = f"{reference['state']['instructions']} instructions"
+            if not _report(label, work, reference, fast):
+                return 1
     if "gcc" in args.programs:
         for label, strategy, page_size in APPROACHES:
             reference, fast = (

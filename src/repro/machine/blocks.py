@@ -12,9 +12,10 @@ is split into basic blocks and becomes one Python function
   next checkpoint;
 * the registers are unpacked into Python locals on entry and stay there
   across the function's own jumps and direct calls; every exit to the
-  driver but ``RET`` writes back to ``R`` each register a block that can
-  reach the exit assigns, so ``R`` matches the reference loop's
-  register list whenever the driver or a handler sees it.  Inside a
+  driver but ``RET`` (and, in the watched variant, every inline step
+  and direct call) writes back to ``R`` each register a block that can
+  reach it assigns, so ``R`` matches the reference loop's register
+  list whenever the driver or a handler sees it.  Inside a
   block, ``LDI``/``LEAF`` results are tracked as constants, so a load
   or store through them addresses ``w[const]`` or ``w[fw + const]``
   with no run-time check when the address is provably aligned and in
@@ -37,20 +38,21 @@ is split into basic blocks and becomes one Python function
   a checkpoint (the pc to resume at), a **step** and a **hand-over**.
   ``exit`` is a descriptor tuple whose first item is the kind (see
   :data:`CALL` and the names beside it); the counts are exact for the
-  exit's instruction boundary.  ``CHK`` and ``TRAP`` are steps: the
-  driver executes that one instruction with the reference semantics
-  and re-enters at the next one;
-* in the unwatched variant a ``CALL`` is a **direct call** (see
+  exit's instruction boundary.  In the unwatched variant ``CHK`` and
+  ``TRAP`` are steps: the driver executes that one instruction with the
+  reference semantics and re-enters at the next one;
+* a ``CALL`` is a **direct call** (see
   :meth:`_FunctionWriter.direct_call`): the function pushes the
   callee's frame and calls the callee's ``run`` with the budget it has
   left.  At the callee's ``RET`` it pops the frame, assigns the result
   and checks the budget as at a backward jump, so the call block
   falls through to its return block like a forward jump.  A ``CALL``
   leaves to the driver as above only when the frame would overflow the
-  stack or :data:`MAX_DIRECT_DEPTH` frames are on it.  Any other exit
-  of the callee is returned on to the driver, with this function's
-  counts added and its registers written back (also when the callee
-  raises); the callee's frame stays on the stack;
+  stack, :data:`MAX_DIRECT_DEPTH` frames are on it or (watched variant)
+  the callee has enter hooks.  Any other exit of the callee is returned
+  on to the driver, with this function's counts added and its registers
+  written back (also when the callee raises); the callee's frame stays
+  on the stack;
 * where the reference loop would do something special (an alignment or
   range fault, a float zero divisor), the function writes its registers
   back and hands over at that instruction, so the driver can give the
@@ -69,17 +71,29 @@ is split into basic blocks and becomes one Python function
 Each image has two variants of its function table:
 
 * the **unwatched** variant stores with no check beyond alignment and
-  range, and calls directly.  It runs when no hook, protected page or
-  monitor register is active, which is every phase-1 and bare run;
+  range.  It runs when no hook, protected page or monitor register is
+  active, which is every phase-1 and bare run;
 * the **watched** variant guards every ``ST`` before the write with
   ``a >> S in P or a >> 2 in MW``: ``P`` is the live
   :attr:`PageTable.write_protected <repro.machine.paging.PageTable>`
   set, ``S`` its page shift and ``MW`` the live
   :attr:`MonitorRegisterFile.words
-  <repro.machine.monitor_registers.MonitorRegisterFile>` set.  A hit
-  (or a bad address) leaves the function as a step of that store.
-  Every ``ST`` ends its block in this variant, so the instruction after
-  a step always starts a block.
+  <repro.machine.monitor_registers.MonitorRegisterFile>` set.  A bad
+  address leaves the function as a step of that store, whose driver
+  raises the fault.  A hit is an **inline step**, and so is every
+  ``CHK`` and ``TRAP`` but a function's last instruction: the function
+  writes its registers back, sets the CPU's ``instructions``,
+  ``cycles`` and ``stores`` to the values the reference loop syncs
+  there (the base ``I0, C0, S0`` it read from ``Cpu._base`` on entry
+  plus its own counts), calls ``Cpu._store``, ``Cpu._check`` or
+  ``Cpu._trap``, takes in the cycles and stores the handler added and
+  goes on at the next instruction.  Before a direct call it sets the
+  callee's base the same way.  A ``RET`` of a function that has exit
+  hooks leaves with its own descriptor ``(RET, index)``, which a direct
+  caller returns on to the driver, so the driver pops the frame and
+  runs the hooks.  A store does not end its block: a segment that
+  resumes after a handler raised at one enters mid-block, and
+  :meth:`CompiledImage.add_start` first makes that pc a block start.
 
 Immediates that are not plain ints (floats such as ``inf``, ``-0.0`` or
 ``nan``, and anything else) reach the generated code through a constants
@@ -90,8 +104,9 @@ Each function compiles to its own factory, so compile memory stays that
 of the largest function.  Factories are memoized by their generated
 source: images loaded from the same program share one compile, and
 every image binds its own exit descriptors.  The function table depends
-on the image, the layout, the variant and whether stores report to a
-tracer, and on nothing else; :func:`compiled_image` caches it per image.
+on the image, the layout, the variant, whether stores report to a
+tracer and the block starts resumes added, and on nothing else;
+:func:`compiled_image` caches it per image.
 :meth:`CompiledImage.table` binds it to one machine.
 """
 
@@ -107,7 +122,8 @@ from repro.machine.layout import MemoryLayout
 #: Exit kinds (first item of an exit descriptor).  ``(CALL, callee,
 #: dest_reg, ret_pc, callee index, frame size, entry pc)``,
 #: ``(CALLB, builtin, dest_reg, ret_pc)``,
-#: ``(RET,)``, ``(HALT,)``, ``(HANDOVER, pc)``, ``(STEP, pc)`` and
+#: ``(RET,)``, ``(RET, function index)`` (a watched function that has
+#: exit hooks), ``(HALT,)``, ``(HANDOVER, pc)``, ``(STEP, pc)`` and
 #: ``(CHECKPOINT, span)``.
 CALL, CALLB, RET, HALT = isa.CALL, isa.CALLB, isa.RET, isa.HALT
 HANDOVER, STEP, CHECKPOINT = -1, -2, -3
@@ -129,7 +145,8 @@ _UNARY = {
     isa.NEG: "-{}", isa.FNEG: "-{}", isa.NOT: "0 if {} else 1",
     isa.BNOT: "~{}", isa.I2F: "float({})", isa.F2I: "int({})",
 }
-#: Instructions the driver executes one at a time (step terminators).
+#: Step terminators: the driver executes them one at a time, or (watched
+#: variant) the function runs them inline.
 _STEPS = frozenset({isa.CHK, isa.TRAP})
 #: Opcodes that end a block; the instruction after one starts a block.
 _TERMINATORS = frozenset({isa.JMP, isa.BF, isa.BT, CALL, CALLB, RET, HALT}) | _STEPS
@@ -151,6 +168,10 @@ def _lit(value: int) -> str:
 
 def _plus(name: str, value: int) -> str:
     return f"{name} + {value}" if value else name
+
+
+def _minus(name: str, value: int) -> str:
+    return f"{name} - {value}" if value else name
 
 
 def _is_reg(value, n_regs: int) -> bool:
@@ -219,7 +240,8 @@ class _Block:
         self.next_pc: Optional[int] = None
         #: Hand over to the reference loop at this pc after the body.
         self.handover: Optional[int] = None
-        #: The block ends in a direct call, which returns to ``term_pc + 1``.
+        #: The block's terminator runs inside the function and goes on at
+        #: ``term_pc + 1``: a direct call, or an inline step.
         self.direct = False
 
     def successors(self, code) -> List[int]:
@@ -275,9 +297,9 @@ def _reaching(blocks: Dict[int, _Block], code,
               assigned: Dict[int, set]) -> Dict[int, set]:
     """Per block start, the union of ``assigned`` over the blocks with a
     path to it (itself included when it is on a cycle).  Only jumps,
-    fall-throughs and direct calls are paths: after a driver CALL, a
-    CALLB or a step the driver re-enters with the registers reloaded
-    from ``R``."""
+    fall-throughs, direct calls and inline steps are paths: after a
+    driver CALL, a CALLB or a driver step the driver re-enters with the
+    registers reloaded from ``R``."""
     preds: Dict[int, List[int]] = {start: [] for start in blocks}
     for start, block in blocks.items():
         for target in block.successors(code):
@@ -343,12 +365,13 @@ class _FunctionWriter:
         assigned = {start: {self.code[pc][1] for pc in block.body
                             if self.code[pc][0] not in (isa.ST, isa.NOP)}
                     for start, block in blocks.items()}
-        for start, block in blocks.items():
-            if block.direct and self.code[block.term_pc][2] is not None:
-                assigned[start].add(self.code[block.term_pc][2])
+        calls = {start: self.code[block.term_pc] for start, block in blocks.items()
+                 if block.direct and self.code[block.term_pc][0] == CALL}
+        for start, instr in calls.items():
+            if instr[2] is not None:
+                assigned[start].add(instr[2])
         #: Callee indexes of the direct calls.
-        self.callees = sorted({self.code[block.term_pc][1]
-                               for block in blocks.values() if block.direct})
+        self.callees = sorted({instr[1] for instr in calls.values()})
         #: Every register the function assigns.
         self.assigned = set().union(*assigned.values())
         #: Per block, the registers the blocks that can reach it within
@@ -474,15 +497,10 @@ class _FunctionWriter:
         elif op == isa.ST:
             word, byte, check = self.address(instr[1], instr[2])
             if self.c.watched:
-                # A hit or a bad address: the driver steps this store.
-                n, c, s = self.done
-                check += [f"{byte} >> S in P", f"{word} in MW"]
-                self.guard(check, (STEP, pc), (n + 1, c + isa.CYCLE_COST[op], s))
+                self.watched_store(pc, word, byte, check, read(instr[3]))
             else:
                 self.guard(check, (HANDOVER, pc), self.done)
-            self.emit(f"w[{word}] = {read(instr[3])}")
-            if self.traced:
-                self.emit(f"wr({byte})")
+                self.write(word, byte, read(instr[3]))
         elif op in _BINARY:
             self.assign(instr[1], f"{read(instr[2])} {_BINARY[op]} {read(instr[3])}")
         elif op in _COMPARE:
@@ -510,6 +528,46 @@ class _FunctionWriter:
             self.dirty.add(instr[1])
         n, c, s = self.done
         self.done = (n + 1, c + isa.CYCLE_COST[op], s + (op == isa.ST))
+
+    def write(self, word: str, byte: str, value: str) -> None:
+        self.emit(f"w[{word}] = {value}")
+        if self.traced:
+            self.emit(f"wr({byte})")
+
+    def watched_store(self, pc: int, word: str, byte: str, check: List[str],
+                      value: str) -> None:
+        """The ``ST`` at ``pc`` in the watched variant: a bad address
+        leaves as a step of this store, whose driver raises the fault; a
+        store to a protected page or a watched word runs
+        :meth:`Cpu._store <repro.machine.cpu.Cpu._store>` in place."""
+        n, c, s = self.done
+        counted = (n + 1, c + isa.CYCLE_COST[isa.ST], s)
+        self.emit(f"if {' or '.join(check + [f'{byte} >> S in P', f'{word} in MW'])}:")
+        self.depth += 1
+        self.guard(check, (STEP, pc), counted)
+        self.step(f"store({pc}, {byte}, {value})", counted, stores=1)
+        self.depth -= 1
+        self.emit("else:")
+        self.depth += 1
+        self.write(word, byte, value)
+        self.depth -= 1
+
+    def step(self, call: str, counted: Tuple[int, int, int], stores: int = 0) -> None:
+        """Emit ``call``, a reference-semantics method of the CPU, with
+        the registers written back and the CPU's counters exact: the
+        locals plus ``counted`` (the block's instructions, cycles and
+        stores before this point, the step's instruction included and
+        its store not).  Afterwards the locals take in the cycles and
+        stores the handler added; the block still adds ``stores`` (the
+        step's own store) at its end."""
+        self.writeback()
+        n, c, s = counted
+        self.emit(f"C.instructions = I0 + {_plus('n', n)}")
+        self.emit(f"C.cycles = C0 + {_plus('c', c)}")
+        self.emit(f"C.stores = S0 + {_plus('s', s)}")
+        self.emit(call)
+        self.emit(f"c = C.cycles - {_minus('C0', c)}")
+        self.emit(f"s = C.stores - {_minus('S0', s + stores)}")
 
     # -- control flow ----------------------------------------------------------
 
@@ -567,8 +625,10 @@ class _FunctionWriter:
                 self.depth += 1
                 self.goto(pc + 1, start, loop)
                 self.depth -= 1
-            elif block.direct:
+            elif block.direct and op == CALL:
                 self.direct_call(pc, size, start, loop)
+            elif block.direct:
+                self.inline_step(pc, size, start, loop)
             elif op in (CALL, CALLB):
                 values = [self.read(r) for r in instr[3]]
                 if op == CALL:
@@ -577,6 +637,13 @@ class _FunctionWriter:
                            f"[{', '.join(values)}]")
             elif op == RET:
                 value = self.read(instr[1]) if instr[1] is not None else "None"
+                if self.c.watched:
+                    # The driver pops the frame and runs the exit hooks.
+                    index = self.func.index
+                    self.emit(f"if {index} in XH and XH[{index}]:")
+                    self.depth += 1
+                    self.leave((RET, index), size, value, writeback=False)
+                    self.depth -= 1
                 self.leave(RET_EXIT, size, value, writeback=False)
             elif op == HALT:
                 self.leave((HALT,), size)
@@ -585,12 +652,32 @@ class _FunctionWriter:
         self.cache = {}
         self.depth -= 1
 
+    def inline_step(self, pc: int, size: Tuple[int, int, int], start: int,
+                    loop: _Loop) -> None:
+        """The CHK or TRAP at ``pc`` (watched variant, not the function's
+        last instruction) run in place through :meth:`Cpu._check
+        <repro.machine.cpu.Cpu._check>` or :meth:`Cpu._trap
+        <repro.machine.cpu.Cpu._trap>`; control goes on at ``pc + 1``."""
+        instr = self.code[pc]
+        address = f"{self.read(instr[1])} + {_lit(instr[2])}"
+        if instr[0] == isa.CHK:
+            call = f"check({pc}, {address})"
+        else:
+            call = f"trap({pc}, {address}, {self.read(instr[3])})"
+        self.count(size)
+        self.step(call, (0, 0, 0))
+        self.materialize()
+        self.goto(pc + 1, start, loop)
+
     def direct_call(self, pc: int, size: Tuple[int, int, int], start: int,
                     loop: _Loop) -> None:
         """The CALL at ``pc`` as a Python call of the callee's ``run``.
         It leaves through the driver's CALL exit instead when the frame
-        would overflow the stack or :data:`MAX_DIRECT_DEPTH` frames are
-        on it; any exit of the callee but RET goes on to the driver."""
+        would overflow the stack, :data:`MAX_DIRECT_DEPTH` frames are on
+        it or (watched variant) the callee has enter hooks; any exit of
+        the callee but RET goes on to the driver.  In the watched variant
+        the function writes its registers back before the call, and the
+        callee's counter base (``C._base``) is its exact counters there."""
         _, index, dest, arg_regs = self.code[pc]
         callee = self.c.functions[index]
         frame_size, ret = callee.frame_size, pc + 1
@@ -600,10 +687,18 @@ class _FunctionWriter:
         self.emit(f"A = [{', '.join(values)}]")
         self.emit(f"sp = C.sp - {frame_size}")
         self.emit("d = len(FR)")
-        self.emit(f"if sp < {_lit(self.c.stack_limit)} or d >= {MAX_DIRECT_DEPTH}:")
+        leave = f"sp < {_lit(self.c.stack_limit)} or d >= {MAX_DIRECT_DEPTH}"
+        if self.c.watched:
+            leave += f" or {index} in EH and EH[{index}]"
+        self.emit(f"if {leave}:")
         self.depth += 1
         self.leave((CALL, index, dest, ret), (0, 0, 0), "A")
         self.depth -= 1
+        if self.c.watched:
+            # Hooks run inside the callee: they see R current.
+            self.writeback()
+            self.dirty = set()
+            self.emit("C._base = I0 + n, C0 + c, S0 + s")
         self.emit("f = new(Frame)")
         self.emit(f"f.func, f.regs, f.ret_pc, f.saved_fp, f.dest_reg = Fn{index}, A, {ret}, fp, {dest}")
         self.emit("push(f)")
@@ -684,6 +779,8 @@ class _FunctionWriter:
         self.emit(f"if left < {self.span}:")
         self.emit(f"    return {self.checkpoint}, 0, 0, 0, pc")
         self.emit(f"lim = left - {self.span}")
+        if self.c.watched:
+            self.emit("I0, C0, S0 = C._base")
         n_regs = self.func.n_regs
         if n_regs:
             self.emit(f"{', '.join(f'r{r}' for r in range(n_regs))}, = R")
@@ -702,8 +799,9 @@ class _FunctionWriter:
             self.emit(f"K{i} = K[{i}]")
         for i in range(len(self.exits)):
             self.emit(f"E{i} = E[{i}]")
-        if self.callees:
+        if self.callees or self.c.watched:
             self.emit("C, FR, Frame, M, FN, TR = L")
+        if self.callees:
             self.emit("push, pop, new = FR.append, FR.pop, object.__new__")
             if self.traced:
                 self.emit("SH = TR.frame_shift")
@@ -711,6 +809,9 @@ class _FunctionWriter:
                 self.emit(f"Fn{index} = FN[{index}]")
                 if self.traced:
                     self.emit(f"EK{index}, XK{index} = TR.enter_keys[{index}], TR.exit_keys[{index}]")
+        if self.c.watched:
+            self.emit("store, check, trap = C._store, C._check, C._trap")
+            self.emit("EH, XH = C.enter_hooks, C.exit_hooks")
         self.emit("def run(R, fp, fw, pc, left):")
         return "\n".join(
             ["def make(w, wr, cdiv, cmod, K, E, P, MW, S, T, L):"] + self.lines + body
@@ -739,69 +840,90 @@ class _Compiler:
         ) and not layout.stack_top & 3 and layout.stack_limit >= 0
         #: function index -> its blocks, by start pc
         self.blocks: Dict[int, Dict[int, _Block]] = {}
-        self._split()
+        #: function index -> block starts added by :meth:`add_start`
+        self._added: Dict[int, set] = {}
+        for func in self.functions:
+            self._split(func)
 
     def frame_ok(self, func, byte: int) -> bool:
         """Is ``fp + byte`` always aligned and inside ``func``'s frame?"""
         return self._frames_aligned and not byte & 3 and 0 <= byte and byte + 4 <= func.frame_size
 
-    def _direct(self, index: int) -> bool:
-        """May a CALL of function ``index`` be a direct call?  Only in the
-        unwatched variant, where no CALL runs a hook, and only with a
-        plain int frame size and entry pc to write into source."""
-        callee = self.functions[index]
-        return (not self.watched and _is_int(callee.frame_size)
-                and callee.frame_size >= 0 and _is_int(callee.entry_pc))
+    def _direct(self, pc: int, func) -> bool:
+        """Does the terminator at ``pc`` go on at ``pc + 1`` inside
+        ``func``?  A CALL does, as a direct call, when the callee has a
+        plain int frame size and entry pc to write into source; a CHK or
+        TRAP does, as an inline step, in the watched variant unless it is
+        the function's last instruction."""
+        op = self.code[pc][0]
+        if op == CALL:
+            callee = self.functions[self.code[pc][1]]
+            return (_is_int(callee.frame_size) and callee.frame_size >= 0
+                    and _is_int(callee.entry_pc))
+        return self.watched and op in _STEPS and pc + 1 < func.end_pc
 
-    def _split(self) -> None:
+    def _split(self, func) -> None:
         code, functions = self.code, self.functions
-        ends_block = _TERMINATORS | {isa.ST} if self.watched else _TERMINATORS
-        for func in functions:
-            span = range(func.entry_pc, func.end_pc)
-            ok = {pc: _supported(code, pc, func, functions) for pc in span}
-            leaders = {func.entry_pc}
-            for pc in span:
+        span = range(func.entry_pc, func.end_pc)
+        ok = {pc: _supported(code, pc, func, functions) for pc in span}
+        leaders = {func.entry_pc} | self._added.get(func.index, set())
+        for pc in span:
+            if not ok[pc]:
+                leaders.add(pc)
+                continue
+            op = code[pc][0]
+            if op == isa.JMP:
+                leaders.add(code[pc][1])
+            elif op in (isa.BF, isa.BT):
+                leaders.add(code[pc][2])
+            if op in _TERMINATORS and pc + 1 < func.end_pc:
+                leaders.add(pc + 1)
+        own = self.blocks[func.index] = {}
+        for start in sorted(leaders):
+            if start >= func.end_pc:
+                continue
+            block = own[start] = _Block(start)
+            pc = start
+            while True:
                 if not ok[pc]:
-                    leaders.add(pc)
-                    continue
-                op = code[pc][0]
-                if op == isa.JMP:
-                    leaders.add(code[pc][1])
-                elif op in (isa.BF, isa.BT):
-                    leaders.add(code[pc][2])
-                if op in ends_block and pc + 1 < func.end_pc:
-                    leaders.add(pc + 1)
-            own = self.blocks[func.index] = {}
-            for start in sorted(leaders):
-                if start >= func.end_pc:
-                    continue
-                block = own[start] = _Block(start)
-                pc = start
-                while True:
-                    if not ok[pc]:
-                        block.handover = pc
-                        break
-                    if code[pc][0] in _TERMINATORS:
-                        block.term_pc = pc
-                        block.direct = code[pc][0] == CALL and self._direct(code[pc][1])
-                        break
-                    block.body.append(pc)
-                    pc += 1
-                    if pc == func.end_pc:
-                        block.handover = pc
-                        break
-                    if pc in leaders:
-                        block.next_pc = pc
-                        break
+                    block.handover = pc
+                    break
+                if code[pc][0] in _TERMINATORS:
+                    block.term_pc = pc
+                    block.direct = self._direct(pc, func)
+                    break
+                block.body.append(pc)
+                pc += 1
+                if pc == func.end_pc:
+                    block.handover = pc
+                    break
+                if pc in leaders:
+                    block.next_pc = pc
+                    break
+
+    def add_start(self, pc: int) -> Optional[int]:
+        """Split the block of a compiled function that holds ``pc`` so
+        that a block starts there; the function's index, or ``None`` when
+        no function with blocks holds ``pc``."""
+        for func in self.functions:
+            if func.entry_pc < pc < func.end_pc and self.blocks.get(func.index):
+                self._added.setdefault(func.index, set()).add(pc)
+                self._split(func)
+                return func.index
+        return None
+
+    def source(self, index: int, traced: bool) -> Tuple[str, tuple, List[tuple]]:
+        """Function ``index``'s factory source, its constants and its exit
+        descriptors (a CALL's callee as its index)."""
+        writer = _FunctionWriter(self, self.functions[index], self.blocks[index], traced)
+        source = writer.source()
+        return source, tuple(writer.constants), writer.exits
 
     def sources(self, traced: bool) -> Iterator[Tuple[int, str, tuple, List[tuple]]]:
-        """Per function with blocks: its index, its factory's source, its
-        constants and its exit descriptors (a CALL's callee as its index)."""
+        """:meth:`source` of every function with blocks, with its index."""
         for index, own in self.blocks.items():
             if own:
-                writer = _FunctionWriter(self, self.functions[index], own, traced)
-                source = writer.source()
-                yield index, source, tuple(writer.constants), writer.exits
+                yield (index, *self.source(index, traced))
 
 
 def _bind(descriptor: tuple, functions) -> tuple:
@@ -828,10 +950,11 @@ def _factory(source: str) -> Callable:
 
 
 class CallLink(NamedTuple):
-    """What the unwatched variant's direct calls change besides memory
-    and the store hook: they keep these as the driver's CALL and RET do."""
+    """What direct calls change besides memory and the store hook: they
+    keep these as the driver's CALL and RET do."""
 
-    #: The CPU, whose ``sp`` and ``fp`` they set.
+    #: The CPU, whose ``sp`` and ``fp`` they set (and, watched variant,
+    #: whose counters, counter base, step methods and hooks they use).
     cpu: object
     #: Its frame list, on which they push and pop frames.
     frames: list
@@ -860,34 +983,50 @@ class CompiledImage:
         for index, own in compiler.blocks.items():
             for start in own:
                 self.starts[start] = index
-        self._compiler: Optional[_Compiler] = compiler
-        self._factories: Dict[bool, List[Tuple[int, Callable, tuple, tuple]]] = {}
+        self._compiler = compiler
+        #: traced -> function index -> (factory, constants, exit descriptors)
+        self._factories: Dict[bool, Dict[int, Tuple[Callable, tuple, tuple]]] = {}
 
-    def _factories_of(self, traced: bool) -> List[Tuple[int, Callable, tuple, tuple]]:
+    def _make(self, index: int, source: str, constants: tuple,
+              exits: List[tuple]) -> Tuple[Callable, tuple, tuple]:
+        functions = self._compiler.functions
+        return _factory(source), constants, tuple(_bind(e, functions) for e in exits)
+
+    def _factories_of(self, traced: bool) -> Dict[int, Tuple[Callable, tuple, tuple]]:
         factories = self._factories.get(traced)
         if factories is None:
-            functions = self._compiler.functions
-            factories = [
-                (index, _factory(source), constants,
-                 tuple(_bind(e, functions) for e in exits))
-                for index, source, constants, exits in self._compiler.sources(traced)
-            ]
-            self._factories[traced] = factories
-            if len(self._factories) == 2:
-                self._compiler = None
+            factories = self._factories[traced] = {
+                index: self._make(index, *rest)
+                for index, *rest in self._compiler.sources(traced)
+            }
         return factories
+
+    def add_start(self, pc: int) -> None:
+        """Make ``pc`` a block start, if a compiled function holds it, and
+        recompile that function.  A segment that resumes after a handler
+        raised at a watched store enters there, in the middle of a block.
+        ``starts`` becomes a new list: a table bound before keeps the
+        starts it was bound with."""
+        index = self._compiler.add_start(pc)
+        if index is None:
+            return
+        starts = list(self.starts)
+        for start in self._compiler.blocks[index]:
+            starts[start] = index
+        self.starts = starts
+        for traced, factories in self._factories.items():
+            factories[index] = self._make(index, *self._compiler.source(index, traced))
 
     def table(self, words: list, store_hook: Optional[Callable],
               cdiv: Callable, cmod: Callable, protected: set,
               watched_words: set, page_shift: int,
-              link: Optional[CallLink] = None) -> List[Optional[Callable]]:
+              link: CallLink) -> List[Optional[Callable]]:
         """Function index -> its compiled ``run`` (``None`` for a
         function without code), bound to ``words``, the one-argument
         ``store_hook`` when not ``None``, (watched variant) the live
-        protected-page and watched-word sets and (unwatched variant)
-        ``link``."""
+        protected-page and watched-word sets, and ``link``."""
         table: List[Optional[Callable]] = [None] * self.n_functions
-        for index, make, constants, exits in self._factories_of(store_hook is not None):
+        for index, (make, constants, exits) in self._factories_of(store_hook is not None).items():
             table[index] = make(words, store_hook, cdiv, cmod, constants, exits,
                                 protected, watched_words, page_shift, table, link)
         return table

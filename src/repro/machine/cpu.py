@@ -27,12 +27,12 @@ Two execution tiers run a segment (one :meth:`Cpu.run` or
   every hook above.  It is the specification of the machine;
 * **the function-compiled fast path** (:meth:`Cpu._fast_loop`) — each
   MiniC function of the image compiled once into one Python function
-  (:mod:`repro.machine.blocks`) that runs the function's own jumps
-  itself, with its registers in locals, and a small driver for
-  ``CALL``, ``RET``, ``CALLB``, one-instruction steps and checkpoints.
-  The compiled function adds up instructions, cycles and stores block
-  by block and hands the driver the exact counts of the instruction
-  boundary it stops at.
+  (:mod:`repro.machine.blocks`) that runs the function's own jumps and
+  calls itself, with its registers in locals, and a small driver for
+  the ``CALL``, ``RET``, ``CALLB``, one-instruction steps and
+  checkpoints that leave it.  The compiled function adds up
+  instructions, cycles and stores block by block and hands the driver
+  the exact counts of the instruction boundary it stops at.
 
 One rule picks the tier: a segment runs on the reference loop when the
 ``--profile`` opcode sampler is on, and on the fast path otherwise.  The
@@ -42,41 +42,55 @@ page or monitor register is active (phase 1 and bare runs), and the
 switches to the watched table when a builtin, hook or trap handler
 activates one mid-segment.  In the watched table every store checks its
 page against the protected set and its word against the monitor
-registers' word set before writing, and ends its block.
+registers' word set before writing.
 
-In the unwatched table a ``CALL`` is a **direct call**: the caller's
-compiled function pushes the frame, keeps ``sp``, ``fp``, the deepest
-stack and the tracer's frame records as the driver would, calls the
-callee's compiled function itself and, at its ``RET``, pops the frame
-and goes on at the return point.  A ``CALL`` whose frame would
-overflow the stack, or made with ``blocks.MAX_DIRECT_DEPTH`` frames on
-it, reaches the driver instead, and so does every other exit of the
-callee: each caller on the way adds its counts and writes back its
-registers, its frame stays on the stack, and the driver goes on with
-the innermost frame.  A later ``RET`` to one of those callers takes
-the driver's ``RET`` path.  In the watched table every ``CALL`` and
-``RET`` reaches the driver, which runs enter and exit hooks in the
-reference loop's order.  A store the watched check stops, a ``CHK`` and
-a ``TRAP`` each become a **one-instruction step**: the compiled function
-returns with the counters up to and including that instruction, the
-driver executes it with the reference semantics (:meth:`Cpu._store`,
-:meth:`Cpu._check` and :meth:`Cpu._trap`, the methods the reference loop
-calls too) and re-enters the function at the next instruction.  The
-instruction budget and the tracer's drain points are checked where a
-compiled function is entered and at its backward jumps: when the
-function's span (its instruction count, which bounds any path without a
-backward jump) might not fit, it returns at a **checkpoint**, where the
-driver offers the tracer a drain or, if the budget is what ran short,
-hands over.  The fast path gives the rest of a segment to the reference
-loop, at an instruction boundary and with exact counters, only where
-the reference loop raises or the compiled code cannot run: an alignment
-or range fault, a float zero divisor, an instruction budget that ends
-within a function's span, an instruction the compiler does not take,
-or a step or return that resumes where the current function has no
-block (past its end).  Both tiers leave the same trace, registry,
-memory, counters, trap counts and :class:`CpuState`, make the same hook
-and trap calls in the same order, and raise the same errors with the
-same counters.
+In both tables a ``CALL`` is a **direct call**: the caller's compiled
+function pushes the frame, keeps ``sp``, ``fp``, the deepest stack and
+the tracer's frame records as the driver would, calls the callee's
+compiled function itself and, at its ``RET``, pops the frame and goes
+on at the return point.  A ``CALL`` whose frame would overflow the
+stack, made with ``blocks.MAX_DIRECT_DEPTH`` frames on it or (watched
+table) of a function that has enter hooks reaches the driver instead,
+and so does a watched ``RET`` of a function that has exit hooks: the
+driver runs the hooks in the reference loop's order.  Every other exit
+of a callee reaches the driver too: each caller on the way adds its
+counts and writes back its registers, its frame stays on the stack,
+and the driver goes on with the innermost frame.  A later ``RET`` to
+one of those callers takes the driver's ``RET`` path.
+
+In the watched table a store the check stops, a ``CHK`` and a ``TRAP``
+are **inline steps**: the compiled function writes its registers back,
+sets the CPU's counters to the values the reference loop syncs at that
+instruction, calls :meth:`Cpu._store`, :meth:`Cpu._check` or
+:meth:`Cpu._trap` (the methods the reference loop calls too), takes in
+the cycles and stores the handler added, and goes on.  It counts from
+``Cpu._base``, which the driver sets before it enters a watched
+function and a caller before a direct call; the counters themselves
+change only where the reference loop syncs them.  The function keeps
+its registers in locals across the call, so a handler may read a
+frame's register list but not write it (no hook here does).  A store to a bad
+address, and a ``CHK`` or ``TRAP`` that is its function's last
+instruction (and in the unwatched table every ``CHK`` and ``TRAP``),
+is a **one-instruction step** instead: the function returns with the
+counters up to and including that instruction, the driver executes it
+with the same methods and re-enters at the next instruction.  A
+segment that resumes in the middle of a block (after a handler raised
+at a watched store) first makes its pc a block start, recompiling that
+function.  The instruction budget and the tracer's drain points are
+checked where a compiled function is entered, at its backward jumps
+and after its direct calls: when the function's span (its instruction
+count, which bounds any path without a backward jump) might not fit,
+it returns at a **checkpoint**, where the driver offers the tracer a
+drain or, if the budget is what ran short, hands over.  The fast path
+gives the rest of a segment to the reference loop, at an instruction
+boundary and with exact counters, only where the reference loop raises
+or the compiled code cannot run: an alignment or range fault, a float
+zero divisor, an instruction budget that ends within a function's
+span, an instruction the compiler does not take, or a step or return
+that resumes where the current function has no block (past its end).
+Both tiers leave the same trace, registry, memory, counters, trap
+counts and :class:`CpuState`, make the same hook and trap calls in the
+same order, and raise the same errors with the same counters.
 
 The dispatch loops are the hottest code in the repository.  For that
 reason observation (:mod:`repro.observe`) records only at segment
@@ -687,13 +701,17 @@ class Cpu:
             trap_counts=dict(self.trap_counts),
         )
 
-    def _function_table(self, watched: bool, depth_mark: Optional[list] = None):
+    def _function_table(self, watched: bool, depth_mark: list, entry: int = -1):
         """The compiled image variant and its function table, bound to
-        this machine's memory, tracer log and watch sets; the unwatched
-        table's direct calls record the deepest stack in ``depth_mark``."""
+        this machine's memory, tracer log and watch sets; direct calls
+        record the deepest stack in ``depth_mark``.  A segment that
+        enters at ``entry`` mid-block (a resume after a handler raised at
+        a watched store) makes it a block start first."""
         compiled = blocks.compiled_image(self._loaded, self.layout, watched)
+        if entry >= 0 and compiled.starts[entry] is None:
+            compiled.add_start(entry)
         tracer = self.tracer
-        link = None if watched else blocks.CallLink(
+        link = blocks.CallLink(
             self, self.frames, _Frame, depth_mark, self._loaded.functions, tracer)
         table = compiled.table(
             self.memory.words, tracer.log.append if tracer is not None else None,
@@ -719,7 +737,7 @@ class Cpu:
         watched = not self._hooks_clear()
         max_depth = len(frames)
         depth_mark = [max_depth]
-        starts, table = self._function_table(watched, depth_mark)
+        starts, table = self._function_table(watched, depth_mark, start_pc)
         if starts[start_pc] != func.index:
             return self._loop(start_pc, max_instructions)
 
@@ -755,12 +773,15 @@ class Cpu:
         handover_pc: Optional[int] = None
 
         while True:
+            if watched:
+                # The counters a watched function's inline steps count from.
+                self._base = n_instr, cycles, n_stores
             leave, n, cyc, nst, result = run(regs, fp, fw, pc, checkpoint - n_instr)
             n_instr += n
             cycles += cyc
             n_stores += nst
             kind = leave[0]
-            if not watched and kind != RET and frames[-1] is not frame:
+            if frames[-1] is not frame:
                 # The function's direct calls left their callees on the
                 # stack: go on with the innermost one.
                 frame = frames[-1]
@@ -833,7 +854,7 @@ class Cpu:
                 pc += 1
                 if not watched and not self._hooks_clear():
                     watched = True
-                    starts, table = self._function_table(True)
+                    starts, table = self._function_table(True, depth_mark)
                     run = table[frames[-1].func.index]
                 if starts[pc] != frames[-1].func.index:
                     handover_pc = pc
@@ -847,7 +868,7 @@ class Cpu:
                     regs[dest_reg] = value
                 if not watched and not self._hooks_clear():
                     watched = True
-                    starts, table = self._function_table(True)
+                    starts, table = self._function_table(True, depth_mark)
                     run = table[frames[-1].func.index]
             elif kind == CHECKPOINT:
                 pc = result
@@ -896,6 +917,10 @@ class Cpu:
     _trap_pc: int = -1
     # Where resume() continues after a handler raises (set at raise sites).
     _resume_pc: int = -1
+    # The instructions, cycles and stores before the watched compiled
+    # function entered next; it adds its own to them at an inline step.
+    # Kept apart from the counters, which change only where _loop syncs.
+    _base: tuple = (0, 0, 0)
 
     def _sync(self, cycles: int, n_instr: int, n_stores: int) -> None:
         """Write loop-local counters back to instance state."""

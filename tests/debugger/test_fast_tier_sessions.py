@@ -85,6 +85,30 @@ def test_stop_sequences_identical_across_run_and_cont(approach):
     assert len(result["stops"]) == TOOL.MAX_STOPS
 
 
+def test_heap_only_session_switches_tables_inside_a_call_chain(monkeypatch):
+    """The heap-only session of the CI check starts on the unwatched
+    functions and switches to the watched ones when malloc installs the
+    watch, with the allocating function called directly several frames
+    deep."""
+    tables = []
+    function_table = Cpu._function_table
+
+    def spy(self, watched, *args):
+        tables.append((watched, [frame.func.name for frame in self.frames]))
+        return function_table(self, watched, *args)
+
+    monkeypatch.setattr(Cpu, "_function_table", spy)
+    label, strategy, page_size, watches = TOOL.HEAP_ONLY
+
+    def run(loop):
+        return TOOL.live_run("gcc", "smoke", loop, strategy, page_size, watches)
+
+    result = _both(run)
+    assert result["error"] is None and result["hits"][0] > 0
+    assert [watched for watched, _ in tables] == [False, True]
+    assert tables[1][1][-1] == "ob_alloc" and len(tables[1][1]) >= 3
+
+
 def test_gcc_picks_of_the_ci_check_exist_at_smoke_scale():
     def run(loop):
         return TOOL.live_run("gcc", "smoke", loop, "vm", 4096, TOOL.GCC_WATCHES)

@@ -37,7 +37,7 @@ from repro.machine.cpu import _DRAIN_STRIDE
 from repro.machine.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.machine.traps import TrapKind
 from repro.minic.compiler import compile_source
-from repro.minic.instrument import apply_code_patch
+from repro.minic.instrument import apply_code_patch, apply_trap_patch
 from repro.minic.runtime import Runtime
 from repro.observe import profile as observe_profile
 from repro.trace.stream import ChunkingTracer
@@ -77,8 +77,14 @@ def _machine(image):
     return cpu, runtime
 
 
-def _run(image, loop, max_instructions=100_000, tracer_cls=None, **tracer_kw):
+def _run(image, loop, max_instructions=100_000, tracer_cls=None, configure=None,
+         **tracer_kw):
+    """Run ``image`` from ``main`` on ``loop``; ``configure(cpu, seen)``
+    may install hooks that append what they see to ``seen``."""
     cpu, runtime = _machine(image)
+    seen = []
+    if configure is not None:
+        configure(cpu, seen)
     tracer = None
     if tracer_cls is not None:
         tracer = tracer_cls(cpu, image, "t", **tracer_kw)
@@ -91,7 +97,7 @@ def _run(image, loop, max_instructions=100_000, tracer_cls=None, **tracer_kw):
     except Exception as exc:  # compared across loops below
         error = exc
     return SimpleNamespace(cpu=cpu, runtime=runtime, tracer=tracer,
-                           state=state, error=error)
+                           state=state, error=error, seen=seen)
 
 
 def _both(image, **kwargs):
@@ -105,7 +111,9 @@ def _both(image, **kwargs):
     assert ref.cpu.memory.words == fast.cpu.memory.words
     assert ref.runtime.output == fast.runtime.output
     assert (ref.cpu.sp, ref.cpu.fp) == (fast.cpu.sp, fast.cpu.fp)
+    assert ref.cpu._resume_pc == fast.cpu._resume_pc
     assert _linkage(ref.cpu) == _linkage(fast.cpu)
+    assert ref.seen == fast.seen
     registers = (_registers(ref.cpu), _registers(fast.cpu))
     if ref.error is not None and not isinstance(ref.error, ReproError):
         registers = tuple(frames[:-1] for frames in registers)
@@ -411,25 +419,14 @@ def test_loops_nested_deeper_than_the_limit():
     assert ref.error is None and ref.state.instructions > 2 ** depth
 
 
-def _hooked_run(image, loop, configure):
-    """Run ``image`` on ``loop`` with ``configure(cpu, seen)`` installing
-    hooks that append what they see to ``seen``."""
-    cpu, _runtime = _machine(image)
-    seen = []
-    configure(cpu, seen)
-    pc = cpu._push_entry(image.function_index("main"), [])
-    state = getattr(cpu, loop)(pc, 1_000_000)
-    return state, seen
-
-
 def _counters(cpu):
     return (cpu.instructions, cpu.cycles, cpu.stores, list(cpu.frames[-1].regs))
 
 
 def test_step_mid_function_resumes_with_exact_counters():
-    """Every CHK of a code-patched loop is a step out of the middle of a
-    compiled function: the check hook sees the same counters and
-    registers on both loops, and the function resumes after it."""
+    """Every CHK of a code-patched loop is an inline step in the middle of
+    a compiled function: the check hook sees the same counters and
+    registers on both loops, and the function goes on after it."""
     program = apply_code_patch(compile_source("""
     int g[8];
     int f(int n) { int i; int s; s = 0;
@@ -441,9 +438,8 @@ def test_step_mid_function_resumes_with_exact_counters():
     def configure(cpu, seen):
         cpu.check_hook = lambda address, pc, cpu_: seen.append((pc, address, _counters(cpu_)))
 
-    ref, fast = (_hooked_run(image, loop, configure) for loop in LOOPS)
-    assert ref == fast
-    assert len(ref[1]) == ref[0].stores > 20
+    ref, _fast = _both(image, configure=configure)
+    assert len(ref.seen) == ref.state.stores > 20
 
 
 def test_hand_over_mid_function_resumes_with_exact_counters():
@@ -467,10 +463,9 @@ def test_hand_over_mid_function_resumes_with_exact_counters():
     def configure(cpu, seen):
         cpu.check_hook = lambda address, pc, cpu_: seen.append((pc, _counters(cpu_)))
 
-    ref, fast = (_hooked_run(image, loop, configure) for loop in LOOPS)
-    assert ref == fast
-    assert [pc for pc, _ in ref[1]] == [6] * 5
-    assert ref[0].exit_value == 4
+    ref, _fast = _both(image, configure=configure)
+    assert [pc for pc, _ in ref.seen] == [6] * 5
+    assert ref.state.exit_value == 4
 
 
 @pytest.mark.parametrize("last,configure", [
@@ -515,17 +510,32 @@ def test_factory_bound_holds_per_function_factories():
     assert info.misses == len(image.functions)
 
 
-@pytest.mark.parametrize("fault,error", [
-    ("x = x / z;", MiniCRuntimeError),
-    ("p = p - 100000000; x = p[0];", MemoryFault),
-    ("p = malloc(100000000);", MiniCRuntimeError),
-    ("x = x << (z - 1);", ValueError),
-], ids=["zero-divisor", "memory-fault", "builtin", "python-error"])
-def test_errors_three_calls_deep(fault, error):
+def _record_checks(cpu, seen):
+    cpu.check_hook = lambda address, pc, cpu_: seen.append(_snapshot(cpu_))
+
+
+_FAULTS = [
+    ("zero-divisor", "x = x / z;", MiniCRuntimeError),
+    ("memory-fault", "p = p - 100000000; x = p[0];", MemoryFault),
+    ("builtin", "p = malloc(100000000);", MiniCRuntimeError),
+    ("python-error", "x = x << (z - 1);", ValueError),
+]
+
+
+@pytest.mark.parametrize("fault,error,watched", [
+    pytest.param(fault, error, watched, id=name + ("-watched" if watched else ""))
+    for watched in (False, True) for name, fault, error in _FAULTS
+])
+def test_errors_three_calls_deep(fault, error, watched):
     """An error in a function three direct calls deep leaves every
     frame, ``sp``, ``fp``, the callers' registers and the counters as
-    the reference loop leaves them."""
-    ref, fast = _both(_minic(_chain(fault=fault)))
+    the reference loop leaves them.  Watched (a code-patched image with
+    a check hook), an error the reference loop raises without syncing
+    its counters leaves those of the last inline step."""
+    program = compile_source(_chain(fault=fault), "t")
+    if watched:
+        program = apply_code_patch(program)
+    ref, fast = _both(load_program(program), configure=_record_checks if watched else None)
     assert type(ref.error) is error
     assert [frame.func.name for frame in fast.cpu.frames] == ["main", "a1", "b2", "c3"]
 
@@ -580,6 +590,205 @@ def test_builtin_that_raises():
 def test_python_errors_propagate_as_on_the_reference_loop(tail, error):
     ref, _fast = _both(_store_then(*tail))
     assert type(ref.error) is error
+
+
+# ---------------------------------------------------------------------------
+# Watched call chains: inline steps and direct calls under hooks
+# ---------------------------------------------------------------------------
+
+
+#: main -> a1 -> b2 -> c3 in loops; every function stores, c3 at depth 4.
+_WATCHED_CHAIN = """
+int g[8];
+int c3(int x) { int z; g[3] = x; z = x * 2; g[(x & 3) + 4] = z; return z + 1; }
+int b2(int x) { int t; t = x * 3; g[2] = t; return c3(t + 1) + t; }
+int a1(int x) { int t; int i; t = 0;
+  for (i = 0; i < 3; i++) { g[1] = t; t = t + b2(x + i); } return t - 1; }
+int main() { int k; int s; s = 0; for (k = 0; k < 2; k++) { s = s + a1(k); } return s; }
+"""
+
+
+class _Stop(Exception):
+    """A hook's debugger stop."""
+
+
+def _snapshot(cpu):
+    """Everything a stop or hook may see of the machine."""
+    return (cpu.instructions, cpu.cycles, cpu.stores, cpu.sp, cpu.fp, cpu._resume_pc,
+            _linkage(cpu), _registers(cpu))
+
+
+def _watched_chain(patch=None):
+    program = compile_source(_WATCHED_CHAIN, "t", _SMALL_LAYOUT)
+    return load_program(patch(program) if patch else program, _SMALL_LAYOUT)
+
+
+def _stop_every_third_deep(cpu, seen):
+    """Record the machine; stop at every third call three or more deep."""
+    seen.append(_snapshot(cpu))
+    if len(cpu.frames) >= 3 and len(seen) % 3 == 0:
+        raise _Stop
+
+
+def _check_stops(cpu, seen):
+    cpu.check_hook = lambda address, pc, cpu_: _stop_every_third_deep(cpu_, seen)
+
+
+def _trap_stops(cpu, seen):
+    def sink(frame, cpu_):
+        cpu_.emulate_store(*frame.store_operands)
+        _stop_every_third_deep(cpu_, seen)
+
+    cpu.trap_sink = sink
+
+
+def _monitor_stops(cpu, seen):
+    base = cpu.layout.global_base
+    cpu.monitor_registers.allocate(base, base + 32)
+    cpu.trap_sink = lambda frame, cpu_: _stop_every_third_deep(cpu_, seen)
+
+
+def _stopping_session(image, loop, configure):
+    """Run ``image`` on ``loop`` with ``configure(cpu, seen)``'s hooks,
+    resuming after every stop; what each stop and the end leave."""
+    cpu, _runtime = _machine(image)
+    cpu._execute = getattr(cpu, loop)
+    seen, stops = [], []
+    configure(cpu, seen)
+    segment = cpu.run
+    while True:
+        try:
+            state = segment()
+            break
+        except _Stop:
+            stops.append(_snapshot(cpu))
+            segment = cpu.resume
+    return {"seen": seen, "stops": stops, "state": state, "end": _snapshot(cpu),
+            "memory": cpu.memory.words, "traps": cpu.trap_counts}
+
+
+@pytest.mark.parametrize("patch,configure", [
+    (apply_code_patch, _check_stops),
+    (apply_trap_patch, _trap_stops),
+    (None, _monitor_stops),
+], ids=["check", "trap", "monitor"])
+def test_hook_raising_deep_in_direct_calls_then_resume(patch, configure):
+    """A hook that raises inside a function three or four direct calls
+    deep leaves counters, ``sp``/``fp``, every frame's linkage and
+    registers and the resume pc as the reference loop leaves them, and
+    resume() goes on to the same end."""
+    image = _watched_chain(patch)
+    ref, fast = (_stopping_session(image, loop, configure) for loop in LOOPS)
+    assert ref == fast
+    assert len(ref["stops"]) > 5
+    assert min(len(stop[6]) for stop in ref["stops"]) >= 3
+    assert max(len(stop[6]) for stop in ref["stops"]) == 4
+
+
+def test_resume_after_a_stop_at_a_watched_store_stays_on_the_fast_tier(tiers):
+    """A store does not end its block in the watched table, so a stop at
+    one resumes in the middle of a block: that pc becomes a block start
+    of a recompiled function, and no segment runs on the reference loop."""
+    image = _watched_chain()
+    compiled = blocks.compiled_image(image, image.layout, True)
+    before = list(compiled.starts)
+    result = _stopping_session(image, "_fast_loop", _monitor_stops)
+    assert "reference" not in tiers and tiers.count("fast") == len(result["stops"]) + 1
+    added = [pc for pc, (old, new) in enumerate(zip(before, compiled.starts)) if old != new]
+    assert added and all(image.code[pc - 1][0] == isa.ST for pc in added)
+    assert result == _stopping_session(image, "_loop", _monitor_stops)
+
+
+def _installs_hook_mid_run(kind, function, when):
+    """A check hook that, at the check ``when`` selects, installs a
+    ``kind`` ("enter" or "exit") hook on ``function`` recording the
+    machine at each call."""
+    def configure(cpu, seen):
+        index = cpu.loaded_program.function_index(function)
+        hooks = cpu.enter_hooks if kind == "enter" else cpu.exit_hooks
+
+        def hook(func, frame_base):
+            seen.append((kind, func.name, frame_base, _snapshot(cpu)))
+
+        def check(address, pc, cpu_):
+            seen.append(("check", pc, address, _snapshot(cpu_)))
+            if index not in hooks and when(cpu_, seen):
+                hooks[index] = [hook]
+
+        cpu.check_hook = check
+
+    return configure
+
+
+@pytest.mark.parametrize("kind,function,when", [
+    # Installed at the fifth check: later calls of c3 from b2 run it.
+    ("enter", "c3", lambda cpu, seen: len(seen) >= 5),
+    # Installed in c3 on b2, which is on the stack and returns next.
+    ("exit", "b2", lambda cpu, seen: cpu.frames[-1].func.name == "c3"),
+    # Installed in b2 on main, which returns last.
+    ("exit", "main", lambda cpu, seen: cpu.frames[-1].func.name == "b2"),
+], ids=["enter", "exit-on-stack", "exit-of-main"])
+def test_check_hook_installs_a_hook_mid_run(kind, function, when):
+    ref, fast = _both(_watched_chain(apply_code_patch),
+                      configure=_installs_hook_mid_run(kind, function, when))
+    assert ref.error is None
+    assert sum(item[0] == kind for item in ref.seen) > (0 if function == "main" else 2)
+
+
+def _record_monitor_faults(cpu, seen):
+    base = cpu.layout.global_base
+    cpu.monitor_registers.allocate(base + 8, base + 16)
+    cpu.trap_sink = lambda frame, cpu_: seen.append(_snapshot(cpu_))
+
+
+@pytest.mark.parametrize("patch,configure", [
+    (apply_code_patch, _record_checks),
+    (None, _record_monitor_faults),
+], ids=["check", "monitor"])
+def test_budget_ending_at_and_just_after_an_inline_step(patch, configure):
+    """Budgets that end at each inline step and at the instruction after
+    it, at every call depth: the same error with the same counters,
+    frames and hook calls."""
+    image = _watched_chain(patch)
+    full, _fast = _both(image, configure=configure)
+    steps = [snapshot[0] for snapshot in full.seen]
+    assert len(steps) > 10
+    for at in steps:
+        for budget in (at, at + 1):
+            ref, _fast = _both(image, configure=configure, max_instructions=budget)
+            assert type(ref.error) is CpuLimitExceeded
+            assert len(ref.seen) == sum(n <= budget for n in steps)
+
+
+@pytest.mark.parametrize("exit_hook", [False, True], ids=["checks", "checks-and-exit-hook"])
+def test_recursion_deeper_than_the_direct_call_cap_under_a_watch(exit_hook):
+    """Past MAX_DIRECT_DEPTH frames a watched CALL goes through the
+    driver too: every check of a code-patched recursion more than three
+    times that deep, and deeper than Python's recursion limit, sees the
+    same machine, and the run traces exactly; with an exit hook every
+    RET reaches the driver."""
+    depth = 3 * blocks.MAX_DIRECT_DEPTH + sys.getrecursionlimit()
+    image = load_program(apply_code_patch(compile_source("""
+    int g[8];
+    int down(int n) { int t; if (n == 0) { return g[3]; } g[n & 7] = n; t = down(n - 1); return t + n; }
+    int main() { return down(%d); }
+    """ % depth, "t")))
+
+    def configure(cpu, seen):
+        def record():
+            seen.append((cpu.instructions, cpu.cycles, cpu.stores, cpu.fp, len(cpu.frames)))
+
+        cpu.check_hook = lambda address, pc, cpu_: record()
+        if exit_hook:
+            cpu.exit_hooks[image.function_index("down")] = [lambda func, frame_base: record()]
+
+    ref, fast = _both(image, configure=configure, tracer_cls=Tracer)
+    assert ref.state.max_call_depth == depth + 2
+    assert ref.state.exit_value == 3 + depth * (depth + 1) // 2
+    assert max(item[-1] for item in ref.seen) == depth + 2
+    traces = [run.tracer.finish(run.state).as_arrays() for run in (ref, fast)]
+    for want, got in zip(*traces):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

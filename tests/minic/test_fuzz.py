@@ -15,9 +15,10 @@ Two oracles over randomly generated programs:
 3. **Fast path equivalence** — the same program traced on the CPU's
    reference loop and on its function-compiled fast path must leave the
    same :class:`CpuState`, trace columns, object registry and memory;
-   and the same program debugged with a random watch under a random
-   strategy must give the same stops, events, statistics and memory on
-   both loops.
+   and the same program debugged with a random watch (a local of
+   ``main``, of a helper or of the recursion, the array or one of its
+   elements) under a random strategy must give the same stops, events,
+   statistics and memory on both loops.
 
 The generator covers assignments, compound assignment, ++/--, ternaries,
 nested ifs, and bounded for-loops, over int variables and an int array,
@@ -365,8 +366,8 @@ def _run_watched(program, loop: str, strategy: str, page_size: int, watch: str,
     debugger = Debugger(program, strategy=strategy, page_size=page_size)
     cpu = debugger.cpu
     cpu._execute = getattr(cpu, loop)
-    if watch in VARS:
-        bp = debugger.watch_local("main", watch, action=action)
+    if isinstance(watch, tuple):  # (function, local)
+        bp = debugger.watch_local(*watch, action=action)
     elif watch == ARRAY:
         bp = debugger.watch_global(ARRAY, action=action)
     else:  # one element of the array, by address
@@ -396,8 +397,13 @@ def test_watched_fast_path_matches_reference_loop(data):
     program = compile_source(c_source, "fuzz")
     strategy = data.draw(st.sampled_from(["native", "vm", "trap", "code"]))
     page_size = data.draw(st.sampled_from([4096, 8192]))
+    # Locals of the helpers and the recursion put enter and exit hooks on
+    # functions the fast path calls directly.
+    locals_ = [("main", name) for name in VARS] + [
+        (func.name, var.name) for func in load_program(program).functions
+        if func.name != "main" for var in func.frame_vars()]
     watch = data.draw(st.sampled_from(
-        VARS + (ARRAY,) + tuple(f"{ARRAY}{i}" for i in range(ARRAY_LEN))))
+        locals_ + [ARRAY] + [f"{ARRAY}{i}" for i in range(ARRAY_LEN)]))
     action = data.draw(st.sampled_from(["log", "stop"]))
     reference, fast = (
         _run_watched(program, loop, strategy, page_size, watch, action)

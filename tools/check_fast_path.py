@@ -18,10 +18,12 @@ of the CPU's two loop methods directly: once the reference loop
   agree on the ``CpuState``, memory and output;
 * **debugger sessions** on gcc (watched functions), one per approach of
   the ``live`` benchmark workload (NH, VM-4K, VM-8K, TP and CP), each
-  watching the same global, local and heap object: the runs must agree
-  on the hits, ``WmsStats``, notifications, breakpoint events, CPU
-  counters and trap counts, ``SimOs`` counters, protected pages, memory
-  and output.
+  watching the same global, local and heap object, and one VM-4K
+  session watching the heap object only, which starts on the unwatched
+  functions and switches to the watched ones inside malloc, in the
+  middle of a chain of direct calls: the runs must agree on the hits,
+  ``WmsStats``, notifications, breakpoint events, CPU counters and trap
+  counts, ``SimOs`` counters, protected pages, memory and output.
 
     PYTHONPATH=src python tools/check_fast_path.py --scale full
 
@@ -60,6 +62,8 @@ APPROACHES = (
 #: gcc's session watches: a global, a local ("function.variable") and
 #: the object a function's allocation of that ordinal returns.
 GCC_WATCHES = {"global": "n_folds", "local": "mix.h", "heap": ("ob_alloc", 0)}
+#: The heap-only session: label, strategy, page size and its one watch.
+HEAP_ONLY = ("heap-only VM-4K", "vm", 4096, {"heap": GCC_WATCHES["heap"]})
 #: A stopping session turns its breakpoints to logging after this many
 #: stops, so every session finishes.
 MAX_STOPS = 40
@@ -181,12 +185,14 @@ def pick_watches(name: str, scale: str, seed: int) -> dict:
 def live_run(name: str, scale: str, loop: str, strategy: str, page_size: int,
              watches: dict, stop: bool = False) -> dict:
     """One debugger session on workload ``name`` at ``scale`` under
-    ``strategy`` with the three ``watches``, every CPU segment on the
-    loop method ``loop``; the comparable parts of the session.
+    ``strategy`` with ``watches`` (any of the global, local and heap
+    watch), every CPU segment on the loop method ``loop``; the
+    comparable parts of the session.
 
     With ``stop`` the watches stop instead of logging, a control
     breakpoint stops at the local watch's function, and the session is
-    continued until it finishes; each stop is recorded.
+    continued until it finishes; each stop is recorded, with the CPU's
+    counters, ``sp`` and ``fp`` and every frame's linkage and registers.
     """
     from repro.debugger import Debugger
     from repro.debugger.breakpoints import BreakpointAction
@@ -196,27 +202,33 @@ def live_run(name: str, scale: str, loop: str, strategy: str, page_size: int,
     size = workload.smoke_scale if scale == "smoke" else workload.default_scale
     program = _program(name, scale)
     action = "stop" if stop else "log"
-    func, var = watches["local"].split(".", 1)
-    context, ordinal = watches["heap"]
     stops, error, state = [], None, None
     with on_loop(loop) as seconds:
         debugger = Debugger(program, strategy=strategy, page_size=page_size)
         workload.setup(debugger.memory, debugger.image, size)
-        breakpoints = [
-            debugger.watch_global(watches["global"], action=action),
-            debugger.watch_local(func, var, action=action),
-            debugger.watch_heap(context, alloc_ordinal=ordinal, action=action),
-        ]
-        if stop:
-            breakpoints.append(debugger.break_at(func))
+        breakpoints = []
+        if "global" in watches:
+            breakpoints.append(debugger.watch_global(watches["global"], action=action))
+        if "local" in watches:
+            func, var = watches["local"].split(".", 1)
+            breakpoints.append(debugger.watch_local(func, var, action=action))
+            if stop:
+                breakpoints.append(debugger.break_at(func))
+        if "heap" in watches:
+            context, ordinal = watches["heap"]
+            breakpoints.append(
+                debugger.watch_heap(context, alloc_ordinal=ordinal, action=action))
         cpu = debugger.cpu
         try:
             outcome = debugger.run()
             while outcome.stopped:
                 info = outcome.stop
+                frames = tuple((f.func.name, f.ret_pc, f.saved_fp, f.dest_reg, tuple(f.regs))
+                               for f in cpu.frames)
                 stops.append((info.breakpoint.id, info.pc, info.location,
                               tuple(info.call_stack), repr(info.event.value),
-                              cpu.instructions, cpu.cycles, cpu.stores))
+                              cpu.instructions, cpu.cycles, cpu.stores,
+                              cpu.sp, cpu.fp, frames))
                 if len(stops) == MAX_STOPS:
                     for bp in breakpoints:
                         bp.action = BreakpointAction.LOG
@@ -261,7 +273,7 @@ def mismatches(reference: dict, fast: dict) -> list:
 
 def _report(label: str, work: str, reference: dict, fast: dict) -> bool:
     differ = mismatches(reference, fast)
-    print(f"{label:12s} {work:>24s}  reference {reference['seconds']:6.2f} s  "
+    print(f"{label:19s} {work:>24s}  reference {reference['seconds']:6.2f} s  "
           f"fast {fast['seconds']:6.2f} s  "
           f"{'MISMATCH: ' + ', '.join(differ) if differ else 'identical'}")
     return not differ
@@ -287,6 +299,13 @@ def main(argv=None) -> int:
             work = f"{sum(reference['hits'])} hits"
             if not _report(f"gcc {label}", work, reference, fast):
                 return 1
+        label, strategy, page_size, watches = HEAP_ONLY
+        reference, fast = (
+            live_run("gcc", args.scale, loop, strategy, page_size, watches)
+            for loop in LOOPS
+        )
+        if not _report(f"gcc {label}", f"{sum(reference['hits'])} hits", reference, fast):
+            return 1
     return 0
 
 

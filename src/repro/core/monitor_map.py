@@ -20,6 +20,9 @@ from repro.core.wms import Monitor
 from repro.errors import MonitorNotFound
 from repro.units import WORD_SHIFT, WORD_SIZE, align_down, align_up
 
+#: ``address & _WORD_MASK`` is ``align_down(address, WORD_SIZE)``.
+_WORD_MASK = -WORD_SIZE
+
 
 class MonitorMap:
     """Interface: install/remove monitors, look up address ranges."""
@@ -86,7 +89,7 @@ class BitmapMonitorMap(MonitorMap):
 
     def lookup(self, begin: int, end: int) -> Tuple[Monitor, ...]:
         words = self._words
-        first = align_down(begin, WORD_SIZE)
+        first = begin & _WORD_MASK
         if end - first <= WORD_SIZE:
             # Fast path: a word-sized (or smaller) write probes one word.
             return words.get(first, ())

@@ -92,11 +92,9 @@ class VirtualMemoryWms(WriteMonitorService):
         hit_monitors = self.map.lookup(begin, end)
         # Continue past the faulting instruction: unprotect, emulate,
         # reprotect (paper section 3.2).
-        page = self.cpu.page_table.page_of(begin)
-        self.os.protect_pages([page], Protection.READ_WRITE)
-        self.os.emulate(frame, cpu)
-        if page in self.page_monitor_count:
-            self.os.protect_pages([page], Protection.READ)
+        self.os.emulate_on_protected_page(
+            frame, cpu, begin >> cpu.page_table.page_shift, self.page_monitor_count
+        )
         if hit_monitors:
             self._notify(begin, end, frame.pc, hit_monitors, frame.value)
 

@@ -5,11 +5,20 @@ together and provides the user-level services the write-monitor strategies
 build on.  All kernel work is charged to the CPU's cycle counter using the
 calibrated :class:`~repro.sim_os.costs.KernelCosts`, so overheads observed
 in live runs are directly comparable to the paper's analytical models.
+
+Every trap-patched store, write fault and monitor fault passes through
+:meth:`SimOs.deliver`, so the delivery path is kept short:
+:meth:`SimOs.sigaction` rebuilds a route table from trap kind to
+``(handler, delivery cycles)``, and a delivery is one probe of it.
+The VirtualMemory strategy's continue-past-fault sequence (unprotect
+the page, emulate the store, reprotect the page) is one service,
+:meth:`SimOs.emulate_on_protected_page`, that charges and counts what
+the separate ``protect_pages`` and ``emulate`` calls would.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Container, Dict, Optional, Tuple
 
 from repro.errors import BadSyscall, UnhandledFault
 from repro.machine.cpu import Cpu
@@ -78,6 +87,9 @@ class SimOs:
         self.costs = costs
         self.page_table: PageTable = cpu.page_table
         self._handlers: Dict[Signal, Handler] = {}
+        #: Trap kind -> (handler, delivery cycles), for each kind whose
+        #: signal has a handler; rebuilt by :meth:`sigaction`.
+        self._routes: Dict[TrapKind, Tuple[Handler, int]] = {}
         #: Syscall/statistics counters, by name.
         self.counters: Dict[str, int] = {
             "mprotect_calls": 0,
@@ -100,27 +112,38 @@ class SimOs:
     # ------------------------------------------------------------------
 
     def sigaction(self, signal: Signal, handler: Optional[Handler]) -> None:
-        """Install (or, with None, remove) a user-level signal handler."""
+        """Install (or, with None, remove) a user-level signal handler.
+
+        Rebuilds the route table, so the next trap of every kind that
+        maps to ``signal`` reaches ``handler``.
+        """
+        handlers = self._handlers
         if handler is None:
-            self._handlers.pop(signal, None)
+            handlers.pop(signal, None)
         else:
-            self._handlers[signal] = handler
+            handlers[signal] = handler
+        self._routes = {
+            kind: (handlers[signal_for_trap(kind)], cost)
+            for kind, cost in self._delivery_cost.items()
+            if signal_for_trap(kind) in handlers
+        }
 
     def deliver(self, frame: TrapFrame, cpu: Cpu) -> None:
         """Kernel entry point: deliver a hardware trap as a signal.
 
         Charges the delivery cost for the trap kind, then runs the user
-        handler.  The handler's own work (mprotect calls, emulation) is
-        charged by the services it invokes.
+        handler; both come from one probe of the route table.  The
+        handler's own work (mprotect calls, emulation) is charged by the
+        services it invokes.
         """
-        signal = signal_for_trap(frame.kind)
-        handler = self._handlers.get(signal)
-        if handler is None:
+        route = self._routes.get(frame.kind)
+        if route is None:
             raise UnhandledFault(
-                f"{signal.value} (from {frame.kind.value}) at pc={frame.pc}, "
-                f"address={frame.address!r}: no handler installed"
+                f"{signal_for_trap(frame.kind).value} (from {frame.kind.value}) "
+                f"at pc={frame.pc}, address={frame.address!r}: no handler installed"
             )
-        cpu.cycles += self._delivery_cost[frame.kind]
+        handler, cost = route
+        cpu.cycles += cost
         self.counters["faults_delivered"] += 1
         handler(frame, cpu)
 
@@ -158,6 +181,32 @@ class SimOs:
             count = len(pages)
             self.counters["pages_unprotected"] += count
             self.cpu.cycles += count * self.costs.unprotect_page
+
+    def emulate_on_protected_page(
+        self, frame: TrapFrame, cpu: Cpu, page: int, monitored: Container[int]
+    ) -> None:
+        """Continue past a write fault on ``page``: unprotect the page,
+        emulate the faulting store, and protect the page again if it is
+        still in ``monitored`` (paper section 3.2).
+
+        Charges and counts exactly what ``protect_pages([page],
+        READ_WRITE)``, :meth:`emulate` and, on a reprotect,
+        ``protect_pages([page], READ)`` would, in that order.  The
+        reprotect is decided after the store, so a handler the store
+        runs can still release the page.
+        """
+        counters, costs = self.counters, self.costs
+        protected = self.page_table.write_protected
+        counters["mprotect_calls"] += 1
+        protected.discard(page)
+        counters["pages_unprotected"] += 1
+        cpu.cycles += costs.unprotect_page
+        self.emulate(frame, cpu)
+        if page in monitored:
+            counters["mprotect_calls"] += 1
+            protected.add(page)
+            counters["pages_protected"] += 1
+            cpu.cycles += costs.protect_page
 
     def protect_pages(self, pages, prot: Protection) -> None:
         """mprotect by explicit page numbers (used by the VM strategy)."""

@@ -139,3 +139,47 @@ class TestDynamicInstall:
         # Both hits and the same-page miss (b shares a's page) faulted.
         assert os.counters["faults_delivered"] == wms.stats.checks >= 3
         assert os.counters["stores_emulated"] == wms.stats.checks
+
+
+class TestFaultPath:
+    """One write fault: lookup, unprotect, emulate, reprotect."""
+
+    def test_page_that_keeps_a_monitor_is_protected_again(self):
+        cpu, os, wms, image = build(SOURCE)
+        a = image.global_var("a")
+        wms.install_monitor(a.address, a.address + 4)
+        page = cpu.page_table.page_of(a.address)
+        counters, cycles = dict(os.counters), cpu.cycles
+        cpu._store(0, a.address, 7)
+        assert cpu.page_table.protection_of(page) is Protection.READ
+        assert cpu.memory.load_word(a.address) == 7
+        assert {name: os.counters[name] - counters[name] for name in counters} == {
+            "mprotect_calls": 2,
+            "pages_protected": 1,
+            "pages_unprotected": 1,
+            "faults_delivered": 1,
+            "stores_emulated": 1,
+        }
+        costs = os.costs
+        assert cpu.cycles - cycles == (
+            costs.write_fault_delivery
+            + wms.timing.software_lookup_cycles
+            + costs.unprotect_page
+            + costs.emulate_store
+            + costs.protect_page
+        )
+        assert [(n.begin, n.value) for n in wms.notifications] == [(a.address, 7)]
+
+    def test_page_protected_without_a_monitor_stays_unprotected(self):
+        cpu, os, wms, image = build(SOURCE)
+        a = image.global_var("a")
+        page = cpu.page_table.page_of(a.address)
+        os.protect_pages([page], Protection.READ)
+        counters = dict(os.counters)
+        cpu._store(0, a.address, 7)
+        assert cpu.page_table.protection_of(page) is Protection.READ_WRITE
+        assert cpu.memory.load_word(a.address) == 7
+        assert os.counters["mprotect_calls"] - counters["mprotect_calls"] == 1
+        assert os.counters["pages_unprotected"] - counters["pages_unprotected"] == 1
+        assert os.counters["pages_protected"] == counters["pages_protected"]
+        assert wms.stats.checks == 1 and wms.stats.hits == 0

@@ -18,7 +18,7 @@ Two oracles over randomly generated programs:
    and the same program debugged with a random watch (a local of
    ``main``, of a helper or of the recursion, the array or one of its
    elements) under a random strategy must give the same stops, events,
-   statistics and memory on both loops.
+   statistics and memory, or the same error, on both loops.
 
 The generator covers assignments, compound assignment, ++/--, ternaries,
 nested ifs, and bounded for-loops, over int variables and an int array,
@@ -30,6 +30,7 @@ masked to ten bits, so results stay small.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.debugger import Debugger
@@ -362,7 +363,11 @@ def test_fast_path_matches_reference_loop(data):
 def _run_watched(program, loop: str, strategy: str, page_size: int, watch: str,
                  action: str) -> dict:
     """Debug ``program`` with one data breakpoint, every segment on the
-    CPU loop method ``loop``, continuing through every stop."""
+    CPU loop method ``loop``, continuing through every stop.
+
+    An error the session raises (``native`` runs out of monitor
+    registers when a watched local has more than four live activations)
+    is part of the result, with the counters it left."""
     debugger = Debugger(program, strategy=strategy, page_size=page_size)
     cpu = debugger.cpu
     cpu._execute = getattr(cpu, loop)
@@ -373,15 +378,20 @@ def _run_watched(program, loop: str, strategy: str, page_size: int, watch: str,
     else:  # one element of the array, by address
         begin = debugger.symbols.global_range(ARRAY)[0] + 4 * int(watch[len(ARRAY):])
         bp = debugger.watch_address(begin, begin + 4, action=action)
-    stops = []
-    outcome = debugger.run(max_instructions=2_000_000)
-    while outcome.stopped and len(stops) < 30:
-        stops.append((outcome.stop.pc, outcome.stop.event.value,
-                      cpu.instructions, cpu.cycles, cpu.stores))
-        outcome = debugger.cont(max_instructions=2_000_000)
+    stops, error, state = [], None, None
+    try:
+        outcome = debugger.run(max_instructions=2_000_000)
+        while outcome.stopped and len(stops) < 30:
+            stops.append((outcome.stop.pc, outcome.stop.event.value,
+                          cpu.instructions, cpu.cycles, cpu.stores))
+            outcome = debugger.cont(max_instructions=2_000_000)
+        state = outcome.state
+    except Exception as exc:  # compared across loops
+        error = f"{type(exc).__name__}: {exc}"
     return {
+        "error": error,
         "stops": stops,
-        "state": outcome.state,
+        "state": state,
         "events": [(e.pc, e.address, e.value) for e in bp.events],
         "stats": vars(debugger.wms.stats),
         "counters": (cpu.instructions, cpu.cycles, cpu.stores, dict(cpu.trap_counts)),
@@ -410,3 +420,30 @@ def test_watched_fast_path_matches_reference_loop(data):
         for loop in ("_loop", "_fast_loop")
     )
     assert reference == fast, f"\n--- C ---\n{c_source}"
+
+
+RECURSION_5 = """
+int rec(int n, int x) {
+  if (n <= 0) { return x & 1023; }
+  return (rec(n - 1, (x + n) & 1023) + 1) & 1023;
+}
+int main() {
+  return rec(5, 1);
+}
+"""
+
+
+@pytest.mark.parametrize("action", ["log", "stop"])
+def test_watched_recursion_past_the_monitor_registers_fails_alike(action):
+    """A watched local of a recursion six activations deep needs a fifth
+    monitor register at ``rec(1)``'s entry: both loops raise the same
+    error with the same counters."""
+    program = compile_source(RECURSION_5, "rec5")
+    reference, fast = (
+        _run_watched(program, loop, "native", 4096, ("rec", "x"), action)
+        for loop in ("_loop", "_fast_loop")
+    )
+    assert reference["error"] == (
+        "MonitorRegisterExhausted: all 4 hardware monitor registers in use")
+    assert reference["stats"]["installs"] == 4
+    assert reference == fast

@@ -66,6 +66,55 @@ class TestDelivery:
         assert cpu.cycles - before == getattr(os.costs, cost_attr)
 
 
+class TestRoutes:
+    """``sigaction`` rebuilds the kind -> (handler, cost) route table."""
+
+    def test_replacing_handler_after_a_delivery_takes_the_next_trap(self, os_and_cpu):
+        os, cpu = os_and_cpu
+        first, second = [], []
+        os.sigaction(Signal.SIGSEGV, lambda frame, c: first.append(frame.pc))
+        os.deliver(TrapFrame(TrapKind.WRITE_FAULT, pc=1, address=0x100), cpu)
+        os.sigaction(Signal.SIGSEGV, lambda frame, c: second.append(frame.pc))
+        os.deliver(TrapFrame(TrapKind.WRITE_FAULT, pc=2, address=0x100), cpu)
+        assert first == [1]
+        assert second == [2]
+        assert os.counters["faults_delivered"] == 2
+
+    def test_removed_handler_raises_with_the_kind_and_the_address(self, os_and_cpu):
+        os, cpu = os_and_cpu
+        os.sigaction(Signal.SIGTRAP, lambda frame, c: None)
+        os.deliver(TrapFrame(TrapKind.TRAP_INSTR, pc=0, address=0), cpu)
+        os.sigaction(Signal.SIGTRAP, None)
+        before = cpu.cycles
+        with pytest.raises(UnhandledFault) as info:
+            os.deliver(TrapFrame(TrapKind.TRAP_INSTR, pc=3, address=0x40), cpu)
+        assert str(info.value) == (
+            "SIGTRAP (from trap_instr) at pc=3, address=64: no handler installed"
+        )
+        assert cpu.cycles == before
+        assert os.counters["faults_delivered"] == 1
+
+    def test_sigtrap_serves_trap_instructions_and_breakpoints(self):
+        cpu = Cpu(Memory())
+        os = SimOs(cpu, KernelCosts(trap_delivery=us_to_cycles(7)))
+        seen = []
+        os.sigaction(Signal.SIGTRAP, lambda frame, c: seen.append(frame.kind))
+        for kind in (TrapKind.TRAP_INSTR, TrapKind.BREAKPOINT):
+            before = cpu.cycles
+            os.deliver(TrapFrame(kind, pc=0, address=0x200), cpu)
+            assert cpu.cycles - before == us_to_cycles(7)
+        assert seen == [TrapKind.TRAP_INSTR, TrapKind.BREAKPOINT]
+
+    def test_sigsegv_handler_never_receives_a_trap_instruction(self, os_and_cpu):
+        os, cpu = os_and_cpu
+        seen = []
+        os.sigaction(Signal.SIGSEGV, lambda frame, c: seen.append(frame))
+        with pytest.raises(UnhandledFault, match="SIGTRAP"):
+            os.deliver(TrapFrame(TrapKind.TRAP_INSTR, pc=0, address=0x200), cpu)
+        assert seen == []
+        assert os.counters["faults_delivered"] == 0
+
+
 class TestEmulate:
     def test_emulate_performs_store(self, os_and_cpu):
         os, cpu = os_and_cpu

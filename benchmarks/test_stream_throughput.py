@@ -2,7 +2,7 @@
 
 The streaming pipeline exists so traces larger than RAM can replay from
 disk with bounded memory.  This benchmark measures both sides of that
-trade on the same spilled v2 archive, for **both** simulation backends:
+trade on the same spilled archive, for **both** simulation backends:
 
 * **events/sec** — chunk-at-a-time feeding through
   :class:`~repro.simulate.engine.SimulationStream` /
@@ -20,7 +20,7 @@ live working set (owned words, touched pages, open windows) from one
 chunk to the next.  The memory tests below pin both halves of that
 claim — the streamed peak sits far below the whole-trace peak, and on
 the native backend it scales with the chunk size, not the trace size —
-and the identity test re-chunks the same archive at randomized
+and the identity test re-spills the same trace at randomized chunk
 boundaries to check streamed results stay bit-identical to batch on
 both backends.
 """
@@ -37,9 +37,9 @@ from repro import observe
 from repro.sessions.types import SessionDef, ONE_HEAP, ALL_HEAP_IN_FUNC
 from repro.simulate import open_simulation_stream, simulate_sessions
 from repro.simulate._native import native_available
-from repro.trace import EventTrace, ObjectRegistry, load_trace
+from repro.trace import EventTrace, ObjectRegistry, iter_chunks, load_trace
 from repro.trace.stream import ChunkChannel, peak_resident_chunks
-from repro.trace.tracefile import TraceStreamReader, save_trace_chunked
+from repro.trace.tracefile import ChunkedTraceWriter, TraceStreamReader
 
 N_OBJECTS = 40
 N_EVENTS = 120_000
@@ -96,12 +96,20 @@ def _build_trace(n_events=N_EVENTS):
     return trace, registry, sessions
 
 
+def _spill(trace, registry, path, chunk_events=CHUNK_EVENTS):
+    """Write ``trace`` as a chunked archive, ``chunk_events`` per chunk."""
+    with ChunkedTraceWriter(path) as writer:
+        for chunk in iter_chunks(trace, chunk_events):
+            writer.write_chunk(chunk)
+        writer.finalize(trace.meta, registry)
+
+
 @pytest.fixture(scope="module")
 def spilled(tmp_path_factory):
-    """The synthetic trace spilled once as a chunked (v2) archive."""
+    """The synthetic trace spilled once as a chunked archive."""
     trace, registry, sessions = _build_trace()
     path = tmp_path_factory.mktemp("stream-bench") / "trace.npz"
-    save_trace_chunked(trace, registry, path, chunk_events=CHUNK_EVENTS)
+    _spill(trace, registry, path)
     return path, sessions
 
 
@@ -111,7 +119,7 @@ def spilled_half(tmp_path_factory):
     baseline for the chunk-size-not-trace-size assertion."""
     trace, registry, sessions = _build_trace(N_EVENTS // 2)
     path = tmp_path_factory.mktemp("stream-bench-half") / "trace.npz"
-    save_trace_chunked(trace, registry, path, chunk_events=CHUNK_EVENTS)
+    _spill(trace, registry, path)
     return path, sessions
 
 
@@ -121,9 +129,9 @@ def _run_batch(path, sessions, engine="python"):
                              engine=engine)
 
 
-def _run_streamed(path, sessions, engine="python", chunk_events=CHUNK_EVENTS):
+def _run_streamed(path, sessions, engine="python"):
     """The pipeline wiring: reader thread -> bounded channel -> engine."""
-    with TraceStreamReader(path, chunk_events=chunk_events) as reader:
+    with TraceStreamReader(path) as reader:
         stream = open_simulation_stream(
             reader.registry, sessions, PAGE_SIZES, engine=engine
         )
@@ -174,18 +182,21 @@ def _assert_same_counts(batch, streamed):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_streamed_and_batch_results_identical(spilled, engine):
-    """Streamed == batch on both backends, including re-chunked replays
-    at randomized chunk boundaries (chunk framing must not leak into
-    results)."""
+def test_streamed_and_batch_results_identical(spilled, engine, tmp_path):
+    """Streamed == batch on both backends, including replays of the
+    trace re-spilled at randomized chunk boundaries (chunk framing must
+    not leak into results)."""
     path, sessions = spilled
     batch = _run_batch(path, sessions, engine)
     _assert_same_counts(batch, _run_streamed(path, sessions, engine))
+    trace, registry = load_trace(path)
     rng = random.Random(0xD0C5)
-    for _ in range(2):
-        chunk_events = rng.randint(100, 3 * CHUNK_EVENTS)
+    for attempt in range(2):
+        respilled = tmp_path / f"trace-{attempt}.npz"
+        _spill(trace, registry, respilled,
+               chunk_events=rng.randint(100, 3 * CHUNK_EVENTS))
         _assert_same_counts(
-            batch, _run_streamed(path, sessions, engine, chunk_events)
+            batch, _run_streamed(respilled, sessions, engine)
         )
 
 

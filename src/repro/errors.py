@@ -149,6 +149,14 @@ class TraceFormatError(PipelineError):
     """A trace file or event stream was malformed."""
 
 
+class TraceRangeError(PipelineError):
+    """A trace column value does not fit its on-disk dtype.
+
+    Raised by the trace writer instead of truncating the value; the
+    writer publishes nothing.
+    """
+
+
 class SessionError(PipelineError):
     """A monitor session definition was invalid."""
 

@@ -600,7 +600,6 @@ def _store_main(argv) -> int:
     args = _parse_store_args(argv)
     from repro.experiments.store import (
         STATUS_CORRUPT,
-        STATUS_LEGACY,
         STATUS_NPZ,
         STATUS_OTHER,
         STATUS_TMP,
@@ -618,7 +617,6 @@ def _store_main(argv) -> int:
                 f"store verify: {len(report.entries)} entr(ies) under "
                 f"{args.cache_dir} — "
                 f"{report.count(STATUS_V3)} enveloped, "
-                f"{report.count(STATUS_LEGACY)} legacy, "
                 f"{report.count(STATUS_NPZ)} trace, "
                 f"{report.count(STATUS_TMP)} temp, "
                 f"{report.count(STATUS_OTHER)} other, "

@@ -303,8 +303,8 @@ def _trace_for(
                 faultpoint("cache.read", program=workload.name, kind="trace")
                 loaded = load_trace(trace_path)
             except Exception as exc:
-                # Torn .npz (killed writer pre-PR, full disk), or any
-                # format drift load_trace rejects: recover as a miss.
+                # Torn .npz (full disk), an earlier format version, or
+                # any format drift load_trace rejects: recover as a miss.
                 _discard_corrupt(
                     "trace", trace_path, exc, workload.name, progress
                 )
@@ -334,7 +334,7 @@ def _spill_streamed_trace(
     config: ExperimentConfig, progress: Progress,
 ) -> None:
     """Phase 1 in stream mode: trace ``workload`` chunk-by-chunk into a
-    chunked (v2) archive at ``dest``.
+    chunked archive at ``dest``.
 
     The tracer runs in a producer thread emitting chunks into a bounded
     :class:`ChunkChannel`; this thread drains it into a
@@ -388,8 +388,9 @@ def _streamed_reader_for(
     """Stream-mode phase 1: an open, verified :class:`TraceStreamReader`
     over this workload's trace, plus a cleanup callback.
 
-    Cache hits (either container version) verify chunk-by-chunk before
-    use — a corrupt entry recovers as a miss, like the batch path.  On a
+    Cache hits verify chunk-by-chunk before use — a corrupt entry, or
+    one of an earlier format version, recovers as a miss, like the
+    batch path.  On a
     miss the trace is spilled by :func:`_spill_streamed_trace`, into the
     cache entry itself when caching is on, or a temporary file (removed
     by the cleanup callback) when it is off or unwritable.
@@ -403,9 +404,7 @@ def _streamed_reader_for(
             reader = None
             try:
                 faultpoint("cache.read", program=name, kind="trace")
-                reader = TraceStreamReader(
-                    trace_path, chunk_events=config.chunk_events
-                )
+                reader = TraceStreamReader(trace_path)
                 reader.verify()
             except Exception as exc:
                 if reader is not None:
@@ -451,7 +450,7 @@ def _streamed_reader_for(
                 pass
             raise
 
-    reader = TraceStreamReader(dest, chunk_events=config.chunk_events)
+    reader = TraceStreamReader(dest)
 
     def cleanup() -> None:
         reader.close()

@@ -11,20 +11,18 @@ This module generalizes the pipeline's ad-hoc cache files into a small
   every load; a mismatch raises :class:`StoreCorruptError` and the entry
   is treated exactly like a missing one (discarded, recomputed).  Trace
   ``.npz`` entries are already integrity-checked by their container
-  (zip CRCs in v1, zip CRCs plus the footer's per-chunk column
-  checksums in v2 — see ``docs/TRACE_FORMAT.md``), so the store
-  verifies them by reading them through
-  :class:`~repro.trace.tracefile.TraceStreamReader` rather than
+  (zip CRCs plus the footer's per-chunk column checksums — see
+  ``docs/TRACE_FORMAT.md``), so the store verifies them by reading them
+  through :class:`~repro.trace.tracefile.TraceStreamReader` rather than
   double-wrapping.
 * **Maintenance surface** — :meth:`ResultStore.verify` audits every
   entry and :meth:`ResultStore.gc` removes temp droppings and corrupt
   blobs, surfaced as the ``store verify`` / ``store gc`` CLI
   subcommands.
 
-Backward compatibility: entries written before the envelope existed
-(bare pickled payload dicts, including the repo's committed full-scale
-cache) load through a legacy shim and are reported as ``legacy`` by
-``verify`` — valid, just not self-verifying.  Entry *names* are
+A pickle that is not an envelope (a bare payload written before the
+envelope existed) is a :class:`StoreCorruptError`, so it recovers as a
+cache miss and ``verify`` reports it ``corrupt``.  Entry *names* are
 unchanged from the classic cache layout: the simulation cache is
 deliberately keyed without the engine (a payload computed by one backend
 is bit-identical and valid for the others), so the run-journal task
@@ -50,15 +48,13 @@ from repro.errors import StoreCorruptError
 from repro.faults import faultpoint
 from repro.trace.tracefile import TraceStreamReader
 
-#: Envelope format marker; payloads wrapped before this existed are
-#: "legacy" and load through the shim below.
+#: Envelope format marker.
 STORE_FORMAT = "repro-store"
 STORE_VERSION = 3
 DIGEST_ALGO = "sha256"
 
 #: Entry statuses reported by :meth:`ResultStore.verify`.
 STATUS_V3 = "v3"            #: enveloped, digest verified
-STATUS_LEGACY = "legacy"    #: pre-envelope pickle, loadable
 STATUS_NPZ = "npz"          #: trace container, read and checksums verified
 STATUS_CORRUPT = "corrupt"  #: failed its integrity check
 STATUS_TMP = "tmp"          #: orphaned temp file from a killed writer
@@ -108,8 +104,8 @@ class StoreReport:
             "total": len(self.entries),
             "counts": {
                 status: self.count(status)
-                for status in (STATUS_V3, STATUS_LEGACY, STATUS_NPZ,
-                               STATUS_CORRUPT, STATUS_TMP, STATUS_OTHER)
+                for status in (STATUS_V3, STATUS_NPZ, STATUS_CORRUPT,
+                               STATUS_TMP, STATUS_OTHER)
             },
             "entries": [entry.to_dict() for entry in self.entries],
         }
@@ -174,30 +170,27 @@ class ResultStore:
                      program: Optional[str] = None) -> object:
         """Load and verify the payload published at ``path``.
 
-        Raises :class:`StoreCorruptError` on digest mismatch or envelope
-        drift, and whatever the underlying read raises on I/O or pickle
-        failure — callers treat any of these as a cache miss.
+        Raises :class:`StoreCorruptError` on digest mismatch, envelope
+        drift or a pickle that is not an envelope, and whatever the
+        underlying read raises on I/O or pickle failure — callers treat
+        any of these as a cache miss.
         """
         faultpoint("store.load", program=program, entry=path.name)
         with open(path, "rb") as handle:
             obj = pickle.load(handle)
-        if isinstance(obj, dict) and obj.get("format") == STORE_FORMAT:
-            payload = self._open_envelope(obj, path)
-            observe.inc("store.loaded")
-            observe.emit_event("store.load", "DEBUG", program=program,
-                               entry=path.name)
-            return payload
-        # Legacy shim: a bare payload written before the envelope
-        # existed (v1/v2 cache entries, including the committed
-        # full-scale cache).  Loadable, just not self-verifying.
+        payload = self._open_envelope(obj, path)
         observe.inc("store.loaded")
-        observe.inc("store.load.legacy")
         observe.emit_event("store.load", "DEBUG", program=program,
-                           entry=path.name, legacy=True)
-        return obj
+                           entry=path.name)
+        return payload
 
-    def _open_envelope(self, envelope: Dict[str, object],
-                       path: Path) -> object:
+    def _open_envelope(self, envelope: object, path: Path) -> object:
+        if not (isinstance(envelope, dict)
+                and envelope.get("format") == STORE_FORMAT):
+            raise StoreCorruptError(
+                f"{path.name}: not a store envelope (a "
+                f"{type(envelope).__name__})"
+            )
         if envelope.get("version") != STORE_VERSION:
             raise StoreCorruptError(
                 f"{path.name}: unsupported store envelope version "
@@ -270,17 +263,11 @@ class ResultStore:
             except Exception as exc:
                 return EntryReport(name, STATUS_CORRUPT, size,
                                    f"{type(exc).__name__}: {exc}")
-            if isinstance(obj, dict) and obj.get("format") == STORE_FORMAT:
-                try:
-                    self._open_envelope(obj, path)
-                except Exception as exc:
-                    return EntryReport(name, STATUS_CORRUPT, size, str(exc))
-                return EntryReport(name, STATUS_V3, size)
-            if isinstance(obj, dict):
-                return EntryReport(name, STATUS_LEGACY, size,
-                                   "pre-envelope payload (no digest)")
-            return EntryReport(name, STATUS_CORRUPT, size,
-                               f"unexpected pickle of {type(obj).__name__}")
+            try:
+                self._open_envelope(obj, path)
+            except Exception as exc:
+                return EntryReport(name, STATUS_CORRUPT, size, str(exc))
+            return EntryReport(name, STATUS_V3, size)
         if name.endswith(".npz"):
             try:
                 with TraceStreamReader(path) as reader:

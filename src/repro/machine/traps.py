@@ -19,7 +19,6 @@ mechanism the paper assumes.
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -39,12 +38,12 @@ class TrapKind(enum.Enum):
     BREAKPOINT = "breakpoint"
 
 
-@dataclass(**({"slots": True} if sys.version_info >= (3, 10) else {}))
+@dataclass(slots=True)
 class TrapFrame:
     """Context captured by the CPU when a trap is raised.
 
-    One frame is built per trap, so the class has slots (on Python
-    3.10+, where dataclasses take them): no per-instance ``__dict__``.
+    One frame is built per trap, so the class has slots: no
+    per-instance ``__dict__``.
 
     Attributes
     ----------

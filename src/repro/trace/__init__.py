@@ -30,7 +30,6 @@ from repro.trace.tracefile import (
     TraceStreamReader,
     load_trace,
     save_trace,
-    save_trace_chunked,
 )
 from repro.trace.shared import (
     AttachedTrace,
@@ -57,7 +56,6 @@ __all__ = [
     "ChunkedTraceWriter",
     "TraceStreamReader",
     "save_trace",
-    "save_trace_chunked",
     "load_trace",
     "AttachedTrace",
     "SharedTraceHandle",

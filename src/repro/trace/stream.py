@@ -16,7 +16,8 @@ implement is ``docs/TRACE_FORMAT.md``):
   emits chunks as the program runs instead of accumulating the whole
   trace, so phase 1's memory stays bounded by one chunk;
 * :func:`iter_chunks` — re-chunk a complete in-memory trace, so batch
-  traces (and v1 cache entries) replay through the streaming path.
+  traces replay through the streaming path and save through the one
+  chunked writer.
 
 Chunk boundaries are *framing only*: a chunk never carries simulation
 state, and concatenating the columns of chunks ``0..n`` in sequence
@@ -73,6 +74,11 @@ DEFAULT_CHANNEL_CAPACITY = 4
 
 _COLUMN_NAMES = ("kinds", "col_a", "col_b", "col_c")
 
+#: Column dtypes of a :class:`TraceChunk`, in ``_COLUMN_NAMES`` order:
+#: the :meth:`EventTrace.as_arrays` layout.
+WIRE_DTYPES = (np.dtype(np.int8), np.dtype(np.int64), np.dtype(np.int64),
+               np.dtype(np.int64))
+
 _MIN_KIND = min(VALID_KINDS)
 _MAX_KIND = max(VALID_KINDS)
 
@@ -105,14 +111,12 @@ class TraceChunk:
     @classmethod
     def build(cls, seq, kinds, col_a, col_b, col_c) -> "TraceChunk":
         """Coerce columns to the canonical dtypes and compute checksums."""
-        kinds = np.ascontiguousarray(kinds, dtype=np.int8)
-        col_a = np.ascontiguousarray(col_a, dtype=np.int64)
-        col_b = np.ascontiguousarray(col_b, dtype=np.int64)
-        col_c = np.ascontiguousarray(col_c, dtype=np.int64)
-        checksums = tuple(
-            column_crc32(column) for column in (kinds, col_a, col_b, col_c)
+        columns = tuple(
+            np.ascontiguousarray(column, dtype=dtype)
+            for column, dtype in zip((kinds, col_a, col_b, col_c), WIRE_DTYPES)
         )
-        return cls(seq, kinds, col_a, col_b, col_c, checksums)
+        checksums = tuple(column_crc32(column) for column in columns)
+        return cls(seq, *columns, checksums)
 
     @property
     def n_events(self) -> int:
@@ -129,40 +133,47 @@ class TraceChunk:
         :class:`~repro.errors.PipelineError`) naming the chunk and the
         failing column.
         """
-        n = len(self.kinds)
-        columns = (self.kinds, self.col_a, self.col_b, self.col_c)
-        for name, column, dtype in zip(
-            _COLUMN_NAMES, columns, (np.int8, np.int64, np.int64, np.int64)
-        ):
-            if len(column) != n:
-                raise TraceFormatError(
-                    f"chunk {self.seq}: ragged columns "
-                    f"({name} has {len(column)} events, kinds has {n})"
-                )
-            if np.asarray(column).dtype != dtype:
-                raise TraceFormatError(
-                    f"chunk {self.seq}: column {name} has dtype "
-                    f"{np.asarray(column).dtype}, expected {np.dtype(dtype)}"
-                )
-        for name, column, expected in zip(
-            _COLUMN_NAMES, columns, self.checksums
-        ):
-            actual = column_crc32(column)
-            if actual != expected:
-                raise TraceFormatError(
-                    f"chunk {self.seq}: column {name} checksum mismatch "
-                    f"(stored {expected:#010x}, computed {actual:#010x})"
-                )
-        if n:
-            kinds = np.asarray(self.kinds)
-            invalid = (kinds < _MIN_KIND) | (kinds > _MAX_KIND)
-            bad_at = np.flatnonzero(invalid)
-            if bad_at.size:
-                raise TraceFormatError(
-                    f"chunk {self.seq}: invalid event kind "
-                    f"{int(kinds[bad_at[0]])} at chunk offset "
-                    f"{int(bad_at[0])}; expected one of {sorted(VALID_KINDS)}"
-                )
+        verify_columns(self.seq, self.columns, self.checksums, WIRE_DTYPES)
+
+
+def verify_columns(seq: int, columns, checksums, dtypes) -> None:
+    """Check one chunk's columns, in ``(kinds, col_a, col_b, col_c)``
+    order, against their expected ``dtypes`` and CRC-32 ``checksums``:
+    equal lengths, dtypes, checksums and the kind-byte range.
+
+    :meth:`TraceChunk.verify` checks the wire form with
+    :data:`WIRE_DTYPES`; the trace file reader checks the stored form
+    with its narrower dtypes.
+    """
+    n = len(columns[0])
+    for name, column, dtype in zip(_COLUMN_NAMES, columns, dtypes):
+        if len(column) != n:
+            raise TraceFormatError(
+                f"chunk {seq}: ragged columns "
+                f"({name} has {len(column)} events, kinds has {n})"
+            )
+        if np.asarray(column).dtype != dtype:
+            raise TraceFormatError(
+                f"chunk {seq}: column {name} has dtype "
+                f"{np.asarray(column).dtype}, expected {np.dtype(dtype)}"
+            )
+    for name, column, expected in zip(_COLUMN_NAMES, columns, checksums):
+        actual = column_crc32(column)
+        if actual != expected:
+            raise TraceFormatError(
+                f"chunk {seq}: column {name} checksum mismatch "
+                f"(stored {expected:#010x}, computed {actual:#010x})"
+            )
+    if n:
+        kinds = np.asarray(columns[0])
+        invalid = (kinds < _MIN_KIND) | (kinds > _MAX_KIND)
+        bad_at = np.flatnonzero(invalid)
+        if bad_at.size:
+            raise TraceFormatError(
+                f"chunk {seq}: invalid event kind "
+                f"{int(kinds[bad_at[0]])} at chunk offset "
+                f"{int(bad_at[0])}; expected one of {sorted(VALID_KINDS)}"
+            )
 
 
 def iter_chunks(

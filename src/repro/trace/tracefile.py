@@ -1,25 +1,35 @@
-"""Trace persistence: save/load traces and object registries.
+"""Trace persistence: the chunked trace container.
 
-Two container versions share one ``.npz`` (zip) envelope; the byte-level
-spec is ``docs/TRACE_FORMAT.md``:
+A saved trace is one ``.npz`` (zip) archive, format version 3; the
+byte-level spec is ``docs/TRACE_FORMAT.md``.  The columns are split into
+per-chunk members (``chunk-<seq>.<column>.npy``), ``kinds`` as int8 and
+``col_a``/``col_b``/``col_c`` as int32, and a ``stream`` JSON footer
+carries the run meta, the object registry and the chunk index with a
+CRC-32 per stored column.
 
-* **v1 (whole-trace)** — four full-length column members plus a ``meta``
-  JSON member.  Written by :func:`save_trace`; what batch runs cache.
-* **v2 (chunked)** — the columns split into per-chunk members
-  (``chunk-<seq>.<column>.npy``) plus a ``stream`` JSON footer carrying
-  the chunk index with per-column CRC-32s.  Written incrementally by
-  :class:`ChunkedTraceWriter` as chunks arrive — the spill target that
-  lets ``--stream`` trace programs whose event log exceeds RAM.
+* :class:`ChunkedTraceWriter` appends chunks as they arrive, so
+  ``--stream`` can spill a trace whose event log exceeds RAM.  It
+  narrows each address column to int32 and raises
+  :class:`~repro.errors.TraceRangeError` for a value that does not fit
+  (every address lies in the 16 MiB address space), so nothing is
+  truncated silently.
+* :func:`save_trace` feeds a whole in-memory trace to that writer in
+  chunks of :data:`SAVE_CHUNK_EVENTS`.
+* :class:`TraceStreamReader` replays a saved trace chunk by chunk,
+  verifying each chunk's stored columns against the footer index and
+  widening them back to the int64 :class:`~repro.trace.stream.TraceChunk`
+  layout.
+* :func:`load_trace` drains one reader into an in-memory
+  :class:`EventTrace`, widening while it concatenates.
 
-Both versions load through both access paths: :func:`load_trace`
-materializes either as one in-memory :class:`EventTrace`, and
-:class:`TraceStreamReader` replays either as a verified chunk stream
-(v1 is re-chunked from its whole columns).  Cache entries are therefore
-interchangeable between ``--stream`` and batch runs.
+The checksums cover the stored bytes (int32 for the address columns),
+so the reader verifies a chunk before widening it.  Archives of earlier
+format versions raise :class:`~repro.errors.TraceFormatError`, which the
+pipeline recovers as a cache miss.
 
-Writers publish atomically: the archive is built in a temporary file in
-the destination directory and :func:`os.replace`d into place, so a
-reader (or a concurrent writer racing on the same cache key — see
+The writer publishes atomically: the archive is built in a temporary
+file in the destination directory and :func:`os.replace`d into place,
+so a reader (or a concurrent writer racing on the same cache key — see
 :mod:`repro.experiments.parallel`) never sees a half-written file, and
 an interrupted save leaves the previous entry intact.
 """
@@ -31,26 +41,37 @@ import os
 import tempfile
 import zipfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
-from repro.errors import PipelineError, TraceFormatError
+from repro.errors import PipelineError, TraceFormatError, TraceRangeError
 from repro.faults import faultpoint
 from repro.trace.events import EventTrace, TraceMeta
 from repro.trace.objects import ObjectDesc, ObjectRegistry
 from repro.trace.stream import (
-    DEFAULT_CHUNK_EVENTS,
+    WIRE_DTYPES,
     TraceChunk,
+    column_crc32,
     iter_chunks,
+    verify_columns,
 )
 
-_FORMAT_VERSION = 1
-_STREAM_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 _COLUMN_SUFFIXES = ("kinds", "col_a", "col_b", "col_c")
 
-#: zlib level of every member the writers deflate.  Level 3 deflates
+#: On-disk dtype of each column, in ``_COLUMN_SUFFIXES`` order.  Every
+#: address and object id lies in 0..2**24, so int32 holds it.
+STORED_DTYPES = (np.dtype(np.int8), np.dtype(np.int32), np.dtype(np.int32),
+                 np.dtype(np.int32))
+
+#: Events per chunk when :func:`save_trace` writes a whole trace.  Larger
+#: chunks deflate a little smaller and load a little faster; a
+#: streamed replay of the file holds a few chunks at a time.
+SAVE_CHUNK_EVENTS = 262144
+
+#: zlib level of every member the writer deflates.  Level 3 deflates
 #: trace columns about twice as fast as zlib's default 6, for files about
 #: half as large again; readers accept any level.
 DEFLATE_LEVEL = 3
@@ -125,9 +146,8 @@ def _parse_json_member(raw: np.ndarray) -> Dict[str, object]:
 
 
 def _meta_and_registry(doc: Dict[str, object]) -> Tuple[TraceMeta, ObjectRegistry]:
-    """The run meta and object registry of a v1 ``meta`` or v2 ``stream``
-    document; a missing, unknown or mistyped field is a
-    :class:`TraceFormatError`."""
+    """The run meta and object registry of a ``stream`` footer; a
+    missing, unknown or mistyped field is a :class:`TraceFormatError`."""
     try:
         meta = TraceMeta(**doc["meta"])
         registry = _registry_from_records(doc["objects"])
@@ -157,58 +177,39 @@ def _write_member(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> Non
         )
 
 
-# ---------------------------------------------------------------------------
-# v1: whole-trace save (unchanged format)
-# ---------------------------------------------------------------------------
-
-
-def save_trace(
-    trace: EventTrace, registry: ObjectRegistry, path: Union[str, Path]
-) -> None:
-    """Save ``trace`` + ``registry`` to ``path`` as a v1 (whole-trace)
-    archive; see the module docstring for the atomic-publish protocol."""
-    path = Path(path)
-    faultpoint("trace.save", path=path.name)
-    faultpoint("io.write", kind="trace")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    meta_doc = {
-        "version": _FORMAT_VERSION,
-        "meta": vars(trace.meta),
-        "objects": _registry_records(registry),
-    }
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        columns = trace.as_arrays()  # zero-copy views, either backing
-        with os.fdopen(fd, "wb") as handle, _open_archive(handle) as archive:
-            for suffix, column in zip(_COLUMN_SUFFIXES, columns):
-                _write_member(archive, suffix, column)
-            _write_member(archive, "meta", _json_member(meta_doc))
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+def _narrow(seq: int, name: str, column: np.ndarray,
+            dtype: np.dtype) -> np.ndarray:
+    """``column`` as ``dtype``; a value outside ``dtype``'s range is a
+    :class:`TraceRangeError`."""
+    if column.dtype == dtype:
+        return column
+    info = np.iinfo(dtype)
+    if len(column):
+        low, high = int(column.min()), int(column.max())
+        if low < info.min or high > info.max:
+            raise TraceRangeError(
+                f"chunk {seq}: column {name} holds values in "
+                f"[{low}, {high}], outside {dtype}"
+            )
+    return column.astype(dtype)
 
 
 # ---------------------------------------------------------------------------
-# v2: chunked incremental writer
+# Writer
 # ---------------------------------------------------------------------------
 
 
 class ChunkedTraceWriter:
-    """Incremental writer for the chunked (v2) trace container.
+    """Incremental writer for the chunked trace container.
 
-    Chunks are appended as they arrive — ``write_chunk`` streams each
-    column straight into the archive, so the writer never holds more
-    than one chunk — and :meth:`finalize` appends the ``stream`` footer
-    (meta, registry, chunk index with checksums) and atomically
-    publishes the file.  A writer abandoned before ``finalize``
-    (crash, :meth:`abort`, context-manager exit on error) leaves no
-    partial file at the destination.
+    Chunks are appended as they arrive — ``write_chunk`` narrows each
+    column to its stored dtype and streams it straight into the archive,
+    so the writer never holds more than one chunk — and :meth:`finalize`
+    appends the ``stream`` footer (meta, registry, chunk index with
+    checksums) and atomically publishes the file.  A writer abandoned
+    before ``finalize`` (crash, :meth:`abort`, a
+    :class:`~repro.errors.TraceRangeError`, context-manager exit on
+    error) leaves no partial file at the destination.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -244,13 +245,18 @@ class ChunkedTraceWriter:
             )
         faultpoint("stream.spill", seq=chunk.seq)
         faultpoint("io.write", kind="trace")
-        for suffix, column in zip(_COLUMN_SUFFIXES, chunk.columns):
+        stored = [
+            _narrow(chunk.seq, suffix, column, dtype)
+            for suffix, column, dtype in zip(
+                _COLUMN_SUFFIXES, chunk.columns, STORED_DTYPES)
+        ]
+        for suffix, column in zip(_COLUMN_SUFFIXES, stored):
             _write_member(self._zip, _chunk_member(chunk.seq, suffix), column)
         self._index.append(
             {
                 "seq": chunk.seq,
                 "n_events": chunk.n_events,
-                "crc32": list(chunk.checksums),
+                "crc32": [column_crc32(column) for column in stored],
             }
         )
         self._next_seq += 1
@@ -262,7 +268,7 @@ class ChunkedTraceWriter:
             raise PipelineError("finalize() on a closed trace writer")
         faultpoint("io.write", kind="trace")
         doc = {
-            "version": _STREAM_FORMAT_VERSION,
+            "version": _FORMAT_VERSION,
             "meta": vars(meta),
             "objects": _registry_records(registry),
             "n_events": self._n_events,
@@ -308,15 +314,13 @@ class ChunkedTraceWriter:
         self.abort()
 
 
-def save_trace_chunked(
-    trace: EventTrace,
-    registry: ObjectRegistry,
-    path: Union[str, Path],
-    chunk_events: int = DEFAULT_CHUNK_EVENTS,
+def save_trace(
+    trace: EventTrace, registry: ObjectRegistry, path: Union[str, Path]
 ) -> None:
-    """Save an in-memory trace as a chunked (v2) archive."""
+    """Save ``trace`` + ``registry`` to ``path`` through a
+    :class:`ChunkedTraceWriter`, :data:`SAVE_CHUNK_EVENTS` per chunk."""
     with ChunkedTraceWriter(path) as writer:
-        for chunk in iter_chunks(trace, chunk_events):
+        for chunk in iter_chunks(trace, SAVE_CHUNK_EVENTS):
             writer.write_chunk(chunk)
         writer.finalize(trace.meta, registry)
 
@@ -327,8 +331,8 @@ def save_trace_chunked(
 
 
 def _parse_stream_doc(doc: Dict[str, object], files: frozenset) -> None:
-    """Structural validation of a v2 footer against the archive members."""
-    if doc.get("version") != _STREAM_FORMAT_VERSION:
+    """Structural validation of a footer against the archive members."""
+    if doc.get("version") != _FORMAT_VERSION:
         raise TraceFormatError(
             f"unsupported trace format version {doc.get('version')!r}"
         )
@@ -371,85 +375,59 @@ def _parse_stream_doc(doc: Dict[str, object], files: frozenset) -> None:
 class TraceStreamReader:
     """Replay a saved trace as a stream of verified chunks.
 
-    v2 (chunked) archives stream chunk-by-chunk — at most one chunk's
-    columns are resident at a time — with each chunk's framing
-    (checksums, dtypes, kind range) verified against the footer index as
-    it is read.  v1 (whole-trace) archives, which were written by runs
-    that held the full trace anyway, load their columns whole and are
-    re-chunked in memory at ``chunk_events`` events per chunk.
+    At most one chunk's columns are resident at a time.  Each chunk's
+    stored columns are checked against the footer index as they are
+    read: lengths, dtypes, checksums, kind range and event count.
 
     Use as a context manager, or call :meth:`close`.  Iterating the
     reader yields its chunks.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        chunk_events: int = DEFAULT_CHUNK_EVENTS,
-    ) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self._path = Path(path)
         faultpoint("trace.load", path=self._path.name)
-        self._chunk_events = chunk_events
         self._archive = np.load(self._path)
         try:
             files = frozenset(self._archive.files)
-            if "stream" in files:
-                self.version = _STREAM_FORMAT_VERSION
-                doc = _parse_json_member(self._archive["stream"])
-                _parse_stream_doc(doc, files)
-                self._index: List[Dict[str, object]] = doc["chunks"]
-                self.meta, self.registry = _meta_and_registry(doc)
-                self.n_events = int(doc["n_events"])
-                self._whole: Optional[EventTrace] = None
-            elif "meta" in files:
-                self.version = _FORMAT_VERSION
-                trace, registry = _load_v1(self._archive)
-                self._index = []
-                self.meta = trace.meta
-                self.registry = registry
-                self.n_events = len(trace)
-                self._whole = trace
-            else:
+            if "stream" not in files:
                 raise TraceFormatError(
-                    "unrecognized trace file: no 'stream' or 'meta' member"
+                    "unsupported trace format version: no 'stream' footer"
                 )
+            doc = _parse_json_member(self._archive["stream"])
+            _parse_stream_doc(doc, files)
+            self._index: List[Dict[str, object]] = doc["chunks"]
+            self.meta, self.registry = _meta_and_registry(doc)
+            self.n_events = int(doc["n_events"])
         except BaseException:
             self._archive.close()
             raise
 
     @property
     def n_chunks(self) -> int:
-        if self._whole is not None:
-            return -(-self.n_events // self._chunk_events)
         return len(self._index)
 
-    @property
-    def chunk_events(self) -> int:
-        """Nominal events per chunk — the dispatcher's streaming size
-        hint (:func:`repro.simulate.simulate_chunks` forwards it)."""
-        return self._chunk_events
-
-    def chunks(self) -> Iterator[TraceChunk]:
-        """Yield verified chunks in sequence order."""
-        if self._whole is not None:
-            yield from iter_chunks(self._whole, self._chunk_events)
-            return
+    def stored_chunks(self) -> Iterator[Tuple[np.ndarray, ...]]:
+        """Yield each chunk's verified columns as stored
+        (:data:`STORED_DTYPES`), in sequence order."""
         for entry in self._index:
-            seq = int(entry["seq"])
+            seq = entry["seq"]
             columns = tuple(
                 self._archive[_chunk_member(seq, suffix)]
                 for suffix in _COLUMN_SUFFIXES
             )
-            chunk = TraceChunk(
-                seq, *columns, checksums=tuple(entry["crc32"])
-            )
-            chunk.verify()
-            if chunk.n_events != entry["n_events"]:
+            verify_columns(seq, columns, entry["crc32"], STORED_DTYPES)
+            if len(columns[0]) != entry["n_events"]:
                 raise TraceFormatError(
-                    f"chunk {seq} has {chunk.n_events} events; index "
+                    f"chunk {seq} has {len(columns[0])} events; index "
                     f"says {entry['n_events']}"
                 )
-            yield chunk
+            yield columns
+
+    def chunks(self) -> Iterator[TraceChunk]:
+        """Yield verified chunks in sequence order, widened to the int64
+        :class:`TraceChunk` layout."""
+        for seq, columns in enumerate(self.stored_chunks()):
+            yield TraceChunk.build(seq, *columns)
 
     def verify(self) -> None:
         """Read and verify every chunk (one chunk resident at a time).
@@ -458,14 +436,8 @@ class TraceStreamReader:
         discovered — and recovered as a miss — before phase 2 starts,
         matching :func:`load_trace`'s eager validation.
         """
-        total = 0
-        for chunk in self.chunks():
-            total += chunk.n_events
-        if total != self.n_events:
-            raise TraceFormatError(
-                f"chunked trace holds {total} events; footer says "
-                f"{self.n_events}"
-            )
+        for _ in self.stored_chunks():
+            pass
 
     def __iter__(self) -> Iterator[TraceChunk]:
         return self.chunks()
@@ -480,74 +452,20 @@ class TraceStreamReader:
         self.close()
 
 
-def _load_v1(archive) -> Tuple[EventTrace, ObjectRegistry]:
-    """Materialize a v1 archive (open ``np.load`` handle)."""
-    try:
-        meta_doc = _parse_json_member(archive["meta"])
-        kinds = archive["kinds"]
-        col_a = archive["col_a"]
-        col_b = archive["col_b"]
-        col_c = archive["col_c"]
-    except KeyError as exc:
-        raise TraceFormatError(f"missing field in trace file: {exc}") from exc
-    if meta_doc.get("version") != _FORMAT_VERSION:
-        raise TraceFormatError(
-            f"unsupported trace format version {meta_doc.get('version')!r}"
-        )
-    # Adopt the .npz columns directly (no array('q') round-trip): the
-    # loaded trace is replay-only, which is all phase 2 ever does with it,
-    # and the native engine consumes the ndarrays zero-copy.
-    meta, registry = _meta_and_registry(meta_doc)
-    trace = EventTrace.from_arrays(kinds, col_a, col_b, col_c, meta)
-    return trace, registry
-
-
-def _load_v2(archive) -> Tuple[EventTrace, ObjectRegistry]:
-    """Materialize a v2 archive (open ``np.load`` handle), verifying
-    every chunk's checksums on the way in."""
-    files = frozenset(archive.files)
-    doc = _parse_json_member(archive["stream"])
-    _parse_stream_doc(doc, files)
-    columns: Dict[str, List[np.ndarray]] = {
-        suffix: [] for suffix in _COLUMN_SUFFIXES
-    }
-    for entry in doc["chunks"]:
-        seq = int(entry["seq"])
-        parts = tuple(
-            archive[_chunk_member(seq, suffix)]
-            for suffix in _COLUMN_SUFFIXES
-        )
-        TraceChunk(seq, *parts, checksums=tuple(entry["crc32"])).verify()
-        for suffix, part in zip(_COLUMN_SUFFIXES, parts):
-            columns[suffix].append(part)
-    if columns["kinds"]:
-        joined = {
-            suffix: np.concatenate(parts)
-            for suffix, parts in columns.items()
-        }
-    else:
-        joined = {
-            "kinds": np.empty(0, dtype=np.int8),
-            "col_a": np.empty(0, dtype=np.int64),
-            "col_b": np.empty(0, dtype=np.int64),
-            "col_c": np.empty(0, dtype=np.int64),
-        }
-    meta, registry = _meta_and_registry(doc)
-    trace = EventTrace.from_arrays(
-        joined["kinds"], joined["col_a"], joined["col_b"], joined["col_c"], meta,
-    )
-    return trace, registry
-
-
 def load_trace(path: Union[str, Path]) -> Tuple[EventTrace, ObjectRegistry]:
-    """Load a trace + registry saved by :func:`save_trace` (v1) or a
-    :class:`ChunkedTraceWriter` (v2) as one in-memory trace."""
-    path = Path(path)
-    faultpoint("trace.load", path=path.name)
-    with np.load(path) as archive:
-        if "stream" in archive.files:
-            trace, registry = _load_v2(archive)
-        else:
-            trace, registry = _load_v1(archive)
+    """Load a trace + registry saved by a :class:`ChunkedTraceWriter` as
+    one in-memory trace with int64 address columns."""
+    parts: Tuple[List[np.ndarray], ...] = tuple([] for _ in _COLUMN_SUFFIXES)
+    with TraceStreamReader(path) as reader:
+        for columns in reader.stored_chunks():
+            for column_parts, column in zip(parts, columns):
+                column_parts.append(column)
+    # Widen while concatenating: one copy of each column, not two.
+    columns = [
+        np.concatenate(column_parts, dtype=dtype) if column_parts
+        else np.empty(0, dtype)
+        for column_parts, dtype in zip(parts, WIRE_DTYPES)
+    ]
+    trace = EventTrace.from_arrays(*columns, reader.meta)
     trace.validate()
-    return trace, registry
+    return trace, reader.registry

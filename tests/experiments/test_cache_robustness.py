@@ -7,17 +7,55 @@ entries atomically so a crash or a racing worker cannot tear a file.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import pickle
 
+import numpy as np
 import pytest
 
 from repro import observe
-from repro.errors import PipelineError
+from repro.errors import PipelineError, TraceFormatError
 from repro.experiments.pipeline import ExperimentConfig, load_program_data
 from repro.simulate import simulate_sessions, validate_page_sizes
 from repro.trace import load_trace, save_trace
+from repro.trace.stream import column_crc32
 
 PROGRAM = "qcd"  # heapless and quick at smoke scale
+
+
+def _json_array(doc):
+    return np.frombuffer(json.dumps(doc).encode("utf-8"), dtype=np.uint8)
+
+
+def _write_earlier_version(path, trace, registry, version):
+    """``trace`` as an archive of container version 1 (whole int64
+    columns and a ``meta`` member) or 2 (one chunk of int64 columns and
+    a ``stream`` footer), the layouts earlier releases wrote."""
+    columns = dict(zip(("kinds", "col_a", "col_b", "col_c"),
+                       map(np.asarray, trace.as_arrays())))
+    doc = {"version": version, "meta": vars(trace.meta),
+           "objects": [vars(obj) for obj in registry.objects]}
+    if version == 1:
+        members = {**columns, "meta": _json_array(doc)}
+    else:
+        members = {f"chunk-00000000.{name}": column
+                   for name, column in columns.items()}
+        doc["n_events"] = len(trace)
+        doc["chunks"] = [{"seq": 0, "n_events": len(trace), "crc32": [
+            column_crc32(column) for column in columns.values()]}]
+        members["stream"] = _json_array(doc)
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **members)
+
+
+def assert_same_trace(loaded, original):
+    (trace, registry), (want, want_registry) = loaded, original
+    assert vars(trace.meta) == vars(want.meta)
+    for got, expected in zip(trace.as_arrays(), want.as_arrays()):
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    assert [vars(obj) for obj in registry.objects] == \
+        [vars(obj) for obj in want_registry.objects]
 
 
 @pytest.fixture()
@@ -103,25 +141,59 @@ class TestCorruptionRecovery:
         assert data.result.counts == baseline.result.counts
 
     def test_corrupt_kind_byte_recovers(self, warm_cache, observing):
-        """A flipped kind byte in a well-formed .npz must not reach the
-        engine: ``EventTrace.validate()`` rejects it at load time and the
+        """A kind byte that is not an event kind, in a well-formed .npz
+        whose footer checksum matches it, must not reach the engine: the
+        reader's kind-range check rejects it at load time and the
         pipeline recomputes the trace as a miss."""
-        import numpy as np
-
         config, baseline = warm_cache
         _entry(config, ".pkl").unlink()  # force the trace path to be read
         trace_path = _entry(config, ".npz")
         with np.load(trace_path) as archive:
-            columns = {name: archive[name] for name in archive.files}
-        columns["kinds"] = columns["kinds"].copy()
-        columns["kinds"][len(columns["kinds"]) // 2] = 77  # not an EventKind
+            members = {name: archive[name] for name in archive.files}
+        kinds = members["chunk-00000000.kinds"].copy()
+        kinds[len(kinds) // 2] = 77  # not an EventKind
+        members["chunk-00000000.kinds"] = kinds
+        doc = json.loads(members["stream"].tobytes().decode("utf-8"))
+        doc["chunks"][0]["crc32"][0] = column_crc32(kinds)
+        members["stream"] = _json_array(doc)
         with open(trace_path, "wb") as handle:
-            np.savez_compressed(handle, **columns)
+            np.savez_compressed(handle, **members)
+        with pytest.raises(TraceFormatError, match="invalid event kind 77"):
+            load_trace(trace_path)
         data = load_program_data(PROGRAM, config)
         assert data.result.counts == baseline.result.counts
         counters = observing.snapshot()["counters"]
         assert counters["cache.trace.corrupt"] == 1
         assert counters["cache.trace.misses"] == 1
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_format_version_recovers_as_miss(
+            self, warm_cache, observing, version):
+        """A trace cached by an earlier container version is rejected
+        with a TraceFormatError and recomputed as a miss, in batch and
+        stream mode; the entry is rewritten in the current version."""
+        config, baseline = warm_cache
+        _entry(config, ".pkl").unlink()  # force the trace path to be read
+        trace_path = _entry(config, ".npz")
+        trace, registry = load_trace(trace_path)
+        _write_earlier_version(trace_path, trace, registry, version)
+        with pytest.raises(TraceFormatError,
+                           match="unsupported trace format version"):
+            load_trace(trace_path)
+        data = load_program_data(PROGRAM, config)
+        assert data.result.counts == baseline.result.counts
+        counters = observing.snapshot()["counters"]
+        assert counters["cache.trace.corrupt"] == 1
+        assert counters["cache.trace.misses"] == 1
+        assert_same_trace(load_trace(trace_path), (trace, registry))
+
+        _entry(config, ".pkl").unlink()
+        _write_earlier_version(trace_path, trace, registry, version)
+        streamed = load_program_data(
+            PROGRAM, dataclasses.replace(config, stream=True))
+        assert streamed.result.counts == baseline.result.counts
+        assert observing.snapshot()["counters"]["cache.trace.corrupt"] == 2
+        assert_same_trace(load_trace(trace_path), (trace, registry))
 
 
 class TestReadonlyCache:

@@ -1,10 +1,9 @@
-"""Result store: envelope integrity, legacy shim, verify/gc surface.
+"""Result store: envelope integrity, verify/gc surface.
 
-Every simulation payload now travels inside a v3 envelope carrying a
+Every simulation payload travels inside a v3 envelope carrying a
 SHA-256 of its pickled bytes; these tests pin the publish/load contract
-(atomic, self-verifying, backward compatible with the committed bare-
-pickle cache) and the maintenance surface behind ``store verify`` /
-``store gc``.
+(atomic, self-verifying; a bare pickle is corrupt) and the maintenance
+surface behind ``store verify`` / ``store gc``.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import json
 import pickle
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ import pytest
 from repro.errors import StoreCorruptError
 from repro.experiments.store import (
     STATUS_CORRUPT,
-    STATUS_LEGACY,
     STATUS_NPZ,
     STATUS_OTHER,
     STATUS_TMP,
@@ -27,8 +26,10 @@ from repro.experiments.store import (
     ResultStore,
     payload_digest,
 )
-from repro.trace import EventTrace, ObjectRegistry, save_trace
-from repro.trace.tracefile import save_trace_chunked
+from repro.trace import EventTrace, ObjectRegistry, iter_chunks
+from repro.trace.tracefile import ChunkedTraceWriter
+
+REPO_CACHE = Path(__file__).resolve().parents[2] / ".repro_cache"
 
 
 @pytest.fixture()
@@ -36,17 +37,17 @@ def store(tmp_path):
     return ResultStore(tmp_path)
 
 
-def save_real_trace(path, chunked=False, n_events=512):
-    """A small real trace entry: v1 by default, v2 when ``chunked``."""
+def save_real_trace(path, n_events=512, chunk_events=64):
+    """A small real trace entry, ``chunk_events`` events per chunk."""
     registry = ObjectRegistry()
     registry.global_("g", 4)
     trace = EventTrace("store-test")
     for i in range(n_events):
         trace.append_write(0x1000 + 8 * i, 0x1004 + 8 * i)
-    if chunked:
-        save_trace_chunked(trace, registry, path, chunk_events=64)
-    else:
-        save_trace(trace, registry, path)
+    with ChunkedTraceWriter(path) as writer:
+        for chunk in iter_chunks(trace, chunk_events):
+            writer.write_chunk(chunk)
+        writer.finalize(trace.meta, registry)
 
 
 def publish(store, name="entry.pkl", payload=None):
@@ -88,13 +89,13 @@ class TestPublishLoad:
         with pytest.raises(StoreCorruptError, match="different entry"):
             store.load_payload(moved)
 
-    def test_legacy_bare_payload_loads(self, store):
-        # The committed full-scale cache predates the envelope; it must
-        # keep loading through the shim.
-        path = store.root / "legacy.pkl"
-        payload = {"stats": {"b": 2}}
-        path.write_bytes(pickle.dumps(payload))
-        assert store.load_payload(path) == payload
+    def test_bare_payload_is_corrupt(self, store):
+        # A payload pickled without the envelope carries no digest; it
+        # is corrupt, which the pipeline recovers as a cache miss.
+        path = store.root / "bare.pkl"
+        path.write_bytes(pickle.dumps({"stats": {"b": 2}}))
+        with pytest.raises(StoreCorruptError, match="not a store envelope"):
+            store.load_payload(path)
 
     def test_publish_leaves_no_temp_droppings(self, store):
         publish(store)
@@ -104,23 +105,22 @@ class TestPublishLoad:
 class TestVerify:
     def test_statuses(self, store, tmp_path):
         publish(store, name="good.pkl")
-        (tmp_path / "legacy.pkl").write_bytes(pickle.dumps({"stats": {}}))
+        (tmp_path / "bare.pkl").write_bytes(pickle.dumps({"stats": {}}))
         (tmp_path / "torn.pkl").write_bytes(b"\x80\x04 torn mid-write")
         (tmp_path / "drop.pkl.abc123.tmp").write_bytes(b"half")
         (tmp_path / "README").write_text("not a store entry")
         save_real_trace(tmp_path / "trace.npz")
-        save_real_trace(tmp_path / "chunked.npz", chunked=True)
         report = store.verify()
         by_name = {entry.name: entry.status for entry in report.entries}
         assert by_name["good.pkl"] == STATUS_V3
-        assert by_name["legacy.pkl"] == STATUS_LEGACY
+        assert by_name["bare.pkl"] == STATUS_CORRUPT
         assert by_name["torn.pkl"] == STATUS_CORRUPT
         assert by_name["drop.pkl.abc123.tmp"] == STATUS_TMP
         assert by_name["README"] == STATUS_OTHER
         assert by_name["trace.npz"] == STATUS_NPZ
-        assert by_name["chunked.npz"] == STATUS_NPZ
-        assert report.count(STATUS_CORRUPT) == 1
-        assert [entry.name for entry in report.corrupt] == ["torn.pkl"]
+        assert report.count(STATUS_CORRUPT) == 2
+        assert [entry.name for entry in report.corrupt] == \
+            ["bare.pkl", "torn.pkl"]
 
     def test_truncated_npz_is_corrupt(self, store, tmp_path):
         save_real_trace(tmp_path / "trace.npz")
@@ -130,7 +130,9 @@ class TestVerify:
         assert report_entry.status == STATUS_CORRUPT
 
     def test_flipped_bit_inside_npz_is_corrupt(self, store, tmp_path):
-        save_real_trace(tmp_path / "trace.npz", n_events=4096)
+        # One chunk, so the middle of the file is column data.
+        save_real_trace(tmp_path / "trace.npz", n_events=4096,
+                        chunk_events=4096)
         blob = bytearray((tmp_path / "trace.npz").read_bytes())
         blob[len(blob) // 2] ^= 0xFF  # flip inside the member data
         (tmp_path / "trace.npz").write_bytes(bytes(blob))
@@ -143,11 +145,11 @@ class TestVerify:
                     raise ValueError("CRC failure")
                 np.load(tmp_path / "trace.npz")["col_a"]
 
-    def test_bad_v2_footer_crc_is_corrupt(self, store, tmp_path):
+    def test_bad_footer_crc_is_corrupt(self, store, tmp_path):
         # The zip CRCs stay valid (the archive is rebuilt), so only the
         # footer's per-chunk column checksum can catch this.
         path = tmp_path / "trace.npz"
-        save_real_trace(path, chunked=True)
+        save_real_trace(path)
         with np.load(path) as archive:
             members = {name: archive[name] for name in archive.files}
         doc = json.loads(members["stream"].tobytes().decode("utf-8"))
@@ -164,6 +166,17 @@ class TestVerify:
         assert "col_a checksum mismatch" in entry.detail
         assert not store.entry_ok("trace.npz")
 
+    def test_committed_cache_verifies(self):
+        # Every committed entry is an enveloped payload or a trace of
+        # the current container version.
+        report = ResultStore(REPO_CACHE).verify()
+        assert report.entries
+        assert {entry.status for entry in report.entries} == \
+            {STATUS_V3, STATUS_NPZ}, [
+                (entry.name, entry.status, entry.detail)
+                for entry in report.entries
+                if entry.status not in (STATUS_V3, STATUS_NPZ)]
+
     def test_runs_subdir_left_alone(self, store, tmp_path):
         runs = tmp_path / "runs"
         runs.mkdir()
@@ -172,10 +185,10 @@ class TestVerify:
 
     def test_entry_ok(self, store, tmp_path):
         path, _, _ = publish(store, name="good.pkl")
-        (tmp_path / "legacy.pkl").write_bytes(pickle.dumps({"stats": {}}))
+        (tmp_path / "bare.pkl").write_bytes(pickle.dumps({"stats": {}}))
         (tmp_path / "torn.pkl").write_bytes(b"torn")
         assert store.entry_ok("good.pkl")
-        assert store.entry_ok("legacy.pkl")
+        assert not store.entry_ok("bare.pkl")
         assert not store.entry_ok("torn.pkl")
         assert not store.entry_ok("absent.pkl")
 

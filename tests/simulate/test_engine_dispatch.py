@@ -151,7 +151,8 @@ class TestRunMatrix:
 
     def test_simulate_chunks_over_a_reader(self, tmp_path):
         """A reader source supplies the stream's expected total itself."""
-        from repro.trace.tracefile import TraceStreamReader, save_trace_chunked
+        from repro.trace import iter_chunks
+        from repro.trace.tracefile import ChunkedTraceWriter, TraceStreamReader
 
         registry = ObjectRegistry()
         registry.heap("f", ("main", "f"), 16)
@@ -162,10 +163,13 @@ class TestRunMatrix:
         trace.append_remove(0, 0x1000, 0x1010)
         sessions = [SessionDef(0, ONE_HEAP, "s0", (0,))]
         path = tmp_path / "t.npz"
-        save_trace_chunked(trace, registry, path, chunk_events=50)
+        with ChunkedTraceWriter(path) as writer:
+            for chunk in iter_chunks(trace, 50):
+                writer.write_chunk(chunk)
+            writer.finalize(trace.meta, registry)
         batch = simulate_python(trace, registry, sessions, (4096,))
-        with TraceStreamReader(path, chunk_events=50) as reader:
-            assert reader.chunk_events == 50
+        with TraceStreamReader(path) as reader:
+            assert reader.n_chunks == 7
             streamed = simulate_chunks(reader, registry, sessions, (4096,))
         assert_identical(batch, streamed)
 

@@ -419,3 +419,6 @@ class TestDocsLint:
         drifted = doc.replace("| `WRITE` | 3 |", "| `WRITE` | 9 |")
         assert lint.check(drifted) == ["kind-table"]
         assert lint.check(lint.write(drifted)) == []
+        drifted = doc.replace("| `chunk-<seq>.col_a` | `int32`",
+                              "| `chunk-<seq>.col_a` | `int64`")
+        assert lint.check(drifted) == ["stored-column-table"]

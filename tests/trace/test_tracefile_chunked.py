@@ -1,9 +1,10 @@
-"""Tests for the chunked (v2) trace container and its readers.
+"""Tests for the chunked trace container and its readers.
 
 The byte-level contract is ``docs/TRACE_FORMAT.md``: incremental chunk
-members plus a ``stream`` footer, atomic publish, and loud failure on
-truncation, reordering, checksum mismatch, or an unknown version.  Both
-container versions must load through both access paths
+members (int8 kinds, int32 address columns) plus a ``stream`` footer,
+atomic publish, and loud failure on truncation, reordering, checksum
+mismatch, a column value that does not fit its stored dtype, or an
+unknown version.  Every file loads through both access paths
 (:func:`load_trace` and :class:`TraceStreamReader`), which is what makes
 cache entries interchangeable between ``--stream`` and batch runs.
 """
@@ -18,19 +19,19 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.errors import PipelineError, TraceFormatError
+from repro.errors import PipelineError, TraceFormatError, TraceRangeError
 from repro.trace import (
     EventTrace,
     ObjectRegistry,
     load_trace,
     save_trace,
 )
-from repro.trace.events import TraceMeta
-from repro.trace.stream import TraceChunk, iter_chunks
+from repro.trace.stream import TraceChunk, column_crc32, iter_chunks
 from repro.trace.tracefile import (
+    SAVE_CHUNK_EVENTS,
+    STORED_DTYPES,
     ChunkedTraceWriter,
     TraceStreamReader,
-    save_trace_chunked,
 )
 
 
@@ -55,6 +56,14 @@ def build_fixture(n_events=100):
     trace.meta.instructions = 567
     trace.meta.stores = n_events
     return trace, registry
+
+
+def save_chunked(trace, registry, path, chunk_events):
+    """Save ``trace`` through the writer, ``chunk_events`` per chunk."""
+    with ChunkedTraceWriter(path) as writer:
+        for chunk in iter_chunks(trace, chunk_events):
+            writer.write_chunk(chunk)
+        writer.finalize(trace.meta, registry)
 
 
 def assert_same_trace(loaded, original):
@@ -95,7 +104,7 @@ def _rewrite_doc(path, member, edit):
 
 
 def _edit_footer(path, mutate):
-    """Parse the v2 footer JSON, apply ``mutate(doc)``, write it back."""
+    """Parse the footer JSON, apply ``mutate(doc)``, write it back."""
     def edit(doc):
         mutate(doc)
         return doc
@@ -108,22 +117,23 @@ class TestRoundTrip:
     def test_chunked_save_load(self, tmp_path, chunk_events):
         original = build_fixture()
         path = tmp_path / "trace.npz"
-        save_trace_chunked(*original, path, chunk_events=chunk_events)
+        save_chunked(*original, path, chunk_events=chunk_events)
         assert_same_trace(load_trace(path), original)
 
-    def test_v1_and_v2_materialize_identically(self, tmp_path):
+    def test_save_trace_round_trips(self, tmp_path):
         original = build_fixture()
-        save_trace(*original, tmp_path / "v1.npz")
-        save_trace_chunked(*original, tmp_path / "v2.npz", chunk_events=13)
-        assert_same_trace(load_trace(tmp_path / "v1.npz"), original)
-        assert_same_trace(load_trace(tmp_path / "v2.npz"), original)
+        save_trace(*original, tmp_path / "trace.npz")
+        trace, _ = load_trace(tmp_path / "trace.npz")
+        assert_same_trace((trace, original[1]), original)
+        assert [np.asarray(column).dtype for column in trace.as_arrays()] \
+            == [np.int8, np.int64, np.int64, np.int64]
 
     def test_empty_trace_round_trips(self, tmp_path):
         registry = ObjectRegistry()
         registry.heap("main", ("main",), 8)
         empty = EventTrace("empty")
         path = tmp_path / "empty.npz"
-        save_trace_chunked(empty, registry, path)
+        save_trace(empty, registry, path)
         trace, loaded_registry = load_trace(path)
         assert len(trace) == 0
         assert len(loaded_registry.objects) == 1
@@ -133,12 +143,11 @@ class TestRoundTrip:
 
 
 class TestStreamReader:
-    def test_reads_v2_chunk_by_chunk(self, tmp_path):
+    def test_reads_chunk_by_chunk(self, tmp_path):
         original = build_fixture()
         path = tmp_path / "trace.npz"
-        save_trace_chunked(*original, path, chunk_events=17)
+        save_chunked(*original, path, chunk_events=17)
         with TraceStreamReader(path) as reader:
-            assert reader.version == 2
             assert reader.n_events == len(original[0])
             assert reader.n_chunks == -(-100 // 17)
             assert vars(reader.meta) == vars(original[0].meta)
@@ -151,22 +160,27 @@ class TestStreamReader:
             )
             reader.verify()
 
-    def test_reads_v1_by_rechunking(self, tmp_path):
-        original = build_fixture()
-        path = tmp_path / "v1.npz"
+    def test_save_trace_chunk_size(self, tmp_path):
+        original = build_fixture(n_events=SAVE_CHUNK_EVENTS + 5)
+        path = tmp_path / "trace.npz"
         save_trace(*original, path)
-        with TraceStreamReader(path, chunk_events=30) as reader:
-            assert reader.version == 1
-            assert reader.n_events == 100
-            assert reader.n_chunks == 4
-            assert [chunk.n_events for chunk in reader] == [30, 30, 30, 10]
+        with TraceStreamReader(path) as reader:
+            assert [chunk.n_events for chunk in reader] == \
+                [SAVE_CHUNK_EVENTS, 5]
 
-    def test_rejects_archive_with_neither_version(self, tmp_path):
-        path = tmp_path / "mystery.npz"
-        np.savez(path, payload=np.zeros(4))
-        with pytest.raises(TraceFormatError, match="unrecognized trace file"):
+    @pytest.mark.parametrize("members", [
+        {"payload": np.zeros(4)},
+        # The whole-trace layout of format version 1.
+        {"kinds": np.zeros(1, np.int8), "meta": np.zeros(2, np.uint8)},
+    ], ids=["mystery", "meta-member"])
+    def test_rejects_archive_without_footer(self, tmp_path, members):
+        path = tmp_path / "old.npz"
+        np.savez(path, **members)
+        with pytest.raises(TraceFormatError,
+                           match="unsupported trace format version"):
             TraceStreamReader(path)
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(TraceFormatError,
+                           match="unsupported trace format version"):
             load_trace(path)
 
 
@@ -175,7 +189,7 @@ class TestCorruptionDetection:
     def saved(self, tmp_path):
         original = build_fixture()
         path = tmp_path / "trace.npz"
-        save_trace_chunked(*original, path, chunk_events=25)
+        save_chunked(*original, path, chunk_events=25)
         return path
 
     def test_missing_chunk_member_is_truncation(self, saved):
@@ -204,12 +218,61 @@ class TestCorruptionDetection:
         with pytest.raises(TraceFormatError, match="checksum"):
             load_trace(saved)
 
-    def test_unknown_version_rejected(self, saved):
-        _edit_footer(saved, lambda doc: doc.update(version=3))
+    @pytest.mark.parametrize("version", [2, 4])
+    def test_other_version_rejected(self, saved, version):
+        _edit_footer(saved, lambda doc: doc.update(version=version))
         with pytest.raises(
-            TraceFormatError, match="unsupported trace format version 3"
+            TraceFormatError,
+            match=f"unsupported trace format version {version}",
         ):
             TraceStreamReader(saved)
+        with pytest.raises(TraceFormatError, match="unsupported"):
+            load_trace(saved)
+
+    def _rewrite_member(self, saved, member, column):
+        """Replace one chunk member and its footer checksum, so only the
+        check under test can catch the change."""
+        arrays = _members(saved)
+        arrays[member] = column
+        seq = int(member[len("chunk-"):len("chunk-") + 8])
+        position = ("kinds", "col_a", "col_b", "col_c").index(
+            member.rsplit(".", 1)[1])
+        doc = json.loads(bytes(arrays["stream"].tobytes()).decode("utf-8"))
+        doc["chunks"][seq]["crc32"][position] = column_crc32(column)
+        arrays["stream"] = np.frombuffer(
+            json.dumps(doc).encode("utf-8"), dtype=np.uint8)
+        _write_zip(saved, arrays)
+
+    def test_wide_stored_column_rejected(self, saved):
+        column = _members(saved)["chunk-00000001.col_b"].astype(np.int64)
+        self._rewrite_member(saved, "chunk-00000001.col_b", column)
+        with pytest.raises(TraceFormatError,
+                           match="chunk 1: column col_b has dtype int64"):
+            load_trace(saved)
+
+    def test_ragged_stored_column_rejected(self, saved):
+        column = _members(saved)["chunk-00000002.col_c"][:-1]
+        self._rewrite_member(saved, "chunk-00000002.col_c", column)
+        with pytest.raises(TraceFormatError, match="chunk 2: ragged columns"):
+            load_trace(saved)
+
+    def test_invalid_kind_rejected(self, saved):
+        column = _members(saved)["chunk-00000003.kinds"].copy()
+        column[4] = 77
+        self._rewrite_member(saved, "chunk-00000003.kinds", column)
+        with pytest.raises(TraceFormatError,
+                           match="chunk 3: invalid event kind 77"):
+            load_trace(saved)
+
+    def test_chunk_event_count_checked_against_index(self, saved):
+        def move_one_event(doc):
+            doc["chunks"][0]["n_events"] -= 1
+            doc["chunks"][1]["n_events"] += 1
+
+        _edit_footer(saved, move_one_event)
+        with pytest.raises(TraceFormatError,
+                           match="chunk 0 has 25 events; index says 24"):
+            load_trace(saved)
 
     def test_footer_event_total_mismatch(self, saved):
         _edit_footer(saved, lambda doc: doc.update(n_events=doc["n_events"] + 1))
@@ -233,11 +296,11 @@ class TestCorruptionDetection:
             TraceStreamReader(saved)
 
 
-def _read_both_ways(path, chunk_events=7):
+def _read_both_ways(path):
     """The trace at ``path`` through :func:`load_trace` and through a
     :class:`TraceStreamReader` (columns joined from its chunks)."""
     loaded, registry = load_trace(path)
-    with TraceStreamReader(path, chunk_events=chunk_events) as reader:
+    with TraceStreamReader(path) as reader:
         chunks = list(reader)
         streamed = EventTrace.from_arrays(
             *(np.concatenate([getattr(chunk, field) for chunk in chunks])
@@ -274,14 +337,14 @@ def _local_extra_ids(path, info):
 
 
 class TestContainer:
-    """Both writers deflate through one zip helper; the members, their
+    """The writer deflates through one zip helper; the members, their
     ``.npy`` bytes and the readers do not depend on the deflate level."""
 
-    @pytest.mark.parametrize("writer", [save_trace, save_trace_chunked])
-    def test_both_readers_load_bit_identical(self, tmp_path, writer):
+    @pytest.mark.parametrize("chunk_events", [7, SAVE_CHUNK_EVENTS])
+    def test_both_readers_load_bit_identical(self, tmp_path, chunk_events):
         original = build_fixture()
         path = tmp_path / "trace.npz"
-        writer(*original, path)
+        save_chunked(*original, path, chunk_events)
         loaded, streamed, registry = _read_both_ways(path)
         assert_bit_identical(loaded, original[0])
         assert_bit_identical(streamed, original[0])
@@ -310,7 +373,9 @@ class TestContainer:
         np.savez_compressed(reference, **_members(path))
         with zipfile.ZipFile(path) as ours, zipfile.ZipFile(reference) as theirs:
             assert ours.namelist() == theirs.namelist() == [
-                "kinds.npy", "col_a.npy", "col_b.npy", "col_c.npy", "meta.npy"]
+                *(f"chunk-00000000.{column}.npy"
+                  for column in ("kinds", "col_a", "col_b", "col_c")),
+                "stream.npy"]
             for info in ours.infolist():
                 assert info.compress_type == zipfile.ZIP_DEFLATED
                 assert _local_extra_ids(path, info) == [0x0001]
@@ -318,9 +383,13 @@ class TestContainer:
 
     def test_chunk_members_are_plain_npy(self, tmp_path):
         original = build_fixture()
-        path = tmp_path / "v2.npz"
-        save_trace_chunked(*original, path, chunk_events=40)
+        path = tmp_path / "trace.npz"
+        save_chunked(*original, path, chunk_events=40)
         arrays = _members(path)
+        for seq in range(3):
+            assert [arrays[f"chunk-{seq:08d}.{column}"].dtype for column in
+                    ("kinds", "col_a", "col_b", "col_c")] == \
+                list(STORED_DTYPES) == [np.int8, np.int32, np.int32, np.int32]
         with zipfile.ZipFile(path) as archive:
             names = archive.namelist()
             assert names[-1] == "stream.npy"
@@ -343,7 +412,7 @@ def _with_meta(**fields):
     return lambda doc: {**doc, "meta": {**doc["meta"], **fields}}
 
 
-#: Malformed metadata either document version may carry.
+#: Malformed metadata a footer may carry.
 _MALFORMED = {
     "no-meta": _without("meta"),
     "no-objects": _without("objects"),
@@ -355,7 +424,7 @@ _MALFORMED = {
     "non-integer-count": _with_meta(n_writes="many"),
     "document-is-a-list": lambda doc: [doc],
 }
-#: Malformed chunk indexes of a v2 footer.
+#: Malformed chunk indexes of a footer.
 _MALFORMED_INDEX = {
     "entry-not-a-dict": lambda doc: {**doc, "chunks": [7, *doc["chunks"][1:]]},
     "entry-without-crc32": lambda doc: {**doc, "chunks": [
@@ -368,22 +437,14 @@ _MALFORMED_INDEX = {
 }
 
 
-@pytest.mark.parametrize("version,edit", [
-    *((1, name) for name in _MALFORMED),
-    *((2, name) for name in _MALFORMED),
-    *((2, name) for name in _MALFORMED_INDEX),
-])
-def test_malformed_metadata_is_a_trace_format_error(tmp_path, version, edit):
+@pytest.mark.parametrize("edit", [*_MALFORMED, *_MALFORMED_INDEX])
+def test_malformed_metadata_is_a_trace_format_error(tmp_path, edit):
     """Both loaders raise TraceFormatError, never KeyError, TypeError or
     AttributeError, on any malformed metadata document."""
     original = build_fixture()
     path = tmp_path / "trace.npz"
-    if version == 1:
-        save_trace(*original, path)
-        _rewrite_doc(path, "meta", _MALFORMED[edit])
-    else:
-        save_trace_chunked(*original, path, chunk_events=30)
-        _rewrite_doc(path, "stream", {**_MALFORMED, **_MALFORMED_INDEX}[edit])
+    save_chunked(*original, path, chunk_events=30)
+    _rewrite_doc(path, "stream", {**_MALFORMED, **_MALFORMED_INDEX}[edit])
     with pytest.raises(TraceFormatError):
         load_trace(path)
     with pytest.raises(TraceFormatError):
@@ -395,7 +456,7 @@ class TestWriterProtocol:
     def test_abort_leaves_destination_untouched(self, tmp_path):
         original = build_fixture()
         dest = tmp_path / "trace.npz"
-        save_trace_chunked(*original, dest, chunk_events=40)
+        save_chunked(*original, dest, chunk_events=40)
         before = dest.read_bytes()
         writer = ChunkedTraceWriter(dest)
         writer.write_chunk(next(iter_chunks(original[0], 10)))
@@ -435,3 +496,57 @@ class TestWriterProtocol:
                     2, np.zeros(0, np.int8), np.zeros(0, np.int64),
                     np.zeros(0, np.int64), np.zeros(0, np.int64),
                 ))
+
+
+class TestNarrowColumns:
+    """The writer stores address columns as int32 and refuses, rather
+    than truncates, a value that does not fit."""
+
+    def test_address_space_bounds_round_trip(self, tmp_path):
+        registry = ObjectRegistry()
+        registry.global_("g", 4)
+        trace = EventTrace("bounds")
+        trace.append_install(0, 0, 1 << 24)
+        trace.append_write((1 << 24) - 4, 1 << 24)
+        trace.append_remove(0, 0, 1 << 24)
+        save_trace(trace, registry, tmp_path / "trace.npz")
+        assert_same_trace(load_trace(tmp_path / "trace.npz"),
+                          (trace, registry))
+
+    @pytest.mark.parametrize("begin,end", [
+        (0, 1 << 31), (0x1000, 1 << 40), (-(1 << 31) - 1, 0)])
+    def test_out_of_range_value_raises_and_publishes_nothing(
+            self, tmp_path, begin, end):
+        original = build_fixture()
+        dest = tmp_path / "trace.npz"
+        save_trace(*original, dest)
+        before = dest.read_bytes()
+        trace, registry = build_fixture()
+        trace.append_write(begin, end)
+        with pytest.raises(TraceRangeError, match="outside int32"):
+            save_trace(trace, registry, dest)
+        assert dest.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.npz"]
+        dest.unlink()
+        with pytest.raises(TraceRangeError):
+            save_trace(trace, registry, dest)
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_worked_example_footer_entry(tmp_path):
+    """The index entry of docs/TRACE_FORMAT.md section 4: the checksums
+    cover the stored int8/int32 column bytes."""
+    registry = ObjectRegistry()
+    registry.global_("g", 8)
+    trace = EventTrace("example")
+    trace.append_install(0, 0x1000, 0x1008)
+    trace.append_write(0x1000, 0x1004)
+    trace.append_remove(0, 0x1000, 0x1008)
+    path = tmp_path / "example.npz"
+    save_trace(trace, registry, path)
+    doc = json.loads(bytes(_members(path)["stream"].tobytes()).decode("utf-8"))
+    assert doc["version"] == 3
+    assert doc["chunks"] == [{"seq": 0, "n_events": 3, "crc32": [
+        1000374730, 470506145, 714159072, 180223941]}]
+    with zipfile.ZipFile(path) as archive:
+        assert len(archive.read("chunk-00000000.kinds.npy")) == 131

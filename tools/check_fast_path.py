@@ -23,7 +23,11 @@ of the CPU's two loop methods directly: once the reference loop
   functions and switches to the watched ones inside malloc, in the
   middle of a chain of direct calls: the runs must agree on the hits,
   ``WmsStats``, notifications, breakpoint events, CPU counters and trap
-  counts, ``SimOs`` counters, protected pages, memory and output.
+  counts, ``SimOs`` counters, protected pages, memory and output;
+* **page-size sessions** on bps, VM-4K and VM-8K, watching
+  ``PAGE_SIZE_WATCHES``, whose pages take different stores under the
+  two page sizes (gcc's watches do not at smoke scale); compared as the
+  debugger sessions are.
 
     PYTHONPATH=src python tools/check_fast_path.py --scale full
 
@@ -64,6 +68,12 @@ APPROACHES = (
 GCC_WATCHES = {"global": "n_folds", "local": "mix.h", "heap": ("ob_alloc", 0)}
 #: The heap-only session: label, strategy, page size and its one watch.
 HEAP_ONLY = ("heap-only VM-4K", "vm", 4096, {"heap": GCC_WATCHES["heap"]})
+#: bps's page-size watches: every watch is hit, and the VM-4K and VM-8K
+#: sessions take different faults.
+PAGE_SIZE_WATCHES = {"global": "open_heap", "local": "node_score.likelihood",
+                     "heap": ("main", 0)}
+#: The VM approaches the page-size sessions run under.
+VM_APPROACHES = tuple(a for a in APPROACHES if a[1] == "vm")
 #: A stopping session turns its breakpoints to logging after this many
 #: stops, so every session finishes.
 MAX_STOPS = 40
@@ -306,6 +316,15 @@ def main(argv=None) -> int:
         )
         if not _report(f"gcc {label}", f"{sum(reference['hits'])} hits", reference, fast):
             return 1
+    if "bps" in args.programs:
+        for label, strategy, page_size in VM_APPROACHES:
+            reference, fast = (
+                live_run("bps", args.scale, loop, strategy, page_size, PAGE_SIZE_WATCHES)
+                for loop in LOOPS
+            )
+            work = f"{reference['os']['faults_delivered']} faults"
+            if not _report(f"bps {label}", work, reference, fast):
+                return 1
     return 0
 
 

@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """Docs-lint: keep ``docs/TRACE_FORMAT.md`` honest about the implementation.
 
-The normative spec carries two generated blocks between HTML-comment
+The normative spec carries three generated blocks between HTML-comment
 markers:
 
 * the **column table** — name, dtype, width, and per-kind meaning of the
   four trace columns, derived from a real :meth:`EventTrace.as_arrays`
   call (so a dtype drift in the code breaks the lint, not a reader);
+* the **stored column table** — member, dtype and width of each column
+  in the on-disk container, read back from a file the writer saved;
 * the **kind table** — the :class:`EventKind` byte values.
 
 ``python tools/lint_trace_format.py`` exits non-zero (printing a diff
@@ -28,7 +30,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 DOC_PATH = REPO_ROOT / "docs" / "TRACE_FORMAT.md"
 
-_BLOCKS = ("column-table", "kind-table")
+_BLOCKS = ("column-table", "stored-column-table", "kind-table")
 
 
 def generated_column_table() -> str:
@@ -65,6 +67,38 @@ def generated_column_table() -> str:
     return "\n".join(lines)
 
 
+def generated_stored_column_table() -> str:
+    """The on-disk column table, from the members of a saved trace."""
+    import tempfile
+
+    import numpy as np
+
+    from repro.trace import EventTrace, ObjectRegistry, save_trace
+
+    trace = EventTrace("lint")
+    trace.append_install(0, 0, 4)
+    registry = ObjectRegistry()
+    registry.global_("g", 4)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "lint.npz"
+        save_trace(trace, registry, path)
+        with np.load(path) as archive:
+            dtypes = {name.split(".", 1)[1]: archive[name].dtype
+                      for name in archive.files if name.startswith("chunk-")}
+    lines = [
+        "| member | dtype | bytes/event |",
+        "|--------|-------|-------------|",
+    ]
+    for name, dtype in dtypes.items():
+        lines.append(
+            f"| `chunk-<seq>.{name}` | `{dtype}` (little-endian) "
+            f"| {dtype.itemsize} |"
+        )
+    total = sum(dtype.itemsize for dtype in dtypes.values())
+    lines.append(f"| all four | | {total} |")
+    return "\n".join(lines)
+
+
 def generated_kind_table() -> str:
     from repro.trace import EventKind
 
@@ -80,6 +114,8 @@ def generated_kind_table() -> str:
 def _generated(block: str) -> str:
     if block == "column-table":
         return generated_column_table()
+    if block == "stored-column-table":
+        return generated_stored_column_table()
     if block == "kind-table":
         return generated_kind_table()
     raise ValueError(f"unknown block {block!r}")

@@ -16,6 +16,11 @@ write cannot tear an entry.  A corrupt or truncated entry found on read
 as a cache miss: it is logged, noted under ``cache.<kind>.corrupt``,
 deleted, and recomputed.
 
+On a trace-cache miss the batch path writes the ``.npz`` on a writer
+thread while the program simulates, and joins it before the sim entry
+is published; the ``trace.save_wait_s`` histogram records how long the
+join blocked.
+
 When observation is on (:mod:`repro.observe`) every program runs inside
 a ``program:<name>`` span with nested ``trace``/``simulate`` stage spans
 (``compile`` comes from the workload runner), cache loads run inside
@@ -43,6 +48,7 @@ import hashlib
 import os
 import tempfile
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -285,12 +291,77 @@ def _publish_sim_payload(payload: object, path: Path, name: str) -> None:
     ResultStore(path.parent).publish_payload(path, payload, program=name)
 
 
+class _TraceSave:
+    """A :func:`save_trace` of one program's cache entry, running on a
+    writer thread.
+
+    The write is almost all GIL-free C (deflate, CRC-32, file writes),
+    so it runs on the host's other core while the task thread discovers
+    sessions and simulates.  :meth:`finish` waits for it to publish or
+    abandon the entry.
+    """
+
+    def __init__(self, trace, registry: ObjectRegistry, path: Path,
+                 name: str) -> None:
+        self.path = path
+        self.name = name
+        self.error: Optional[BaseException] = None
+        self._thread = threading.Thread(
+            target=self._run, args=(trace, registry, path),
+            name=f"save-{name}",
+        )
+        self._thread.start()
+
+    def _run(self, trace, registry: ObjectRegistry, path: Path) -> None:
+        try:
+            # Looked up when called, so a wrapper installed on
+            # ``pipeline.save_trace`` (perfbench's ledger) times it.
+            save_trace(trace, registry, path)
+        except BaseException as exc:
+            self.error = exc
+
+    def _join(self) -> None:
+        """Wait for the write.  An interrupt that arrives meanwhile is
+        raised once the write has ended, so no temporary file outlives
+        the task."""
+        interrupt = None
+        while True:
+            try:
+                self._thread.join()
+                break
+            except BaseException as exc:
+                interrupt = interrupt or exc
+        if interrupt is not None:
+            raise interrupt
+
+    def finish(self, progress: Progress) -> Optional[BaseException]:
+        """Wait for the write and account its outcome.
+
+        An ``OSError`` is a read-only cache, as for any cache write; any
+        other error is returned for the task thread to raise.
+        """
+        start = time.perf_counter()
+        self._join()
+        observe.observe_value("trace.save_wait_s",
+                              time.perf_counter() - start)
+        if self.error is None:
+            observe.note("cache.trace.written", self.path.name)
+        elif isinstance(self.error, OSError):
+            _note_readonly("trace", self.path, self.error, self.name,
+                           progress)
+        else:
+            return self.error
+        return None
+
+
 def _trace_for(
     workload: Workload,
     scale: int,
     config: ExperimentConfig,
     progress: Progress,
-):
+) -> Tuple[object, ObjectRegistry, Optional[_TraceSave]]:
+    """The batch path's trace, registry and, on a cache miss, the
+    still-running write of the new cache entry (the caller joins it)."""
     trace_path = trace_cache_path(workload, scale, config)
     if config.use_cache and trace_path.exists():
         if progress:
@@ -314,19 +385,20 @@ def _trace_for(
             observe.note("cache.trace.used", trace_path.name)
             observe.emit_event("cache.hit", kind="trace",
                                program=workload.name, entry=trace_path.name)
-            return loaded
+            return (*loaded, None)
     observe.inc("cache.trace.misses")
     observe.emit_event("cache.miss", kind="trace", program=workload.name)
     run = run_workload(workload, scale, on_progress=progress)
+    saving = None
     if config.use_cache:
         try:
             faultpoint("cache.write", program=workload.name, kind="trace")
-            save_trace(run.trace, run.registry, trace_path)
         except OSError as exc:
             _note_readonly("trace", trace_path, exc, workload.name, progress)
         else:
-            observe.note("cache.trace.written", trace_path.name)
-    return run.trace, run.registry
+            saving = _TraceSave(run.trace, run.registry, trace_path,
+                                workload.name)
+    return run.trace, run.registry, saving
 
 
 def _spill_streamed_trace(
@@ -640,14 +712,14 @@ def load_program_data(
                 cleanup()
             payload = {"meta": meta, "registry": registry, "result": result}
         else:
-            attached = None
+            attached = saving = save_error = None
             if shared_trace is not None:
                 attached = _attach_shared_trace(shared_trace, name, progress)
             try:
                 if attached is not None:
                     trace, registry = attached.trace, attached.registry
                 else:
-                    trace, registry = _trace_for(
+                    trace, registry, saving = _trace_for(
                         workload, scale, config, progress
                     )
                 sessions = discover_sessions(registry)
@@ -664,8 +736,14 @@ def load_program_data(
                 # before closing the attachment below.
                 del trace
             finally:
+                # The trace entry is published or abandoned before the
+                # sim payload; if the task failed, its own error wins.
+                if saving is not None:
+                    save_error = saving.finish(progress)
                 if attached is not None:
                     attached.close()
+            if save_error is not None:
+                raise save_error
         if config.use_cache:
             try:
                 faultpoint("cache.write", program=name, kind="sim")

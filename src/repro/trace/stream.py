@@ -16,8 +16,7 @@ implement is ``docs/TRACE_FORMAT.md``):
   emits chunks as the program runs instead of accumulating the whole
   trace, so phase 1's memory stays bounded by one chunk;
 * :func:`iter_chunks` — re-chunk a complete in-memory trace, so batch
-  traces replay through the streaming path and save through the one
-  chunked writer.
+  traces replay through the streaming path.
 
 Chunk boundaries are *framing only*: a chunk never carries simulation
 state, and concatenating the columns of chunks ``0..n`` in sequence

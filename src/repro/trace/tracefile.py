@@ -13,8 +13,8 @@ CRC-32 per stored column.
   :class:`~repro.errors.TraceRangeError` for a value that does not fit
   (every address lies in the 16 MiB address space), so nothing is
   truncated silently.
-* :func:`save_trace` feeds a whole in-memory trace to that writer in
-  chunks of :data:`SAVE_CHUNK_EVENTS`.
+* :func:`save_trace` feeds slices of a whole in-memory trace's columns
+  to that writer, :data:`SAVE_CHUNK_EVENTS` events per chunk.
 * :class:`TraceStreamReader` replays a saved trace chunk by chunk,
   verifying each chunk's stored columns against the footer index and
   widening them back to the int64 :class:`~repro.trace.stream.TraceChunk`
@@ -41,7 +41,7 @@ import os
 import tempfile
 import zipfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from repro.trace.stream import (
     WIRE_DTYPES,
     TraceChunk,
     column_crc32,
-    iter_chunks,
     verify_columns,
 )
 
@@ -87,7 +86,11 @@ def _chunk_member(seq: int, suffix: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _registry_records(registry: ObjectRegistry) -> List[Dict[str, object]]:
+#: Object records the footer encodes per ``json.dumps`` call.
+_RECORDS_PER_BATCH = 512
+
+
+def _registry_records(objects: List[ObjectDesc]) -> List[Dict[str, object]]:
     return [
         {
             "id": obj.id,
@@ -98,7 +101,7 @@ def _registry_records(registry: ObjectRegistry) -> List[Dict[str, object]]:
             "size_bytes": obj.size_bytes,
             "is_param": obj.is_param,
         }
-        for obj in registry.objects
+        for obj in objects
     ]
 
 
@@ -128,9 +131,27 @@ def _registry_from_records(records: List[Dict[str, object]]) -> ObjectRegistry:
     return registry
 
 
-def _json_member(doc: Dict[str, object]) -> np.ndarray:
-    """A JSON document as the uint8 array an ``.npz`` member can carry."""
-    return np.frombuffer(json.dumps(doc).encode("utf-8"), dtype=np.uint8)
+def _footer_member(meta: TraceMeta, registry: ObjectRegistry, n_events: int,
+                   index: List[Dict[str, object]]) -> np.ndarray:
+    """The ``stream`` footer as the uint8 array an ``.npz`` member can
+    carry: the bytes of ``json.dumps`` of the document ``{"version",
+    "meta", "objects", "n_events", "chunks"}``.
+
+    The object records are encoded :data:`_RECORDS_PER_BATCH` at a time,
+    so a registry of thousands of heap objects is never held whole as
+    dicts, nor as the encoder's pieces; they were most of a save's
+    transient memory.
+    """
+    head = json.dumps({"version": _FORMAT_VERSION, "meta": vars(meta)})
+    tail = json.dumps({"n_events": n_events, "chunks": index})
+    objects = registry.objects
+    batches = ", ".join(
+        json.dumps(_registry_records(
+            objects[start:start + _RECORDS_PER_BATCH]))[1:-1]
+        for start in range(0, len(objects), _RECORDS_PER_BATCH)
+    )
+    doc = f'{head[:-1]}, "objects": [{batches}], {tail[1:]}'
+    return np.frombuffer(doc.encode("utf-8"), dtype=np.uint8)
 
 
 def _parse_json_member(raw: np.ndarray) -> Dict[str, object]:
@@ -169,29 +190,17 @@ def _open_archive(handle) -> zipfile.ZipFile:
 
 
 def _write_member(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
-    """Write ``array`` as the ``.npy`` member ``name`` (zip64 always, as
-    ``np.savez`` writes its members)."""
+    """Write the contiguous ``array`` as the ``.npy`` member ``name``
+    (zip64 always, as ``np.savez`` writes its members).
+
+    The bytes are those :func:`np.lib.format.write_array` writes, but the
+    data goes to the archive from the array's own buffer, not a copy.
+    """
     with archive.open(name + ".npy", "w", force_zip64=True) as member:
-        np.lib.format.write_array(
-            member, np.ascontiguousarray(array), allow_pickle=False
+        np.lib.format.write_array_header_1_0(
+            member, np.lib.format.header_data_from_array_1_0(array)
         )
-
-
-def _narrow(seq: int, name: str, column: np.ndarray,
-            dtype: np.dtype) -> np.ndarray:
-    """``column`` as ``dtype``; a value outside ``dtype``'s range is a
-    :class:`TraceRangeError`."""
-    if column.dtype == dtype:
-        return column
-    info = np.iinfo(dtype)
-    if len(column):
-        low, high = int(column.min()), int(column.max())
-        if low < info.min or high > info.max:
-            raise TraceRangeError(
-                f"chunk {seq}: column {name} holds values in "
-                f"[{low}, {high}], outside {dtype}"
-            )
-    return column.astype(dtype)
+        member.write(array.data)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +211,13 @@ def _narrow(seq: int, name: str, column: np.ndarray,
 class ChunkedTraceWriter:
     """Incremental writer for the chunked trace container.
 
-    Chunks are appended as they arrive — ``write_chunk`` narrows each
-    column to its stored dtype and streams it straight into the archive,
-    so the writer never holds more than one chunk — and :meth:`finalize`
-    appends the ``stream`` footer (meta, registry, chunk index with
-    checksums) and atomically publishes the file.  A writer abandoned
-    before ``finalize`` (crash, :meth:`abort`, a
+    Chunks are appended as they arrive — :meth:`write_columns` narrows
+    each column to its stored dtype, one column at a time into one
+    reused buffer, and streams it straight into the archive, so the
+    writer never holds more than one stored column — and
+    :meth:`finalize` appends the ``stream`` footer (meta, registry,
+    chunk index with checksums) and atomically publishes the file.  A
+    writer abandoned before ``finalize`` (crash, :meth:`abort`, a
     :class:`~repro.errors.TraceRangeError`, context-manager exit on
     error) leaves no partial file at the destination.
     """
@@ -225,6 +235,8 @@ class ChunkedTraceWriter:
         self._next_seq = 0
         self._n_events = 0
         self._done = False
+        # Bytes of the narrowed column being written, grown on demand.
+        self._scratch = np.empty(0, np.uint8)
 
     @property
     def path(self) -> Path:
@@ -236,45 +248,60 @@ class ChunkedTraceWriter:
 
     def write_chunk(self, chunk: TraceChunk) -> None:
         """Append one chunk's four column members to the archive."""
+        self.write_columns(chunk.seq, chunk.columns)
+
+    def write_columns(self, seq: int, columns: Sequence[np.ndarray]) -> None:
+        """Append chunk ``seq``, given as its four integer columns in
+        ``(kinds, col_a, col_b, col_c)`` order, to the archive."""
         if self._done:
-            raise PipelineError("write_chunk() on a closed trace writer")
-        if chunk.seq != self._next_seq:
+            raise PipelineError("write_columns() on a closed trace writer")
+        if seq != self._next_seq:
             raise PipelineError(
-                f"chunk {chunk.seq} written out of order; expected "
-                f"{self._next_seq}"
+                f"chunk {seq} written out of order; expected {self._next_seq}"
             )
-        faultpoint("stream.spill", seq=chunk.seq)
+        faultpoint("stream.spill", seq=seq)
         faultpoint("io.write", kind="trace")
-        stored = [
-            _narrow(chunk.seq, suffix, column, dtype)
-            for suffix, column, dtype in zip(
-                _COLUMN_SUFFIXES, chunk.columns, STORED_DTYPES)
-        ]
-        for suffix, column in zip(_COLUMN_SUFFIXES, stored):
-            _write_member(self._zip, _chunk_member(chunk.seq, suffix), column)
-        self._index.append(
-            {
-                "seq": chunk.seq,
-                "n_events": chunk.n_events,
-                "crc32": [column_crc32(column) for column in stored],
-            }
-        )
+        crcs = []
+        for suffix, column, dtype in zip(_COLUMN_SUFFIXES, columns,
+                                         STORED_DTYPES):
+            stored = self._narrow(seq, suffix, column, dtype)
+            _write_member(self._zip, _chunk_member(seq, suffix), stored)
+            crcs.append(column_crc32(stored))
+        n_events = len(columns[0])
+        self._index.append({"seq": seq, "n_events": n_events, "crc32": crcs})
         self._next_seq += 1
-        self._n_events += chunk.n_events
+        self._n_events += n_events
+
+    def _narrow(self, seq: int, name: str, column: np.ndarray,
+                dtype: np.dtype) -> np.ndarray:
+        """``column`` as a contiguous ``dtype`` array, in the scratch
+        buffer when it must be converted; a value outside ``dtype``'s
+        range is a :class:`TraceRangeError`."""
+        if column.dtype == dtype:
+            return np.ascontiguousarray(column)
+        info = np.iinfo(dtype)
+        if len(column):
+            low, high = int(column.min()), int(column.max())
+            if low < info.min or high > info.max:
+                raise TraceRangeError(
+                    f"chunk {seq}: column {name} holds values in "
+                    f"[{low}, {high}], outside {dtype}"
+                )
+        nbytes = len(column) * dtype.itemsize
+        if len(self._scratch) < nbytes:
+            self._scratch = np.empty(nbytes, np.uint8)
+        stored = self._scratch[:nbytes].view(dtype)
+        np.copyto(stored, column, casting="unsafe")
+        return stored
 
     def finalize(self, meta: TraceMeta, registry: ObjectRegistry) -> None:
         """Write the ``stream`` footer and atomically publish the file."""
         if self._done:
             raise PipelineError("finalize() on a closed trace writer")
         faultpoint("io.write", kind="trace")
-        doc = {
-            "version": _FORMAT_VERSION,
-            "meta": vars(meta),
-            "objects": _registry_records(registry),
-            "n_events": self._n_events,
-            "chunks": self._index,
-        }
-        _write_member(self._zip, "stream", _json_member(doc))
+        self._scratch = np.empty(0, np.uint8)  # no column is left to narrow
+        _write_member(self._zip, "stream", _footer_member(
+            meta, registry, self._n_events, self._index))
         self._zip.close()
         self._handle.close()
         self._done = True
@@ -318,10 +345,19 @@ def save_trace(
     trace: EventTrace, registry: ObjectRegistry, path: Union[str, Path]
 ) -> None:
     """Save ``trace`` + ``registry`` to ``path`` through a
-    :class:`ChunkedTraceWriter`, :data:`SAVE_CHUNK_EVENTS` per chunk."""
+    :class:`ChunkedTraceWriter`, :data:`SAVE_CHUNK_EVENTS` per chunk.
+
+    The chunks are slices of the trace's own columns, narrowed one
+    column at a time as they are written.
+    """
+    columns = trace.as_arrays()
     with ChunkedTraceWriter(path) as writer:
-        for chunk in iter_chunks(trace, SAVE_CHUNK_EVENTS):
-            writer.write_chunk(chunk)
+        for seq, start in enumerate(
+                range(0, len(columns.kinds), SAVE_CHUNK_EVENTS)):
+            stop = start + SAVE_CHUNK_EVENTS
+            writer.write_columns(
+                seq, [column[start:stop] for column in columns]
+            )
         writer.finalize(trace.meta, registry)
 
 

@@ -180,6 +180,20 @@ class TestGracefulShutdown:
         assert "journal.seal" in categories
         assert_resume_converges(tmp_path, cache, "r1", clean_report)
 
+    def test_sigint_during_trace_write(self, tmp_path, clean_report):
+        # The 2nd trace save is qcd's, on the writer thread while qcd
+        # simulates: the interrupt lands on the task thread, which waits
+        # for the write before unwinding.
+        cache = tmp_path / "cache"
+        proc = run_cli(cache, ["--run-id", "r1", "--retries", "0",
+                               "--inject-faults", "trace.save:sigint@2"])
+        assert proc.returncode == 128 + signal.SIGINT, proc.stderr
+        seal = journal_lines(cache, "r1")[-1]
+        assert seal["status"] == "interrupted" and seal["exit_code"] == 130
+        assert list(cache.glob("*.tmp")) == []
+        gauges = assert_resume_converges(tmp_path, cache, "r1", clean_report)
+        assert gauges["resume.tasks_skipped"] == 1
+
     def test_sigterm_parallel(self, tmp_path, clean_report):
         # Journal appends happen parent-side only, so this SIGTERMs the
         # parent while its --jobs 2 pool is live: the scheduler's

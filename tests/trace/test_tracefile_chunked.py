@@ -550,3 +550,29 @@ def test_worked_example_footer_entry(tmp_path):
         1000374730, 470506145, 714159072, 180223941]}]
     with zipfile.ZipFile(path) as archive:
         assert len(archive.read("chunk-00000000.kinds.npy")) == 131
+
+
+@pytest.mark.parametrize("n_heap", [0, 1, 1100])
+def test_footer_is_json_dumps_of_the_document(tmp_path, n_heap):
+    """The footer encodes its object records a batch at a time; the
+    bytes are still exactly ``json.dumps`` of the whole document."""
+    trace, registry = build_fixture() if n_heap else (
+        EventTrace("empty"), ObjectRegistry())
+    for i in range(n_heap):
+        registry.heap(f"f{i % 7}", ("main", f"f{i % 7}"), 8 + i)
+    path = tmp_path / "trace.npz"
+    save_chunked(trace, registry, path, chunk_events=40)
+    raw = bytes(_members(path)["stream"].tobytes())
+    doc = json.loads(raw.decode("utf-8"))
+    assert len(doc["objects"]) == len(registry.objects)
+    assert raw == json.dumps({
+        "version": 3,
+        "meta": vars(trace.meta),
+        "objects": [
+            {"id": obj.id, "kind": obj.kind, "name": obj.name,
+             "function": obj.function, "context": list(obj.context),
+             "size_bytes": obj.size_bytes, "is_param": obj.is_param}
+            for obj in registry.objects],
+        "n_events": len(trace),
+        "chunks": doc["chunks"],
+    }).encode("utf-8")

@@ -33,7 +33,6 @@ from repro.experiments.pipeline import ExperimentConfig, load_program_data
 from repro.faults import faultpoint
 from repro.simulate import engine as engine_module
 from repro.simulate import native_engine as native_engine_module
-from repro.trace import shared as shared_module
 from repro.trace import tracefile as tracefile_module
 
 N_TIMING_ROUNDS = 5
@@ -59,12 +58,12 @@ def no_plan():
 
 
 @pytest.mark.parametrize("module", [
-    engine_module, native_engine_module, shared_module,
+    engine_module, native_engine_module,
 ])
 def test_engines_carry_no_faultpoints(module):
     """Faultpoints belong on recovery boundaries (cache, I/O, workers),
     never inside the per-event simulation loop — nor in the native
-    kernel's marshalling layer or the shm data plane."""
+    kernel's marshalling layer."""
     assert "faultpoint" not in inspect.getsource(module)
 
 

@@ -200,7 +200,7 @@ class ShutdownRequested(BaseException):
     Deliberately a :class:`BaseException` (like :class:`KeyboardInterrupt`)
     so the pipeline's ``except Exception`` retry/keep-going machinery
     never swallows it: the signal must unwind through the scheduler's
-    cleanup (pool shutdown, shared-memory release) to the CLI, which
+    cleanup (pool shutdown) to the CLI, which
     seals the run journal, dumps the flight-recorder black box, and
     exits ``128 + signum``.
     """

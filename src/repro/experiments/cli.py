@@ -752,8 +752,8 @@ def main(argv=None) -> int:
             code = _run(args, config)
         except ShutdownRequested as exc:
             # Graceful shutdown: _run's finally already sealed the
-            # journal and the scheduler's finally released the pool and
-            # shared memory on the way out; dump the black box and exit
+            # journal and the scheduler's finally released the pool on
+            # the way out; dump the black box and exit
             # with the conventional 128+signum code.
             code = 128 + exc.signum
             observe.emit_event("run.interrupted", "WARNING",

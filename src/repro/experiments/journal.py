@@ -143,8 +143,8 @@ def task_entries(program: str, config: ExperimentConfig) -> List[str]:
 
     The simulation payload is what the tables consume, so it is the one
     entry resume verification requires; the trace entry is listed for
-    forensics but may legitimately be absent (shared-memory fast path,
-    sim-cache hit).  With caching off a task publishes nothing and can
+    forensics but may legitimately be absent (a sim-cache hit never
+    reads it).  With caching off a task publishes nothing and can
     never be skipped on resume.
     """
     if not config.use_cache:

@@ -64,10 +64,8 @@ returned dict preserves the configured program order).
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -82,145 +80,14 @@ from repro.experiments.pipeline import (
     ProgramData,
     load_program_data,
     retry_backoff_s,
-    sim_cache_path,
-    trace_cache_path,
 )
 from repro.observe.spans import SpanRecord
-from repro.trace import load_trace, publish_trace
-from repro.trace.shared import reap_stale_segments
-from repro.workloads import WORKLOADS
 
 __all__ = ["schedule_programs"]
 
 #: After this many pool recreations the scheduler stops trusting the
 #: pool and runs the remaining programs on the in-process executor.
 MAX_POOL_RECREATIONS = 2
-
-#: How long a task waits (per scheduler pass) for its trace publication
-#: before being re-polled; dispatch is gated, never blocked.
-PUBLISH_POLL_S = 0.05
-
-
-class _TracePublisher:
-    """Parent-side shared-memory trace publication for the worker pool.
-
-    For every program whose simulation cache is cold but whose trace
-    cache is warm, the parent decompresses the ``.npz`` **once** (on a
-    small thread pool, overlapping with dispatch of other programs) and
-    publishes the columns into a shared-memory segment
-    (:func:`repro.trace.publish_trace`).  Workers receive the picklable
-    handle and attach zero-copy instead of each unpickling a private
-    trace — and a retried worker reattaches to the same segment for
-    free.
-
-    Publication is strictly best-effort: a missing trace entry, a
-    failed load, or an shm-less platform just means the task is
-    dispatched without a handle and the worker uses the disk path.
-    Segment lifetime is owned here — :meth:`release` per finished
-    program plus :meth:`close` from the scheduler's ``finally`` —
-    so injected worker crashes and watchdog kills cannot leak
-    ``/dev/shm`` segments (certified by ``tests/faults/``).
-    """
-
-    #: poll() states
-    NONE = "none"          #: nothing published and nothing in flight
-    PENDING = "pending"    #: publication still running: hold dispatch
-    READY = "ready"        #: handle available
-
-    def __init__(self, config: ExperimentConfig, names: List[str]) -> None:
-        self._lock = threading.Lock()
-        self._owners: Dict[str, object] = {}
-        self._futures: Dict[str, Future] = {}
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._closed = False
-        if not config.use_cache or config.stream:
-            # Stream mode never materializes whole traces; without the
-            # cache there is nothing on disk to publish from.
-            return
-        jobs = []
-        for name in names:
-            workload = WORKLOADS.get(name)
-            if workload is None:
-                continue
-            scale = config.scale_of(workload)
-            if sim_cache_path(workload, scale, config).exists():
-                continue  # worker will hit the sim cache; no trace needed
-            trace_path = trace_cache_path(workload, scale, config)
-            if not trace_path.exists():
-                continue  # phase 1 runs in the worker; nothing to share
-            jobs.append((name, trace_path))
-        if not jobs:
-            return
-        self._executor = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="trace-publish"
-        )
-        for name, trace_path in jobs:
-            self._futures[name] = self._executor.submit(
-                self._publish_one, name, trace_path
-            )
-
-    def _publish_one(self, name: str, trace_path) -> Optional[object]:
-        try:
-            trace, registry = load_trace(trace_path)
-            owner = publish_trace(trace, registry)
-        except Exception as exc:
-            observe.inc("trace.shm.publish_failed")
-            observe.emit_event(
-                "trace.shm.publish_failed", "WARNING", program=name,
-                error=type(exc).__name__,
-            )
-            return None
-        observe.inc("trace.shm.published")
-        observe.inc("trace.shm.bytes", owner.nbytes)
-        observe.emit_event(
-            "trace.shm.publish", program=name, segment=owner.name,
-            events=owner.handle.n_events, bytes=owner.nbytes,
-        )
-        with self._lock:
-            if self._closed:
-                owner.close()
-                return None
-            self._owners[name] = owner
-        return owner
-
-    def poll(self, name: str):
-        """(state, handle) for ``name``; never blocks."""
-        future = self._futures.get(name)
-        if future is None:
-            return self.NONE, None
-        if not future.done():
-            return self.PENDING, None
-        owner = self._owners.get(name)
-        if owner is None:
-            return self.NONE, None
-        return self.READY, owner.handle
-
-    def release(self, name: str) -> None:
-        """Unlink ``name``'s segment (no-op when none was published)."""
-        with self._lock:
-            owner = self._owners.pop(name, None)
-        if owner is not None:
-            owner.close()
-            observe.inc("trace.shm.released")
-            observe.emit_event("trace.shm.release", program=name,
-                               segment=owner.name)
-
-    def close(self) -> None:
-        """Release everything; safe to call multiple times."""
-        with self._lock:
-            self._closed = True
-            owners = list(self._owners.items())
-            self._owners.clear()
-        for future in self._futures.values():
-            future.cancel()
-        for name, owner in owners:
-            owner.close()
-            observe.inc("trace.shm.released")
-            observe.emit_event("trace.shm.release", program=name,
-                               segment=owner.name)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-
 
 def _run_worker(
     name: str,
@@ -232,7 +99,6 @@ def _run_worker(
     attempt: int,
     events_on: bool = False,
     run_id: str = "",
-    shared_trace=None,
 ):
     """Pool target: one program's phase 1 + phase 2 in a fresh process.
 
@@ -243,10 +109,7 @@ def _run_worker(
     clauses default to firing on attempt 1 only, so a retried worker
     recovers deterministically.  With ``events_on`` the worker records
     flight-recorder events under the parent's ``run_id`` (no sink of its
-    own); they ride home inside the snapshot.  ``shared_trace`` is the
-    parent-published :class:`~repro.trace.SharedTraceHandle` for this
-    program (or ``None``); when present the worker attaches zero-copy
-    instead of unpickling the trace from the disk cache.
+    own); they ride home inside the snapshot.
     """
     origin = time.perf_counter()
     # Start from a clean slate whatever the start method: a forked child
@@ -276,7 +139,7 @@ def _run_worker(
     # Workers run quiet: interleaved per-event progress from N processes
     # is noise; the parent reports dispatch/completion per program.
     faults.faultpoint("worker.start", program=name)
-    data = load_program_data(name, config, shared_trace=shared_trace)
+    data = load_program_data(name, config)
     faults.faultpoint("worker.mid", program=name)
     snapshot = observe.dump_snapshot() if (observing or events_on) else None
     return data, origin, snapshot
@@ -397,10 +260,6 @@ def schedule_programs(
     jobs = max(1, min(config.jobs, len(names)))
     pooled = jobs > 1
     if pooled:
-        # A previous run SIGKILLed before its `finally` unlink may have
-        # left orphaned /dev/shm segments behind; sweep them before
-        # publishing new ones.
-        reap_stale_segments()
         observe.set_gauge("pipeline.jobs", jobs)
 
     observing = observe.is_enabled()
@@ -415,7 +274,6 @@ def schedule_programs(
     fault_seed = plan.seed if plan is not None else 0
 
     max_attempts = max(1, retries + 1)
-    publisher = _TracePublisher(config, names) if pooled else None
     pending: List[_Task] = [_Task(name) for name in names]
     running: Dict[Future, _Task] = {}
     data: Dict[str, ProgramData] = {}
@@ -459,8 +317,6 @@ def schedule_programs(
         if journal is not None:
             journal.failed_for(task.name, config, record.error,
                                attempts=record.attempts)
-        if publisher is not None:
-            publisher.release(task.name)
         if keep_going:
             if failures is not None:
                 failures.append(record)
@@ -505,7 +361,7 @@ def schedule_programs(
         task.not_before = time.perf_counter() + delay
         pending.append(task)
 
-    def dispatch(task: _Task, shared_handle) -> None:
+    def dispatch(task: _Task) -> None:
         """Start one attempt of ``task`` (on the in-process executor,
         run it to completion)."""
         nonlocal executor
@@ -531,7 +387,6 @@ def schedule_programs(
         running[executor.submit(
             _run_worker, task.name, config, observing, profile_stride,
             fault_spec, fault_seed, attempt, events_on, run_id,
-            shared_handle,
         )] = task
         observe.emit_event("worker.dispatch", program=task.name,
                            attempt=attempt, jobs=jobs)
@@ -551,7 +406,6 @@ def schedule_programs(
         done_s = time.perf_counter()
         started = task.dispatched
         data[task.name] = program_data
-        publisher.release(task.name)
         if progress:
             progress(
                 f"[{task.name}] worker finished in {done_s - started:.1f}s"
@@ -584,18 +438,7 @@ def schedule_programs(
                 if len(running) >= window or task.not_before > now:
                     pending.append(task)
                     continue
-                shared_handle = None
-                if publisher is not None:
-                    state, shared_handle = publisher.poll(task.name)
-                    if state == _TracePublisher.PENDING:
-                        # The parent is still loading this program's
-                        # trace into shared memory; hold the task briefly
-                        # rather than dispatch a worker that would
-                        # re-read the disk.
-                        task.not_before = now + PUBLISH_POLL_S
-                        pending.append(task)
-                        continue
-                dispatch(task, shared_handle)
+                dispatch(task)
 
             if not running:
                 # Everything is backing off; sleep to the earliest gate.
@@ -686,9 +529,6 @@ def schedule_programs(
                         recreations=recreations,
                         remaining=",".join(task.name for task in pending),
                     )
-                    # The in-process executor loads traces from disk;
-                    # free the shared segments before doubling memory.
-                    publisher.close()
                     if progress:
                         progress(
                             f"worker pool broke {recreations} times; falling "
@@ -702,10 +542,6 @@ def schedule_programs(
             _kill_pool(executor)
         elif executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
-        # Segment cleanup must survive every exit path — abort, watchdog
-        # kill, broken pool, chaos-injected crashes — or /dev/shm leaks.
-        if publisher is not None:
-            publisher.close()
 
     # Completion order is nondeterministic; hand back configured order.
     return {name: data[name] for name in names if name in data}

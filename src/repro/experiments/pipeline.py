@@ -618,54 +618,12 @@ def _load_sim_payload(
     return payload
 
 
-def _attach_shared_trace(shared_trace, name: str, progress: Progress):
-    """Attach a parent-published shared-memory trace, or ``None``.
-
-    A vanished or malformed segment degrades to the disk-cache path —
-    the shared plane is an optimization, never a correctness dependency
-    — with the failure accounted under ``trace.shm.attach_failed``.
-    """
-    try:
-        attached = shared_trace.attach()
-    except Exception as exc:
-        observe.inc("trace.shm.attach_failed")
-        observe.emit_event(
-            "trace.shm.attach_failed", "WARNING", program=name,
-            segment=shared_trace.name, error=type(exc).__name__,
-        )
-        if progress:
-            progress(
-                f"[{name}] shared trace {shared_trace.name} unavailable "
-                f"({type(exc).__name__}); falling back to the disk cache"
-            )
-        return None
-    observe.inc("trace.shm.attached")
-    observe.note("trace.shm.used", shared_trace.name)
-    observe.emit_event("trace.shm.attach", program=name,
-                       segment=shared_trace.name,
-                       events=shared_trace.n_events)
-    if progress:
-        progress(
-            f"[{name}] attached shared trace {shared_trace.name} "
-            f"({shared_trace.n_events} events, zero-copy)"
-        )
-    return attached
-
-
 def load_program_data(
     name: str,
     config: ExperimentConfig = ExperimentConfig(),
     progress: Progress = None,
-    shared_trace=None,
 ) -> ProgramData:
-    """Phase 1 + phase 2 for one program (cached).
-
-    ``shared_trace`` (a :class:`~repro.trace.shared.SharedTraceHandle`
-    the scheduler publishes for a pool worker) short-circuits the batch
-    path's trace load: the worker attaches to the shared segment
-    instead of decompressing its own copy from the ``.npz`` cache.  It is advisory — ignored in stream mode and on sim-cache
-    hits, and any attach failure falls back to the disk cache.
-    """
+    """Phase 1 + phase 2 for one program (cached)."""
     workload = WORKLOADS.get(name)
     if workload is None:
         raise PipelineError(f"unknown program {name!r}; known: {sorted(WORKLOADS)}")
@@ -712,16 +670,11 @@ def load_program_data(
                 cleanup()
             payload = {"meta": meta, "registry": registry, "result": result}
         else:
-            attached = saving = save_error = None
-            if shared_trace is not None:
-                attached = _attach_shared_trace(shared_trace, name, progress)
+            saving = save_error = None
             try:
-                if attached is not None:
-                    trace, registry = attached.trace, attached.registry
-                else:
-                    trace, registry, saving = _trace_for(
-                        workload, scale, config, progress
-                    )
+                trace, registry, saving = _trace_for(
+                    workload, scale, config, progress
+                )
                 sessions = discover_sessions(registry)
                 if progress:
                     progress(f"[{name}] simulating {len(sessions)} sessions over {len(trace)} events")
@@ -732,16 +685,11 @@ def load_program_data(
                     )
                 payload = {"meta": trace.meta, "registry": registry,
                            "result": result}
-                # Drop the (possibly shared-memory-backed) column views
-                # before closing the attachment below.
-                del trace
             finally:
                 # The trace entry is published or abandoned before the
                 # sim payload; if the task failed, its own error wins.
                 if saving is not None:
                     save_error = saving.finish(progress)
-                if attached is not None:
-                    attached.close()
             if save_error is not None:
                 raise save_error
         if config.use_cache:

@@ -31,12 +31,6 @@ from repro.trace.tracefile import (
     load_trace,
     save_trace,
 )
-from repro.trace.shared import (
-    AttachedTrace,
-    SharedTraceHandle,
-    SharedTraceOwner,
-    publish_trace,
-)
 
 __all__ = [
     "ObjectDesc",
@@ -57,8 +51,4 @@ __all__ = [
     "TraceStreamReader",
     "save_trace",
     "load_trace",
-    "AttachedTrace",
-    "SharedTraceHandle",
-    "SharedTraceOwner",
-    "publish_trace",
 ]

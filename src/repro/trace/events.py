@@ -20,8 +20,8 @@ Two storage backings share this class:
   are replay-only: the ``append_*`` methods are not supported on them.
 
 Either backing exposes :meth:`as_arrays`, a zero-copy NumPy view of the
-columns, which chunking (:func:`repro.trace.stream.iter_chunks`), saving
-and shared-memory export read.  The view aliases the trace's
+columns, which chunking (:func:`repro.trace.stream.iter_chunks`) and
+saving read.  The view aliases the trace's
 own buffers: appending to an append-backed trace after taking a view
 may reallocate the underlying buffers, so take views only when the
 trace is complete.

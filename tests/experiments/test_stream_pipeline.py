@@ -2,10 +2,10 @@
 strategy switch.
 
 Same results as batch runs (bit-identical counting variables), fully
-interchangeable cache entries (batch v1 entries replay through the
-stream reader, streamed v2 entries load into batch runs), the same
-corrupt-entry recovery, and the documented exit codes under fault
-injection.
+interchangeable cache entries (batch-written entries replay through
+the stream reader, stream-written entries load into batch runs; both
+are the one version-3 chunked container), the same corrupt-entry
+recovery, and the documented exit codes under fault injection.
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ class TestStreamEqualsBatch:
         batch_dir = tmp_path / "batch-first"
         stream_dir = tmp_path / "stream-first"
 
-        # Batch first: the cache holds a v1 (whole-trace) entry.
+        # Batch first: the cache holds a batch-written entry
+        # (262,144 events per chunk).
         batch = load_program_data(PROGRAM, make_config(batch_dir))
-        # A stream run over the same cache must replay that v1 entry.
+        # A stream run over the same cache must replay that entry.
         for sim in _sim_entries(batch_dir):
             sim.unlink()
         messages = []
@@ -88,7 +89,8 @@ class TestStreamEqualsBatch:
         assert_same_data(batch, streamed)
         assert any("opening cached trace" in message for message in messages)
 
-        # Stream first: the cache holds a v2 (chunked) entry.
+        # Stream first: the cache holds a stream-written entry
+        # (chunk_events events per chunk).
         streamed2 = load_program_data(
             PROGRAM, make_config(stream_dir, stream=True, chunk_events=2048)
         )
@@ -96,7 +98,7 @@ class TestStreamEqualsBatch:
         assert len(_trace_entries(stream_dir)) == 1
         for sim in _sim_entries(stream_dir):
             sim.unlink()
-        # A batch run must load the chunked entry transparently.
+        # A batch run must load the stream-written entry transparently.
         messages = []
         batch2 = load_program_data(
             PROGRAM, make_config(stream_dir), messages.append

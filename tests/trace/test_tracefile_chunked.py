@@ -21,8 +21,10 @@ import pytest
 
 from repro.errors import PipelineError, TraceFormatError, TraceRangeError
 from repro.trace import (
+    EventKind,
     EventTrace,
     ObjectRegistry,
+    TraceMeta,
     load_trace,
     save_trace,
 )
@@ -56,6 +58,20 @@ def build_fixture(n_events=100):
     trace.meta.instructions = 567
     trace.meta.stores = n_events
     return trace, registry
+
+
+def tiled_fixture(n_events):
+    """:func:`build_fixture`'s 100 events repeated to ``n_events``,
+    built as arrays (a large trace without a Python loop)."""
+    small, registry = build_fixture()
+    columns = [np.resize(np.asarray(column), n_events)
+               for column in small.as_arrays()]
+    meta = TraceMeta(**vars(small.meta))
+    meta.stores = n_events
+    meta.n_writes = int(np.count_nonzero(columns[0] == EventKind.WRITE))
+    meta.n_installs = int(np.count_nonzero(columns[0] == EventKind.INSTALL))
+    meta.n_removes = int(np.count_nonzero(columns[0] == EventKind.REMOVE))
+    return EventTrace.from_arrays(*columns, meta), registry
 
 
 def save_chunked(trace, registry, path, chunk_events):
@@ -127,6 +143,24 @@ class TestRoundTrip:
         assert_same_trace((trace, original[1]), original)
         assert [np.asarray(column).dtype for column in trace.as_arrays()] \
             == [np.int8, np.int64, np.int64, np.int64]
+
+    @pytest.mark.parametrize("n_events", [
+        1, SAVE_CHUNK_EVENTS - 1, SAVE_CHUNK_EVENTS, SAVE_CHUNK_EVENTS + 1,
+        2 * SAVE_CHUNK_EVENTS, 2 * SAVE_CHUNK_EVENTS + 1,
+    ])
+    def test_save_trace_round_trips_at_chunk_boundaries(self, tmp_path,
+                                                        n_events):
+        # load_trace is how every run, a pool worker's included, gets a
+        # cached trace: the columns come back bit for bit on whichever
+        # side of a chunk boundary the trace ends.
+        original = tiled_fixture(n_events)
+        path = tmp_path / "trace.npz"
+        save_trace(*original, path)
+        assert_same_trace(load_trace(path), original)
+        with TraceStreamReader(path) as reader:
+            sizes = [chunk.n_events for chunk in reader]
+        full, rest = divmod(n_events, SAVE_CHUNK_EVENTS)
+        assert sizes == [SAVE_CHUNK_EVENTS] * full + ([rest] if rest else [])
 
     def test_empty_trace_round_trips(self, tmp_path):
         registry = ObjectRegistry()

@@ -49,7 +49,7 @@ import tempfile
 import threading
 from typing import Optional
 
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCES = tuple(os.path.join(_HERE, name) for name in ("engine.c", "tracelog.c"))
 
@@ -151,8 +151,9 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.engine_free.restype = None
     lib.engine_free.argtypes = [ctypes.c_void_p]
     lib.engine_feed.restype = ctypes.c_int
-    lib.engine_feed.argtypes = [ctypes.c_void_p, i64, p_i8, p_i64, p_i64,
-                                p_i64]
+    p_i32 = ctypes.POINTER(ctypes.c_int32)
+    lib.engine_feed.argtypes = [ctypes.c_void_p, i64, p_i8, p_i32, p_i32,
+                                p_i32]
     lib.engine_flush.restype = ctypes.c_int
     lib.engine_flush.argtypes = [ctypes.c_void_p]
     lib.engine_read_sessions.restype = None
@@ -172,7 +173,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ptr, ptr, ptr, ptr, ptr,  # plan_start, plan_len, plan_off, plan_size, plan_obj
         i64,                      # n_funcs
         ptr, ptr, i64,            # side rows, side_ends, n_side
-        ptr, ptr, ptr, ptr, i64,  # kinds, col_a, col_b, col_c, capacity
+        ptr, ptr, ptr, ptr,       # kinds, col_a, col_b, col_c
+        i64, i64,                 # offset, capacity
         ptr, ptr, ptr,            # ends, eligible, out
     ]
     return lib

@@ -9,7 +9,9 @@
  * hot path entirely.
  *
  * Bit-identity contract: every branch below mirrors a line of the
- * scalar engine, in event order, using only int64 arithmetic, so the
+ * scalar engine, in event order, using only int64 arithmetic (the
+ * int32 event columns are widened as each event is read; hash keys,
+ * page numbers and counters are int64), so the
  * counting variables are exactly equal (not approximately — exactly;
  * the differential suite in tests/simulate/test_vector_equivalence.py
  * and tests/simulate/test_native_engine.py enforces it).  In
@@ -47,7 +49,7 @@
 
 /* Version of the library's whole ABI: this file's entry points and
  * tracelog.c's. */
-#define ENGINE_ABI_VERSION 2
+#define ENGINE_ABI_VERSION 3
 
 #if defined(_WIN32)
 #define API __declspec(dllexport)
@@ -345,8 +347,8 @@ fail:
 }
 
 API int engine_feed(void *handle, int64_t n, const int8_t *kinds,
-                    const int64_t *col_a, const int64_t *col_b,
-                    const int64_t *col_c)
+                    const int32_t *col_a, const int32_t *col_b,
+                    const int32_t *col_c)
 {
     Engine *e = (Engine *)handle;
     const int64_t n_sessions = e->n_sessions;

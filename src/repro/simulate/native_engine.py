@@ -29,6 +29,8 @@ import time
 from array import array
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro import observe
 from repro.observe import profile as observe_profile
 from repro.errors import PipelineError
@@ -39,35 +41,30 @@ from repro.simulate._native import (
 )
 from repro.simulate.counting import CountingVariables, VmPageCounts
 from repro.simulate.engine import SimulationResult, validate_page_sizes
-from repro.trace.events import EventTrace, TraceMeta
+from repro.trace.events import EventTrace, TraceMeta, as_int32
 from repro.trace.objects import ObjectRegistry
 
-try:  # numpy is the fast path for column marshalling, not a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the repo
-    _np = None
-
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
+_P_I32 = ctypes.POINTER(ctypes.c_int32)
 _P_I8 = ctypes.POINTER(ctypes.c_int8)
 
 
-def _i64_buffer(column):
-    """(pointer, length, keepalive) over a contiguous int64 view."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        arr = _np.ascontiguousarray(column, dtype=_np.int64)
-        return arr.ctypes.data_as(_P_I64), len(arr), arr
-    if isinstance(column, array) and column.itemsize == 8:
+def _i32_buffer(column):
+    """(pointer, length, keepalive) over a contiguous int32 view: the
+    trace's own buffer for an int32 column (an ``array('i')`` or a
+    contiguous ndarray), else a narrowed copy, a value outside int32
+    being a :class:`~repro.errors.TraceRangeError`."""
+    if isinstance(column, array) and column.typecode == "i":
         addr, length = column.buffer_info()
-        return ctypes.cast(addr, _P_I64), length, column
-    arr = array("q", column)
-    addr, length = arr.buffer_info()
-    return ctypes.cast(addr, _P_I64), length, arr
+        return ctypes.cast(addr, _P_I32), length, column
+    arr = as_int32(column)
+    return arr.ctypes.data_as(_P_I32), len(arr), arr
 
 
 def _i8_buffer(column):
     """(pointer, length, keepalive) over a contiguous int8 view."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        arr = _np.ascontiguousarray(column, dtype=_np.int8)
+    if isinstance(column, np.ndarray):
+        arr = np.ascontiguousarray(column, dtype=np.int8)
         return arr.ctypes.data_as(_P_I8), len(arr), arr
     if isinstance(column, array) and column.itemsize == 1:
         addr, length = column.buffer_info()
@@ -171,9 +168,9 @@ class NativeSimulationStream:
         chunk_start = time.perf_counter() if observing else 0.0
 
         kinds_ptr, n_kinds, keep_k = _i8_buffer(kinds)
-        a_ptr, n_a, keep_a = _i64_buffer(col_a)
-        b_ptr, n_b, keep_b = _i64_buffer(col_b)
-        c_ptr, n_c, keep_c = _i64_buffer(col_c)
+        a_ptr, n_a, keep_a = _i32_buffer(col_a)
+        b_ptr, n_b, keep_b = _i32_buffer(col_b)
+        c_ptr, n_c, keep_c = _i32_buffer(col_c)
         if len({n_kinds, n_a, n_b, n_c}) != 1:
             raise PipelineError(
                 "ragged feed: column lengths (kinds, col_a, col_b, col_c) "

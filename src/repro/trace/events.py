@@ -1,23 +1,32 @@
 """Event trace container.
 
-Events are stored as three parallel ``array('q')`` columns plus a kind
-byte column — compact enough to hold multi-million-event traces in
-memory and to save/load via numpy.
+Events are stored as four parallel columns: an int8 kind byte and the
+int32 ``col_a``/``col_b``/``col_c`` (:data:`STORED_DTYPES`, the same
+layout a saved trace stores on disk) — 13 bytes per event, compact
+enough to hold multi-million-event traces in memory.
 
 Column meaning by kind::
 
     INSTALL / REMOVE:  a = object id,  b = BA,  c = EA
     WRITE:             a = BA,         b = EA,  c = 0
 
+Every object id and address lies in the 16 MiB address space, so int32
+holds it.  A value that does not fit is refused where an int32 column is
+first produced — by the tracer's log expansion, :meth:`EventTrace.append_write`
+and its siblings, :meth:`EventTrace.from_arrays` and
+:meth:`repro.trace.stream.TraceChunk.build` — with a
+:class:`~repro.errors.TraceRangeError`; nothing is truncated.
+
 Two storage backings share this class:
 
-* **append backing** — fresh traces built by the tracer use
-  ``array('q')`` columns and the ``append_*`` hot-path methods;
-* **array backing** — traces adopted from NumPy arrays (e.g. straight
-  out of an ``.npz`` via :func:`repro.trace.load_trace` and
-  :meth:`EventTrace.from_arrays`) keep the ndarray columns as-is, so
-  loading never round-trips through ``array('q')`` copies.  Such traces
-  are replay-only: the ``append_*`` methods are not supported on them.
+* **append backing** — traces built event by event (tests and tools)
+  use ``array('b')``/``array('i')`` columns and the ``append_*``
+  methods;
+* **array backing** — traces adopted from NumPy arrays (the tracer's
+  own columns, and those :func:`repro.trace.load_trace` reads, via
+  :meth:`EventTrace.from_arrays`) keep the ndarray columns as-is.  Such
+  traces are replay-only: the ``append_*`` methods are not supported
+  on them.
 
 Either backing exposes :meth:`as_arrays`, a zero-copy NumPy view of the
 columns, which chunking (:func:`repro.trace.stream.iter_chunks`) and
@@ -34,6 +43,10 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Tuple
 
+import numpy as np
+
+from repro.errors import TraceFormatError, TraceRangeError
+
 
 class EventKind(enum.IntEnum):
     """Trace event kinds (paper section 6)."""
@@ -46,12 +59,38 @@ class EventKind(enum.IntEnum):
 #: Kind values :meth:`EventTrace.validate` accepts.
 VALID_KINDS = frozenset(int(kind) for kind in EventKind)
 
+#: Dtype of each column, in ``(kinds, col_a, col_b, col_c)`` order: in
+#: memory, in a :class:`~repro.trace.stream.TraceChunk` and on disk.
+STORED_DTYPES = (np.dtype(np.int8), np.dtype(np.int32), np.dtype(np.int32),
+                 np.dtype(np.int32))
+
+_INT32 = np.iinfo(np.int32)
+
+
+def as_int32(column, name: str = "column") -> np.ndarray:
+    """``column`` as a contiguous int32 array, without a copy when it
+    is one already; a value outside int32 is a
+    :class:`~repro.errors.TraceRangeError` naming ``name``."""
+    values = np.asarray(column)
+    if values.dtype != np.int32 and values.size:
+        low, high = int(values.min()), int(values.max())
+        if low < _INT32.min or high > _INT32.max:
+            raise TraceRangeError(
+                f"{name} holds values in [{low}, {high}], outside int32")
+    return np.ascontiguousarray(values, dtype=np.int32)
+
+
+def _check_int32(*values: int) -> None:
+    for value in values:
+        if not _INT32.min <= value <= _INT32.max:
+            raise TraceRangeError(f"event value {value} is outside int32")
+
 
 class TraceColumns(NamedTuple):
     """Zero-copy NumPy views of a trace's four columns.
 
-    ``kinds`` is int8; ``col_a``/``col_b``/``col_c`` are int64, all in
-    event order and aliasing the trace's own storage.
+    Their dtypes are :data:`STORED_DTYPES`, all in event order and
+    aliasing the trace's own storage.
     """
 
     kinds: "object"
@@ -89,17 +128,21 @@ class EventTrace:
 
     def __init__(self, program: str = "program") -> None:
         self.kinds = array("b")
-        self.col_a = array("q")
-        self.col_b = array("q")
-        self.col_c = array("q")
+        self.col_a = array("i")
+        self.col_b = array("i")
+        self.col_c = array("i")
         self.meta = TraceMeta(program=program)
 
     def __len__(self) -> int:
         return len(self.kinds)
 
-    # -- appenders (hot path) ------------------------------------------------
+    # -- appenders -----------------------------------------------------------
+    #
+    # Each checks its values before appending any, so a refused event
+    # never leaves the columns ragged.
 
     def append_write(self, begin: int, end: int) -> None:
+        _check_int32(begin, end)
         self.kinds.append(EventKind.WRITE)
         self.col_a.append(begin)
         self.col_b.append(end)
@@ -107,6 +150,7 @@ class EventTrace:
         self.meta.n_writes += 1
 
     def append_install(self, object_id: int, begin: int, end: int) -> None:
+        _check_int32(object_id, begin, end)
         self.kinds.append(EventKind.INSTALL)
         self.col_a.append(object_id)
         self.col_b.append(begin)
@@ -114,6 +158,7 @@ class EventTrace:
         self.meta.n_installs += 1
 
     def append_remove(self, object_id: int, begin: int, end: int) -> None:
+        _check_int32(object_id, begin, end)
         self.kinds.append(EventKind.REMOVE)
         self.col_a.append(object_id)
         self.col_b.append(begin)
@@ -126,33 +171,32 @@ class EventTrace:
     def from_arrays(
         cls, kinds, col_a, col_b, col_c, meta: TraceMeta
     ) -> "EventTrace":
-        """Adopt NumPy columns without copying them into ``array('q')``.
+        """Adopt NumPy columns, without a copy when they already have
+        the :data:`STORED_DTYPES`; a wider address column is narrowed,
+        and a value outside int32 is a
+        :class:`~repro.errors.TraceRangeError`.
 
         The resulting trace is **replay-only** (``append_*`` is not
         supported); iteration, ``event()``, ``validate()``,
         :meth:`as_arrays`, and :func:`repro.trace.save_trace` all work.
         """
-        import numpy as np
-
         trace = cls(meta.program)
         trace.kinds = np.ascontiguousarray(kinds, dtype=np.int8)
-        trace.col_a = np.ascontiguousarray(col_a, dtype=np.int64)
-        trace.col_b = np.ascontiguousarray(col_b, dtype=np.int64)
-        trace.col_c = np.ascontiguousarray(col_c, dtype=np.int64)
+        trace.col_a = as_int32(col_a, "col_a")
+        trace.col_b = as_int32(col_b, "col_b")
+        trace.col_c = as_int32(col_c, "col_c")
         trace.meta = meta
         return trace
 
     def as_arrays(self) -> TraceColumns:
         """The four columns as zero-copy NumPy views (see module docstring)."""
-        import numpy as np
-
         if isinstance(self.kinds, np.ndarray):
             return TraceColumns(self.kinds, self.col_a, self.col_b, self.col_c)
         return TraceColumns(
             np.frombuffer(self.kinds, dtype=np.int8),
-            np.frombuffer(self.col_a, dtype=np.int64),
-            np.frombuffer(self.col_b, dtype=np.int64),
-            np.frombuffer(self.col_c, dtype=np.int64),
+            np.frombuffer(self.col_a, dtype=np.int32),
+            np.frombuffer(self.col_b, dtype=np.int32),
+            np.frombuffer(self.col_c, dtype=np.int32),
         )
 
     # -- access -------------------------------------------------------------
@@ -171,8 +215,6 @@ class EventTrace:
 
     def validate(self) -> None:
         """Check internal consistency (column lengths, kind values, counts)."""
-        from repro.errors import TraceFormatError
-
         n = len(self.kinds)
         if not (len(self.col_a) == len(self.col_b) == len(self.col_c) == n):
             raise TraceFormatError("ragged trace columns")
@@ -195,17 +237,10 @@ class EventTrace:
 
     def _first_invalid_kind(self):
         """The first out-of-range kind byte, or ``None`` when all valid."""
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a hard dep
-            return next(
-                (int(k) for k in self.kinds if int(k) not in VALID_KINDS), None
-            )
         kinds = self.as_arrays().kinds
-        if kinds.size == 0:
+        low, high = min(VALID_KINDS), max(VALID_KINDS)
+        # min and max need no temporary the size of the trace.
+        if kinds.size == 0 or (kinds.min() >= low and kinds.max() <= high):
             return None
-        invalid = (kinds < min(VALID_KINDS)) | (kinds > max(VALID_KINDS))
-        bad_at = np.flatnonzero(invalid)
-        if bad_at.size:
-            return int(kinds[bad_at[0]])
-        return None
+        invalid = (kinds < low) | (kinds > high)
+        return int(kinds[np.flatnonzero(invalid)[0]])

@@ -44,7 +44,6 @@ from __future__ import annotations
 import queue
 import threading
 import zlib
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -54,16 +53,18 @@ from repro import observe
 from repro.errors import PipelineError, TraceFormatError
 from repro.faults import faultpoint
 from repro.trace.events import (
+    STORED_DTYPES,
     EventTrace,
     TraceColumns,
     TraceMeta,
     VALID_KINDS,
+    as_int32,
 )
 from repro.trace.objects import ObjectRegistry
 from repro.trace.tracer import Tracer
 
-#: Default number of events per chunk (``--chunk-events``).  At 25 bytes
-#: per event this is ~1.6 MiB of column data per chunk.
+#: Default number of events per chunk (``--chunk-events``).  At 13 bytes
+#: per event this is ~0.8 MiB of column data per chunk.
 DEFAULT_CHUNK_EVENTS = 65536
 
 #: Default bound on chunks in flight in a :class:`ChunkChannel`.  Peak
@@ -72,11 +73,6 @@ DEFAULT_CHUNK_EVENTS = 65536
 DEFAULT_CHANNEL_CAPACITY = 4
 
 _COLUMN_NAMES = ("kinds", "col_a", "col_b", "col_c")
-
-#: Column dtypes of a :class:`TraceChunk`, in ``_COLUMN_NAMES`` order:
-#: the :meth:`EventTrace.as_arrays` layout.
-WIRE_DTYPES = (np.dtype(np.int8), np.dtype(np.int64), np.dtype(np.int64),
-               np.dtype(np.int64))
 
 _MIN_KIND = min(VALID_KINDS)
 _MAX_KIND = max(VALID_KINDS)
@@ -91,11 +87,13 @@ def column_crc32(column) -> int:
 class TraceChunk:
     """An immutable batch of consecutive trace events.
 
-    ``kinds`` is int8; ``col_a``/``col_b``/``col_c`` are int64 — the
-    exact :meth:`EventTrace.as_arrays` layout, restricted to one chunk's
-    events.  ``seq`` numbers chunks 0, 1, 2, ... within one stream;
-    ``checksums`` holds one CRC-32 per column in ``(kinds, col_a,
-    col_b, col_c)`` order.
+    ``kinds`` is int8; ``col_a``/``col_b``/``col_c`` are int32 — the
+    :data:`~repro.trace.events.STORED_DTYPES` of
+    :meth:`EventTrace.as_arrays` and of a saved trace, restricted to one
+    chunk's events.  ``seq`` numbers chunks 0, 1, 2, ... within one
+    stream; ``checksums`` holds one CRC-32 per column in ``(kinds,
+    col_a, col_b, col_c)`` order, of the same bytes a saved trace's
+    footer indexes.
     """
 
     seq: int
@@ -109,10 +107,11 @@ class TraceChunk:
 
     @classmethod
     def build(cls, seq, kinds, col_a, col_b, col_c) -> "TraceChunk":
-        """Coerce columns to the canonical dtypes and compute checksums."""
-        columns = tuple(
-            np.ascontiguousarray(column, dtype=dtype)
-            for column, dtype in zip((kinds, col_a, col_b, col_c), WIRE_DTYPES)
+        """Coerce columns to the canonical dtypes and compute checksums;
+        a value outside int32 is a :class:`~repro.errors.TraceRangeError`."""
+        columns = (np.ascontiguousarray(kinds, dtype=np.int8),) + tuple(
+            as_int32(column, f"chunk {seq}: column {name}")
+            for column, name in zip((col_a, col_b, col_c), _COLUMN_NAMES[1:])
         )
         checksums = tuple(column_crc32(column) for column in columns)
         return cls(seq, *columns, checksums)
@@ -132,20 +131,18 @@ class TraceChunk:
         :class:`~repro.errors.PipelineError`) naming the chunk and the
         failing column.
         """
-        verify_columns(self.seq, self.columns, self.checksums, WIRE_DTYPES)
+        verify_columns(self.seq, self.columns, self.checksums)
 
 
-def verify_columns(seq: int, columns, checksums, dtypes) -> None:
+def verify_columns(seq: int, columns, checksums) -> None:
     """Check one chunk's columns, in ``(kinds, col_a, col_b, col_c)``
-    order, against their expected ``dtypes`` and CRC-32 ``checksums``:
-    equal lengths, dtypes, checksums and the kind-byte range.
-
-    :meth:`TraceChunk.verify` checks the wire form with
-    :data:`WIRE_DTYPES`; the trace file reader checks the stored form
-    with its narrower dtypes.
+    order, against the :data:`~repro.trace.events.STORED_DTYPES` and
+    their CRC-32 ``checksums``: equal lengths, dtypes, checksums and the
+    kind-byte range.  :meth:`TraceChunk.verify` and the trace file
+    reader both check with it.
     """
     n = len(columns[0])
-    for name, column, dtype in zip(_COLUMN_NAMES, columns, dtypes):
+    for name, column, dtype in zip(_COLUMN_NAMES, columns, STORED_DTYPES):
         if len(column) != n:
             raise TraceFormatError(
                 f"chunk {seq}: ragged columns "
@@ -361,16 +358,17 @@ class ChunkingTracer(Tracer):
 
     ``emit`` is called with each finished chunk (typically
     :meth:`ChunkChannel.put`).  Hooks append to the tracer's log like
-    any :class:`~repro.trace.tracer.Tracer`; each drain expands the log
-    and cuts chunks where a per-hook check would have.  At most one
-    chunk of events plus the log is buffered at any time.  The log
-    drains once it holds :data:`~repro.trace.tracer.LOG_SLICE` records:
-    a hook checks after appending, and the CPU's fast path, which
-    appends at most one record per instruction itself, checks at its
-    checkpoints, at least every ``_DRAIN_STRIDE`` instructions.  A
-    drain's expanded events are buffered only until they are cut into
-    chunks, on either expansion path.  So the log never holds more than
-    ``LOG_SLICE + _DRAIN_STRIDE`` records (32,768), and phase 1's trace
+    any :class:`~repro.trace.tracer.Tracer`, and each drain expands the
+    log into the tracer's columns after the events of the chunk being
+    built; then chunks are cut where a per-hook check would have cut
+    them, each copied out of the columns, and the events after the last
+    cut move to the front.  The log drains once it holds
+    :data:`~repro.trace.tracer.LOG_SLICE` records: a hook checks after
+    appending, and the CPU's fast path, which appends at most one record
+    per instruction itself, checks at its checkpoints, at least every
+    ``_DRAIN_STRIDE`` instructions.  So the log never holds more than
+    ``LOG_SLICE + _DRAIN_STRIDE`` records (32,768), the columns never
+    more than one chunk of events plus one drain's, and phase 1's trace
     memory is bounded by ``chunk_events`` and that bound regardless of
     trace length.
     :meth:`finish` flushes the final partial chunk and returns an
@@ -397,59 +395,45 @@ class ChunkingTracer(Tracer):
         self._next_seq = 0
         self._emitted_events = 0
 
-    def _flush(self) -> None:
-        trace = self.trace
-        n = len(trace.kinds)
-        if n == 0:
-            return
-        chunk = TraceChunk.build(
-            self._next_seq,
-            np.frombuffer(trace.kinds, dtype=np.int8).copy(),
-            np.frombuffer(trace.col_a, dtype=np.int64).copy(),
-            np.frombuffer(trace.col_b, dtype=np.int64).copy(),
-            np.frombuffer(trace.col_c, dtype=np.int64).copy(),
-        )
-        # Reset the columns (meta keeps accumulating run totals).
-        trace.kinds = array("b")
-        trace.col_a = array("q")
-        trace.col_b = array("q")
-        trace.col_c = array("q")
-        self._next_seq += 1
-        self._emitted_events += n
-        self._emit(chunk)
-
-    def _absorb(self, kinds, a, b, c, ends, eligible) -> None:
-        """Append expanded events, ending a chunk after the first hook at
-        or past ``chunk_events`` buffered events, as a per-hook check
-        would.  Only hook-ending records are eligible, so a frame plan's
-        events always land in one chunk together."""
+    def _absorb(self, ends, eligible) -> None:
+        """End a chunk after the first hook at or past ``chunk_events``
+        buffered events, as a per-hook check would.  Only hook-ending
+        records are eligible, so a frame plan's events always land in
+        one chunk together."""
         hook_ends = ends[eligible]
-        done = 0  # events of this slice already appended
+        done = 0  # events of the columns already emitted
         next_hook = 0  # first eligible record not yet a cut candidate
         while True:
-            need = self._chunk_events - len(self.trace.kinds)
-            cut = max(next_hook, int(np.searchsorted(hook_ends, done + need)))
+            cut = max(next_hook, int(np.searchsorted(
+                hook_ends, done + self._chunk_events)))
             if cut >= len(hook_ends):
                 break
             stop = int(hook_ends[cut])
-            self._append(kinds, a, b, c, done, stop)
-            self._flush()
+            self._flush(done, stop)
             done, next_hook = stop, cut + 1
-        self._append(kinds, a, b, c, done, len(kinds))
+        if done:
+            rest = self._n_events - done
+            for column in self._columns:
+                column[:rest] = column[done:self._n_events]
+            self._n_events = rest
 
-    def _append(self, kinds, a, b, c, lo: int, hi: int) -> None:
-        trace = self.trace
-        trace.kinds.frombytes(kinds[lo:hi].view(np.uint8))
-        trace.col_a.frombytes(a[lo:hi].view(np.uint8))
-        trace.col_b.frombytes(b[lo:hi].view(np.uint8))
-        trace.col_c.frombytes(c[lo:hi].view(np.uint8))
+    def _flush(self, start: int, stop: int) -> None:
+        """Emit the columns' events ``start:stop`` as the next chunk."""
+        chunk = TraceChunk.build(
+            self._next_seq,
+            *(column[start:stop].copy() for column in self._columns))
+        self._next_seq += 1
+        self._emitted_events += stop - start
+        self._emit(chunk)
 
     def finish(self, state=None) -> EventTrace:
         """Close open windows, flush the tail chunk, return the (empty)
         trace whose ``meta`` holds the authoritative run totals."""
         self._close_windows()
         self._finalize_meta()
-        self._flush()
+        if self._n_events:
+            self._flush(0, self._n_events)
+            self._n_events = 0
         meta = self.trace.meta
         expected = meta.n_writes + meta.n_installs + meta.n_removes
         if self._emitted_events != expected:

@@ -3,29 +3,32 @@
 A saved trace is one ``.npz`` (zip) archive, format version 3; the
 byte-level spec is ``docs/TRACE_FORMAT.md``.  The columns are split into
 per-chunk members (``chunk-<seq>.<column>.npy``), ``kinds`` as int8 and
-``col_a``/``col_b``/``col_c`` as int32, and a ``stream`` JSON footer
-carries the run meta, the object registry and the chunk index with a
-CRC-32 per stored column.
+``col_a``/``col_b``/``col_c`` as int32 — the
+:data:`~repro.trace.events.STORED_DTYPES` every layer keeps in memory
+too — and a ``stream`` JSON footer carries the run meta, the object
+registry and the chunk index with a CRC-32 per stored column.
 
 * :class:`ChunkedTraceWriter` appends chunks as they arrive, so
-  ``--stream`` can spill a trace whose event log exceeds RAM.  It
-  narrows each address column to int32 and raises
-  :class:`~repro.errors.TraceRangeError` for a value that does not fit
-  (every address lies in the 16 MiB address space), so nothing is
-  truncated silently.
+  ``--stream`` can spill a trace whose event log exceeds RAM.  Columns
+  reach it in their stored dtypes (the layers that produce int32
+  columns refuse a value that does not fit, with
+  :class:`~repro.errors.TraceRangeError`), so it writes each column's
+  own buffer.
 * :func:`save_trace` feeds slices of a whole in-memory trace's columns
   to that writer, :data:`SAVE_CHUNK_EVENTS` events per chunk.
 * :class:`TraceStreamReader` replays a saved trace chunk by chunk,
-  verifying each chunk's stored columns against the footer index and
-  widening them back to the int64 :class:`~repro.trace.stream.TraceChunk`
-  layout.
+  verifying each chunk's stored columns against the footer index.  It
+  inflates each column member's raw deflate stream itself, so each
+  column's bytes are CRC-checked once, against the footer, rather than
+  against the zip's member CRC as well.
 * :func:`load_trace` drains one reader into an in-memory
-  :class:`EventTrace`, widening while it concatenates.
+  :class:`EventTrace`, copying each chunk into columns allocated once
+  at the footer's event count.
 
-The checksums cover the stored bytes (int32 for the address columns),
-so the reader verifies a chunk before widening it.  Archives of earlier
-format versions raise :class:`~repro.errors.TraceFormatError`, which the
-pipeline recovers as a cache miss.
+Archives of earlier format versions, and archives that are torn or
+corrupt at any level (zip structure, deflate stream, ``.npy`` header,
+footer, column checksums), raise :class:`~repro.errors.TraceFormatError`,
+which the pipeline recovers as a cache miss.
 
 The writer publishes atomically: the archive is built in a temporary
 file in the destination directory and :func:`os.replace`d into place,
@@ -36,34 +39,27 @@ an interrupted save leaves the previous entry intact.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import struct
 import tempfile
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import PipelineError, TraceFormatError, TraceRangeError
+from repro.errors import PipelineError, TraceFormatError
 from repro.faults import faultpoint
-from repro.trace.events import EventTrace, TraceMeta
+from repro.trace.events import STORED_DTYPES, EventTrace, TraceMeta
 from repro.trace.objects import ObjectDesc, ObjectRegistry
-from repro.trace.stream import (
-    WIRE_DTYPES,
-    TraceChunk,
-    column_crc32,
-    verify_columns,
-)
+from repro.trace.stream import TraceChunk, column_crc32, verify_columns
 
 _FORMAT_VERSION = 3
 
 _COLUMN_SUFFIXES = ("kinds", "col_a", "col_b", "col_c")
-
-#: On-disk dtype of each column, in ``_COLUMN_SUFFIXES`` order.  Every
-#: address and object id lies in 0..2**24, so int32 holds it.
-STORED_DTYPES = (np.dtype(np.int8), np.dtype(np.int32), np.dtype(np.int32),
-                 np.dtype(np.int32))
 
 #: Events per chunk when :func:`save_trace` writes a whole trace.  Larger
 #: chunks deflate a little smaller and load a little faster; a
@@ -211,15 +207,14 @@ def _write_member(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> Non
 class ChunkedTraceWriter:
     """Incremental writer for the chunked trace container.
 
-    Chunks are appended as they arrive — :meth:`write_columns` narrows
-    each column to its stored dtype, one column at a time into one
-    reused buffer, and streams it straight into the archive, so the
-    writer never holds more than one stored column — and
-    :meth:`finalize` appends the ``stream`` footer (meta, registry,
-    chunk index with checksums) and atomically publishes the file.  A
+    Chunks are appended as they arrive — :meth:`write_columns` streams
+    each column's own buffer straight into the archive, so the writer
+    holds no copy of a column — and :meth:`finalize` appends the
+    ``stream`` footer (meta, registry, chunk index with checksums) and
+    atomically publishes the file.  A
     writer abandoned before ``finalize`` (crash, :meth:`abort`, a
-    :class:`~repro.errors.TraceRangeError`, context-manager exit on
-    error) leaves no partial file at the destination.
+    column of the wrong dtype, context-manager exit on error) leaves no
+    partial file at the destination.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -235,8 +230,6 @@ class ChunkedTraceWriter:
         self._next_seq = 0
         self._n_events = 0
         self._done = False
-        # Bytes of the narrowed column being written, grown on demand.
-        self._scratch = np.empty(0, np.uint8)
 
     @property
     def path(self) -> Path:
@@ -251,8 +244,9 @@ class ChunkedTraceWriter:
         self.write_columns(chunk.seq, chunk.columns)
 
     def write_columns(self, seq: int, columns: Sequence[np.ndarray]) -> None:
-        """Append chunk ``seq``, given as its four integer columns in
-        ``(kinds, col_a, col_b, col_c)`` order, to the archive."""
+        """Append chunk ``seq``, given as its four columns in ``(kinds,
+        col_a, col_b, col_c)`` order and :data:`STORED_DTYPES`, to the
+        archive; a column of another dtype is a :class:`TraceFormatError`."""
         if self._done:
             raise PipelineError("write_columns() on a closed trace writer")
         if seq != self._next_seq:
@@ -264,7 +258,12 @@ class ChunkedTraceWriter:
         crcs = []
         for suffix, column, dtype in zip(_COLUMN_SUFFIXES, columns,
                                          STORED_DTYPES):
-            stored = self._narrow(seq, suffix, column, dtype)
+            if column.dtype != dtype:
+                raise TraceFormatError(
+                    f"chunk {seq}: column {suffix} has dtype {column.dtype}, "
+                    f"expected {dtype}"
+                )
+            stored = np.ascontiguousarray(column)
             _write_member(self._zip, _chunk_member(seq, suffix), stored)
             crcs.append(column_crc32(stored))
         n_events = len(columns[0])
@@ -272,34 +271,11 @@ class ChunkedTraceWriter:
         self._next_seq += 1
         self._n_events += n_events
 
-    def _narrow(self, seq: int, name: str, column: np.ndarray,
-                dtype: np.dtype) -> np.ndarray:
-        """``column`` as a contiguous ``dtype`` array, in the scratch
-        buffer when it must be converted; a value outside ``dtype``'s
-        range is a :class:`TraceRangeError`."""
-        if column.dtype == dtype:
-            return np.ascontiguousarray(column)
-        info = np.iinfo(dtype)
-        if len(column):
-            low, high = int(column.min()), int(column.max())
-            if low < info.min or high > info.max:
-                raise TraceRangeError(
-                    f"chunk {seq}: column {name} holds values in "
-                    f"[{low}, {high}], outside {dtype}"
-                )
-        nbytes = len(column) * dtype.itemsize
-        if len(self._scratch) < nbytes:
-            self._scratch = np.empty(nbytes, np.uint8)
-        stored = self._scratch[:nbytes].view(dtype)
-        np.copyto(stored, column, casting="unsafe")
-        return stored
-
     def finalize(self, meta: TraceMeta, registry: ObjectRegistry) -> None:
         """Write the ``stream`` footer and atomically publish the file."""
         if self._done:
             raise PipelineError("finalize() on a closed trace writer")
         faultpoint("io.write", kind="trace")
-        self._scratch = np.empty(0, np.uint8)  # no column is left to narrow
         _write_member(self._zip, "stream", _footer_member(
             meta, registry, self._n_events, self._index))
         self._zip.close()
@@ -347,8 +323,8 @@ def save_trace(
     """Save ``trace`` + ``registry`` to ``path`` through a
     :class:`ChunkedTraceWriter`, :data:`SAVE_CHUNK_EVENTS` per chunk.
 
-    The chunks are slices of the trace's own columns, narrowed one
-    column at a time as they are written.
+    The chunks are slices of the trace's own columns, written from
+    their buffers without a copy.
     """
     columns = trace.as_arrays()
     with ChunkedTraceWriter(path) as writer:
@@ -408,12 +384,19 @@ def _parse_stream_doc(doc: Dict[str, object], files: frozenset) -> None:
         )
 
 
+#: A zip local file header up to its name: the signature, 22 bytes this
+#: reader skips, and the lengths of the name and the extra field.
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+
+
 class TraceStreamReader:
     """Replay a saved trace as a stream of verified chunks.
 
     At most one chunk's columns are resident at a time.  Each chunk's
     stored columns are checked against the footer index as they are
-    read: lengths, dtypes, checksums, kind range and event count.
+    read: lengths, dtypes, checksums, kind range and event count.  The
+    footer has no index entry, so it is checked against its zip member
+    CRC instead.
 
     Use as a context manager, or call :meth:`close`.  Iterating the
     reader yields its chunks.
@@ -422,25 +405,94 @@ class TraceStreamReader:
     def __init__(self, path: Union[str, Path]) -> None:
         self._path = Path(path)
         faultpoint("trace.load", path=self._path.name)
-        self._archive = np.load(self._path)
+        self._handle = open(self._path, "rb")
         try:
-            files = frozenset(self._archive.files)
+            try:
+                with zipfile.ZipFile(self._handle) as archive:
+                    self._members = {info.filename: info
+                                     for info in archive.infolist()}
+            except zipfile.BadZipFile as exc:
+                raise TraceFormatError(f"corrupt trace archive: {exc}") from exc
+            files = frozenset(name[:-len(".npy")] for name in self._members
+                              if name.endswith(".npy"))
             if "stream" not in files:
                 raise TraceFormatError(
                     "unsupported trace format version: no 'stream' footer"
                 )
-            doc = _parse_json_member(self._archive["stream"])
+            doc = _parse_json_member(self._read_array("stream", check_crc=True))
             _parse_stream_doc(doc, files)
             self._index: List[Dict[str, object]] = doc["chunks"]
             self.meta, self.registry = _meta_and_registry(doc)
             self.n_events = int(doc["n_events"])
         except BaseException:
-            self._archive.close()
+            self._handle.close()
             raise
 
     @property
     def n_chunks(self) -> int:
         return len(self._index)
+
+    def _member_bytes(self, name: str, check_crc: bool) -> bytes:
+        """The uncompressed bytes of member ``name`` (``.npy`` appended),
+        inflated from its raw deflate stream; with ``check_crc`` they
+        are checked against the member's zip CRC too."""
+        info = self._members[name + ".npy"]
+        handle = self._handle
+        try:
+            handle.seek(info.header_offset)
+            header = handle.read(_LOCAL_HEADER.size)
+            if len(header) != _LOCAL_HEADER.size:
+                raise TraceFormatError(f"member {name}: truncated local header")
+            signature, name_length, extra_length = _LOCAL_HEADER.unpack(header)
+            if signature != b"PK\x03\x04":
+                raise TraceFormatError(f"member {name}: bad local header")
+            handle.seek(name_length + extra_length, os.SEEK_CUR)
+            raw = handle.read(info.compress_size)
+            if len(raw) != info.compress_size:
+                raise TraceFormatError(
+                    f"member {name}: truncated, {len(raw)} of "
+                    f"{info.compress_size} bytes"
+                )
+            if info.compress_type == zipfile.ZIP_DEFLATED:
+                data = zlib.decompress(raw, -zlib.MAX_WBITS)
+            elif info.compress_type == zipfile.ZIP_STORED:
+                data = raw
+            else:
+                raise TraceFormatError(
+                    f"member {name}: unsupported compression "
+                    f"{info.compress_type}"
+                )
+        except zlib.error as exc:
+            raise TraceFormatError(f"member {name}: corrupt deflate stream: "
+                                   f"{exc}") from exc
+        if len(data) != info.file_size:
+            raise TraceFormatError(
+                f"member {name}: {len(data)} bytes, zip says {info.file_size}"
+            )
+        if check_crc and zlib.crc32(data) != info.CRC:
+            raise TraceFormatError(f"member {name}: zip CRC mismatch")
+        return data
+
+    def _read_array(self, name: str, check_crc: bool = False) -> np.ndarray:
+        """Member ``name`` as the 1-D array its ``.npy`` bytes hold: a
+        read-only view of the inflated bytes, not a copy."""
+        data = self._member_bytes(name, check_crc)
+        npy = io.BytesIO(data)
+        try:
+            version = np.lib.format.read_magic(npy)
+            if version != (1, 0):  # what the writer and np.savez write
+                raise ValueError(f"version {version}, not (1, 0)")
+            shape, _fortran_order, dtype = np.lib.format.read_array_header_1_0(npy)
+        except (ValueError, EOFError) as exc:
+            raise TraceFormatError(f"member {name}: bad .npy header: "
+                                   f"{exc}") from exc
+        offset = npy.tell()
+        if (dtype.hasobject or len(shape) != 1
+                or len(data) - offset != shape[0] * dtype.itemsize):
+            raise TraceFormatError(
+                f"member {name}: not a 1-D array of its declared size"
+            )
+        return np.frombuffer(data, dtype=dtype, offset=offset)
 
     def stored_chunks(self) -> Iterator[Tuple[np.ndarray, ...]]:
         """Yield each chunk's verified columns as stored
@@ -448,10 +500,10 @@ class TraceStreamReader:
         for entry in self._index:
             seq = entry["seq"]
             columns = tuple(
-                self._archive[_chunk_member(seq, suffix)]
+                self._read_array(_chunk_member(seq, suffix))
                 for suffix in _COLUMN_SUFFIXES
             )
-            verify_columns(seq, columns, entry["crc32"], STORED_DTYPES)
+            verify_columns(seq, columns, entry["crc32"])
             if len(columns[0]) != entry["n_events"]:
                 raise TraceFormatError(
                     f"chunk {seq} has {len(columns[0])} events; index "
@@ -460,10 +512,10 @@ class TraceStreamReader:
             yield columns
 
     def chunks(self) -> Iterator[TraceChunk]:
-        """Yield verified chunks in sequence order, widened to the int64
-        :class:`TraceChunk` layout."""
-        for seq, columns in enumerate(self.stored_chunks()):
-            yield TraceChunk.build(seq, *columns)
+        """Yield verified chunks in sequence order, each carrying the
+        footer's checksums of its columns."""
+        for entry, columns in zip(self._index, self.stored_chunks()):
+            yield TraceChunk(entry["seq"], *columns, tuple(entry["crc32"]))
 
     def verify(self) -> None:
         """Read and verify every chunk (one chunk resident at a time).
@@ -479,7 +531,7 @@ class TraceStreamReader:
         return self.chunks()
 
     def close(self) -> None:
-        self._archive.close()
+        self._handle.close()
 
     def __enter__(self) -> "TraceStreamReader":
         return self
@@ -490,18 +542,15 @@ class TraceStreamReader:
 
 def load_trace(path: Union[str, Path]) -> Tuple[EventTrace, ObjectRegistry]:
     """Load a trace + registry saved by a :class:`ChunkedTraceWriter` as
-    one in-memory trace with int64 address columns."""
-    parts: Tuple[List[np.ndarray], ...] = tuple([] for _ in _COLUMN_SUFFIXES)
+    one in-memory trace, its columns in :data:`STORED_DTYPES`."""
     with TraceStreamReader(path) as reader:
-        for columns in reader.stored_chunks():
-            for column_parts, column in zip(parts, columns):
-                column_parts.append(column)
-    # Widen while concatenating: one copy of each column, not two.
-    columns = [
-        np.concatenate(column_parts, dtype=dtype) if column_parts
-        else np.empty(0, dtype)
-        for column_parts, dtype in zip(parts, WIRE_DTYPES)
-    ]
+        columns = [np.empty(reader.n_events, dtype) for dtype in STORED_DTYPES]
+        at = 0
+        for chunk in reader.stored_chunks():
+            stop = at + len(chunk[0])
+            for column, part in zip(columns, chunk):
+                column[at:stop] = part
+            at = stop
     trace = EventTrace.from_arrays(*columns, reader.meta)
     trace.validate()
     return trace, reader.registry

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro import observe
 
-from repro.errors import TraceFormatError
+from repro.errors import TraceFormatError, TraceRangeError
 from repro.machine.cpu import Cpu, CpuState
 from repro.machine.layout import MemoryLayout
 from repro.machine.loader import LoadedProgram, load_program
@@ -34,7 +34,7 @@ from repro.machine.memory import Memory
 from repro.minic.compiler import CompiledProgram
 from repro.minic.runtime import Runtime
 from repro.simulate import _native
-from repro.trace.events import EventKind, EventTrace
+from repro.trace.events import STORED_DTYPES, EventKind, EventTrace, as_int32
 from repro.trace.objects import ObjectRegistry
 
 
@@ -46,17 +46,9 @@ EXPAND_EVENTS = 1 << 16
 
 # Tags in the low two bits of a negative (``~word``) log record.
 _ENTER, _EXIT, _SIDE = 0, 1, 2
-#: ``tracelog_expand``'s status when its output buffers are too small.
-_SHORT = 1
-
-
-def _empty_columns(n_events: int) -> Tuple[np.ndarray, ...]:
-    """Uninitialised kinds, a, b and c columns for ``n_events`` events."""
-    return (np.empty(n_events, dtype=np.int8),) + tuple(
-        np.empty(n_events, dtype=np.int64) for _ in range(3))
-
-
-_NO_COLUMNS = _empty_columns(0)
+#: ``tracelog_expand``'s statuses: its output columns are too small, a
+#: record is malformed, a value does not fit in int32.
+_SHORT, _BAD, _RANGE = 1, 2, 3
 
 
 class Tracer:
@@ -73,18 +65,24 @@ class Tracer:
     * a heap or static event appends ``~(side << 2 | 2)``, ``side``
       indexing an explicit ``(kind, a, b, c, ends_hook)`` side record.
 
-    :meth:`drain` expands the records into the four :class:`EventTrace`
-    columns: a store becomes one WRITE, a frame record one INSTALL or
-    REMOVE per variable of the function's frame plan, a side record its
-    one event.  With the native library loaded
-    (:mod:`repro.simulate._native`), ``tracelog_expand`` decodes and
-    expands the whole log in C: one call sizes the drain, a second
-    writes its events into columns of exactly that size.  Without it
-    NumPy does the same, at most :data:`EXPAND_EVENTS` events at a time
-    (:meth:`_expand`, also the native path's test oracle).
-    The events of each drain are kept, and :meth:`finish` builds each
-    trace column once, at its final size.  A hook drains when the log
-    reaches :data:`LOG_SLICE`.  The CPU's fast path appends store
+    :meth:`drain` expands the records into the four trace columns
+    (:data:`~repro.trace.events.STORED_DTYPES`): a store becomes one
+    WRITE, a frame record one INSTALL or REMOVE per variable of the
+    function's frame plan, a side record its one event.  The tracer owns
+    the columns and grows them geometrically (by at least an eighth,
+    reallocating in place where the allocator can); each drain expands
+    straight into them, after the events they already hold.  With the
+    native library loaded (:mod:`repro.simulate._native`),
+    ``tracelog_expand`` decodes and expands the whole log in C, in one
+    call when the columns have room (else a first call sizes the drain
+    and a second writes it).  Without it NumPy does the same, at most
+    :data:`EXPAND_EVENTS` events at a time (:meth:`_expand`, also the
+    native path's test oracle).  Either path refuses a value outside
+    int32 with a :class:`~repro.errors.TraceRangeError`.  Growing a
+    column may move its buffer, so no view of the columns leaves the
+    tracer before :meth:`finish` trims them and hands them to the trace
+    as its array backing.  A hook drains when the log reaches
+    :data:`LOG_SLICE`.  The CPU's fast path appends store
     addresses and frame records straight to :attr:`log` (from
     :attr:`frame_shift`, :attr:`enter_keys` and :attr:`exit_keys`, so
     the encoding lives here only) and calls :meth:`drain_if_full` at its
@@ -119,9 +117,10 @@ class Tracer:
         self._ends = np.empty(0, dtype=np.int64)
         self._eligible = np.empty(0, dtype=np.int8)
         self._out = np.zeros(4, dtype=np.int64)
-        #: Drained events per trace column, kept until :meth:`finish`
-        #: builds each column once, at its final size.
-        self._drained: Tuple[List[np.ndarray], ...] = ([], [], [], [])
+        #: The trace's columns, of which the first ``_n_events`` rows
+        #: hold events (see the class docstring).
+        self._columns = [np.empty(0, dtype) for dtype in STORED_DTYPES]
+        self._n_events = 0
         #: live heap blocks: address -> (object id, size)
         self._live_heap: Dict[int, Tuple[int, int]] = {}
         #: (object id, address, size) of globals/statics installed at start.
@@ -166,7 +165,11 @@ class Tracer:
     def finish(self, state: Optional[CpuState] = None) -> EventTrace:
         """Close all open monitor windows and finalize metadata."""
         self._close_windows()
-        self._fill_columns()
+        for column in self._columns:
+            column.resize(self._n_events, refcheck=False)
+        trace = self.trace
+        trace.kinds, trace.col_a, trace.col_b, trace.col_c = self._columns
+        self._columns = []
         self._finalize_meta()
         self.trace.validate()
         self._report_counters(len(self.trace))
@@ -228,6 +231,16 @@ class Tracer:
         del self.log[:]
         self._side.clear()
 
+    def _reserve(self, n_events: int) -> None:
+        """Room in the columns for ``n_events`` more events."""
+        need = self._n_events + n_events
+        capacity = len(self._columns[0])
+        if need > capacity:
+            capacity = max(need, capacity + (capacity >> 3))
+            for column in self._columns:
+                # No view of the columns is alive (class docstring).
+                column.resize(capacity, refcheck=False)
+
     def _drain_native(self, lib) -> None:
         log = self.log
         n_records = len(log)
@@ -238,27 +251,31 @@ class Tracer:
             self._ends = np.empty(n_records, dtype=np.int64)
             self._eligible = np.empty(n_records, dtype=np.int8)
         out = self._out
-        columns = _NO_COLUMNS
+        offset = self._n_events
+        columns = self._columns
         for _ in range(2):
             status = lib.tracelog_expand(
                 log.buffer_info()[0], n_records, self._func_bits,
                 *self._plan_pointers, len(self._plan_len),
                 side_rows.buffer_info()[0], side_ends, len(side),
-                *(column.ctypes.data for column in columns), len(columns[0]),
-                self._ends.ctypes.data, self._eligible.ctypes.data, out.ctypes.data)
+                *(column.ctypes.data for column in columns), offset,
+                len(columns[0]), self._ends.ctypes.data,
+                self._eligible.ctypes.data, out.ctypes.data)
             if status != _SHORT:
                 break
-            # The first call only sized the drain: expand into columns of
-            # exactly that size, which the trace then keeps.
-            columns = _empty_columns(int(out[0]))
-        if status != 0:
+            self._reserve(int(out[0]))
+        if status == _BAD:
             raise TraceFormatError(f"malformed tracer log record {log[int(out[0])]}")
+        if status == _RANGE:
+            raise TraceRangeError(
+                f"tracer log record {log[int(out[0])]} expands to a value "
+                "outside int32")
         meta = self.trace.meta
         meta.n_installs += int(out[1])
         meta.n_removes += int(out[2])
         meta.n_writes += int(out[3])
-        self._absorb(*columns, self._ends[:n_records],
-                     self._eligible[:n_records].view(np.bool_))
+        self._n_events = offset + int(out[0])
+        self._absorb(self._ends[:n_records], self._eligible[:n_records].view(np.bool_))
 
     def _drain_numpy(self) -> None:
         records = np.frombuffer(self.log, dtype=np.int64).copy()
@@ -286,13 +303,21 @@ class Tracer:
             stop = max(start + 1, int(np.searchsorted(ends, done + EXPAND_EVENTS, "right")))
             part = slice(start, stop)
             part_ends = ends[part] - done
-            kinds, a, b, c = self._expand(records[part], tag[part], payload[part],
-                                          func[part], counts[part], part_ends, side)
+            kinds, *addresses = self._expand(records[part], tag[part], payload[part],
+                                             func[part], counts[part], part_ends, side)
+            offset = self._n_events
+            self._reserve(len(kinds))
+            at = slice(offset, offset + len(kinds))
+            self._columns[0][at] = kinds
+            for column, values, name in zip(self._columns[1:], addresses,
+                                            ("col_a", "col_b", "col_c")):
+                column[at] = as_int32(values, name)
+            self._n_events = at.stop
             per_kind = np.bincount(kinds, minlength=4)
             meta.n_installs += int(per_kind[EventKind.INSTALL])
             meta.n_removes += int(per_kind[EventKind.REMOVE])
             meta.n_writes += int(per_kind[EventKind.WRITE])
-            self._absorb(kinds, a, b, c, part_ends, eligible[part])
+            self._absorb(part_ends + offset, eligible[part])
             start = stop
 
     def _expand(self, records, tag, payload, func, counts, ends, side):
@@ -336,28 +361,10 @@ class Tracer:
         c[at] = events[:, 3]
         return kinds, a, b, c
 
-    def _absorb(self, kinds, a, b, c, ends, eligible) -> None:
-        """Keep expanded events (fresh arrays on either path)."""
-        for drained, column in zip(self._drained, (kinds, a, b, c)):
-            drained.append(column)
-
-    def _fill_columns(self) -> None:
-        """Move the drained events into the trace's columns, each built
-        once at its final size rather than grown drain by drain."""
-        trace = self.trace
-        for name, drained in zip(("kinds", "col_a", "col_b", "col_c"), self._drained):
-            if not drained:
-                continue
-            column = array(getattr(trace, name).typecode, [0]) * sum(map(len, drained))
-            view = memoryview(column).cast("B")
-            at = 0
-            for block in drained:
-                data = block.view(np.uint8)
-                view[at:at + len(data)] = data
-                at += len(data)
-            view.release()
-            drained.clear()
-            setattr(trace, name, column)
+    def _absorb(self, ends, eligible) -> None:
+        """Called after each expansion step with, per expanded record,
+        the column position after its events and whether a chunk may
+        end after it.  The batch tracer keeps every event."""
 
     # ------------------------------------------------------------------
     # CPU tracer protocol

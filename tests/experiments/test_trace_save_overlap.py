@@ -14,7 +14,6 @@ import threading
 import time
 import zipfile
 
-import numpy as np
 import pytest
 
 from repro import faults, observe
@@ -27,6 +26,7 @@ from repro.experiments.pipeline import (
 )
 from repro.faults import InjectedCorruption, classify_failure
 from repro.trace import save_trace, tracefile
+from repro.trace.tracer import Tracer
 from repro.workloads import WORKLOADS, run_workload
 
 PROGRAM = "qcd"  # heapless and quick at smoke scale
@@ -122,10 +122,16 @@ class TestWriteErrors:
         assert_no_tmp(config)
 
     def test_range_error_is_fatal(self, config, observing, monkeypatch):
-        # Stored columns one byte wide: every address is out of range.
-        monkeypatch.setattr(tracefile, "STORED_DTYPES",
-                            (np.dtype(np.int8),) * 4)
-        with pytest.raises(TraceRangeError) as caught:
+        # A store whose end, 2**31, is outside the int32 trace columns:
+        # the tracer's drain refuses it.
+        begin = Tracer.begin
+
+        def begin_with_a_wide_store(tracer):
+            begin(tracer)
+            tracer.log.append((1 << 31) - 4)
+
+        monkeypatch.setattr(Tracer, "begin", begin_with_a_wide_store)
+        with pytest.raises(TraceRangeError, match="outside int32") as caught:
             load_experiment_data(config, retries=2)
         assert classify_failure(caught.value) == "fatal"
         assert "retry.attempts" not in observing.counters

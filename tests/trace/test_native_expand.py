@@ -7,7 +7,10 @@ native library's ``tracelog_expand`` and once with NumPy (the loader
 patched to report no library).  Both must produce identical columns,
 meta counts and chunk boundaries.  ``EXPAND_EVENTS`` is small, so the
 NumPy path splits drains into slices that straddle it, and one function's
-frame plan alone exceeds it.
+frame plan alone exceeds it.  Both paths expand in place into the
+tracer's growing int32 columns; fixed drains check the growth and a
+value outside int32, and direct calls check ``tracelog_expand``'s
+offset, capacity and range statuses.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TraceFormatError
+from repro.errors import TraceFormatError, TraceRangeError
 from repro.machine import Cpu, Memory, load_program
 from repro.machine.layout import MemoryLayout
 from repro.minic.compiler import compile_source
-from repro.simulate._native import native_available
+from repro.simulate._native import load_native_library, native_available
 from repro.trace import tracer as tracer_module
 from repro.trace.events import EventKind
 from repro.trace.stream import ChunkingTracer
@@ -160,18 +163,130 @@ def test_empty_drain_leaves_the_trace_alone():
         assert [column.tobytes() for column in tracer.trace.as_arrays()] == before
 
 
-def test_native_buffers_are_bounded_by_the_drain():
-    """Each drain expands into columns of exactly its own size, and the
-    per-record buffers grow to the largest drain only."""
-    tracer = _tracer(Tracer)
-    for records in (100, 300, 200):
-        for word in range(records):
-            tracer.log.append(word * 4)
+def _drain(tracer, native):
+    if native:
         tracer.drain()
-    statics = len(tracer._static_ranges)
-    assert [len(block) for block in tracer._drained[0]] == [100 + statics, 300, 200]
-    assert len(tracer._ends) == 300
-    assert len(tracer.finish()) == 600 + 2 * statics
+    else:
+        with _numpy_only():
+            tracer.drain()
+
+
+#: Drains of a fixed log, as (records, column capacity after the drain).
+#: The first drain (with ``begin``'s two statics) sizes the columns; the
+#: second, 40 frames of ``wide`` (index 2, eight variables) and 10
+#: stores, alone outgrows the whole capacity; the third straddles a
+#: growth by an eighth; the fourth fits; the fifth straddles again.
+_GROWTH = [
+    ([("store", 4 * i) for i in range(100)], 102),
+    ([("frame", 2, i % 2 == 1, 64) for i in range(40)]
+     + [("store", 8)] * 10, 432),
+    ([("side", EventKind.INSTALL, 1, 8, 16, True)] * 10, 432 + 432 // 8),
+    ([("store", 12)] * 30, 486),
+    ([("frame", 2, False, 128), ("store", 16)] * 5, 486 + 486 // 8),
+]
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+def test_drains_expand_in_place_into_growing_columns(native):
+    """Each drain lands after the events the columns hold; the columns
+    grow to the drain's need or by an eighth, whichever is more, and
+    the per-record buffers only to the largest drain.  The columns are
+    the NumPy oracle's, expanded in one drain."""
+    tracer = _tracer(Tracer)
+    capacities = []
+    for records, _ in _GROWTH:
+        _replay(tracer, records, [])
+        _drain(tracer, native)
+        capacities.append(len(tracer._columns[0]))
+    assert capacities == [capacity for _, capacity in _GROWTH]
+    if native:
+        assert len(tracer._ends) == 102  # the first drain's records
+    trace = tracer.finish()
+    reference = _tracer(Tracer)
+    with _numpy_only():
+        _replay(reference, [record for records, _ in _GROWTH for record in records], [])
+        expected = reference.finish()
+    assert [column.tobytes() for column in trace.as_arrays()] == [
+        column.tobytes() for column in expected.as_arrays()]
+    assert [column.dtype for column in trace.as_arrays()] == [
+        np.int8, np.int32, np.int32, np.int32]
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+@pytest.mark.parametrize("record", [
+    ("store", (1 << 31) - 4),                          # its end is 2**31
+    ("frame", 2, False, 1 << 31),                      # a frame base
+    ("side", EventKind.INSTALL, 1, 8, 1 << 40, True),  # a heap end
+    ("side", EventKind.REMOVE, -(1 << 31) - 1, 0, 4, True),
+], ids=["store", "frame", "side", "side-negative"])
+def test_value_outside_int32_is_a_range_error(native, record):
+    """The drain that meets the value raises and keeps no event of it."""
+    tracer = _tracer(Tracer)
+    _replay(tracer, [("store", 8), ("store", (1 << 31) - 8)], [])
+    _drain(tracer, native)
+    kept = tracer._n_events
+    counts = vars(tracer.trace.meta).copy()
+    _replay(tracer, [("store", 12), record], [])
+    with pytest.raises(TraceRangeError, match="outside int32"):
+        _drain(tracer, native)
+    assert tracer._n_events == kept
+    assert vars(tracer.trace.meta) == counts
+
+
+def _expand(tracer, records, columns, offset, capacity):
+    """Call ``tracelog_expand`` on ``records`` (stores and frame
+    records only) into ``columns``; returns (status, out, ends)."""
+    log = np.array(records, dtype=np.int64)
+    ends = np.zeros(len(records), dtype=np.int64)
+    eligible = np.zeros(len(records), dtype=np.int8)
+    out = np.zeros(4, dtype=np.int64)
+    no_side = np.zeros(4, dtype=np.int64)
+    status = load_native_library().tracelog_expand(
+        log.ctypes.data, len(log), tracer._func_bits, *tracer._plan_pointers,
+        len(tracer._plan_len), no_side.ctypes.data, b"\0", 0,
+        *(column.ctypes.data for column in columns), offset, capacity,
+        ends.ctypes.data, eligible.ctypes.data, out.ctypes.data)
+    return status, out, ends
+
+
+def _columns(capacity):
+    return [np.full(capacity, -7, np.int8)] + [
+        np.full(capacity, -7, np.int32) for _ in range(3)]
+
+
+def test_tracelog_writes_at_the_offset():
+    tracer = _tracer(Tracer)
+    frame = ~(64 << tracer.frame_shift | tracer.enter_keys[1])  # one()
+    columns = _columns(8)
+    status, out, ends = _expand(tracer, [40, frame, 44], columns, 5, 8)
+    assert status == 0
+    assert out.tolist() == [3, 1, 0, 2]
+    assert ends.tolist() == [6, 7, 8]
+    assert columns[0].tolist() == [-7] * 5 + [3, 1, 3]
+    assert columns[1][:5].tolist() == columns[2][:5].tolist() == [-7] * 5
+    assert columns[2][5:].tolist() == [44, 64 + tracer._plan_off[
+        tracer._plan_start[1]], 48]
+
+
+def test_tracelog_short_status_sizes_the_drain_and_writes_nothing():
+    tracer = _tracer(Tracer)
+    columns = _columns(8)
+    status, out, _ = _expand(tracer, [40, 44, 48], columns, 6, 8)
+    assert (status, int(out[0])) == (1, 3)
+    assert all((column == -7).all() for column in columns)
+
+
+@pytest.mark.parametrize("address,status", [
+    ((1 << 31) - 8, 0),  # the last aligned word whose end fits
+    ((1 << 31) - 4, 3),
+    ((1 << 62), 3),
+])
+def test_tracelog_range_status(address, status):
+    tracer = _tracer(Tracer)
+    got, out, _ = _expand(tracer, [40, address], _columns(2), 0, 2)
+    assert got == status
+    if status:
+        assert int(out[0]) == 1  # the offending record
 
 
 def test_malformed_record_is_rejected():

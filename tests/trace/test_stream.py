@@ -81,14 +81,20 @@ class TestTraceChunk:
                                  [0x1000, 0x1004, 0x1000],
                                  [0x1008, 0, 0x1008])
         assert chunk.kinds.dtype == np.int8
-        assert chunk.col_a.dtype == np.int64
+        assert chunk.col_a.dtype == np.int32
         assert chunk.n_events == 3
         # The checksums are plain CRC-32 over the raw little-endian bytes
         # (the worked example in docs/TRACE_FORMAT.md section 4).
         assert chunk.checksums[0] == zlib.crc32(bytes([1, 3, 2]))
-        assert chunk.checksums == (0x3BA081CA, 0xE7A3556F,
-                                   0x553E036A, 0xC485F7A9)
+        assert chunk.checksums == (0x3BA081CA, 0x1C0B5AA1,
+                                   0x2A9133E0, 0x0ABDFFC5)
         chunk.verify()
+
+    def test_build_takes_int32_columns_without_a_copy(self):
+        chunk = make_chunk()
+        again = TraceChunk.build(1, *chunk.columns)
+        assert all(np.shares_memory(a, b)
+                   for a, b in zip(again.columns, chunk.columns))
 
     def test_column_crc32_matches_zlib(self):
         column = np.arange(5, dtype=np.int64)
@@ -108,7 +114,7 @@ class TestTraceChunk:
 
     def test_verify_detects_wrong_dtype(self):
         chunk = make_chunk()
-        bad = replace(chunk, col_a=chunk.col_a.astype(np.int32))
+        bad = replace(chunk, col_a=chunk.col_a.astype(np.int64))
         with pytest.raises(TraceFormatError, match="dtype"):
             bad.verify()
 

@@ -142,7 +142,7 @@ class TestRoundTrip:
         trace, _ = load_trace(tmp_path / "trace.npz")
         assert_same_trace((trace, original[1]), original)
         assert [np.asarray(column).dtype for column in trace.as_arrays()] \
-            == [np.int8, np.int64, np.int64, np.int64]
+            == [np.int8, np.int32, np.int32, np.int32]
 
     @pytest.mark.parametrize("n_events", [
         1, SAVE_CHUNK_EVENTS - 1, SAVE_CHUNK_EVENTS, SAVE_CHUNK_EVENTS + 1,
@@ -328,6 +328,69 @@ class TestCorruptionDetection:
         _write_zip(saved, arrays)
         with pytest.raises(TraceFormatError, match="corrupt trace metadata"):
             TraceStreamReader(saved)
+
+    # The reader inflates members itself, without zipfile's CRC check:
+    # damage below the .npy level must still be a TraceFormatError.
+
+    def test_garbled_deflate_stream_is_a_format_error(self, saved):
+        info = _member_info(saved, "chunk-00000002.col_b")
+        data = bytearray(saved.read_bytes())
+        start = _data_offset(data, info)
+        data[start:start + info.compress_size] = bytes(
+            (byte ^ 0x5A) for byte in data[start:start + info.compress_size])
+        saved.write_bytes(bytes(data))
+        with TraceStreamReader(saved) as reader:
+            with pytest.raises(TraceFormatError, match="chunk-00000002.col_b"):
+                reader.verify()
+        with pytest.raises(TraceFormatError):
+            load_trace(saved)
+
+    def test_member_past_the_end_of_file_is_truncation(self, saved):
+        _patch_central(saved, "chunk-00000003.kinds", 20, 1 << 30)
+        with TraceStreamReader(saved) as reader:
+            with pytest.raises(TraceFormatError, match="truncated"):
+                reader.verify()
+
+    def test_bad_local_header_is_a_format_error(self, saved):
+        info = _member_info(saved, "chunk-00000000.col_c")
+        data = bytearray(saved.read_bytes())
+        data[info.header_offset] ^= 0xFF
+        saved.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="bad local header"):
+            load_trace(saved)
+
+    def test_footer_is_checked_against_its_zip_crc(self, saved):
+        info = _member_info(saved, "stream")
+        _patch_central(saved, "stream", 16, info.CRC ^ 1)
+        with pytest.raises(TraceFormatError, match="stream: zip CRC mismatch"):
+            TraceStreamReader(saved)
+
+    def test_torn_archive_is_a_format_error(self, saved):
+        saved.write_bytes(saved.read_bytes()[:-200])
+        with pytest.raises(TraceFormatError, match="corrupt trace archive"):
+            load_trace(saved)
+
+
+def _member_info(path, member):
+    with zipfile.ZipFile(path) as archive:
+        return archive.getinfo(member + ".npy")
+
+
+def _data_offset(data, info):
+    """Where ``info``'s member data starts in the archive bytes ``data``."""
+    name_length, extra_length = struct.unpack_from(
+        "<HH", data, info.header_offset + 26)
+    return info.header_offset + 30 + name_length + extra_length
+
+
+def _patch_central(path, member, field, value):
+    """Overwrite the 4-byte field at offset ``field`` of ``member``'s
+    central directory record (16: CRC-32, 20: compressed size)."""
+    data = bytearray(path.read_bytes())
+    name = (member + ".npy").encode()
+    record = data.rindex(b"PK\x01\x02", 0, data.rindex(name))
+    struct.pack_into("<I", data, record + field, value)
+    path.write_bytes(bytes(data))
 
 
 def _read_both_ways(path):
@@ -533,8 +596,10 @@ class TestWriterProtocol:
 
 
 class TestNarrowColumns:
-    """The writer stores address columns as int32 and refuses, rather
-    than truncates, a value that does not fit."""
+    """Address columns are int32 in every layer.  A value that does not
+    fit is refused where an int32 column is first produced, rather than
+    truncated, and a writer given a column of another dtype publishes
+    nothing."""
 
     def test_address_space_bounds_round_trip(self, tmp_path):
         registry = ObjectRegistry()
@@ -556,15 +621,28 @@ class TestNarrowColumns:
         save_trace(*original, dest)
         before = dest.read_bytes()
         trace, registry = build_fixture()
-        trace.append_write(begin, end)
         with pytest.raises(TraceRangeError, match="outside int32"):
-            save_trace(trace, registry, dest)
+            trace.append_write(begin, end)
+        with pytest.raises(TraceRangeError, match="outside int32"):
+            trace.append_install(0, begin, end)
+        with pytest.raises(TraceRangeError, match="outside int32"):
+            trace.append_remove(0, begin, end)
+        # Each append checked before appending anything: no ragged
+        # columns, no event of the refused ones.
+        trace.validate()
+        assert_same_trace((trace, registry), original)
+        wide = [np.append(np.asarray(column).astype(np.int64), value)
+                for column, value in zip(original[0].as_arrays(),
+                                         (EventKind.WRITE, begin, end, 0))]
+        with pytest.raises(TraceRangeError, match="outside int32"):
+            EventTrace.from_arrays(*wide, TraceMeta())
+        with pytest.raises(TraceRangeError, match="outside int32"):
+            TraceChunk.build(0, *wide)
+        with pytest.raises(TraceFormatError, match="has dtype int64"):
+            with ChunkedTraceWriter(dest) as writer:
+                writer.write_columns(0, wide)
         assert dest.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.npz"]
-        dest.unlink()
-        with pytest.raises(TraceRangeError):
-            save_trace(trace, registry, dest)
-        assert list(tmp_path.iterdir()) == []
 
 
 def test_worked_example_footer_entry(tmp_path):

@@ -76,7 +76,6 @@ from repro.experiments.table3 import render_table3_report
 from repro.experiments.table4 import render_table4_report
 from repro.experiments.whatif import render_whatif_report
 from repro.simulate import ENGINE_CHOICES
-from repro.trace.stream import DEFAULT_CHUNK_EVENTS
 from repro.observe.diff import DiffThresholds, diff_manifests, render_diff_report
 from repro.observe.events import SEVERITIES, rank_severity
 
@@ -174,19 +173,6 @@ def _parse_args(argv):
         "'native' (compiled C kernel), or 'auto' (native when the kernel "
         "loads, else python; the default).  Both produce bit-identical "
         "results",
-    )
-    parser.add_argument(
-        "--stream", action="store_true",
-        help="run the chunked streaming pipeline: phase 1 emits trace "
-        "chunks through a bounded channel into a chunked on-disk spill "
-        "and phase 2 replays it chunk-by-chunk, so the whole trace is "
-        "never held in memory (see docs/TRACE_FORMAT.md); results and "
-        "cache entries are identical to batch runs",
-    )
-    parser.add_argument(
-        "--chunk-events", type=int, default=DEFAULT_CHUNK_EVENTS, metavar="N",
-        help="events per trace chunk in --stream mode "
-        "(default %(default)s)",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     parser.add_argument(
@@ -718,8 +704,6 @@ def main(argv=None) -> int:
             use_cache=not args.no_cache,
             jobs=args.jobs,
             engine=args.engine,
-            stream=args.stream,
-            chunk_events=args.chunk_events,
         )
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1001,8 +985,6 @@ def _execute(args, config: ExperimentConfig, progress, journal) -> int:
                 "use_cache": config.use_cache,
                 "jobs": config.jobs,
                 "engine": config.engine,
-                "stream": config.stream,
-                "chunk_events": config.chunk_events,
                 "retries": args.retries,
                 "worker_timeout": args.worker_timeout,
                 "keep_going": args.keep_going,

@@ -13,9 +13,9 @@ replay partitions tasks into *done* (results verifiably on disk),
 Tasks are keyed by a **task digest** over everything that determines a
 task's output: the program's generated source (via the workload cache
 key, which embeds a hash of it), the resolved scale, the instrumentation
-parameters (page sizes), the simulation engine, and the chunking mode.
-Two runs with the same digest for a task would produce bit-identical
-results, which is what makes skip-on-resume sound.
+parameters (page sizes) and the simulation engine.  Two runs with the
+same digest for a task would produce bit-identical results, which is
+what makes skip-on-resume sound.
 
 Durability policy (``REPRO_JOURNAL_FSYNC``): ``task`` (default) fsyncs
 ``run.begin`` and ``run.seal``; per-task records are written+flushed
@@ -92,8 +92,6 @@ def config_digest(config: ExperimentConfig) -> str:
         "scale": config.scale,
         "page_sizes": list(config.page_sizes),
         "engine": config.engine,
-        "stream": bool(config.stream),
-        "chunk_events": config.chunk_events,
     }
     return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()[:16]
 
@@ -102,7 +100,7 @@ def task_digest(program: str, config: ExperimentConfig) -> str:
     """Digest of everything that determines one program-task's output.
 
     Covers the generated workload source (via the cache key's embedded
-    source hash), resolved scale, page sizes, engine, and chunking mode.
+    source hash), resolved scale, page sizes and engine.
     The engine *is* included even though both backends are bit-identical:
     a resumed run that switched engines must say so in its journal, and
     re-verification (not the digest) is what authorizes a skip.
@@ -114,15 +112,13 @@ def task_digest(program: str, config: ExperimentConfig) -> str:
         )
     return _task_digest_cached(
         program, config.scale_of(workload), tuple(config.page_sizes),
-        config.engine, bool(config.stream),
-        config.chunk_events if config.stream else None,
+        config.engine,
     )
 
 
 @lru_cache(maxsize=256)
 def _task_digest_cached(program: str, scale: int, page_sizes: tuple,
-                        engine: str, stream: bool,
-                        chunk_events: Optional[int]) -> str:
+                        engine: str) -> str:
     # Memoized on the resolved scalars: deriving the workload cache key
     # regenerates the program source (~ms), and the journal needs the
     # digest on every intent/done append.  WORKLOADS is static per
@@ -132,8 +128,6 @@ def _task_digest_cached(program: str, scale: int, page_sizes: tuple,
         "workload": _workload_key(workload, scale),
         "page_sizes": list(page_sizes),
         "engine": engine,
-        "stream": stream,
-        "chunk_events": chunk_events,
     }
     return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()[:16]
 

@@ -16,7 +16,7 @@ write cannot tear an entry.  A corrupt or truncated entry found on read
 as a cache miss: it is logged, noted under ``cache.<kind>.corrupt``,
 deleted, and recomputed.
 
-On a trace-cache miss the batch path writes the ``.npz`` on a writer
+On a trace-cache miss the pipeline writes the ``.npz`` on a writer
 thread while the program simulates, and joins it before the sim entry
 is published; the ``trace.save_wait_s`` histogram records how long the
 join blocked.
@@ -37,16 +37,14 @@ retry, watchdog and journal policy.
 
 When event recording is on (``--events``; :mod:`repro.observe.events`)
 the same sites also emit structured flight-recorder events —
-``program.start``/``done``/``retry``/``failed``, ``cache.hit``/``miss``/
-``corrupt``/``readonly``, ``stream.spill``/``feed`` — all correlated by
-the run's ``run_id``.
+``program.start``/``done``/``retry``/``failed`` and ``cache.hit``/
+``miss``/``corrupt``/``readonly`` — all correlated by the run's
+``run_id``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -61,15 +59,12 @@ from repro.sessions import discover_sessions
 from repro.simulate import (
     ENGINE_CHOICES,
     SimulationResult,
-    open_simulation_stream,
     simulate_sessions,
     validate_page_sizes,
 )
 from repro.trace import load_trace, save_trace
 from repro.trace.events import TraceMeta
 from repro.trace.objects import ObjectRegistry
-from repro.trace.stream import DEFAULT_CHUNK_EVENTS, ChunkChannel
-from repro.trace.tracefile import ChunkedTraceWriter, TraceStreamReader
 from repro.workloads import WORKLOADS, Workload, run_workload
 
 Progress = Optional[Callable[[str], None]]
@@ -131,15 +126,6 @@ class ExperimentConfig:
     backends produce bit-identical results, so the simulation cache is
     deliberately keyed without it — a cache entry written by one backend
     is valid for the other.
-
-    ``stream`` runs each program through the chunked streaming pipeline
-    (``--stream``): phase 1 emits :class:`~repro.trace.stream.TraceChunk`
-    batches of ``chunk_events`` events through a bounded channel into a
-    chunked on-disk spill, and phase 2 replays that spill chunk-by-chunk
-    — so neither phase ever materializes the whole trace, on either
-    simulation backend.  Results are bit-identical to batch runs, and
-    the trace/sim cache entries are interchangeable between the two
-    modes.
     """
 
     programs: Tuple[str, ...] = ("gcc", "ctex", "spice", "qcd", "bps")
@@ -149,8 +135,6 @@ class ExperimentConfig:
     use_cache: bool = True
     jobs: int = 1
     engine: str = "auto"
-    stream: bool = False
-    chunk_events: int = DEFAULT_CHUNK_EVENTS
 
     def __post_init__(self) -> None:
         # Fail at configuration time, not deep inside the engine: a
@@ -163,12 +147,6 @@ class ExperimentConfig:
         if self.engine not in ENGINE_CHOICES:
             raise PipelineError(
                 f"unknown engine {self.engine!r}; choose from {ENGINE_CHOICES}"
-            )
-        if not isinstance(self.chunk_events, int) \
-                or isinstance(self.chunk_events, bool) \
-                or self.chunk_events < 1:
-            raise PipelineError(
-                f"chunk_events must be an int >= 1, got {self.chunk_events!r}"
             )
 
     def scale_of(self, workload: Workload) -> int:
@@ -360,7 +338,7 @@ def _trace_for(
     config: ExperimentConfig,
     progress: Progress,
 ) -> Tuple[object, ObjectRegistry, Optional[_TraceSave]]:
-    """The batch path's trace, registry and, on a cache miss, the
+    """The program's trace, registry and, on a cache miss, the
     still-running write of the new cache entry (the caller joins it)."""
     trace_path = trace_cache_path(workload, scale, config)
     if config.use_cache and trace_path.exists():
@@ -399,194 +377,6 @@ def _trace_for(
             saving = _TraceSave(run.trace, run.registry, trace_path,
                                 workload.name)
     return run.trace, run.registry, saving
-
-
-def _spill_streamed_trace(
-    workload: Workload, scale: int, dest: Path,
-    config: ExperimentConfig, progress: Progress,
-) -> None:
-    """Phase 1 in stream mode: trace ``workload`` chunk-by-chunk into a
-    chunked archive at ``dest``.
-
-    The tracer runs in a producer thread emitting chunks into a bounded
-    :class:`ChunkChannel`; this thread drains it into a
-    :class:`ChunkedTraceWriter`, so tracing overlaps compression/IO and
-    at no point is more than the channel's capacity of chunks resident.
-    On any failure the destination is left untouched (the writer aborts
-    its temp file) and the producer is released before re-raising.
-    """
-    name = workload.name
-    channel = ChunkChannel()
-
-    def produce() -> None:
-        try:
-            run = run_workload(
-                workload, scale, on_progress=progress,
-                chunk_sink=channel.put, chunk_events=config.chunk_events,
-            )
-        except BaseException as exc:
-            channel.close(error=exc)
-        else:
-            channel.close(meta=run.trace.meta, registry=run.registry)
-
-    producer = threading.Thread(
-        target=produce, name=f"trace-{name}", daemon=True
-    )
-    with ChunkedTraceWriter(dest) as writer:
-        producer.start()
-        try:
-            for chunk in channel:
-                observe.emit_event("stream.spill", "DEBUG", program=name,
-                                   seq=chunk.seq, events=chunk.n_events)
-                with observe.span(
-                    "stream.chunk", program=name, stage="spill",
-                    seq=chunk.seq, events=chunk.n_events,
-                ):
-                    writer.write_chunk(chunk)
-        except BaseException:
-            channel.cancel()
-            producer.join()
-            raise
-        producer.join()
-        writer.finalize(channel.meta, channel.registry)
-
-
-def _streamed_reader_for(
-    workload: Workload,
-    scale: int,
-    config: ExperimentConfig,
-    progress: Progress,
-) -> Tuple[TraceStreamReader, Callable[[], None]]:
-    """Stream-mode phase 1: an open, verified :class:`TraceStreamReader`
-    over this workload's trace, plus a cleanup callback.
-
-    Cache hits verify chunk-by-chunk before use — a corrupt entry, or
-    one of an earlier format version, recovers as a miss, like the
-    batch path.  On a
-    miss the trace is spilled by :func:`_spill_streamed_trace`, into the
-    cache entry itself when caching is on, or a temporary file (removed
-    by the cleanup callback) when it is off or unwritable.
-    """
-    name = workload.name
-    trace_path = trace_cache_path(workload, scale, config)
-    if config.use_cache and trace_path.exists():
-        if progress:
-            progress(f"[{name}] opening cached trace {trace_path.name}")
-        with observe.span("cache_load", program=name, kind="trace"):
-            reader = None
-            try:
-                faultpoint("cache.read", program=name, kind="trace")
-                reader = TraceStreamReader(trace_path)
-                reader.verify()
-            except Exception as exc:
-                if reader is not None:
-                    reader.close()
-                _discard_corrupt("trace", trace_path, exc, name, progress)
-                reader = None
-        if reader is not None:
-            observe.inc("cache.trace.hits")
-            observe.note("cache.trace.used", trace_path.name)
-            observe.emit_event("cache.hit", kind="trace", program=name,
-                               entry=trace_path.name)
-            return reader, reader.close
-    observe.inc("cache.trace.misses")
-    observe.emit_event("cache.miss", kind="trace", program=name)
-
-    dest, temporary = trace_path, False
-    if config.use_cache:
-        try:
-            faultpoint("cache.write", program=name, kind="trace")
-            _spill_streamed_trace(workload, scale, dest, config, progress)
-        except OSError as exc:
-            _note_readonly("trace", dest, exc, name, progress)
-            dest, temporary = None, True
-        else:
-            observe.note("cache.trace.written", dest.name)
-    else:
-        temporary = True
-    if temporary:
-        # No (usable) cache: spill to a private temp file — stream mode
-        # exists to keep memory bounded, so the trace must still go
-        # through disk rather than RAM.
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f"repro-{name}-", suffix=".npz"
-        )
-        os.close(fd)
-        dest = Path(tmp_name)
-        try:
-            _spill_streamed_trace(workload, scale, dest, config, progress)
-        except BaseException:
-            try:
-                os.unlink(dest)
-            except OSError:
-                pass
-            raise
-
-    reader = TraceStreamReader(dest)
-
-    def cleanup() -> None:
-        reader.close()
-        if temporary:
-            try:
-                os.unlink(dest)
-            except OSError:
-                pass
-
-    return reader, cleanup
-
-
-def _simulate_streamed(
-    reader: TraceStreamReader,
-    sessions,
-    config: ExperimentConfig,
-    name: str,
-) -> SimulationResult:
-    """Stream-mode phase 2: replay ``reader``'s chunks through an
-    incremental simulation stream.
-
-    The reader runs in a producer thread (overlapping decompression and
-    checksum verification with simulation) feeding a bounded
-    :class:`ChunkChannel`; this thread drives the engine.  The engine
-    re-checks sequence order and the final event count against the
-    file's footer, so a truncated or reordered stream fails with a
-    clear :class:`PipelineError` instead of undercounting.
-    """
-    stream = open_simulation_stream(
-        reader.registry, sessions, config.page_sizes, engine=config.engine
-    )
-    channel = ChunkChannel()
-
-    def produce() -> None:
-        try:
-            for chunk in reader.chunks():
-                channel.put(chunk)
-        except BaseException as exc:
-            channel.close(error=exc)
-        else:
-            channel.close(meta=reader.meta)
-
-    producer = threading.Thread(
-        target=produce, name=f"replay-{name}", daemon=True
-    )
-    producer.start()
-    try:
-        for chunk in channel:
-            faultpoint("stream.feed", program=name, seq=chunk.seq)
-            observe.emit_event("stream.feed", "DEBUG", program=name,
-                               seq=chunk.seq, events=chunk.n_events)
-            with observe.span(
-                "stream.chunk", program=name, stage="feed",
-                seq=chunk.seq, events=chunk.n_events,
-            ):
-                # The reader verified framing checksums on read; the
-                # engine still enforces sequence order itself.
-                stream.feed_chunk(chunk, verify=False)
-    except BaseException:
-        channel.cancel()
-        producer.join()
-        raise
-    producer.join()
-    return stream.finish(reader.meta, expected_events=reader.n_events)
 
 
 def _load_sim_payload(
@@ -629,8 +419,7 @@ def load_program_data(
         raise PipelineError(f"unknown program {name!r}; known: {sorted(WORKLOADS)}")
     scale = config.scale_of(workload)
     sim_path = sim_cache_path(workload, scale, config)
-    observe.emit_event("program.start", program=name, scale=scale,
-                       stream=config.stream)
+    observe.emit_event("program.start", program=name, scale=scale)
     with observe.span(f"program:{name}"):
         if config.use_cache:
             payload = _load_sim_payload(sim_path, name, progress)
@@ -644,54 +433,28 @@ def load_program_data(
         observe.inc("cache.sim.misses")
         observe.emit_event("cache.miss", kind="sim", program=name)
 
-        if config.stream:
-            reader, cleanup = _streamed_reader_for(
+        saving = save_error = None
+        try:
+            trace, registry, saving = _trace_for(
                 workload, scale, config, progress
             )
-            try:
-                registry = reader.registry
-                # Sessions are discovered from the *final* registry —
-                # heap objects register mid-run, which is why phase 2
-                # replays the spilled chunks rather than consuming the
-                # tracer's live stream.
-                sessions = discover_sessions(registry)
-                if progress:
-                    progress(
-                        f"[{name}] simulating {len(sessions)} sessions "
-                        f"over {reader.n_events} events "
-                        f"({reader.n_chunks} chunks)"
-                    )
-                with observe.span("simulate", program=name):
-                    result = _simulate_streamed(
-                        reader, sessions, config, name
-                    )
-                meta = reader.meta
-            finally:
-                cleanup()
-            payload = {"meta": meta, "registry": registry, "result": result}
-        else:
-            saving = save_error = None
-            try:
-                trace, registry, saving = _trace_for(
-                    workload, scale, config, progress
+            sessions = discover_sessions(registry)
+            if progress:
+                progress(f"[{name}] simulating {len(sessions)} sessions over {len(trace)} events")
+            with observe.span("simulate", program=name):
+                result = simulate_sessions(
+                    trace, registry, sessions, config.page_sizes,
+                    engine=config.engine,
                 )
-                sessions = discover_sessions(registry)
-                if progress:
-                    progress(f"[{name}] simulating {len(sessions)} sessions over {len(trace)} events")
-                with observe.span("simulate", program=name):
-                    result = simulate_sessions(
-                        trace, registry, sessions, config.page_sizes,
-                        engine=config.engine,
-                    )
-                payload = {"meta": trace.meta, "registry": registry,
-                           "result": result}
-            finally:
-                # The trace entry is published or abandoned before the
-                # sim payload; if the task failed, its own error wins.
-                if saving is not None:
-                    save_error = saving.finish(progress)
-            if save_error is not None:
-                raise save_error
+            payload = {"meta": trace.meta, "registry": registry,
+                       "result": result}
+        finally:
+            # The trace entry is published or abandoned before the
+            # sim payload; if the task failed, its own error wins.
+            if saving is not None:
+                save_error = saving.finish(progress)
+        if save_error is not None:
+            raise save_error
         if config.use_cache:
             try:
                 faultpoint("cache.write", program=name, kind="sim")

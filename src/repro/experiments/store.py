@@ -271,7 +271,8 @@ class ResultStore:
         if name.endswith(".npz"):
             try:
                 with TraceStreamReader(path) as reader:
-                    reader.verify()
+                    for _columns in reader.stored_chunks():
+                        pass
             except Exception as exc:
                 return EntryReport(name, STATUS_CORRUPT, size,
                                    f"{type(exc).__name__}: {exc}")

@@ -139,8 +139,8 @@ def _jsonable(value: object) -> object:
 class FlightRecorder:
     """Bounded ring buffer of events, with an optional JSONL sink.
 
-    Thread-safe: emits from the streaming producer/consumer threads and
-    the scheduler interleave under one lock.  The ring holds the last
+    Thread-safe: emits from the trace writer thread and the scheduler
+    interleave under one lock.  The ring holds the last
     ``capacity`` events (older ones are dropped and counted in
     :attr:`dropped`); the sink, when attached, receives *every* event at
     emit time, flushed per line.

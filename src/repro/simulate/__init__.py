@@ -32,7 +32,7 @@ is enforced by the differential suites in ``tests/simulate/`` and the
 CI ``equivalence`` job.
 """
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import PipelineError
 from repro.sessions.types import SessionDef
@@ -43,7 +43,7 @@ from repro.simulate.engine import (
     simulate_sessions as simulate_sessions_python,
     validate_page_sizes,
 )
-from repro.trace.events import EventTrace, TraceMeta
+from repro.trace.events import EventTrace
 from repro.trace.objects import ObjectRegistry
 
 #: Recognized values for the ``engine`` argument / ``--engine`` flag.
@@ -106,7 +106,7 @@ def open_simulation_stream(
     page_sizes: Sequence[int] = (4096, 8192),
     engine: str = "auto",
 ):
-    """An incremental ``feed``/``feed_chunk``/``finish`` simulation.
+    """An incremental ``feed``/``finish`` simulation.
 
     Resolves ``engine`` like :func:`simulate_sessions` does.  The stream
     is truly incremental — memory bounded by the live working set — and
@@ -120,44 +120,6 @@ def open_simulation_stream(
     return SimulationStream(registry, sessions, page_sizes)
 
 
-def simulate_chunks(
-    chunks: Iterable,
-    registry: ObjectRegistry,
-    sessions: Sequence[SessionDef],
-    page_sizes: Sequence[int] = (4096, 8192),
-    engine: str = "auto",
-    meta: Optional[TraceMeta] = None,
-    expected_events: Optional[int] = None,
-) -> SimulationResult:
-    """Drive a chunk source through a simulation stream to a result.
-
-    ``chunks`` is any iterable of :class:`~repro.trace.stream.TraceChunk`
-    — a :class:`~repro.trace.stream.ChunkChannel`, a
-    :class:`~repro.trace.tracefile.TraceStreamReader`, or
-    :func:`~repro.trace.stream.iter_chunks` over an in-memory trace.
-    ``meta``/``expected_events`` default to the source's ``meta`` /
-    ``n_events`` attributes when it has them (readers do; a channel's
-    ``meta`` is set by its producer at close, i.e. after iteration).
-    When the expected total is known the stream is checked against it,
-    so a silently truncated stream fails loudly instead of producing
-    undercounted results.
-    """
-    if expected_events is None:
-        expected_events = getattr(chunks, "n_events", None)
-    stream = open_simulation_stream(registry, sessions, page_sizes, engine)
-    for chunk in chunks:
-        stream.feed_chunk(chunk)
-    if meta is None:
-        meta = getattr(chunks, "meta", None)
-    if meta is None:
-        meta = TraceMeta()
-    if expected_events is None:
-        declared = meta.n_writes + meta.n_installs + meta.n_removes
-        if declared > 0:
-            expected_events = declared
-    return stream.finish(meta, expected_events=expected_events)
-
-
 __all__ = [
     "ENGINE_CHOICES",
     "CountingVariables",
@@ -166,7 +128,6 @@ __all__ = [
     "SimulationStream",
     "open_simulation_stream",
     "resolve_engine",
-    "simulate_chunks",
     "simulate_sessions",
     "simulate_sessions_python",
     "validate_page_sizes",

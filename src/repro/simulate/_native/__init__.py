@@ -49,7 +49,7 @@ import tempfile
 import threading
 from typing import Optional
 
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCES = tuple(os.path.join(_HERE, name) for name in ("engine.c", "tracelog.c"))
 
@@ -172,10 +172,10 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ptr, i64, i64,            # records, n_records, func_bits
         ptr, ptr, ptr, ptr, ptr,  # plan_start, plan_len, plan_off, plan_size, plan_obj
         i64,                      # n_funcs
-        ptr, ptr, i64,            # side rows, side_ends, n_side
+        ptr, i64,                 # side rows, n_side
         ptr, ptr, ptr, ptr,       # kinds, col_a, col_b, col_c
         i64, i64,                 # offset, capacity
-        ptr, ptr, ptr,            # ends, eligible, out
+        ptr,                      # out
     ]
     return lib
 

@@ -49,7 +49,7 @@
 
 /* Version of the library's whole ABI: this file's entry points and
  * tracelog.c's. */
-#define ENGINE_ABI_VERSION 3
+#define ENGINE_ABI_VERSION 4
 
 #if defined(_WIN32)
 #define API __declspec(dllexport)

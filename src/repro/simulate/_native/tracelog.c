@@ -7,7 +7,7 @@
  *   - a function entry or exit appends ~(frame_base << (func_bits + 2)
  *     | index << 2 | tag), tag 0 on entry and 1 on exit;
  *   - a heap or static event appends ~(side << 2 | 2), `side` indexing a
- *     (kind, a, b, c) row and an ends-a-hook flag.
+ *     (kind, a, b, c) row.
  *
  * tracelog_expand() turns one drain of that log into events of the
  * trace's four columns (int8 kinds, int32 col_a/col_b/col_c) in a
@@ -16,10 +16,6 @@
  * or REMOVE (exit) per variable of its function's frame plan, a side
  * record its one event.  It is the same mapping as the NumPy
  * Tracer._expand, which stays the no-compiler path and the test oracle.
- * Besides the columns it writes, per record, the column position after
- * the record's events (`ends`) and whether a chunk may end after it
- * (`eligible`: every record but a side record whose hook goes on),
- * which is what ChunkingTracer cuts chunks by.
  *
  * Built into the same shared object as engine.c (one compiler call, one
  * cache entry, one ABI version).
@@ -70,12 +66,11 @@ static inline int64_t record_events(int64_t r, int64_t func_mask,
  *
  * plan_start/plan_len (n_funcs each) locate each function's run in the
  * plan_off/plan_size/plan_obj arrays; side holds n_side rows of (kind,
- * a, b, c) and side_ends their flags.  The columns hold `capacity`
- * events; ends and eligible need room for n_records items.  On
- * TRACELOG_OK, out[0] is the number of events written and out[1..3]
- * the INSTALL, REMOVE and WRITE counts; on TRACELOG_SHORT, out[0] is
- * the number of events the drain needs past `offset`; on TRACELOG_BAD
- * and TRACELOG_RANGE, out[0] is the index of the offending record.  A
+ * a, b, c).  The columns hold `capacity` events.  On TRACELOG_OK,
+ * out[0] is the number of events written and out[1..3] the INSTALL,
+ * REMOVE and WRITE counts; on TRACELOG_SHORT, out[0] is the number of
+ * events the drain needs past `offset`; on TRACELOG_BAD and
+ * TRACELOG_RANGE, out[0] is the index of the offending record.  A
  * TRACELOG_RANGE drain may have written some events past `offset`;
  * they are not part of the trace.
  */
@@ -84,11 +79,10 @@ API int tracelog_expand(const int64_t *records, int64_t n_records,
                         const int64_t *plan_start, const int64_t *plan_len,
                         const int64_t *plan_off, const int64_t *plan_size,
                         const int64_t *plan_obj, int64_t n_funcs,
-                        const int64_t *side, const int8_t *side_ends,
-                        int64_t n_side,
+                        const int64_t *side, int64_t n_side,
                         int8_t *kinds, int32_t *col_a, int32_t *col_b,
                         int32_t *col_c, int64_t offset, int64_t capacity,
-                        int64_t *ends, int8_t *eligible, int64_t *out)
+                        int64_t *out)
 {
     const int64_t func_mask = ((int64_t)1 << func_bits) - 1;
     int64_t i, total = 0, per_kind[4] = {0, 0, 0, 0};
@@ -112,7 +106,6 @@ API int tracelog_expand(const int64_t *records, int64_t n_records,
     total = offset;
     for (i = 0; i < n_records; i++) {
         int64_t r = records[i];
-        int8_t ends_hook = 1;
         if (r >= 0) {
             if (r > (int64_t)INT32_MAX - 4)  /* r + 4, without overflow */
                 goto out_of_range;
@@ -153,12 +146,9 @@ API int tracelog_expand(const int64_t *records, int64_t n_records,
                 col_b[total] = (int32_t)row[2];
                 col_c[total] = (int32_t)row[3];
                 per_kind[row[0]]++;
-                ends_hook = side_ends[payload] ? 1 : 0;
                 total++;
             }
         }
-        ends[i] = total;
-        eligible[i] = ends_hook;
     }
     out[0] = total - offset;
     out[1] = per_kind[1];

@@ -116,20 +116,14 @@ class SimulationStream:
     """The one-pass simulation as an incremental ``feed``/``finish`` pair.
 
     The whole-trace entry point :func:`simulate_sessions` is literally
-    this class driven with a single :meth:`feed` call — the streamed and
-    batch paths share one event loop, which is what makes them
-    bit-identical by construction (the differential suite in
-    ``tests/simulate/test_vector_equivalence.py`` checks it anyway).
+    this class driven with a single :meth:`feed` call.
 
     All carried state is bounded by the *live* working set — the word
     ownership map, per-page write counters, and lazy (page, session)
-    pairs — never by trace length, so feeding a trace chunk-by-chunk
-    (e.g. from a :class:`~repro.trace.stream.ChunkChannel` or a
-    :class:`~repro.trace.tracefile.TraceStreamReader`) runs in memory
-    proportional to one chunk plus the working set.
-
-    Chunk boundaries are framing only: ``feed`` may split the event
-    stream anywhere, and results depend only on total event order.
+    pairs — never by trace length.  ``feed`` may split the event stream
+    anywhere, and results depend only on total event order (the
+    differential suite in ``tests/simulate/test_vector_equivalence.py``
+    checks it).
     """
 
     def __init__(
@@ -204,7 +198,6 @@ class SimulationStream:
         self._owner_pop = word_owner.pop
 
         self._n_events = 0
-        self._next_seq = 0
         self._finished = False
         self._sample_counts: Dict[int, int] = {}
         self._observing = observing
@@ -331,27 +324,6 @@ class SimulationStream:
         if observing:
             self._elapsed += time.perf_counter() - chunk_start
 
-    def feed_chunk(self, chunk, verify: bool = True) -> None:
-        """Consume one :class:`~repro.trace.stream.TraceChunk`.
-
-        Enforces sequence order (a reordered or duplicated chunk raises
-        :class:`PipelineError`) and, with ``verify``, the chunk's
-        framing checksums.
-        """
-        if chunk.seq != self._next_seq:
-            raise PipelineError(
-                f"chunk {chunk.seq} fed out of order; expected "
-                f"{self._next_seq}"
-            )
-        self._next_seq += 1
-        if verify:
-            chunk.verify()
-        self.feed(chunk.kinds, chunk.col_a, chunk.col_b, chunk.col_c)
-
-    @property
-    def events_fed(self) -> int:
-        return self._n_events
-
     def finish(
         self, meta: TraceMeta, expected_events: "int | None" = None
     ) -> SimulationResult:
@@ -453,7 +425,7 @@ def simulate_sessions(
 
     Returns a :class:`SimulationResult` containing only sessions with at
     least one hit.  This is :class:`SimulationStream` fed the whole
-    trace in one call — the streamed path runs the same code.
+    trace in one call.
     """
     stream = SimulationStream(registry, sessions, page_sizes)
     stream.feed(trace.kinds, trace.col_a, trace.col_b, trace.col_c)

@@ -3,18 +3,18 @@
 The hot loop lives in ``_native/engine.c`` — a machine-code port of the
 scalar engine's per-event pass (word-ownership map, cumulative per-page
 write counters, lazy (page, session) windows).  This module is the thin
-Python half: membership CSR construction, the ``feed``/``feed_chunk``/
-``finish`` stream protocol, result assembly, and the observe/profiler
-contract — everything that is *not* per-event work.
+Python half: membership CSR construction, the ``feed``/``finish``
+stream protocol, result assembly, and the observe/profiler contract —
+everything that is *not* per-event work.
 
 :class:`NativeSimulationStream` is a drop-in sibling of
 :class:`~repro.simulate.engine.SimulationStream`: same constructor, same
-stream contract (any feed split point is legal, chunk sequence order
-enforced, truncation checked at ``finish``), and bit-identical results —
-the kernel replicates the scalar loop branch for branch, and the
-differential suites enforce it.  Chunks go straight to the kernel, and
-carried state stays bounded by the live working set (owned words,
-touched pages, open pairs) exactly as in the scalar engine.
+stream contract (any feed split point is legal, truncation checked at
+``finish``), and bit-identical results — the kernel replicates the
+scalar loop branch for branch, and the differential suites enforce it.
+Fed columns go straight to the kernel, and carried state stays bounded
+by the live working set (owned words, touched pages, open pairs)
+exactly as in the scalar engine.
 
 Construction raises :class:`~repro.errors.PipelineError` when the
 kernel is unavailable (no compiler, ``REPRO_NATIVE_DISABLE``); the
@@ -141,7 +141,6 @@ class NativeSimulationStream:
         self._page_sizes = tuple(page_sizes)
         self._n_sessions = n_sessions
         self._n_events = 0
-        self._next_seq = 0
         self._finished = False
         self._sample_counts: Dict[int, int] = {}
         self._observing = observing
@@ -200,22 +199,6 @@ class NativeSimulationStream:
         self._n_events += n_kinds
         if observing:
             self._elapsed += time.perf_counter() - chunk_start
-
-    def feed_chunk(self, chunk, verify: bool = True) -> None:
-        """Consume one :class:`~repro.trace.stream.TraceChunk` in order."""
-        if chunk.seq != self._next_seq:
-            raise PipelineError(
-                f"chunk {chunk.seq} fed out of order; expected "
-                f"{self._next_seq}"
-            )
-        self._next_seq += 1
-        if verify:
-            chunk.verify()
-        self.feed(chunk.kinds, chunk.col_a, chunk.col_b, chunk.col_c)
-
-    @property
-    def events_fed(self) -> int:
-        return self._n_events
 
     def finish(
         self, meta: TraceMeta, expected_events: "int | None" = None

@@ -17,14 +17,6 @@ matching the paper.
 from repro.trace.objects import ObjectDesc, ObjectRegistry
 from repro.trace.events import EventKind, EventTrace, TraceColumns, TraceMeta
 from repro.trace.tracer import Tracer, trace_program
-from repro.trace.stream import (
-    DEFAULT_CHANNEL_CAPACITY,
-    DEFAULT_CHUNK_EVENTS,
-    ChunkChannel,
-    ChunkingTracer,
-    TraceChunk,
-    iter_chunks,
-)
 from repro.trace.tracefile import (
     ChunkedTraceWriter,
     TraceStreamReader,
@@ -41,12 +33,6 @@ __all__ = [
     "TraceMeta",
     "Tracer",
     "trace_program",
-    "DEFAULT_CHANNEL_CAPACITY",
-    "DEFAULT_CHUNK_EVENTS",
-    "ChunkChannel",
-    "ChunkingTracer",
-    "TraceChunk",
-    "iter_chunks",
     "ChunkedTraceWriter",
     "TraceStreamReader",
     "save_trace",

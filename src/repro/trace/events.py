@@ -13,8 +13,7 @@ Column meaning by kind::
 Every object id and address lies in the 16 MiB address space, so int32
 holds it.  A value that does not fit is refused where an int32 column is
 first produced — by the tracer's log expansion, :meth:`EventTrace.append_write`
-and its siblings, :meth:`EventTrace.from_arrays` and
-:meth:`repro.trace.stream.TraceChunk.build` — with a
+and its siblings, and :meth:`EventTrace.from_arrays` — with a
 :class:`~repro.errors.TraceRangeError`; nothing is truncated.
 
 Two storage backings share this class:
@@ -29,9 +28,8 @@ Two storage backings share this class:
   on them.
 
 Either backing exposes :meth:`as_arrays`, a zero-copy NumPy view of the
-columns, which chunking (:func:`repro.trace.stream.iter_chunks`) and
-saving read.  The view aliases the trace's
-own buffers: appending to an append-backed trace after taking a view
+columns, which saving and the simulation read.  The view aliases the
+trace's own buffers: appending to an append-backed trace after taking a view
 may reallocate the underlying buffers, so take views only when the
 trace is complete.
 """
@@ -60,7 +58,7 @@ class EventKind(enum.IntEnum):
 VALID_KINDS = frozenset(int(kind) for kind in EventKind)
 
 #: Dtype of each column, in ``(kinds, col_a, col_b, col_c)`` order: in
-#: memory, in a :class:`~repro.trace.stream.TraceChunk` and on disk.
+#: memory and on disk.
 STORED_DTYPES = (np.dtype(np.int8), np.dtype(np.int32), np.dtype(np.int32),
                  np.dtype(np.int32))
 

@@ -8,19 +8,18 @@ per-chunk members (``chunk-<seq>.<column>.npy``), ``kinds`` as int8 and
 too — and a ``stream`` JSON footer carries the run meta, the object
 registry and the chunk index with a CRC-32 per stored column.
 
-* :class:`ChunkedTraceWriter` appends chunks as they arrive, so
-  ``--stream`` can spill a trace whose event log exceeds RAM.  Columns
+* :class:`ChunkedTraceWriter` appends chunks as they arrive.  Columns
   reach it in their stored dtypes (the layers that produce int32
   columns refuse a value that does not fit, with
   :class:`~repro.errors.TraceRangeError`), so it writes each column's
   own buffer.
 * :func:`save_trace` feeds slices of a whole in-memory trace's columns
   to that writer, :data:`SAVE_CHUNK_EVENTS` events per chunk.
-* :class:`TraceStreamReader` replays a saved trace chunk by chunk,
-  verifying each chunk's stored columns against the footer index.  It
-  inflates each column member's raw deflate stream itself, so each
-  column's bytes are CRC-checked once, against the footer, rather than
-  against the zip's member CRC as well.
+* :class:`TraceStreamReader` reads a saved trace chunk by chunk,
+  verifying each chunk's stored columns against the footer index
+  (:func:`verify_columns`).  It inflates each column member's raw
+  deflate stream itself, so each column's bytes are CRC-checked once,
+  against the footer, rather than against the zip's member CRC as well.
 * :func:`load_trace` drains one reader into an in-memory
   :class:`EventTrace`, copying each chunk into columns allocated once
   at the footer's event count.
@@ -53,17 +52,19 @@ import numpy as np
 
 from repro.errors import PipelineError, TraceFormatError
 from repro.faults import faultpoint
-from repro.trace.events import STORED_DTYPES, EventTrace, TraceMeta
+from repro.trace.events import STORED_DTYPES, VALID_KINDS, EventTrace, TraceMeta
 from repro.trace.objects import ObjectDesc, ObjectRegistry
-from repro.trace.stream import TraceChunk, column_crc32, verify_columns
 
 _FORMAT_VERSION = 3
 
 _COLUMN_SUFFIXES = ("kinds", "col_a", "col_b", "col_c")
 
-#: Events per chunk when :func:`save_trace` writes a whole trace.  Larger
-#: chunks deflate a little smaller and load a little faster; a
-#: streamed replay of the file holds a few chunks at a time.
+_MIN_KIND = min(VALID_KINDS)
+_MAX_KIND = max(VALID_KINDS)
+
+#: Events per chunk when :func:`save_trace` writes a whole trace, the
+#: one chunk size writers cut at.  Larger chunks deflate a little
+#: smaller and load a little faster; a reader holds one chunk at a time.
 SAVE_CHUNK_EVENTS = 262144
 
 #: zlib level of every member the writer deflates.  Level 3 deflates
@@ -75,6 +76,49 @@ DEFLATE_LEVEL = 3
 def _chunk_member(seq: int, suffix: str) -> str:
     """Archive member name for one chunk column (without ``.npy``)."""
     return f"chunk-{seq:08d}.{suffix}"
+
+
+def column_crc32(column) -> int:
+    """CRC-32 of a column's raw little-endian bytes (TRACE_FORMAT.md)."""
+    return zlib.crc32(np.ascontiguousarray(column).data) & 0xFFFFFFFF
+
+
+def verify_columns(seq: int, columns, checksums) -> None:
+    """Check one chunk's columns, in ``(kinds, col_a, col_b, col_c)``
+    order, against the :data:`~repro.trace.events.STORED_DTYPES` and
+    their CRC-32 ``checksums``: equal lengths, dtypes, checksums and the
+    kind-byte range.  A failure is a :class:`TraceFormatError` naming
+    the chunk and the column.
+    """
+    n = len(columns[0])
+    for name, column, dtype in zip(_COLUMN_SUFFIXES, columns, STORED_DTYPES):
+        if len(column) != n:
+            raise TraceFormatError(
+                f"chunk {seq}: ragged columns "
+                f"({name} has {len(column)} events, kinds has {n})"
+            )
+        if np.asarray(column).dtype != dtype:
+            raise TraceFormatError(
+                f"chunk {seq}: column {name} has dtype "
+                f"{np.asarray(column).dtype}, expected {np.dtype(dtype)}"
+            )
+    for name, column, expected in zip(_COLUMN_SUFFIXES, columns, checksums):
+        actual = column_crc32(column)
+        if actual != expected:
+            raise TraceFormatError(
+                f"chunk {seq}: column {name} checksum mismatch "
+                f"(stored {expected:#010x}, computed {actual:#010x})"
+            )
+    if n:
+        kinds = np.asarray(columns[0])
+        invalid = (kinds < _MIN_KIND) | (kinds > _MAX_KIND)
+        bad_at = np.flatnonzero(invalid)
+        if bad_at.size:
+            raise TraceFormatError(
+                f"chunk {seq}: invalid event kind "
+                f"{int(kinds[bad_at[0]])} at chunk offset "
+                f"{int(bad_at[0])}; expected one of {sorted(VALID_KINDS)}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +283,6 @@ class ChunkedTraceWriter:
     def n_events(self) -> int:
         return self._n_events
 
-    def write_chunk(self, chunk: TraceChunk) -> None:
-        """Append one chunk's four column members to the archive."""
-        self.write_columns(chunk.seq, chunk.columns)
-
     def write_columns(self, seq: int, columns: Sequence[np.ndarray]) -> None:
         """Append chunk ``seq``, given as its four columns in ``(kinds,
         col_a, col_b, col_c)`` order and :data:`STORED_DTYPES`, to the
@@ -390,7 +430,7 @@ _LOCAL_HEADER = struct.Struct("<4s22xHH")
 
 
 class TraceStreamReader:
-    """Replay a saved trace as a stream of verified chunks.
+    """Read a saved trace as a sequence of verified chunks.
 
     At most one chunk's columns are resident at a time.  Each chunk's
     stored columns are checked against the footer index as they are
@@ -398,8 +438,7 @@ class TraceStreamReader:
     footer has no index entry, so it is checked against its zip member
     CRC instead.
 
-    Use as a context manager, or call :meth:`close`.  Iterating the
-    reader yields its chunks.
+    Use as a context manager, or call :meth:`close`.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -510,25 +549,6 @@ class TraceStreamReader:
                     f"says {entry['n_events']}"
                 )
             yield columns
-
-    def chunks(self) -> Iterator[TraceChunk]:
-        """Yield verified chunks in sequence order, each carrying the
-        footer's checksums of its columns."""
-        for entry, columns in zip(self._index, self.stored_chunks()):
-            yield TraceChunk(entry["seq"], *columns, tuple(entry["crc32"]))
-
-    def verify(self) -> None:
-        """Read and verify every chunk (one chunk resident at a time).
-
-        The cache layer calls this on a hit so a corrupt entry is
-        discovered — and recovered as a miss — before phase 2 starts,
-        matching :func:`load_trace`'s eager validation.
-        """
-        for _ in self.stored_chunks():
-            pass
-
-    def __iter__(self) -> Iterator[TraceChunk]:
-        return self.chunks()
 
     def close(self) -> None:
         self._handle.close()

@@ -63,7 +63,7 @@ class Tracer:
       ``enter_keys[index]`` or ``exit_keys[index]`` for the function's
       index (its low two bits are the tag, the rest the index);
     * a heap or static event appends ``~(side << 2 | 2)``, ``side``
-      indexing an explicit ``(kind, a, b, c, ends_hook)`` side record.
+      indexing an explicit ``(kind, a, b, c)`` side record.
 
     :meth:`drain` expands the records into the four trace columns
     (:data:`~repro.trace.events.STORED_DTYPES`): a store becomes one
@@ -98,7 +98,7 @@ class Tracer:
         #: One int64 record per hook (see the class docstring).
         self.log = array("q")
         #: Heap and static events of the records still in the log.
-        self._side: List[Tuple[int, int, int, int, bool]] = []
+        self._side: List[Tuple[int, int, int, int]] = []
         n_functions = len(image.functions)
         self._func_bits = max(1, n_functions.bit_length())
         #: A frame record is ``~(frame_base << frame_shift | key)``.
@@ -111,11 +111,7 @@ class Tracer:
         self._plan_start = self._plan_len = None
         self._plan_obj = self._plan_off = self._plan_size = None
         self._plan_pointers: Tuple[int, ...] = ()
-        #: The native expansion's per-record output, reused and sized to
-        #: the largest drain so far: each record's running event count
-        #: and whether a chunk may end after it; and the call's counts.
-        self._ends = np.empty(0, dtype=np.int64)
-        self._eligible = np.empty(0, dtype=np.int8)
+        #: The native expansion's counts, reused across drains.
         self._out = np.zeros(4, dtype=np.int64)
         #: The trace's columns, of which the first ``_n_events`` rows
         #: hold events (see the class docstring).
@@ -154,59 +150,46 @@ class Tracer:
         self._plan_pointers = tuple(
             plan.ctypes.data for plan in (self._plan_start, self._plan_len, self._plan_off,
                                           self._plan_size, self._plan_obj))
-        for i, (object_id, address, size) in enumerate(statics):
-            # Installing the statics is one hook: a chunk may end only
-            # after the last of them.
-            self._side_event(EventKind.INSTALL, object_id, address,
-                             address + size, i == len(statics) - 1)
+        for object_id, address, size in statics:
+            self._side_event(EventKind.INSTALL, object_id, address, address + size)
         self._static_ranges = statics
         self.cpu.tracer = self
 
     def finish(self, state: Optional[CpuState] = None) -> EventTrace:
-        """Close all open monitor windows and finalize metadata."""
-        self._close_windows()
+        """Close all open monitor windows, unhook, expand the whole log
+        and finalize metadata."""
+        for address, (object_id, size) in list(self._live_heap.items()):
+            self._side_event(EventKind.REMOVE, object_id, address, address + size)
+        self._live_heap.clear()
+        for object_id, address, size in self._static_ranges:
+            self._side_event(EventKind.REMOVE, object_id, address, address + size)
+        self.cpu.tracer = None
+        self.drain()
         for column in self._columns:
             column.resize(self._n_events, refcheck=False)
         trace = self.trace
         trace.kinds, trace.col_a, trace.col_b, trace.col_c = self._columns
         self._columns = []
-        self._finalize_meta()
-        self.trace.validate()
-        self._report_counters(len(self.trace))
-        return self.trace
-
-    def _close_windows(self) -> None:
-        """Emit the closing removes for everything still live, unhook,
-        and expand the whole log."""
-        for address, (object_id, size) in list(self._live_heap.items()):
-            self._side_event(EventKind.REMOVE, object_id, address, address + size, False)
-        self._live_heap.clear()
-        for object_id, address, size in self._static_ranges:
-            self._side_event(EventKind.REMOVE, object_id, address, address + size, False)
-        self.cpu.tracer = None
-        self.drain()
-
-    def _finalize_meta(self) -> None:
-        self.trace.meta.cycles = self.cpu.cycles
-        self.trace.meta.instructions = self.cpu.instructions
-        self.trace.meta.stores = self.cpu.stores
-
-    def _report_counters(self, n_events: int) -> None:
+        meta = trace.meta
+        meta.cycles = self.cpu.cycles
+        meta.instructions = self.cpu.instructions
+        meta.stores = self.cpu.stores
+        trace.validate()
         if observe.is_enabled():
-            meta = self.trace.meta
-            observe.inc("trace.events", n_events)
+            observe.inc("trace.events", len(trace))
             observe.inc("trace.writes", meta.n_writes)
             observe.inc("trace.installs", meta.n_installs)
             observe.inc("trace.removes", meta.n_removes)
             observe.inc("trace.objects_registered", len(self.registry))
+        return trace
 
     # ------------------------------------------------------------------
     # The log
     # ------------------------------------------------------------------
 
-    def _side_event(self, kind: int, a: int, b: int, c: int, ends_hook: bool = True) -> None:
+    def _side_event(self, kind: int, a: int, b: int, c: int) -> None:
         side = self._side
-        side.append((kind, a, b, c, ends_hook))
+        side.append((kind, a, b, c))
         log = self.log
         log.append(~((len(side) - 1) << 2 | _SIDE))
         if len(log) >= LOG_SLICE:
@@ -245,11 +228,7 @@ class Tracer:
         log = self.log
         n_records = len(log)
         side = self._side
-        side_rows = array("q", [value for event in side for value in event[:4]])
-        side_ends = bytes(bool(event[4]) for event in side)
-        if len(self._ends) < n_records:
-            self._ends = np.empty(n_records, dtype=np.int64)
-            self._eligible = np.empty(n_records, dtype=np.int8)
+        side_rows = array("q", [value for event in side for value in event])
         out = self._out
         offset = self._n_events
         columns = self._columns
@@ -257,10 +236,9 @@ class Tracer:
             status = lib.tracelog_expand(
                 log.buffer_info()[0], n_records, self._func_bits,
                 *self._plan_pointers, len(self._plan_len),
-                side_rows.buffer_info()[0], side_ends, len(side),
+                side_rows.buffer_info()[0], len(side),
                 *(column.ctypes.data for column in columns), offset,
-                len(columns[0]), self._ends.ctypes.data,
-                self._eligible.ctypes.data, out.ctypes.data)
+                len(columns[0]), out.ctypes.data)
             if status != _SHORT:
                 break
             self._reserve(int(out[0]))
@@ -275,13 +253,10 @@ class Tracer:
         meta.n_removes += int(out[2])
         meta.n_writes += int(out[3])
         self._n_events = offset + int(out[0])
-        self._absorb(self._ends[:n_records], self._eligible[:n_records].view(np.bool_))
 
     def _drain_numpy(self) -> None:
         records = np.frombuffer(self.log, dtype=np.int64).copy()
-        side = np.array([event[:4] for event in self._side],
-                        dtype=np.int64).reshape(-1, 4)
-        side_ends = np.array([event[4] for event in self._side], dtype=bool)
+        side = np.array(self._side, dtype=np.int64).reshape(-1, 4)
 
         # Decode every record: its tag (3 for a store), payload, function
         # index (frame records) and event count.
@@ -291,10 +266,6 @@ class Tracer:
         func = np.where(tag < _SIDE, payload & ((1 << self._func_bits) - 1), 0)
         counts = np.where(tag < _SIDE, self._plan_len[func], 1)
         ends = np.cumsum(counts)
-        # A chunk may end after any record that ends a hook.
-        side_records = tag == _SIDE
-        eligible = ~side_records
-        eligible[side_records] = side_ends[payload[side_records]]
 
         meta = self.trace.meta
         start = 0
@@ -317,7 +288,6 @@ class Tracer:
             meta.n_installs += int(per_kind[EventKind.INSTALL])
             meta.n_removes += int(per_kind[EventKind.REMOVE])
             meta.n_writes += int(per_kind[EventKind.WRITE])
-            self._absorb(part_ends + offset, eligible[part])
             start = stop
 
     def _expand(self, records, tag, payload, func, counts, ends, side):
@@ -360,11 +330,6 @@ class Tracer:
         b[at] = events[:, 2]
         c[at] = events[:, 3]
         return kinds, a, b, c
-
-    def _absorb(self, ends, eligible) -> None:
-        """Called after each expansion step with, per expanded record,
-        the column position after its events and whether a chunk may
-        end after it.  The batch tracer keeps every event."""
 
     # ------------------------------------------------------------------
     # CPU tracer protocol
@@ -416,8 +381,7 @@ class Tracer:
         if entry is None:
             return
         object_id, _size = entry
-        self._side_event(EventKind.REMOVE, object_id, old_address,
-                         old_address + old_size, False)
+        self._side_event(EventKind.REMOVE, object_id, old_address, old_address + old_size)
         self._side_event(EventKind.INSTALL, object_id, new_address, new_address + new_size)
         self._live_heap[new_address] = (object_id, new_size)
 

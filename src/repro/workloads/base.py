@@ -74,20 +74,8 @@ def run_workload(
     scale: Optional[int] = None,
     max_instructions: int = 500_000_000,
     on_progress: Optional[Callable[[str], None]] = None,
-    chunk_sink: Optional[Callable] = None,
-    chunk_events: Optional[int] = None,
 ) -> WorkloadRun:
-    """Phase 1 for one workload: compile, run under the tracer, check.
-
-    With ``chunk_sink`` the run streams: a
-    :class:`~repro.trace.stream.ChunkingTracer` emits
-    :class:`~repro.trace.stream.TraceChunk` batches of ``chunk_events``
-    events to the sink (typically
-    :meth:`~repro.trace.stream.ChunkChannel.put`) as the program runs,
-    and the returned :attr:`WorkloadRun.trace` is *empty* — its ``meta``
-    carries the authoritative run totals.  Without it, the whole trace
-    is built in memory as before.
-    """
+    """Phase 1 for one workload: compile, run under the tracer, check."""
     scale = workload.default_scale if scale is None else scale
     if on_progress:
         on_progress(f"compiling {workload.name} (scale {scale})")
@@ -101,17 +89,7 @@ def run_workload(
     runtime.install()
     cpu.attach(image)
     workload.setup(memory, image, scale)
-    if chunk_sink is not None:
-        from repro.trace.stream import DEFAULT_CHUNK_EVENTS, ChunkingTracer
-
-        tracer = ChunkingTracer(
-            cpu, image, workload.name, emit=chunk_sink,
-            chunk_events=(
-                DEFAULT_CHUNK_EVENTS if chunk_events is None else chunk_events
-            ),
-        )
-    else:
-        tracer = Tracer(cpu, image, workload.name)
+    tracer = Tracer(cpu, image, workload.name)
     tracer.begin()
     runtime.heap.listeners.append(tracer)
     if on_progress:

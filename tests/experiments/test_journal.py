@@ -159,7 +159,6 @@ class TestTaskDigest:
         assert task_digest("gcc", config) != task_digest("qcd", config)
         for other in (
             make_config(tmp_path, engine="python"),
-            make_config(tmp_path, stream=True),
             ExperimentConfig(programs=("gcc",), scale=40,
                              cache_dir=tmp_path / "cache",
                              page_sizes=(4096,)),

@@ -203,15 +203,14 @@ class TestPoolCacheReads:
         observe.reset()
 
     @staticmethod
-    def _warm_trace_cold_sim(config, stream=False):
-        """Fill the trace cache (by a ``stream`` run if asked), then drop
-        the sim cache entries."""
+    def _warm_trace_cold_sim(config):
+        """Fill the trace cache, then drop the sim cache entries."""
         from repro.experiments.pipeline import sim_cache_path
         from repro.workloads import WORKLOADS
 
         warm = ExperimentConfig(
             programs=config.programs, scale=config.scale,
-            cache_dir=config.cache_dir, jobs=1, stream=stream,
+            cache_dir=config.cache_dir, jobs=1,
         )
         data = load_experiment_data(warm)
         for name in config.programs:
@@ -241,25 +240,6 @@ class TestPoolCacheReads:
             assert (serial[name].result.total_writes
                     == parallel[name].result.total_writes)
         self._assert_no_shm_counters(counters)
-
-    def test_workers_read_entries_a_stream_run_wrote(self, observing,
-                                                     tmp_path):
-        # Batch and --stream runs write one container, so a worker loads
-        # the entry a streamed serial run spilled.
-        programs = ("qcd", "gcc")
-        config = ExperimentConfig(
-            programs=programs, scale="smoke", cache_dir=tmp_path, jobs=2,
-        )
-        streamed = self._warm_trace_cold_sim(config, stream=True)
-        observe.reset()
-        observe.enable()
-        parallel_data = load_experiment_data(config)
-        counters = observing.snapshot()["counters"]
-        assert counters["cache.trace.hits"] == len(programs)
-        assert counters.get("cache.trace.misses", 0) == 0
-        for name in programs:
-            assert (streamed[name].result.counts
-                    == parallel_data[name].result.counts)
 
     def test_worker_submissions_carry_no_trace(self, tmp_path, monkeypatch):
         # The pool pickles each task's arguments.  A worker reads its

@@ -26,7 +26,7 @@ from repro.experiments.store import (
     ResultStore,
     payload_digest,
 )
-from repro.trace import EventTrace, ObjectRegistry, iter_chunks
+from repro.trace import EventTrace, ObjectRegistry
 from repro.trace.tracefile import ChunkedTraceWriter
 
 REPO_CACHE = Path(__file__).resolve().parents[2] / ".repro_cache"
@@ -44,9 +44,11 @@ def save_real_trace(path, n_events=512, chunk_events=64):
     trace = EventTrace("store-test")
     for i in range(n_events):
         trace.append_write(0x1000 + 8 * i, 0x1004 + 8 * i)
+    columns = trace.as_arrays()
     with ChunkedTraceWriter(path) as writer:
-        for chunk in iter_chunks(trace, chunk_events):
-            writer.write_chunk(chunk)
+        for seq, start in enumerate(range(0, n_events, chunk_events)):
+            writer.write_columns(
+                seq, [column[start:start + chunk_events] for column in columns])
         writer.finalize(trace.meta, registry)
 
 

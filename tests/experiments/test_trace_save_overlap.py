@@ -1,4 +1,4 @@
-"""The batch path writes its trace cache entry on a writer thread.
+"""The pipeline writes its trace cache entry on a writer thread.
 
 On a trace-cache miss :func:`load_program_data` starts ``save_trace`` on
 a second thread and simulates while it runs, joining the writer before

@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro import observe
@@ -40,7 +39,6 @@ from repro.minic.compiler import compile_source
 from repro.minic.instrument import apply_code_patch, apply_trap_patch
 from repro.minic.runtime import Runtime
 from repro.observe import profile as observe_profile
-from repro.trace.stream import ChunkingTracer
 from repro.trace import tracer as tracer_module
 from repro.trace.tracer import Tracer
 
@@ -77,8 +75,7 @@ def _machine(image):
     return cpu, runtime
 
 
-def _run(image, loop, max_instructions=100_000, tracer_cls=None, configure=None,
-         **tracer_kw):
+def _run(image, loop, max_instructions=100_000, tracer_cls=None, configure=None):
     """Run ``image`` from ``main`` on ``loop``; ``configure(cpu, seen)``
     may install hooks that append what they see to ``seen``."""
     cpu, runtime = _machine(image)
@@ -87,7 +84,7 @@ def _run(image, loop, max_instructions=100_000, tracer_cls=None, configure=None,
         configure(cpu, seen)
     tracer = None
     if tracer_cls is not None:
-        tracer = tracer_cls(cpu, image, "t", **tracer_kw)
+        tracer = tracer_cls(cpu, image, "t")
         tracer.begin()
         runtime.heap.listeners.append(tracer)
     pc = cpu._push_entry(image.function_index("main"), [])
@@ -154,12 +151,12 @@ def test_workloads_identical_at_smoke_scale(name):
 
 
 @pytest.mark.parametrize("small_slices", [False, True])
-def test_chunk_boundaries_and_contents_match_per_hook_rule(monkeypatch, small_slices):
-    """ChunkingTracer cuts after the first hook at or past chunk_events
-    buffered events: model that rule hook by hook and compare.  With
-    small slices, drains split hooks and expansions split the log, and
-    the fast path offers a drain every few instructions, so its inline
-    frame records cross drain boundaries too."""
+def test_drained_columns_and_counts_match_whole_run(monkeypatch, small_slices):
+    """The columns and meta counts the tracer builds drain by drain
+    match a run's traced with the default slices.  With small slices,
+    drains split hooks and expansions split the log, and the fast path
+    offers a drain every few instructions, so its inline frame records
+    cross drain boundaries too."""
     source = """
     int g[6];
     int leaf(int a) { int t; t = a * 2; g[a % 6] = t; return t; }
@@ -174,79 +171,18 @@ def test_chunk_boundaries_and_contents_match_per_hook_rule(monkeypatch, small_sl
     """
     image = _minic(source)
     whole = _run(image, "_loop", tracer_cls=Tracer)
-    expected = whole.tracer.finish(whole.state).as_arrays()
+    expected = whole.tracer.finish(whole.state)
     if small_slices:
         monkeypatch.setattr(tracer_module, "LOG_SLICE", 5)
         monkeypatch.setattr(tracer_module, "EXPAND_EVENTS", 3)
         monkeypatch.setattr(cpu_module, "_DRAIN_STRIDE", 7)
 
-    sizes = None
     for loop in LOOPS:
-        cpu, runtime = _machine(image)
-        chunks = []
-        tracer = ChunkingTracer(cpu, image, "t", emit=chunks.append, chunk_events=16)
-        tracer.begin()
-        hook_sizes = [len(tracer._static_ranges)]
-        if loop == "_loop":
-            # Record every hook's event count; the fast run appends
-            # stores to the tracer's log directly.
-            cpu.tracer = _HookSizes(tracer, hook_sizes)
-        runtime.heap.listeners.append(cpu.tracer)
-        pc = cpu._push_entry(image.function_index("main"), [])
-        state = getattr(cpu, loop)(pc, 1_000_000)
-        tracer.finish(state)
-        if sizes is None:
-            sizes = _per_hook_chunk_sizes(hook_sizes, 16, total=len(expected.kinds))
-            assert len(sizes) > 10
-        assert [chunk.n_events for chunk in chunks] == sizes
-        for column, want in zip(("kinds", "col_a", "col_b", "col_c"), expected):
-            got = np.concatenate([getattr(chunk, column) for chunk in chunks])
+        run = _run(image, loop, tracer_cls=Tracer)
+        trace = run.tracer.finish(run.state)
+        assert vars(trace.meta) == vars(expected.meta)
+        for got, want in zip(trace.as_arrays(), expected.as_arrays()):
             assert got.tobytes() == want.tobytes()
-
-
-class _HookSizes:
-    """Forwards every hook to a tracer and records how many events it adds."""
-
-    def __init__(self, tracer, sizes):
-        self.tracer = tracer
-        self.sizes = sizes
-
-    def on_enter(self, func, frame_base):
-        self.tracer.on_enter(func, frame_base)
-        self.sizes.append(int(self.tracer._plan_len[func.index]))
-
-    def on_exit(self, func, frame_base):
-        self.tracer.on_exit(func, frame_base)
-        self.sizes.append(int(self.tracer._plan_len[func.index]))
-
-    def on_write(self, address):
-        self.tracer.on_write(address)
-        self.sizes.append(1)
-
-    def on_alloc(self, address, size):
-        self.tracer.on_alloc(address, size)
-        self.sizes.append(1)
-
-    def on_free(self, address, size):
-        tracked = address in self.tracer._live_heap
-        self.tracer.on_free(address, size)
-        self.sizes.append(int(tracked))
-
-    def on_realloc(self, old, old_size, new, new_size):
-        tracked = old in self.tracer._live_heap
-        self.tracer.on_realloc(old, old_size, new, new_size)
-        self.sizes.append(2 * tracked)
-
-
-def _per_hook_chunk_sizes(hook_sizes, chunk_events, total):
-    sizes, buffered = [], 0
-    for size in hook_sizes:
-        buffered += size
-        if buffered >= chunk_events:
-            sizes.append(buffered)
-            buffered = 0
-    tail = total - sum(sizes)  # the close-out removes join the last chunk
-    return sizes + ([tail] if tail else [])
 
 
 class _DrainSizes(Tracer):

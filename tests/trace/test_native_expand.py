@@ -1,11 +1,10 @@
 """Native tracer-log expansion against the NumPy ``Tracer._expand``.
 
 Random logs of store, frame and side records go through a
-:class:`~repro.trace.tracer.Tracer` and a
-:class:`~repro.trace.stream.ChunkingTracer` twice: once draining with the
+:class:`~repro.trace.tracer.Tracer` twice: once draining with the
 native library's ``tracelog_expand`` and once with NumPy (the loader
-patched to report no library).  Both must produce identical columns,
-meta counts and chunk boundaries.  ``EXPAND_EVENTS`` is small, so the
+patched to report no library).  Both must produce identical columns and
+meta counts.  ``EXPAND_EVENTS`` is small, so the
 NumPy path splits drains into slices that straddle it, and one function's
 frame plan alone exceeds it.  Both paths expand in place into the
 tracer's growing int32 columns; fixed drains check the growth and a
@@ -30,7 +29,6 @@ from repro.minic.compiler import compile_source
 from repro.simulate._native import load_native_library, native_available
 from repro.trace import tracer as tracer_module
 from repro.trace.events import EventKind
-from repro.trace.stream import ChunkingTracer
 from repro.trace.tracer import Tracer
 
 pytestmark = pytest.mark.skipif(not native_available(), reason="native library unavailable")
@@ -56,10 +54,10 @@ _frame = st.builds(
     lambda index, exit_, base: ("frame", index, exit_, base * 4),
     st.integers(0, len(_IMAGE.functions) - 1), st.booleans(), st.integers(0, 1 << 18))
 _side = st.builds(
-    lambda kind, object_id, begin, size, ends_hook: (
-        "side", kind, object_id, begin * 4, begin * 4 + size * 4, ends_hook),
+    lambda kind, object_id, begin, size: (
+        "side", kind, object_id, begin * 4, begin * 4 + size * 4),
     st.sampled_from([EventKind.INSTALL, EventKind.REMOVE]), st.integers(0, 50),
-    st.integers(0, 1 << 18), st.integers(1, 16), st.booleans())
+    st.integers(0, 1 << 18), st.integers(1, 16))
 #: A log: its records, and where drains fall (record counts).
 _logs = st.tuples(st.lists(st.one_of(_store, _frame, _side), max_size=80),
                   st.lists(st.integers(0, 80), max_size=4))
@@ -71,10 +69,10 @@ def _numpy_only():
         yield
 
 
-def _tracer(cls, **kwargs):
+def _tracer():
     cpu = Cpu(Memory(_IMAGE.layout), layout=_IMAGE.layout)
     cpu.attach(_IMAGE)
-    tracer = cls(cpu, _IMAGE, "expand", **kwargs)
+    tracer = Tracer(cpu, _IMAGE, "expand")
     tracer.begin()
     return tracer
 
@@ -96,11 +94,8 @@ def _replay(tracer, records, drains):
             tracer.log.append(~((len(tracer._side) - 1) << 2 | 2))
 
 
-def _outcome(cls, native, records, drains, **kwargs):
-    chunks = []
-    if cls is ChunkingTracer:
-        kwargs["emit"] = chunks.append
-    tracer = _tracer(cls, **kwargs)
+def _outcome(native, records, drains):
+    tracer = _tracer()
     if native:
         _replay(tracer, records, drains)
         trace = tracer.finish()
@@ -110,41 +105,28 @@ def _outcome(cls, native, records, drains, **kwargs):
             trace = tracer.finish()
     meta = trace.meta
     columns = [column.tobytes() for column in trace.as_arrays()]
-    return {
-        "counts": (meta.n_writes, meta.n_installs, meta.n_removes),
-        "columns": columns,
-        "chunks": [chunk.n_events for chunk in chunks],
-        "chunk_columns": [
-            np.concatenate([getattr(chunk, name) for chunk in chunks]).tobytes()
-            for name in ("kinds", "col_a", "col_b", "col_c")
-        ] if chunks else [],
-    }
+    return (meta.n_writes, meta.n_installs, meta.n_removes), columns
 
 
-@pytest.mark.parametrize("cls,kwargs", [
-    (Tracer, {}),
-    (ChunkingTracer, {"chunk_events": 1}),
-    (ChunkingTracer, {"chunk_events": 7}),
-], ids=["tracer", "chunking-1", "chunking-7"])
 @settings(max_examples=150, deadline=None)
 @given(log=_logs)
 @example(log=([], []))
 @example(log=([("frame", 3, False, 64)], []))
 @example(log=([("frame", 1, False, 64), ("frame", 1, True, 64)], [1]))
-@example(log=([("side", EventKind.INSTALL, 1, 8, 16, False), ("store", 8),
-               ("side", EventKind.REMOVE, 1, 8, 16, False)], [2]))
-def test_native_expansion_matches_numpy(cls, kwargs, log):
+@example(log=([("side", EventKind.INSTALL, 1, 8, 16), ("store", 8),
+               ("side", EventKind.REMOVE, 1, 8, 16)], [2]))
+def test_native_expansion_matches_numpy(log):
     records, drains = log
     with mock.patch.object(tracer_module, "EXPAND_EVENTS", SMALL_EXPAND_EVENTS):
-        native = _outcome(cls, True, records, drains, **kwargs)
-        reference = _outcome(cls, False, records, drains, **kwargs)
+        native = _outcome(True, records, drains)
+        reference = _outcome(False, records, drains)
     assert native == reference
 
 
 def test_plans_cover_the_edge_cases():
     """The image has a function with no frame variables and one whose
     plan alone exceeds the patched EXPAND_EVENTS."""
-    tracer = _tracer(Tracer)
+    tracer = _tracer()
     lengths = dict(zip((f.name for f in _IMAGE.functions), tracer._plan_len.tolist()))
     assert lengths["none"] == 0
     assert lengths["wide"] > SMALL_EXPAND_EVENTS
@@ -152,7 +134,7 @@ def test_plans_cover_the_edge_cases():
 
 def test_empty_drain_leaves_the_trace_alone():
     for native in (True, False):
-        tracer = _tracer(Tracer)
+        tracer = _tracer()
         tracer.drain()  # the statics
         before = [column.tobytes() for column in tracer.trace.as_arrays()]
         if native:
@@ -180,7 +162,7 @@ _GROWTH = [
     ([("store", 4 * i) for i in range(100)], 102),
     ([("frame", 2, i % 2 == 1, 64) for i in range(40)]
      + [("store", 8)] * 10, 432),
-    ([("side", EventKind.INSTALL, 1, 8, 16, True)] * 10, 432 + 432 // 8),
+    ([("side", EventKind.INSTALL, 1, 8, 16)] * 10, 432 + 432 // 8),
     ([("store", 12)] * 30, 486),
     ([("frame", 2, False, 128), ("store", 16)] * 5, 486 + 486 // 8),
 ]
@@ -189,20 +171,17 @@ _GROWTH = [
 @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
 def test_drains_expand_in_place_into_growing_columns(native):
     """Each drain lands after the events the columns hold; the columns
-    grow to the drain's need or by an eighth, whichever is more, and
-    the per-record buffers only to the largest drain.  The columns are
-    the NumPy oracle's, expanded in one drain."""
-    tracer = _tracer(Tracer)
+    grow to the drain's need or by an eighth, whichever is more.  The
+    columns are the NumPy oracle's, expanded in one drain."""
+    tracer = _tracer()
     capacities = []
     for records, _ in _GROWTH:
         _replay(tracer, records, [])
         _drain(tracer, native)
         capacities.append(len(tracer._columns[0]))
     assert capacities == [capacity for _, capacity in _GROWTH]
-    if native:
-        assert len(tracer._ends) == 102  # the first drain's records
     trace = tracer.finish()
-    reference = _tracer(Tracer)
+    reference = _tracer()
     with _numpy_only():
         _replay(reference, [record for records, _ in _GROWTH for record in records], [])
         expected = reference.finish()
@@ -216,12 +195,12 @@ def test_drains_expand_in_place_into_growing_columns(native):
 @pytest.mark.parametrize("record", [
     ("store", (1 << 31) - 4),                          # its end is 2**31
     ("frame", 2, False, 1 << 31),                      # a frame base
-    ("side", EventKind.INSTALL, 1, 8, 1 << 40, True),  # a heap end
-    ("side", EventKind.REMOVE, -(1 << 31) - 1, 0, 4, True),
+    ("side", EventKind.INSTALL, 1, 8, 1 << 40),  # a heap end
+    ("side", EventKind.REMOVE, -(1 << 31) - 1, 0, 4),
 ], ids=["store", "frame", "side", "side-negative"])
 def test_value_outside_int32_is_a_range_error(native, record):
     """The drain that meets the value raises and keeps no event of it."""
-    tracer = _tracer(Tracer)
+    tracer = _tracer()
     _replay(tracer, [("store", 8), ("store", (1 << 31) - 8)], [])
     _drain(tracer, native)
     kept = tracer._n_events
@@ -235,18 +214,16 @@ def test_value_outside_int32_is_a_range_error(native, record):
 
 def _expand(tracer, records, columns, offset, capacity):
     """Call ``tracelog_expand`` on ``records`` (stores and frame
-    records only) into ``columns``; returns (status, out, ends)."""
+    records only) into ``columns``; returns (status, out)."""
     log = np.array(records, dtype=np.int64)
-    ends = np.zeros(len(records), dtype=np.int64)
-    eligible = np.zeros(len(records), dtype=np.int8)
     out = np.zeros(4, dtype=np.int64)
     no_side = np.zeros(4, dtype=np.int64)
     status = load_native_library().tracelog_expand(
         log.ctypes.data, len(log), tracer._func_bits, *tracer._plan_pointers,
-        len(tracer._plan_len), no_side.ctypes.data, b"\0", 0,
+        len(tracer._plan_len), no_side.ctypes.data, 0,
         *(column.ctypes.data for column in columns), offset, capacity,
-        ends.ctypes.data, eligible.ctypes.data, out.ctypes.data)
-    return status, out, ends
+        out.ctypes.data)
+    return status, out
 
 
 def _columns(capacity):
@@ -255,13 +232,12 @@ def _columns(capacity):
 
 
 def test_tracelog_writes_at_the_offset():
-    tracer = _tracer(Tracer)
+    tracer = _tracer()
     frame = ~(64 << tracer.frame_shift | tracer.enter_keys[1])  # one()
     columns = _columns(8)
-    status, out, ends = _expand(tracer, [40, frame, 44], columns, 5, 8)
+    status, out = _expand(tracer, [40, frame, 44], columns, 5, 8)
     assert status == 0
     assert out.tolist() == [3, 1, 0, 2]
-    assert ends.tolist() == [6, 7, 8]
     assert columns[0].tolist() == [-7] * 5 + [3, 1, 3]
     assert columns[1][:5].tolist() == columns[2][:5].tolist() == [-7] * 5
     assert columns[2][5:].tolist() == [44, 64 + tracer._plan_off[
@@ -269,9 +245,9 @@ def test_tracelog_writes_at_the_offset():
 
 
 def test_tracelog_short_status_sizes_the_drain_and_writes_nothing():
-    tracer = _tracer(Tracer)
+    tracer = _tracer()
     columns = _columns(8)
-    status, out, _ = _expand(tracer, [40, 44, 48], columns, 6, 8)
+    status, out = _expand(tracer, [40, 44, 48], columns, 6, 8)
     assert (status, int(out[0])) == (1, 3)
     assert all((column == -7).all() for column in columns)
 
@@ -282,15 +258,15 @@ def test_tracelog_short_status_sizes_the_drain_and_writes_nothing():
     ((1 << 62), 3),
 ])
 def test_tracelog_range_status(address, status):
-    tracer = _tracer(Tracer)
-    got, out, _ = _expand(tracer, [40, address], _columns(2), 0, 2)
+    tracer = _tracer()
+    got, out = _expand(tracer, [40, address], _columns(2), 0, 2)
     assert got == status
     if status:
         assert int(out[0]) == 1  # the offending record
 
 
 def test_malformed_record_is_rejected():
-    tracer = _tracer(Tracer)
+    tracer = _tracer()
     tracer.log.append(~(5 << 2 | 2))  # a side record with no side event
     with pytest.raises(TraceFormatError):
         tracer.drain()

@@ -1,4 +1,4 @@
-"""Phase 1's trace memory: the batch tracer holds one copy of its trace.
+"""Phase 1's trace memory: the tracer holds one copy of its trace.
 
 Drains expand straight into the tracer's own int8/int32 columns, which
 grow geometrically, and :meth:`Tracer.finish` trims them and hands them
@@ -7,8 +7,6 @@ event.  The bound checked here is ``13 B x events``, plus the log bound
 (``LOG_SLICE + _DRAIN_STRIDE`` records of 8 bytes), plus a slack of:
 
 * the columns' growth headroom, an eighth of the events (13 B each);
-* the per-record drain buffers (``_ends`` and ``_eligible``, 9 bytes per
-  record of the log bound);
 * 256 KiB for the CPU's own per-run state (an untraced run peaks at
   ~210 KB), the object registry and the side events.
 
@@ -64,8 +62,7 @@ def test_tracer_holds_one_copy_of_its_trace():
     _traced_peak()  # compiles the program's functions
     peak, trace = _traced_peak()
     events = len(trace)
-    bound = (13 * events + 8 * _LOG_RECORDS
-             + 13 * events // 8 + 9 * _LOG_RECORDS + 256 * 1024)
+    bound = 13 * events + 8 * _LOG_RECORDS + 13 * events // 8 + 256 * 1024
     assert peak < bound, (
         f"traced peak {peak} B for {events} events "
         f"({peak / events:.1f} B/event), bound {bound} B"

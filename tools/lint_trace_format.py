@@ -14,8 +14,8 @@ markers:
 ``python tools/lint_trace_format.py`` exits non-zero (printing a diff
 hint) when the blocks in the doc do not match what the implementation
 produces; ``--write`` regenerates them in place.  Wired into tier-1 via
-``tests/trace/test_stream.py`` and into CI as the docs-lint step of the
-``stream-equivalence`` job.
+``tests/trace/test_tracefile_chunked.py`` and into CI as the docs-lint
+step of the ``equivalence`` job.
 """
 
 from __future__ import annotations

@@ -171,16 +171,6 @@ class WorkerTimeoutError(PipelineError):
     """
 
 
-class JournalError(PipelineError):
-    """A run journal was missing, unreadable, or semantically invalid.
-
-    Raised when ``--resume`` points at a run whose journal cannot be
-    replayed (no such run, empty journal, config digest mismatch).  A
-    *torn final line* is not an error — it is the expected artifact of a
-    crash mid-append and simply marks the end of the replay.
-    """
-
-
 class StoreCorruptError(PipelineError):
     """A result-store entry failed its embedded content-digest check.
 
@@ -200,9 +190,10 @@ class ShutdownRequested(BaseException):
     Deliberately a :class:`BaseException` (like :class:`KeyboardInterrupt`)
     so the pipeline's ``except Exception`` retry/keep-going machinery
     never swallows it: the signal must unwind through the scheduler's
-    cleanup (pool shutdown) to the CLI, which
-    seals the run journal, dumps the flight-recorder black box, and
-    exits ``128 + signum``.
+    cleanup (pool shutdown) to the CLI, which emits ``run.interrupted``,
+    dumps the flight-recorder black box, and exits ``128 + signum``.
+    Every store entry published before the signal stays valid, so
+    re-running the same command resumes the work.
     """
 
     def __init__(self, signum: int) -> None:

@@ -57,7 +57,6 @@ from typing import List, Optional
 from repro import faults, observe
 from repro.errors import (
     FaultSpecError,
-    JournalError,
     ManifestFormatError,
     PipelineError,
     ReproError,
@@ -89,7 +88,7 @@ _HARNESS_TARGETS = ("diff", "trend", "events", "store")
 
 #: Stable exit codes (documented in --help and docs/RESILIENCE.md).
 EXIT_OK = 0
-EXIT_USAGE = 2          # bad flags, bad config, bad fault spec, bad resume
+EXIT_USAGE = 2          # bad flags, bad config, bad fault spec
 EXIT_PARTIAL = 3        # --keep-going finished but some programs failed
 EXIT_PIPELINE = 4       # fatal pipeline/session error (incl. worker timeout)
 EXIT_REPRO = 5          # any other classified repro error
@@ -102,7 +101,9 @@ _EXIT_CODE_DOC = (
     "manifest's 'failures' section); 4 fatal pipeline error; "
     "5 other classified error; 6 worker or I/O failure after retries; "
     "128+signum (130 SIGINT, 143 SIGTERM) after a graceful shutdown — "
-    "the run journal is sealed and the black box dumped before exit."
+    "the black box is dumped before exit.  After any failure, re-running "
+    "the same command over the same --cache-dir resumes the work: "
+    "programs whose results were published load from the cache."
 )
 
 
@@ -239,25 +240,6 @@ def _parse_args(argv):
         "one run_id correlates parent and worker events.  On any "
         "non-zero exit the recorder's tail is dumped as a black box "
         "next to the manifest (see docs/OBSERVABILITY.md)",
-    )
-    parser.add_argument(
-        "--run-id", default=None, metavar="NAME",
-        help="journal this run under NAME: a write-ahead, checksummed "
-        "JSONL record of per-program intent/completion is appended to "
-        "<runs-dir>/NAME.journal.jsonl, making the run resumable after "
-        "a crash with '--resume NAME' (see docs/RESILIENCE.md)",
-    )
-    parser.add_argument(
-        "--resume", default=None, metavar="NAME",
-        help="resume the journaled run NAME: replay its journal, skip "
-        "programs whose completion is recorded AND whose cache entries "
-        "still pass their integrity check, re-execute the rest, and "
-        "keep journaling under the same NAME; output is bit-identical "
-        "to an uninterrupted run",
-    )
-    parser.add_argument(
-        "--runs-dir", default=None, metavar="DIR",
-        help="where run journals live (default: <cache-dir>/runs)",
     )
     return parser.parse_args(argv)
 
@@ -563,7 +545,7 @@ def _parse_store_args(argv):
         "(.repro_cache).  'verify' audits every entry against its "
         "embedded content digest (or container checksums) and exits 1 "
         "if any entry is corrupt; 'gc' removes orphaned temp files and "
-        "corrupt entries.  Run journals under runs/ are left alone.",
+        "corrupt entries.  Subdirectories are left alone.",
     )
     parser.add_argument("action", choices=("verify", "gc"),
                         help="what to do")
@@ -692,10 +674,6 @@ def main(argv=None) -> int:
     scale = args.scale
     if scale not in ("full", "smoke"):
         scale = int(scale)
-    if args.resume and args.run_id:
-        print("error: --resume already names the run; drop --run-id",
-              file=sys.stderr)
-        return EXIT_USAGE
     try:
         config = ExperimentConfig(
             programs=tuple(args.programs),
@@ -714,6 +692,9 @@ def main(argv=None) -> int:
     if args.worker_timeout is not None and args.worker_timeout <= 0:
         print("error: --worker-timeout must be > 0 seconds", file=sys.stderr)
         return EXIT_USAGE
+    if args.profile_stride < 1:
+        print("error: --profile-stride must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
 
     env_before = None
     if args.inject_faults:
@@ -731,14 +712,14 @@ def main(argv=None) -> int:
         os.environ["REPRO_FAULTS"] = args.inject_faults
         os.environ["REPRO_FAULT_SEED"] = str(args.fault_seed)
     previous_handlers = _install_signal_handlers()
+    observation_before = _observation_state()
     try:
         try:
             code = _run(args, config)
         except ShutdownRequested as exc:
-            # Graceful shutdown: _run's finally already sealed the
-            # journal and the scheduler's finally released the pool on
-            # the way out; dump the black box and exit
-            # with the conventional 128+signum code.
+            # Graceful shutdown: the scheduler's finally released the
+            # pool on the way out; dump the black box and exit with the
+            # conventional 128+signum code.
             code = 128 + exc.signum
             observe.emit_event("run.interrupted", "WARNING",
                                signal=exc.signum, code=code)
@@ -759,6 +740,7 @@ def main(argv=None) -> int:
         return code
     finally:
         _restore_signal_handlers(previous_handlers)
+        _restore_observation_state(observation_before)
         if env_before is not None:
             faults.clear_plan()
             for key, value in env_before.items():
@@ -766,6 +748,26 @@ def main(argv=None) -> int:
                     os.environ.pop(key, None)
                 else:
                     os.environ[key] = value
+
+
+def _observation_state():
+    """Which observation layers are on, for :func:`_restore_observation_state`."""
+    stride = observe.get_profiler().cpu_stride if observe.is_profiling() else 0
+    return observe.is_enabled(), observe.events_enabled(), stride
+
+
+def _restore_observation_state(state) -> None:
+    """Turn off what an observed run turned on, so a later run in the
+    same process does not record into this run's registry and ring."""
+    enabled, events_on, stride = state
+    if not enabled:
+        observe.disable()
+    if not events_on:
+        observe.disable_events()
+    if stride:
+        observe.enable_profiling(stride)
+    else:
+        observe.disable_profiling()
 
 
 def _blackbox_path(args) -> Path:
@@ -796,71 +798,8 @@ def _dump_blackbox(args) -> None:
           file=sys.stderr)
 
 
-def _open_journal(args, config: ExperimentConfig, progress):
-    """Open the run journal for ``--run-id``/``--resume``, else ``None``.
-
-    For ``--resume`` the prior journal is replayed first and the skip/
-    re-execute split planned: a task is skipped only when its completion
-    is journaled for the *current* task digest and every store entry the
-    record references still passes its integrity check.  The split lands
-    in the ``resume.tasks_skipped``/``resume.tasks_replayed`` gauges (and
-    thus the manifest).  Raises :class:`JournalError` when the journal
-    cannot be replayed or opened.
-    """
-    run_name = args.resume or args.run_id
-    if not run_name:
-        return None
-    from repro.experiments.journal import (
-        RunJournal,
-        journal_path,
-        plan_resume,
-        replay_journal,
-    )
-    from repro.experiments.store import ResultStore
-
-    override = Path(args.runs_dir) if args.runs_dir else None
-    path = journal_path(run_name, config, override)
-    if args.resume:
-        replay = replay_journal(path)
-        plan = plan_resume(replay, config, ResultStore(config.cache_dir))
-        observe.set_gauge("resume.tasks_skipped", len(plan.skipped))
-        observe.set_gauge("resume.tasks_replayed", len(plan.replayed))
-        observe.emit_event(
-            "journal.resume", run=run_name,
-            prior_status=replay.status or "unsealed",
-            skipped=len(plan.skipped), replayed=len(plan.replayed),
-            torn=replay.torn,
-        )
-        if progress:
-            progress(
-                f"resuming run {run_name!r} ({replay.records} journal "
-                f"record(s), prior status "
-                f"{replay.status or 'unsealed'}): skipping "
-                f"{len(plan.skipped)} verified task(s) "
-                f"[{', '.join(plan.skipped) or '-'}], re-executing "
-                f"{len(plan.replayed)} [{', '.join(plan.replayed) or '-'}]"
-            )
-            if plan.config_changed:
-                progress(
-                    "note: configuration differs from the journaled run; "
-                    "tasks whose digests changed re-execute"
-                )
-    journal = RunJournal(path, run_id=run_name)
-    journal.begin(config, resumed_from=args.resume)
-    if progress and not args.resume:
-        progress(f"journaling run {run_name!r} to {path}")
-    return journal
-
-
 def _run(args, config: ExperimentConfig) -> int:
-    """Execute one experiment target; classified errors exit cleanly.
-
-    Owns the journal lifecycle: opened (and for ``--resume`` replayed)
-    before the pipeline, sealed in ``finally`` with the run's terminal
-    status — ``complete``, ``partial``, ``failed``, or ``interrupted``
-    when a SIGINT/SIGTERM unwinds through as
-    :class:`ShutdownRequested`.
-    """
+    """Execute one experiment target; classified errors exit cleanly."""
     progress = None if args.quiet else lambda msg: print(f"  .. {msg}", file=sys.stderr)
     observing = bool(
         args.manifest or args.metrics or args.history
@@ -885,36 +824,10 @@ def _run(args, config: ExperimentConfig) -> int:
     if args.profile:
         observe.enable_profiling(args.profile_stride)
 
-    try:
-        journal = _open_journal(args, config, progress)
-    except JournalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if journal is None:
-        return _execute(args, config, progress, journal=None)
-    status = "failed"
-    code: Optional[int] = None
-    try:
-        code = _execute(args, config, progress, journal=journal)
-        status = "complete" if code == EXIT_OK else (
-            "partial" if code == EXIT_PARTIAL else "failed"
-        )
-        return code
-    except ShutdownRequested as exc:
-        status, code = "interrupted", 128 + exc.signum
-        raise
-    finally:
-        try:
-            journal.seal(status, exit_code=code)
-        except Exception as exc:
-            # Sealing is best-effort on the way out: an unsealed journal
-            # replays as in-flight, which only means extra re-execution.
-            print(f"warning: could not seal journal {journal.path}: {exc}",
-                  file=sys.stderr)
-        journal.close()
+    return _execute(args, config, progress)
 
 
-def _execute(args, config: ExperimentConfig, progress, journal) -> int:
+def _execute(args, config: ExperimentConfig, progress) -> int:
     """The pipeline + report + manifest body of one run."""
     needs_data = args.target not in ("table2", "expansion")
     failures: List[FailureRecord] = []
@@ -929,7 +842,6 @@ def _execute(args, config: ExperimentConfig, progress, journal) -> int:
                     worker_timeout=args.worker_timeout,
                     keep_going=args.keep_going,
                     failures=failures,
-                    journal=journal,
                 )
         except Exception as exc:
             # Classified failures exit with a stable code and one line on
@@ -990,8 +902,6 @@ def _execute(args, config: ExperimentConfig, progress, journal) -> int:
                 "keep_going": args.keep_going,
                 "inject_faults": args.inject_faults,
                 "fault_seed": args.fault_seed,
-                "run_id": args.resume or args.run_id,
-                "resume": bool(args.resume),
             },
             failures=[record.to_dict() for record in failures],
         )

@@ -33,12 +33,6 @@ starts.  One policy covers both executors:
   ``keep_going``, records the program in its ``failures`` list and
   completes with the survivors.
 
-The run journal is written by the parent only: the write-ahead intent
-before dispatch, completion after the result is home, failure when
-retries are exhausted.  Intent and completion appends sit inside the
-per-attempt failure handling, so a failed append is retried like any
-other attempt failure.
-
 Every recovery action is visible through :mod:`repro.observe`:
 ``retry.attempts``/``retry.backoff_seconds``, ``fault.worker.hung``,
 ``fault.pool.{broken,recreated,serial_fallback}``,
@@ -219,15 +213,17 @@ def _kill_pool(pool) -> None:
     is unusable anyway).  ``shutdown(wait=False, cancel_futures=True)``
     alone is not enough: a live worker would finish its current task —
     or sleep in an injected hang forever — and the interpreter would
-    join it at exit, so the processes are killed outright.
+    join it at exit, so the processes are killed outright.  The process
+    list is read before the first ``shutdown``, which drops it.
     """
     if pool is None:
         return
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
         pass
-    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+    for proc in processes:
         try:
             proc.kill()
         except Exception:
@@ -246,7 +242,6 @@ def schedule_programs(
     worker_timeout: Optional[float] = None,
     keep_going: bool = False,
     failures: Optional[List[FailureRecord]] = None,
-    journal=None,
 ) -> Dict[str, ProgramData]:
     """Phase 1 + phase 2 for every configured program.
 
@@ -314,9 +309,6 @@ def schedule_programs(
             "program.failed", "ERROR", program=task.name, error=record.error,
             attempts=record.attempts, kept_going=keep_going,
         )
-        if journal is not None:
-            journal.failed_for(task.name, config, record.error,
-                               attempts=record.attempts)
         if keep_going:
             if failures is not None:
                 failures.append(record)
@@ -369,13 +361,6 @@ def schedule_programs(
         task.dispatched = time.perf_counter()
         if not task.started:
             task.started = task.dispatched
-        if journal is not None:
-            # Write-ahead: the intent is durable before the task runs.
-            try:
-                journal.intent_for(task.name, config, attempt=attempt)
-            except Exception as exc:
-                handle_failure(task, exc)
-                return
         if executor is None:
             executor = (ProcessPoolExecutor(max_workers=jobs) if pooled
                         else _InProcessExecutor())
@@ -468,8 +453,6 @@ def schedule_programs(
                 task = running.pop(future)
                 try:
                     outcome = future.result()
-                    if journal is not None:
-                        journal.done_for(task.name, config)
                 except BrokenProcessPool as exc:
                     broke = True
                     observe.inc("fault.pool.broken")

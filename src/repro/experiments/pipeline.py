@@ -33,7 +33,10 @@ the run manifest.
 This module provides the per-program task, :func:`load_program_data`.
 :func:`load_experiment_data` hands every run, whatever ``jobs``, to
 the one scheduler in :mod:`repro.experiments.parallel`, which owns the
-retry, watchdog and journal policy.
+retry and watchdog policy.  A program's result is a pure function of
+(program, config), so the store is also the resume record: re-running
+the same command over the same cache skips every program whose sim
+entry was published and recomputes the rest.
 
 When event recording is on (``--events``; :mod:`repro.observe.events`)
 the same sites also emit structured flight-recorder events —
@@ -186,7 +189,7 @@ _WORKLOAD_KEY_CACHE: Dict[Tuple[str, int], str] = {}
 
 def _workload_key(workload: Workload, scale: int) -> str:
     # Memoized: generating a workload's source costs tens of ms, and
-    # the key is needed on every cache probe *and* journal append.
+    # the key is needed on every cache probe.
     # Source generation is deterministic per (workload, scale) and the
     # registry is static, so the key never changes within a process.
     cache_key = (workload.name, scale)
@@ -475,7 +478,6 @@ def load_experiment_data(
     worker_timeout: Optional[float] = None,
     keep_going: bool = False,
     failures: Optional[List[FailureRecord]] = None,
-    journal=None,
 ) -> Dict[str, ProgramData]:
     """Phase 1 + phase 2 for every configured program.
 
@@ -489,14 +491,11 @@ def load_experiment_data(
     Transient errors retry up to ``retries`` times with capped
     exponential backoff; fatal ones abort, or under ``keep_going`` are
     recorded into ``failures``.  ``worker_timeout`` bounds each pool
-    worker's wall clock from dispatch.  ``journal`` (a
-    :class:`~repro.experiments.journal.RunJournal`) makes the run
-    write-ahead: every attempt's intent is journaled before it starts
-    and its completion after its results were published.
+    worker's wall clock from dispatch.
     """
     from repro.experiments.parallel import schedule_programs
 
     return schedule_programs(
         config, progress, retries=retries, worker_timeout=worker_timeout,
-        keep_going=keep_going, failures=failures, journal=journal,
+        keep_going=keep_going, failures=failures,
     )

@@ -25,12 +25,15 @@ envelope existed) is a :class:`StoreCorruptError`, so it recovers as a
 cache miss and ``verify`` reports it ``corrupt``.  Entry *names* are
 unchanged from the classic cache layout: the simulation cache is
 deliberately keyed without the engine (a payload computed by one backend
-is bit-identical and valid for the others), so the run-journal task
-digest (:func:`repro.experiments.journal.task_digest`) lives in the
-journal, not in the file name.
+is bit-identical and valid for the others).
+
+The store is also the resume record.  A program's result is a pure
+function of (program, config), so after a crash re-running the same
+command over the same cache loads every entry that was published and
+verifies, and recomputes the rest.
 
 The normative envelope schema is documented in
-``docs/RESILIENCE.md`` ("Crash recovery & resume").
+``docs/RESILIENCE.md`` ("Crash recovery").
 """
 
 from __future__ import annotations
@@ -132,9 +135,8 @@ def _atomic_write_bytes(blob: bytes, path: Path) -> None:
 class ResultStore:
     """Content-addressed view over a cache directory.
 
-    ``root`` is the classic ``.repro_cache`` directory; journals live in
-    a ``runs/`` subdirectory that the store's maintenance surface leaves
-    alone (they have their own per-record checksums).
+    ``root`` is the classic ``.repro_cache`` directory; subdirectories
+    are not entries and the maintenance surface leaves them alone.
     """
 
     def __init__(self, root: Path) -> None:
@@ -226,19 +228,6 @@ class ResultStore:
 
     # -- maintenance ------------------------------------------------------
 
-    def entry_ok(self, name: str) -> bool:
-        """Whether entry ``name`` exists and passes its integrity check.
-
-        Used by resume planning: a journaled ``task.done`` only skips
-        re-execution if every entry it references still verifies.
-        """
-        path = self.root / name
-        if not path.is_file():
-            return False
-        return self._verify_file(path).status not in (
-            STATUS_CORRUPT, STATUS_TMP, STATUS_OTHER,
-        )
-
     def verify(self) -> StoreReport:
         """Audit every entry under the store root."""
         report = StoreReport(root=str(self.root))
@@ -246,7 +235,7 @@ class ResultStore:
             return report
         for path in sorted(self.root.iterdir()):
             if not path.is_file():
-                continue  # runs/ journals audit separately
+                continue
             report.entries.append(self._verify_file(path))
         return report
 

@@ -26,8 +26,8 @@ clause fires, one of five behaviours triggers:
     parent's ``--worker-timeout`` watchdog gets the worker unstuck;
 ``sigint`` / ``sigterm``
     deliver the real signal to the current process — exercising the
-    CLI's graceful-shutdown path (seal the journal, dump the black box,
-    exit ``128 + signum``) at a deterministic instant.
+    CLI's graceful-shutdown path (emit ``run.interrupted``, dump the
+    black box, exit ``128 + signum``) at a deterministic instant.
 
 :func:`classify_failure` is the single source of truth for the retry
 policy: transient failures (worker death, I/O errors, injected faults,

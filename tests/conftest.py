@@ -2,12 +2,46 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.machine import Cpu, Memory, load_program
 from repro.machine.layout import MemoryLayout
 from repro.minic.compiler import compile_source
 from repro.minic.runtime import Runtime
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Directories a test session may create or change in the checkout:
+#: version control and the tools' own caches.
+_IGNORED_DIRS = frozenset({
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks",
+})
+
+
+def _checkout_paths():
+    """Every file and directory under the repo root, minus ignored dirs."""
+    paths = set()
+    for root, dirs, files in os.walk(REPO_ROOT):
+        dirs[:] = [name for name in dirs if name not in _IGNORED_DIRS]
+        paths.update(os.path.join(root, name) for name in dirs + files)
+    return paths
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_stays_clean():
+    """Fail the session if it adds any path under the repo root."""
+    before = _checkout_paths()
+    yield
+    added = sorted(
+        os.path.relpath(path, REPO_ROOT)
+        for path in _checkout_paths() - before
+    )
+    if added:
+        pytest.fail(f"the test session wrote into the checkout: {added}")
 
 
 class MiniCRunner:

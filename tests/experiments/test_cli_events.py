@@ -117,6 +117,34 @@ class TestBlackBox:
         capsys.readouterr()
         assert not (tmp_path / "ok.blackbox.jsonl").exists()
 
+    def test_observation_does_not_leak_into_a_later_run(
+            self, tmp_path, monkeypatch, capsys):
+        # An observed run turns the recorder on; the unobserved run
+        # after it in the same process must record nothing, so its
+        # failure dumps no black box into the cwd.
+        monkeypatch.chdir(tmp_path)
+
+        def failing_run(label, *extra):
+            return cli_main([
+                "table4", "--scale", "smoke", "--programs", "gcc",
+                "--cache-dir", str(tmp_path / f"{label}-cache"), "--quiet",
+                "--retries", "0", "--inject-faults", "cache.write:fatal@gcc",
+                *extra,
+            ])
+
+        assert failing_run("a", "--manifest", "a.json") == EXIT_PIPELINE
+        assert failing_run("b") == EXIT_PIPELINE
+        assert failing_run("c", "--manifest", "c.json") == EXIT_PIPELINE
+        capsys.readouterr()
+        assert not (tmp_path / "repro.blackbox.jsonl").exists()
+        first, last = (
+            observe.load_event_log(tmp_path / f"{label}.blackbox.jsonl",
+                                   allow_multiple_runs=False)
+            for label in ("a", "c")
+        )
+        assert [e["category"] for e in last].count("run.start") == 1
+        assert first[0]["run_id"] != last[0]["run_id"]
+
 
 class TestEventsSubcommand:
     @pytest.fixture()

@@ -10,6 +10,7 @@ serial run's, with the worker fan-out visible only as extra
 from __future__ import annotations
 
 import pickle
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -110,6 +111,19 @@ class TestDispatchWindow:
         assert max(peaks) == 2
         for name in programs:
             assert data[name].result.counts == serial_data[name].result.counts
+
+    def test_kill_pool_kills_a_busy_worker(self):
+        # An abort, a watchdog expiry or a SIGTERM must not leave a
+        # worker running its task after the scheduler has moved on.
+        pool = ProcessPoolExecutor(max_workers=1)
+        future = pool.submit(time.sleep, 60)
+        while not future.running():
+            time.sleep(0.01)
+        processes = list(pool._processes.values())
+        parallel._kill_pool(pool)
+        for proc in processes:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
 
 
 class TestMergedObservation:

@@ -166,7 +166,6 @@ class TestVerify:
         (entry,) = store.verify().entries
         assert entry.status == STATUS_CORRUPT
         assert "col_a checksum mismatch" in entry.detail
-        assert not store.entry_ok("trace.npz")
 
     def test_committed_cache_verifies(self):
         # Every committed entry is an enveloped payload or a trace of
@@ -179,20 +178,11 @@ class TestVerify:
                 for entry in report.entries
                 if entry.status not in (STATUS_V3, STATUS_NPZ)]
 
-    def test_runs_subdir_left_alone(self, store, tmp_path):
-        runs = tmp_path / "runs"
-        runs.mkdir()
-        (runs / "r1.journal.jsonl").write_text("{}\n")
+    def test_subdirectory_left_alone(self, store, tmp_path):
+        subdir = tmp_path / "sub"
+        subdir.mkdir()
+        (subdir / "notes.jsonl").write_text("{}\n")
         assert store.verify().entries == []
-
-    def test_entry_ok(self, store, tmp_path):
-        path, _, _ = publish(store, name="good.pkl")
-        (tmp_path / "bare.pkl").write_bytes(pickle.dumps({"stats": {}}))
-        (tmp_path / "torn.pkl").write_bytes(b"torn")
-        assert store.entry_ok("good.pkl")
-        assert not store.entry_ok("bare.pkl")
-        assert not store.entry_ok("torn.pkl")
-        assert not store.entry_ok("absent.pkl")
 
 
 class TestGc:

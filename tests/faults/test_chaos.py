@@ -107,19 +107,6 @@ class TestRecoveredFaults:
         assert code == 0
         assert text == clean_report
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_failed_journal_append_is_retried(
-        self, tmp_path, clean_report, jobs
-    ):
-        # Append 1 is run.begin, append 2 the first task's intent: a
-        # failed intent is an attempt failure, retried on either executor.
-        code, text = _run_cli(
-            tmp_path, f"journal-j{jobs}", "--jobs", jobs, "--run-id", "r",
-            "--inject-faults", "journal.append:oserror@2",
-        )
-        assert code == 0
-        assert text == clean_report
-
     def test_serial_and_parallel_recoveries_match(
         self, tmp_path, clean_report
     ):

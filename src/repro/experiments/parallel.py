@@ -204,6 +204,10 @@ class _InProcessExecutor:
         pass
 
 
+#: Bound on waiting for a killed pool's manager thread to reap its workers.
+_POOL_REAP_SECONDS = 10.0
+
+
 def _kill_pool(pool) -> None:
     """Tear an executor down *now*: cancel queued work, kill live workers.
 
@@ -214,11 +218,16 @@ def _kill_pool(pool) -> None:
     alone is not enough: a live worker would finish its current task —
     or sleep in an injected hang forever — and the interpreter would
     join it at exit, so the processes are killed outright.  The process
-    list is read before the first ``shutdown``, which drops it.
+    list and the executor's manager thread are read before the first
+    ``shutdown``, which drops both.  That thread reaps the dead workers
+    (``waitpid``), so it is joined before returning: a caller that
+    checks or joins a worker while the thread still reaps it can lose
+    the exit status to it and see the dead worker as alive.
     """
     if pool is None:
         return
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
@@ -228,10 +237,8 @@ def _kill_pool(pool) -> None:
             proc.kill()
         except Exception:
             pass
-    try:
-        pool.shutdown(wait=True, cancel_futures=True)
-    except Exception:
-        pass
+    if manager is not None:
+        manager.join(timeout=_POOL_REAP_SECONDS)
 
 
 def schedule_programs(

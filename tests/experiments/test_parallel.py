@@ -125,6 +125,40 @@ class TestDispatchWindow:
             proc.join(timeout=10)
             assert not proc.is_alive()
 
+    def test_kill_pool_reaps_workers_before_returning(self):
+        # The executor's manager thread reaps killed workers; a caller
+        # that checks a worker while that thread still reaps it can lose
+        # the exit status and see a dead worker as alive.  So every
+        # worker has exited, and the thread is gone, when it returns.
+        pool = ProcessPoolExecutor(max_workers=2)
+        futures = [pool.submit(time.sleep, 60) for _ in range(2)]
+        while not all(future.running() for future in futures):
+            time.sleep(0.01)
+        processes = list(pool._processes.values())
+        manager = pool._executor_manager_thread
+        parallel._kill_pool(pool)
+        assert not manager.is_alive()
+        assert [proc.exitcode is not None for proc in processes] == \
+            [True] * len(processes)
+
+    def test_kill_pool_leaves_no_future_pending(self):
+        # Queued work is cancelled and the running task fails with the
+        # broken pool: nothing waits on a worker that no longer exists.
+        pool = ProcessPoolExecutor(max_workers=1)
+        futures = [pool.submit(time.sleep, 60) for _ in range(4)]
+        while not futures[0].running():
+            time.sleep(0.01)
+        parallel._kill_pool(pool)
+        assert all(future.done() for future in futures)
+        assert futures[-1].cancelled()
+
+    def test_kill_pool_accepts_no_pool_and_the_in_process_executor(self):
+        parallel._kill_pool(None)
+        executor = parallel._InProcessExecutor()
+        future = executor.submit(sum, (1, 2))
+        parallel._kill_pool(executor)
+        assert future.result() == 3
+
 
 class TestMergedObservation:
     @pytest.fixture()

@@ -163,7 +163,7 @@ def test_enabled_profiling_samples_the_event_mix(quiet_registry, engine):
 def test_enabled_run_records_engine_counters(quiet_registry, engine):
     """Both backends report the same run-level counters — and the same
     ``engine.events_per_sec`` histogram — so manifests from either are
-    directly comparable by ``diff``/``trend``."""
+    directly comparable by ``diff``."""
     trace, registry, sessions = _build_trace()
     observe.enable()
     try:

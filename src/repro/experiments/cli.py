@@ -1,5 +1,5 @@
 """Command-line entry point: regenerate the paper's tables and figures,
-and drive the perf-trajectory harness.
+and drive the perf harness.
 
 Examples::
 
@@ -14,32 +14,27 @@ Examples::
     repro-experiments table4 --scale smoke --manifest b.json
     repro-experiments diff a.json b.json
 
-    # trajectory, profiling, and trace export:
-    repro-experiments table4 --history BENCH_history.json
-    repro-experiments trend --history BENCH_history.json
+    # profiling and trace export:
     repro-experiments table4 --profile --trace-out run.trace.json
 
     # flight recorder: correlated event log, query, black box:
     repro-experiments table4 --jobs 2 --events run.events.jsonl
     repro-experiments events run.events.jsonl --severity WARNING
 
-``--manifest FILE``, ``--metrics``, ``--history FILE``, ``--profile``,
-``--trace-out FILE``, and ``--events FILE`` all turn on the
-observability layer (:mod:`repro.observe`): the run executes under
-per-stage spans, and at the end a validated
-:class:`~repro.observe.manifest.RunManifest` JSON is written, a
-metrics/profile summary is printed to stderr, a history record is
-appended, a Chrome trace-event JSON is exported, and/or a JSONL event
-log accumulates (``--events``).  Any observed run arms the flight
+``--manifest FILE``, ``--metrics``, ``--profile``, ``--trace-out FILE``,
+and ``--events FILE`` all turn on the observability layer
+(:mod:`repro.observe`): the run executes under per-stage spans, and at
+the end a validated :class:`~repro.observe.manifest.RunManifest` JSON
+is written, a metrics/profile summary is printed to stderr, a Chrome
+trace-event JSON is exported, and/or a JSONL event log accumulates
+(``--events``).  Any observed run arms the flight
 recorder (:mod:`repro.observe.events`): on a non-zero exit the last
 recorded events are dumped as a black box next to the manifest, and the
 manifest gains an ``events`` summary block.
 
-``diff A.json B.json`` compares two manifests with per-family
+``diff A.json B.json`` compares two manifests with fixed per-family
 thresholds and exits non-zero on regression (``--report-only`` to
-disable the gate; ``diff --history FILE`` compares the trajectory's
-last two records instead); ``trend --history FILE`` renders the
-benchmark trajectory; ``events LOG`` tails/filters an event log by
+disable the gate); ``events LOG`` tails/filters an event log by
 severity, category, worker, and time range.  See
 ``docs/OBSERVABILITY.md``.
 """
@@ -75,16 +70,13 @@ from repro.experiments.table3 import render_table3_report
 from repro.experiments.table4 import render_table4_report
 from repro.experiments.whatif import render_whatif_report
 from repro.simulate import ENGINE_CHOICES
-from repro.observe.diff import DiffThresholds, diff_manifests, render_diff_report
+from repro.observe.diff import diff_manifests, render_diff_report
 from repro.observe.events import SEVERITIES, rank_severity
 
 _TARGETS = (
     "table1", "table2", "table3", "table4",
     "figures", "breakdown", "expansion", "hotspots", "whatif", "all",
 )
-
-#: Harness subcommands with their own argument shapes.
-_HARNESS_TARGETS = ("diff", "trend", "events", "store")
 
 #: Stable exit codes (documented in --help and docs/RESILIENCE.md).
 EXIT_OK = 0
@@ -137,8 +129,7 @@ def _parse_args(argv):
         "Breakpoints' (Wahbe, ASPLOS 1992).",
         epilog="Harness subcommands: 'repro-experiments diff A.json B.json' "
         "compares two run manifests (non-zero exit on regression); "
-        "'repro-experiments trend --history FILE' renders the benchmark "
-        "trajectory; 'repro-experiments events LOG' tails/filters a "
+        "'repro-experiments events LOG' tails/filters a "
         "--events JSONL log.  See docs/OBSERVABILITY.md.  " + _EXIT_CODE_DOC
         + "  Fault injection and the retry/timeout/keep-going policy are "
         "documented in docs/RESILIENCE.md.",
@@ -215,18 +206,10 @@ def _parse_args(argv):
         help="enable observation and print a metrics summary to stderr",
     )
     parser.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="enable observation and append a trajectory record to FILE "
-        "(JSON Lines; see 'trend')",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
-        help="enable the 1-in-N sampling profiler and print the top-N "
-        "opcode/event report to stderr",
-    )
-    parser.add_argument(
-        "--profile-stride", type=int, default=observe.DEFAULT_SAMPLE_STRIDE,
-        metavar="N", help="sample 1 in N instructions/events (with --profile)",
+        help="enable the sampling profiler (1 in "
+        f"{observe.DEFAULT_SAMPLE_STRIDE} instructions/events) and print "
+        "the top-N opcode/event report to stderr",
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="FILE",
@@ -251,184 +234,34 @@ def _parse_diff_args(argv):
         "Exits 1 when a metric regressed past threshold (the perf gate), "
         "0 otherwise; 2 on unreadable/invalid manifests.",
     )
-    parser.add_argument("before", nargs="?", default=None,
-                        help="baseline manifest JSON")
-    parser.add_argument("after", nargs="?", default=None,
-                        help="candidate manifest JSON")
+    parser.add_argument("before", help="baseline manifest JSON")
+    parser.add_argument("after", help="candidate manifest JSON")
     parser.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="instead of two manifests, compare the last two records of "
-        "a --history trajectory file (headline metrics only; friendly "
-        "no-op when the file has fewer than two records)",
-    )
-    parser.add_argument(
-        "--fail-on-regression", dest="fail_on_regression",
-        action="store_true", default=True,
-        help="exit non-zero when a regression is found (the default)",
-    )
-    parser.add_argument(
-        "--report-only", dest="fail_on_regression", action="store_false",
+        "--report-only", action="store_true",
         help="always exit 0; just print the report",
     )
     parser.add_argument(
         "--json", action="store_true",
         help="print the machine-readable verdict JSON instead of the text report",
     )
-    parser.add_argument(
-        "--stage-rel", type=float, default=DiffThresholds.stage_rel,
-        metavar="FRAC", help="relative stage-timing threshold (default %(default)s)",
-    )
-    parser.add_argument(
-        "--stage-abs-ms", type=float, default=DiffThresholds.stage_abs_s * 1000.0,
-        metavar="MS", help="absolute stage-timing noise floor in ms "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--eps-rel", type=float, default=DiffThresholds.eps_rel,
-        metavar="FRAC", help="relative engine events/sec threshold "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--hit-rate-abs", type=float, default=DiffThresholds.cache_hit_rate_abs,
-        metavar="FRAC", help="absolute cache hit-rate drop threshold "
-        "(default %(default)s)",
-    )
     return parser.parse_args(argv)
-
-
-def _looks_like_history(path: str) -> bool:
-    """Whether ``path`` reads like a ``--history`` JSONL trajectory file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline().strip()
-        return bool(first) and "manifest_digest" in json.loads(first)
-    except (OSError, json.JSONDecodeError):
-        return False
-
-
-def _flatten_headline(headline, prefix: str = ""):
-    """``{"stage_seconds": {"trace": 1.0}}`` -> ``{"stage_seconds.trace": 1.0}``."""
-    flat = {}
-    for key, value in headline.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten_headline(value, name + "."))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            flat[name] = float(value)
-    return flat
-
-
-def _diff_history(path: str) -> int:
-    """``diff --history FILE``: compare the trajectory's last two records."""
-    try:
-        records = observe.load_history(path)
-    except ManifestFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if len(records) < 2:
-        what = "is empty" if not records else "has only one record"
-        print(
-            f"history {path} {what}; nothing to compare yet — run with "
-            f"--history {path} at least twice, then diff again."
-        )
-        return 0
-    before, after = records[-2], records[-1]
-    lines = [
-        f"History diff — {path} "
-        f"({before.manifest_digest} -> {after.manifest_digest})",
-    ]
-    if before.env_digest != after.env_digest:
-        lines.append(
-            f"  note: environment changed ({before.env_digest} -> "
-            f"{after.env_digest}); changes below reflect the host as "
-            f"much as the code"
-        )
-    lines.append(
-        f"  {'metric':<34} {'before':>12} {'after':>12} {'change':>9}"
-    )
-    flat_before = _flatten_headline(before.headline)
-    flat_after = _flatten_headline(after.headline)
-    for metric in sorted(set(flat_before) | set(flat_after)):
-        old, new = flat_before.get(metric), flat_after.get(metric)
-        shown_old = f"{old:,.4g}" if old is not None else "-"
-        shown_new = f"{new:,.4g}" if new is not None else "-"
-        if old not in (None, 0) and new is not None:
-            delta = f"{100.0 * (new - old) / old:+.1f}%"
-        else:
-            delta = ""
-        lines.append(f"  {metric:<34} {shown_old:>12} {shown_new:>12} {delta:>9}")
-    print("\n".join(lines))
-    return 0
 
 
 def _diff_main(argv) -> int:
     args = _parse_diff_args(argv)
-    if args.history is not None:
-        if args.before or args.after:
-            print("error: --history replaces the manifest arguments; "
-                  "pass one or the other", file=sys.stderr)
-            return 2
-        return _diff_history(args.history)
-    if not args.before or not args.after:
-        print("error: diff needs two manifest files (or --history FILE)",
-              file=sys.stderr)
-        return 2
-    thresholds = DiffThresholds(
-        stage_rel=args.stage_rel,
-        stage_abs_s=args.stage_abs_ms / 1000.0,
-        eps_rel=args.eps_rel,
-        cache_hit_rate_abs=args.hit_rate_abs,
-    )
     try:
         before = observe.load_manifest(args.before)
         after = observe.load_manifest(args.after)
     except ManifestFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for path in (args.before, args.after):
-            if path and _looks_like_history(path):
-                print(
-                    f"hint: {path} looks like a --history trajectory file, "
-                    f"not a manifest; try 'repro-experiments diff --history "
-                    f"{path}' or 'repro-experiments trend --history {path}'",
-                    file=sys.stderr,
-                )
-                break
         return 2
-    diff = diff_manifests(before, after, thresholds)
+    diff = diff_manifests(before, after)
     if args.json:
         print(json.dumps(diff.to_dict(), indent=2, sort_keys=True))
     else:
         print(render_diff_report(diff))
-    if diff.regressions and args.fail_on_regression:
+    if diff.regressions and not args.report_only:
         return 1
-    return 0
-
-
-def _parse_trend_args(argv):
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments trend",
-        description="Render the benchmark trajectory stored by --history.",
-    )
-    parser.add_argument(
-        "--history", default=observe.DEFAULT_HISTORY_FILE, metavar="FILE",
-        help="history file to read (default %(default)s)",
-    )
-    parser.add_argument(
-        "--metric", default="total_stage_seconds",
-        help="dotted headline metric, e.g. total_stage_seconds, "
-        "stage_seconds.simulate, engine_events_per_sec (default %(default)s)",
-    )
-    return parser.parse_args(argv)
-
-
-def _trend_main(argv) -> int:
-    args = _parse_trend_args(argv)
-    try:
-        records = observe.load_history(args.history)
-    except ManifestFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(observe.render_trend(records, metric=args.metric))
     return 0
 
 
@@ -664,8 +497,6 @@ def main(argv=None) -> int:
     argv = list(argv if argv is not None else sys.argv[1:])
     if argv and argv[0] == "diff":
         return _diff_main(argv[1:])
-    if argv and argv[0] == "trend":
-        return _trend_main(argv[1:])
     if argv and argv[0] == "events":
         return _events_main(argv[1:])
     if argv and argv[0] == "store":
@@ -691,9 +522,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.worker_timeout is not None and args.worker_timeout <= 0:
         print("error: --worker-timeout must be > 0 seconds", file=sys.stderr)
-        return EXIT_USAGE
-    if args.profile_stride < 1:
-        print("error: --profile-stride must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
     env_before = None
@@ -802,8 +630,8 @@ def _run(args, config: ExperimentConfig) -> int:
     """Execute one experiment target; classified errors exit cleanly."""
     progress = None if args.quiet else lambda msg: print(f"  .. {msg}", file=sys.stderr)
     observing = bool(
-        args.manifest or args.metrics or args.history
-        or args.profile or args.trace_out or args.events
+        args.manifest or args.metrics or args.profile or args.trace_out
+        or args.events
     )
     if observing:
         # Fresh registry, span stacks, and profiles per invocation so
@@ -822,7 +650,7 @@ def _run(args, config: ExperimentConfig) -> int:
             faults=args.inject_faults or "",
         )
     if args.profile:
-        observe.enable_profiling(args.profile_stride)
+        observe.enable_profiling(observe.DEFAULT_SAMPLE_STRIDE)
 
     return _execute(args, config, progress)
 
@@ -885,8 +713,7 @@ def _execute(args, config: ExperimentConfig, progress) -> int:
         Path(args.out).write_text(report + "\n", encoding="utf-8")
         print(f"\n[report written to {args.out}]", file=sys.stderr)
 
-    manifest = None
-    if args.manifest or args.history:
+    if args.manifest:
         manifest = observe.RunManifest.from_registry(
             target=args.target,
             config={
@@ -905,7 +732,6 @@ def _execute(args, config: ExperimentConfig, progress) -> int:
             },
             failures=[record.to_dict() for record in failures],
         )
-    if args.manifest:
         try:
             manifest.write(args.manifest)
         except OSError as exc:
@@ -913,15 +739,6 @@ def _execute(args, config: ExperimentConfig, progress) -> int:
                   file=sys.stderr)
             return 1
         print(f"[manifest written to {args.manifest}]", file=sys.stderr)
-    if args.history:
-        try:
-            record = observe.append_record(args.history, manifest)
-        except OSError as exc:
-            print(f"error: cannot append history {args.history}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"[history record {record.manifest_digest} appended to "
-              f"{args.history}]", file=sys.stderr)
     if args.trace_out:
         try:
             observe.write_chrome_trace(args.trace_out, process_name=args.target)

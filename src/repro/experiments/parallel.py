@@ -43,7 +43,7 @@ material of the manifest's ``failures`` section.  See
 Observation survives the fan-out: each pool worker ships a
 :func:`repro.observe.dump_snapshot` payload back and the parent merges
 it under a clock-rebased ``worker:<name>`` span, so ``--manifest``/
-``--history``/``--profile``/``--trace-out`` work the same for every
+``--metrics``/``--profile``/``--trace-out`` work the same for every
 ``--jobs`` value.  The pool alone adds ``worker:<name>`` and
 ``worker_attempt:<name>`` spans, the ``pipeline.jobs`` gauge and the
 ``worker.*``/``pool.*`` flight-recorder events; workers record under

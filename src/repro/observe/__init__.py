@@ -14,8 +14,6 @@ process-local and **off by default**:
   cache traffic, environment fingerprint);
 * :mod:`repro.observe.diff` — structural before/after manifest diffing
   with per-family thresholds and a machine-readable verdict;
-* :mod:`repro.observe.history` — the append-only ``BENCH_history.json``
-  trajectory store and its trend renderer;
 * :mod:`repro.observe.profile` — a 1-in-N sampling profiler for the CPU
   dispatch loop and simulation engine hot paths;
 * :mod:`repro.observe.traceview` — Chrome trace-event JSON export of
@@ -26,7 +24,7 @@ process-local and **off by default**:
 
 Enable with :func:`enable`, the ``REPRO_OBSERVE=1`` environment
 variable, or the CLI's ``--metrics`` / ``--manifest`` / ``--profile`` /
-``--trace-out`` / ``--history`` flags.  The disabled fast path is
+``--trace-out`` / ``--events`` flags.  The disabled fast path is
 guarded by ``benchmarks/test_observe_overhead.py``; see
 ``docs/OBSERVABILITY.md`` for the guide and schemas.
 """
@@ -83,14 +81,6 @@ from repro.observe.diff import (
     diff_manifests,
     render_diff_report,
 )
-from repro.observe.history import (
-    DEFAULT_HISTORY_FILE,
-    HISTORY_SCHEMA_VERSION,
-    HistoryRecord,
-    append_record,
-    load_history,
-    render_trend,
-)
 from repro.observe.profile import (
     DEFAULT_SAMPLE_STRIDE,
     SampleProfile,
@@ -110,7 +100,6 @@ from repro.observe.traceview import spans_to_trace_events, write_chrome_trace
 
 __all__ = [
     "Counter",
-    "DEFAULT_HISTORY_FILE",
     "DEFAULT_RECORDER_CAPACITY",
     "DEFAULT_SAMPLE_STRIDE",
     "DiffEntry",
@@ -119,9 +108,7 @@ __all__ = [
     "EventRecord",
     "FlightRecorder",
     "Gauge",
-    "HISTORY_SCHEMA_VERSION",
     "Histogram",
-    "HistoryRecord",
     "ManifestDiff",
     "MetricsRegistry",
     "MANIFEST_SCHEMA_VERSION",
@@ -130,7 +117,6 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "SampleProfile",
     "SpanRecord",
-    "append_record",
     "current_run_id",
     "current_span_path",
     "diff_manifests",
@@ -153,7 +139,6 @@ __all__ = [
     "is_enabled",
     "is_profiling",
     "load_event_log",
-    "load_history",
     "load_manifest",
     "merge_events_state",
     "merge_snapshot",
@@ -164,7 +149,6 @@ __all__ = [
     "render_manifest_summary",
     "render_metrics_report",
     "render_profile_report",
-    "render_trend",
     "reset",
     "reset_profile",
     "set_gauge",

@@ -22,8 +22,7 @@ workloads, which is the first thing a reader should know about a
 suspicious diff.  Environment fingerprint changes are surfaced the same
 way — and when the fingerprints differ at all, every perf regression is
 downgraded to a non-gating ``warning`` (a diff across two hosts or
-toolchains can't convict the code change; ``BENCH_history.json`` already
-mixes records from more than one box).
+toolchains can't convict the code change).
 
 :func:`render_diff_report` renders the human report;
 :meth:`ManifestDiff.to_dict` is the machine-readable verdict the CLI can

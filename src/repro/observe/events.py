@@ -534,7 +534,7 @@ def validate_event_log_lines(
     Enforces per-line schema validity, strictly increasing ``seq``, and
     (unless ``allow_multiple_runs``) a single ``run_id`` across the file.
     A torn final line — the expected artifact of a writer killed
-    mid-append — is skipped, mirroring the history loader; pass
+    mid-append — is skipped; pass
     ``on_warning`` to be told about it (the lint tool and the ``events``
     subcommand surface it to the user).
     """

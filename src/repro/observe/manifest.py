@@ -13,7 +13,6 @@ one this module wrote.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
 import sys
@@ -165,20 +164,10 @@ class RunManifest:
             "failures": self.failures,
         }
         # Omitted entirely when event recording was off, so manifests
-        # (and their digests) from event-less runs are unchanged.
+        # from event-less runs are unchanged.
         if self.events is not None:
             data["events"] = self.events
         return data
-
-    def digest(self) -> str:
-        """Short content address of the manifest (sha256 of canonical JSON).
-
-        Two manifests with identical content — spans, counters,
-        environment, everything — share a digest; any difference changes
-        it.  The history store uses this to identify runs.
-        """
-        canonical = json.dumps(self.to_dict(), sort_keys=True, default=str)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
     def write(self, path: Union[str, Path]) -> Path:
         """Validate and write the manifest JSON to ``path``."""

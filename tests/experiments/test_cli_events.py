@@ -1,5 +1,5 @@
 """CLI surface of the flight recorder: --events, the events subcommand,
-the black-box dump, and the graceful trend/diff degenerate cases."""
+the black-box dump, and diff's missing-argument case."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.experiments.cli import (
     EXIT_PIPELINE,
     main as cli_main,
 )
-from repro.observe.history import HistoryRecord
 
 
 @pytest.fixture(autouse=True)
@@ -207,66 +206,9 @@ class TestEventsSubcommand:
         assert "empty" in capsys.readouterr().out
 
 
-def _history_record(digest, seconds):
-    return HistoryRecord(
-        timestamp="2026-08-08T00:00:00+00:00", target="table4",
-        manifest_digest=digest, env_digest="e",
-        headline={"total_stage_seconds": seconds},
-    )
-
-
-def _write_history(path, records):
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-
-
-class TestGracefulTrendAndDiff:
-    def test_trend_empty_history(self, tmp_path, capsys):
-        missing = tmp_path / "none.json"
-        assert cli_main(["trend", "--history", str(missing)]) == 0
-        assert "history is empty" in capsys.readouterr().out
-
-    def test_trend_single_record_notes_it(self, tmp_path, capsys):
-        path = tmp_path / "one.json"
-        _write_history(path, [_history_record("abc", 1.5)])
-        assert cli_main(["trend", "--history", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "only one run recorded" in out
-
-    def test_diff_history_empty_and_single_exit_zero(self, tmp_path, capsys):
-        path = tmp_path / "hist.json"
-        path.write_text("", encoding="utf-8")
-        assert cli_main(["diff", "--history", str(path)]) == 0
-        assert "nothing to compare" in capsys.readouterr().out
-        _write_history(path, [_history_record("abc", 1.5)])
-        assert cli_main(["diff", "--history", str(path)]) == 0
-        assert "only one record" in capsys.readouterr().out
-
-    def test_diff_history_compares_last_two(self, tmp_path, capsys):
-        path = tmp_path / "hist.json"
-        _write_history(path, [
-            _history_record("aaa", 1.0),
-            _history_record("bbb", 1.5),
-            _history_record("ccc", 3.0),
-        ])
-        assert cli_main(["diff", "--history", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "bbb -> ccc" in out
-        assert "+100.0%" in out
-
-    def test_diff_hints_when_given_a_history_file(self, tmp_path, capsys):
-        path = tmp_path / "hist.json"
-        _write_history(path, [_history_record("abc", 1.5)])
-        assert cli_main(["diff", str(path), str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "hint" in err and "--history" in err
-
-    def test_diff_needs_two_manifests_or_history(self, capsys):
-        assert cli_main(["diff"]) == 2
-        assert "two manifest files" in capsys.readouterr().err
-
-    def test_diff_rejects_mixing_history_and_manifests(self, tmp_path, capsys):
-        assert cli_main(["diff", "a.json", "b.json",
-                         "--history", "h.json"]) == 2
-        assert "one or the other" in capsys.readouterr().err
+class TestGracefulDiff:
+    def test_diff_needs_two_manifests(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["diff", "a.json"])
+        assert exc.value.code == 2
+        assert "required: after" in capsys.readouterr().err

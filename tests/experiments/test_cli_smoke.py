@@ -43,13 +43,3 @@ class TestCliSmoke:
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["table99"])
         assert excinfo.value.code == 2
-
-    def test_profile_stride_below_one_is_a_usage_error(
-            self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        code = cli_main(["table1", "--profile", "--profile-stride", "0",
-                         "--cache-dir", str(tmp_path / "cache"), "--quiet"])
-        assert code == 2
-        assert capsys.readouterr().err == \
-            "error: --profile-stride must be >= 1\n"
-        assert list(tmp_path.iterdir()) == []

@@ -37,14 +37,6 @@ class TestEnvironmentFingerprint:
         manifest = RunManifest(target="t")
         assert manifest.environment == environment_fingerprint()
 
-    def test_identical_manifests_share_a_digest(self):
-        env = environment_fingerprint()
-        a = RunManifest(target="t", environment=env)
-        b = RunManifest(target="t", environment=env)
-        assert a.digest() == b.digest()
-        b.target = "other"
-        assert a.digest() != b.digest()
-
 
 class TestSchemaVersionRejection:
     def _write_manifest(self, tmp_path, mutate):

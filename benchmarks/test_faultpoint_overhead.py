@@ -21,18 +21,19 @@ ways:
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
 import time
 
 import pytest
 
 from repro import faults, observe
+from repro import simulate as simulate_module
 from repro.experiments import pipeline as pipeline_module
 from repro.experiments import store as store_module
 from repro.experiments.pipeline import ExperimentConfig, load_program_data
 from repro.faults import faultpoint
-from repro.simulate import engine as engine_module
-from repro.simulate import native_engine as native_engine_module
 from repro.trace import tracefile as tracefile_module
 
 N_TIMING_ROUNDS = 5
@@ -57,13 +58,19 @@ def no_plan():
     faults.clear_plan()
 
 
-@pytest.mark.parametrize("module", [
-    engine_module, native_engine_module,
-])
-def test_engines_carry_no_faultpoints(module):
+#: repro.simulate and every module in it: the shell and both kernels.
+_SIMULATE_MODULES = ["repro.simulate"] + [
+    f"repro.simulate.{info.name}"
+    for info in pkgutil.iter_modules(simulate_module.__path__)
+]
+
+
+@pytest.mark.parametrize("name", _SIMULATE_MODULES)
+def test_engines_carry_no_faultpoints(name):
     """Faultpoints belong on recovery boundaries (cache, I/O, workers),
-    never inside the per-event simulation loop — nor in the native
-    kernel's marshalling layer."""
+    never inside the per-event simulation loop — nor in the shell or the
+    native kernel's marshalling layer."""
+    module = importlib.import_module(name)
     assert "faultpoint" not in inspect.getsource(module)
 
 

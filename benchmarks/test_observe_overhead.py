@@ -36,9 +36,8 @@ import numpy as np
 import pytest
 
 from repro import observe
+from repro import simulate as simulate_module
 from repro.observe import profile as observe_profile
-from repro.simulate import engine as engine_module
-from repro.simulate import native_engine as native_engine_module
 from repro.simulate import simulate_sessions
 from repro.simulate._native import native_available
 from repro.trace import EventTrace
@@ -54,11 +53,9 @@ TIMED_EVENTS = {"python": N_EVENTS // 16, "native": 2 * N_EVENTS}
 #: run's boundaries), whatever the trace length.
 MAX_DISABLED_OBSERVE_CALLS = 4
 
-#: backend name -> the module whose ``observe`` binding the engine reads.
-_BACKEND_MODULES = {
-    "python": engine_module,
-    "native": native_engine_module,
-}
+#: The module whose ``observe`` binding a run reads, whichever backend
+#: runs: the shell, which observes for both kernels.
+_OBSERVING_MODULE = simulate_module
 
 ENGINES = [
     "python",
@@ -216,7 +213,7 @@ def test_disabled_path_makes_constant_observe_calls(quiet_registry, monkeypatch,
     calls = []
     for events in (trace, _repeated(trace, 4)):
         counting = _CountingObserve()
-        monkeypatch.setattr(_BACKEND_MODULES[engine], "observe", counting)
+        monkeypatch.setattr(_OBSERVING_MODULE, "observe", counting)
         simulate_sessions(events, registry, sessions, (4096, 8192), engine=engine)
         calls.append(counting.calls)
     assert calls[0] == calls[1] <= MAX_DISABLED_OBSERVE_CALLS
@@ -226,7 +223,6 @@ def test_disabled_path_makes_constant_observe_calls(quiet_registry, monkeypatch,
 def test_disabled_path_overhead_under_3_percent(quiet_registry, monkeypatch,
                                                 engine):
     trace, registry, sessions = _timed_trace(engine)
-    backend_module = _BACKEND_MODULES[engine]
 
     def timed_run() -> float:
         # CPU time of this thread, which runs the whole engine (the
@@ -248,7 +244,7 @@ def test_disabled_path_overhead_under_3_percent(quiet_registry, monkeypatch,
     for round_ in range(N_TIMING_ROUNDS):
         times = {}
         for variant in ((_InertObserve, observe) if round_ % 2 else (observe, _InertObserve)):
-            monkeypatch.setattr(backend_module, "observe", variant)
+            monkeypatch.setattr(_OBSERVING_MODULE, "observe", variant)
             times[variant] = timed_run()
         ratios.append(times[observe] / times[_InertObserve])
 

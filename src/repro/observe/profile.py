@@ -12,10 +12,11 @@ module answers "where do those cycles go?" without breaking that rule:
   dynamic opcode mix, at the cost of re-arming one local integer — and
   with profiling off the checkpoint *is* the budget check, so the
   disabled loop is byte-for-byte the pre-profiler loop.
-* **engine** — :mod:`repro.simulate.engine` samples the trace's packed
-  ``kinds`` column with an extended slice (``kinds[::stride]``) *after*
-  the pass, so the event loop itself is never touched and the disabled
-  path stays one function call per run (under the <3% guard in
+* **engine** — :func:`repro.simulate.simulate_sessions`, the phase-2
+  shell, samples the whole trace's packed ``kinds`` column with an
+  extended slice (``kinds[::stride]``) *after* the pass, whichever
+  kernel ran it, so neither event loop is touched and the disabled path
+  stays one function call per run (under the <3% guard in
   ``benchmarks/test_observe_overhead.py``).
 
 Sampled counts are estimates: multiply by the stride to approximate

@@ -6,43 +6,53 @@ consume (paper sections 4 and 7): monitor hits, misses, installs,
 removes, and — per page size — page protect/unprotect transitions and
 active-page misses.
 
-The engine makes a **single pass** over the trace and computes exact
-counting variables for *every* session simultaneously.  Two backends
-implement the same pass and produce bit-identical results:
+:func:`simulate_sessions` makes a **single pass** over the trace and
+computes exact counting variables for *every* session at once.  It is
+one shell around two kernels that implement the same pass and return
+the same :class:`~repro.simulate.engine.RawCounts`:
 
-* ``"python"`` — the scalar reference engine
-  (:mod:`repro.simulate.engine`): a per-event loop with dict-based word
-  ownership and lazy (page, session) bookkeeping;
-* ``"native"`` — the compiled engine
-  (:mod:`repro.simulate.native_engine`): the scalar loop ported to C
-  (``simulate/_native/engine.c``), built on demand with the system C
-  compiler and driven through ctypes.
+* ``"python"`` — the scalar reference,
+  :func:`~repro.simulate.engine.scalar_pass`: a per-event loop with
+  dict-based word ownership and lazy (page, session) bookkeeping;
+* ``"native"`` — :func:`~repro.simulate.native_engine.native_pass`: the
+  scalar loop ported to C (``simulate/_native/engine.c``), built on
+  demand with the system C compiler and driven through ctypes.
 
-Both backends are incremental: each exposes a ``feed``/``finish``
-stream whose memory is bounded by the live working set, and the
-whole-trace entry point is that stream fed once.
+The shell does everything else once for both: the input checks, the
+object → sessions membership, the :class:`SimulationResult` assembly,
+the ``engine.*`` counters and ``engine.backend`` note, and the profiler's
+1-in-N event-kind sample.
 
-:func:`simulate_sessions` dispatches between them.  The default
-``engine="auto"`` runs native when the kernel loads and ``python``
-otherwise (no C compiler, or ``REPRO_NATIVE_DISABLE`` set).  Pass
-``engine="python"`` or ``"native"`` to force a backend; an explicit
+The default ``engine="auto"`` runs native when the kernel loads and
+``python`` otherwise (no C compiler, or ``REPRO_NATIVE_DISABLE`` set).
+Pass ``engine="python"`` or ``"native"`` to force a backend; an explicit
 demand for the native backend on a host without the kernel raises
 :class:`~repro.errors.PipelineError` instead of degrading.  Equivalence
 is enforced by the differential suites in ``tests/simulate/`` and the
 CI ``equivalence`` job.
+
+When observation is on (:mod:`repro.observe`) a run reports, *after* the
+pass, the ``engine.runs`` / ``engine.events`` / ``engine.writes`` /
+``engine.session_updates`` / ``engine.page_transitions`` /
+``engine.sessions_studied`` / ``engine.sessions_discarded`` counters and
+an ``engine.events_per_sec`` histogram sample.  Nothing is recorded per
+event, so with observation disabled a run does O(1) extra work (guarded
+by ``benchmarks/test_observe_overhead.py``).  The sampling profiler
+(:mod:`repro.observe.profile`) follows the same rule: when enabled the
+shell samples the packed event-kind column 1-in-N after the pass; when
+disabled it costs one function call per run.
 """
 
-from typing import Optional, Sequence
+import time
+from collections import Counter
+from typing import List, Optional, Sequence, Tuple
 
+from repro import observe
 from repro.errors import PipelineError
+from repro.observe import profile as observe_profile
 from repro.sessions.types import SessionDef
 from repro.simulate.counting import CountingVariables, VmPageCounts
-from repro.simulate.engine import (
-    SimulationResult,
-    SimulationStream,
-    simulate_sessions as simulate_sessions_python,
-    validate_page_sizes,
-)
+from repro.simulate.engine import RawCounts, SimulationResult, scalar_pass
 from repro.trace.events import EventTrace
 from repro.trace.objects import ObjectRegistry
 
@@ -82,6 +92,26 @@ def resolve_engine(engine: str = "auto", n_events: Optional[int] = None) -> str:
     return engine
 
 
+def validate_page_sizes(page_sizes: Sequence[int]) -> None:
+    """Reject page sizes the shift-based page math cannot represent.
+
+    Page numbers are computed as ``address >> (size.bit_length() - 1)``,
+    which is only ``address // size`` when ``size`` is a power of two; a
+    size like 3000 would silently fold unrelated addresses onto the same
+    page and corrupt every VM counting variable downstream.
+    """
+    if not page_sizes:
+        raise PipelineError("page_sizes must not be empty")
+    for size in page_sizes:
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise PipelineError(f"page size {size!r} must be an int")
+        if size <= 0 or size & (size - 1):
+            raise PipelineError(
+                f"page size {size} is not a power of two; the engine's "
+                "shift-based page math would compute wrong page numbers"
+            )
+
+
 def simulate_sessions(
     trace: EventTrace,
     registry: ObjectRegistry,
@@ -89,35 +119,114 @@ def simulate_sessions(
     page_sizes: Sequence[int] = (4096, 8192),
     engine: str = "auto",
 ) -> SimulationResult:
-    """Run the one-pass simulation on the selected backend: its stream
-    fed the whole trace once.
+    """Run the one-pass simulation on the selected backend.
 
-    Both backends return bit-identical results; see the module docstring
-    for how ``engine`` is resolved.
+    Returns a :class:`SimulationResult` holding only the sessions with
+    at least one hit.  Both backends return bit-identical results; see
+    the module docstring for how ``engine`` is resolved.
     """
-    stream = open_simulation_stream(registry, sessions, page_sizes, engine)
-    stream.feed(trace.kinds, trace.col_a, trace.col_b, trace.col_c)
-    return stream.finish(trace.meta)
+    backend = resolve_engine(engine)
+    if not sessions:
+        raise PipelineError("no sessions to simulate")
+    validate_page_sizes(page_sizes)
+    columns = (trace.kinds, trace.col_a, trace.col_b, trace.col_c)
+    lengths = tuple(len(column) for column in columns)
+    if len(set(lengths)) != 1:
+        raise PipelineError(
+            "ragged trace: column lengths (kinds, col_a, col_b, col_c) "
+            f"= {lengths} disagree"
+        )
+    # One flag read per run; neither kernel's event loop is instrumented.
+    observing = observe.is_enabled()
+    start_time = time.perf_counter() if observing else 0.0
+
+    obj_sessions = _membership(registry, sessions)
+    if backend == "native":
+        from repro.simulate.native_engine import native_pass as kernel
+    else:
+        kernel = scalar_pass
+    counts = kernel(obj_sessions, len(sessions), page_sizes, *columns)
+    result = _assemble(trace, sessions, tuple(page_sizes), counts)
+
+    if observing:
+        _record(counts, result, backend, lengths[0],
+                time.perf_counter() - start_time)
+    # Sampling profiler: a 1-in-N systematic sample of the event-kind
+    # mix, taken from the packed ``kinds`` column after the pass.
+    stride = observe_profile.engine_sample_stride()
+    if stride:
+        sampled = trace.kinds[::stride]
+        samples = Counter(
+            sampled.tolist() if hasattr(sampled, "tolist") else sampled
+        )
+        if samples:
+            observe_profile.get_profiler().record_engine(samples)
+    return result
 
 
-def open_simulation_stream(
-    registry: ObjectRegistry,
-    sessions: Sequence[SessionDef],
-    page_sizes: Sequence[int] = (4096, 8192),
-    engine: str = "auto",
-):
-    """An incremental ``feed``/``finish`` simulation.
+def _membership(registry, sessions) -> List[Tuple[int, ...]]:
+    """object id -> indexes of the sessions containing it, in session
+    order and with multiplicity (a duplicated member counts twice)."""
+    member_lists: List[List[int]] = [[] for _ in registry.objects]
+    for session in sessions:
+        for object_id in session.member_ids:
+            member_lists[object_id].append(session.index)
+    return [tuple(members) for members in member_lists]
 
-    Resolves ``engine`` like :func:`simulate_sessions` does.  The stream
-    is truly incremental — memory bounded by the live working set — and
-    produces results bit-identical to the whole-trace path (which is, on
-    both backends, this stream fed once).
-    """
-    if resolve_engine(engine) == "native":
-        from repro.simulate.native_engine import NativeSimulationStream
 
-        return NativeSimulationStream(registry, sessions, page_sizes)
-    return SimulationStream(registry, sessions, page_sizes)
+def _assemble(trace, sessions, page_sizes, counts: RawCounts):
+    """The :class:`SimulationResult` of one pass's counts."""
+    (installs, removes, hits, max_active, protects, unprotects, raw_active,
+     total_writes, overlap_anomalies) = counts
+    per_size = list(zip(page_sizes, protects, unprotects, raw_active))
+    result = SimulationResult(
+        program=trace.meta.program,
+        meta=trace.meta,
+        page_sizes=page_sizes,
+        total_writes=total_writes,
+        overlap_anomalies=overlap_anomalies,
+    )
+    for session in sessions:
+        s = session.index
+        if hits[s] == 0:
+            result.n_discarded += 1
+            continue
+        counting = CountingVariables(
+            installs=installs[s],
+            removes=removes[s],
+            hits=hits[s],
+            misses=total_writes - hits[s],
+            max_concurrent=max_active[s],
+        )
+        for size, prot, unprot, raw in per_size:
+            counting.vm[size] = VmPageCounts(
+                protects=prot[s],
+                unprotects=unprot[s],
+                active_page_misses=max(raw[s] - hits[s], 0),
+            )
+        result.sessions.append(session)
+        result.counts.append(counting)
+    return result
+
+
+def _record(counts: RawCounts, result, backend, n_events, elapsed) -> None:
+    """Report one run's ``engine.*`` counters (observation is on)."""
+    observe.inc("engine.runs")
+    observe.inc("engine.events", n_events)
+    observe.inc("engine.writes", counts.total_writes)
+    observe.inc(
+        "engine.session_updates",
+        sum(counts.installs) + sum(counts.removes) + sum(counts.hits),
+    )
+    observe.inc(
+        "engine.page_transitions",
+        sum(map(sum, counts.protects)) + sum(map(sum, counts.unprotects)),
+    )
+    observe.inc("engine.sessions_studied", len(result.sessions))
+    observe.inc("engine.sessions_discarded", result.n_discarded)
+    observe.note("engine.backend", backend)
+    if elapsed > 0:
+        observe.observe_value("engine.events_per_sec", n_events / elapsed)
 
 
 __all__ = [
@@ -125,10 +234,7 @@ __all__ = [
     "CountingVariables",
     "VmPageCounts",
     "SimulationResult",
-    "SimulationStream",
-    "open_simulation_stream",
     "resolve_engine",
     "simulate_sessions",
-    "simulate_sessions_python",
     "validate_page_sizes",
 ]

@@ -3,7 +3,7 @@
 The library holds two plain-C parts with no Python.h dependency:
 
 * ``engine.c``, the phase-2 simulation kernel
-  (:mod:`repro.simulate.native_engine`);
+  (:func:`repro.simulate.native_engine.native_pass`);
 * ``tracelog.c``, the phase-1 tracer-log expansion
   (:meth:`repro.trace.tracer.Tracer.drain`).
 

@@ -2,7 +2,9 @@
 
 Covers hand-computed small traces, the awkward cases (recursion,
 realloc, multi-page objects), the documented invariants, and a
-brute-force per-session oracle over randomized traces.
+brute-force per-session oracle over randomized traces.  Every case runs
+on the scalar reference backend, and on the native one where the kernel
+loads.
 """
 
 import pytest
@@ -11,7 +13,18 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import PipelineError
 from repro.sessions.types import SessionDef, ONE_HEAP, ALL_HEAP_IN_FUNC
 from repro.simulate import simulate_sessions
+from repro.simulate._native import native_available
 from repro.trace import EventTrace, ObjectRegistry
+
+from test_vector_equivalence import assert_identical
+
+#: The backends every case runs on: python always, native where it loads.
+ENGINES = ("python", "native") if native_available() else ("python",)
+
+
+@pytest.fixture(params=ENGINES)
+def engine(request):
+    return request.param
 
 
 def make_registry(n_objects):
@@ -30,33 +43,35 @@ def sessions_of(member_lists):
 
 
 class TestHandComputed:
-    def test_single_hit_and_miss(self):
+    def test_single_hit_and_miss(self, engine):
         registry = make_registry(1)
         trace = EventTrace("t")
         trace.append_install(0, 0x1000, 0x1010)
         trace.append_write(0x1004, 0x1008)   # hit
         trace.append_write(0x2000, 0x2004)   # miss
         trace.append_remove(0, 0x1000, 0x1010)
-        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,))
+        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,),
+                                   engine=engine)
         counts = result.counts[0]
         assert counts.hits == 1
         assert counts.misses == 1
         assert counts.installs == 1
         assert counts.removes == 1
 
-    def test_write_outside_window_is_miss(self):
+    def test_write_outside_window_is_miss(self, engine):
         registry = make_registry(1)
         trace = EventTrace("t")
         trace.append_write(0x1004, 0x1008)   # before install
         trace.append_install(0, 0x1000, 0x1010)
         trace.append_remove(0, 0x1000, 0x1010)
         trace.append_write(0x1004, 0x1008)   # after remove
-        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,))
+        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,),
+                                   engine=engine)
         # Zero hits: the session is discarded entirely.
         assert result.sessions == []
         assert result.n_discarded == 1
 
-    def test_active_page_miss(self):
+    def test_active_page_miss(self, engine):
         registry = make_registry(1)
         trace = EventTrace("t")
         trace.append_install(0, 0x1000, 0x1008)
@@ -64,13 +79,14 @@ class TestHandComputed:
         trace.append_write(0x1100, 0x1104)   # miss, same 4K page -> APM
         trace.append_write(0x9000, 0x9004)   # miss, other page
         trace.append_remove(0, 0x1000, 0x1008)
-        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,))
+        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,),
+                                   engine=engine)
         vm = result.counts[0].vm_counts(4096)
         assert vm.active_page_misses == 1
         assert vm.protects == 1
         assert vm.unprotects == 1
 
-    def test_page_transitions_shared_page(self):
+    def test_page_transitions_shared_page(self, engine):
         """Two session members on one page: a single protect window."""
         registry = make_registry(2)
         trace = EventTrace("t")
@@ -81,26 +97,28 @@ class TestHandComputed:
         trace.append_write(0x1100, 0x1104)
         trace.append_remove(1, 0x1100, 0x1108)
         both = sessions_of([[0, 1]])
-        result = simulate_sessions(trace, registry, both, (4096,))
+        result = simulate_sessions(trace, registry, both, (4096,),
+                                   engine=engine)
         vm = result.counts[0].vm_counts(4096)
         assert vm.protects == 1
         assert vm.unprotects == 1
         assert result.counts[0].hits == 2
 
-    def test_multi_page_object(self):
+    def test_multi_page_object(self, engine):
         registry = make_registry(1)
         trace = EventTrace("t")
         trace.append_install(0, 0x0FF8, 0x1010)  # spans two 4K pages
         trace.append_write(0x0FF8, 0x0FFC)
         trace.append_write(0x100C, 0x1010)
         trace.append_remove(0, 0x0FF8, 0x1010)
-        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,))
+        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,),
+                                   engine=engine)
         vm = result.counts[0].vm_counts(4096)
         assert result.counts[0].hits == 2
         assert vm.protects == 2   # both pages transitioned
         assert vm.unprotects == 2
 
-    def test_recursive_instantiations_same_object(self):
+    def test_recursive_instantiations_same_object(self, engine):
         """Two live instantiations of one object id (recursion)."""
         registry = make_registry(1)
         trace = EventTrace("t")
@@ -111,13 +129,14 @@ class TestHandComputed:
         trace.append_remove(0, 0x2000, 0x2008)
         trace.append_write(0x2000, 0x2004)        # inner gone: miss
         trace.append_remove(0, 0x1000, 0x1008)
-        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,))
+        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,),
+                                   engine=engine)
         counts = result.counts[0]
         assert counts.hits == 2
         assert counts.misses == 1
         assert counts.installs == 2
 
-    def test_page_size_sensitivity(self):
+    def test_page_size_sensitivity(self, engine):
         """A miss one 4K page away is an APM only at the 8K page size."""
         registry = make_registry(1)
         trace = EventTrace("t")
@@ -125,18 +144,20 @@ class TestHandComputed:
         trace.append_write(0x0000, 0x0004)    # hit
         trace.append_write(0x1004, 0x1008)    # next 4K page, same 8K page
         trace.append_remove(0, 0x0000, 0x0008)
-        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096, 8192))
+        result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096, 8192),
+                                   engine=engine)
         counts = result.counts[0]
         assert counts.vm_counts(4096).active_page_misses == 0
         assert counts.vm_counts(8192).active_page_misses == 1
 
-    def test_no_sessions_rejected(self):
+    def test_no_sessions_rejected(self, engine):
         with pytest.raises(PipelineError):
-            simulate_sessions(EventTrace("t"), make_registry(1), [], (4096,))
+            simulate_sessions(EventTrace("t"), make_registry(1), [], (4096,),
+                              engine=engine)
 
 
 class TestInvariants:
-    def _result(self):
+    def _result(self, engine):
         registry = make_registry(3)
         trace = EventTrace("t")
         trace.append_install(0, 0x1000, 0x1010)
@@ -148,28 +169,29 @@ class TestInvariants:
         trace.append_remove(1, 0x1010, 0x1020)
         trace.append_remove(2, 0x3000, 0x3010)
         sessions = sessions_of([[0], [1], [2], [0, 1], [0, 2]])
-        return simulate_sessions(trace, registry, sessions, (4096, 8192))
+        return simulate_sessions(trace, registry, sessions, (4096, 8192),
+                                 engine=engine)
 
-    def test_hits_plus_misses_is_total_writes(self):
-        result = self._result()
+    def test_hits_plus_misses_is_total_writes(self, engine):
+        result = self._result(engine)
         for counts in result.counts:
             assert counts.hits + counts.misses == result.total_writes
 
-    def test_apm_bounded_by_misses(self):
-        result = self._result()
+    def test_apm_bounded_by_misses(self, engine):
+        result = self._result(engine)
         for counts in result.counts:
             for size in (4096, 8192):
                 assert 0 <= counts.vm_counts(size).active_page_misses <= counts.misses
 
-    def test_protects_equal_unprotects(self):
-        result = self._result()
+    def test_protects_equal_unprotects(self, engine):
+        result = self._result(engine)
         for counts in result.counts:
             for size in (4096, 8192):
                 vm = counts.vm_counts(size)
                 assert vm.protects == vm.unprotects
 
-    def test_union_session_hits_at_least_members(self):
-        result = self._result()
+    def test_union_session_hits_at_least_members(self, engine):
+        result = self._result(engine)
         by_label = {s.label: c for s, c in zip(result.sessions, result.counts)}
         assert by_label["s3"].hits >= max(by_label["s0"].hits, by_label["s1"].hits)
 
@@ -272,22 +294,30 @@ def test_engine_matches_bruteforce_oracle(data):
     sessions = sessions_of(member_lists)
 
     page_size = data.draw(st.sampled_from([64, 128, 4096]))
-    result = simulate_sessions(trace, registry, sessions, (page_size,))
     expected = _oracle(trace, sessions, page_size)
-    assert result.overlap_anomalies == 0
-
-    studied = {session.index: counts for session, counts in zip(result.sessions, result.counts)}
-    for session in sessions:
-        want = expected[session.index]
-        if want["hits"] == 0:
-            assert session.index not in studied
-            continue
-        got = studied[session.index]
-        vm = got.vm_counts(page_size)
-        assert got.installs == want["installs"]
-        assert got.removes == want["removes"]
-        assert got.hits == want["hits"]
-        assert got.misses == want["misses"]
-        assert vm.protects == want["protects"]
-        assert vm.unprotects == want["unprotects"]
-        assert vm.active_page_misses == want["apm"]
+    results = [
+        simulate_sessions(trace, registry, sessions, (page_size,),
+                          engine=engine)
+        for engine in ENGINES
+    ]
+    for result in results:
+        assert result.overlap_anomalies == 0
+        studied = {session.index: counts for session, counts
+                   in zip(result.sessions, result.counts)}
+        for session in sessions:
+            want = expected[session.index]
+            if want["hits"] == 0:
+                assert session.index not in studied
+                continue
+            got = studied[session.index]
+            vm = got.vm_counts(page_size)
+            assert got.installs == want["installs"]
+            assert got.removes == want["removes"]
+            assert got.hits == want["hits"]
+            assert got.misses == want["misses"]
+            assert vm.protects == want["protects"]
+            assert vm.unprotects == want["unprotects"]
+            assert vm.active_page_misses == want["apm"]
+    # The fields the oracle does not model must agree across backends.
+    for result in results[1:]:
+        assert_identical(results[0], result)

@@ -8,10 +8,9 @@ kernel loads on this host.  This suite pins the full matrix:
 * an explicit ``native`` request is a demand — an unavailable kernel
   raises :class:`PipelineError` rather than substituting;
 * every request that resolves runs to results identical to the scalar
-  reference on 0-, 1- and 2**20-event traces: the trace in memory, the
-  trace as :func:`load_trace` returns it from a saved cache entry, and
-  that entry's stored chunks fed one by one to
-  :func:`open_simulation_stream`.
+  reference on 0-, 1- and 2**20-event traces: the trace in memory, and
+  the trace as :func:`load_trace` returns it from a saved cache entry
+  (several stored chunks for the largest).
 
 Availability is simulated by monkeypatching the probe function (for
 resolution logic) and via ``REPRO_NATIVE_DISABLE`` (for the real
@@ -27,18 +26,17 @@ import repro.simulate as sim
 from repro import observe
 from repro.errors import PipelineError
 from repro.sessions.types import SessionDef, ONE_HEAP
-from repro.simulate import (
-    open_simulation_stream,
-    resolve_engine,
-    simulate_sessions,
-)
-from repro.simulate._native import native_available
-from repro.simulate.engine import simulate_sessions as simulate_python
+from repro.simulate import native_engine, resolve_engine, simulate_sessions
+from repro.simulate._native import load_native_library, native_available
 from repro.trace import EventTrace, ObjectRegistry, load_trace, save_trace
 from repro.trace.events import EventKind, TraceMeta
 from repro.trace.tracefile import SAVE_CHUNK_EVENTS, TraceStreamReader
 
-from test_vector_equivalence import assert_identical, build_random
+from test_vector_equivalence import (
+    assert_identical,
+    build_random,
+    simulate_python,
+)
 
 SIZES = (0, 1, 1 << 20)
 
@@ -93,22 +91,12 @@ def sized_cases(tmp_path_factory):
 
 def _run_source(source, request_, case):
     """Simulate ``case`` with ``engine=request_``, the trace taken from
-    ``source``: in memory, loaded from its saved entry, or that entry's
-    stored chunks fed one feed each."""
+    ``source``: in memory, or loaded from its saved entry."""
     trace, registry, sessions, _, path = case
-    if source == "memory":
-        return simulate_sessions(trace, registry, sessions, (4096, 8192),
-                                 engine=request_)
     if source == "loaded":
-        loaded, loaded_registry = load_trace(path)
-        return simulate_sessions(loaded, loaded_registry, sessions,
-                                 (4096, 8192), engine=request_)
-    with TraceStreamReader(path) as reader:
-        stream = open_simulation_stream(reader.registry, sessions,
-                                        (4096, 8192), engine=request_)
-        for columns in reader.stored_chunks():
-            stream.feed(*columns)
-        return stream.finish(reader.meta, expected_events=reader.n_events)
+        trace, registry = load_trace(path)
+    return simulate_sessions(trace, registry, sessions, (4096, 8192),
+                             engine=request_)
 
 
 class TestResolveMatrix:
@@ -148,7 +136,7 @@ class TestRunMatrix:
     matches the scalar reference."""
 
     @pytest.mark.parametrize("n_events", SIZES)
-    @pytest.mark.parametrize("source", ["memory", "loaded", "chunks"])
+    @pytest.mark.parametrize("source", ["memory", "loaded"])
     @pytest.mark.parametrize("request_,native", [
         pytest.param("auto", True, marks=needs_kernel),
         ("auto", False),
@@ -174,8 +162,8 @@ class TestRunMatrix:
         assert_identical(reference, result)
 
     def test_largest_case_spans_several_stored_chunks(self, sized_cases):
-        """The ``chunks`` rows feed the 2**20-event case as more than one
-        feed, so they cover a stream fed across chunk boundaries."""
+        """The ``loaded`` rows read the 2**20-event case back from more
+        than one stored chunk."""
         with TraceStreamReader(sized_cases[1 << 20][4]) as reader:
             assert reader.n_chunks == (1 << 20) // SAVE_CHUNK_EVENTS > 1
 
@@ -205,15 +193,45 @@ class TestRealLoaderGate:
         native_available(refresh=True)
 
     @needs_kernel
-    def test_native_stream_raises_when_disabled(self, monkeypatch):
-        from repro.simulate.native_engine import NativeSimulationStream
-
-        trace, registry, sessions = build_random(1)
+    def test_native_pass_raises_when_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
         native_available(refresh=True)
         try:
             with pytest.raises(PipelineError, match="unavailable"):
-                NativeSimulationStream(registry, sessions, (4096,))
+                native_engine.native_pass([], 1, (4096,), [], [], [], [])
         finally:
             monkeypatch.delenv("REPRO_NATIVE_DISABLE")
             native_available(refresh=True)
+
+
+class _FailingFeed:
+    """The loaded library with ``engine_feed`` reporting out of memory
+    and ``engine_free`` counted."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.frees = 0
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def engine_feed(self, *args):
+        return 1
+
+    def engine_free(self, handle):
+        self.frees += 1
+        self._lib.engine_free(handle)
+
+
+@needs_kernel
+def test_failed_feed_frees_the_engine_state(monkeypatch):
+    """A kernel error raises PipelineError and still frees the C state,
+    exactly once."""
+    failing = _FailingFeed(load_native_library())
+    monkeypatch.setattr(native_engine, "load_native_library",
+                        lambda: failing)
+    trace, registry, sessions = build_random(3)
+    with pytest.raises(PipelineError, match="out of memory"):
+        simulate_sessions(trace, registry, sessions, (4096,),
+                          engine="native")
+    assert failing.frees == 1

@@ -1,8 +1,8 @@
-"""Differential gate: the native engine must be bit-identical to the
-scalar reference engine.
+"""Differential gate: the native kernel must be bit-identical to the
+scalar reference kernel.
 
 The native backend (:mod:`repro.simulate.native_engine`) ports the
-scalar engine's per-event loop to C; nothing in that port is allowed to
+scalar kernel's per-event loop to C; nothing in that port is allowed to
 change a single counting variable.  This suite enforces that with
 
 * a randomized differential sweep — adversarial traces (overlapping
@@ -10,8 +10,9 @@ change a single counting variable.  This suite enforces that with
   multi-word writes, tiny and huge page sizes) replayed through both
   backends and compared field by field;
 * the documented engine invariants, checked on *both* backends;
-* feeds of a saved trace's stored chunks, at any chunk size the trace
-  writer cut, against the whole in-memory trace;
+* the shell's input checks, on both backends;
+* traces saved as many stored chunks, at any chunk size the trace
+  writer cut, loaded and simulated against the whole in-memory trace;
 * dispatcher tests for :func:`repro.simulate.resolve_engine` and the
   ``engine=`` argument of :func:`repro.simulate.simulate_sessions`.
 
@@ -24,27 +25,32 @@ import random
 
 import pytest
 
+from repro import observe
 from repro.errors import PipelineError
+from repro.observe import profile as observe_profile
 from repro.sessions.types import SessionDef, ONE_HEAP, ALL_HEAP_IN_FUNC
-from repro.simulate import (
-    open_simulation_stream,
-    resolve_engine,
-    simulate_sessions,
-)
-from repro.simulate.engine import SimulationStream
-from repro.simulate.engine import simulate_sessions as simulate_python
+from repro.simulate import native_engine, resolve_engine, simulate_sessions
 from repro.simulate._native import native_available
-from repro.simulate.native_engine import (
-    NativeSimulationStream,
-    simulate_sessions_native,
-)
+from repro.trace import EventTrace, ObjectRegistry, load_trace
+from repro.trace.events import TraceMeta
+from repro.trace.tracefile import ChunkedTraceWriter, TraceStreamReader
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="native kernel unavailable (no C compiler)"
 )
-from repro.trace import EventTrace, ObjectRegistry
-from repro.trace.events import TraceMeta
-from repro.trace.tracefile import ChunkedTraceWriter, TraceStreamReader
+#: Both backends, the native one skipped where the kernel does not load.
+BACKENDS = ["python", pytest.param("native", marks=needs_native)]
+
+
+def simulate_python(trace, registry, sessions, page_sizes):
+    return simulate_sessions(trace, registry, sessions, page_sizes,
+                             engine="python")
+
+
+def simulate_native(trace, registry, sessions, page_sizes):
+    return simulate_sessions(trace, registry, sessions, page_sizes,
+                             engine="native")
+
 
 #: Page-size configurations the sweep replays every trace under: the
 #: production pair, single sizes, and degenerate tiny pages (4-byte
@@ -149,9 +155,8 @@ class TestDifferential:
         for seed in range(60):
             trace, registry, sessions = build_random(seed)
             result_py = simulate_python(trace, registry, sessions, page_sizes)
-            result_nat = simulate_sessions_native(
-                trace, registry, sessions, page_sizes
-            )
+            result_nat = simulate_native(trace, registry, sessions,
+                                         page_sizes)
             assert_identical(result_py, result_nat)
             assert_invariants(result_nat)
 
@@ -162,7 +167,7 @@ class TestDifferential:
         trace = EventTrace(TraceMeta(program="empty"))
         sessions = [SessionDef(0, ONE_HEAP, "s0", (0,))]
         result_py = simulate_python(trace, registry, sessions, (4096,))
-        result_nat = simulate_sessions_native(trace, registry, sessions, (4096,))
+        result_nat = simulate_native(trace, registry, sessions, (4096,))
         assert_identical(result_py, result_nat)
         assert result_nat.total_writes == 0
         assert result_nat.n_discarded == 1
@@ -177,7 +182,7 @@ class TestDifferential:
             trace.append_write(0x1000 + 4 * i, 0x1004 + 4 * i)
         sessions = [SessionDef(0, ONE_HEAP, "s0", (0,))]
         result_py = simulate_python(trace, registry, sessions, (4096,))
-        result_nat = simulate_sessions_native(trace, registry, sessions, (4096,))
+        result_nat = simulate_native(trace, registry, sessions, (4096,))
         assert_identical(result_py, result_nat)
         assert result_nat.total_writes == 10
 
@@ -192,102 +197,21 @@ class TestDifferential:
         trace.append_write(0x1200, 0x1204)   # miss, same page -> raw write
         sessions = [SessionDef(0, ONE_HEAP, "s0", (0,))]
         result_py = simulate_python(trace, registry, sessions, (4096,))
-        result_nat = simulate_sessions_native(trace, registry, sessions,
-                                              (4096,))
+        result_nat = simulate_native(trace, registry, sessions, (4096,))
         assert_identical(result_py, result_nat)
         vm = result_nat.counts[0].vm[4096]
         assert vm.protects == 1
         assert vm.unprotects == 1  # defensive EOF flush closed it
         assert vm.active_page_misses == 1
 
-
-class TestStreamingDifferential:
-    """Feeding in pieces must be bit-identical to whole-trace simulation.
-
-    Feed boundaries are framing only, so any split of the same event
-    sequence — including degenerate one-event pieces — must leave every
-    counting variable unchanged on both engines.
-    """
-
-    @pytest.mark.parametrize("engine", [
-        "python", pytest.param("native", marks=needs_native),
-    ])
-    def test_randomized_chunked_sweep(self, engine):
-        for seed in range(30):
-            trace, registry, sessions = build_random(seed)
-            chunk_events = random.Random(seed).choice([1, 3, 17, 50, 10_000])
-            batch = simulate_sessions(trace, registry, sessions, (4096, 8192),
-                                      engine=engine)
-            stream = open_simulation_stream(registry, sessions, (4096, 8192),
-                                            engine=engine)
-            columns = trace.as_arrays()
-            for start in range(0, len(trace), chunk_events):
-                stream.feed(*(column[start:start + chunk_events]
-                              for column in columns))
-            streamed = stream.finish(trace.meta, expected_events=len(trace))
-            assert_identical(batch, streamed)
-            assert_invariants(streamed)
-
-    @pytest.mark.parametrize("stream_cls", [
-        SimulationStream,
-        pytest.param(NativeSimulationStream, marks=needs_native),
-    ], ids=["python", "native"])
-    def test_truncated_stream_fails_loudly(self, stream_cls):
-        trace, registry, sessions = build_random(5)
-        columns = trace.as_arrays()
-        stream = stream_cls(registry, sessions, (4096,))
-        stream.feed(*(column[:25] for column in columns))
-        with pytest.raises(PipelineError, match="truncated chunk stream"):
-            stream.finish(trace.meta, expected_events=len(trace))
-
-    def _stream_at_splits(self, trace, registry, sessions, page_sizes,
-                          splits, stream_cls):
-        """Replay ``trace`` through a simulation stream, fed as the
-        column slices between consecutive ``splits`` (any monotone
-        sequence over [0, n]; repeated positions feed empty batches)."""
-        columns = trace.as_arrays()
-        stream = stream_cls(registry, sessions, page_sizes)
-        bounds = [0, *splits, len(trace)]
-        for begin, end in zip(bounds[:-1], bounds[1:]):
-            stream.feed(
-                columns.kinds[begin:end], columns.col_a[begin:end],
-                columns.col_b[begin:end], columns.col_c[begin:end],
-            )
-        return stream.finish(trace.meta, expected_events=len(trace))
-
-    def test_randomized_split_points(self):
-        """Arbitrary feed boundaries — empty batches, 1-event batches,
-        windows straddling splits — leave every streamed backend ==
-        batch-native == scalar, bit-identically."""
-        for seed in range(25):
-            trace, registry, sessions = build_random(seed)
-            rng = random.Random(1000 + seed)
-            n = len(trace)
-            splits = sorted(
-                rng.choice([rng.randint(0, n), 0, n, rng.randint(0, n)])
-                for _ in range(rng.randint(0, 8))
-            )
-            scalar = simulate_python(trace, registry, sessions, (4096, 16))
-            stream_classes = [SimulationStream]
-            if native_available():
-                assert_identical(scalar, simulate_sessions_native(
-                    trace, registry, sessions, (4096, 16)
-                ))
-                stream_classes.append(NativeSimulationStream)
-            for stream_cls in stream_classes:
-                streamed = self._stream_at_splits(
-                    trace, registry, sessions, (4096, 16), splits, stream_cls
-                )
-                assert_identical(scalar, streamed)
-                assert_invariants(streamed)
-
-    def test_window_straddles_every_boundary(self):
-        """Sweep every split point of a trace whose protect windows,
-        overlap anomaly, and EOF-open window all straddle chunks."""
+    @needs_native
+    def test_overlap_anomaly_and_open_window(self):
+        """Protect windows sharing pages, an overlap anomaly, a multi-word
+        write across two objects and a window open at EOF."""
         registry = ObjectRegistry()
         for _ in range(3):
             registry.heap("f", ("main", "f"), 16)
-        trace = EventTrace(TraceMeta(program="straddle"))
+        trace = EventTrace(TraceMeta(program="overlap"))
         trace.append_install(0, 100, 116)
         trace.append_write(104, 108)        # hit on obj 0
         trace.append_write(200, 204)        # miss
@@ -305,54 +229,91 @@ class TestStreamingDifferential:
             SessionDef(1, ONE_HEAP, "s1", (1,)),
             SessionDef(2, ALL_HEAP_IN_FUNC, "s2", (0, 1, 2)),
         ]
-        page_sizes = (4096, 16)
-        scalar = simulate_python(trace, registry, sessions, page_sizes)
+        scalar = simulate_python(trace, registry, sessions, (4096, 16))
         assert scalar.overlap_anomalies > 0
-        stream_classes = [SimulationStream]
-        if native_available():
-            stream_classes.append(NativeSimulationStream)
-        for split in range(len(trace) + 1):
-            for stream_cls in stream_classes:
-                streamed = self._stream_at_splits(
-                    trace, registry, sessions, page_sizes, [split],
-                    stream_cls,
-                )
-                assert_identical(scalar, streamed)
+        assert_identical(scalar, simulate_native(trace, registry, sessions,
+                                                 (4096, 16)))
 
-    @pytest.mark.parametrize("stream_cls", [
-        SimulationStream,
-        pytest.param(NativeSimulationStream, marks=needs_native),
-    ], ids=["python", "native"])
-    def test_empty_feeds_are_noops(self, stream_cls):
-        trace, registry, sessions = build_random(7)
-        batch = simulate_python(trace, registry, sessions, (4096,))
-        columns = trace.as_arrays()
-        stream = stream_cls(registry, sessions, (4096,))
-        stream.feed([], [], [], [])
-        mid = len(trace) // 2
-        stream.feed(columns.kinds[:mid], columns.col_a[:mid],
-                    columns.col_b[:mid], columns.col_c[:mid])
-        stream.feed([], [], [], [])
-        stream.feed(columns.kinds[mid:], columns.col_a[mid:],
-                    columns.col_b[mid:], columns.col_c[mid:])
-        stream.feed([], [], [], [])
-        streamed = stream.finish(trace.meta, expected_events=len(trace))
-        assert_identical(batch, streamed)
 
-    @pytest.mark.parametrize("stream_cls", [
-        SimulationStream,
-        pytest.param(NativeSimulationStream, marks=needs_native),
-    ], ids=["python", "native"])
-    def test_mismatched_column_lengths_rejected(self, stream_cls):
-        """Regression: ragged feeds used to be accepted silently (the
+class TestShellChecks:
+    """The shell's input checks run before either kernel, so both
+    backends reject the same inputs."""
+
+    @pytest.mark.parametrize("engine", BACKENDS)
+    def test_mismatched_column_lengths_rejected(self, engine):
+        """Regression: ragged columns used to be accepted silently (the
         scalar zip truncated the longer columns)."""
+        _, registry, sessions = build_random(7)
+        for columns in (([1, 1], [4, 8], [8, 12], [0]),
+                        ([1], [4, 8], [8], [0])):
+            trace = EventTrace("ragged")
+            trace.kinds, trace.col_a, trace.col_b, trace.col_c = columns
+            with pytest.raises(PipelineError, match="ragged trace"):
+                simulate_sessions(trace, registry, sessions, (4096,),
+                                  engine=engine)
+
+    @pytest.mark.parametrize("engine", BACKENDS)
+    def test_engine_rejects_bad_page_sizes(self, engine):
         trace, registry, sessions = build_random(7)
-        stream = stream_cls(registry, sessions, (4096,))
-        with pytest.raises(PipelineError, match="ragged feed"):
-            stream.feed([1, 1], [4, 8], [8, 12], [0])
-        stream = stream_cls(registry, sessions, (4096,))
-        with pytest.raises(PipelineError, match="ragged feed"):
-            stream.feed([1], [4, 8], [8], [0])
+        with pytest.raises(PipelineError, match="power of two"):
+            simulate_sessions(trace, registry, sessions, (3000,),
+                              engine=engine)
+
+    @pytest.mark.parametrize("engine", BACKENDS)
+    def test_engine_rejects_empty_sessions(self, engine):
+        trace, registry, sessions = build_random(7)
+        with pytest.raises(PipelineError, match="no sessions"):
+            simulate_sessions(trace, registry, [], (4096,), engine=engine)
+
+
+class TestShellObservation:
+    """The shell observes and samples for both kernels, so a run reports
+    the same counters and profile samples whichever kernel ran it."""
+
+    @needs_native
+    def test_backends_report_the_same_observations(self):
+        trace, registry, sessions = build_random(11)
+        was_enabled = observe.is_enabled()
+        reports = {}
+        for engine in ("python", "native"):
+            observe.reset()
+            observe.enable()
+            observe_profile.enable_profiling(stride=3)
+            try:
+                simulate_sessions(trace, registry, sessions, (4096, 16),
+                                  engine=engine)
+                snapshot = observe.get_registry().snapshot()
+                samples = dict(observe_profile.get_profiler().engine_events)
+            finally:
+                observe_profile.disable_profiling()
+                if not was_enabled:
+                    observe.disable()
+                observe.reset()
+            assert snapshot["notes"]["engine.backend"] == [engine]
+            reports[engine] = (snapshot["counters"], samples)
+        assert reports["python"] == reports["native"]
+        counters, samples = reports["python"]
+        assert counters["engine.events"] == len(trace)
+        assert sum(samples.values()) == len(trace.kinds[::3])
+
+
+class TestNoColumnCopy:
+    """The native kernel reads the trace's own int8/int32 buffers: a
+    copy of a full-scale trace's columns would add tens of MB to a run's
+    peak memory."""
+
+    @pytest.mark.parametrize("source", ["appended", "from_arrays", "loaded"])
+    def test_columns_are_passed_in_place(self, tmp_path, source):
+        trace, registry, _ = build_random(3)
+        if source == "from_arrays":
+            trace = EventTrace.from_arrays(*trace.as_arrays(), trace.meta)
+        elif source == "loaded":
+            save_chunked(trace, registry, tmp_path / "t.npz", 64)
+            trace, _ = load_trace(tmp_path / "t.npz")
+        assert native_engine._i8_buffer(trace.kinds)[1] is trace.kinds
+        for column in (trace.col_a, trace.col_b, trace.col_c):
+            assert native_engine._i32_buffer(column)[1] is column
+
 
 def save_chunked(trace, registry, path, chunk_events):
     """Save ``trace`` through the trace writer, ``chunk_events`` events
@@ -365,53 +326,27 @@ def save_chunked(trace, registry, path, chunk_events):
         writer.finalize(trace.meta, registry)
 
 
-class TestStoredChunkFeeds:
-    """A saved trace read back chunk by chunk, its stored int8/int32
-    columns fed one chunk per feed, simulates bit-identically to the
-    whole in-memory trace, whatever chunk size the writer cut."""
+class TestMultiChunkTraces:
+    """A trace saved as many chunks, once loaded, simulates
+    bit-identically to the whole in-memory trace, whatever chunk size
+    the writer cut."""
 
     @pytest.mark.parametrize("chunk_events", [1, 7, 64, 1000])
-    @pytest.mark.parametrize("stream_cls", [
-        SimulationStream,
-        pytest.param(NativeSimulationStream, marks=needs_native),
-    ], ids=["python", "native"])
-    def test_stored_chunks_match_whole_trace(self, tmp_path, stream_cls,
+    @pytest.mark.parametrize("engine", BACKENDS)
+    def test_stored_chunks_match_whole_trace(self, tmp_path, engine,
                                              chunk_events):
         for seed in range(10):
             trace, registry, sessions = build_random(seed)
             path = tmp_path / f"rand{seed}.npz"
             save_chunked(trace, registry, path, chunk_events)
-            scalar = simulate_python(trace, registry, sessions, (4096, 16))
             with TraceStreamReader(path) as reader:
-                stream = stream_cls(reader.registry, sessions, (4096, 16))
-                n_feeds = 0
-                for columns in reader.stored_chunks():
-                    stream.feed(*columns)
-                    n_feeds += 1
-                streamed = stream.finish(reader.meta,
-                                         expected_events=reader.n_events)
-            assert n_feeds == -(-len(trace) // chunk_events)
-            assert_identical(scalar, streamed)
-            assert_invariants(streamed)
-
-    @pytest.mark.parametrize("stream_cls", [
-        SimulationStream,
-        pytest.param(NativeSimulationStream, marks=needs_native),
-    ], ids=["python", "native"])
-    def test_missing_last_chunk_fails_loudly(self, tmp_path, stream_cls):
-        """The reader's event total catches a stream that stopped a chunk
-        short."""
-        trace, registry, sessions = build_random(5)
-        path = tmp_path / "rand5.npz"
-        save_chunked(trace, registry, path, 50)
-        with TraceStreamReader(path) as reader:
-            chunks = list(reader.stored_chunks())
-            assert len(chunks) > 1
-            stream = stream_cls(reader.registry, sessions, (4096,))
-            for columns in chunks[:-1]:
-                stream.feed(*columns)
-            with pytest.raises(PipelineError, match="truncated chunk stream"):
-                stream.finish(reader.meta, expected_events=reader.n_events)
+                assert reader.n_chunks == -(-len(trace) // chunk_events)
+            loaded, loaded_registry = load_trace(path)
+            scalar = simulate_python(trace, registry, sessions, (4096, 16))
+            result = simulate_sessions(loaded, loaded_registry, sessions,
+                                       (4096, 16), engine=engine)
+            assert_identical(scalar, result)
+            assert_invariants(result)
 
 
 class TestDispatcher:
@@ -444,15 +379,3 @@ class TestDispatcher:
         with pytest.raises(PipelineError):
             simulate_sessions(trace, registry, sessions, (4096,),
                               engine="fortran")
-
-    @needs_native
-    def test_native_engine_rejects_bad_page_sizes(self):
-        trace, registry, sessions = build_random(7)
-        with pytest.raises(PipelineError):
-            simulate_sessions_native(trace, registry, sessions, (3000,))
-
-    @needs_native
-    def test_native_engine_rejects_empty_sessions(self):
-        trace, registry, sessions = build_random(7)
-        with pytest.raises(PipelineError):
-            simulate_sessions_native(trace, registry, [], (4096,))

@@ -11,10 +11,10 @@ This module generalizes the pipeline's ad-hoc cache files into a small
   every load; a mismatch raises :class:`StoreCorruptError` and the entry
   is treated exactly like a missing one (discarded, recomputed).  Trace
   ``.npz`` entries are already integrity-checked by their container
-  (zip CRCs plus the footer's per-chunk column checksums — see
-  ``docs/TRACE_FORMAT.md``), so the store verifies them by reading them
-  through :class:`~repro.trace.tracefile.TraceStreamReader` rather than
-  double-wrapping.
+  (a zip CRC-32 per column member — see ``docs/TRACE_FORMAT.md``), so
+  the store verifies them by loading them through
+  :func:`~repro.trace.tracefile.load_trace`, with every check a cached
+  read makes, rather than double-wrapping.
 * **Maintenance surface** — :meth:`ResultStore.verify` audits every
   entry and :meth:`ResultStore.gc` removes temp droppings and corrupt
   blobs, surfaced as the ``store verify`` / ``store gc`` CLI
@@ -49,7 +49,7 @@ from typing import Dict, List, Optional
 from repro import observe
 from repro.errors import StoreCorruptError
 from repro.faults import faultpoint
-from repro.trace.tracefile import TraceStreamReader
+from repro.trace.tracefile import load_trace
 
 #: Envelope format marker.
 STORE_FORMAT = "repro-store"
@@ -58,7 +58,7 @@ DIGEST_ALGO = "sha256"
 
 #: Entry statuses reported by :meth:`ResultStore.verify`.
 STATUS_V3 = "v3"            #: enveloped, digest verified
-STATUS_NPZ = "npz"          #: trace container, read and checksums verified
+STATUS_NPZ = "npz"          #: trace container that loads, every check passed
 STATUS_CORRUPT = "corrupt"  #: failed its integrity check
 STATUS_TMP = "tmp"          #: orphaned temp file from a killed writer
 STATUS_OTHER = "other"      #: unrecognized file, left alone
@@ -259,14 +259,11 @@ class ResultStore:
             return EntryReport(name, STATUS_V3, size)
         if name.endswith(".npz"):
             try:
-                with TraceStreamReader(path) as reader:
-                    for _columns in reader.stored_chunks():
-                        pass
+                load_trace(path)
             except Exception as exc:
                 return EntryReport(name, STATUS_CORRUPT, size,
                                    f"{type(exc).__name__}: {exc}")
-            return EntryReport(name, STATUS_NPZ, size,
-                               "container-checksummed trace")
+            return EntryReport(name, STATUS_NPZ, size, "trace loads")
         return EntryReport(name, STATUS_OTHER, size, "not a store entry")
 
     def gc(self, dry_run: bool = False) -> Dict[str, List[str]]:

@@ -29,7 +29,7 @@ production paths permanently (guarded by
 ``benchmarks/test_observe_overhead.py``).  The hot per-event loops (CPU
 dispatch, the simulation engines) are deliberately *not* instrumented —
 events mark monitor-relevant transitions (cache traffic, retries,
-faults, chunk framing, stage boundaries), never per-trace-event work.
+faults, stage boundaries), never per-trace-event work.
 
 The JSONL schema is normative in ``docs/OBSERVABILITY.md`` ("Event
 log"); ``tools/lint_event_log.py`` validates logs against

@@ -31,11 +31,12 @@
  *     Python's floor-division `>>` (gcc/clang shift signed right
  *     arithmetically, which the build probe asserts).
  *
- * The engine is incremental: state lives in the Engine struct across
- * engine_feed() calls, bounded by the live working set (owned words,
- * touched pages, open pairs, sessions) — never by trace length.  The
- * Python wrapper (repro.simulate.native_engine) owns result assembly,
- * observation, and the feed/finish stream protocol.
+ * One pass over a whole trace: repro.simulate.native_engine.native_pass
+ * calls engine_feed() once with the trace's own columns.  The Engine
+ * struct's state is bounded by the live working set (owned words,
+ * touched pages, open pairs, sessions), never by trace length.  The
+ * phase-2 shell in repro.simulate does the checks, result assembly and
+ * observation around this kernel and the scalar one alike.
  *
  * Plain C99 + stdlib only — no Python.h — so the shared object builds
  * with any C compiler and loads through ctypes; there is nothing to

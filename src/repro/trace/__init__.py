@@ -17,12 +17,7 @@ matching the paper.
 from repro.trace.objects import ObjectDesc, ObjectRegistry
 from repro.trace.events import EventKind, EventTrace, TraceColumns, TraceMeta
 from repro.trace.tracer import Tracer, trace_program
-from repro.trace.tracefile import (
-    ChunkedTraceWriter,
-    TraceStreamReader,
-    load_trace,
-    save_trace,
-)
+from repro.trace.tracefile import load_trace, save_trace
 
 __all__ = [
     "ObjectDesc",
@@ -33,8 +28,6 @@ __all__ = [
     "TraceMeta",
     "Tracer",
     "trace_program",
-    "ChunkedTraceWriter",
-    "TraceStreamReader",
     "save_trace",
     "load_trace",
 ]

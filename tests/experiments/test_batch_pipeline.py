@@ -3,8 +3,9 @@
 Phase 1 traces into memory; phase 2 simulates that trace while, on a
 trace-cache miss, a writer thread saves it.  These tests pin what the
 path must keep doing: a later run that loads the saved entry reproduces
-the cold run's counting variables exactly, whatever chunk size the
-entry was cut at and whichever engine simulates it; faults injected
+the cold run's counting variables exactly, whether the entry is the
+cold run's own or one saved again, and whichever engine simulates it;
+faults injected
 into the save are retried or, under ``--keep-going``, recorded; and the
 removed streamed mode has left no option, config field or metric.
 """
@@ -20,12 +21,7 @@ from repro import faults, observe
 from repro.experiments.cli import EXIT_PARTIAL, EXIT_USAGE, main as cli_main
 from repro.experiments.pipeline import ExperimentConfig, load_program_data
 from repro.simulate._native import native_available
-from repro.trace import load_trace
-from repro.trace.tracefile import (
-    SAVE_CHUNK_EVENTS,
-    ChunkedTraceWriter,
-    TraceStreamReader,
-)
+from repro.trace import load_trace, save_trace
 
 PROGRAM = "qcd"  # the cheapest workload at smoke scale
 
@@ -70,18 +66,6 @@ def _trace_entry(cache_dir):
     return entry
 
 
-def _rechunk(path, chunk_events):
-    """Rewrite the trace entry at ``path`` with ``chunk_events`` events
-    per chunk: the same trace in another writer's chunking."""
-    trace, registry = load_trace(path)
-    columns = trace.as_arrays()
-    with ChunkedTraceWriter(path) as writer:
-        for seq, start in enumerate(range(0, len(trace), chunk_events)):
-            writer.write_columns(
-                seq, [column[start:start + chunk_events] for column in columns])
-        writer.finalize(trace.meta, registry)
-
-
 @pytest.fixture(scope="module")
 def cold(tmp_path_factory):
     """A cold run's ProgramData and the cache directory it filled."""
@@ -92,8 +76,8 @@ def cold(tmp_path_factory):
 class TestTraceCacheHits:
     def test_cold_run_saves_one_entry_and_no_temp_files(self, cold):
         _, cache_dir = cold
-        with TraceStreamReader(_trace_entry(cache_dir)) as reader:
-            assert reader.n_events > 0
+        trace, _ = load_trace(_trace_entry(cache_dir))
+        assert len(trace) > 0
         assert len(_sim_entries(cache_dir)) == 1
         assert not [p for p in cache_dir.iterdir() if p.name.endswith(".tmp")]
 
@@ -109,17 +93,15 @@ class TestTraceCacheHits:
         assert any("loading cached trace" in message for message in messages)
         assert not any("tracing" in message for message in messages)
 
-    @pytest.mark.parametrize("chunk_events", [1000, 4096, SAVE_CHUNK_EVENTS])
-    def test_entry_of_any_chunking_loads_as_a_hit(self, cold, tmp_path,
-                                                  chunk_events):
+    def test_resaved_entry_loads_as_a_hit(self, cold, tmp_path):
+        """An entry loaded and saved again is the same entry: a later
+        run loads it as a hit and reproduces the cold run."""
         baseline, cache_dir = cold
         copy = tmp_path / "cache"
         copy.mkdir()
         entry = copy / _trace_entry(cache_dir).name
-        entry.write_bytes(_trace_entry(cache_dir).read_bytes())
-        _rechunk(entry, chunk_events)
-        with TraceStreamReader(entry) as reader:
-            assert reader.n_chunks == -(-reader.n_events // chunk_events)
+        save_trace(*load_trace(_trace_entry(cache_dir)), entry)
+        assert entry.read_bytes() == _trace_entry(cache_dir).read_bytes()
         messages = []
         warm = load_program_data(PROGRAM, make_config(copy), messages.append)
         assert_same_data(baseline, warm)

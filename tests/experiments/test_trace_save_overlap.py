@@ -82,8 +82,8 @@ def assert_same_result(data, clean):
 class TestWriteErrors:
     @pytest.mark.parametrize("spec", [
         "trace.save:oserror",   # before the temporary file is made
-        "io.write:oserror@1",   # the first chunk's columns
-        "io.write:oserror@2",   # the footer, after every chunk
+        "io.write:oserror@1",   # before the column members
+        "io.write:oserror@2",   # before the footer, after every column
     ])
     def test_oserror_is_a_readonly_note_and_the_sim_is_published(
             self, config, clean, observing, plan, spec):

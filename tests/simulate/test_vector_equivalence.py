@@ -11,8 +11,7 @@ change a single counting variable.  This suite enforces that with
   backends and compared field by field;
 * the documented engine invariants, checked on *both* backends;
 * the shell's input checks, on both backends;
-* traces saved as many stored chunks, at any chunk size the trace
-  writer cut, loaded and simulated against the whole in-memory trace;
+* traces saved, then loaded, simulated against the in-memory trace;
 * dispatcher tests for :func:`repro.simulate.resolve_engine` and the
   ``engine=`` argument of :func:`repro.simulate.simulate_sessions`.
 
@@ -31,9 +30,8 @@ from repro.observe import profile as observe_profile
 from repro.sessions.types import SessionDef, ONE_HEAP, ALL_HEAP_IN_FUNC
 from repro.simulate import native_engine, resolve_engine, simulate_sessions
 from repro.simulate._native import native_available
-from repro.trace import EventTrace, ObjectRegistry, load_trace
+from repro.trace import EventTrace, ObjectRegistry, load_trace, save_trace
 from repro.trace.events import TraceMeta
-from repro.trace.tracefile import ChunkedTraceWriter, TraceStreamReader
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="native kernel unavailable (no C compiler)"
@@ -308,39 +306,23 @@ class TestNoColumnCopy:
         if source == "from_arrays":
             trace = EventTrace.from_arrays(*trace.as_arrays(), trace.meta)
         elif source == "loaded":
-            save_chunked(trace, registry, tmp_path / "t.npz", 64)
+            save_trace(trace, registry, tmp_path / "t.npz")
             trace, _ = load_trace(tmp_path / "t.npz")
         assert native_engine._i8_buffer(trace.kinds)[1] is trace.kinds
         for column in (trace.col_a, trace.col_b, trace.col_c):
             assert native_engine._i32_buffer(column)[1] is column
 
 
-def save_chunked(trace, registry, path, chunk_events):
-    """Save ``trace`` through the trace writer, ``chunk_events`` events
-    per chunk."""
-    columns = trace.as_arrays()
-    with ChunkedTraceWriter(path) as writer:
-        for seq, start in enumerate(range(0, len(trace), chunk_events)):
-            writer.write_columns(
-                seq, [column[start:start + chunk_events] for column in columns])
-        writer.finalize(trace.meta, registry)
+class TestSavedTraces:
+    """A trace saved, then loaded, simulates bit-identically to the
+    in-memory trace."""
 
-
-class TestMultiChunkTraces:
-    """A trace saved as many chunks, once loaded, simulates
-    bit-identically to the whole in-memory trace, whatever chunk size
-    the writer cut."""
-
-    @pytest.mark.parametrize("chunk_events", [1, 7, 64, 1000])
     @pytest.mark.parametrize("engine", BACKENDS)
-    def test_stored_chunks_match_whole_trace(self, tmp_path, engine,
-                                             chunk_events):
+    def test_loaded_trace_matches_in_memory_trace(self, tmp_path, engine):
         for seed in range(10):
             trace, registry, sessions = build_random(seed)
             path = tmp_path / f"rand{seed}.npz"
-            save_chunked(trace, registry, path, chunk_events)
-            with TraceStreamReader(path) as reader:
-                assert reader.n_chunks == -(-len(trace) // chunk_events)
+            save_trace(trace, registry, path)
             loaded, loaded_registry = load_trace(path)
             scalar = simulate_python(trace, registry, sessions, (4096, 16))
             result = simulate_sessions(loaded, loaded_registry, sessions,

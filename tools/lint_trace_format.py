@@ -8,13 +8,14 @@ markers:
   four trace columns, derived from a real :meth:`EventTrace.as_arrays`
   call (so a dtype drift in the code breaks the lint, not a reader);
 * the **stored column table** — member, dtype and width of each column
-  in the on-disk container, read back from a file the writer saved;
+  member of the on-disk container, read back from a file the writer
+  saved;
 * the **kind table** — the :class:`EventKind` byte values.
 
 ``python tools/lint_trace_format.py`` exits non-zero (printing a diff
 hint) when the blocks in the doc do not match what the implementation
 produces; ``--write`` regenerates them in place.  Wired into tier-1 via
-``tests/trace/test_tracefile_chunked.py`` and into CI as the docs-lint
+``tests/trace/test_tracefile.py`` and into CI as the docs-lint
 step of the ``equivalence`` job.
 """
 
@@ -83,15 +84,15 @@ def generated_stored_column_table() -> str:
         path = Path(scratch) / "lint.npz"
         save_trace(trace, registry, path)
         with np.load(path) as archive:
-            dtypes = {name.split(".", 1)[1]: archive[name].dtype
-                      for name in archive.files if name.startswith("chunk-")}
+            dtypes = {name: archive[name].dtype
+                      for name in archive.files if name != "stream"}
     lines = [
         "| member | dtype | bytes/event |",
         "|--------|-------|-------------|",
     ]
     for name, dtype in dtypes.items():
         lines.append(
-            f"| `chunk-<seq>.{name}` | `{dtype}` (little-endian) "
+            f"| `{name}.npy` | `{dtype}` (little-endian) "
             f"| {dtype.itemsize} |"
         )
     total = sum(dtype.itemsize for dtype in dtypes.values())

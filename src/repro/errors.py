@@ -146,7 +146,7 @@ class PipelineError(ReproError):
 
 
 class TraceFormatError(PipelineError):
-    """A trace file or event stream was malformed."""
+    """A trace file, event stream or sim cache entry was malformed."""
 
 
 class TraceRangeError(PipelineError):
@@ -168,15 +168,6 @@ class WorkerTimeoutError(PipelineError):
     retry machinery treats it as transient (the work is rescheduled on a
     fresh pool), so it only surfaces to callers once retries are
     exhausted.
-    """
-
-
-class StoreCorruptError(PipelineError):
-    """A result-store entry failed its embedded content-digest check.
-
-    The store treats this exactly like a missing entry (the blob is
-    discarded and recomputed); the distinct type exists so ``store
-    verify`` and tests can tell torn blobs apart from format drift.
     """
 
 

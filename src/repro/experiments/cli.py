@@ -403,8 +403,8 @@ def _store_main(argv) -> int:
         STATUS_CORRUPT,
         STATUS_NPZ,
         STATUS_OTHER,
+        STATUS_SIM,
         STATUS_TMP,
-        STATUS_V3,
         ResultStore,
     )
 
@@ -417,7 +417,7 @@ def _store_main(argv) -> int:
             print(
                 f"store verify: {len(report.entries)} entr(ies) under "
                 f"{args.cache_dir} — "
-                f"{report.count(STATUS_V3)} enveloped, "
+                f"{report.count(STATUS_SIM)} sim, "
                 f"{report.count(STATUS_NPZ)} trace, "
                 f"{report.count(STATUS_TMP)} temp, "
                 f"{report.count(STATUS_OTHER)} other, "

@@ -6,8 +6,9 @@ one-pass simulation) once per page-size set — both are cached under
 re-rendering tables is cheap.
 
 The cache is crash- and concurrency-safe: every entry (the ``.npz``
-trace via :func:`repro.trace.save_trace`, the ``-sim-*.pkl`` simulation
-here) is written to a temporary file in the cache directory and
+trace via :func:`repro.trace.save_trace`, the ``-sim-*.zip`` simulation
+via :class:`~repro.experiments.store.ResultStore`) is written to a
+temporary file in the cache directory and
 ``os.replace``d into place, so racing writers — parallel workers
 (:mod:`repro.experiments.parallel`) or two CLI invocations sharing
 ``.repro_cache/`` — publish whole files or nothing, and a Ctrl-C mid-
@@ -56,7 +57,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import observe
 from repro.errors import PipelineError
-from repro.experiments.store import ResultStore
+from repro.experiments.store import SIM_SUFFIX, ResultStore, SimEntry
 from repro.faults import faultpoint
 from repro.sessions import discover_sessions
 from repro.simulate import (
@@ -74,9 +75,6 @@ Progress = Optional[Callable[[str], None]]
 
 #: Cache format version; bump to invalidate stale caches.
 _CACHE_VERSION = 4
-
-#: The keys a cached simulation payload must carry.
-_SIM_PAYLOAD_KEYS = frozenset(("meta", "registry", "result"))
 
 #: Retry policy of the scheduler (:mod:`repro.experiments.parallel`).
 DEFAULT_RETRIES = 2
@@ -213,7 +211,8 @@ def sim_cache_path(workload: Workload, scale: int,
                    config: ExperimentConfig) -> Path:
     """Where this pair's simulation cache entry lives (per page sizes)."""
     sizes = "-".join(str(size) for size in config.page_sizes)
-    return config.cache_dir / f"{_workload_key(workload, scale)}-sim-{sizes}.pkl"
+    return (config.cache_dir
+            / f"{_workload_key(workload, scale)}-sim-{sizes}{SIM_SUFFIX}")
 
 
 def _discard_corrupt(
@@ -258,18 +257,6 @@ def _note_readonly(
         "cache.readonly", "WARNING", kind=kind, program=name,
         entry=path.name, error=type(exc).__name__,
     )
-
-
-def _publish_sim_payload(payload: object, path: Path, name: str) -> None:
-    """Publish a simulation payload through the result store.
-
-    The store wraps the payload in a digest-carrying envelope and writes
-    it atomically (temp file + ``os.replace`` in the destination
-    directory); racing writers each publish a complete file and the last
-    rename wins, which is fine because both computed the same payload
-    for the same cache key.
-    """
-    ResultStore(path.parent).publish_payload(path, payload, program=name)
 
 
 class _TraceSave:
@@ -393,22 +380,20 @@ def _load_sim_payload(
     with observe.span("cache_load", program=name, kind="sim"):
         try:
             faultpoint("cache.read", program=name, kind="sim")
-            payload = ResultStore(sim_path.parent).load_payload(
+            entry = ResultStore(sim_path.parent).load_payload(
                 sim_path, program=name
             )
-            if not isinstance(payload, dict) or set(payload) != _SIM_PAYLOAD_KEYS:
-                raise PipelineError(
-                    f"sim cache payload has wrong shape: "
-                    f"{sorted(payload) if isinstance(payload, dict) else type(payload).__name__}"
-                )
+            # Looked up when called, so a wrapper installed on
+            # ``pipeline.discover_sessions`` (perfbench's ledger) times it.
+            result = entry.result(discover_sessions(entry.registry))
         except Exception as exc:
-            # Failed content digest (StoreCorruptError), truncated
-            # pickle (EOFError), torn file, stale class layout
-            # (AttributeError/ImportError), wrong shape: all recover as
-            # a cache miss instead of aborting the whole run.
+            # A failed member CRC, a torn or foreign file, a malformed
+            # footer or counts that do not fit the registry's sessions
+            # (TraceFormatError), or an I/O error: all recover as a
+            # cache miss instead of aborting the whole run.
             _discard_corrupt("sim", sim_path, exc, name, progress)
             return None
-    return payload
+    return {"meta": entry.meta, "registry": entry.registry, "result": result}
 
 
 def load_program_data(
@@ -461,7 +446,10 @@ def load_program_data(
         if config.use_cache:
             try:
                 faultpoint("cache.write", program=name, kind="sim")
-                _publish_sim_payload(payload, sim_path, name)
+                # Racing writers each publish a complete entry and the
+                # last rename wins: both computed the same result.
+                ResultStore(sim_path.parent).publish_payload(
+                    sim_path, SimEntry.of(registry, result), program=name)
             except OSError as exc:
                 _note_readonly("sim", sim_path, exc, name, progress)
             else:

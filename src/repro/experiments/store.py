@@ -3,70 +3,160 @@
 This module generalizes the pipeline's ad-hoc cache files into a small
 *store* abstraction with three guarantees:
 
-* **Atomic publish** — every blob is written to a temp file in the
+* **Atomic publish** — every entry is written to a temp file in the
   destination directory and ``os.replace``d into place, so concurrent
   writers and mid-write crashes publish whole entries or nothing.
-* **Self-verifying entries** — simulation payloads are wrapped in a v3
-  *envelope* carrying a SHA-256 digest of the payload bytes, verified on
-  every load; a mismatch raises :class:`StoreCorruptError` and the entry
-  is treated exactly like a missing one (discarded, recomputed).  Trace
-  ``.npz`` entries are already integrity-checked by their container
-  (a zip CRC-32 per column member — see ``docs/TRACE_FORMAT.md``), so
-  the store verifies them by loading them through
-  :func:`~repro.trace.tracefile.load_trace`, with every check a cached
-  read makes, rather than double-wrapping.
+* **Self-verifying entries** — both entry kinds are the trace container
+  (``docs/TRACE_FORMAT.md``), whose zip member CRC-32s are an entry's
+  one checksum: a trace entry (``<key>.npz``) holds the event columns, a
+  sim entry (``<key>-sim-<sizes>.zip``, :class:`SimEntry`) the count
+  columns of the studied sessions.  A load that fails any check raises
+  :class:`~repro.errors.TraceFormatError` and the entry is treated
+  exactly like a missing one (discarded, recomputed).  Nothing is ever
+  unpickled, so no entry can execute code.
 * **Maintenance surface** — :meth:`ResultStore.verify` audits every
-  entry and :meth:`ResultStore.gc` removes temp droppings and corrupt
-  blobs, surfaced as the ``store verify`` / ``store gc`` CLI
-  subcommands.
+  entry with every check a cached read makes, and :meth:`ResultStore.gc`
+  removes temp droppings and corrupt blobs, surfaced as the ``store
+  verify`` / ``store gc`` CLI subcommands.
 
-A pickle that is not an envelope (a bare payload written before the
-envelope existed) is a :class:`StoreCorruptError`, so it recovers as a
-cache miss and ``verify`` reports it ``corrupt``.  Entry *names* are
-unchanged from the classic cache layout: the simulation cache is
-deliberately keyed without the engine (a payload computed by one backend
-is bit-identical and valid for the others).
+Entry *names* are unchanged from the classic cache layout: the
+simulation cache is deliberately keyed without the engine (a result
+computed by one backend is bit-identical and valid for the others).
 
 The store is also the resume record.  A program's result is a pure
 function of (program, config), so after a crash re-running the same
 command over the same cache loads every entry that was published and
 verifies, and recomputes the rest.
-
-The normative envelope schema is documented in
-``docs/RESILIENCE.md`` ("Crash recovery").
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import observe
-from repro.errors import StoreCorruptError
+from repro.errors import TraceFormatError
 from repro.faults import faultpoint
-from repro.trace.tracefile import load_trace
-
-#: Envelope format marker.
-STORE_FORMAT = "repro-store"
-STORE_VERSION = 3
-DIGEST_ALGO = "sha256"
+from repro.sessions import discover_sessions
+from repro.sessions.types import SessionDef
+from repro.simulate import CountingVariables, SimulationResult, VmPageCounts
+from repro.trace.events import TraceMeta
+from repro.trace.objects import ObjectRegistry
+from repro.trace import tracefile
 
 #: Entry statuses reported by :meth:`ResultStore.verify`.
-STATUS_V3 = "v3"            #: enveloped, digest verified
+STATUS_SIM = "sim"          #: sim entry that loads, every check passed
 STATUS_NPZ = "npz"          #: trace container that loads, every check passed
 STATUS_CORRUPT = "corrupt"  #: failed its integrity check
 STATUS_TMP = "tmp"          #: orphaned temp file from a killed writer
 STATUS_OTHER = "other"      #: unrecognized file, left alone
 
+#: The file suffix of a sim entry.
+SIM_SUFFIX = ".zip"
 
-def payload_digest(blob: bytes) -> str:
-    """Content digest of a payload's pickled bytes."""
-    return hashlib.sha256(blob).hexdigest()
+_SESSION_FIELDS = ("installs", "removes", "hits", "max_concurrent")
+_VM_FIELDS = ("protects", "unprotects", "active_page_misses")
+#: The integer run totals a sim entry's footer carries.
+_TOTALS = ("total_writes", "overlap_anomalies", "n_discarded")
+
+
+def sim_column_names(page_sizes: Sequence[int]) -> List[str]:
+    """A sim entry's count members over ``page_sizes``, in order."""
+    return ["session", *_SESSION_FIELDS, *(
+        f"{name}_{size}" for size in page_sizes for name in _VM_FIELDS)]
+
+
+@dataclass
+class SimEntry:
+    """What a sim entry stores: a program's trace meta, object registry,
+    page sizes and run totals (:data:`_TOTALS`), and one int64 column
+    per counting variable of its studied sessions.  The sessions are a
+    pure function of the registry, so they are not stored."""
+
+    meta: TraceMeta
+    registry: ObjectRegistry
+    page_sizes: Tuple[int, ...]
+    totals: Dict[str, int]
+    columns: Dict[str, np.ndarray]
+
+    @classmethod
+    def of(cls, registry: ObjectRegistry,
+           result: SimulationResult) -> "SimEntry":
+        rows = {"session": [session.index for session in result.sessions]}
+        for name in _SESSION_FIELDS:
+            rows[name] = [getattr(counts, name) for counts in result.counts]
+        for size in result.page_sizes:
+            for name in _VM_FIELDS:
+                rows[f"{name}_{size}"] = [getattr(counts.vm[size], name)
+                                          for counts in result.counts]
+        return cls(result.meta, registry, tuple(result.page_sizes),
+                   {name: getattr(result, name) for name in _TOTALS},
+                   {name: np.array(values, dtype=np.int64)
+                    for name, values in rows.items()})
+
+    def result(self, sessions: Sequence[SessionDef]) -> SimulationResult:
+        """The stored result over the registry's discovered ``sessions``;
+        a session column that does not index them in increasing order,
+        with the discarded ones making up the rest, is a
+        :class:`TraceFormatError`."""
+        index = self.columns["session"]
+        if (len(index) + self.totals["n_discarded"] != len(sessions)
+                or np.any((index < 0) | (index >= len(sessions)))
+                or np.any(np.diff(index) <= 0)):
+            raise TraceFormatError(
+                f"sim entry's {len(index)} studied and "
+                f"{self.totals['n_discarded']} discarded sessions do not "
+                f"index the {len(sessions)} sessions of its registry"
+            )
+        result = SimulationResult(self.meta.program, self.meta,
+                                  self.page_sizes, **self.totals)
+        rows = {name: column.tolist() for name, column in self.columns.items()}
+        for row, session in enumerate(rows["session"]):
+            counts = CountingVariables(
+                **{name: rows[name][row] for name in _SESSION_FIELDS},
+                misses=self.totals["total_writes"] - rows["hits"][row],
+            )
+            for size in self.page_sizes:
+                counts.vm[size] = VmPageCounts(
+                    **{name: rows[f"{name}_{size}"][row]
+                       for name in _VM_FIELDS})
+            result.sessions.append(sessions[session])
+            result.counts.append(counts)
+        return result
+
+
+def _read_sim_entry(path: Path) -> SimEntry:
+    """The :class:`SimEntry` at ``path``, with every member's CRC, the
+    footer's fields and entry name, and the columns' dtype and length
+    checked; a failure is a :class:`TraceFormatError`."""
+    with tracefile.read_archive(path) as (archive, doc):
+        if doc.get("entry") != path.name:
+            raise TraceFormatError(
+                f"{path.name}: footer names a different entry "
+                f"{doc.get('entry')!r} (misplaced blob)"
+            )
+        meta, registry = tracefile._meta_and_registry(doc)
+        page_sizes = doc.get("page_sizes")
+        totals = {name: doc.get(name) for name in _TOTALS}
+        if not (isinstance(page_sizes, list) and all(isinstance(value, int)
+                for value in [*page_sizes, *totals.values()])):
+            raise TraceFormatError(
+                f"{path.name}: malformed sim entry footer: page_sizes and "
+                f"{', '.join(_TOTALS)} must be integers"
+            )
+        columns = {}
+        for name in sim_column_names(page_sizes):
+            column = columns[name] = tracefile._read_member(archive, name)
+            if column.dtype != np.int64 or \
+                    len(column) != len(columns["session"]):
+                raise TraceFormatError(
+                    f"{path.name}: count column {name} is not "
+                    f"{len(columns['session'])} int64 values"
+                )
+    return SimEntry(meta, registry, tuple(page_sizes), totals, columns)
 
 
 @dataclass
@@ -107,29 +197,11 @@ class StoreReport:
             "total": len(self.entries),
             "counts": {
                 status: self.count(status)
-                for status in (STATUS_V3, STATUS_NPZ, STATUS_CORRUPT,
+                for status in (STATUS_SIM, STATUS_NPZ, STATUS_CORRUPT,
                                STATUS_TMP, STATUS_OTHER)
             },
             "entries": [entry.to_dict() for entry in self.entries],
         }
-
-
-def _atomic_write_bytes(blob: bytes, path: Path) -> None:
-    """Write ``blob`` to ``path`` via temp file + ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class ResultStore:
@@ -144,87 +216,40 @@ class ResultStore:
 
     # -- publish/load -----------------------------------------------------
 
-    def publish_payload(self, path: Path, payload: object,
-                        program: Optional[str] = None) -> str:
-        """Atomically publish ``payload`` at ``path`` inside a v3
-        envelope; returns the payload's content digest."""
+    def publish_payload(self, path: Path, payload: SimEntry,
+                        program: Optional[str] = None) -> None:
+        """Atomically publish the sim entry ``payload`` at ``path``:
+        its count columns, then a footer that names ``path``."""
         faultpoint("store.publish", program=program, entry=path.name)
-        blob = pickle.dumps(payload)
-        digest = payload_digest(blob)
-        envelope = {
-            "format": STORE_FORMAT,
-            "version": STORE_VERSION,
-            "algo": DIGEST_ALGO,
-            "entry": path.name,
-            "digest": digest,
-            "payload": blob,
-        }
-        # io.write is the pre-existing site for torn-write chaos tests;
-        # store.publish above is the store-level intent site.
-        faultpoint("io.write", program=program, kind="sim")
-        _atomic_write_bytes(pickle.dumps(envelope), path)
+        with tracefile.publish_archive(path) as archive:
+            # io.write is the site for torn-write chaos tests;
+            # store.publish above is the store-level intent site.
+            faultpoint("io.write", program=program, kind="sim")
+            for name in sim_column_names(payload.page_sizes):
+                tracefile._write_member(archive, name, payload.columns[name])
+            footer = tracefile._footer_member(
+                payload.meta, payload.registry,
+                page_sizes=list(payload.page_sizes), **payload.totals,
+                entry=path.name)
+            tracefile._write_member(archive, "stream", footer)
         observe.inc("store.published")
         observe.emit_event("store.publish", program=program,
-                           entry=path.name, digest=digest[:12])
-        return digest
+                           entry=path.name)
 
     def load_payload(self, path: Path,
-                     program: Optional[str] = None) -> object:
-        """Load and verify the payload published at ``path``.
+                     program: Optional[str] = None) -> SimEntry:
+        """Load and verify the sim entry published at ``path``.
 
-        Raises :class:`StoreCorruptError` on digest mismatch, envelope
-        drift or a pickle that is not an envelope, and whatever the
-        underlying read raises on I/O or pickle failure — callers treat
-        any of these as a cache miss.
+        Raises :class:`~repro.errors.TraceFormatError` on any damage,
+        and whatever the underlying read raises on I/O failure — callers
+        treat any of these as a cache miss.
         """
         faultpoint("store.load", program=program, entry=path.name)
-        with open(path, "rb") as handle:
-            obj = pickle.load(handle)
-        payload = self._open_envelope(obj, path)
+        entry = _read_sim_entry(path)
         observe.inc("store.loaded")
         observe.emit_event("store.load", "DEBUG", program=program,
                            entry=path.name)
-        return payload
-
-    def _open_envelope(self, envelope: object, path: Path) -> object:
-        if not (isinstance(envelope, dict)
-                and envelope.get("format") == STORE_FORMAT):
-            raise StoreCorruptError(
-                f"{path.name}: not a store envelope (a "
-                f"{type(envelope).__name__})"
-            )
-        if envelope.get("version") != STORE_VERSION:
-            raise StoreCorruptError(
-                f"{path.name}: unsupported store envelope version "
-                f"{envelope.get('version')!r}"
-            )
-        if envelope.get("algo") != DIGEST_ALGO:
-            raise StoreCorruptError(
-                f"{path.name}: unsupported digest algo "
-                f"{envelope.get('algo')!r}"
-            )
-        blob = envelope.get("payload")
-        if not isinstance(blob, bytes):
-            raise StoreCorruptError(f"{path.name}: envelope payload missing")
-        expected = envelope.get("digest")
-        actual = payload_digest(blob)
-        if actual != expected:
-            observe.inc("store.corrupt")
-            observe.emit_event(
-                "store.corrupt", "WARNING", entry=path.name,
-                expected=str(expected)[:12], actual=actual[:12],
-            )
-            raise StoreCorruptError(
-                f"{path.name}: content digest mismatch "
-                f"(expected {expected}, got {actual})"
-            )
-        recorded = envelope.get("entry")
-        if recorded not in (None, path.name):
-            raise StoreCorruptError(
-                f"{path.name}: envelope names a different entry "
-                f"{recorded!r} (misplaced blob)"
-            )
-        return pickle.loads(blob)
+        return entry
 
     # -- maintenance ------------------------------------------------------
 
@@ -245,26 +270,19 @@ class ResultStore:
         if name.endswith(".tmp"):
             return EntryReport(name, STATUS_TMP, size,
                                "orphaned temp file from a killed writer")
-        if name.endswith(".pkl"):
-            try:
-                with open(path, "rb") as handle:
-                    obj = pickle.load(handle)
-            except Exception as exc:
-                return EntryReport(name, STATUS_CORRUPT, size,
-                                   f"{type(exc).__name__}: {exc}")
-            try:
-                self._open_envelope(obj, path)
-            except Exception as exc:
-                return EntryReport(name, STATUS_CORRUPT, size, str(exc))
-            return EntryReport(name, STATUS_V3, size)
-        if name.endswith(".npz"):
-            try:
-                load_trace(path)
-            except Exception as exc:
-                return EntryReport(name, STATUS_CORRUPT, size,
-                                   f"{type(exc).__name__}: {exc}")
-            return EntryReport(name, STATUS_NPZ, size, "trace loads")
-        return EntryReport(name, STATUS_OTHER, size, "not a store entry")
+        status = {SIM_SUFFIX: STATUS_SIM, ".npz": STATUS_NPZ}.get(path.suffix)
+        if status is None:
+            return EntryReport(name, STATUS_OTHER, size, "not a store entry")
+        try:
+            if status == STATUS_SIM:
+                entry = _read_sim_entry(path)
+                entry.result(discover_sessions(entry.registry))
+            else:
+                tracefile.load_trace(path)
+        except Exception as exc:
+            return EntryReport(name, STATUS_CORRUPT, size,
+                               f"{type(exc).__name__}: {exc}")
+        return EntryReport(name, status, size, "loads")
 
     def gc(self, dry_run: bool = False) -> Dict[str, List[str]]:
         """Remove temp droppings and corrupt entries.

@@ -21,22 +21,25 @@ corrupt at any level (zip structure, deflate stream, member CRC,
 :class:`~repro.errors.TraceFormatError`, which the pipeline recovers as
 a cache miss.
 
-The writer publishes atomically: the archive is built in a temporary
-file in the destination directory and :func:`os.replace`d into place,
-so a reader (or a concurrent writer racing on the same cache key — see
-:mod:`repro.experiments.parallel`) never sees a half-written file, and
-an interrupted save leaves the previous entry intact.
+The writer publishes atomically (:func:`publish_archive`, which the
+result store's sim entries, the same container, publish through too):
+the archive is built in a temporary file in the destination directory
+and :func:`os.replace`d into place, so a reader (or a concurrent writer
+racing on the same cache key — see :mod:`repro.experiments.parallel`)
+never sees a half-written file, and an interrupted save leaves the
+previous entry intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +62,12 @@ DEFLATE_LEVEL = 3
 #: the reader takes from the inflater, at a time: what either side
 #: holds beside the columns.  The deflated bytes do not depend on it.
 _SLICE_BYTES = 1 << 18
+
+
+#: The umask, which can only be read by setting it: read once, at
+#: import, before any writer thread runs.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +121,11 @@ def _registry_from_records(records: List[Dict[str, object]]) -> ObjectRegistry:
 
 
 def _footer_member(meta: TraceMeta, registry: ObjectRegistry,
-                   n_events: int) -> np.ndarray:
+                   **fields: object) -> np.ndarray:
     """The ``stream`` footer as the uint8 array an ``.npz`` member can
     carry: the bytes of ``json.dumps`` of the document ``{"version",
-    "meta", "objects", "n_events"}``.
+    "meta", "objects", **fields}`` (a trace's ``fields`` are its
+    ``n_events``).
 
     The object records are encoded :data:`_RECORDS_PER_BATCH` at a time,
     so a registry of thousands of heap objects is never held whole as
@@ -123,7 +133,7 @@ def _footer_member(meta: TraceMeta, registry: ObjectRegistry,
     transient memory.
     """
     head = json.dumps({"version": _FORMAT_VERSION, "meta": vars(meta)})
-    tail = json.dumps({"n_events": n_events})
+    tail = json.dumps(fields)
     objects = registry.objects
     batches = ", ".join(
         json.dumps(_registry_records(
@@ -132,18 +142,6 @@ def _footer_member(meta: TraceMeta, registry: ObjectRegistry,
     )
     doc = f'{head[:-1]}, "objects": [{batches}], {tail[1:]}'
     return np.frombuffer(doc.encode("utf-8"), dtype=np.uint8)
-
-
-def _parse_json_member(raw: np.ndarray) -> Dict[str, object]:
-    try:
-        doc = json.loads(raw.tobytes().decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise TraceFormatError(f"corrupt trace metadata: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TraceFormatError(
-            f"corrupt trace metadata: a JSON {type(doc).__name__}, not an object"
-        )
-    return doc
 
 
 def _meta_and_registry(doc: Dict[str, object]) -> Tuple[TraceMeta, ObjectRegistry]:
@@ -162,11 +160,63 @@ def _meta_and_registry(doc: Dict[str, object]) -> Tuple[TraceMeta, ObjectRegistr
     return meta, registry
 
 
-def _open_archive(handle) -> zipfile.ZipFile:
-    """A deflating zip writer on ``handle``, as ``np.savez_compressed``
-    opens one but at :data:`DEFLATE_LEVEL`."""
-    return zipfile.ZipFile(handle, "w", zipfile.ZIP_DEFLATED,
-                           allowZip64=True, compresslevel=DEFLATE_LEVEL)
+@contextlib.contextmanager
+def publish_archive(path: Path) -> Iterator[zipfile.ZipFile]:
+    """A deflating zip writer, as ``np.savez_compressed`` opens one but
+    at :data:`DEFLATE_LEVEL`, whose archive is published at ``path``
+    when the ``with`` block ends.
+
+    The archive is built in a temporary file in ``path``'s directory,
+    given the mode ``open()`` gives a new file (``mkstemp``'s 0600 would
+    survive the rename) and :func:`os.replace`d into place.  An error in
+    the block publishes nothing and leaves an entry at ``path`` intact.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle, zipfile.ZipFile(
+                handle, "w", zipfile.ZIP_DEFLATED, allowZip64=True,
+                compresslevel=DEFLATE_LEVEL) as archive:
+            yield archive
+        os.chmod(tmp_name, 0o666 & ~_UMASK)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+@contextlib.contextmanager
+def read_archive(
+        path: Path) -> Iterator[Tuple[zipfile.ZipFile, Dict[str, object]]]:
+    """The archive at ``path``, open for reading, and its ``stream``
+    footer document; a file that is not a zip, or has no footer or
+    another version, is a :class:`TraceFormatError`."""
+    try:
+        archive = zipfile.ZipFile(path)
+    except zipfile.BadZipFile as exc:
+        raise TraceFormatError(f"corrupt trace archive: {exc}") from exc
+    with archive:
+        if "stream.npy" not in archive.namelist():
+            raise TraceFormatError(
+                "unsupported trace format version: no 'stream' footer"
+            )
+        try:
+            doc = json.loads(_read_member(archive, "stream").tobytes())
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise TraceFormatError(f"corrupt trace metadata: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise TraceFormatError(f"corrupt trace metadata: a JSON "
+                                   f"{type(doc).__name__}, not an object")
+        if doc.get("version") != _FORMAT_VERSION:
+            raise TraceFormatError(
+                f"unsupported trace format version {doc.get('version')!r}"
+            )
+        yield archive, doc
 
 
 def _write_member(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
@@ -192,10 +242,14 @@ def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
     The payload is read a slice at a time into one array of the length
     the ``.npy`` header declares.  That length must fill the member to
     the size zip records, so the last slice reaches the member's end,
-    where zip checks its CRC-32.  Damage at any level is a
-    :class:`TraceFormatError` naming the member.
+    where zip checks its CRC-32.  A missing member, or damage at any
+    level, is a :class:`TraceFormatError` naming the member.
     """
-    info = archive.getinfo(name + ".npy")
+    try:
+        info = archive.getinfo(name + ".npy")
+    except KeyError:
+        raise TraceFormatError(
+            f"truncated trace: missing member {name}") from None
     try:
         with archive.open(info) as member:
             version = np.lib.format.read_magic(member)
@@ -246,25 +300,13 @@ def save_trace(
                 f"ragged columns ({name} has {len(column)} events, "
                 f"kinds has {n_events})"
             )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle, _open_archive(handle) as archive:
-            faultpoint("io.write", kind="trace")
-            for name, column in zip(_COLUMN_NAMES, columns):
-                _write_member(archive, name, column)
-            faultpoint("io.write", kind="trace")
-            _write_member(archive, "stream",
-                          _footer_member(trace.meta, registry, n_events))
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with publish_archive(path) as archive:
+        faultpoint("io.write", kind="trace")
+        for name, column in zip(_COLUMN_NAMES, columns):
+            _write_member(archive, name, column)
+        faultpoint("io.write", kind="trace")
+        _write_member(archive, "stream", _footer_member(
+            trace.meta, registry, n_events=n_events))
 
 
 def load_trace(path: Union[str, Path]) -> Tuple[EventTrace, ObjectRegistry]:
@@ -277,21 +319,7 @@ def load_trace(path: Union[str, Path]) -> Tuple[EventTrace, ObjectRegistry]:
     """
     path = Path(path)
     faultpoint("trace.load", path=path.name)
-    try:
-        archive = zipfile.ZipFile(path)
-    except zipfile.BadZipFile as exc:
-        raise TraceFormatError(f"corrupt trace archive: {exc}") from exc
-    with archive:
-        members = frozenset(archive.namelist())
-        if "stream.npy" not in members:
-            raise TraceFormatError(
-                "unsupported trace format version: no 'stream' footer"
-            )
-        doc = _parse_json_member(_read_member(archive, "stream"))
-        if doc.get("version") != _FORMAT_VERSION:
-            raise TraceFormatError(
-                f"unsupported trace format version {doc.get('version')!r}"
-            )
+    with read_archive(path) as (archive, doc):
         meta, registry = _meta_and_registry(doc)
         n_events = doc.get("n_events")
         if not isinstance(n_events, int):
@@ -300,8 +328,6 @@ def load_trace(path: Union[str, Path]) -> Tuple[EventTrace, ObjectRegistry]:
             )
         columns = []
         for name, dtype in zip(_COLUMN_NAMES, STORED_DTYPES):
-            if name + ".npy" not in members:
-                raise TraceFormatError(f"truncated trace: missing member {name}")
             column = _read_member(archive, name)
             if column.dtype != dtype:
                 raise TraceFormatError(

@@ -102,9 +102,10 @@ def run_workload(
     # other (the CPU holds the runtime's builtins, which are bound
     # methods), so whatever they reach lives until the next full garbage
     # collection, next to the following program's machine.  Unhook the
-    # tracer, whose trace the caller may drop early, and drop the words.
+    # tracer, whose trace the caller may drop early, and empty the words
+    # in place: the fast path's function table holds the list itself.
     runtime.heap.listeners.remove(tracer)
-    memory.words = []
+    memory.words.clear()
     return WorkloadRun(
         workload=workload,
         scale=scale,

@@ -20,6 +20,7 @@ import pytest
 from repro import faults, observe
 from repro.experiments.cli import EXIT_PARTIAL, EXIT_USAGE, main as cli_main
 from repro.experiments.pipeline import ExperimentConfig, load_program_data
+from repro.experiments.store import SIM_SUFFIX
 from repro.simulate._native import native_available
 from repro.trace import load_trace, save_trace
 
@@ -58,7 +59,7 @@ def assert_same_data(a, b):
 
 
 def _sim_entries(cache_dir):
-    return list(cache_dir.glob("*-sim-*.pkl"))
+    return list(cache_dir.glob(f"*-sim-*{SIM_SUFFIX}"))
 
 
 def _trace_entry(cache_dir):

@@ -7,7 +7,9 @@ entries atomically so a crash or a racing worker cannot tear a file.
 
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
 import pickle
 import struct
 import zipfile
@@ -18,11 +20,19 @@ import pytest
 
 from repro import observe
 from repro.errors import PipelineError, TraceFormatError
+from repro.experiments.cli import main as cli_main
 from repro.experiments.pipeline import ExperimentConfig, load_program_data
+from repro.experiments.store import (
+    SIM_SUFFIX,
+    STATUS_CORRUPT,
+    STATUS_OTHER,
+    ResultStore,
+)
 from repro.simulate import simulate_sessions, validate_page_sizes
 from repro.trace import load_trace, save_trace
 
 PROGRAM = "qcd"  # heapless and quick at smoke scale
+SRC_REPRO = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def _json_array(doc):
@@ -91,10 +101,10 @@ def observing():
 
 
 class TestCorruptionRecovery:
-    def test_garbage_sim_pickle_recovers_as_miss(self, warm_cache, observing):
+    def test_garbage_sim_entry_recovers_as_miss(self, warm_cache, observing):
         config, baseline = warm_cache
-        sim_path = _entry(config, ".pkl")
-        sim_path.write_bytes(b"this is not a pickle")
+        sim_path = _entry(config, SIM_SUFFIX)
+        sim_path.write_bytes(b"this is not a zip")
         messages = []
         data = load_program_data(PROGRAM, config, messages.append)
         assert data.result.counts == baseline.result.counts
@@ -110,24 +120,34 @@ class TestCorruptionRecovery:
         assert reloaded.result.counts == baseline.result.counts
         assert observing.snapshot()["counters"]["cache.sim.hits"] == 1
 
-    def test_truncated_sim_pickle_recovers(self, warm_cache):
+    def test_truncated_sim_entry_recovers(self, warm_cache):
         config, baseline = warm_cache
-        sim_path = _entry(config, ".pkl")
+        sim_path = _entry(config, SIM_SUFFIX)
         sim_path.write_bytes(sim_path.read_bytes()[:64])  # torn mid-write
         data = load_program_data(PROGRAM, config)
         assert data.result.counts == baseline.result.counts
 
-    def test_wrong_shape_sim_payload_recovers(self, warm_cache):
+    def test_sim_footer_missing_a_field_recovers(self, warm_cache, observing):
+        # A well-formed entry whose CRCs hold but whose footer lacks a
+        # total: rejected on load and recomputed as a miss.
         config, baseline = warm_cache
-        sim_path = _entry(config, ".pkl")
-        with open(sim_path, "wb") as handle:
-            pickle.dump({"unexpected": 1}, handle)
+        sim_path = _entry(config, SIM_SUFFIX)
+        with np.load(sim_path) as archive:
+            members = {name: archive[name] for name in archive.files}
+        doc = json.loads(members["stream"].tobytes().decode("utf-8"))
+        del doc["total_writes"]
+        members["stream"] = _json_array(doc)
+        with zipfile.ZipFile(sim_path, "w") as rebuilt:
+            for name, array in members.items():
+                with rebuilt.open(name + ".npy", "w") as member:
+                    np.lib.format.write_array(member, array)
         data = load_program_data(PROGRAM, config)
         assert data.result.counts == baseline.result.counts
+        assert observing.snapshot()["counters"]["cache.sim.corrupt"] == 1
 
     def test_truncated_trace_npz_recovers(self, warm_cache, observing):
         config, baseline = warm_cache
-        _entry(config, ".pkl").unlink()  # force the trace path to be read
+        _entry(config, SIM_SUFFIX).unlink()  # force the trace path to be read
         trace_path = _entry(config, ".npz")
         trace_path.write_bytes(trace_path.read_bytes()[:100])
         messages = []
@@ -140,7 +160,7 @@ class TestCorruptionRecovery:
 
     def test_garbage_trace_npz_recovers(self, warm_cache):
         config, baseline = warm_cache
-        _entry(config, ".pkl").unlink()
+        _entry(config, SIM_SUFFIX).unlink()
         _entry(config, ".npz").write_bytes(b"\x00" * 32)
         data = load_program_data(PROGRAM, config)
         assert data.result.counts == baseline.result.counts
@@ -151,7 +171,7 @@ class TestCorruptionRecovery:
         loader's kind-range check rejects it and the pipeline recomputes
         the trace as a miss."""
         config, baseline = warm_cache
-        _entry(config, ".pkl").unlink()  # force the trace path to be read
+        _entry(config, SIM_SUFFIX).unlink()  # force the trace path to be read
         trace_path = _entry(config, ".npz")
         with np.load(trace_path) as archive:
             members = {name: archive[name] for name in archive.files}
@@ -175,7 +195,7 @@ class TestCorruptionRecovery:
         bytes: the member's zip CRC-32 (or the deflate stream) rejects
         it on load, and the pipeline recomputes the trace as a miss."""
         config, baseline = warm_cache
-        _entry(config, ".pkl").unlink()  # force the trace path to be read
+        _entry(config, SIM_SUFFIX).unlink()  # force the trace path to be read
         trace_path = _entry(config, ".npz")
         original = load_trace(trace_path)
         data = bytearray(trace_path.read_bytes())
@@ -202,7 +222,7 @@ class TestCorruptionRecovery:
         with a TraceFormatError and recomputed as a miss; the entry is
         rewritten in the current version."""
         config, baseline = warm_cache
-        _entry(config, ".pkl").unlink()  # force the trace path to be read
+        _entry(config, SIM_SUFFIX).unlink()  # force the trace path to be read
         trace_path = _entry(config, ".npz")
         trace, registry = load_trace(trace_path)
         _write_earlier_version(trace_path, trace, registry, version)
@@ -215,6 +235,64 @@ class TestCorruptionRecovery:
         assert counters["cache.trace.corrupt"] == 1
         assert counters["cache.trace.misses"] == 1
         assert_same_trace(load_trace(trace_path), (trace, registry))
+
+
+class _Bomb:
+    """Unpickling it creates the file ``marker``."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return pathlib.Path.touch, (pathlib.Path(self.marker),)
+
+
+class TestNoCodeExecution:
+    """No cache entry is ever unpickled: a pickle that runs code when
+    loaded is a corrupt entry at the sim entry's name and an ignored
+    file at the earlier ``-sim-*.pkl`` name."""
+
+    def test_the_bomb_is_live(self, tmp_path):
+        marker = tmp_path / "marker"
+        pickle.loads(pickle.dumps(_Bomb(marker)))
+        assert marker.exists()
+
+    def test_pickled_entries_never_run(self, warm_cache, tmp_path, observing):
+        config, baseline = warm_cache
+        marker = tmp_path / "marker"
+        bomb = pickle.dumps(_Bomb(marker))
+        sim_path = _entry(config, SIM_SUFFIX)
+        legacy = sim_path.with_name(sim_path.name[:-len(SIM_SUFFIX)] + ".pkl")
+        sim_path.write_bytes(bomb)
+        legacy.write_bytes(bomb)
+        statuses = {entry.name: entry.status for entry
+                    in ResultStore(config.cache_dir).verify().entries}
+        assert statuses[sim_path.name] == STATUS_CORRUPT
+        assert statuses[legacy.name] == STATUS_OTHER
+        data = load_program_data(PROGRAM, config)
+        assert data.result.counts == baseline.result.counts
+        counters = observing.snapshot()["counters"]
+        assert counters["cache.sim.corrupt"] == 1
+        assert counters["cache.sim.misses"] == 1
+        assert legacy.read_bytes() == bomb
+        assert cli_main(["store", "verify", "--cache-dir",
+                         str(config.cache_dir)]) == 0
+        assert not marker.exists()
+
+    def test_no_module_imports_pickle(self):
+        importers = []
+        for path in sorted(SRC_REPRO.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] in ("pickle", "_pickle", "shelve")
+                       for name in names):
+                    importers.append(str(path.relative_to(SRC_REPRO)))
+        assert importers == []
 
 
 class TestReadonlyCache:
@@ -262,7 +340,8 @@ class TestEndToEndRecovery:
         clean = tmp_path / "clean.txt"
         assert cli_main(args + ["--out", str(clean)]) == 0
 
-        sim = [p for p in cache_dir.iterdir() if p.name.endswith(".pkl")]
+        sim = [p for p in cache_dir.iterdir()
+               if p.name.endswith(SIM_SUFFIX)]
         for path in sim:
             path.unlink()  # force the trace entry to be read
         (trace_path,) = [p for p in cache_dir.iterdir()

@@ -12,7 +12,8 @@ checks that the re-run converges.
 
 from __future__ import annotations
 
-import pickle
+import struct
+import zipfile
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.experiments.pipeline import (
     sim_cache_path,
     trace_cache_path,
 )
-from repro.experiments.store import STATUS_NPZ, STATUS_V3, ResultStore
+from repro.experiments.store import STATUS_NPZ, STATUS_SIM, ResultStore
 from repro.simulate import ENGINE_CHOICES
 from repro.workloads import WORKLOADS
 
@@ -158,7 +159,7 @@ class TestRerun:
         assert counters["cache.sim.misses"] == 1
         assert counters["cache.trace.misses"] == 1
         assert {entry.status for entry in ResultStore(tmp_path).verify()
-                .entries} == {STATUS_V3, STATUS_NPZ}
+                .entries} == {STATUS_SIM, STATUS_NPZ}
 
     def test_no_cache_run_never_hits_and_writes_nothing(
             self, published, observing):
@@ -199,10 +200,15 @@ class TestRerun:
             self, published, observing):
         config, first = published
         path = sim_path(config)
-        with open(path, "rb") as handle:
-            envelope = pickle.load(handle)
-        envelope["digest"] = "0" * 64
-        path.write_bytes(pickle.dumps(envelope))
+        # One byte flipped in the middle of the hits column's stored bytes.
+        data = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("hits.npy")
+        name_length, extra_length = struct.unpack_from(
+            "<HH", data, info.header_offset + 26)
+        start = info.header_offset + 30 + name_length + extra_length
+        data[start + info.compress_size // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
         again, counters = counters_of(
             lambda: load_program_data(PROGRAM, config))
         assert counters["cache.sim.corrupt"] == 1
@@ -210,7 +216,7 @@ class TestRerun:
         assert again.result.counts == first.result.counts
         statuses = {entry.name: entry.status
                     for entry in ResultStore(config.cache_dir).verify().entries}
-        assert statuses[path.name] == STATUS_V3
+        assert statuses[path.name] == STATUS_SIM
 
     def test_gc_then_rerun_converges(self, published, observing):
         config, first = published

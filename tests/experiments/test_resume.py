@@ -35,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cli import EXIT_USAGE, main as cli_main
+from repro.experiments.store import SIM_SUFFIX, STATUS_SIM
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 PROGRAMS = ("gcc", "qcd")
@@ -69,7 +70,7 @@ def store_verify(cache_dir):
     )
     report = json.loads(proc.stdout)
     sims = [entry["name"] for entry in report["entries"]
-            if "-sim-" in entry["name"] and entry["status"] == "v3"]
+            if "-sim-" in entry["name"] and entry["status"] == STATUS_SIM]
     return sims, report["counts"]["corrupt"]
 
 
@@ -204,7 +205,7 @@ class TestGracefulShutdown:
         )
         try:
             deadline = time.monotonic() + 60
-            while not list(cache.glob("*-sim-*.pkl")):
+            while not list(cache.glob(f"*-sim-*{SIM_SUFFIX}")):
                 assert proc.poll() is None, proc.stderr.read()
                 assert time.monotonic() < deadline, "no sim entry appeared"
                 time.sleep(0.05)

@@ -24,6 +24,7 @@ from repro.experiments.pipeline import (
     load_experiment_data,
     load_program_data,
 )
+from repro.experiments.store import SIM_SUFFIX
 from repro.faults import InjectedCorruption, classify_failure
 from repro.trace import save_trace, tracefile
 from repro.trace.tracer import Tracer
@@ -94,7 +95,7 @@ class TestWriteErrors:
         assert readonly.endswith(".npz")
         assert "cache.trace.written" not in observing.notes
         assert entries(config, ".npz") == []
-        assert len(entries(config, ".pkl")) == 1
+        assert len(entries(config, SIM_SUFFIX)) == 1
         assert_no_tmp(config)
 
     def test_other_error_fails_the_attempt_before_the_sim_publish(
@@ -103,7 +104,7 @@ class TestWriteErrors:
         with pytest.raises(InjectedCorruption):
             load_program_data(PROGRAM, config)
         assert entries(config, ".npz") == []
-        assert entries(config, ".pkl") == []
+        assert entries(config, SIM_SUFFIX) == []
         assert_no_tmp(config)
 
     def test_other_error_is_retried(self, config, clean, observing, plan):
@@ -118,7 +119,7 @@ class TestWriteErrors:
         plan("trace.save:corrupt")
         with pytest.raises(InjectedCorruption):
             load_experiment_data(config, retries=0)
-        assert entries(config, ".pkl") == []
+        assert entries(config, SIM_SUFFIX) == []
         assert_no_tmp(config)
 
     def test_range_error_is_fatal(self, config, observing, monkeypatch):
@@ -136,7 +137,7 @@ class TestWriteErrors:
         assert classify_failure(caught.value) == "fatal"
         assert "retry.attempts" not in observing.counters
         assert entries(config, ".npz") == []
-        assert entries(config, ".pkl") == []
+        assert entries(config, SIM_SUFFIX) == []
         assert_no_tmp(config)
 
 
@@ -158,7 +159,7 @@ class TestInterrupts:
         with pytest.raises(KeyboardInterrupt):
             load_program_data(PROGRAM, config)
         assert_no_tmp(config)
-        assert entries(config, ".pkl") == []
+        assert entries(config, SIM_SUFFIX) == []
         # The write ran to its end: the entry is whole and loads.
         (entry,) = entries(config, ".npz")
         tracefile.load_trace(config.cache_dir / entry)
@@ -179,7 +180,7 @@ class TestInterrupts:
             load_program_data(PROGRAM, config)
         assert not started[0].is_alive()
         assert_no_tmp(config)
-        assert entries(config, ".pkl") == []
+        assert entries(config, SIM_SUFFIX) == []
 
 
 def test_save_wait_is_observed(config, observing):
@@ -188,7 +189,7 @@ def test_save_wait_is_observed(config, observing):
     assert histogram.count == 1
     assert histogram.values[0] >= 0
     # A warm run writes nothing and waits for nothing.
-    (sim,) = entries(config, ".pkl")
+    (sim,) = entries(config, SIM_SUFFIX)
     (config.cache_dir / sim).unlink()
     load_program_data(PROGRAM, config)
     assert histogram.count == 1

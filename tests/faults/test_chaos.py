@@ -16,6 +16,7 @@ from repro.experiments.cli import (
     EXIT_PARTIAL, EXIT_PIPELINE, EXIT_TRANSIENT, EXIT_USAGE,
     main as cli_main,
 )
+from repro.experiments.store import SIM_SUFFIX
 from repro.observe.manifest import load_manifest
 
 PROGRAMS = ("qcd", "gcc")  # the two quickest smoke workloads
@@ -137,7 +138,7 @@ class TestWarmTraceColdSimRecovery:
     @staticmethod
     def _drop_sim_cache(tmp_path, label):
         dropped = 0
-        for entry in (tmp_path / f"{label}-cache").glob("*-sim-*.pkl"):
+        for entry in (tmp_path / f"{label}-cache").glob(f"*-sim-*{SIM_SUFFIX}"):
             entry.unlink()
             dropped += 1
         assert dropped, "warm-up did not populate the sim cache"

@@ -733,3 +733,7 @@ class TestDocsLint:
         drifted = doc.replace("| `col_a.npy` | `int32`",
                               "| `col_a.npy` | `int64`")
         assert lint.check(drifted) == ["stored-column-table"]
+        drifted = doc.replace("| `hits.npy` |", "| `misses.npy` |")
+        assert lint.check(drifted) == ["sim-member-table"]
+        drifted = doc.replace("`n_discarded`, `entry`", "`n_discarded`")
+        assert lint.check(drifted) == ["sim-footer-keys"]

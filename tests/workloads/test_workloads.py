@@ -8,6 +8,7 @@ scale; gcc frees everything it allocates.
 
 import pytest
 
+from repro.machine.memory import Memory
 from repro.sessions import discover_sessions
 from repro.simulate import simulate_sessions
 from repro.workloads import WORKLOADS, get_workload, run_workload
@@ -126,3 +127,21 @@ class TestWorkloadInterface:
 
         with pytest.raises(PipelineError):
             run_workload(Broken(), 1)
+
+
+
+def test_run_empties_the_machine_words(monkeypatch):
+    # The finished machine is a reference cycle, and the fast path's
+    # function table holds the memory's word list itself: the run must
+    # empty that list, not leave it to the next full collection.
+    words = []
+    init = Memory.__init__
+
+    def recording_init(memory, *args, **kwargs):
+        init(memory, *args, **kwargs)
+        words.append(memory.words)
+
+    monkeypatch.setattr(Memory, "__init__", recording_init)
+    workload = WORKLOADS["qcd"]
+    run_workload(workload, workload.smoke_scale)
+    assert [len(listed) for listed in words] == [0]

@@ -10,7 +10,10 @@ markers:
 * the **stored column table** — member, dtype and width of each column
   member of the on-disk container, read back from a file the writer
   saved;
-* the **kind table** — the :class:`EventKind` byte values.
+* the **kind table** — the :class:`EventKind` byte values;
+* the **sim member table** and the **sim footer keys** — the members of
+  a sim cache entry, with their dtypes, and the top-level keys of its
+  footer, read back from an entry the result store published.
 
 ``python tools/lint_trace_format.py`` exits non-zero (printing a diff
 hint) when the blocks in the doc do not match what the implementation
@@ -31,7 +34,22 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 DOC_PATH = REPO_ROOT / "docs" / "TRACE_FORMAT.md"
 
-_BLOCKS = ("column-table", "stored-column-table", "kind-table")
+_BLOCKS = ("column-table", "stored-column-table", "kind-table",
+           "sim-member-table", "sim-footer-keys")
+
+#: What row ``i`` of each sim entry count member holds, for studied
+#: session ``i``; a member without a meaning here fails the lint.
+_SIM_MEANINGS = {
+    "session": "its index in `discover_sessions(registry)`",
+    "installs": "monitor installs",
+    "removes": "monitor removes",
+    "hits": "monitor hits",
+    "max_concurrent": "peak simultaneously active monitors",
+    "protects": "page protects (0 → 1 active monitors) at `<size>`",
+    "unprotects": "page unprotects (1 → 0) at `<size>`",
+    "active_page_misses": "misses on a page holding an active monitor, "
+                          "at `<size>`",
+}
 
 
 def generated_column_table() -> str:
@@ -112,6 +130,58 @@ def generated_kind_table() -> str:
     return "\n".join(lines)
 
 
+def _published_sim_entry():
+    """The members and footer document of a sim entry the store
+    publishes, over page sizes 4096 and 8192."""
+    import json
+    import tempfile
+
+    import numpy as np
+
+    from repro.experiments.store import SIM_SUFFIX, ResultStore, SimEntry
+    from repro.sessions import discover_sessions
+    from repro.simulate import simulate_sessions
+    from repro.trace import EventTrace, ObjectRegistry
+
+    registry = ObjectRegistry()
+    watched = registry.global_("g", 4)
+    trace = EventTrace("lint")
+    trace.append_install(watched.id, 0, 4)
+    trace.append_write(0, 4)
+    result = simulate_sessions(trace, registry, discover_sessions(registry),
+                               (4096, 8192), engine="python")
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / f"lint-sim-4096-8192{SIM_SUFFIX}"
+        ResultStore(path.parent).publish_payload(
+            path, SimEntry.of(registry, result))
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
+    doc = json.loads(members.pop("stream").tobytes().decode("utf-8"))
+    return members, doc
+
+
+def generated_sim_member_table() -> str:
+    members, _ = _published_sim_entry()
+    lines = [
+        "| member | dtype | row `i` holds, for studied session `i` |",
+        "|--------|-------|----------------------------------------|",
+    ]
+    for name, array in members.items():
+        field, _, size = name.rpartition("_")
+        if not size.isdigit():
+            field, size = name, ""
+        lines.append(
+            f"| `{name}.npy` | `{array.dtype}` (little-endian) "
+            f"| {_SIM_MEANINGS[field].replace('<size>', size)} |"
+        )
+    return "\n".join(lines)
+
+
+def generated_sim_footer_keys() -> str:
+    _, doc = _published_sim_entry()
+    return ", ".join(f"`{key}`" for key in doc)
+
+
 def _generated(block: str) -> str:
     if block == "column-table":
         return generated_column_table()
@@ -119,6 +189,10 @@ def _generated(block: str) -> str:
         return generated_stored_column_table()
     if block == "kind-table":
         return generated_kind_table()
+    if block == "sim-member-table":
+        return generated_sim_member_table()
+    if block == "sim-footer-keys":
+        return generated_sim_footer_keys()
     raise ValueError(f"unknown block {block!r}")
 
 

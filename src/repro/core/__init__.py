@@ -20,6 +20,10 @@ simulated machine:
 :class:`TrapPatchWms`       every store replaced by a trap (3.3)
 :class:`CodePatchWms`       inline check before every store (3.3)
 ========================  =======================================
+
+The last three (with the bitmap map) describe their monitor miss to the
+CPU, whose compiled code runs it in place; only hits reach their
+handlers on the CPU's fast tier (:class:`~repro.machine.cpu.MissPath`).
 """
 
 from repro.core.wms import Monitor, Notification, WriteMonitorService

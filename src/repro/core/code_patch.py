@@ -10,6 +10,14 @@ involvement*, which is why CodePatch is the fast software strategy.
 Because every write is checked anyway, keeping the WMS mapping in the
 debuggee's address space needs no extra protection mechanism
 (section 3.4); installs and removes pay only the software update.
+
+A miss is the common check, and it is cheap in the paper: a few inline
+instructions.  With a :class:`BitmapMonitorMap`, :class:`CodePatchWms`
+registers what its miss charges and counts as the CPU's
+:class:`~repro.machine.cpu.MissPath` for ``CHK``, and the CPU's watched
+compiled code runs it in place: only hits call :meth:`CodePatchWms._check`
+there.  A subclass that overrides ``_check`` (such as
+:class:`OptimizedCodePatchWms`) registers none.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Callable
 from repro.core.monitor_map import BitmapMonitorMap, MonitorMap
 from repro.core.wms import Monitor, WriteMonitorService
 from repro.machine import isa
-from repro.machine.cpu import Cpu
+from repro.machine.cpu import CHECK_MISS, Cpu, MissPath
 from repro.models.timing import SPARCSTATION_2_TIMING, TimingVariables
 
 
@@ -39,6 +47,11 @@ class CodePatchWms(WriteMonitorService):
         self.timing = timing
         self.map = map_factory()
         cpu.check_hook = self._check
+        if type(self.map) is BitmapMonitorMap and type(self)._check is CodePatchWms._check:
+            # A miss of _check, run in place by the watched compiled code.
+            cpu.miss_paths[CHECK_MISS] = MissPath(
+                cpu.check_hook, self.map._words, None,
+                timing.software_lookup_cycles, self._count_miss)
 
     def _activate(self, monitor: Monitor) -> None:
         self.cpu.cycles += self.timing.software_update_cycles
@@ -69,6 +82,7 @@ class CodePatchWms(WriteMonitorService):
     def detach(self) -> None:
         self.active.clear()
         self.cpu.check_hook = None
+        self.cpu.miss_paths[CHECK_MISS] = None
 
 
 class OptimizedCodePatchWms(CodePatchWms):

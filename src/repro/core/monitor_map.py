@@ -53,7 +53,9 @@ class BitmapMonitorMap(MonitorMap):
 
     ``_words`` maps each covered word address to the tuple of monitors
     covering it.  Lookup of a word-sized write is a single dict probe;
-    this is the O(1) fast path CodePatch relies on.
+    this is the O(1) fast path CodePatch relies on.  ``_words`` is
+    updated in place and never rebound: the strategies hand it to the
+    CPU's miss paths, which probe it live.
     """
 
     def __init__(self) -> None:

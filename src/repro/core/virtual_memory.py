@@ -9,6 +9,12 @@ The WMS mapping itself lives (conceptually) write-protected in the
 debuggee's address space, so every install/remove pays an
 unprotect/update/reprotect dance on the mapping's page (section 3.4 and
 the Figure-4 model); the dance is charged to the simulated clock.
+
+With a :class:`BitmapMonitorMap` the WMS registers its miss (a fault on
+a monitored page that touches no monitor) with :meth:`SimOs.register_miss
+<repro.sim_os.SimOs.register_miss>`: the CPU's watched compiled code
+charges and counts the whole fault and continues past it in place, so
+only hits reach :meth:`VirtualMemoryWms._handle_fault` there.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from repro.core.monitor_map import BitmapMonitorMap, MonitorMap
 from repro.core.wms import Monitor, WriteMonitorService
 from repro.machine.cpu import Cpu
 from repro.machine.paging import Protection
-from repro.machine.traps import TrapFrame
+from repro.machine.traps import TrapFrame, TrapKind
 from repro.models.timing import SPARCSTATION_2_TIMING, TimingVariables
 from repro.sim_os import Signal, SimOs
 
@@ -44,6 +50,14 @@ class VirtualMemoryWms(WriteMonitorService):
         #: page number -> count of active monitors resident on it.
         self.page_monitor_count: Dict[int, int] = {}
         os.sigaction(Signal.SIGSEGV, self._handle_fault)
+        if type(self.map) is BitmapMonitorMap and \
+                type(self)._handle_fault is VirtualMemoryWms._handle_fault:
+            # A miss of _handle_fault on a monitored page, run in place by
+            # the watched compiled code until the SIGSEGV route changes
+            # (detach included).
+            os.register_miss(TrapKind.WRITE_FAULT, self.map._words,
+                             self.page_monitor_count,
+                             timing.software_lookup_cycles, self._count_miss)
 
     # -- install/remove -----------------------------------------------------
 

@@ -138,6 +138,12 @@ class WriteMonitorService:
         if self.callback is not None:
             self.callback(notification)
 
+    def _count_miss(self) -> None:
+        """Count a monitor miss that the CPU's watched compiled code ran
+        in place of this strategy's handler (``repro.machine.cpu.MissPath``):
+        the one count the handler makes on a miss."""
+        self.stats.checks += 1
+
     # -- teardown -------------------------------------------------------------------
 
     def detach(self) -> None:

@@ -71,8 +71,8 @@ is split into basic blocks and becomes one Python function
 Each image has two variants of its function table:
 
 * the **unwatched** variant stores with no check beyond alignment and
-  range.  It runs when no hook, protected page or monitor register is
-  active, which is every phase-1 and bare run;
+  range.  It runs when no hook, protected page, monitor register or
+  ``TRAP`` miss path is active, which is every phase-1 and bare run;
 * the **watched** variant guards every ``ST`` before the write with
   ``a >> S in P or a >> 2 in MW``: ``P`` is the live
   :attr:`PageTable.write_protected <repro.machine.paging.PageTable>`
@@ -88,12 +88,23 @@ Each image has two variants of its function table:
   plus its own counts), calls ``Cpu._store``, ``Cpu._check`` or
   ``Cpu._trap``, takes in the cycles and stores the handler added and
   goes on at the next instruction.  Before a direct call it sets the
-  callee's base the same way.  A ``RET`` of a function that has exit
-  hooks leaves with its own descriptor ``(RET, index)``, which a direct
-  caller returns on to the driver, so the driver pops the frame and
-  runs the hooks.  A store does not end its block: a segment that
-  resumes after a handler raised at one enters mid-block, and
-  :meth:`CompiledImage.add_start` first makes that pc a block start.
+  callee's base the same way.  When no tracer is attached, a ``CHK``, a
+  ``TRAP`` and a store to a protected page first test whether they are a
+  **monitor miss** by the ``Cpu.miss_paths`` description of their kind
+  (:class:`~repro.machine.cpu.MissPath`), read at each event: aligned
+  and in range, not in the strategy's live word map (a store: its page
+  in the strategy's live page counts), not in ``MW``, and the
+  strategy's check hook or the OS's trap sink still installed.  A miss
+  makes its store (a ``TRAP`` or a protected store), adds the
+  description's cycles, sets ``Cpu._trap_pc`` and ``Cpu._resume_pc``
+  as the full path does and calls the description's ``count``, with no
+  write-back and no call into the CPU; every other event is an inline
+  step.  A ``RET`` of a function that has exit hooks leaves with its
+  own descriptor ``(RET, index)``, which a direct caller returns on to
+  the driver, so the driver pops the frame and runs the hooks.  A store
+  does not end its block: a segment that resumes after a handler raised
+  at one enters mid-block, and :meth:`CompiledImage.add_start` first
+  makes that pc a block start.
 
 Immediates that are not plain ints (floats such as ``inf``, ``-0.0`` or
 ``nan``, and anything else) reach the generated code through a constants
@@ -112,6 +123,7 @@ tracer and the block starts resumes added, and on nothing else;
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import weakref
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -130,6 +142,9 @@ HANDOVER, STEP, CHECKPOINT = -1, -2, -3
 #: The one ``(RET,)`` descriptor: a direct call tests its callee's exit
 #: against it by identity.
 RET_EXIT = (RET,)
+#: The slots of ``Cpu.miss_paths`` the watched functions read: a ``CHK``,
+#: a ``TRAP`` and an ``ST`` to a write-protected page.
+CHECK_MISS, TRAP_MISS, FAULT_MISS = 0, 1, 2
 
 _BINARY = {
     isa.ADD: "+", isa.SUB: "-", isa.MUL: "*",
@@ -545,11 +560,51 @@ class _FunctionWriter:
         self.emit(f"if {' or '.join(check + [f'{byte} >> S in P', f'{word} in MW'])}:")
         self.depth += 1
         self.guard(check, (STEP, pc), counted)
-        self.step(f"store({pc}, {byte}, {value})", counted, stores=1)
+        with self.unless_miss(FAULT_MISS, pc, word, byte, [], value):
+            self.step(f"store({pc}, {byte}, {value})", counted, stores=1)
         self.depth -= 1
         self.emit("else:")
         self.depth += 1
         self.write(word, byte, value)
+        self.depth -= 1
+
+    @contextlib.contextmanager
+    def unless_miss(self, slot: int, pc: int, word: str, byte: str,
+                    conditions: List[str], value: Optional[str]) -> Iterator[None]:
+        """Put what the block emits inside the ``with`` (the event's full
+        path) under ``else:`` of an in-place monitor miss at ``pc``, in the
+        untraced watched variant.  The event is a miss when
+        ``conditions`` (the address check) hold and the description in
+        ``Cpu.miss_paths[slot]`` says so (see
+        :class:`~repro.machine.cpu.MissPath`); the miss
+        makes the store of ``value`` unless it is ``None``, charges and
+        counts what the full path would, and sets the CPU's trap and
+        resume pcs.  The traced variant emits the full path alone."""
+        if self.traced:
+            yield
+            return
+        hook = "check_hook" if slot == CHECK_MISS else "trap_sink"
+        test = ["m is not None", f"C.{hook} is m.hook", *conditions,
+                f"{byte} not in m.words"]
+        if slot == FAULT_MISS:
+            test.append(f"{byte} >> S in m.pages")
+        test.append(f"{word} not in MW")
+        self.emit(f"m = MP[{slot}]")
+        self.emit(f"if {' and '.join(test)}:")
+        self.depth += 1
+        if value is not None:
+            self.emit(f"w[{word}] = {value}")
+        if slot == TRAP_MISS:
+            # The emulated store; the block counts an ST's own.
+            self.emit("s += 1")
+        self.emit("c += m.cycles")
+        self.emit(f"C._trap_pc = {pc}")
+        self.emit(f"C._resume_pc = {pc + 1}")
+        self.emit("m.count()")
+        self.depth -= 1
+        self.emit("else:")
+        self.depth += 1
+        yield
         self.depth -= 1
 
     def step(self, call: str, counted: Tuple[int, int, int], stores: int = 0) -> None:
@@ -659,13 +714,14 @@ class _FunctionWriter:
         <repro.machine.cpu.Cpu._check>` or :meth:`Cpu._trap
         <repro.machine.cpu.Cpu._trap>`; control goes on at ``pc + 1``."""
         instr = self.code[pc]
-        address = f"{self.read(instr[1])} + {_lit(instr[2])}"
-        if instr[0] == isa.CHK:
-            call = f"check({pc}, {address})"
-        else:
-            call = f"trap({pc}, {address}, {self.read(instr[3])})"
+        chk = instr[0] == isa.CHK
+        value = None if chk else self.read(instr[3])
         self.count(size)
-        self.step(call, (0, 0, 0))
+        word, address, check = self.address(instr[1], instr[2])
+        with self.unless_miss(CHECK_MISS if chk else TRAP_MISS, pc, word, address,
+                              [f"not {bad}" for bad in check], value):
+            self.step(f"check({pc}, {address})" if chk
+                      else f"trap({pc}, {address}, {value})", (0, 0, 0))
         self.materialize()
         self.goto(pc + 1, start, loop)
 
@@ -812,6 +868,8 @@ class _FunctionWriter:
         if self.c.watched:
             self.emit("store, check, trap = C._store, C._check, C._trap")
             self.emit("EH, XH = C.enter_hooks, C.exit_hooks")
+            if not self.traced:
+                self.emit("MP = C.miss_paths")
         self.emit("def run(R, fp, fw, pc, left):")
         return "\n".join(
             ["def make(w, wr, cdiv, cmod, K, E, P, MW, S, T, L):"] + self.lines + body

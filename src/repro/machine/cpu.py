@@ -37,8 +37,9 @@ Two execution tiers run a segment (one :meth:`Cpu.run` or
 One rule picks the tier: a segment runs on the reference loop when the
 ``--profile`` opcode sampler is on, and on the fast path otherwise.  The
 fast path runs the *unwatched* function table while no hook, protected
-page or monitor register is active (phase 1 and bare runs), and the
-*watched* one otherwise: every debugger session and live WMS.  It
+page, monitor register or ``TRAP`` miss path (below) is active (phase 1
+and bare runs), and the *watched* one otherwise: every debugger session
+and live WMS.  It
 switches to the watched table when a builtin, hook or trap handler
 activates one mid-segment.  In the watched table every store checks its
 page against the protected set and its word against the monitor
@@ -68,7 +69,14 @@ the cycles and stores the handler added, and goes on.  It counts from
 function and a caller before a direct call; the counters themselves
 change only where the reference loop syncs them.  The function keeps
 its registers in locals across the call, so a handler may read a
-frame's register list but not write it (no hook here does).  A store to a bad
+frame's register list but not write it (no hook here does).  With no
+tracer attached, the watched table runs a **monitor miss** of a
+``CHK``, a ``TRAP`` or a store to a protected page in place instead,
+as the :class:`MissPath` a strategy registered in
+:attr:`Cpu.miss_paths` describes: the store, the cycles and one
+counting call, and no call of the methods above.  The reference loop
+never reads ``miss_paths``; it is the oracle that keeps the two
+accounts of a miss equal.  A store to a bad
 address, and a ``CHK`` or ``TRAP`` that is its function's last
 instruction (and in the unwatched table every ``CHK`` and ``TRAP``),
 is a **one-instruction step** instead: the function returns with the
@@ -127,6 +135,7 @@ from repro.errors import (
     UnhandledFault,
 )
 from repro.machine import blocks, isa
+from repro.machine.blocks import CHECK_MISS, FAULT_MISS, TRAP_MISS  # noqa: F401 (the slots)
 from repro.machine.layout import MemoryLayout
 from repro.machine.memory import Memory
 from repro.machine.monitor_registers import MonitorRegisterFile
@@ -160,6 +169,33 @@ class _Frame:
         self.ret_pc = ret_pc
         self.saved_fp = saved_fp
         self.dest_reg = dest_reg
+
+
+class MissPath:
+    """How the watched compiled code runs a monitor miss of one kind of
+    event in place, registered by the strategy whose handler the event
+    reaches (see :attr:`Cpu.miss_paths`).
+
+    The event is a miss when ``hook`` is still the CPU's hook for it
+    (``check_hook`` for a ``CHK``, ``trap_sink`` for the others), its
+    address is aligned and in range and not a key of ``words`` (the live
+    word map of the strategy's monitor map), a store's page is a key of
+    ``pages`` (the live pages the strategy keeps protected; ``None`` for
+    the other events), and no monitor register watches its word.  A miss
+    makes the store (a ``TRAP`` or a store to a protected page), adds
+    ``cycles``, the cycles the full path charges it, and calls
+    ``count()``, which bumps every counter the full path bumps.
+    """
+
+    __slots__ = ("hook", "words", "pages", "cycles", "count")
+
+    def __init__(self, hook: Callable, words: dict, pages: Optional[dict],
+                 cycles: int, count: Callable[[], None]) -> None:
+        self.hook = hook
+        self.words = words
+        self.pages = pages
+        self.cycles = cycles
+        self.count = count
 
 
 @dataclass
@@ -225,6 +261,12 @@ class Cpu:
         #: Debugger hooks keyed by function index.
         self.enter_hooks: Dict[int, List[Callable]] = {}
         self.exit_hooks: Dict[int, List[Callable]] = {}
+        #: The :class:`MissPath` of each event, by slot (:data:`CHECK_MISS`,
+        #: :data:`TRAP_MISS`, :data:`FAULT_MISS`), or ``None``: the
+        #: watched compiled code reads it at each such event.  A strategy
+        #: sets its slot when it installs its hook or handler and clears it
+        #: when it detaches; the reference loop never reads it.
+        self.miss_paths: List[Optional[MissPath]] = [None, None, None]
 
         # --- machine state -----------------------------------------------
         self.cycles = 0
@@ -341,9 +383,12 @@ class Cpu:
         return self._fast_loop(start_pc, max_instructions)
 
     def _hooks_clear(self) -> bool:
-        """No hook, protected page or monitor register needs the watched table."""
+        """No hook, protected page, monitor register or ``TRAP`` miss path
+        needs the watched table (the unwatched one steps every ``TRAP``
+        through the driver)."""
         return (
             self.check_hook is None
+            and self.miss_paths[TRAP_MISS] is None
             and not self.page_table.write_protected
             and not self.monitor_registers.any_enabled
             and not any(self.enter_hooks.values())
@@ -772,118 +817,127 @@ class Cpu:
         new_frame = object.__new__
         handover_pc: Optional[int] = None
 
-        while True:
-            if watched:
-                # The counters a watched function's inline steps count from.
-                self._base = n_instr, cycles, n_stores
-            leave, n, cyc, nst, result = run(regs, fp, fw, pc, checkpoint - n_instr)
-            n_instr += n
-            cycles += cyc
-            n_stores += nst
-            kind = leave[0]
-            if frames[-1] is not frame:
-                # The function's direct calls left their callees on the
-                # stack: go on with the innermost one.
-                frame = frames[-1]
-                regs = frame.regs
-                fp = self.fp
-                fw = fp >> 2
-                run = table[frame.func.index]
-            if kind == CALL:
-                _, callee, dest_reg, ret_pc, index, frame_size, pc = leave
-                self.sp -= frame_size
-                if self.sp < stack_limit:
+        # A table's functions call each other through it, a reference
+        # cycle that holds this machine: each table is emptied once none
+        # of its functions runs, so the machine is freed by reference
+        # counting when its owner drops it.
+        try:
+            while True:
+                if watched:
+                    # The counters a watched function's inline steps count from.
+                    self._base = n_instr, cycles, n_stores
+                leave, n, cyc, nst, result = run(regs, fp, fw, pc, checkpoint - n_instr)
+                n_instr += n
+                cycles += cyc
+                n_stores += nst
+                kind = leave[0]
+                if frames[-1] is not frame:
+                    # The function's direct calls left their callees on the
+                    # stack: go on with the innermost one.
+                    frame = frames[-1]
+                    regs = frame.regs
+                    fp = self.fp
+                    fw = fp >> 2
+                    run = table[frame.func.index]
+                if kind == CALL:
+                    _, callee, dest_reg, ret_pc, index, frame_size, pc = leave
+                    self.sp -= frame_size
+                    if self.sp < stack_limit:
+                        self._sync(cycles, n_instr, n_stores)
+                        raise StackOverflow(callee.name)
+                    # _Frame(...) without the cost of a Python __init__ call.
+                    frame = new_frame(_Frame)
+                    frame.func, frame.regs, frame.ret_pc, frame.saved_fp, frame.dest_reg = (
+                        callee, result, ret_pc, fp, dest_reg)
+                    frames.append(frame)
+                    if len(frames) > max_depth:
+                        max_depth = len(frames)
+                    fp = self.sp
+                    self.fp = fp
+                    fw = fp >> 2
+                    regs = result
+                    if log_append is not None:
+                        log_append(~(fp << frame_shift | enter_keys[index]))
+                    run = table[index]
+                    if enter_hooks:
+                        hooks = enter_hooks.get(index)
+                        if hooks:
+                            self._sync(cycles, n_instr, n_stores)
+                            self._resume_pc = pc
+                            for hook in hooks:
+                                hook(callee, fp)
+                            cycles = self.cycles
+                elif kind == RET:
+                    done_frame = frames.pop()
+                    func = done_frame.func
+                    if log_append is not None:
+                        log_append(~(fp << frame_shift | exit_keys[func.index]))
+                    if exit_hooks:
+                        hooks = exit_hooks.get(func.index)
+                        if hooks:
+                            self._sync(cycles, n_instr, n_stores)
+                            for hook in hooks:
+                                hook(func, fp)
+                            cycles = self.cycles
+                    self.sp += func.frame_size
+                    if not frames:
+                        exit_value = result
+                        break
+                    fp = done_frame.saved_fp
+                    self.fp = fp
+                    fw = fp >> 2
+                    frame = frames[-1]
+                    regs = frame.regs
+                    if done_frame.dest_reg is not None:
+                        regs[done_frame.dest_reg] = result
+                    pc = done_frame.ret_pc
+                    index = frame.func.index
+                    if pc < 0 or starts[pc] != index:
+                        handover_pc = pc
+                        break
+                    run = table[index]
+                elif kind == STEP:
+                    pc = leave[1]
                     self._sync(cycles, n_instr, n_stores)
-                    raise StackOverflow(callee.name)
-                # _Frame(...) without the cost of a Python __init__ call.
-                frame = new_frame(_Frame)
-                frame.func, frame.regs, frame.ret_pc, frame.saved_fp, frame.dest_reg = (
-                    callee, result, ret_pc, fp, dest_reg)
-                frames.append(frame)
-                if len(frames) > max_depth:
-                    max_depth = len(frames)
-                fp = self.sp
-                self.fp = fp
-                fw = fp >> 2
-                regs = result
-                if log_append is not None:
-                    log_append(~(fp << frame_shift | enter_keys[index]))
-                run = table[index]
-                if enter_hooks:
-                    hooks = enter_hooks.get(index)
-                    if hooks:
-                        self._sync(cycles, n_instr, n_stores)
-                        self._resume_pc = pc
-                        for hook in hooks:
-                            hook(callee, fp)
-                        cycles = self.cycles
-            elif kind == RET:
-                done_frame = frames.pop()
-                func = done_frame.func
-                if log_append is not None:
-                    log_append(~(fp << frame_shift | exit_keys[func.index]))
-                if exit_hooks:
-                    hooks = exit_hooks.get(func.index)
-                    if hooks:
-                        self._sync(cycles, n_instr, n_stores)
-                        for hook in hooks:
-                            hook(func, fp)
-                        cycles = self.cycles
-                self.sp += func.frame_size
-                if not frames:
-                    exit_value = result
+                    self._step(pc, regs)
+                    cycles, n_stores = self.cycles, self.stores
+                    pc += 1
+                    if not watched and not self._hooks_clear():
+                        watched = True
+                        table.clear()
+                        starts, table = self._function_table(True, depth_mark)
+                        run = table[frames[-1].func.index]
+                    if starts[pc] != frames[-1].func.index:
+                        handover_pc = pc
+                        break
+                elif kind == CALLB:
+                    _, builtin, dest_reg, pc = leave
+                    self._sync(cycles, n_instr, n_stores)
+                    value = self.builtins[builtin](self, result)
+                    cycles, n_stores = self.cycles, self.stores
+                    if dest_reg is not None:
+                        regs[dest_reg] = value
+                    if not watched and not self._hooks_clear():
+                        watched = True
+                        table.clear()
+                        starts, table = self._function_table(True, depth_mark)
+                        run = table[frames[-1].func.index]
+                elif kind == CHECKPOINT:
+                    pc = result
+                    span = leave[1]
+                    if n_instr + span > max_instructions:
+                        handover_pc = pc
+                        break
+                    # Only a tracer puts the checkpoint before the budget.
+                    tracer.drain_if_full()
+                    checkpoint = min(max_instructions, n_instr + max(_DRAIN_STRIDE, span))
+                elif kind == HALT:
                     break
-                fp = done_frame.saved_fp
-                self.fp = fp
-                fw = fp >> 2
-                frame = frames[-1]
-                regs = frame.regs
-                if done_frame.dest_reg is not None:
-                    regs[done_frame.dest_reg] = result
-                pc = done_frame.ret_pc
-                index = frame.func.index
-                if pc < 0 or starts[pc] != index:
-                    handover_pc = pc
+                else:
+                    handover_pc = leave[1]
                     break
-                run = table[index]
-            elif kind == STEP:
-                pc = leave[1]
-                self._sync(cycles, n_instr, n_stores)
-                self._step(pc, regs)
-                cycles, n_stores = self.cycles, self.stores
-                pc += 1
-                if not watched and not self._hooks_clear():
-                    watched = True
-                    starts, table = self._function_table(True, depth_mark)
-                    run = table[frames[-1].func.index]
-                if starts[pc] != frames[-1].func.index:
-                    handover_pc = pc
-                    break
-            elif kind == CALLB:
-                _, builtin, dest_reg, pc = leave
-                self._sync(cycles, n_instr, n_stores)
-                value = self.builtins[builtin](self, result)
-                cycles, n_stores = self.cycles, self.stores
-                if dest_reg is not None:
-                    regs[dest_reg] = value
-                if not watched and not self._hooks_clear():
-                    watched = True
-                    starts, table = self._function_table(True, depth_mark)
-                    run = table[frames[-1].func.index]
-            elif kind == CHECKPOINT:
-                pc = result
-                span = leave[1]
-                if n_instr + span > max_instructions:
-                    handover_pc = pc
-                    break
-                # Only a tracer puts the checkpoint before the budget.
-                tracer.drain_if_full()
-                checkpoint = min(max_instructions, n_instr + max(_DRAIN_STRIDE, span))
-            elif kind == HALT:
-                break
-            else:
-                handover_pc = leave[1]
-                break
+        finally:
+            table.clear()
 
         self._sync(cycles, n_instr, n_stores)
         max_depth = max(max_depth, depth_mark[0])

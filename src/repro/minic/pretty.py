@@ -1,7 +1,9 @@
 """Pretty-printers for MiniC ASTs and compiled IR.
 
-Used by the debugger shell's ``list`` command, by compiler debugging,
-and by anyone spelunking through what the toolchain produced::
+Used by compiler debugging and by anyone spelunking through what the
+toolchain produced (the debugger shell's ``list`` command prints
+:meth:`LoadedProgram.disassemble <repro.machine.loader.LoadedProgram.disassemble>`
+instead)::
 
     >>> from repro.minic.parser import parse
     >>> print(dump_ast(parse("int main() { return 1 + 2; }")))

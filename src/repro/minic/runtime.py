@@ -152,29 +152,28 @@ class Runtime:
         self.heap = HeapAllocator(cpu.memory, layout or cpu.layout)
         #: Captured program output (print_* builtins append here).
         self.output: List[str] = []
-        self._table: List[Callable] = [None] * N_BUILTINS  # type: ignore[list-item]
-        self._register_all()
 
     def install(self) -> None:
-        """Install the builtin table on the CPU."""
-        self.cpu.builtins = self._table
+        """Install the builtin table on the CPU.  Only the CPU holds the
+        table, whose entries hold this runtime: emptying
+        ``cpu.builtins`` leaves no reference cycle between the two."""
+        table: List[Callable] = [None] * N_BUILTINS  # type: ignore[list-item]
+        for name, impl in (
+            ("malloc", self._malloc),
+            ("free", self._free),
+            ("realloc", self._realloc),
+            ("print_int", self._print_int),
+            ("print_float", self._print_float),
+            ("print_char", self._print_char),
+            ("sqrt", self._math_unary(math.sqrt)),
+            ("exp", self._math_unary(math.exp)),
+            ("log", self._math_unary(math.log)),
+            ("fabs", self._math_unary(abs)),
+        ):
+            table[BUILTINS[name].index] = impl
+        self.cpu.builtins = table
 
     # -- implementations ---------------------------------------------------
-
-    def _register(self, name: str, impl: Callable) -> None:
-        self._table[BUILTINS[name].index] = impl
-
-    def _register_all(self) -> None:
-        self._register("malloc", self._malloc)
-        self._register("free", self._free)
-        self._register("realloc", self._realloc)
-        self._register("print_int", self._print_int)
-        self._register("print_float", self._print_float)
-        self._register("print_char", self._print_char)
-        self._register("sqrt", self._math_unary(math.sqrt))
-        self._register("exp", self._math_unary(math.exp))
-        self._register("log", self._math_unary(math.log))
-        self._register("fabs", self._math_unary(abs))
 
     def _malloc(self, cpu: Cpu, args) -> int:
         cpu.cycles += _MALLOC_CYCLES

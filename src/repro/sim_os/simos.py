@@ -14,14 +14,23 @@ The VirtualMemory strategy's continue-past-fault sequence (unprotect
 the page, emulate the store, reprotect the page) is one service,
 :meth:`SimOs.emulate_on_protected_page`, that charges and counts what
 the separate ``protect_pages`` and ``emulate`` calls would.
+
+A monitor miss of a trap-patched store or a write fault need not come
+here at all: :meth:`SimOs.register_miss` describes what its delivery,
+its handler and the handler's emulation charge and count, and the CPU's
+watched compiled code runs it in place
+(:class:`~repro.machine.cpu.MissPath`) until :meth:`SimOs.sigaction`
+replaces the route.  Only hits, and misses the description cannot vouch
+for, are delivered.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Container, Dict, Optional, Tuple
 
 from repro.errors import BadSyscall, UnhandledFault
-from repro.machine.cpu import Cpu
+from repro.machine.cpu import FAULT_MISS, TRAP_MISS, Cpu, MissPath
 from repro.machine.paging import PageTable, Protection
 from repro.machine.traps import TrapFrame, TrapKind
 from repro.sim_os.costs import SPARCSTATION_2, KernelCosts
@@ -32,6 +41,11 @@ Handler = Callable[[TrapFrame, Cpu], None]
 
 # Bound once: an Enum member lookup through its class runs Python code.
 _READ = Protection.READ
+_WRITE_FAULT = TrapKind.WRITE_FAULT
+
+#: The trap kinds whose misses a handler can leave to the watched
+#: compiled code, and their slots in ``Cpu.miss_paths``.
+_MISS_SLOTS = {TrapKind.TRAP_INSTR: TRAP_MISS, _WRITE_FAULT: FAULT_MISS}
 
 
 class RusageTimer:
@@ -105,7 +119,9 @@ class SimOs:
             TrapKind.TRAP_INSTR: costs.trap_delivery,
             TrapKind.BREAKPOINT: costs.trap_delivery,
         }
-        cpu.trap_sink = self.deliver
+        #: The trap sink this OS installs; a miss path holds while the
+        #: CPU's ``trap_sink`` is still this object.
+        self._sink = cpu.trap_sink = self.deliver
 
     # ------------------------------------------------------------------
     # Signals
@@ -115,7 +131,9 @@ class SimOs:
         """Install (or, with None, remove) a user-level signal handler.
 
         Rebuilds the route table, so the next trap of every kind that
-        maps to ``signal`` reaches ``handler``.
+        maps to ``signal`` reaches ``handler``, and clears the miss path
+        (:meth:`register_miss`) of each of those kinds: it stood for the
+        handler being replaced.
         """
         handlers = self._handlers
         if handler is None:
@@ -127,6 +145,47 @@ class SimOs:
             for kind, cost in self._delivery_cost.items()
             if signal_for_trap(kind) in handlers
         }
+        for kind, slot in _MISS_SLOTS.items():
+            if signal_for_trap(kind) is signal:
+                self.cpu.miss_paths[slot] = None
+
+    def register_miss(self, kind: TrapKind, words: dict, pages: Optional[dict],
+                      handler_cycles: int, count_handler: Callable[[], None]) -> None:
+        """Let the watched compiled code run a monitor miss of a ``kind``
+        trap (``TRAP_INSTR`` or ``WRITE_FAULT``) in place, as a
+        :class:`~repro.machine.cpu.MissPath`, until the next
+        :meth:`sigaction` of its signal.
+
+        The handler now installed for ``kind`` tells a miss by ``words``
+        (and, for a write fault, ``pages``), charges ``handler_cycles``
+        and counts with ``count_handler()``; on a miss it emulates the
+        store, a trap-patched store with :meth:`emulate` and a write
+        fault with :meth:`emulate_on_protected_page`, whose page stays
+        protected (it is in ``pages``).  The miss path charges and counts
+        that and the delivery, as :meth:`deliver` and those services do.
+        """
+        costs = self.costs
+        cycles = self._delivery_cost[kind] + handler_cycles + costs.emulate_store
+        if kind is _WRITE_FAULT:
+            cycles += costs.unprotect_page + costs.protect_page
+        self.cpu.miss_paths[_MISS_SLOTS[kind]] = MissPath(
+            self._sink, words, pages, cycles,
+            functools.partial(self._count_miss, kind, count_handler))
+
+    def _count_miss(self, kind: TrapKind, count_handler: Callable[[], None]) -> None:
+        """Count one in-place miss of a ``kind`` trap: what
+        :meth:`~repro.machine.cpu.Cpu._raise_trap`, :meth:`deliver`, the
+        handler and its emulation count."""
+        trap_counts = self.cpu.trap_counts
+        trap_counts[kind] = trap_counts.get(kind, 0) + 1
+        counters = self.counters
+        counters["faults_delivered"] += 1
+        count_handler()
+        counters["stores_emulated"] += 1
+        if kind is _WRITE_FAULT:
+            counters["mprotect_calls"] += 2
+            counters["pages_unprotected"] += 1
+            counters["pages_protected"] += 1
 
     def deliver(self, frame: TrapFrame, cpu: Cpu) -> None:
         """Kernel entry point: deliver a hardware trap as a signal.

@@ -98,14 +98,13 @@ def run_workload(
         state = cpu.run("main", (), max_instructions)
         trace = tracer.finish(state)
     workload.check(state, runtime, scale)
-    # Phase 1 is done with the machine.  Its runtime and CPU reference each
-    # other (the CPU holds the runtime's builtins, which are bound
-    # methods), so whatever they reach lives until the next full garbage
-    # collection, next to the following program's machine.  Unhook the
-    # tracer, whose trace the caller may drop early, and empty the words
-    # in place: the fast path's function table holds the list itself.
+    # Phase 1 is done with the machine.  The CPU holds the runtime's
+    # builtins, bound methods of a runtime that holds the CPU: unhook
+    # them, so that reference counting frees the machine (and no garbage
+    # collection has to) as soon as the caller drops it.  Unhook the
+    # tracer too, whose trace the caller may drop early.
     runtime.heap.listeners.remove(tracer)
-    memory.words.clear()
+    cpu.builtins = []
     return WorkloadRun(
         workload=workload,
         scale=scale,

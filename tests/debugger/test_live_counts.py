@@ -125,3 +125,25 @@ def test_page_size_counts_are_pinned(approach):
     label, strategy, page_size = approach
     assert _counts("bps", strategy, page_size, TOOL.PAGE_SIZE_WATCHES) == \
         PAGE_SIZE_PINNED[label]
+
+
+#: The approaches whose misses the watched compiled code runs in place.
+SOFTWARE_APPROACHES = tuple(a for a in TOOL.APPROACHES if a[1] in TOOL.HANDLERS)
+
+
+@pytest.mark.parametrize("approach", SOFTWARE_APPROACHES,
+                         ids=[a[0] for a in SOFTWARE_APPROACHES])
+def test_fast_path_runs_every_miss_in_place(approach):
+    """Only hits reach the strategy's handler on the fast path.  The
+    handler is wrapped on its class before the Debugger is built, so the
+    miss path registers the wrapped one; the reference loop calls it on
+    every event.  Without this test a silent fallback to the full path
+    would pass every equality test above."""
+    label, strategy, page_size = approach
+    fast, reference = (
+        TOOL.live_run("gcc", "smoke", loop, strategy, page_size, TOOL.GCC_WATCHES)
+        for loop in ("_fast_loop", "_loop"))
+    stats = PINNED[label]["stats"]
+    assert fast["stats"] == reference["stats"] == stats
+    assert fast["handler_calls"] == stats["hits"]
+    assert reference["handler_calls"] == stats["checks"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import BadSyscall, UnhandledFault
 from repro.machine import Cpu, Memory
+from repro.machine.cpu import FAULT_MISS, TRAP_MISS
 from repro.machine.paging import Protection
 from repro.machine.traps import TrapFrame, TrapKind
 from repro.sim_os import Signal, SimOs, signal_for_trap
@@ -113,6 +114,45 @@ class TestRoutes:
             os.deliver(TrapFrame(TrapKind.TRAP_INSTR, pc=0, address=0x200), cpu)
         assert seen == []
         assert os.counters["faults_delivered"] == 0
+
+
+class TestMissPaths:
+    """What a registered miss charges and counts is the composite the
+    delivery, the handler and its emulation charge (paper Table 2)."""
+
+    @pytest.mark.parametrize("kind, slot, composite", [
+        (TrapKind.TRAP_INSTR, TRAP_MISS, "tp_fault_handler"),
+        (TrapKind.WRITE_FAULT, FAULT_MISS, "vm_fault_handler"),
+    ])
+    def test_cycles_and_counts_of_one_miss(self, os_and_cpu, kind, slot, composite):
+        os, cpu = os_and_cpu
+        handler_counts = []
+        os.sigaction(signal_for_trap(kind), lambda frame, c: None)
+        os.register_miss(kind, {}, {}, 110, lambda: handler_counts.append(1))
+        path = cpu.miss_paths[slot]
+        assert path.hook is cpu.trap_sink
+        assert path.cycles == getattr(SPARCSTATION_2, composite) + 110
+        path.count()
+        assert cpu.trap_counts == {kind: 1} and handler_counts == [1]
+        reprotects = kind is TrapKind.WRITE_FAULT
+        assert os.counters == {
+            "mprotect_calls": 2 * reprotects, "pages_protected": int(reprotects),
+            "pages_unprotected": int(reprotects), "faults_delivered": 1,
+            "stores_emulated": 1,
+        }
+
+    def test_sigaction_clears_the_miss_path_of_its_signal_only(self, os_and_cpu):
+        os, cpu = os_and_cpu
+        for kind in (TrapKind.TRAP_INSTR, TrapKind.WRITE_FAULT):
+            os.sigaction(signal_for_trap(kind), lambda frame, c: None)
+            os.register_miss(kind, {}, {}, 0, lambda: None)
+        os.sigaction(Signal.SIGMON, lambda frame, c: None)
+        assert cpu.miss_paths[TRAP_MISS] is not None
+        os.sigaction(Signal.SIGTRAP, lambda frame, c: None)
+        assert cpu.miss_paths[TRAP_MISS] is None
+        assert cpu.miss_paths[FAULT_MISS] is not None
+        os.sigaction(Signal.SIGSEGV, None)
+        assert cpu.miss_paths == [None, None, None]
 
 
 class TestEmulate:

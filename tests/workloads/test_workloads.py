@@ -6,6 +6,8 @@ ctex and qcd allocate no heap; bps churns thousands of nodes at full
 scale; gcc frees everything it allocates.
 """
 
+import gc
+
 import pytest
 
 from repro.machine.memory import Memory
@@ -130,18 +132,29 @@ class TestWorkloadInterface:
 
 
 
-def test_run_empties_the_machine_words(monkeypatch):
-    # The finished machine is a reference cycle, and the fast path's
-    # function table holds the memory's word list itself: the run must
-    # empty that list, not leave it to the next full collection.
-    words = []
+def test_finished_machine_is_freed_without_the_collector(monkeypatch):
+    # The phase-1 machine (CPU, runtime, memory, image and the fast
+    # path's function tables) must hold no reference cycle: it is freed
+    # when the run returns, and the collector finds none of it.
+    import weakref
+
+    machines = []
     init = Memory.__init__
 
     def recording_init(memory, *args, **kwargs):
         init(memory, *args, **kwargs)
-        words.append(memory.words)
+        machines.append(weakref.ref(memory))
 
     monkeypatch.setattr(Memory, "__init__", recording_init)
     workload = WORKLOADS["qcd"]
-    run_workload(workload, workload.smoke_scale)
-    assert [len(listed) for listed in words] == [0]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_workload(workload, workload.smoke_scale)
+        gc.collect()
+        collected = {type(obj).__name__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not collected & {"Cpu", "Runtime", "Memory", "LoadedProgram"}
+    assert len(machines) == 1 and machines[0]() is None

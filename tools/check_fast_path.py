@@ -23,7 +23,12 @@ of the CPU's two loop methods directly: once the reference loop
   functions and switches to the watched ones inside malloc, in the
   middle of a chain of direct calls: the runs must agree on the hits,
   ``WmsStats``, notifications, breakpoint events, CPU counters and trap
-  counts, ``SimOs`` counters, protected pages, memory and output;
+  counts, ``SimOs`` counters, protected pages, memory and output.  A
+  session under VM, TP or CP also counts the calls of its strategy's
+  handler (``HANDLERS``), printed beside its hits: on the fast path the
+  watched compiled code runs every monitor miss in place, so the
+  handler must run once per hit and no more.  The reference loop runs
+  it on every event, so the count is not compared across the loops;
 * **page-size sessions** on bps, VM-4K and VM-8K, watching
   ``PAGE_SIZE_WATCHES``, whose pages take different stores under the
   two page sizes (gcc's watches do not at smoke scale); compared as the
@@ -77,6 +82,11 @@ VM_APPROACHES = tuple(a for a in APPROACHES if a[1] == "vm")
 #: A stopping session turns its breakpoints to logging after this many
 #: stops, so every session finishes.
 MAX_STOPS = 40
+#: Strategy -> the class and name of the handler its events reach; the
+#: watched compiled code runs that handler's misses in place.
+HANDLERS = {"vm": ("VirtualMemoryWms", "_handle_fault"),
+            "trap": ("TrapPatchWms", "_handle_trap"),
+            "code": ("CodePatchWms", "_check")}
 
 
 @contextlib.contextmanager
@@ -100,6 +110,33 @@ def on_loop(loop: str):
         yield seconds
     finally:
         Cpu._execute = chosen
+
+
+@contextlib.contextmanager
+def handler_calls():
+    """Count, inside the block, the calls of each strategy's handler in
+    ``HANDLERS``; yields a dict strategy -> calls.  The handlers are
+    wrapped on their classes, so a WMS built inside the block installs
+    (and registers its miss path for) the wrapped one."""
+    import repro.core as core
+
+    calls = {strategy: 0 for strategy in HANDLERS}
+    saved = []
+    for strategy, (class_name, name) in HANDLERS.items():
+        owner = getattr(core, class_name)
+        original = owner.__dict__[name]
+
+        def counted(*args, _original=original, _strategy=strategy):
+            calls[_strategy] += 1
+            return _original(*args)
+
+        saved.append((owner, name, original))
+        setattr(owner, name, counted)
+    try:
+        yield calls
+    finally:
+        for owner, name, original in saved:
+            setattr(owner, name, original)
 
 
 def traced_run(name: str, scale: str, loop: str) -> dict:
@@ -197,7 +234,8 @@ def live_run(name: str, scale: str, loop: str, strategy: str, page_size: int,
     """One debugger session on workload ``name`` at ``scale`` under
     ``strategy`` with ``watches`` (any of the global, local and heap
     watch), every CPU segment on the loop method ``loop``; the
-    comparable parts of the session.
+    comparable parts of the session, and the calls of the strategy's
+    handler (``None`` under NH).
 
     With ``stop`` the watches stop instead of logging, a control
     breakpoint stops at the local watch's function, and the session is
@@ -213,7 +251,7 @@ def live_run(name: str, scale: str, loop: str, strategy: str, page_size: int,
     program = _program(name, scale)
     action = "stop" if stop else "log"
     stops, error, state = [], None, None
-    with on_loop(loop) as seconds:
+    with on_loop(loop) as seconds, handler_calls() as calls:
         debugger = Debugger(program, strategy=strategy, page_size=page_size)
         workload.setup(debugger.memory, debugger.image, size)
         breakpoints = []
@@ -266,6 +304,7 @@ def live_run(name: str, scale: str, loop: str, strategy: str, page_size: int,
         "protected": sorted(cpu.page_table.write_protected),
         "memory": hashlib.sha256(pickle.dumps(debugger.memory.words, 5)).hexdigest(),
         "output": list(debugger.output),
+        "handler_calls": calls.get(strategy),
         "seconds": seconds[0],
     }
 
@@ -275,18 +314,27 @@ def mismatches(reference: dict, fast: dict) -> list:
     run's ``saved`` (round-tripped) trace must equal the reference
     loop's in-memory trace."""
     differ = [key for key in reference
-              if key not in ("seconds", "saved") and reference[key] != fast[key]]
+              if key not in ("seconds", "saved", "handler_calls")
+              and reference[key] != fast[key]]
     if "saved" in fast and fast["saved"] != {key: reference[key] for key in fast["saved"]}:
         differ.append("saved")
     return differ
 
 
 def _report(label: str, work: str, reference: dict, fast: dict) -> bool:
+    """Print one run pair; false when they differ or, in a session, a
+    fast-path miss reached the strategy's handler."""
     differ = mismatches(reference, fast)
+    verdict = "MISMATCH: " + ", ".join(differ) if differ else "identical"
+    calls = fast.get("handler_calls")
+    if calls is not None:
+        hits = fast["stats"]["hits"]
+        verdict += f"  handler {calls} calls / {hits} hits"
+        if calls != hits:
+            verdict += f"  MISSES REACHED THE HANDLER: {calls - hits}"
     print(f"{label:19s} {work:>24s}  reference {reference['seconds']:6.2f} s  "
-          f"fast {fast['seconds']:6.2f} s  "
-          f"{'MISMATCH: ' + ', '.join(differ) if differ else 'identical'}")
-    return not differ
+          f"fast {fast['seconds']:6.2f} s  {verdict}")
+    return not differ and (calls is None or calls == fast["stats"]["hits"])
 
 
 def main(argv=None) -> int:

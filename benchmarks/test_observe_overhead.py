@@ -109,6 +109,14 @@ class _InertObserve:
         return False
 
 
+def _profile_samples(registry):
+    """The engine's sampled event kinds: its ``profile.*`` counters."""
+    return {
+        name: value for name, value in registry.snapshot()["counters"].items()
+        if name.startswith("profile.engine.event.")
+    }
+
+
 @pytest.fixture()
 def quiet_registry():
     """Fresh, disabled observation state; restore whatever was before."""
@@ -135,24 +143,28 @@ def test_disabled_run_records_nothing(quiet_registry, engine):
 def test_disabled_profiling_records_nothing(quiet_registry, engine):
     """The sampling profiler shares the disabled-path contract."""
     observe_profile.disable_profiling()
-    observe_profile.reset_profile()
     trace, registry, sessions = _build_trace()
-    simulate_sessions(trace, registry, sessions, (4096, 8192), engine=engine)
-    assert observe_profile.get_profiler().engine_events == {}
+    observe.enable()
+    try:
+        simulate_sessions(trace, registry, sessions, (4096, 8192),
+                          engine=engine)
+    finally:
+        observe.disable()
+    assert _profile_samples(quiet_registry) == {}
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_enabled_profiling_samples_the_event_mix(quiet_registry, engine):
     trace, registry, sessions = _build_trace()
+    observe.enable()
     observe_profile.enable_profiling(stride=100)
-    observe_profile.reset_profile()
     try:
         simulate_sessions(trace, registry, sessions, (4096, 8192),
                           engine=engine)
     finally:
-        samples = dict(observe_profile.get_profiler().engine_events)
         observe_profile.disable_profiling()
-        observe_profile.reset_profile()
+        observe.disable()
+    samples = _profile_samples(quiet_registry)
     assert sum(samples.values()) == len(trace.kinds[::100])
 
 

@@ -9,7 +9,8 @@ the committed benchmark reports.
 The run executes with the observability layer on (``repro.observe``),
 and finishes by writing a :class:`~repro.observe.manifest.RunManifest`
 JSON — the per-stage timing/cache audit that ``docs/OBSERVABILITY.md``
-walks through field by field.
+walks through field by field — and printing it the way
+``repro-experiments show`` does.
 
 Run:  python examples/reproduce_paper.py [--full] [--manifest FILE]
 """
@@ -56,7 +57,7 @@ def main() -> None:
         config={"scale": scale, "programs": list(config.programs)},
     )
     manifest.write(manifest_path)
-    print(f"\n{observe.render_manifest_summary(manifest)}")
+    print(f"\n{observe.render_manifest(manifest)}")
     print(f"\n[run manifest written to {manifest_path}]")
 
 

@@ -181,8 +181,8 @@ class ShutdownRequested(BaseException):
     Deliberately a :class:`BaseException` (like :class:`KeyboardInterrupt`)
     so the pipeline's ``except Exception`` retry/keep-going machinery
     never swallows it: the signal must unwind through the scheduler's
-    cleanup (pool shutdown) to the CLI, which emits ``run.interrupted``,
-    dumps the flight-recorder black box, and exits ``128 + signum``.
+    cleanup (pool shutdown) to the CLI, which emits ``run.interrupted``
+    as the event log's last line and exits ``128 + signum``.
     Every store entry published before the signal stays valid, so
     re-running the same command resumes the work.
     """

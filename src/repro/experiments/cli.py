@@ -7,36 +7,34 @@ Examples::
     python -m repro.experiments all --jobs 5          # one worker per program
     python -m repro.experiments table4 --scale smoke
     repro-experiments figures --programs gcc bps
-    repro-experiments table4 --manifest run.json --metrics
+
+    # an observed run: run.json and its event log run.events.jsonl
+    repro-experiments table4 --jobs 2 --profile --manifest run.json
+    repro-experiments show run.json
+    repro-experiments events run.events.jsonl --severity WARNING
 
     # the perf gate in one command:
     repro-experiments table4 --scale smoke --manifest a.json
     repro-experiments table4 --scale smoke --manifest b.json
     repro-experiments diff a.json b.json
 
-    # profiling and trace export:
-    repro-experiments table4 --profile --trace-out run.trace.json
+``--manifest FILE`` turns on the observability layer
+(:mod:`repro.observe`), and an observed run writes exactly two
+artifacts.  The event log, ``FILE`` with its suffix replaced by
+``.events.jsonl``, is truncated at run start and gains one line per
+flight-recorder event as it happens, so a failed or interrupted run
+leaves its history on disk.  The validated
+:class:`~repro.observe.manifest.RunManifest` JSON is written at the end
+of the run: per-stage spans, counters, cache traffic, and an ``events``
+summary naming the log.  ``--profile`` adds the sampling profiler's
+counters to the manifest.
 
-    # flight recorder: correlated event log, query, black box:
-    repro-experiments table4 --jobs 2 --events run.events.jsonl
-    repro-experiments events run.events.jsonl --severity WARNING
-
-``--manifest FILE``, ``--metrics``, ``--profile``, ``--trace-out FILE``,
-and ``--events FILE`` all turn on the observability layer
-(:mod:`repro.observe`): the run executes under per-stage spans, and at
-the end a validated :class:`~repro.observe.manifest.RunManifest` JSON
-is written, a metrics/profile summary is printed to stderr, a Chrome
-trace-event JSON is exported, and/or a JSONL event log accumulates
-(``--events``).  Any observed run arms the flight
-recorder (:mod:`repro.observe.events`): on a non-zero exit the last
-recorded events are dumped as a black box next to the manifest, and the
-manifest gains an ``events`` summary block.
-
-``diff A.json B.json`` compares two manifests with fixed per-family
-thresholds and exits non-zero on regression (``--report-only`` to
-disable the gate); ``events LOG`` tails/filters an event log by
-severity, category, worker, and time range.  See
-``docs/OBSERVABILITY.md``.
+``show FILE`` prints a manifest's stage and cache digest, its metric
+tables and its sampling profile; ``diff A.json B.json`` compares two
+manifests with fixed per-family thresholds and exits non-zero on
+regression (``--report-only`` to disable the gate); ``events LOG``
+tails/filters an event log by severity, category, worker, and time
+range.  See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ _EXIT_CODE_DOC = (
     "manifest's 'failures' section); 4 fatal pipeline error; "
     "5 other classified error; 6 worker or I/O failure after retries; "
     "128+signum (130 SIGINT, 143 SIGTERM) after a graceful shutdown — "
-    "the black box is dumped before exit.  After any failure, re-running "
+    "the event log ends with run.interrupted.  After any failure, re-running "
     "the same command over the same --cache-dir resumes the work: "
     "programs whose results were published load from the cache."
 )
@@ -127,10 +125,12 @@ def _parse_args(argv):
         prog="repro-experiments",
         description="Reproduce the tables and figures of 'Efficient Data "
         "Breakpoints' (Wahbe, ASPLOS 1992).",
-        epilog="Harness subcommands: 'repro-experiments diff A.json B.json' "
+        epilog="Harness subcommands: 'repro-experiments show FILE' prints a "
+        "run manifest; 'repro-experiments diff A.json B.json' "
         "compares two run manifests (non-zero exit on regression); "
-        "'repro-experiments events LOG' tails/filters a "
-        "--events JSONL log.  See docs/OBSERVABILITY.md.  " + _EXIT_CODE_DOC
+        "'repro-experiments events LOG' tails/filters the event log "
+        "written beside a manifest.  See docs/OBSERVABILITY.md.  "
+        + _EXIT_CODE_DOC
         + "  Fault injection and the retry/timeout/keep-going policy are "
         "documented in docs/RESILIENCE.md.",
     )
@@ -199,32 +199,34 @@ def _parse_args(argv):
     )
     parser.add_argument(
         "--manifest", default=None, metavar="FILE",
-        help="enable observation and write a RunManifest JSON to FILE",
-    )
-    parser.add_argument(
-        "--metrics", action="store_true",
-        help="enable observation and print a metrics summary to stderr",
+        help="enable observation: write a RunManifest JSON to FILE at "
+        "the end of the run, and the run's event log (JSON Lines, one "
+        "run_id for parent and worker events) line by line to FILE with "
+        "its suffix replaced by .events.jsonl.  Read them with "
+        "'repro-experiments show FILE' and 'repro-experiments events LOG'",
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="enable the sampling profiler (1 in "
-        f"{observe.DEFAULT_SAMPLE_STRIDE} instructions/events) and print "
-        "the top-N opcode/event report to stderr",
+        help="with --manifest: add sampling-profiler counters (1 in "
+        f"{observe.DEFAULT_SAMPLE_STRIDE} instructions/events) to the "
+        "manifest; 'show' prints their top-N opcode/event tables",
     )
-    parser.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="enable observation and export the run's spans as Chrome "
-        "trace-event JSON (Perfetto / chrome://tracing)",
-    )
-    parser.add_argument(
-        "--events", default=None, metavar="FILE",
-        help="enable observation and append every flight-recorder event "
-        "to FILE (JSON Lines; query with 'repro-experiments events'); "
-        "one run_id correlates parent and worker events.  On any "
-        "non-zero exit the recorder's tail is dumped as a black box "
-        "next to the manifest (see docs/OBSERVABILITY.md)",
-    )
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.profile and not args.manifest:
+        parser.error("--profile needs --manifest FILE to record into")
+    return args
+
+
+def _event_log_path(manifest: str) -> Path:
+    """The event log written beside the manifest ``FILE``."""
+    return Path(manifest).with_suffix(".events.jsonl")
+
+
+def _point_at_event_log(args) -> None:
+    """Name a failed observed run's event log, its post-mortem record."""
+    if args.manifest:
+        print(f"[event log: {_event_log_path(args.manifest)}]",
+              file=sys.stderr)
 
 
 def _parse_diff_args(argv):
@@ -265,13 +267,32 @@ def _diff_main(argv) -> int:
     return 0
 
 
+def _show_main(argv) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments show",
+        description="Print a RunManifest: its stage and cache digest, its "
+        "span, counter, gauge and histogram tables, and the top-N "
+        "sampling-profile tables of a --profile run.  Exits 2 on an "
+        "unreadable or invalid manifest.",
+    )
+    parser.add_argument("manifest", help="manifest JSON to print")
+    args = parser.parse_args(argv)
+    try:
+        manifest = observe.load_manifest(args.manifest)
+    except ManifestFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(observe.render_manifest(manifest))
+    return 0
+
+
 def _parse_events_args(argv):
     parser = argparse.ArgumentParser(
         prog="repro-experiments events",
-        description="Tail and filter a JSONL event log written by "
-        "--events (or a black-box dump).  Filters compose; with no "
-        "filters the whole log prints.  Exits 2 on an unreadable or "
-        "schema-invalid log.",
+        description="Tail and filter a JSONL event log (the one a "
+        "--manifest run writes beside its manifest).  Filters compose; "
+        "with no filters the whole log prints.  Exits 2 on an unreadable "
+        "or schema-invalid log.",
     )
     parser.add_argument("log", help="event log (JSON Lines) to read")
     parser.add_argument(
@@ -495,6 +516,8 @@ def _restore_signal_handlers(previous) -> None:
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code (see ``--help``)."""
     argv = list(argv if argv is not None else sys.argv[1:])
+    if argv and argv[0] == "show":
+        return _show_main(argv[1:])
     if argv and argv[0] == "diff":
         return _diff_main(argv[1:])
     if argv and argv[0] == "events":
@@ -546,25 +569,24 @@ def main(argv=None) -> int:
             code = _run(args, config)
         except ShutdownRequested as exc:
             # Graceful shutdown: the scheduler's finally released the
-            # pool on the way out; dump the black box and exit with the
-            # conventional 128+signum code.
+            # pool on the way out; exit with the conventional 128+signum
+            # code, the event log's last line saying why.
             code = 128 + exc.signum
             observe.emit_event("run.interrupted", "WARNING",
                                signal=exc.signum, code=code)
-            _dump_blackbox(args)
             print(f"interrupted: {exc}; exiting {code}", file=sys.stderr)
+            _point_at_event_log(args)
             return code
         except BaseException as exc:
-            # Even an unclassified crash leaves the recorder's tail on
-            # disk before the traceback propagates.
+            # Even an unclassified crash ends the event log with a line
+            # naming it before the traceback propagates.
             observe.emit_event("run.aborted", "ERROR",
                                error=type(exc).__name__)
-            _dump_blackbox(args)
             raise
         observe.emit_event("run.done", "INFO" if code == EXIT_OK else "WARNING",
                            code=code)
         if code != EXIT_OK:
-            _dump_blackbox(args)
+            _point_at_event_log(args)
         return code
     finally:
         _restore_signal_handlers(previous_handlers)
@@ -586,7 +608,7 @@ def _observation_state():
 
 def _restore_observation_state(state) -> None:
     """Turn off what an observed run turned on, so a later run in the
-    same process does not record into this run's registry and ring."""
+    same process does not record into this run's registry and events."""
     enabled, events_on, stride = state
     if not enabled:
         observe.disable()
@@ -598,52 +620,16 @@ def _restore_observation_state(state) -> None:
         observe.disable_profiling()
 
 
-def _blackbox_path(args) -> Path:
-    """Where a failed run's black-box event dump lands.
-
-    Next to the manifest when one was requested, next to the event log
-    otherwise, and a fixed cwd name as the last resort.
-    """
-    if args.manifest:
-        return Path(args.manifest).with_suffix(".blackbox.jsonl")
-    if args.events:
-        return Path(args.events).with_suffix(".blackbox.jsonl")
-    return Path("repro.blackbox.jsonl")
-
-
-def _dump_blackbox(args) -> None:
-    """On a failed run, dump the recorder's tail as JSONL (best effort)."""
-    if not observe.events_enabled():
-        return
-    path = _blackbox_path(args)
-    try:
-        count = observe.write_blackbox(path)
-    except OSError as exc:
-        print(f"warning: cannot write black box {path}: {exc}",
-              file=sys.stderr)
-        return
-    print(f"[black box: last {count} event(s) written to {path}]",
-          file=sys.stderr)
-
-
 def _run(args, config: ExperimentConfig) -> int:
     """Execute one experiment target; classified errors exit cleanly."""
     progress = None if args.quiet else lambda msg: print(f"  .. {msg}", file=sys.stderr)
-    observing = bool(
-        args.manifest or args.metrics or args.profile or args.trace_out
-        or args.events
-    )
-    if observing:
-        # Fresh registry, span stacks, and profiles per invocation so
-        # one manifest describes exactly one run even when the CLI is
-        # driven twice in the same process (tests, notebooks).
+    if args.manifest:
+        # Fresh registry, span stacks, and events per invocation so one
+        # manifest and its log describe exactly one run even when the
+        # CLI is driven twice in the same process (tests, notebooks).
         observe.reset()
         observe.enable()
-        # The flight recorder rides along with observation even without
-        # --events: the in-memory ring is what the black-box dump and
-        # the manifest's events block read; the JSONL sink only attaches
-        # when --events names a file.
-        observe.enable_events(sink_path=args.events)
+        observe.enable_events(sink_path=_event_log_path(args.manifest))
         observe.emit_event(
             "run.start", target=args.target, jobs=config.jobs,
             programs=",".join(config.programs),
@@ -739,19 +725,6 @@ def _execute(args, config: ExperimentConfig, progress) -> int:
                   file=sys.stderr)
             return 1
         print(f"[manifest written to {args.manifest}]", file=sys.stderr)
-    if args.trace_out:
-        try:
-            observe.write_chrome_trace(args.trace_out, process_name=args.target)
-        except OSError as exc:
-            print(f"error: cannot write trace {args.trace_out}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"[chrome trace written to {args.trace_out} — load it in "
-              f"https://ui.perfetto.dev or chrome://tracing]", file=sys.stderr)
-    if args.metrics:
-        print(observe.render_metrics_report(), file=sys.stderr)
-    if args.profile:
-        print(observe.render_profile_report(), file=sys.stderr)
     if failures:
         print(
             f"warning: {len(failures)} program(s) failed; exiting "

@@ -42,11 +42,11 @@ material of the manifest's ``failures`` section.  See
 
 Observation survives the fan-out: each pool worker ships a
 :func:`repro.observe.dump_snapshot` payload back and the parent merges
-it under a clock-rebased ``worker:<name>`` span, so ``--manifest``/
-``--metrics``/``--profile``/``--trace-out`` work the same for every
-``--jobs`` value.  The pool alone adds ``worker:<name>`` and
-``worker_attempt:<name>`` spans, the ``pipeline.jobs`` gauge and the
-``worker.*``/``pool.*`` flight-recorder events; workers record under
+it under a clock-rebased ``worker:<name>`` span, so ``--manifest``
+and ``--profile`` record the same for every ``--jobs`` value.  The
+pool alone adds ``worker:<name>`` and ``worker_attempt:<name>`` spans,
+the ``pipeline.jobs`` gauge and the ``worker.*``/``pool.*``
+flight-recorder events; workers record under
 the parent's ``run_id`` so one id correlates the whole run
 (:mod:`repro.observe.events`).
 

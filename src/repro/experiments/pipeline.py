@@ -39,7 +39,7 @@ retry and watchdog policy.  A program's result is a pure function of
 the same command over the same cache skips every program whose sim
 entry was published and recomputes the rest.
 
-When event recording is on (``--events``; :mod:`repro.observe.events`)
+When event recording is on (``--manifest``; :mod:`repro.observe.events`)
 the same sites also emit structured flight-recorder events —
 ``program.start``/``done``/``retry``/``failed`` and ``cache.hit``/
 ``miss``/``corrupt``/``readonly`` — all correlated by the run's
@@ -335,8 +335,7 @@ def _trace_for(
         if progress:
             progress(f"[{workload.name}] loading cached trace {trace_path.name}")
         # Cache loads get their own span so warm runs (whose compile/
-        # trace/simulate stages vanish) still produce a useful timeline
-        # in ``--trace-out`` exports.
+        # trace/simulate stages vanish) still show where their time went.
         with observe.span("cache_load", program=workload.name, kind="trace"):
             try:
                 faultpoint("cache.read", program=workload.name, kind="trace")

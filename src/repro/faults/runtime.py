@@ -26,8 +26,8 @@ clause fires, one of five behaviours triggers:
     parent's ``--worker-timeout`` watchdog gets the worker unstuck;
 ``sigint`` / ``sigterm``
     deliver the real signal to the current process — exercising the
-    CLI's graceful-shutdown path (emit ``run.interrupted``, dump the
-    black box, exit ``128 + signum``) at a deterministic instant.
+    CLI's graceful-shutdown path (emit ``run.interrupted``, exit
+    ``128 + signum``) at a deterministic instant.
 
 :func:`classify_failure` is the single source of truth for the retry
 policy: transient failures (worker death, I/O errors, injected faults,
@@ -169,7 +169,7 @@ def _trigger(
     observe.inc(f"fault.injected.{clause.site}.{clause.action}")
     observe.note("fault.injected", label)
     # Emitted *before* the action fires: a crash-injected worker never
-    # returns, but the ring entry still ships if the snapshot survives.
+    # returns, but the recorded entry still ships if the snapshot survives.
     observe.emit_event(
         "fault.triggered", "WARNING", site=site, action=clause.action,
         program=program or "", **ctx,

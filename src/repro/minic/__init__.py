@@ -19,7 +19,6 @@ Public entry point: :func:`repro.minic.compiler.compile_source`.
 
 from repro.minic.compiler import compile_source, CompiledProgram
 from repro.minic.runtime import Runtime, HeapAllocator
-from repro.minic.pretty import dump_ast, format_function, format_program
 from repro.minic.instrument import (
     apply_trap_patch,
     apply_code_patch,
@@ -32,9 +31,6 @@ __all__ = [
     "CompiledProgram",
     "Runtime",
     "HeapAllocator",
-    "dump_ast",
-    "format_function",
-    "format_program",
     "apply_trap_patch",
     "apply_code_patch",
     "write_instruction_stats",

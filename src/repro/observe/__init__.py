@@ -9,24 +9,29 @@ process-local and **off by default**:
   that are no-ops while observation is disabled;
 * :mod:`repro.observe.spans` — :class:`span`, a context-manager/
   decorator for hierarchical wall-clock timing;
+* :mod:`repro.observe.events` — the flight recorder: a correlated,
+  structured event log written line by line as the run goes;
 * :mod:`repro.observe.manifest` — :class:`RunManifest`, one validated
   JSON document per pipeline run (per-stage timings, event counts,
   cache traffic, environment fingerprint);
+* :mod:`repro.observe.report` — :func:`render_manifest`, the one human
+  view of a run, read from its manifest alone;
 * :mod:`repro.observe.diff` — structural before/after manifest diffing
   with per-family thresholds and a machine-readable verdict;
 * :mod:`repro.observe.profile` — a 1-in-N sampling profiler for the CPU
-  dispatch loop and simulation engine hot paths;
-* :mod:`repro.observe.traceview` — Chrome trace-event JSON export of
-  completed span trees (Perfetto / ``chrome://tracing``);
+  dispatch loop and simulation engine hot paths, whose samples are
+  ``profile.*`` counters;
 * :mod:`repro.observe.snapshot` — picklable dump/merge of a process's
   observation state, so :mod:`repro.experiments.parallel` workers can
-  ship their metrics, spans, and profiler samples back to the parent.
+  ship their metrics, spans, and events back to the parent.
 
-Enable with :func:`enable`, the ``REPRO_OBSERVE=1`` environment
-variable, or the CLI's ``--metrics`` / ``--manifest`` / ``--profile`` /
-``--trace-out`` / ``--events`` flags.  The disabled fast path is
-guarded by ``benchmarks/test_observe_overhead.py``; see
-``docs/OBSERVABILITY.md`` for the guide and schemas.
+An observed run leaves two artifacts: the manifest and its event log.
+Turn observation on in code with :func:`enable`, :func:`enable_events`
+and :func:`enable_profiling`, or from the CLI with ``--manifest FILE``
+(plus ``--profile``); ``repro-experiments show FILE`` prints the
+manifest.  The disabled fast path is guarded by
+``benchmarks/test_observe_overhead.py``; see ``docs/OBSERVABILITY.md``
+for the guide and schemas.
 """
 
 from repro.observe.metrics import (
@@ -47,7 +52,6 @@ from repro.observe.metrics import (
 )
 from repro.observe.spans import SpanRecord, current_span_path, span
 from repro.observe.events import (
-    DEFAULT_RECORDER_CAPACITY,
     EVENT_SCHEMA_VERSION,
     EventRecord,
     FlightRecorder,
@@ -64,7 +68,6 @@ from repro.observe.events import (
     merge_events_state,
     validate_event_dict,
     validate_event_log_lines,
-    write_blackbox,
 )
 from repro.observe.manifest import (
     MANIFEST_SCHEMA_VERSION,
@@ -73,7 +76,7 @@ from repro.observe.manifest import (
     load_manifest,
     validate_manifest,
 )
-from repro.observe.report import render_manifest_summary, render_metrics_report
+from repro.observe.report import render_manifest
 from repro.observe.diff import (
     DiffEntry,
     DiffThresholds,
@@ -88,19 +91,15 @@ from repro.observe.profile import (
     enable_profiling,
     get_profiler,
     is_profiling,
-    render_profile_report,
-    reset_profile,
 )
 from repro.observe.snapshot import (
     SNAPSHOT_VERSION,
     dump_snapshot,
     merge_snapshot,
 )
-from repro.observe.traceview import spans_to_trace_events, write_chrome_trace
 
 __all__ = [
     "Counter",
-    "DEFAULT_RECORDER_CAPACITY",
     "DEFAULT_SAMPLE_STRIDE",
     "DiffEntry",
     "DiffThresholds",
@@ -146,17 +145,11 @@ __all__ = [
     "observe_value",
     "register_reset_hook",
     "render_diff_report",
-    "render_manifest_summary",
-    "render_metrics_report",
-    "render_profile_report",
+    "render_manifest",
     "reset",
-    "reset_profile",
     "set_gauge",
     "span",
-    "spans_to_trace_events",
     "validate_event_dict",
     "validate_event_log_lines",
     "validate_manifest",
-    "write_blackbox",
-    "write_chrome_trace",
 ]

@@ -1,16 +1,16 @@
 """Flight recorder: a correlated, structured event log for the pipeline.
 
 Metrics answer "how much", spans answer "how long" — this module answers
-"*what happened, in what order*".  It keeps two complementary records of
-the same event stream:
+"*what happened, in what order*".  An observed run keeps the event
+stream twice:
 
-* a bounded in-memory **ring buffer** (:class:`FlightRecorder`) that is
-  always cheap to keep on: the last :data:`DEFAULT_RECORDER_CAPACITY`
-  events survive in memory and are dumped as a *black box* next to the
-  manifest when a run exits non-zero;
-* an optional append-only **JSONL sink** (``--events PATH``): one JSON
-  object per line, written and flushed at emit time so a crashed run
-  loses at most the line being written.
+* in memory (:class:`FlightRecorder`): every event of the run, the
+  source of the manifest's ``events`` summary and of the payload a pool
+  worker ships home to its parent;
+* in a **JSONL sink**, the event log the CLI writes beside
+  the manifest (``run.json`` -> ``run.events.jsonl``): one JSON object
+  per line, written and flushed at emit time so a crashed or
+  interrupted run loses at most the line being written.
 
 Every event carries the same stable schema (:data:`SCHEMA_FIELDS`): a
 per-log monotonic ``seq``, wall/monotonic timestamps, a ``severity``,
@@ -40,11 +40,9 @@ from :data:`SCHEMA_FIELDS`, so the writer and the spec cannot drift.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import uuid
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Union
@@ -58,9 +56,6 @@ EVENT_SCHEMA_VERSION = 1
 SEVERITIES = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
-
-#: Ring-buffer capacity: how many trailing events the black box keeps.
-DEFAULT_RECORDER_CAPACITY = 512
 
 #: The normative event schema: (json key, json type, meaning).  The
 #: docs table in ``docs/OBSERVABILITY.md`` is generated from this tuple
@@ -137,24 +132,21 @@ def _jsonable(value: object) -> object:
 
 
 class FlightRecorder:
-    """Bounded ring buffer of events, with an optional JSONL sink.
+    """One run's events in memory, with an optional JSONL sink.
 
     Thread-safe: emits from the trace writer thread and the scheduler
-    interleave under one lock.  The ring holds the last
-    ``capacity`` events (older ones are dropped and counted in
-    :attr:`dropped`); the sink, when attached, receives *every* event at
-    emit time, flushed per line.
+    interleave under one lock.  Every event is kept (a full run emits a
+    few dozen); :attr:`dropped` counts only malformed entries a worker
+    shipped.  The sink, when attached, receives every event at emit
+    time, flushed per line.
     """
 
-    def __init__(self, capacity: int = DEFAULT_RECORDER_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.run_id: str = ""
         self.worker: str = ""
         self.emitted = 0
         self.dropped = 0
-        self._entries: "deque[EventRecord]" = deque(maxlen=capacity)
+        self._entries: List[EventRecord] = []
         self._seq = 0
         self._lock = threading.Lock()
         self._sink = None
@@ -170,10 +162,11 @@ class FlightRecorder:
     ) -> str:
         """(Re)arm the recorder for one run; returns the run id.
 
-        Clears the ring and counters, closes any previous sink, and
-        opens ``sink_path`` (line-buffered append) when given.  A fresh
-        ``run_id`` is generated when none is passed — workers pass the
-        parent's so the whole run correlates.
+        Clears the entries and counters, closes any previous sink, and
+        opens ``sink_path`` (line-buffered, truncated, so the log holds
+        this run alone) when given.  A fresh ``run_id`` is generated
+        when none is passed — workers pass the parent's so the whole
+        run correlates.
         """
         with self._lock:
             self._close_sink_locked()
@@ -187,12 +180,12 @@ class FlightRecorder:
                 path = Path(sink_path)
                 if path.parent != Path(""):
                     path.parent.mkdir(parents=True, exist_ok=True)
-                self._sink = open(path, "a", encoding="utf-8", buffering=1)
+                self._sink = open(path, "w", encoding="utf-8", buffering=1)
                 self.sink_path = str(path)
             return self.run_id
 
     def close(self) -> None:
-        """Close the sink (ring contents stay readable)."""
+        """Close the sink (the entries stay readable)."""
         with self._lock:
             self._close_sink_locked()
 
@@ -213,7 +206,7 @@ class FlightRecorder:
         severity: str = "INFO",
         data: Optional[Dict[str, object]] = None,
     ) -> EventRecord:
-        """Append one event to the ring (and the sink, if attached)."""
+        """Record one event (and write it to the sink, if attached)."""
         rank_severity(severity)  # validate eagerly, not at read time
         record = EventRecord(
             seq=0,  # assigned under the lock below
@@ -272,8 +265,6 @@ class FlightRecorder:
             record.seq = self._seq
             self._seq += 1
             self.emitted += 1
-            if len(self._entries) == self._entries.maxlen:
-                self.dropped += 1
             self._entries.append(record)
             if self._sink is not None:
                 try:
@@ -283,13 +274,13 @@ class FlightRecorder:
                     )
                 except OSError:
                     # A full disk must not take the run down with it;
-                    # the ring still has the tail for the black box.
+                    # the entries still feed the manifest's summary.
                     self._close_sink_locked()
 
     # -- reading ---------------------------------------------------------
 
     def entries(self) -> List[EventRecord]:
-        """The ring's current contents, oldest first."""
+        """The recorded events, oldest first."""
         with self._lock:
             return list(self._entries)
 
@@ -310,22 +301,6 @@ class FlightRecorder:
                 "by_category": dict(sorted(by_category.items())),
                 "log": self.sink_path,
             }
-
-    def write_blackbox(self, path: Union[str, Path]) -> int:
-        """Dump the ring (the last ``capacity`` events) as JSONL at ``path``.
-
-        Returns the number of entries written.  This is the post-mortem
-        artifact a failed run leaves next to its manifest.
-        """
-        entries = self.entries()
-        path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in entries:
-                handle.write(json.dumps(record.to_dict(), sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-        return len(entries)
 
     # -- cross-process transport (snapshot payloads) ---------------------
 
@@ -378,16 +353,12 @@ class FlightRecorder:
 # Module-level switch + singleton (mirrors observe.metrics)
 # ---------------------------------------------------------------------------
 
-_ENABLED = os.environ.get("REPRO_EVENTS", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
+_ENABLED = False
 _RECORDER = FlightRecorder()
-if _ENABLED:  # env-armed processes still need a run id
-    _RECORDER.configure()
 
 
 def events_enabled() -> bool:
-    """Whether event recording is on (``REPRO_EVENTS=1`` or :func:`enable_events`)."""
+    """Whether event recording is on (see :func:`enable_events`)."""
     return _ENABLED
 
 
@@ -395,16 +366,13 @@ def enable_events(
     run_id: Optional[str] = None,
     worker: str = "",
     sink_path: Optional[Union[str, Path]] = None,
-    capacity: Optional[int] = None,
 ) -> str:
     """Turn event recording on for this process; returns the run id.
 
     ``run_id=None`` generates a fresh one (the parent); workers pass the
-    parent's.  ``sink_path`` attaches the append-only JSONL log.
+    parent's.  ``sink_path`` attaches the JSONL log, truncated first.
     """
-    global _ENABLED, _RECORDER
-    if capacity is not None and capacity != _RECORDER.capacity:
-        _RECORDER = FlightRecorder(capacity)
+    global _ENABLED
     run_id = _RECORDER.configure(run_id=run_id, worker=worker,
                                  sink_path=sink_path)
     _ENABLED = True
@@ -464,16 +432,11 @@ def merge_events_state(
                                  worker=worker)
 
 
-def write_blackbox(path: Union[str, Path]) -> int:
-    """Dump the ring to ``path`` (see :meth:`FlightRecorder.write_blackbox`)."""
-    return _RECORDER.write_blackbox(path)
-
-
 def _reset_recorder() -> None:
     _RECORDER.reset()
 
 
-# observe.reset() clears the ring alongside the registry; enablement,
+# observe.reset() clears the entries alongside the registry; enablement,
 # run id, and the sink are unchanged (like metrics enablement).
 _metrics.register_reset_hook(_reset_recorder)
 

@@ -235,7 +235,7 @@ def validate_manifest(data: Dict[str, object]) -> None:
                     f"failure #{index}: 'attempts' must be an int >= 1"
                 )
     # Optional (absent when event recording was off): the flight-recorder
-    # summary block written alongside an --events run.
+    # summary block of an observed run.
     if "events" in data:
         events = data["events"]
         if not isinstance(events, dict):

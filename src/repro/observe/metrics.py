@@ -18,7 +18,6 @@ of a run.  Increments take the registry lock, so concurrent writers
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Callable, Dict, List, Optional, Union
 
@@ -241,14 +240,12 @@ class MetricsRegistry:
 # Module-level switch + singleton
 # ---------------------------------------------------------------------------
 
-_ENABLED = os.environ.get("REPRO_OBSERVE", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
+_ENABLED = False
 _REGISTRY = MetricsRegistry()
 
 
 def is_enabled() -> bool:
-    """Whether observation is on (``REPRO_OBSERVE=1`` or :func:`enable`)."""
+    """Whether observation is on (see :func:`enable`)."""
     return _ENABLED
 
 

@@ -3,8 +3,9 @@
 Everything in :mod:`repro.observe` is process-local, so when the
 experiment pipeline fans out per-program work to a
 :class:`~concurrent.futures.ProcessPoolExecutor`
-(:mod:`repro.experiments.parallel`), each worker's metrics, spans,
-notes, and profiler samples would be lost when the process exits.  This
+(:mod:`repro.experiments.parallel`), each worker's metrics (profiler
+samples included), spans, notes, and events would be lost when the
+process exits.  This
 module closes that gap:
 
 * a worker calls :func:`dump_snapshot` at the end of its task and
@@ -21,8 +22,8 @@ module closes that gap:
 
 Merging is tolerant of **partial snapshots**: a worker that died
 mid-task (or an older payload missing newer sections) merges whatever
-sections it does carry — missing ``metrics``/``profile``/``events``
-keys are skipped, and malformed event entries are counted as dropped
+sections it does carry — missing ``metrics``/``events`` keys are
+skipped, and malformed event entries are counted as dropped
 rather than aborting the merge.
 
 Merged manifests therefore look like serial ones — same counter totals,
@@ -38,7 +39,6 @@ from typing import Dict, Optional
 
 from repro.observe.events import dump_events_state, merge_events_state
 from repro.observe.metrics import get_registry
-from repro.observe.profile import get_profiler
 from repro.observe.spans import SpanRecord
 
 #: Payload format version; parent and workers always share a code tree,
@@ -49,16 +49,9 @@ SNAPSHOT_VERSION = 1
 
 def dump_snapshot() -> Dict[str, object]:
     """Everything this process observed, as one picklable payload."""
-    profiler = get_profiler()
-    with profiler._lock:
-        profile = {
-            "cpu_opcodes": dict(profiler.cpu_opcodes),
-            "engine_events": dict(profiler.engine_events),
-        }
     return {
         "version": SNAPSHOT_VERSION,
         "metrics": get_registry().dump_state(),
-        "profile": profile,
         # None while event recording is disabled; plain dicts otherwise.
         "events": dump_events_state(),
     }
@@ -102,11 +95,6 @@ def merge_snapshot(
             error=record.error,
             attrs=merged_attrs,
         ))
-    profile = snapshot.get("profile") or {}
-    if profile.get("cpu_opcodes") or profile.get("engine_events"):
-        get_profiler().merge_samples(
-            profile.get("cpu_opcodes", {}), profile.get("engine_events", {})
-        )
     merge_events_state(
         snapshot.get("events"),
         clock_offset=clock_offset,

@@ -1,9 +1,10 @@
-"""CLI surface of the flight recorder: --events, the events subcommand,
-the black-box dump, and diff's missing-argument case."""
+"""CLI surface of the flight recorder: the event log written beside the
+manifest, the events subcommand, and diff's missing-argument case."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,12 +39,18 @@ def _run_cli(tmp_path, *extra):
     return cli_main(argv)
 
 
-class TestEventsFlag:
-    def test_events_log_validates_and_correlates(self, tmp_path, capsys):
+def _assert_no_blackbox(tmp_path):
+    """The event log is the one post-mortem record: no dump beside it."""
+    assert list(tmp_path.rglob("*.blackbox.jsonl")) == []
+    assert list(Path.cwd().glob("*.blackbox.jsonl")) == []
+
+
+class TestEventLog:
+    def test_log_beside_manifest_validates_and_correlates(
+            self, tmp_path, capsys):
         log = tmp_path / "run.events.jsonl"
         manifest_path = tmp_path / "run.json"
-        code = _run_cli(tmp_path, "--events", str(log),
-                        "--manifest", str(manifest_path))
+        code = _run_cli(tmp_path, "--manifest", str(manifest_path))
         assert code == EXIT_OK
         capsys.readouterr()
 
@@ -59,28 +66,34 @@ class TestEventsFlag:
         assert manifest.events is not None
         assert manifest.events["run_id"] == events[0]["run_id"]
         assert manifest.events["log"] == str(log)
-        # run.done lands after the manifest snapshot, hence the >=.
-        assert manifest.events["emitted"] >= len(events) - 1
+        # run.done lands after the manifest snapshot, so the summary
+        # counts every event but that one.
+        assert manifest.events["emitted"] == len(events) - 1
+        assert sum(manifest.events["by_category"].values()) == len(events) - 1
+        _assert_no_blackbox(tmp_path)
 
-    def test_observing_without_events_flag_still_arms_recorder(
+    def test_rerun_with_the_same_manifest_truncates_the_log(
             self, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"
-        code = _run_cli(tmp_path, "--manifest", str(manifest_path))
-        assert code == EXIT_OK
+        assert _run_cli(tmp_path, "--manifest", str(manifest_path)) == EXIT_OK
+        assert _run_cli(tmp_path, "--manifest", str(manifest_path)) == EXIT_OK
         capsys.readouterr()
+        events = observe.load_event_log(tmp_path / "run.events.jsonl",
+                                        allow_multiple_runs=True)
         manifest = observe.load_manifest(manifest_path)
-        assert manifest.events is not None
-        assert manifest.events["log"] is None
+        assert {e["run_id"] for e in events} == {manifest.events["run_id"]}
+        assert [e["category"] for e in events].count("run.start") == 1
 
     def test_plain_run_keeps_events_off(self, tmp_path, capsys):
         observe.disable_events()
         assert _run_cli(tmp_path) == EXIT_OK
         capsys.readouterr()
         assert not observe.events_enabled()
+        assert list(tmp_path.glob("*.jsonl")) == []
 
 
-class TestBlackBox:
-    def test_written_next_to_manifest_on_failure_exit(self, tmp_path, capsys):
+class TestFailedRunLog:
+    def test_failure_exit_leaves_the_log(self, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"
         code = _run_cli(
             tmp_path, "--manifest", str(manifest_path),
@@ -89,38 +102,31 @@ class TestBlackBox:
         )
         assert code == EXIT_PIPELINE
         err = capsys.readouterr().err
-        blackbox = tmp_path / "run.blackbox.jsonl"
-        assert blackbox.exists()
-        assert "black box" in err
-        events = observe.load_event_log(blackbox, allow_multiple_runs=False)
+        log = tmp_path / "run.events.jsonl"
+        assert f"[event log: {log}]" in err
+        events = observe.load_event_log(log, allow_multiple_runs=False)
         categories = [e["category"] for e in events]
         assert "fault.triggered" in categories
         assert "program.failed" in categories
         assert categories[-1] == "run.done"
         (done,) = [e for e in events if e["category"] == "run.done"]
         assert done["data"]["code"] == EXIT_PIPELINE
+        _assert_no_blackbox(tmp_path)
 
-    def test_named_after_events_log_without_manifest(self, tmp_path, capsys):
-        log = tmp_path / "chaos.jsonl"
-        code = _run_cli(
-            tmp_path, "--events", str(log), "--retries", "0",
-            "--inject-faults", "cache.write:fatal@gcc",
-        )
-        assert code == EXIT_PIPELINE
-        capsys.readouterr()
-        assert (tmp_path / "chaos.blackbox.jsonl").exists()
-
-    def test_not_written_on_success(self, tmp_path, capsys):
-        log = tmp_path / "ok.jsonl"
-        assert _run_cli(tmp_path, "--events", str(log)) == EXIT_OK
-        capsys.readouterr()
-        assert not (tmp_path / "ok.blackbox.jsonl").exists()
+    def test_successful_run_ends_its_log_with_code_0(self, tmp_path, capsys):
+        manifest_path = tmp_path / "ok.json"
+        assert _run_cli(tmp_path, "--manifest", str(manifest_path)) == EXIT_OK
+        assert "[event log:" not in capsys.readouterr().err
+        events = observe.load_event_log(tmp_path / "ok.events.jsonl")
+        assert events[-1]["category"] == "run.done"
+        assert events[-1]["data"]["code"] == EXIT_OK
+        _assert_no_blackbox(tmp_path)
 
     def test_observation_does_not_leak_into_a_later_run(
             self, tmp_path, monkeypatch, capsys):
         # An observed run turns the recorder on; the unobserved run
-        # after it in the same process must record nothing, so its
-        # failure dumps no black box into the cwd.
+        # after it in the same process must record nothing, so it
+        # writes no event log at all.
         monkeypatch.chdir(tmp_path)
 
         def failing_run(label, *extra):
@@ -135,9 +141,12 @@ class TestBlackBox:
         assert failing_run("b") == EXIT_PIPELINE
         assert failing_run("c", "--manifest", "c.json") == EXIT_PIPELINE
         capsys.readouterr()
-        assert not (tmp_path / "repro.blackbox.jsonl").exists()
+        assert sorted(p.name for p in tmp_path.glob("*.jsonl")) == [
+            "a.events.jsonl", "c.events.jsonl",
+        ]
+        _assert_no_blackbox(tmp_path)
         first, last = (
-            observe.load_event_log(tmp_path / f"{label}.blackbox.jsonl",
+            observe.load_event_log(tmp_path / f"{label}.events.jsonl",
                                    allow_multiple_runs=False)
             for label in ("a", "c")
         )
@@ -148,10 +157,10 @@ class TestBlackBox:
 class TestEventsSubcommand:
     @pytest.fixture()
     def event_log(self, tmp_path, capsys):
-        log = tmp_path / "run.events.jsonl"
-        assert _run_cli(tmp_path, "--events", str(log)) == EXIT_OK
+        manifest_path = tmp_path / "run.json"
+        assert _run_cli(tmp_path, "--manifest", str(manifest_path)) == EXIT_OK
         capsys.readouterr()
-        return log
+        return tmp_path / "run.events.jsonl"
 
     def test_plain_listing(self, event_log, capsys):
         assert cli_main(["events", str(event_log)]) == 0

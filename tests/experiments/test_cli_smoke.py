@@ -32,7 +32,8 @@ class TestCliSmoke:
         )
         assert proc.returncode == 0, proc.stderr
         assert "repro-experiments" in proc.stdout
-        assert "--manifest" in proc.stdout and "--metrics" in proc.stdout
+        assert "--manifest" in proc.stdout and "--profile" in proc.stdout
+        assert "repro-experiments show" in proc.stdout
 
     def test_missing_target_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -22,7 +22,6 @@ from repro.experiments import parallel, pipeline
 from repro.experiments.cli import main as cli_main
 from repro.experiments.pipeline import ExperimentConfig, load_experiment_data
 from repro.observe.manifest import RunManifest, load_manifest
-from repro.observe.traceview import spans_to_trace_events
 
 PROGRAMS = ("gcc", "ctex", "spice", "qcd", "bps")
 
@@ -211,30 +210,6 @@ class TestMergedObservation:
             # Worker clocks are rebased into the parent timeline: the
             # grafted span cannot start before its worker was submitted.
             assert program["start_s"] >= worker["start_s"]
-
-    def test_trace_export_gives_each_worker_a_lane(self, observing, tmp_path):
-        config = ExperimentConfig(
-            programs=("qcd", "gcc"), scale="smoke", cache_dir=tmp_path,
-            jobs=2,
-        )
-        with observe.span("pipeline"):
-            load_experiment_data(config)
-        document = spans_to_trace_events(observing.snapshot()["spans"])
-        events = document["traceEvents"]
-        lane_names = {
-            e["args"]["name"] for e in events if e.get("name") == "thread_name"
-        }
-        assert {"worker:qcd", "worker:gcc"} <= lane_names
-        tids = {
-            e["tid"] for e in events
-            if e["ph"] == "X" and "worker:" in e["args"].get("path", "")
-        }
-        assert len(tids) == 2  # one lane per worker
-        main_tids = {
-            e["tid"] for e in events
-            if e["ph"] == "X" and "worker:" not in e["args"].get("path", "")
-        }
-        assert main_tids.isdisjoint(tids)
 
 
 class TestPoolCacheReads:

@@ -3,9 +3,9 @@
 Covers the acceptance path: run ``table4 --scale smoke --manifest`` twice,
 ``repro-experiments diff a.json b.json`` exits 0; degrade a stage timing
 past threshold and the diff exits non-zero with a readable report.  Also
-exercises ``--trace-out`` (round-trip parsed) and ``--profile`` through
-the real CLI entry point, and checks that the manifest is the one perf
-record: the trajectory store and its flags are gone.
+exercises ``--profile`` and ``show`` through the real CLI entry point,
+and checks that the manifest is the one perf record: the trajectory
+store, the stderr reports, the Chrome trace and their flags are gone.
 """
 
 from __future__ import annotations
@@ -171,23 +171,6 @@ class TestFixedThresholds:
         assert "verdict: WARNING" in capsys.readouterr().out
 
 
-class TestTraceExport:
-    def test_trace_out_emits_valid_chrome_trace_json(
-        self, cache_dir, tmp_path, capsys
-    ):
-        trace_path = tmp_path / "run.trace.json"
-        assert run_cli("--trace-out", str(trace_path), cache_dir=cache_dir) == 0
-        parsed = json.loads(trace_path.read_text(encoding="utf-8"))
-        assert parsed["displayTimeUnit"] == "ms"
-        complete = [e for e in parsed["traceEvents"] if e["ph"] == "X"]
-        assert complete, "no span events exported"
-        names = {event["name"] for event in complete}
-        assert "pipeline" in names and "model" in names
-        for event in complete:
-            assert event["ts"] >= 0 and event["dur"] >= 0
-            assert isinstance(event["args"]["path"], str)
-
-
 class TestProfileFlag:
     def test_profile_prints_top_n_and_fills_manifest_counters(
         self, cache_dir, tmp_path, capsys
@@ -200,10 +183,12 @@ class TestProfileFlag:
             "--cache-dir", str(cache_dir), "--quiet", "--no-cache",
             "--profile", "--manifest", str(manifest_path),
         ]) == 0
-        err = capsys.readouterr().err
-        assert "Sampling profile" in err
-        assert "CPU opcodes" in err
-        assert "Engine events" in err
+        assert "Sampling profile" not in capsys.readouterr().err
+        assert cli_main(["show", str(manifest_path)]) == 0
+        shown = capsys.readouterr().out
+        assert "Sampling profile" in shown
+        assert "CPU opcodes" in shown
+        assert "Engine events" in shown
         manifest = observe.load_manifest(manifest_path)
         opcode_counters = [
             name for name in manifest.counters
@@ -215,6 +200,14 @@ class TestProfileFlag:
         ]
         assert opcode_counters and event_counters
         assert manifest.gauges["profile.cpu.stride"] == observe.DEFAULT_SAMPLE_STRIDE
+
+    def test_show_unreadable_manifest_exits_2(self, tmp_path, capsys):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text("{not json", encoding="utf-8")
+        assert cli_main(["show", str(bogus)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert cli_main(["show", str(tmp_path / "missing.json")]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestOnePerfRecord:
@@ -238,8 +231,13 @@ class TestOnePerfRecord:
          "unrecognized arguments: --fail-on-regression"),
         (["table1", "--profile-stride", "5"],
          "unrecognized arguments: --profile-stride"),
+        (["table4", "--metrics"], "unrecognized arguments: --metrics"),
+        (["table4", "--trace-out", "X"], "unrecognized arguments: --trace-out"),
+        (["table4", "--events", "X"], "unrecognized arguments: --events"),
+        (["table4", "--profile"], "--profile needs --manifest"),
     ], ids=["trend", "history", "diff-history", "stage-rel", "stage-abs-ms",
-            "eps-rel", "hit-rate-abs", "fail-on-regression", "profile-stride"])
+            "eps-rel", "hit-rate-abs", "fail-on-regression", "profile-stride",
+            "metrics", "trace-out", "events", "profile-without-manifest"])
     def test_removed_surfaces_are_usage_errors(
         self, tmp_path, monkeypatch, capsys, argv, message
     ):

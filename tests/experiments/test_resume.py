@@ -18,8 +18,9 @@ design:
   mean a kill never tears a cache entry.
 
 Graceful-shutdown scenarios additionally pin the exit code
-(``128 + signum``), the ``run.interrupted`` event in the ``--events``
-log, and that no ``*.tmp`` file is left behind.
+(``128 + signum``), the ``run.interrupted`` event at the end of the
+event log written beside the manifest, and that no ``*.tmp`` file is
+left behind.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ def store_verify(cache_dir):
 def event_categories(path):
     return [json.loads(line)["category"]
             for line in Path(path).read_text().splitlines() if line.strip()]
+
+
+def assert_no_blackbox(tmp_path):
+    """The event log is the one post-mortem record: no dump beside it."""
+    assert list(tmp_path.rglob("*.blackbox.jsonl")) == []
+    assert list(Path.cwd().glob("*.blackbox.jsonl")) == []
 
 
 @pytest.fixture(scope="module")
@@ -161,19 +168,18 @@ class TestGracefulShutdown:
     def test_sigint_serial(self, tmp_path, clean_report):
         cache = tmp_path / "cache"
         manifest = tmp_path / "m.json"
-        events = tmp_path / "events.jsonl"
+        events = tmp_path / "m.events.jsonl"
         proc = run_cli(cache, ["--retries", "0",
                                "--manifest", str(manifest),
-                               "--events", str(events),
                                "--inject-faults",
                                "store.publish:sigint@qcd"])
         assert proc.returncode == 128 + signal.SIGINT
         assert "exiting 130" in proc.stderr
         assert event_categories(events)[-1] == "run.interrupted"
         assert list(cache.glob("*.tmp")) == []
-        # The black box landed next to the manifest on the way out.
-        blackbox = tmp_path / "m.blackbox.jsonl"
-        assert "run.interrupted" in event_categories(blackbox)
+        # The log beside the manifest is named on the way out.
+        assert f"[event log: {events}]" in proc.stderr
+        assert_no_blackbox(tmp_path)
         assert assert_rerun_converges(tmp_path, cache, clean_report) == 1
 
     def test_sigint_during_trace_write(self, tmp_path, clean_report):
@@ -181,12 +187,14 @@ class TestGracefulShutdown:
         # simulates: the interrupt lands on the task thread, which waits
         # for the write before unwinding.
         cache = tmp_path / "cache"
-        events = tmp_path / "events.jsonl"
-        proc = run_cli(cache, ["--retries", "0", "--events", str(events),
+        events = tmp_path / "m.events.jsonl"
+        proc = run_cli(cache, ["--retries", "0",
+                               "--manifest", str(tmp_path / "m.json"),
                                "--inject-faults", "trace.save:sigint@2"])
         assert proc.returncode == 128 + signal.SIGINT, proc.stderr
         assert event_categories(events)[-1] == "run.interrupted"
         assert list(cache.glob("*.tmp")) == []
+        assert_no_blackbox(tmp_path)
         assert assert_rerun_converges(tmp_path, cache, clean_report) == 1
 
     def test_sigterm_parallel(self, tmp_path, clean_report):
@@ -195,10 +203,10 @@ class TestGracefulShutdown:
         # 143.  qcd's worker hangs before it starts work, so the signal
         # is sent with gcc's entry published and qcd's worker still live.
         cache = tmp_path / "cache"
-        events = tmp_path / "events.jsonl"
+        events = tmp_path / "m.events.jsonl"
         proc = subprocess.Popen(
             cli_command(cache, ["--jobs", "2", "--retries", "0",
-                                "--events", str(events),
+                                "--manifest", str(tmp_path / "m.json"),
                                 "--inject-faults", "worker.start:hang@qcd"]),
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             env=cli_env({"REPRO_FAULT_HANG_S": "60"}),
@@ -218,6 +226,7 @@ class TestGracefulShutdown:
         assert proc.returncode == 128 + signal.SIGTERM, stderr
         assert event_categories(events)[-1] == "run.interrupted"
         assert list(cache.glob("*.tmp")) == []
+        assert_no_blackbox(tmp_path)
         assert assert_rerun_converges(
             tmp_path, cache, clean_report, ["--jobs", "2"]) == 1
 

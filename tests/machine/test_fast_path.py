@@ -879,7 +879,6 @@ def test_profiled_run_uses_reference_loop(tiers):
         _configured_run(lambda cpu, image: None)
     finally:
         observe_profile.disable_profiling()
-        observe_profile.reset_profile()
     assert tiers == ["reference"]
 
 

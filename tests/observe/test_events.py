@@ -1,4 +1,4 @@
-"""Flight recorder unit tests: ring, sink, schema, transport, reset."""
+"""Flight recorder unit tests: entries, sink, schema, transport, reset."""
 
 from __future__ import annotations
 
@@ -7,12 +7,11 @@ import json
 import pytest
 
 from repro import observe
-from repro.observe import events as events_module
 
 
 @pytest.fixture()
 def recording():
-    """Event recording on with a fresh ring; restore state afterwards."""
+    """Event recording on with fresh entries; restore state afterwards."""
     was_enabled = observe.events_enabled()
     run_id = observe.enable_events()
     yield run_id
@@ -60,30 +59,20 @@ def test_summary_counts_by_severity_and_category(recording):
     }
 
 
-def test_ring_is_bounded_and_counts_drops():
-    run_id = observe.enable_events(capacity=4)
-    try:
-        for index in range(10):
-            observe.emit_event("tick", n=index)
-        recorder = observe.get_recorder()
-        entries = recorder.entries()
-        assert len(entries) == 4
-        assert [e.data["n"] for e in entries] == [6, 7, 8, 9]
-        assert [e.seq for e in entries] == [6, 7, 8, 9]
-        summary = recorder.summary()
-        assert summary["emitted"] == 10
-        assert summary["dropped"] == 6
-        assert summary["run_id"] == run_id
-    finally:
-        # Restore the default-capacity recorder for the rest of the suite.
-        observe.disable_events()
-        observe.enable_events(capacity=events_module.DEFAULT_RECORDER_CAPACITY)
-        observe.disable_events()
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        events_module.FlightRecorder(capacity=0)
+def test_every_event_is_kept_and_counted(recording):
+    # More events than a run emits by far: none is dropped, and the
+    # summary counts every one.
+    for index in range(600):
+        observe.emit_event("tick", n=index)
+    recorder = observe.get_recorder()
+    entries = recorder.entries()
+    assert [e.data["n"] for e in entries] == list(range(600))
+    assert [e.seq for e in entries] == list(range(600))
+    summary = recorder.summary()
+    assert summary["emitted"] == summary["recorded"] == 600
+    assert summary["dropped"] == 0
+    assert summary["by_category"] == {"tick": 600}
+    assert summary["run_id"] == recording
 
 
 def test_bad_severity_rejected_at_emit(recording):
@@ -187,14 +176,18 @@ def test_log_lines_must_be_seq_monotonic_and_single_run(recording):
     )
 
 
-def test_write_blackbox_dumps_the_ring(tmp_path, recording):
-    for index in range(3):
-        observe.emit_event("tick", n=index)
-    path = tmp_path / "run.blackbox.jsonl"
-    count = observe.write_blackbox(path)
-    assert count == 3
-    events = observe.load_event_log(path, allow_multiple_runs=False)
-    assert [e["data"]["n"] for e in events] == [0, 1, 2]
+def test_sink_is_truncated_when_rearmed(tmp_path):
+    log = tmp_path / "run.events.jsonl"
+    observe.enable_events(sink_path=log)
+    try:
+        observe.emit_event("first")
+        run_id = observe.enable_events(sink_path=log)
+        observe.emit_event("second")
+    finally:
+        observe.disable_events()
+    events = observe.load_event_log(log, allow_multiple_runs=False)
+    assert [e["category"] for e in events] == ["second"]
+    assert events[0]["run_id"] == run_id
 
 
 def test_observe_reset_clears_ring_but_keeps_identity(recording):

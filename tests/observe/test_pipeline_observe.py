@@ -8,7 +8,7 @@ from repro import observe
 from repro.experiments.cli import main as cli_main
 from repro.experiments.pipeline import ExperimentConfig, load_program_data
 from repro.observe.manifest import RunManifest, load_manifest
-from repro.observe.report import render_manifest_summary, render_metrics_report
+from repro.observe.report import render_manifest
 
 pytestmark = pytest.mark.observe
 
@@ -53,7 +53,7 @@ class TestPipelineObservation:
             programs=(PROGRAM,), scale="smoke", cache_dir=cache_dir
         )
         load_program_data(PROGRAM, config)
-        text = render_metrics_report()
+        text = render_manifest(RunManifest.from_registry())
         assert "Counters" in text and "cache.sim.hits" in text
 
 
@@ -63,7 +63,7 @@ class TestCliObservation:
         code = cli_main([
             "table1", "--scale", "smoke", "--programs", PROGRAM,
             "--cache-dir", str(cache_dir), "--quiet",
-            "--manifest", str(manifest_path), "--metrics",
+            "--manifest", str(manifest_path),
         ])
         assert code == 0
         manifest = load_manifest(manifest_path)  # validates on load
@@ -72,7 +72,9 @@ class TestCliObservation:
         assert "model" in manifest.stages["all"]
         span_names = {span["name"] for span in manifest.spans}
         assert {"pipeline", "model", f"program:{PROGRAM}"} <= span_names
-        summary = render_manifest_summary(manifest)
-        assert "cache/sim" in summary
-        err = capsys.readouterr().err
-        assert "Observability report" in err
+        capsys.readouterr()
+        assert cli_main(["show", str(manifest_path)]) == 0
+        shown = capsys.readouterr().out
+        assert shown.startswith("Run manifest: target=table1")
+        assert "cache/sim" in shown
+        assert "Spans (wall clock)" in shown and "Counters" in shown

@@ -1,4 +1,7 @@
-"""Tests for the 1-in-N sampling profiler (repro.observe.profile)."""
+"""Tests for the 1-in-N sampling profiler (repro.observe.profile).
+
+The registry's ``profile.*`` counters are the one store of the samples,
+so every sampling test runs with observation on."""
 
 from __future__ import annotations
 
@@ -7,6 +10,8 @@ import pytest
 from repro import observe
 from repro.machine import isa
 from repro.observe import profile as observe_profile
+from repro.observe.manifest import RunManifest
+from repro.observe.report import render_manifest
 from repro.sessions.types import ONE_HEAP, SessionDef
 from repro.simulate import simulate_sessions
 from repro.trace.events import EventKind, EventTrace
@@ -18,13 +23,24 @@ pytestmark = pytest.mark.observe
 
 
 @pytest.fixture
-def profiling():
-    """Enable profiling with a tiny stride; restore and clear afterwards."""
+def profiling(observing):
+    """Observe with profiling at a tiny stride; yields the sample counters."""
     observe_profile.enable_profiling(stride=10)
-    observe_profile.reset_profile()
-    yield observe_profile.get_profiler()
+    yield lambda prefix: _samples(observing, prefix)
     observe_profile.disable_profiling()
-    observe_profile.reset_profile()
+
+
+def _samples(registry, prefix):
+    """name -> samples of the ``profile.*`` counters under ``prefix``."""
+    return {
+        name[len(prefix):]: value
+        for name, value in registry.snapshot()["counters"].items()
+        if name.startswith(prefix)
+    }
+
+
+CPU = "profile.cpu.opcode."
+ENGINE = "profile.engine.event."
 
 
 LOOP_SOURCE = """
@@ -52,47 +68,56 @@ class TestStrides:
         with pytest.raises(ValueError):
             observe_profile.enable_profiling(stride=0)
 
-    def test_env_stride_parsing(self):
-        parse = observe_profile._parse_env_stride
-        assert parse("1") == observe_profile.DEFAULT_SAMPLE_STRIDE
-        assert parse("250") == 250
-        assert parse("0") == 0
-        assert parse("off") == 0
+
+def _table_rows(report, title):
+    """``(name, samples, estimate)`` rows of one rendered profile table."""
+    lines = report.split(title, 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    rows = []
+    for line in lines:
+        name, samples, estimate, _ = line.split()
+        rows.append((name, int(samples.replace(",", "")),
+                     int(estimate.replace(",", ""))))
+    return rows
 
 
 class TestCpuSampling:
-    def test_disabled_run_records_no_samples(self):
-        observe_profile.reset_profile()
+    def test_disabled_run_records_no_samples(self, observing):
         run_minic(LOOP_SOURCE)
-        assert observe_profile.get_profiler().cpu_opcodes == {}
+        assert _samples(observing, CPU) == {}
+
+    def test_unobserved_run_records_no_samples(self):
+        before = observe.get_registry().snapshot()["counters"]
+        observe_profile.enable_profiling(stride=10)
+        try:
+            run_minic(LOOP_SOURCE)
+        finally:
+            observe_profile.disable_profiling()
+        assert observe.get_registry().snapshot()["counters"] == before
 
     def test_sampled_opcode_counts_approximate_the_mix(self, profiling):
         assert run_minic(LOOP_SOURCE) == sum(range(2000))
-        samples = profiling.cpu_opcodes
+        samples = profiling(CPU)
         assert samples, "profiling run recorded no opcode samples"
         # The loop executes >10k instructions; 1-in-10 sampling should
         # land roughly instructions/10 samples in total.
         total = sum(samples.values())
         assert total > 500
         # The loop body is adds/compares/branches; ADD must be sampled.
-        assert samples.get(isa.ADD, 0) > 0
+        assert samples.get(isa.OPCODE_NAMES[isa.ADD], 0) > 0
 
     def test_top_opcodes_report_names_and_estimates(self, profiling):
         run_minic(LOOP_SOURCE)
-        top = profiling.top_opcodes(5)
-        assert top and all(estimate == count * 10 for _, count, estimate in top)
-        names = [name for name, _, _ in top]
-        assert all(isinstance(name, str) for name in names)
+        report = render_manifest(RunManifest.from_registry(), top_n=5)
+        top = _table_rows(report, "CPU opcodes")
+        assert 0 < len(top) <= 5
+        assert all(estimate == count * 10 for _, count, estimate in top)
+        samples = profiling(CPU)
+        assert [count for _, count, _ in top] == sorted(
+            samples.values(), reverse=True)[:len(top)]
+        assert all(samples[name] == count for name, count, _ in top)
 
-    def test_samples_mirrored_into_metrics_when_observing(
-        self, profiling, observing
-    ):
+    def test_stride_gauge_recorded(self, profiling, observing):
         run_minic(LOOP_SOURCE)
-        counters = observing.snapshot()["counters"]
-        opcode_counters = {
-            name for name in counters if name.startswith("profile.cpu.opcode.")
-        }
-        assert opcode_counters
         assert observing.snapshot()["gauges"]["profile.cpu.stride"] == 10
 
 
@@ -114,35 +139,37 @@ class TestEngineSampling:
     def test_engine_event_mix_sampled(self, profiling):
         trace, registry, sessions = _engine_inputs()
         simulate_sessions(trace, registry, sessions, (4096,))
-        samples = profiling.engine_events
+        samples = profiling(ENGINE)
         assert samples
-        assert int(EventKind.WRITE) in samples
+        assert EventKind.WRITE.name in samples
         total = sum(samples.values())
         # len(trace) events sampled 1-in-10 via an extended slice.
         assert total == len(trace.kinds[::10])
 
-    def test_disabled_engine_records_nothing(self):
-        observe_profile.reset_profile()
+    def test_disabled_engine_records_nothing(self, observing):
         trace, registry, sessions = _engine_inputs()
         simulate_sessions(trace, registry, sessions, (4096,))
-        assert observe_profile.get_profiler().engine_events == {}
+        assert _samples(observing, ENGINE) == {}
 
 
 class TestReportAndReset:
-    def test_render_without_samples(self):
-        observe_profile.reset_profile()
-        assert "no samples recorded" in observe_profile.render_profile_report()
+    def test_render_without_samples(self, observing):
+        run_minic(LOOP_SOURCE)
+        report = render_manifest(RunManifest.from_registry())
+        assert "Sampling profile" not in report
 
     def test_render_with_samples(self, profiling):
         run_minic(LOOP_SOURCE)
-        report = observe_profile.render_profile_report(top_n=3)
+        report = render_manifest(RunManifest.from_registry(), top_n=3)
+        assert "Sampling profile" in report
         assert "CPU opcodes" in report
         assert "1-in-10 sampled" in report
         assert "%" in report
+        assert len(_table_rows(report, "CPU opcodes")) == 3
 
     def test_observe_reset_clears_samples(self, profiling):
         run_minic(LOOP_SOURCE)
-        assert profiling.cpu_opcodes
+        assert profiling(CPU)
         observe.reset()
-        assert profiling.cpu_opcodes == {}
+        assert profiling(CPU) == {}
         assert observe_profile.is_profiling()  # enablement untouched

@@ -1,10 +1,11 @@
-"""Histogram percentile satellite: p50/p95/p99 in summaries and reports."""
+"""Histogram percentiles: p50/p95/p99 in summaries and in ``show``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.observe.report import render_metrics_report
+from repro.observe.manifest import RunManifest
+from repro.observe.report import render_manifest
 
 pytestmark = pytest.mark.observe
 
@@ -24,7 +25,7 @@ class TestHistogramPercentiles:
     def test_report_renders_percentile_columns(self, observing):
         for value in range(100):
             observing.observe_value("latency", float(value))
-        report = render_metrics_report(observing)
+        report = render_manifest(RunManifest.from_registry(observing))
         header_line = next(
             line for line in report.splitlines() if line.startswith("histogram")
         )

@@ -93,17 +93,17 @@ class TestMergeSnapshot:
         try:
             observe.get_profiler().record_engine({1: 4})
             payload = dump_snapshot()
+            assert set(payload) == {"version", "metrics", "events"}
             observe.reset()
             merge_snapshot(payload)
-            profiler = observe.get_profiler()
-            assert profiler.engine_events[1] == 4
-            counters = observe.get_registry().snapshot()["counters"]
-            # The mirrored profile.* counter merged once, via the
-            # registry — merge_samples itself must not re-mirror.
-            mirrored = [
-                value for name, value in counters.items()
+            snapshot = observe.get_registry().snapshot()
+            # The profile.* counters are the one copy of the samples and
+            # merge like every other counter.
+            sampled = {
+                name: value for name, value in snapshot["counters"].items()
                 if name.startswith("profile.engine.event.")
-            ]
-            assert mirrored == [4]
+            }
+            assert list(sampled.values()) == [4]
+            assert snapshot["gauges"]["profile.engine.stride"] == 10
         finally:
             observe.disable_profiling()

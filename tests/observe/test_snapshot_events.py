@@ -95,7 +95,7 @@ def test_malformed_entries_count_as_dropped_not_fatal(observing, recording):
     observe.merge_snapshot(
         {"version": SNAPSHOT_VERSION, "events": {
             "worker": "gcc",
-            "dropped": 3,  # the worker's own ring overflowed before death
+            "dropped": 3,  # drops the worker counted itself
             "entries": [
                 "torn",                     # not a dict
                 {"seq": 0},                 # missing timestamp keys

@@ -5,11 +5,11 @@ schema table in ``docs/OBSERVABILITY.md`` honest about the writer.
 Two jobs, composable in one invocation:
 
 * **log validation** — every positional argument is a JSONL event log
-  (an ``--events`` file or a black-box dump); each is checked line by
-  line against the schema in :mod:`repro.observe.events` (all nine
-  keys, strictly increasing ``seq``, a single ``run_id`` spanning
-  parent and workers).  Pass ``--allow-multiple-runs`` for logs that
-  were appended to across runs.
+  (the ``.events.jsonl`` file a ``--manifest`` run writes beside its
+  manifest); each is checked line by line against the schema in
+  :mod:`repro.observe.events` (all nine keys, strictly increasing
+  ``seq``, a single ``run_id`` spanning parent and workers).  Pass
+  ``--allow-multiple-runs`` for logs concatenated from several runs.
 * **docs lint** — the "Event log" section of ``docs/OBSERVABILITY.md``
   carries a generated field table between
   ``<!-- generated:event-schema -->`` markers, derived from
@@ -101,13 +101,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "logs", nargs="*", metavar="LOG",
-        help="JSONL event logs to validate (an --events file or a "
-        "black-box dump)",
+        help="JSONL event logs to validate (the .events.jsonl file a "
+        "--manifest run writes beside its manifest)",
     )
     parser.add_argument(
         "--allow-multiple-runs", action="store_true",
         help="accept logs whose lines span more than one run_id "
-        "(a sink appended to across runs)",
+        "(logs concatenated from several runs)",
     )
     parser.add_argument(
         "--check-docs", action="store_true",

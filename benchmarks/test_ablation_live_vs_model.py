@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis.tables import render_table
 from repro.debugger import Debugger
-from repro.models.overhead import paper_approaches
+from repro.models.overhead import paper_approaches, total_us
 from repro.sessions import discover_sessions
 from repro.simulate import simulate_sessions
 from repro.units import us_to_cycles
@@ -39,15 +39,15 @@ def session_prediction():
     run = run_workload(get_workload("gcc"), SCALE)
     sessions = discover_sessions(run.registry)
     result = simulate_sessions(run.trace, run.registry, sessions, (4096,))
-    counts = next(
-        counts
-        for session, counts in zip(result.sessions, result.counts)
+    row = next(
+        row
+        for row, session in enumerate(result.sessions)
         if session.kind == "OneGlobalStatic" and session.label == WATCHED
     )
-    predictions = {}
-    for approach in paper_approaches(page_sizes=(4096,)):
-        overhead_us = approach.model.overhead(counts, 4096).total_us
-        predictions[approach.label] = us_to_cycles(overhead_us)
+    predictions = {
+        label: us_to_cycles(float(total_us(result.counts, terms)[row]))
+        for label, terms in paper_approaches(page_sizes=(4096,)).items()
+    }
     return run.trace.meta.cycles, predictions
 
 

@@ -15,7 +15,7 @@ HARDWARE_REGISTERS = 4
 def _pressure(experiment_data):
     rows = {}
     for name, program in experiment_data.items():
-        peaks = [counts.max_concurrent for counts in program.result.counts]
+        peaks = program.result.counts["max_concurrent"].tolist()
         supportable = sum(1 for peak in peaks if peak <= HARDWARE_REGISTERS)
         rows[name] = {
             "sessions": len(peaks),

@@ -7,10 +7,10 @@ implies: active-page misses grow and protect transitions shrink as pages
 get bigger — which is why bigger pages never help VirtualMemory.
 """
 
+import numpy as np
+
 from repro.analysis.tables import render_table
-from repro.models.overhead import relative_overhead
-from repro.models.timing import SPARCSTATION_2_TIMING
-from repro.models.virtual_memory import VirtualMemoryModel
+from repro.models.overhead import relative_overheads, vm_terms
 from repro.sessions import discover_sessions
 from repro.simulate import simulate_sessions
 from repro.workloads import get_workload
@@ -29,24 +29,21 @@ def _sweep():
 
 def test_pagesize_sweep(benchmark, report_writer):
     base_us, result = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    model = VirtualMemoryModel(SPARCSTATION_2_TIMING)
+    counts = result.counts
 
     mean_rel = {}
     for size in PAGE_SIZES:
-        rels = [
-            relative_overhead(model.overhead(counts, size), base_us)
-            for counts in result.counts
-        ]
+        rels = relative_overheads(counts, vm_terms(size), base_us).tolist()
         mean_rel[size] = sum(rels) / len(rels)
 
-    # Per-session structural invariants of nested power-of-two pages.
-    for counts in result.counts:
-        apms = [counts.vm_counts(size).active_page_misses for size in PAGE_SIZES]
-        assert apms == sorted(apms), "APM must not shrink with page size"
-        protects = [counts.vm_counts(size).protects for size in PAGE_SIZES]
-        assert protects == sorted(protects, reverse=True), (
-            "protect transitions must not grow with page size"
-        )
+    # Per-session structural invariants of nested power-of-two pages:
+    # each row is a page size, each column a session.
+    apms = np.stack([counts[f"active_page_misses_{size}"] for size in PAGE_SIZES])
+    assert np.all(np.diff(apms, axis=0) >= 0), "APM must not shrink with page size"
+    protects = np.stack([counts[f"protects_{size}"] for size in PAGE_SIZES])
+    assert np.all(np.diff(protects, axis=0) <= 0), (
+        "protect transitions must not grow with page size"
+    )
 
     # The headline: growing pages 1K -> 64K never makes VM cheaper on
     # average, because faults dominate transitions (section 8).

@@ -10,9 +10,7 @@ relative overhead at each — bigger pages never help.
 Run:  python examples/page_size_sweep.py
 """
 
-from repro.models.overhead import relative_overhead
-from repro.models.timing import SPARCSTATION_2_TIMING
-from repro.models.virtual_memory import VirtualMemoryModel
+from repro.models.overhead import relative_overheads, vm_terms
 from repro.sessions import discover_sessions
 from repro.simulate import simulate_sessions
 from repro.workloads import get_workload
@@ -31,14 +29,10 @@ def main() -> None:
     print(f"{len(result.sessions)} studied sessions, "
           f"{result.total_writes} writes, base {base_us / 1000:.1f} ms\n")
 
-    model = VirtualMemoryModel(SPARCSTATION_2_TIMING)
     print(f"{'page size':>10} {'mean rel overhead':>18} {'worst session':>14}")
     print("-" * 46)
     for size in PAGE_SIZES:
-        rels = [
-            relative_overhead(model.overhead(counts, size), base_us)
-            for counts in result.counts
-        ]
+        rels = relative_overheads(result.counts, vm_terms(size), base_us).tolist()
         mean = sum(rels) / len(rels)
         print(f"{size // 1024:>9}K {mean:>17.2f}x {max(rels):>13.2f}x")
 

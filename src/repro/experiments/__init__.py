@@ -17,7 +17,7 @@ from repro.experiments.pipeline import (
     load_experiment_data,
 )
 from repro.experiments.table1 import compute_table1, render_table1_report
-from repro.experiments.table2 import compute_table2, render_table2_report
+from repro.experiments.table2 import render_table2_report
 from repro.experiments.table3 import compute_table3, render_table3_report
 from repro.experiments.table4 import compute_table4, render_table4_report
 from repro.experiments.figures789 import compute_figures, render_figures_report
@@ -41,7 +41,6 @@ __all__ = [
     "load_experiment_data",
     "compute_table1",
     "render_table1_report",
-    "compute_table2",
     "render_table2_report",
     "compute_table3",
     "render_table3_report",

@@ -12,7 +12,12 @@ from typing import Dict, Mapping
 
 from repro.analysis.tables import render_table
 from repro.experiments.pipeline import ProgramData
-from repro.models.overhead import dominant_component, overhead_breakdown, paper_approaches
+from repro.models.overhead import (
+    dominant_component,
+    overhead_breakdown,
+    paper_approaches,
+    term_us,
+)
 from repro.models.paper_data import BREAKDOWN_CLAIMS
 
 BreakdownData = Dict[str, Dict[str, Dict[str, float]]]
@@ -22,13 +27,10 @@ def compute_breakdown(data: Mapping[str, ProgramData]) -> BreakdownData:
     """program -> approach -> timing variable -> mean percent."""
     out: BreakdownData = {}
     for name, program in data.items():
-        out[name] = {}
-        for approach in paper_approaches():
-            overheads = [
-                approach.model.overhead(counts, approach.page_size)
-                for counts in program.result.counts
-            ]
-            out[name][approach.label] = overhead_breakdown(overheads)
+        out[name] = {
+            label: overhead_breakdown(term_us(program.result.counts, terms))
+            for label, terms in paper_approaches().items()
+        }
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping
 
 from repro.analysis.tables import render_table
 from repro.experiments.pipeline import ProgramData
-from repro.models.overhead import paper_approaches, relative_overhead
+from repro.models.overhead import paper_approaches, relative_overheads
 from repro.sessions.types import ALL_HEAP_IN_FUNC, ONE_LOCAL_AUTO
 
 
@@ -37,24 +37,26 @@ def compute_hotspots(
     """program -> approach -> top-N sessions by relative overhead."""
     out: Dict[str, Dict[str, List[HotSession]]] = {}
     for name, program in data.items():
-        base_us = program.base_time_us
+        sessions = program.result.sessions
+        hits = program.result.counts["hits"].tolist()
         out[name] = {}
-        for approach in paper_approaches():
-            scored = []
-            for session, counts in zip(program.result.sessions, program.result.counts):
-                overhead = approach.model.overhead(counts, approach.page_size)
-                scored.append(
-                    HotSession(
-                        program=name,
-                        approach=approach.label,
-                        label=session.label,
-                        kind=session.kind,
-                        relative_overhead=relative_overhead(overhead, base_us),
-                        hits=counts.hits,
-                    )
+        for label, terms in paper_approaches().items():
+            overheads = relative_overheads(program.result.counts, terms,
+                                           program.base_time_us).tolist()
+            # A stable descending sort: tied sessions keep session order.
+            top = sorted(range(len(sessions)), key=overheads.__getitem__,
+                         reverse=True)[:top_n]
+            out[name][label] = [
+                HotSession(
+                    program=name,
+                    approach=label,
+                    label=sessions[row].label,
+                    kind=sessions[row].kind,
+                    relative_overhead=overheads[row],
+                    hits=hits[row],
                 )
-            scored.sort(key=lambda hot: hot.relative_overhead, reverse=True)
-            out[name][approach.label] = scored[:top_n]
+                for row in top
+            ]
     return out
 
 

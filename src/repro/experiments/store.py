@@ -42,7 +42,7 @@ from repro.errors import TraceFormatError
 from repro.faults import faultpoint
 from repro.sessions import discover_sessions
 from repro.sessions.types import SessionDef
-from repro.simulate import CountingVariables, SimulationResult, VmPageCounts
+from repro.simulate import SimulationResult, count_columns, count_table
 from repro.trace.events import TraceMeta
 from repro.trace.objects import ObjectRegistry
 from repro.trace import tracefile
@@ -57,23 +57,21 @@ STATUS_OTHER = "other"      #: unrecognized file, left alone
 #: The file suffix of a sim entry.
 SIM_SUFFIX = ".zip"
 
-_SESSION_FIELDS = ("installs", "removes", "hits", "max_concurrent")
-_VM_FIELDS = ("protects", "unprotects", "active_page_misses")
 #: The integer run totals a sim entry's footer carries.
 _TOTALS = ("total_writes", "overlap_anomalies", "n_discarded")
 
 
 def sim_column_names(page_sizes: Sequence[int]) -> List[str]:
-    """A sim entry's count members over ``page_sizes``, in order."""
-    return ["session", *_SESSION_FIELDS, *(
-        f"{name}_{size}" for size in page_sizes for name in _VM_FIELDS)]
+    """A sim entry's count members over ``page_sizes``, in order: the
+    studied sessions' indexes, then their count columns."""
+    return ["session", *count_columns(page_sizes)]
 
 
 @dataclass
 class SimEntry:
     """What a sim entry stores: a program's trace meta, object registry,
-    page sizes and run totals (:data:`_TOTALS`), and one int64 column
-    per counting variable of its studied sessions.  The sessions are a
+    page sizes and run totals (:data:`_TOTALS`), the studied sessions'
+    indexes and their count table's stored columns.  The sessions are a
     pure function of the registry, so they are not stored."""
 
     meta: TraceMeta
@@ -85,17 +83,13 @@ class SimEntry:
     @classmethod
     def of(cls, registry: ObjectRegistry,
            result: SimulationResult) -> "SimEntry":
-        rows = {"session": [session.index for session in result.sessions]}
-        for name in _SESSION_FIELDS:
-            rows[name] = [getattr(counts, name) for counts in result.counts]
-        for size in result.page_sizes:
-            for name in _VM_FIELDS:
-                rows[f"{name}_{size}"] = [getattr(counts.vm[size], name)
-                                          for counts in result.counts]
+        columns = {"session": np.array(
+            [session.index for session in result.sessions], np.int64)}
+        for name in count_columns(result.page_sizes):
+            columns[name] = result.counts[name]
         return cls(result.meta, registry, tuple(result.page_sizes),
                    {name: getattr(result, name) for name in _TOTALS},
-                   {name: np.array(values, dtype=np.int64)
-                    for name, values in rows.items()})
+                   columns)
 
     def result(self, sessions: Sequence[SessionDef]) -> SimulationResult:
         """The stored result over the registry's discovered ``sessions``;
@@ -111,21 +105,12 @@ class SimEntry:
                 f"{self.totals['n_discarded']} discarded sessions do not "
                 f"index the {len(sessions)} sessions of its registry"
             )
-        result = SimulationResult(self.meta.program, self.meta,
-                                  self.page_sizes, **self.totals)
-        rows = {name: column.tolist() for name, column in self.columns.items()}
-        for row, session in enumerate(rows["session"]):
-            counts = CountingVariables(
-                **{name: rows[name][row] for name in _SESSION_FIELDS},
-                misses=self.totals["total_writes"] - rows["hits"][row],
-            )
-            for size in self.page_sizes:
-                counts.vm[size] = VmPageCounts(
-                    **{name: rows[f"{name}_{size}"][row]
-                       for name in _VM_FIELDS})
-            result.sessions.append(sessions[session])
-            result.counts.append(counts)
-        return result
+        return SimulationResult(
+            self.meta.program, self.meta, self.page_sizes,
+            sessions=[sessions[row] for row in index.tolist()],
+            counts=count_table(self.columns, self.page_sizes,
+                               self.totals["total_writes"]),
+            **self.totals)
 
 
 def _read_sim_entry(path: Path) -> SimEntry:

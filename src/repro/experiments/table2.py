@@ -122,11 +122,6 @@ def measure_timing_variables() -> Dict[str, float]:
     return measured
 
 
-def compute_table2() -> Dict[str, float]:
-    """Alias used by the experiment CLI."""
-    return measure_timing_variables()
-
-
 def render_table2_report() -> str:
     """Measured-vs-paper Table 2."""
     measured = measure_timing_variables()

@@ -1,10 +1,10 @@
 """Table 4: relative-overhead statistics per program and approach.
 
 The centerpiece of the paper's evaluation: for every studied session,
-each approach's analytical model converts the session's counting
-variables into an overhead, normalized by the program's base execution
-time; the distribution over sessions is summarized by Min/Max,
-T-Mean/Mean, and the 90th/98th percentiles.
+each approach's terms convert the session's counting variables into an
+overhead, normalized by the program's base execution time; the
+distribution over sessions is summarized by Min/Max, T-Mean/Mean, and
+the 90th/98th percentiles.
 """
 
 from __future__ import annotations
@@ -15,28 +15,11 @@ from repro.analysis.compare import shape_checks
 from repro.analysis.stats import OverheadStats, compute_stats
 from repro.analysis.tables import render_table4
 from repro.experiments.pipeline import ProgramData
-from repro.models.overhead import paper_approaches, relative_overhead
+from repro.models.overhead import paper_approaches, relative_overheads
 from repro.models.paper_data import TABLE_4
 from repro.models.timing import SPARCSTATION_2_TIMING, TimingVariables
 
 Table4Data = Dict[str, Dict[str, OverheadStats]]
-
-
-def relative_overheads_for(
-    program: ProgramData,
-    timing: TimingVariables = SPARCSTATION_2_TIMING,
-) -> Dict[str, list]:
-    """Per approach label: list of per-session relative overheads."""
-    base_us = program.base_time_us
-    out: Dict[str, list] = {}
-    for approach in paper_approaches(timing):
-        out[approach.label] = [
-            relative_overhead(
-                approach.model.overhead(counts, approach.page_size), base_us
-            )
-            for counts in program.result.counts
-        ]
-    return out
 
 
 def compute_table4(
@@ -44,13 +27,14 @@ def compute_table4(
     timing: TimingVariables = SPARCSTATION_2_TIMING,
 ) -> Table4Data:
     """program -> approach -> :class:`OverheadStats`."""
-    table: Table4Data = {}
-    for name, program in data.items():
-        per_approach = relative_overheads_for(program, timing)
-        table[name] = {
-            label: compute_stats(values) for label, values in per_approach.items()
+    return {
+        name: {
+            label: compute_stats(relative_overheads(
+                program.result.counts, terms, program.base_time_us, timing))
+            for label, terms in paper_approaches().items()
         }
-    return table
+        for name, program in data.items()
+    }
 
 
 def render_table4_report(

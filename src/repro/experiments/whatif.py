@@ -6,7 +6,7 @@ justify."  The models are parameterized by platform timings (Table 2),
 so the argument can be quantified: how much would the platform have to
 change before the conclusion flips?
 
-Three questions, answerable directly from the models:
+Three questions, answerable directly from the models' terms:
 
 * **Trap-cost sweep** — TrapPatch is CodePatch plus a kernel trap per
   write, so its t-mean tracks the trap cost linearly.  How cheap must
@@ -24,32 +24,36 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Mapping, Sequence
 
+import numpy as np
+
 from repro.analysis.stats import trimmed_mean
 from repro.analysis.tables import render_table
 from repro.experiments.pipeline import ProgramData
-from repro.models.code_patch import CodePatchModel
-from repro.models.native_hardware import NativeHardwareModel
-from repro.models.overhead import relative_overhead
+from repro.models.overhead import (
+    Terms,
+    paper_approaches,
+    relative_overheads,
+    total_us,
+    vm_terms,
+)
 from repro.models.timing import SPARCSTATION_2_TIMING, TimingVariables
-from repro.models.trap_patch import TrapPatchModel
-from repro.models.virtual_memory import VirtualMemoryModel
 
 #: Cost-scaling factors swept (1 = the SPARCstation 2).
 SWEEP_FACTORS = (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64)
 
+_APPROACHES = paper_approaches()
+_NH, _TP, _CP = _APPROACHES["NH"], _APPROACHES["TP"], _APPROACHES["CP"]
 
-def _t_mean_ratio(program: ProgramData, model, rival, page_size: int = 4096) -> float:
-    """t-mean(model) / t-mean(rival) over the program's sessions."""
-    base = program.base_time_us
-    ours = trimmed_mean([
-        relative_overhead(model.overhead(c, page_size), base)
-        for c in program.result.counts
-    ])
-    theirs = trimmed_mean([
-        relative_overhead(rival.overhead(c, page_size), base)
-        for c in program.result.counts
-    ])
-    return ours / theirs if theirs else float("inf")
+
+def _relative(program: ProgramData, terms: Terms,
+              timing: TimingVariables) -> np.ndarray:
+    return relative_overheads(program.result.counts, terms,
+                              program.base_time_us, timing)
+
+
+def _mean(values: np.ndarray) -> float:
+    """The plain mean, summed in session order."""
+    return sum(values.tolist()) / len(values)
 
 
 def trap_cost_sweep(
@@ -58,13 +62,14 @@ def trap_cost_sweep(
     timing: TimingVariables = SPARCSTATION_2_TIMING,
 ) -> Dict[float, Dict[str, float]]:
     """factor -> program -> TP/CP t-mean ratio, with traps scaled down."""
+    cp = {name: trimmed_mean(_relative(program, _CP, timing))
+          for name, program in data.items()}
     out: Dict[float, Dict[str, float]] = {}
     for factor in factors:
         scaled = replace(timing, tp_fault_handler=timing.tp_fault_handler * factor)
-        tp = TrapPatchModel(scaled)
-        cp = CodePatchModel(timing)
         out[factor] = {
-            name: _t_mean_ratio(program, tp, cp)
+            name: trimmed_mean(_relative(program, _TP, scaled)) / cp[name]
+            if cp[name] else float("inf")
             for name, program in data.items()
         }
     return out
@@ -80,24 +85,16 @@ def vm_fault_sweep(
     The mean (not t-mean) is the fair summary for VM: its t-mean on
     heap-dominated programs is tiny while the tail is catastrophic.
     """
+    vm = vm_terms(4096)
+    cp = {name: _mean(_relative(program, _CP, timing))
+          for name, program in data.items()}
     out: Dict[float, Dict[str, float]] = {}
-    cp = CodePatchModel(timing)
     for factor in factors:
         scaled = replace(timing, vm_fault_handler=timing.vm_fault_handler * factor)
-        vm = VirtualMemoryModel(scaled)
-        per_program = {}
-        for name, program in data.items():
-            base = program.base_time_us
-            vm_mean = sum(
-                relative_overhead(vm.overhead(c, 4096), base)
-                for c in program.result.counts
-            ) / len(program.result.counts)
-            cp_mean = sum(
-                relative_overhead(cp.overhead(c, 4096), base)
-                for c in program.result.counts
-            ) / len(program.result.counts)
-            per_program[name] = vm_mean / cp_mean
-        out[factor] = per_program
+        out[factor] = {
+            name: _mean(_relative(program, vm, scaled)) / cp[name]
+            for name, program in data.items()
+        }
     return out
 
 
@@ -106,16 +103,12 @@ def nh_win_fraction(
     timing: TimingVariables = SPARCSTATION_2_TIMING,
 ) -> Dict[str, float]:
     """Per program: fraction of sessions where NH is cheaper than CP."""
-    nh = NativeHardwareModel(timing)
-    cp = CodePatchModel(timing)
     out: Dict[str, float] = {}
     for name, program in data.items():
-        wins = sum(
-            1
-            for counts in program.result.counts
-            if nh.overhead(counts).total_us < cp.overhead(counts).total_us
-        )
-        out[name] = wins / len(program.result.counts)
+        counts = program.result.counts
+        wins = np.count_nonzero(total_us(counts, _NH, timing)
+                                < total_us(counts, _CP, timing))
+        out[name] = int(wins) / len(program.result.sessions)
     return out
 
 

@@ -1,42 +1,32 @@
 """Analytical models of the four WMS strategies (paper Figures 3-6).
 
-Each model combines per-session *counting variables* (from the phase-2
-simulator) with platform *timing variables* (Table 2) to estimate the
-overhead a monitor session would impose, broken down into the four
-components the paper uses: monitor hits, monitor misses, installs, and
-removes.
+Each approach column of Table 4 is a table of terms over the phase-2
+count table (:mod:`repro.models.overhead`); applying it to platform
+*timing variables* (Table 2) estimates the overhead every monitor
+session would impose, per timing variable and in total.
 """
 
 from repro.models.timing import TimingVariables, SPARCSTATION_2_TIMING
-from repro.models.base import Overhead, WmsModel, MODEL_REGISTRY, get_model
-from repro.models.native_hardware import NativeHardwareModel
-from repro.models.virtual_memory import VirtualMemoryModel
-from repro.models.trap_patch import TrapPatchModel
-from repro.models.code_patch import CodePatchModel
 from repro.models.overhead import (
-    ApproachOverhead,
-    paper_approaches,
-    session_overheads,
-    relative_overhead,
-    overhead_breakdown,
+    Terms,
     dominant_component,
+    overhead_breakdown,
+    paper_approaches,
+    relative_overheads,
+    term_us,
+    total_us,
+    vm_terms,
 )
 
 __all__ = [
     "TimingVariables",
     "SPARCSTATION_2_TIMING",
-    "Overhead",
-    "WmsModel",
-    "MODEL_REGISTRY",
-    "get_model",
-    "NativeHardwareModel",
-    "VirtualMemoryModel",
-    "TrapPatchModel",
-    "CodePatchModel",
-    "ApproachOverhead",
-    "paper_approaches",
-    "session_overheads",
-    "relative_overhead",
-    "overhead_breakdown",
+    "Terms",
     "dominant_component",
+    "overhead_breakdown",
+    "paper_approaches",
+    "relative_overheads",
+    "term_us",
+    "total_us",
+    "vm_terms",
 ]

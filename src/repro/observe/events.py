@@ -296,7 +296,6 @@ class FlightRecorder:
                 "run_id": self.run_id,
                 "emitted": self.emitted,
                 "dropped": self.dropped,
-                "recorded": len(self._entries),
                 "by_severity": dict(sorted(by_severity.items())),
                 "by_category": dict(sorted(by_category.items())),
                 "log": self.sink_path,

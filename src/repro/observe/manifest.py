@@ -112,7 +112,7 @@ class RunManifest:
     #: Programs the run could not produce data for (``--keep-going``):
     #: one record each with program/error/message/attempts/elapsed_s.
     failures: List[Dict[str, object]] = field(default_factory=list)
-    #: Flight-recorder summary (run_id, emitted/dropped/recorded counts,
+    #: Flight-recorder summary (run_id, emitted/dropped counts,
     #: per-severity and per-category tallies, sink path); ``None`` when
     #: event recording was off — see ``docs/OBSERVABILITY.md``.
     events: Optional[Dict[str, object]] = None
@@ -245,7 +245,7 @@ def validate_manifest(data: Dict[str, object]) -> None:
             raise ManifestFormatError(
                 "events summary 'run_id' must be a non-empty string"
             )
-        for key in ("emitted", "dropped", "recorded"):
+        for key in ("emitted", "dropped"):
             value = events.get(key)
             if not isinstance(value, int) or value < 0:
                 raise ManifestFormatError(

@@ -4,7 +4,10 @@ Replays a phase-1 program event trace against monitor-session definitions
 and produces the per-session *counting variables* the analytical models
 consume (paper sections 4 and 7): monitor hits, misses, installs,
 removes, and — per page size — page protect/unprotect transitions and
-active-page misses.
+active-page misses.  They come back as one *count table*
+(:attr:`SimulationResult.counts`): an int64 column per variable, one
+row per studied session, named by :func:`count_columns` plus
+``misses``.
 
 :func:`simulate_sessions` makes a **single pass** over the trace and
 computes exact counting variables for *every* session at once.  It is
@@ -19,7 +22,7 @@ the same :class:`~repro.simulate.engine.RawCounts`:
   demand with the system C compiler and driven through ctypes.
 
 The shell does everything else once for both: the input checks, the
-object → sessions membership, the :class:`SimulationResult` assembly,
+object → sessions membership, the count table,
 the ``engine.*`` counters and ``engine.backend`` note, and the profiler's
 1-in-N event-kind sample.
 
@@ -45,19 +48,43 @@ disabled it costs one function call per run.
 
 import time
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import observe
 from repro.errors import PipelineError
 from repro.observe import profile as observe_profile
 from repro.sessions.types import SessionDef
-from repro.simulate.counting import CountingVariables, VmPageCounts
 from repro.simulate.engine import RawCounts, SimulationResult, scalar_pass
 from repro.trace.events import EventTrace
 from repro.trace.objects import ObjectRegistry
 
 #: Recognized values for the ``engine`` argument / ``--engine`` flag.
 ENGINE_CHOICES = ("auto", "python", "native")
+
+#: A session's count columns, then those kept once per page size
+#: (``protects_4096``, ...): ``VMProtect_s``, ``VMUnprotect_s`` and
+#: ``VMActivePageMiss_s`` of paper Figure 4.  ``max_concurrent`` is the
+#: peak number of simultaneously active monitors (the NativeHardware
+#: register pressure).
+SESSION_COLUMNS = ("installs", "removes", "hits", "max_concurrent")
+PAGE_COLUMNS = ("protects", "unprotects", "active_page_misses")
+
+
+def count_columns(page_sizes: Sequence[int]) -> List[str]:
+    """The stored count columns over ``page_sizes``, in order."""
+    return [*SESSION_COLUMNS, *(f"{name}_{size}" for size in page_sizes
+                                for name in PAGE_COLUMNS)]
+
+
+def count_table(columns: Mapping[str, np.ndarray], page_sizes: Sequence[int],
+                total_writes: int) -> Dict[str, np.ndarray]:
+    """The count table of the stored ``columns``: those columns plus
+    ``misses``, which is ``total_writes - hits`` for every session."""
+    table = {name: columns[name] for name in count_columns(page_sizes)}
+    table["misses"] = total_writes - table["hits"]
+    return table
 
 
 def _native_available() -> bool:
@@ -175,38 +202,32 @@ def _membership(registry, sessions) -> List[Tuple[int, ...]]:
 
 
 def _assemble(trace, sessions, page_sizes, counts: RawCounts):
-    """The :class:`SimulationResult` of one pass's counts."""
-    (installs, removes, hits, max_active, protects, unprotects, raw_active,
-     total_writes, overlap_anomalies) = counts
-    per_size = list(zip(page_sizes, protects, unprotects, raw_active))
-    result = SimulationResult(
+    """The :class:`SimulationResult` of one pass's counts: the rows of
+    the sessions with at least one hit."""
+    hits = np.asarray(counts.hits, dtype=np.int64)
+    index = np.array([session.index for session in sessions], np.int64)
+    studied = hits[index] > 0
+    rows = index[studied]
+    columns = {"installs": counts.installs, "removes": counts.removes,
+               "hits": hits, "max_concurrent": counts.max_active}
+    for size, prot, unprot, raw in zip(page_sizes, counts.protects,
+                                       counts.unprotects, counts.raw_active):
+        columns[f"protects_{size}"] = prot
+        columns[f"unprotects_{size}"] = unprot
+        columns[f"active_page_misses_{size}"] = np.maximum(
+            np.asarray(raw, dtype=np.int64) - hits, 0)
+    return SimulationResult(
         program=trace.meta.program,
         meta=trace.meta,
         page_sizes=page_sizes,
-        total_writes=total_writes,
-        overlap_anomalies=overlap_anomalies,
+        sessions=[s for s, keep in zip(sessions, studied.tolist()) if keep],
+        counts=count_table({name: np.asarray(column, dtype=np.int64)[rows]
+                            for name, column in columns.items()},
+                           page_sizes, counts.total_writes),
+        total_writes=counts.total_writes,
+        n_discarded=len(sessions) - len(rows),
+        overlap_anomalies=counts.overlap_anomalies,
     )
-    for session in sessions:
-        s = session.index
-        if hits[s] == 0:
-            result.n_discarded += 1
-            continue
-        counting = CountingVariables(
-            installs=installs[s],
-            removes=removes[s],
-            hits=hits[s],
-            misses=total_writes - hits[s],
-            max_concurrent=max_active[s],
-        )
-        for size, prot, unprot, raw in per_size:
-            counting.vm[size] = VmPageCounts(
-                protects=prot[s],
-                unprotects=unprot[s],
-                active_page_misses=max(raw[s] - hits[s], 0),
-            )
-        result.sessions.append(session)
-        result.counts.append(counting)
-    return result
 
 
 def _record(counts: RawCounts, result, backend, n_events, elapsed) -> None:
@@ -231,9 +252,9 @@ def _record(counts: RawCounts, result, backend, n_events, elapsed) -> None:
 
 __all__ = [
     "ENGINE_CHOICES",
-    "CountingVariables",
-    "VmPageCounts",
     "SimulationResult",
+    "count_columns",
+    "count_table",
     "resolve_engine",
     "simulate_sessions",
     "validate_page_sizes",

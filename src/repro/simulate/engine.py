@@ -45,8 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
+import numpy as np
+
 from repro.sessions.types import SessionDef
-from repro.simulate.counting import CountingVariables
 from repro.trace.events import EventKind, TraceMeta
 
 
@@ -56,21 +57,19 @@ class SimulationResult:
 
     ``sessions`` holds only the *studied* sessions — those with at least
     one monitor hit (zero-hit sessions are discarded, paper section 8).
-    ``counts`` is parallel to ``sessions``.
+    ``counts`` is the count table: column name (see
+    :func:`repro.simulate.count_table`) -> one int64 value per studied
+    session, in ``sessions`` order.
     """
 
     program: str
     meta: TraceMeta
     page_sizes: Tuple[int, ...]
     sessions: List[SessionDef] = field(default_factory=list)
-    counts: List[CountingVariables] = field(default_factory=list)
+    counts: Dict[str, np.ndarray] = field(default_factory=dict)
     total_writes: int = 0
     n_discarded: int = 0
     overlap_anomalies: int = 0
-
-    def by_session(self) -> Dict[SessionDef, CountingVariables]:
-        """Session -> counting variables mapping."""
-        return dict(zip(self.sessions, self.counts))
 
 
 class RawCounts(NamedTuple):

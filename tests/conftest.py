@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.machine import Cpu, Memory, load_program
@@ -42,6 +43,12 @@ def checkout_stays_clean():
     )
     if added:
         pytest.fail(f"the test session wrote into the checkout: {added}")
+
+
+def same_counts(a, b) -> bool:
+    """Whether two count tables hold the same columns and values."""
+    return list(a) == list(b) and all(
+        np.array_equal(a[name], b[name]) for name in a)
 
 
 class MiniCRunner:

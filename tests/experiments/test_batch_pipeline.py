@@ -23,6 +23,7 @@ from repro.experiments.pipeline import ExperimentConfig, load_program_data
 from repro.experiments.store import SIM_SUFFIX
 from repro.simulate._native import native_available
 from repro.trace import load_trace, save_trace
+from tests.conftest import same_counts
 
 PROGRAM = "qcd"  # the cheapest workload at smoke scale
 
@@ -55,7 +56,7 @@ def assert_same_data(a, b):
     assert ra.overlap_anomalies == rb.overlap_anomalies
     assert ra.n_discarded == rb.n_discarded
     assert [s.index for s in ra.sessions] == [s.index for s in rb.sessions]
-    assert ra.counts == rb.counts
+    assert same_counts(ra.counts, rb.counts)
 
 
 def _sim_entries(cache_dir):

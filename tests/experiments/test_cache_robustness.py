@@ -30,6 +30,7 @@ from repro.experiments.store import (
 )
 from repro.simulate import simulate_sessions, validate_page_sizes
 from repro.trace import load_trace, save_trace
+from tests.conftest import same_counts
 
 PROGRAM = "qcd"  # heapless and quick at smoke scale
 SRC_REPRO = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -107,7 +108,7 @@ class TestCorruptionRecovery:
         sim_path.write_bytes(b"this is not a zip")
         messages = []
         data = load_program_data(PROGRAM, config, messages.append)
-        assert data.result.counts == baseline.result.counts
+        assert same_counts(data.result.counts, baseline.result.counts)
         counters = observing.snapshot()["counters"]
         assert counters["cache.sim.corrupt"] == 1
         assert counters["cache.sim.misses"] == 1
@@ -117,7 +118,7 @@ class TestCorruptionRecovery:
         assert any("corrupt" in message for message in messages)
         # The bad entry was replaced by a good one: next load is a hit.
         reloaded = load_program_data(PROGRAM, config)
-        assert reloaded.result.counts == baseline.result.counts
+        assert same_counts(reloaded.result.counts, baseline.result.counts)
         assert observing.snapshot()["counters"]["cache.sim.hits"] == 1
 
     def test_truncated_sim_entry_recovers(self, warm_cache):
@@ -125,7 +126,7 @@ class TestCorruptionRecovery:
         sim_path = _entry(config, SIM_SUFFIX)
         sim_path.write_bytes(sim_path.read_bytes()[:64])  # torn mid-write
         data = load_program_data(PROGRAM, config)
-        assert data.result.counts == baseline.result.counts
+        assert same_counts(data.result.counts, baseline.result.counts)
 
     def test_sim_footer_missing_a_field_recovers(self, warm_cache, observing):
         # A well-formed entry whose CRCs hold but whose footer lacks a
@@ -142,7 +143,7 @@ class TestCorruptionRecovery:
                 with rebuilt.open(name + ".npy", "w") as member:
                     np.lib.format.write_array(member, array)
         data = load_program_data(PROGRAM, config)
-        assert data.result.counts == baseline.result.counts
+        assert same_counts(data.result.counts, baseline.result.counts)
         assert observing.snapshot()["counters"]["cache.sim.corrupt"] == 1
 
     def test_truncated_trace_npz_recovers(self, warm_cache, observing):
@@ -152,7 +153,7 @@ class TestCorruptionRecovery:
         trace_path.write_bytes(trace_path.read_bytes()[:100])
         messages = []
         data = load_program_data(PROGRAM, config, messages.append)
-        assert data.result.counts == baseline.result.counts
+        assert same_counts(data.result.counts, baseline.result.counts)
         counters = observing.snapshot()["counters"]
         assert counters["cache.trace.corrupt"] == 1
         assert counters["cache.trace.misses"] == 1
@@ -163,7 +164,7 @@ class TestCorruptionRecovery:
         _entry(config, SIM_SUFFIX).unlink()
         _entry(config, ".npz").write_bytes(b"\x00" * 32)
         data = load_program_data(PROGRAM, config)
-        assert data.result.counts == baseline.result.counts
+        assert same_counts(data.result.counts, baseline.result.counts)
 
     def test_corrupt_kind_byte_recovers(self, warm_cache, observing):
         """A kind byte that is not an event kind, in a well-formed .npz
@@ -183,7 +184,7 @@ class TestCorruptionRecovery:
         with pytest.raises(TraceFormatError, match="invalid event kind 77"):
             load_trace(trace_path)
         data = load_program_data(PROGRAM, config)
-        assert data.result.counts == baseline.result.counts
+        assert same_counts(data.result.counts, baseline.result.counts)
         counters = observing.snapshot()["counters"]
         assert counters["cache.trace.corrupt"] == 1
         assert counters["cache.trace.misses"] == 1
@@ -209,7 +210,7 @@ class TestCorruptionRecovery:
         with pytest.raises(TraceFormatError, match=f"member {column}"):
             load_trace(trace_path)
         data = load_program_data(PROGRAM, config)
-        assert data.result.counts == baseline.result.counts
+        assert same_counts(data.result.counts, baseline.result.counts)
         counters = observing.snapshot()["counters"]
         assert counters["cache.trace.corrupt"] == 1
         assert counters["cache.trace.misses"] == 1
@@ -230,7 +231,7 @@ class TestCorruptionRecovery:
                            match="unsupported trace format version"):
             load_trace(trace_path)
         data = load_program_data(PROGRAM, config)
-        assert data.result.counts == baseline.result.counts
+        assert same_counts(data.result.counts, baseline.result.counts)
         counters = observing.snapshot()["counters"]
         assert counters["cache.trace.corrupt"] == 1
         assert counters["cache.trace.misses"] == 1
@@ -270,7 +271,7 @@ class TestNoCodeExecution:
         assert statuses[sim_path.name] == STATUS_CORRUPT
         assert statuses[legacy.name] == STATUS_OTHER
         data = load_program_data(PROGRAM, config)
-        assert data.result.counts == baseline.result.counts
+        assert same_counts(data.result.counts, baseline.result.counts)
         counters = observing.snapshot()["counters"]
         assert counters["cache.sim.corrupt"] == 1
         assert counters["cache.sim.misses"] == 1
@@ -309,7 +310,7 @@ class TestReadonlyCache:
         )
         messages = []
         data = load_program_data(PROGRAM, config, messages.append)
-        assert data.result.counts
+        assert data.result.sessions
         snapshot = observing.snapshot()
         assert snapshot["counters"]["cache.readonly"] >= 1
         assert any("unwritable" in message for message in messages)
@@ -325,7 +326,7 @@ class TestReadonlyCache:
             programs=(PROGRAM,), scale="smoke", cache_dir=blocker / "cache"
         )
         data = load_program_data(PROGRAM, config)
-        assert data.result.counts == baseline.result.counts
+        assert same_counts(data.result.counts, baseline.result.counts)
 
 
 class TestEndToEndRecovery:

@@ -22,6 +22,7 @@ from repro.experiments import parallel, pipeline
 from repro.experiments.cli import main as cli_main
 from repro.experiments.pipeline import ExperimentConfig, load_experiment_data
 from repro.observe.manifest import RunManifest, load_manifest
+from tests.conftest import same_counts
 
 PROGRAMS = ("gcc", "ctex", "spice", "qcd", "bps")
 
@@ -57,7 +58,7 @@ class TestEquivalence:
             serial_sessions = [s.label for s in serial.result.sessions]
             parallel_sessions = [s.label for s in parallel.result.sessions]
             assert serial_sessions == parallel_sessions, name
-            assert serial.result.counts == parallel.result.counts, name
+            assert same_counts(serial.result.counts, parallel.result.counts), name
             assert serial.result.total_writes == parallel.result.total_writes
             assert serial.result.n_discarded == parallel.result.n_discarded
 
@@ -73,7 +74,7 @@ class TestEquivalence:
             programs=("qcd",), scale="smoke", cache_dir=tmp_path, jobs=1,
         )
         data = load_experiment_data(config)
-        assert data["qcd"].result.counts == serial_data["qcd"].result.counts
+        assert same_counts(data["qcd"].result.counts, serial_data["qcd"].result.counts)
 
     def test_jobs_clamped_to_program_count(self, serial_data, tmp_path):
         config = ExperimentConfig(
@@ -82,7 +83,7 @@ class TestEquivalence:
         )
         data = load_experiment_data(config)
         assert tuple(data) == ("qcd", "gcc")
-        assert data["gcc"].result.counts == serial_data["gcc"].result.counts
+        assert same_counts(data["gcc"].result.counts, serial_data["gcc"].result.counts)
 
 
 class TestDispatchWindow:
@@ -109,7 +110,7 @@ class TestDispatchWindow:
         assert len(futures) == len(programs)
         assert max(peaks) == 2
         for name in programs:
-            assert data[name].result.counts == serial_data[name].result.counts
+            assert same_counts(data[name].result.counts, serial_data[name].result.counts)
 
     def test_kill_pool_kills_a_busy_worker(self):
         # An abort, a watchdog expiry or a SIGTERM must not leave a
@@ -259,7 +260,7 @@ class TestPoolCacheReads:
         assert counters["cache.trace.hits"] == len(programs)
         assert counters["cache.sim.misses"] == len(programs)
         for name in programs:
-            assert serial[name].result.counts == parallel[name].result.counts
+            assert same_counts(serial[name].result.counts, parallel[name].result.counts)
             assert (serial[name].result.total_writes
                     == parallel[name].result.total_writes)
         self._assert_no_shm_counters(counters)

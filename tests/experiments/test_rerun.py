@@ -29,6 +29,7 @@ from repro.experiments.pipeline import (
 from repro.experiments.store import STATUS_NPZ, STATUS_SIM, ResultStore
 from repro.simulate import ENGINE_CHOICES
 from repro.workloads import WORKLOADS
+from tests.conftest import same_counts
 
 PROGRAM = "qcd"  # heapless and quick at smoke scale
 
@@ -131,7 +132,7 @@ class TestRerun:
         assert "cache.sim.misses" not in counters
         assert "engine.runs" not in counters
         assert "cache.trace.hits" not in counters
-        assert again.result.counts == first.result.counts
+        assert same_counts(again.result.counts, first.result.counts)
         assert again.meta.base_time_us == first.meta.base_time_us
 
     def test_missing_sim_entry_recomputes_from_the_cached_trace(
@@ -143,7 +144,7 @@ class TestRerun:
         assert counters["cache.sim.misses"] == 1
         assert counters["cache.trace.hits"] == 1
         assert counters["engine.runs"] == 1
-        assert again.result.counts == first.result.counts
+        assert same_counts(again.result.counts, first.result.counts)
         assert sim_path(config).exists()
 
     def test_missing_trace_alone_is_still_a_hit(self, published, observing):
@@ -172,7 +173,7 @@ class TestRerun:
         assert counters["engine.runs"] == 1
         assert sorted(path.name for path in config.cache_dir.iterdir()) \
             == before
-        assert again.result.counts == first.result.counts
+        assert same_counts(again.result.counts, first.result.counts)
 
     def test_other_page_sizes_miss_but_reuse_the_trace(
             self, published, observing):
@@ -213,7 +214,7 @@ class TestRerun:
             lambda: load_program_data(PROGRAM, config))
         assert counters["cache.sim.corrupt"] == 1
         assert counters["cache.sim.misses"] == 1
-        assert again.result.counts == first.result.counts
+        assert same_counts(again.result.counts, first.result.counts)
         statuses = {entry.name: entry.status
                     for entry in ResultStore(config.cache_dir).verify().entries}
         assert statuses[path.name] == STATUS_SIM
@@ -227,7 +228,7 @@ class TestRerun:
             lambda: load_program_data(PROGRAM, config))
         assert counters["cache.sim.misses"] == 1
         assert "cache.sim.corrupt" not in counters
-        assert again.result.counts == first.result.counts
+        assert same_counts(again.result.counts, first.result.counts)
         assert ResultStore(config.cache_dir).verify().corrupt == []
 
     def test_partial_run_recomputes_only_the_rest(
@@ -251,4 +252,4 @@ class TestRerun:
         again, counters = counters_of(
             lambda: load_program_data(PROGRAM, other))
         assert counters["cache.sim.hits"] == 1
-        assert again.result.counts == first.result.counts
+        assert same_counts(again.result.counts, first.result.counts)

@@ -74,7 +74,7 @@ def test_readonly_fallback_warns_with_event_and_note(
     )
     messages = []
     data = load_program_data(PROGRAM, config, messages.append)
-    assert data.result.counts  # the run still produced data
+    assert data.result.sessions  # the run still produced data
 
     readonly = _events("cache.readonly")
     assert readonly, "cache-less degradation must emit cache.readonly"
@@ -100,6 +100,6 @@ def test_unwritable_cache_dir_warns_without_injection(tmp_path, recording):
         programs=(PROGRAM,), scale="smoke", cache_dir=blocker / "cache"
     )
     data = load_program_data(PROGRAM, config)
-    assert data.result.counts
+    assert data.result.sessions
     readonly = _events("cache.readonly")
     assert readonly and all(e.severity == "WARNING" for e in readonly)

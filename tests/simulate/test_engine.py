@@ -34,6 +34,11 @@ def make_registry(n_objects):
     return registry
 
 
+def row(result, index=0):
+    """The counts of studied session ``index``: column -> int."""
+    return {name: int(column[index]) for name, column in result.counts.items()}
+
+
 def sessions_of(member_lists):
     return [
         SessionDef(index, ONE_HEAP if len(members) == 1 else ALL_HEAP_IN_FUNC,
@@ -52,11 +57,11 @@ class TestHandComputed:
         trace.append_remove(0, 0x1000, 0x1010)
         result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,),
                                    engine=engine)
-        counts = result.counts[0]
-        assert counts.hits == 1
-        assert counts.misses == 1
-        assert counts.installs == 1
-        assert counts.removes == 1
+        counts = row(result)
+        assert counts["hits"] == 1
+        assert counts["misses"] == 1
+        assert counts["installs"] == 1
+        assert counts["removes"] == 1
 
     def test_write_outside_window_is_miss(self, engine):
         registry = make_registry(1)
@@ -81,10 +86,10 @@ class TestHandComputed:
         trace.append_remove(0, 0x1000, 0x1008)
         result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,),
                                    engine=engine)
-        vm = result.counts[0].vm_counts(4096)
-        assert vm.active_page_misses == 1
-        assert vm.protects == 1
-        assert vm.unprotects == 1
+        counts = row(result)
+        assert counts["active_page_misses_4096"] == 1
+        assert counts["protects_4096"] == 1
+        assert counts["unprotects_4096"] == 1
 
     def test_page_transitions_shared_page(self, engine):
         """Two session members on one page: a single protect window."""
@@ -99,10 +104,10 @@ class TestHandComputed:
         both = sessions_of([[0, 1]])
         result = simulate_sessions(trace, registry, both, (4096,),
                                    engine=engine)
-        vm = result.counts[0].vm_counts(4096)
-        assert vm.protects == 1
-        assert vm.unprotects == 1
-        assert result.counts[0].hits == 2
+        counts = row(result)
+        assert counts["protects_4096"] == 1
+        assert counts["unprotects_4096"] == 1
+        assert counts["hits"] == 2
 
     def test_multi_page_object(self, engine):
         registry = make_registry(1)
@@ -113,10 +118,10 @@ class TestHandComputed:
         trace.append_remove(0, 0x0FF8, 0x1010)
         result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,),
                                    engine=engine)
-        vm = result.counts[0].vm_counts(4096)
-        assert result.counts[0].hits == 2
-        assert vm.protects == 2   # both pages transitioned
-        assert vm.unprotects == 2
+        counts = row(result)
+        assert counts["hits"] == 2
+        assert counts["protects_4096"] == 2   # both pages transitioned
+        assert counts["unprotects_4096"] == 2
 
     def test_recursive_instantiations_same_object(self, engine):
         """Two live instantiations of one object id (recursion)."""
@@ -131,10 +136,10 @@ class TestHandComputed:
         trace.append_remove(0, 0x1000, 0x1008)
         result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096,),
                                    engine=engine)
-        counts = result.counts[0]
-        assert counts.hits == 2
-        assert counts.misses == 1
-        assert counts.installs == 2
+        counts = row(result)
+        assert counts["hits"] == 2
+        assert counts["misses"] == 1
+        assert counts["installs"] == 2
 
     def test_page_size_sensitivity(self, engine):
         """A miss one 4K page away is an APM only at the 8K page size."""
@@ -146,9 +151,9 @@ class TestHandComputed:
         trace.append_remove(0, 0x0000, 0x0008)
         result = simulate_sessions(trace, registry, sessions_of([[0]]), (4096, 8192),
                                    engine=engine)
-        counts = result.counts[0]
-        assert counts.vm_counts(4096).active_page_misses == 0
-        assert counts.vm_counts(8192).active_page_misses == 1
+        counts = row(result)
+        assert counts["active_page_misses_4096"] == 0
+        assert counts["active_page_misses_8192"] == 1
 
     def test_no_sessions_rejected(self, engine):
         with pytest.raises(PipelineError):
@@ -174,26 +179,28 @@ class TestInvariants:
 
     def test_hits_plus_misses_is_total_writes(self, engine):
         result = self._result(engine)
-        for counts in result.counts:
-            assert counts.hits + counts.misses == result.total_writes
+        counts = result.counts
+        assert len(counts["hits"]) == 5
+        assert (counts["hits"] + counts["misses"]).tolist() == \
+            [result.total_writes] * 5
 
     def test_apm_bounded_by_misses(self, engine):
-        result = self._result(engine)
-        for counts in result.counts:
-            for size in (4096, 8192):
-                assert 0 <= counts.vm_counts(size).active_page_misses <= counts.misses
+        counts = self._result(engine).counts
+        for size in (4096, 8192):
+            apm = counts[f"active_page_misses_{size}"]
+            assert all((0 <= apm) & (apm <= counts["misses"]))
 
     def test_protects_equal_unprotects(self, engine):
-        result = self._result(engine)
-        for counts in result.counts:
-            for size in (4096, 8192):
-                vm = counts.vm_counts(size)
-                assert vm.protects == vm.unprotects
+        counts = self._result(engine).counts
+        for size in (4096, 8192):
+            assert counts[f"protects_{size}"].tolist() == \
+                counts[f"unprotects_{size}"].tolist()
 
     def test_union_session_hits_at_least_members(self, engine):
         result = self._result(engine)
-        by_label = {s.label: c for s, c in zip(result.sessions, result.counts)}
-        assert by_label["s3"].hits >= max(by_label["s0"].hits, by_label["s1"].hits)
+        hits = dict(zip((s.label for s in result.sessions),
+                        result.counts["hits"].tolist()))
+        assert hits["s3"] >= max(hits["s0"], hits["s1"])
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +309,21 @@ def test_engine_matches_bruteforce_oracle(data):
     ]
     for result in results:
         assert result.overlap_anomalies == 0
-        studied = {session.index: counts for session, counts
-                   in zip(result.sessions, result.counts)}
+        studied = {session.index: row(result, index)
+                   for index, session in enumerate(result.sessions)}
         for session in sessions:
             want = expected[session.index]
             if want["hits"] == 0:
                 assert session.index not in studied
                 continue
             got = studied[session.index]
-            vm = got.vm_counts(page_size)
-            assert got.installs == want["installs"]
-            assert got.removes == want["removes"]
-            assert got.hits == want["hits"]
-            assert got.misses == want["misses"]
-            assert vm.protects == want["protects"]
-            assert vm.unprotects == want["unprotects"]
-            assert vm.active_page_misses == want["apm"]
+            assert got["installs"] == want["installs"]
+            assert got["removes"] == want["removes"]
+            assert got["hits"] == want["hits"]
+            assert got["misses"] == want["misses"]
+            assert got[f"protects_{page_size}"] == want["protects"]
+            assert got[f"unprotects_{page_size}"] == want["unprotects"]
+            assert got[f"active_page_misses_{page_size}"] == want["apm"]
     # The fields the oracle does not model must agree across backends.
     for result in results[1:]:
         assert_identical(results[0], result)

@@ -22,6 +22,7 @@ same comparison at full pipeline scale on the five benchmark programs.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import observe
@@ -111,38 +112,26 @@ def assert_identical(expected, actual):
     assert [s.index for s in expected.sessions] == \
         [s.index for s in actual.sessions]
     assert expected.page_sizes == actual.page_sizes
-    for session, c_exp, c_act in zip(
-        expected.sessions, expected.counts, actual.counts
-    ):
-        base_exp = (c_exp.installs, c_exp.removes, c_exp.hits, c_exp.misses,
-                    c_exp.max_concurrent)
-        base_act = (c_act.installs, c_act.removes, c_act.hits, c_act.misses,
-                    c_act.max_concurrent)
-        assert base_exp == base_act, \
-            f"session {session.index}: {base_exp} != {base_act}"
-        assert set(c_exp.vm) == set(c_act.vm)
-        for size in c_exp.vm:
-            vm_exp, vm_act = c_exp.vm[size], c_act.vm[size]
-            assert (vm_exp.protects, vm_exp.unprotects,
-                    vm_exp.active_page_misses) \
-                == (vm_act.protects, vm_act.unprotects,
-                    vm_act.active_page_misses), \
-                f"session {session.index} vm[{size}]"
+    assert list(expected.counts) == list(actual.counts)
+    for name, column in expected.counts.items():
+        assert actual.counts[name].dtype == column.dtype == np.int64, name
+        assert actual.counts[name].tolist() == column.tolist(), name
 
 
 def assert_invariants(result):
     """The documented engine invariants (see engine module docstring)."""
-    for counts in result.counts:
-        assert counts.hits + counts.misses == result.total_writes
-        assert counts.hits > 0  # zero-hit sessions are discarded
-        # (removes can exceed installs here: the adversarial traces
-        # deliberately remove non-live objects, which still counts.)
-        for size in result.page_sizes:
-            vm = counts.vm[size]
-            assert 0 <= vm.active_page_misses <= counts.misses
-            # Every protect window closes — on its 1->0 transition or
-            # the defensive EOF flush.
-            assert vm.unprotects == vm.protects
+    counts = result.counts
+    assert np.all(counts["hits"] + counts["misses"] == result.total_writes)
+    assert np.all(counts["hits"] > 0)  # zero-hit sessions are discarded
+    # (removes can exceed installs here: the adversarial traces
+    # deliberately remove non-live objects, which still counts.)
+    for size in result.page_sizes:
+        apm = counts[f"active_page_misses_{size}"]
+        assert np.all((0 <= apm) & (apm <= counts["misses"]))
+        # Every protect window closes — on its 1->0 transition or the
+        # defensive EOF flush.
+        assert np.array_equal(counts[f"unprotects_{size}"],
+                              counts[f"protects_{size}"])
 
 
 class TestDifferential:
@@ -197,10 +186,11 @@ class TestDifferential:
         result_py = simulate_python(trace, registry, sessions, (4096,))
         result_nat = simulate_native(trace, registry, sessions, (4096,))
         assert_identical(result_py, result_nat)
-        vm = result_nat.counts[0].vm[4096]
-        assert vm.protects == 1
-        assert vm.unprotects == 1  # defensive EOF flush closed it
-        assert vm.active_page_misses == 1
+        counts = result_nat.counts
+        assert counts["protects_4096"].tolist() == [1]
+        # The defensive EOF flush closed it.
+        assert counts["unprotects_4096"].tolist() == [1]
+        assert counts["active_page_misses_4096"].tolist() == [1]
 
     @needs_native
     def test_overlap_anomaly_and_open_window(self):

@@ -31,11 +31,6 @@ class NativeHardwareWms(WriteMonitorService):
         self._register_of: Dict[Monitor, int] = {}
         os.sigaction(Signal.SIGMON, self._handle_fault)
 
-    @property
-    def n_registers_free(self) -> int:
-        """Free hardware registers (at most 4 on 1992 hardware)."""
-        return self.cpu.monitor_registers.n_free()
-
     def _activate(self, monitor: Monitor) -> None:
         index = self.cpu.monitor_registers.allocate(monitor.begin, monitor.end)
         self._register_of[monitor] = index

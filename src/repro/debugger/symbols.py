@@ -58,14 +58,6 @@ class SymbolResolver:
                 )
         raise SymbolNotFound(f"no variable {var_name!r} in function {func_name!r}")
 
-    def local_range(
-        self, func_name: str, var_name: str, frame_base: int
-    ) -> Tuple[int, int]:
-        """Byte range of a local given a live frame base."""
-        var = self.local_var(func_name, var_name)
-        begin = var.address_in_frame(frame_base)
-        return begin, begin + var.size_bytes
-
     # -- source mapping ------------------------------------------------------------
 
     def describe_pc(self, pc: int) -> str:

@@ -13,10 +13,10 @@ Examples::
     repro-experiments show run.json
     repro-experiments events run.events.jsonl --severity WARNING
 
-    # the perf gate in one command:
+    # two runs side by side:
     repro-experiments table4 --scale smoke --manifest a.json
     repro-experiments table4 --scale smoke --manifest b.json
-    repro-experiments diff a.json b.json
+    repro-experiments show a.json b.json
 
 ``--manifest FILE`` turns on the observability layer
 (:mod:`repro.observe`), and an observed run writes exactly two
@@ -30,11 +30,11 @@ summary naming the log.  ``--profile`` adds the sampling profiler's
 counters to the manifest.
 
 ``show FILE`` prints a manifest's stage and cache digest, its metric
-tables and its sampling profile; ``diff A.json B.json`` compares two
-manifests with fixed per-family thresholds and exits non-zero on
-regression (``--report-only`` to disable the gate); ``events LOG``
-tails/filters an event log by severity, category, worker, and time
-range.  See ``docs/OBSERVABILITY.md``.
+tables and its sampling profile; ``show A.json B.json`` prints two
+manifests' stages, cache traffic and metrics side by side with the
+relative change, and gives no verdict; ``events LOG`` tails/filters an
+event log by severity, category, worker, and time range.  See
+``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from repro.experiments.table3 import render_table3_report
 from repro.experiments.table4 import render_table4_report
 from repro.experiments.whatif import render_whatif_report
 from repro.simulate import ENGINE_CHOICES
-from repro.observe.diff import diff_manifests, render_diff_report
 from repro.observe.events import SEVERITIES, rank_severity
 
 _TARGETS = (
@@ -126,8 +125,8 @@ def _parse_args(argv):
         description="Reproduce the tables and figures of 'Efficient Data "
         "Breakpoints' (Wahbe, ASPLOS 1992).",
         epilog="Harness subcommands: 'repro-experiments show FILE' prints a "
-        "run manifest; 'repro-experiments diff A.json B.json' "
-        "compares two run manifests (non-zero exit on regression); "
+        "run manifest, and 'repro-experiments show A.json B.json' prints "
+        "two side by side with the relative change; "
         "'repro-experiments events LOG' tails/filters the event log "
         "written beside a manifest.  See docs/OBSERVABILITY.md.  "
         + _EXIT_CODE_DOC
@@ -229,60 +228,34 @@ def _point_at_event_log(args) -> None:
               file=sys.stderr)
 
 
-def _parse_diff_args(argv):
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments diff",
-        description="Compare two RunManifest JSONs and report regressions. "
-        "Exits 1 when a metric regressed past threshold (the perf gate), "
-        "0 otherwise; 2 on unreadable/invalid manifests.",
-    )
-    parser.add_argument("before", help="baseline manifest JSON")
-    parser.add_argument("after", help="candidate manifest JSON")
-    parser.add_argument(
-        "--report-only", action="store_true",
-        help="always exit 0; just print the report",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable verdict JSON instead of the text report",
-    )
-    return parser.parse_args(argv)
-
-
-def _diff_main(argv) -> int:
-    args = _parse_diff_args(argv)
-    try:
-        before = observe.load_manifest(args.before)
-        after = observe.load_manifest(args.after)
-    except ManifestFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    diff = diff_manifests(before, after)
-    if args.json:
-        print(json.dumps(diff.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(render_diff_report(diff))
-    if diff.regressions and not args.report_only:
-        return 1
-    return 0
-
-
 def _show_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments show",
         description="Print a RunManifest: its stage and cache digest, its "
         "span, counter, gauge and histogram tables, and the top-N "
-        "sampling-profile tables of a --profile run.  Exits 2 on an "
+        "sampling-profile tables of a --profile run.  Given two "
+        "manifests, print their stage and cache rows, counters, gauges "
+        "and histogram means side by side with the relative change, and "
+        "the environment keys that differ; no verdict.  Exits 2 on an "
         "unreadable or invalid manifest.",
     )
     parser.add_argument("manifest", help="manifest JSON to print")
+    parser.add_argument(
+        "after", nargs="?", default=None,
+        help="a second manifest JSON: print the two side by side",
+    )
     args = parser.parse_args(argv)
     try:
         manifest = observe.load_manifest(args.manifest)
+        after = (None if args.after is None
+                 else observe.load_manifest(args.after))
     except ManifestFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(observe.render_manifest(manifest))
+    if after is None:
+        print(observe.render_manifest(manifest))
+    else:
+        print(observe.render_comparison(manifest, after))
     return 0
 
 
@@ -518,8 +491,6 @@ def main(argv=None) -> int:
     argv = list(argv if argv is not None else sys.argv[1:])
     if argv and argv[0] == "show":
         return _show_main(argv[1:])
-    if argv and argv[0] == "diff":
-        return _diff_main(argv[1:])
     if argv and argv[0] == "events":
         return _events_main(argv[1:])
     if argv and argv[0] == "store":

@@ -154,11 +154,6 @@ def format_instr(instr: Instr) -> str:
     return f"{name} " + " ".join(str(operand) for operand in instr[1:])
 
 
-def is_store(instr: Instr) -> bool:
-    """True if ``instr`` is a plain (unpatched) store."""
-    return instr[0] == ST
-
-
 def retarget_branches(code: list, index_map: Dict[int, int]) -> list:
     """Rewrite branch targets through ``index_map`` (old index -> new).
 

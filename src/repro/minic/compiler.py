@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.machine.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.minic.codegen import CompiledFunction, generate_unit
@@ -38,11 +38,6 @@ class CompiledProgram:
     def total_instructions(self) -> int:
         """Static instruction count across all functions."""
         return sum(len(func.code) for func in self.functions)
-
-    def global_by_name(self) -> Dict[str, GlobalVar]:
-        """Name -> descriptor map over the global segment."""
-        return {var.name if var.owner_function is None else f"{var.owner_function}.{var.name}": var
-                for var in self.globals}
 
 
 def compile_source(

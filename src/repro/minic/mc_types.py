@@ -133,25 +133,3 @@ def decay(ctype: CType) -> CType:
     if isinstance(ctype, ArrayType):
         return ctype.decayed()
     return ctype
-
-
-def element_size(ctype: CType) -> int:
-    """Pointee size for pointer arithmetic on ``ctype``."""
-    if isinstance(ctype, PointerType):
-        return ctype.pointee.size_bytes()
-    if isinstance(ctype, ArrayType):
-        return ctype.element.size_bytes()
-    raise TypeError_(f"{ctype} is not a pointer type")
-
-
-def is_compatible_assignment(target: CType, value: CType) -> bool:
-    """Can ``value`` be assigned to ``target`` (with implicit numeric
-    conversion)?  Pointer/int mixing is rejected except assigning the
-    literal 0 — the caller special-cases null constants."""
-    target = decay(target)
-    value = decay(value)
-    if target == value:
-        return True
-    if target.is_numeric and value.is_numeric:
-        return True
-    return False

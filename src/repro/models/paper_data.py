@@ -51,16 +51,6 @@ class PaperTable1Row:
             "AllHeapInFunc": self.all_heap_in_func,
         }[session_type]
 
-    @property
-    def total_sessions(self) -> int:
-        return (
-            self.one_local_auto
-            + self.all_local_in_func
-            + self.one_global_static
-            + self.one_heap
-            + self.all_heap_in_func
-        )
-
 
 TABLE_1: Dict[str, PaperTable1Row] = {
     "gcc": PaperTable1Row(2328, 493, 347, 323, 138, 3900),

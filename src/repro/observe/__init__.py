@@ -15,9 +15,8 @@ process-local and **off by default**:
   JSON document per pipeline run (per-stage timings, event counts,
   cache traffic, environment fingerprint);
 * :mod:`repro.observe.report` — :func:`render_manifest`, the one human
-  view of a run, read from its manifest alone;
-* :mod:`repro.observe.diff` — structural before/after manifest diffing
-  with per-family thresholds and a machine-readable verdict;
+  view of a run, read from its manifest alone, and
+  :func:`render_comparison`, two runs' manifests side by side;
 * :mod:`repro.observe.profile` — a 1-in-N sampling profiler for the CPU
   dispatch loop and simulation engine hot paths, whose samples are
   ``profile.*`` counters;
@@ -29,7 +28,7 @@ An observed run leaves two artifacts: the manifest and its event log.
 Turn observation on in code with :func:`enable`, :func:`enable_events`
 and :func:`enable_profiling`, or from the CLI with ``--manifest FILE``
 (plus ``--profile``); ``repro-experiments show FILE`` prints the
-manifest.  The disabled fast path is guarded by
+manifest, and ``show A.json B.json`` compares two.  The disabled fast path is guarded by
 ``benchmarks/test_observe_overhead.py``; see ``docs/OBSERVABILITY.md``
 for the guide and schemas.
 """
@@ -76,14 +75,7 @@ from repro.observe.manifest import (
     load_manifest,
     validate_manifest,
 )
-from repro.observe.report import render_manifest
-from repro.observe.diff import (
-    DiffEntry,
-    DiffThresholds,
-    ManifestDiff,
-    diff_manifests,
-    render_diff_report,
-)
+from repro.observe.report import render_comparison, render_manifest
 from repro.observe.profile import (
     DEFAULT_SAMPLE_STRIDE,
     SampleProfile,
@@ -101,14 +93,11 @@ from repro.observe.snapshot import (
 __all__ = [
     "Counter",
     "DEFAULT_SAMPLE_STRIDE",
-    "DiffEntry",
-    "DiffThresholds",
     "EVENT_SCHEMA_VERSION",
     "EventRecord",
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "ManifestDiff",
     "MetricsRegistry",
     "MANIFEST_SCHEMA_VERSION",
     "RunManifest",
@@ -118,7 +107,6 @@ __all__ = [
     "SpanRecord",
     "current_run_id",
     "current_span_path",
-    "diff_manifests",
     "disable",
     "disable_events",
     "disable_profiling",
@@ -144,7 +132,7 @@ __all__ = [
     "note",
     "observe_value",
     "register_reset_hook",
-    "render_diff_report",
+    "render_comparison",
     "render_manifest",
     "reset",
     "set_gauge",

@@ -4,13 +4,17 @@
 the examples use it to show where a run spent its time without the
 reader having to open the manifest JSON.  It reads nothing but the
 manifest, so a run is explained after the fact from its own artifact.
+``show A.json B.json`` prints :func:`render_comparison`: the two runs'
+stages, cache traffic and metrics side by side with the relative
+change, and no verdict (a speedup is claimed from repeated pairs of
+runs, which perfbench measures, not from one manifest per side).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.observe.manifest import RunManifest
+from repro.observe.manifest import STAGE_NAMES, RunManifest
 
 Number = Union[int, float]
 
@@ -41,7 +45,7 @@ def _digest(manifest: RunManifest) -> str:
         stages = manifest.stages[program]
         timing = "  ".join(
             f"{stage}={stages[stage] * 1000.0:.1f}ms"
-            for stage in ("compile", "trace", "simulate", "model")
+            for stage in STAGE_NAMES
             if stage in stages
         )
         lines.append(f"  [{program}] {timing}")
@@ -148,4 +152,99 @@ def render_manifest(manifest: RunManifest, top_n: int = 10) -> str:
     if profile:
         sections.append("Sampling profile")
         sections.extend(profile)
+    return "\n\n".join(sections)
+
+
+Row = Tuple[str, Optional[Number], Optional[Number]]
+
+
+def _digest_rows(before: RunManifest, after: RunManifest) -> List[Row]:
+    """The digest's numbers for both runs: stage ms, then cache traffic."""
+    rows: List[Row] = []
+    for program in sorted({*before.stages, *after.stages}):
+        old = before.stages.get(program, {})
+        new = after.stages.get(program, {})
+        for stage in STAGE_NAMES:
+            if stage in old or stage in new:
+                rows.append((
+                    f"[{program}] {stage} ms",
+                    None if stage not in old else old[stage] * 1000.0,
+                    None if stage not in new else new[stage] * 1000.0,
+                ))
+    for kind in sorted({*before.cache, *after.cache}):
+        old = before.cache.get(kind, {})
+        new = after.cache.get(kind, {})
+        for key in ("hits", "misses"):
+            rows.append((f"cache/{kind} {key}", old.get(key), new.get(key)))
+    return rows
+
+
+def _paired(before: Dict[str, Number], after: Dict[str, Number]) -> List[Row]:
+    return [(name, before.get(name), after.get(name))
+            for name in sorted({*before, *after})]
+
+
+def _histogram_means(manifest: RunManifest) -> Dict[str, Number]:
+    return {
+        name: summary["mean"]
+        for name, summary in manifest.histograms.items()
+        if summary.get("count", 0)
+    }
+
+
+def _cell(value: Optional[Number], float_fmt: str) -> str:
+    if value is None:
+        return "-"
+    return f"{value:,}" if isinstance(value, int) else format(value, float_fmt)
+
+
+def _side_by_side(
+    title: str, column: str, rows: List[Row], float_fmt: str = ",",
+) -> Optional[str]:
+    """One ``name  before  after  change`` table; ``-`` marks a value
+    only one run has, and a change whose base is missing or zero."""
+    if not rows:
+        return None
+    body = []
+    for name, old, new in rows:
+        change = "-"
+        if old is not None and new is not None and old != 0:
+            change = f"{100.0 * (new - old) / old:+.1f}%"
+        body.append([name, _cell(old, float_fmt), _cell(new, float_fmt),
+                     change])
+    return f"{title}\n" + _rows_to_text(
+        [column, "before", "after", "change"], body
+    )
+
+
+def render_comparison(before: RunManifest, after: RunManifest) -> str:
+    """Two manifests side by side: the digest's stage and cache rows,
+    every counter and gauge, each histogram's mean, and each
+    environment key whose value differs.  Spans and the sampling
+    profile appear only in :func:`render_manifest`."""
+    sections = [
+        f"Run manifests: before target={before.target or '-'}, "
+        f"after target={after.target or '-'}"
+    ]
+    tables = (
+        _side_by_side("Stages and cache", "stage",
+                      _digest_rows(before, after), ",.1f"),
+        _side_by_side("Counters", "counter",
+                      _paired(before.counters, after.counters)),
+        _side_by_side("Gauges", "gauge", _paired(before.gauges, after.gauges)),
+        _side_by_side("Histogram means", "histogram",
+                      _paired(_histogram_means(before),
+                              _histogram_means(after)), ",.3g"),
+    )
+    sections.extend(table for table in tables if table is not None)
+    body = [
+        [key, str(before.environment.get(key, "-")),
+         str(after.environment.get(key, "-"))]
+        for key in sorted({*before.environment, *after.environment})
+        if before.environment.get(key) != after.environment.get(key)
+    ]
+    if body:
+        sections.append("Environment (keys that differ)\n" + _rows_to_text(
+            ["environment", "before", "after"], body
+        ))
     return "\n\n".join(sections)

@@ -23,8 +23,8 @@ the same :class:`~repro.simulate.engine.RawCounts`:
 
 The shell does everything else once for both: the input checks, the
 object → sessions membership, the count table,
-the ``engine.*`` counters and ``engine.backend`` note, and the profiler's
-1-in-N event-kind sample.
+the ``engine.*`` counters (``engine.backend.<python|native>`` counts the
+runs of each backend), and the profiler's 1-in-N event-kind sample.
 
 The default ``engine="auto"`` runs native when the kernel loads and
 ``python`` otherwise (no C compiler, or ``REPRO_NATIVE_DISABLE`` set).
@@ -245,7 +245,7 @@ def _record(counts: RawCounts, result, backend, n_events, elapsed) -> None:
     )
     observe.inc("engine.sessions_studied", len(result.sessions))
     observe.inc("engine.sessions_discarded", result.n_discarded)
-    observe.note("engine.backend", backend)
+    observe.inc(f"engine.backend.{backend}")
     if elapsed > 0:
         observe.observe_value("engine.events_per_sec", n_events / elapsed)
 

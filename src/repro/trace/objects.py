@@ -132,20 +132,3 @@ class ObjectRegistry:
         if kind not in KINDS:
             raise TraceFormatError(f"unknown object kind {kind!r}")
         return [obj for obj in self.objects if obj.kind == kind]
-
-    def functions_with_locals(self) -> List[str]:
-        """Functions owning at least one local/static object."""
-        seen: Dict[str, None] = {}
-        for obj in self.objects:
-            if obj.kind in (LOCAL, STATIC) and obj.function:
-                seen.setdefault(obj.function, None)
-        return list(seen)
-
-    def heap_context_functions(self) -> List[str]:
-        """Functions appearing in at least one heap allocation context."""
-        seen: Dict[str, None] = {}
-        for obj in self.objects:
-            if obj.kind == HEAP:
-                for name in obj.context:
-                    seen.setdefault(name, None)
-        return list(seen)

@@ -215,9 +215,9 @@ class TestEventsSubcommand:
         assert "empty" in capsys.readouterr().out
 
 
-class TestGracefulDiff:
-    def test_diff_needs_two_manifests(self, capsys):
+class TestGracefulShow:
+    def test_show_needs_a_manifest(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli_main(["diff", "a.json"])
+            cli_main(["show"])
         assert exc.value.code == 2
-        assert "required: after" in capsys.readouterr().err
+        assert "required: manifest" in capsys.readouterr().err

@@ -185,6 +185,9 @@ class TestMergedObservation:
         assert manifest.counters["cache.trace.misses"] == len(PROGRAMS)
         assert manifest.counters["cache.sim.misses"] == len(PROGRAMS)
         assert manifest.counters["engine.runs"] == len(PROGRAMS)
+        # The backend that ran is a counter too, so it merges the same way.
+        assert sum(value for name, value in manifest.counters.items()
+                   if name.startswith("engine.backend.")) == len(PROGRAMS)
         assert manifest.cache["trace"]["written"]
         assert manifest.counters["trace.events"] == manifest.counters["engine.events"]
         assert manifest.counters["cpu.stores"] == manifest.counters["trace.writes"]

@@ -1,11 +1,12 @@
-"""Integration: the perf gate is one command end to end.
+"""Integration: two runs compare through ``show`` end to end.
 
-Covers the acceptance path: run ``table4 --scale smoke --manifest`` twice,
-``repro-experiments diff a.json b.json`` exits 0; degrade a stage timing
-past threshold and the diff exits non-zero with a readable report.  Also
-exercises ``--profile`` and ``show`` through the real CLI entry point,
-and checks that the manifest is the one perf record: the trajectory
-store, the stderr reports, the Chrome trace and their flags are gone.
+Runs ``table4 --scale smoke --manifest`` twice and compares the two
+manifests with ``repro-experiments show a.json b.json``, which prints
+both runs' numbers and exits 0 whatever they are.  Also exercises
+``--profile`` and one-manifest ``show`` through the real CLI entry
+point, and checks that the manifest is the one perf record: the
+trajectory store, the ``diff`` verdict, the stderr reports, the Chrome
+trace and their flags are gone.
 """
 
 from __future__ import annotations
@@ -47,128 +48,53 @@ def run_cli(*extra, cache_dir):
     ])
 
 
-class TestDiffGate:
-    def test_identical_runs_pass_and_degraded_stage_fails(
+class TestShowTwoRuns:
+    def test_two_smoke_runs_compare_in_either_order(
         self, cache_dir, tmp_path, capsys
     ):
         a_path = tmp_path / "a.json"
         b_path = tmp_path / "b.json"
         assert run_cli("--manifest", str(a_path), cache_dir=cache_dir) == 0
         assert run_cli("--manifest", str(b_path), cache_dir=cache_dir) == 0
-
-        # Two runs of the same target: no metric regressed, gate passes.
-        assert cli_main(["diff", str(a_path), str(b_path)]) == 0
-        out = capsys.readouterr().out
-        assert "verdict: OK" in out
-
-        # Degrade one stage timing past the 25% relative + 5ms absolute
-        # thresholds: the gate must fail with a readable report.
-        degraded = json.loads(b_path.read_text(encoding="utf-8"))
-        program, stages = next(iter(degraded["stages"].items()))
-        stage = next(iter(stages))
-        stages[stage] = stages[stage] * 10.0 + 1.0
-        c_path = tmp_path / "c.json"
-        c_path.write_text(json.dumps(degraded), encoding="utf-8")
-
-        assert cli_main(["diff", str(b_path), str(c_path)]) == 1
-        out = capsys.readouterr().out
-        assert "verdict: REGRESSION" in out
-        assert f"stages/{program}/{stage}" in out
-        assert "slowed" in out
-
-        # --report-only downgrades the same regression to exit 0.
-        assert cli_main([
-            "diff", str(b_path), str(c_path), "--report-only",
-        ]) == 0
-
-    def test_json_verdict_output(self, cache_dir, tmp_path, capsys):
-        a_path = tmp_path / "a.json"
-        assert run_cli("--manifest", str(a_path), cache_dir=cache_dir) == 0
         capsys.readouterr()
-        assert cli_main(["diff", str(a_path), str(a_path), "--json"]) == 0
-        verdict = json.loads(capsys.readouterr().out)
-        assert verdict["verdict"] == "ok"
-        assert verdict["n_regressions"] == 0
+
+        # No verdict: two runs of the same code compare with exit 0 in
+        # either order, and the stage rows carry both runs' numbers.
+        for pair in ((a_path, b_path), (b_path, a_path)):
+            assert cli_main(["show", *map(str, pair)]) == 0
+            out = capsys.readouterr().out
+            assert "verdict" not in out.lower()
+            before, after = map(observe.load_manifest, pair)
+            row = next(line.split() for line in out.splitlines()
+                       if line.startswith("[all] model ms "))
+            assert row[3:5] == [
+                f"{before.stages['all']['model'] * 1000.0:,.1f}",
+                f"{after.stages['all']['model'] * 1000.0:,.1f}",
+            ]
+            assert "Counters" in out and "Spans" not in out
+
+    def test_slowed_stage_exits_0_with_both_values(
+        self, cache_dir, tmp_path, capsys
+    ):
+        b_path = tmp_path / "b.json"
+        assert run_cli("--manifest", str(b_path), cache_dir=cache_dir) == 0
+        slowed = json.loads(b_path.read_text(encoding="utf-8"))
+        slowed["stages"]["all"]["model"] = 1.5
+        c_path = tmp_path / "c.json"
+        c_path.write_text(json.dumps(slowed), encoding="utf-8")
+        capsys.readouterr()
+
+        assert cli_main(["show", str(b_path), str(c_path)]) == 0
+        row = next(line.split() for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("[all] model ms "))
+        assert row[4] == "1,500.0"
+        assert row[5].startswith("+") and row[5].endswith("%")
 
     def test_unreadable_manifest_exits_2(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{not json", encoding="utf-8")
-        assert cli_main(["diff", str(bogus), str(bogus)]) == 2
+        assert cli_main(["show", str(bogus), str(bogus)]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-def _manifest(path, stages=None, eps_mean=None, cache=None,
-              environment=None):
-    """Write a minimal manifest with just the families ``diff`` gates on."""
-    histograms = {}
-    if eps_mean is not None:
-        histograms["engine.events_per_sec"] = {
-            "count": 1, "min": eps_mean, "max": eps_mean, "mean": eps_mean,
-            "p50": eps_mean, "p90": eps_mean, "p95": eps_mean,
-            "p99": eps_mean, "total": eps_mean,
-        }
-    observe.RunManifest(
-        target="t", stages=stages or {}, histograms=histograms,
-        cache=cache or {}, environment=environment or {"python": "3.x"},
-    ).write(path)
-    return str(path)
-
-
-class TestFixedThresholds:
-    """``diff`` gates at the defaults of ``DiffThresholds``, the values
-    docs/OBSERVABILITY.md gives: a stage slowed by > 25% and > 5 ms,
-    throughput down > 25%, a cache hit rate down > 0.10."""
-
-    def test_defaults_are_the_documented_values(self):
-        assert observe.DiffThresholds() == observe.DiffThresholds(
-            stage_rel=0.25, stage_abs_s=0.005, eps_rel=0.25,
-            cache_hit_rate_abs=0.10, counter_drift_rel=0.50,
-        )
-
-    @pytest.mark.parametrize("before, after, code", [
-        ({"stages": {"p": {"simulate": 0.100}}},
-         {"stages": {"p": {"simulate": 0.124}}}, 0),
-        ({"stages": {"p": {"simulate": 0.100}}},
-         {"stages": {"p": {"simulate": 0.126}}}, 1),
-        ({"stages": {"p": {"simulate": 0.010}}},
-         {"stages": {"p": {"simulate": 0.014}}}, 0),
-        ({"stages": {"p": {"simulate": 0.010}}},
-         {"stages": {"p": {"simulate": 0.016}}}, 1),
-        ({"eps_mean": 1_000_000.0}, {"eps_mean": 760_000.0}, 0),
-        ({"eps_mean": 1_000_000.0}, {"eps_mean": 740_000.0}, 1),
-        ({"cache": {"sim": {"hits": 90, "misses": 10}}},
-         {"cache": {"sim": {"hits": 81, "misses": 19}}}, 0),
-        ({"cache": {"sim": {"hits": 90, "misses": 10}}},
-         {"cache": {"sim": {"hits": 79, "misses": 21}}}, 1),
-    ], ids=["stage-under-rel", "stage-over-rel", "stage-under-abs",
-            "stage-over-abs", "eps-under", "eps-over", "hit-rate-under",
-            "hit-rate-over"])
-    def test_exit_code_flips_at_the_default(
-        self, tmp_path, capsys, before, after, code
-    ):
-        a = _manifest(tmp_path / "a.json", **before)
-        b = _manifest(tmp_path / "b.json", **after)
-        assert cli_main(["diff", a, b]) == code
-        verdict = "REGRESSION" if code else "OK"
-        assert f"verdict: {verdict}" in capsys.readouterr().out
-
-    def test_json_verdict_of_a_regression_exits_1(self, tmp_path, capsys):
-        a = _manifest(tmp_path / "a.json", stages={"p": {"simulate": 0.1}})
-        b = _manifest(tmp_path / "b.json", stages={"p": {"simulate": 0.2}})
-        assert cli_main(["diff", a, b, "--json"]) == 1
-        verdict = json.loads(capsys.readouterr().out)
-        assert verdict["verdict"] == "regression"
-        assert verdict["n_regressions"] == 1
-
-    def test_cross_environment_regression_does_not_gate(
-        self, tmp_path, capsys
-    ):
-        a = _manifest(tmp_path / "a.json", stages={"p": {"simulate": 0.1}},
-                      environment={"python": "3.x"})
-        b = _manifest(tmp_path / "b.json", stages={"p": {"simulate": 0.2}},
-                      environment={"python": "3.y"})
-        assert cli_main(["diff", a, b]) == 0
-        assert "verdict: WARNING" in capsys.readouterr().out
 
 
 class TestProfileFlag:
@@ -211,33 +137,29 @@ class TestProfileFlag:
 
 
 class TestOnePerfRecord:
-    """The manifest plus ``diff`` is the one in-program perf record: the
-    trajectory store, ``trend`` and the unset ``diff`` knobs are gone, and
-    the manifest's shape is unchanged by their removal."""
+    """The manifest, read by ``show``, is the one in-program perf record:
+    the trajectory store, ``trend`` and ``diff`` are gone, and the
+    manifest's shape is unchanged by their removal."""
 
     @pytest.mark.parametrize("argv, message", [
         (["trend"], "invalid choice: 'trend'"),
         (["table4", "--history", "F"], "unrecognized arguments: --history"),
-        (["diff", "--history", "F", "G"], "unrecognized arguments: --history"),
-        (["diff", "a.json", "b.json", "--stage-rel", "0.1"],
-         "unrecognized arguments: --stage-rel"),
-        (["diff", "a.json", "b.json", "--stage-abs-ms", "5"],
-         "unrecognized arguments: --stage-abs-ms"),
-        (["diff", "a.json", "b.json", "--eps-rel", "0.1"],
-         "unrecognized arguments: --eps-rel"),
-        (["diff", "a.json", "b.json", "--hit-rate-abs", "0.1"],
-         "unrecognized arguments: --hit-rate-abs"),
-        (["diff", "a.json", "b.json", "--fail-on-regression"],
-         "unrecognized arguments: --fail-on-regression"),
+        (["diff", "a.json", "b.json"], "invalid choice: 'diff'"),
+        (["diff", "--report-only", "a.json", "b.json"],
+         "invalid choice: 'diff'"),
+        (["show", "--report-only", "a.json", "b.json"],
+         "unrecognized arguments: --report-only"),
+        (["show", "--json", "a.json", "b.json"],
+         "unrecognized arguments: --json"),
         (["table1", "--profile-stride", "5"],
          "unrecognized arguments: --profile-stride"),
         (["table4", "--metrics"], "unrecognized arguments: --metrics"),
         (["table4", "--trace-out", "X"], "unrecognized arguments: --trace-out"),
         (["table4", "--events", "X"], "unrecognized arguments: --events"),
         (["table4", "--profile"], "--profile needs --manifest"),
-    ], ids=["trend", "history", "diff-history", "stage-rel", "stage-abs-ms",
-            "eps-rel", "hit-rate-abs", "fail-on-regression", "profile-stride",
-            "metrics", "trace-out", "events", "profile-without-manifest"])
+    ], ids=["trend", "history", "diff", "diff-report-only",
+            "show-report-only", "show-json", "profile-stride", "metrics",
+            "trace-out", "events", "profile-without-manifest"])
     def test_removed_surfaces_are_usage_errors(
         self, tmp_path, monkeypatch, capsys, argv, message
     ):
@@ -249,10 +171,12 @@ class TestOnePerfRecord:
         assert list(tmp_path.iterdir()) == []
 
     def test_observe_exports_no_history_name(self):
-        assert importlib.util.find_spec("repro.observe.history") is None
+        for module in ("repro.observe.history", "repro.observe.diff"):
+            assert importlib.util.find_spec(module) is None
         for name in ("DEFAULT_HISTORY_FILE", "HISTORY_SCHEMA_VERSION",
                      "HistoryRecord", "append_record", "load_history",
-                     "render_trend"):
+                     "render_trend", "DiffEntry", "DiffThresholds",
+                     "ManifestDiff", "diff_manifests", "render_diff_report"):
             assert name not in observe.__all__
             assert not hasattr(observe, name)
         assert not hasattr(observe.RunManifest, "digest")

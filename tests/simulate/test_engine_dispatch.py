@@ -152,14 +152,18 @@ class TestRunMatrix:
         observe.enable()
         try:
             result = _run_source(source, request_, sized_cases[n_events])
-            backends = observe.get_registry().snapshot()["notes"][
-                "engine.backend"
-            ]
+            backends = {
+                name: value
+                for name, value in observe.get_registry().snapshot()[
+                    "counters"].items()
+                if name.startswith("engine.backend.")
+            }
         finally:
             if not was_enabled:
                 observe.disable()
             observe.reset()
-        assert backends == ["native" if native else "python"]
+        ran = "native" if native else "python"
+        assert backends == {f"engine.backend.{ran}": 1}
         assert_identical(reference, result)
 
     def test_largest_case_spans_several_slices(self, sized_cases):

@@ -276,14 +276,49 @@ class TestShellObservation:
                 if not was_enabled:
                     observe.disable()
                 observe.reset()
-            assert snapshot["notes"]["engine.backend"] == [engine]
-            reports[engine] = snapshot["counters"]
+            counters = snapshot["counters"]
+            assert counters.pop(f"engine.backend.{engine}") == 1
+            reports[engine] = counters
         assert reports["python"] == reports["native"]
         counters = reports["python"]
         assert counters["engine.events"] == len(trace)
         samples = [value for name, value in counters.items()
                    if name.startswith("profile.engine.event.")]
         assert sum(samples) == len(trace.kinds[::3])
+
+    @pytest.mark.parametrize("engine", BACKENDS)
+    def test_backend_is_counted_once_per_run(self, engine):
+        trace, registry, sessions = build_random(5)
+        was_enabled = observe.is_enabled()
+        observe.reset()
+        observe.enable()
+        try:
+            for _ in range(2):
+                simulate_sessions(trace, registry, sessions, (4096,),
+                                  engine=engine)
+            counters = observe.get_registry().snapshot()["counters"]
+        finally:
+            if not was_enabled:
+                observe.disable()
+            observe.reset()
+        assert {name: value for name, value in counters.items()
+                if name.startswith("engine.backend.")} == {
+            f"engine.backend.{engine}": 2}
+
+    def test_backend_is_not_counted_while_observation_is_off(self):
+        trace, registry, sessions = build_random(5)
+        was_enabled = observe.is_enabled()
+        observe.reset()
+        observe.disable()
+        try:
+            simulate_sessions(trace, registry, sessions, (4096,))
+            counters = observe.get_registry().snapshot()["counters"]
+        finally:
+            if was_enabled:
+                observe.enable()
+            observe.reset()
+        assert not any(name.startswith("engine.backend.")
+                       for name in counters)
 
 
 class TestNoColumnCopy:
